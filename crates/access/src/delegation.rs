@@ -17,13 +17,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::{Capability, Protected, Subject};
 use crate::rights::Rights;
 
 /// One hop in a delegation chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delegation {
     /// Who delegated.
     pub from: Subject,
@@ -34,7 +32,7 @@ pub struct Delegation {
 }
 
 /// Identifies an issued (possibly derived) capability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GrantId(pub u64);
 
 /// Errors from delegation operations.

@@ -13,12 +13,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rights::Rights;
 
 /// A principal (an individual user — the matrix knows nothing of roles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Subject(pub u32);
 
 impl fmt::Display for Subject {
@@ -28,7 +26,7 @@ impl fmt::Display for Subject {
 }
 
 /// A protected object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Protected(pub u64);
 
 impl fmt::Display for Protected {
@@ -50,7 +48,7 @@ impl fmt::Display for Protected {
 /// assert!(m.check(Subject(1), Protected(7), Rights::READ));
 /// assert!(!m.check(Subject(2), Protected(7), Rights::READ));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AccessMatrix {
     cells: BTreeMap<(Subject, Protected), Rights>,
 }
@@ -124,7 +122,7 @@ impl AccessMatrix {
 
 /// An unforgeable token naming an object and the holder's rights on it
 /// (the row realisation of the matrix).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capability {
     /// The object this capability names.
     pub object: Protected,

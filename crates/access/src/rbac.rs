@@ -17,13 +17,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::Subject;
 use crate::rights::Rights;
 
 /// Names a role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RoleId(pub u32);
 
 impl fmt::Display for RoleId {
@@ -33,7 +31,7 @@ impl fmt::Display for RoleId {
 }
 
 /// A hierarchical object path, e.g. `report/sec2/para3/line14`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectPath(String);
 
 impl ObjectPath {
@@ -86,7 +84,7 @@ impl From<&str> for ObjectPath {
 }
 
 /// Allow or deny.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
     /// Grants the rights.
     Allow,
@@ -95,7 +93,7 @@ pub enum Effect {
 }
 
 /// One policy rule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// The role it applies to.
     pub role: RoleId,

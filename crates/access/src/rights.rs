@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{BitAnd, BitOr, Not, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A set of access rights.
 ///
 /// # Examples
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!rw.contains(Rights::GRANT));
 /// assert_eq!(rw - Rights::WRITE, Rights::READ);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rights(u8);
 
 impl Rights {

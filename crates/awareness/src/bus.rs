@@ -32,7 +32,6 @@ use odp_access::rights::Rights;
 use odp_fabric::SortedVecMap;
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::events::{ActivityKind, AwarenessEvent, WeightFn};
 
@@ -41,7 +40,7 @@ use crate::events::{ActivityKind, AwarenessEvent, WeightFn};
 /// A bus-local mirror of `odp_concurrency::locks::LockMode` — the
 /// awareness crate sits *below* the concurrency crate in the dependency
 /// graph, so the mode is restated here rather than imported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoopMode {
     /// Shared / read intent.
     Shared,
@@ -59,7 +58,7 @@ impl fmt::Display for CoopMode {
 }
 
 /// Who an event is for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Audience {
     /// Every registered observer, scored by the weight function; the
     /// actor never observes itself.
@@ -73,7 +72,7 @@ pub enum Audience {
 
 /// What happened — one variant per cooperative phenomenon the platform's
 /// subsystems previously reported through private notice types.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CoopKind {
     /// A raw activity observation (edit/view/enter/...), the vocabulary
     /// of [`crate::events`].
@@ -208,7 +207,7 @@ impl CoopKind {
 
 /// One cooperation event: the unified header shared by every subsystem
 /// plus the phenomenon-specific [`CoopKind`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoopEvent {
     /// Who caused the event.
     pub actor: NodeId,

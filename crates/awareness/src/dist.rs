@@ -24,7 +24,6 @@ use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimDuration;
 use odp_telemetry::span::SpanContext;
-use serde::{Deserialize, Serialize};
 
 use crate::bus::{BusDelivery, CoopEvent, EventBus};
 
@@ -36,7 +35,7 @@ const TICK: u64 = 1;
 /// weighting. Receivers surface only grants for observers they host —
 /// they never re-derive deliveries, so a publisher-side suppression is
 /// final.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BusWire {
     /// The event.
     pub event: CoopEvent,

@@ -18,10 +18,9 @@ use std::fmt;
 
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// What a participant did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivityKind {
     /// Edited a shared artefact.
     Edit,
@@ -52,7 +51,7 @@ impl fmt::Display for ActivityKind {
 }
 
 /// One observable action by a participant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AwarenessEvent {
     /// Who acted.
     pub actor: NodeId,

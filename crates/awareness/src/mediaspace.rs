@@ -13,10 +13,9 @@ use std::fmt;
 
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// RAVE's connection types, least to most intrusive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ConnectionType {
     /// Ambient, many-to-many background view.
     Background,
@@ -41,7 +40,7 @@ impl fmt::Display for ConnectionType {
 }
 
 /// What a callee's policy says about an incoming connection type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Acceptance {
     /// Connect without asking.
     Auto,
@@ -64,7 +63,7 @@ pub enum ConnectOutcome {
 }
 
 /// Identifies an (attempted) connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnectionId(pub u64);
 
 /// Errors from media-space operations.

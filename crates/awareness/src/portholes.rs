@@ -7,10 +7,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One low-fidelity activity snapshot ("a frame from the office camera").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Whose office.
     pub who: NodeId,

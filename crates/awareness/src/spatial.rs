@@ -17,10 +17,9 @@
 use std::collections::BTreeMap;
 
 use odp_sim::net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A point in the shared 2-D space.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// X coordinate (arbitrary spatial units).
     pub x: f64,
@@ -41,7 +40,7 @@ impl Position {
 }
 
 /// A participant's spatial extent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpatialBody {
     /// Where the participant is.
     pub position: Position,
@@ -66,7 +65,7 @@ impl SpatialBody {
 }
 
 /// Qualitative awareness levels derived from focus/nimbus overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AwarenessLevel {
     /// No awareness (outside aura, or neither focus nor nimbus reach).
     None,

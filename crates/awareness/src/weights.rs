@@ -9,13 +9,12 @@
 use std::collections::BTreeMap;
 
 use odp_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Exponential-decay recency weighting.
 ///
 /// `weight = 0.5 ^ (elapsed / half_life)` — 1.0 for "just now", 0.5 after
 /// one half-life, and so on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TemporalDecay {
     /// Elapsed time at which the weight halves. Private: a zero value
     /// would make `weight` divide 0-by-0 into NaN, which `powf` and

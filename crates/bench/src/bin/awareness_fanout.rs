@@ -101,7 +101,7 @@ fn fanout_sim(seed: u64, gated: bool, telemetry: bool) -> Sim<GcMsg<BusWire>> {
 }
 
 /// Runs one variant once; returns the wall-clock nanoseconds of
-/// `run_for` and the finished sim.
+/// the 30 s run and the finished sim.
 fn run_once(seed: u64, gated: bool, telemetry: bool) -> (u128, Sim<GcMsg<BusWire>>) {
     let mut sim = fanout_sim(seed, gated, telemetry);
     let start = std::time::Instant::now(); // odp-check: allow(wallclock)

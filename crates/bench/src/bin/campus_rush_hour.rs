@@ -27,24 +27,13 @@
 //! the bottleneck, which is exactly the regime the calendar queue
 //! exists for.
 //!
-//! The bench climbs an agent-count ladder on the calendar queue,
-//! reporting wall-clock events/sec and peak queue depth per rung, then
-//! replays the acceptance rung on the pre-refactor engine
-//! (`QueueKind::Legacy`: `BTreeMap` queue, map-indexed dispatch,
-//! per-event allocation, string-keyed metrics) to report the speedup
-//! ratio. Both runs are the *same* deterministic simulation — the
-//! legacy replay is the recorded baseline the ratio is judged against,
-//! and the bench asserts they processed identical event counts.
-//!
-//! Measured honestly: the calendar engine clears the rush at roughly
-//! 1.5–2.5x the legacy engine's events/sec depending on the machine
-//! (~1.8x on the reference box). The often-quoted order-of-magnitude
-//! calendar-queue win presumes a baseline with O(n) or
-//! pointer-chasing-heavy event sets; a `BTreeMap` keyed by `(time,
-//! seq)` is already a cache-efficient B-tree, so at multi-million-event
-//! depth both engines are memory-bound and the gap is set by DRAM
-//! touches per event (~2 for the wheel vs ~6 for the tree), not by
-//! asymptotics. DESIGN.md §10 carries the full component breakdown.
+//! The bench climbs an agent-count ladder, reporting wall-clock
+//! events/sec and peak queue depth per rung. The run is deterministic,
+//! so the acceptance rung must process exactly [`ACCEPTANCE_EVENTS`]
+//! events — the count the `BTreeMap` engine this one replaced also
+//! processed; DESIGN.md §10 carries that engine's measured throughput
+//! (the calendar queue cleared the rush ~1.8x faster) and the component
+//! breakdown.
 //!
 //! ```text
 //! cargo run -p cscw-bench --bin campus_rush_hour --release \
@@ -57,7 +46,7 @@
 
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::{LinkSpec, Network, NodeId};
-use odp_sim::prelude::{ActorHandle, QueueKind, RunOutcome, Sim, SimBuilder, Until};
+use odp_sim::prelude::{ActorHandle, RunOutcome, Sim, SimBuilder, Until};
 use odp_sim::time::SimDuration;
 
 /// Federated domains on the campus.
@@ -84,15 +73,12 @@ const LEASE_TAG: u64 = u64::MAX;
 const RETRY_TAG: u64 = u64::MAX - 1;
 /// The agent-count ladder; the third rung is the acceptance rung.
 const LADDER: [u32; 4] = [5_000, 10_000, 20_000, 40_000];
-/// The rung the legacy baseline and the floor gate are judged at.
+/// The rung the event count and the floor gate are judged at.
 const ACCEPTANCE_AGENTS: u32 = 20_000;
-/// Minimum calendar/legacy speedup the bench enforces. Measured
-/// headroom on a dedicated core is ~1.8x (see DESIGN.md §10 for the
-/// component breakdown and why the classic calendar-queue "order of
-/// magnitude" does not apply against a B-tree baseline); the gate sits
-/// below that so it trips on real regressions, not scheduler noise on
-/// shared CI runners.
-const MIN_RATIO: f64 = 1.2;
+/// Events the acceptance rung processes under [`cscw_bench::REPORT_SEED`]:
+/// the count both engines reported at commit 632eeb9, the last one that
+/// replayed the rung on the `BTreeMap` engine and asserted the two equal.
+const ACCEPTANCE_EVENTS: u64 = 9_540_008;
 
 /// Wire protocol of the campus infrastructure.
 #[derive(Debug, Clone)]
@@ -292,15 +278,14 @@ impl Actor<CampusMsg> for AgentScript {
     }
 }
 
-/// Builds the campus at the given population on the given queue.
-fn campus(seed: u64, agents: u32, queue: QueueKind) -> Sim<CampusMsg> {
+/// Builds the campus at the given population.
+fn campus(seed: u64, agents: u32) -> Sim<CampusMsg> {
     // One campus LAN as the network default link: per-pair topology
     // would cost O(agents^2) link entries for identical specs.
     let mut net = Network::new(LinkSpec::lan());
     net.set_default_link(LinkSpec::lan());
     let mut sim: Sim<CampusMsg> = SimBuilder::new(seed)
         .network(net)
-        .queue(queue)
         .telemetry(false)
         .max_events(200_000_000)
         .build();
@@ -340,8 +325,8 @@ struct Rung {
     peak_pending: usize,
 }
 
-fn run_rung(seed: u64, agents: u32, queue: QueueKind) -> Rung {
-    let mut sim = campus(seed, agents, queue);
+fn run_rung(seed: u64, agents: u32) -> Rung {
+    let mut sim = campus(seed, agents);
     let start = std::time::Instant::now(); // odp-check: allow(wallclock)
     let outcome = sim.run(Until::Idle);
     let wall_ns = start.elapsed().as_nanos();
@@ -439,7 +424,7 @@ fn main() {
     );
     let mut rungs = Vec::new();
     for &agents in &ladder {
-        let r = run_rung(seed, agents, QueueKind::Calendar);
+        let r = run_rung(seed, agents);
         println!(
             "  {:>6} agents  {:>9} events  {:>7.1} ms  {:>12.0} events/sec  peak queue {}",
             r.agents,
@@ -451,26 +436,14 @@ fn main() {
         rungs.push(r);
     }
 
-    // The legacy baseline replay at the acceptance rung: the identical
-    // deterministic run on the pre-refactor BTreeMap engine.
-    let legacy = run_rung(seed, ACCEPTANCE_AGENTS, QueueKind::Legacy);
     let accepted = rungs
         .iter()
         .find(|r| r.agents == ACCEPTANCE_AGENTS)
         .expect("acceptance rung must be in the ladder");
     assert_eq!(
-        legacy.events, accepted.events,
-        "legacy and calendar runs diverged — determinism broken"
+        accepted.events, ACCEPTANCE_EVENTS,
+        "acceptance rung diverged from the recorded run — determinism broken"
     );
-    let ratio = accepted.events_per_sec / legacy.events_per_sec;
-    println!(
-        "  legacy baseline at {ACCEPTANCE_AGENTS} agents: {:>12.0} events/sec — calendar is {ratio:.1}x",
-        legacy.events_per_sec,
-    );
-    if ratio < MIN_RATIO {
-        eprintln!("campus_rush_hour: calendar/legacy ratio {ratio:.2} below required {MIN_RATIO}");
-        std::process::exit(1);
-    }
 
     // Max sustainable population: the largest rung that still clears
     // half the acceptance rung's throughput (i.e. scaling stays within
@@ -511,12 +484,10 @@ fn main() {
         "{{\"workload\":\"campus-rush-hour\",\"seed\":{seed},\"domains\":{DOMAINS},\
          \"agenda_slots\":{AGENDA},\"retry_ladder\":{RETRIES},\"rungs\":[{}],\
          \"events_per_sec\":{:.0},\"peak_pending\":{},\
-         \"legacy_events_per_sec\":{:.0},\"ratio_vs_legacy\":{ratio:.2},\
          \"max_sustainable_agents\":{max_sustainable}}}",
         rung_json.join(","),
         accepted.events_per_sec,
         accepted.peak_pending,
-        legacy.events_per_sec,
     );
     if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
         eprintln!("campus_rush_hour: cannot write {out_path}: {e}");

@@ -80,15 +80,8 @@ impl Actor<RemoteOp> for DoptActor {
 /// site (when present) deletes, the insert/insert/delete mix that
 /// violates transformation property TP2 and exhibits the dOPT puzzle.
 pub fn dopt_sim(seed: u64, n: usize) -> Sim<RemoteOp> {
-    dopt_sim_on(seed, n, QueueKind::Calendar)
-}
-
-/// [`dopt_sim`] on an explicit event-queue implementation — the
-/// calendar/legacy differential smoke tests build the *same* scenario
-/// on both queues and assert the explorer sees identical schedules.
-pub fn dopt_sim_on(seed: u64, n: usize, queue: QueueKind) -> Sim<RemoteOp> {
     let nodes: Vec<NodeId> = (0..n).map(|i| NodeId(i as u32)).collect();
-    let mut sim = SimBuilder::new(seed).queue(queue).build();
+    let mut sim = SimBuilder::new(seed).build();
     for (i, &me) in nodes.iter().enumerate() {
         let peers: Vec<NodeId> = nodes.iter().copied().filter(|&p| p != me).collect();
         let op = if i == 2 {
@@ -117,14 +110,8 @@ pub fn dopt_sites(n: usize) -> Vec<NodeId> {
 /// dOPT, so the convergence check must *pass* at every depth — the
 /// scenario exists to exercise deep DPOR search, not to fail.
 pub fn dopt_deep_sim(seed: u64) -> Sim<RemoteOp> {
-    dopt_deep_sim_on(seed, QueueKind::Calendar)
-}
-
-/// [`dopt_deep_sim`] on an explicit event-queue implementation (see
-/// [`dopt_sim_on`]).
-pub fn dopt_deep_sim_on(seed: u64, queue: QueueKind) -> Sim<RemoteOp> {
     let nodes = dopt_sites(2);
-    let mut sim = SimBuilder::new(seed).queue(queue).build();
+    let mut sim = SimBuilder::new(seed).build();
     for (i, &me) in nodes.iter().enumerate() {
         let peers: Vec<NodeId> = nodes.iter().copied().filter(|&p| p != me).collect();
         let script: Vec<(SimDuration, CharOp)> = (0..3u64)

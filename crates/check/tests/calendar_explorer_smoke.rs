@@ -1,18 +1,24 @@
-//! Explorer smoke test for the calendar queue: the existing deep dOPT
-//! convergence check explores the *identical* schedule space whether
-//! the simulator runs on the calendar queue or the pre-refactor
-//! `BTreeMap` queue — same `ExploreStats`, same run/event counts, and
-//! byte-identical schedules (the executed `seq` stream of every run).
+//! Explorer smoke test for the calendar queue: the deep dOPT
+//! convergence check explores exactly the schedule space recorded from
+//! the `BTreeMap` queue it replaced — same `ExploreStats`, same
+//! run/event counts, and byte-identical schedules (the executed `seq`
+//! stream of every run) — and the dOPT puzzle surfaces under the same
+//! `seed:choices` string.
 //!
 //! This is the contract that keeps every recorded `seed:choices`
-//! counterexample in the repo replayable across the queue swap.
+//! counterexample in the repo replayable. The pinned constants were
+//! produced at commit 632eeb9, the last one carrying the `BTreeMap`
+//! queue, by running this file there with `dopt_deep_sim_on(seed,
+//! QueueKind::Legacy)` / `dopt_sim_on(seed, 3, QueueKind::Legacy)` as
+//! the factories and reading the values off the failing `assert_eq!`s;
+//! the calendar queue produced the same values at that commit.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use odp_check::explore::{Budget, Explorer, Invariant, Report};
 use odp_check::invariants::replication::{
-    dopt_deep_sim_on, dopt_sim_on, dopt_sites, fingerprint_for, Converged,
+    dopt_deep_sim, dopt_sim, dopt_sites, fingerprint_for, Converged,
 };
 use odp_concurrency::dopt::RemoteOp;
 use odp_sim::prelude::*;
@@ -55,12 +61,52 @@ impl Invariant<RemoteOp> for ScheduleRecorder {
     }
 }
 
-fn explore_deep_on(queue: QueueKind) -> (Report, Vec<Vec<u64>>) {
+/// The figures of a [`Report`] that must not move.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    runs: usize,
+    events: u64,
+    complete: bool,
+    naive_bound: u64,
+    sleep_pruned: usize,
+    hash_pruned: usize,
+    racing_pairs: u64,
+    reduction_factor_bits: u64,
+}
+
+fn pinned_of(report: &Report) -> Pinned {
+    Pinned {
+        runs: report.runs,
+        events: report.events,
+        complete: report.complete,
+        naive_bound: report.stats.naive_bound,
+        sleep_pruned: report.stats.sleep_pruned,
+        hash_pruned: report.stats.hash_pruned,
+        racing_pairs: report.stats.racing_pairs,
+        reduction_factor_bits: report.stats.reduction_factor.to_bits(),
+    }
+}
+
+/// FNV-1a over every schedule's length-prefixed `seq` stream.
+fn schedules_digest(schedules: &[Vec<u64>]) -> u64 {
+    let mut bytes = Vec::new();
+    for run in schedules {
+        bytes.extend((run.len() as u64).to_le_bytes());
+        for seq in run {
+            bytes.extend(seq.to_le_bytes());
+        }
+    }
+    odp_place::content_hash(&bytes)
+}
+
+/// The headline check: the deep dOPT exploration (DPOR + state
+/// hashing, depth-10 budget) is schedule-for-schedule the recorded one.
+#[test]
+fn deep_dopt_exploration_matches_the_recorded_schedules() {
     let runs = Rc::new(RefCell::new(Vec::new()));
     let sink = Rc::clone(&runs);
-    let ex = Explorer::new(11, Budget::deep());
-    let report = ex.explore_hashed(
-        move |seed| dopt_deep_sim_on(seed, queue),
+    let report = Explorer::new(11, Budget::deep()).explore_hashed(
+        dopt_deep_sim,
         move || {
             vec![
                 Box::new(ScheduleRecorder::new(dopt_sites(2), Rc::clone(&sink)))
@@ -69,63 +115,52 @@ fn explore_deep_on(queue: QueueKind) -> (Report, Vec<Vec<u64>>) {
         },
         fingerprint_for(dopt_sites(2)),
     );
-    let schedules = runs.borrow().clone();
-    (report, schedules)
-}
-
-fn assert_reports_match(cal: &Report, leg: &Report) {
-    assert_eq!(cal.runs, leg.runs, "run counts diverged");
-    assert_eq!(cal.events, leg.events, "event counts diverged");
-    assert_eq!(cal.complete, leg.complete);
-    assert_eq!(
-        cal.violation.is_none(),
-        leg.violation.is_none(),
-        "one queue found a violation the other did not"
-    );
-    assert_eq!(cal.stats.naive_bound, leg.stats.naive_bound);
-    assert_eq!(cal.stats.sleep_pruned, leg.stats.sleep_pruned);
-    assert_eq!(cal.stats.hash_pruned, leg.stats.hash_pruned);
-    assert_eq!(cal.stats.racing_pairs, leg.stats.racing_pairs);
-    assert_eq!(
-        cal.stats.reduction_factor.to_bits(),
-        leg.stats.reduction_factor.to_bits()
-    );
-}
-
-/// The headline check: the deep dOPT exploration (DPOR + state
-/// hashing, depth-10 budget) is schedule-for-schedule identical on
-/// both queue implementations.
-#[test]
-fn deep_dopt_exploration_is_identical_on_both_queues() {
-    let (cal_report, cal_runs) = explore_deep_on(QueueKind::Calendar);
-    let (leg_report, leg_runs) = explore_deep_on(QueueKind::Legacy);
     assert!(
-        cal_report.violation.is_none(),
+        report.violation.is_none(),
         "two-site dOPT must converge: {:?}",
-        cal_report.violation
+        report.violation
     );
-    assert_reports_match(&cal_report, &leg_report);
-    assert_eq!(cal_runs.len(), leg_runs.len(), "schedule counts diverged");
-    for (i, (a, b)) in cal_runs.iter().zip(&leg_runs).enumerate() {
-        assert_eq!(a, b, "schedule #{i} diverged between queues");
-    }
+    assert_eq!(
+        pinned_of(&report),
+        Pinned {
+            runs: 12,
+            events: 150,
+            complete: true,
+            naive_bound: 384,
+            sleep_pruned: 0,
+            hash_pruned: 6,
+            racing_pairs: 46,
+            reduction_factor_bits: 4629700416936869888, // 32.0
+        }
+    );
+    assert_eq!(schedules_digest(&runs.borrow()), 3355657551402167077);
 }
 
-/// The three-site dOPT-puzzle scenario finds the same divergence
-/// counterexample (same seed, same choice trace) on both queues.
+/// The three-site dOPT-puzzle scenario finds the recorded divergence
+/// counterexample: same seed, same choice trace, same message.
 #[test]
-fn dopt_puzzle_counterexample_is_identical_on_both_queues() {
-    let run = |queue: QueueKind| {
-        Explorer::new(7, Budget::default()).explore(
-            move |seed| dopt_sim_on(seed, 3, queue),
-            || vec![Box::new(Converged::new(dopt_sites(3))) as Box<dyn Invariant<RemoteOp>>],
-        )
-    };
-    let cal = run(QueueKind::Calendar);
-    let leg = run(QueueKind::Legacy);
-    assert_reports_match(&cal, &leg);
-    let cx_cal = cal.violation.expect("dOPT puzzle must surface");
-    let cx_leg = leg.violation.expect("dOPT puzzle must surface");
-    assert_eq!(cx_cal.trace(), cx_leg.trace(), "counterexamples diverged");
-    assert_eq!(cx_cal.violation, cx_leg.violation);
+fn dopt_puzzle_counterexample_matches_the_recorded_trace() {
+    let report = Explorer::new(7, Budget::default()).explore(
+        |seed| dopt_sim(seed, 3),
+        || vec![Box::new(Converged::new(dopt_sites(3))) as Box<dyn Invariant<RemoteOp>>],
+    );
+    assert_eq!(
+        pinned_of(&report),
+        Pinned {
+            runs: 3,
+            events: 36,
+            complete: false,
+            naive_bound: 162,
+            sleep_pruned: 0,
+            hash_pruned: 0,
+            racing_pairs: 6,
+            reduction_factor_bits: 4632796641680687104, // 54.0
+        }
+    );
+    let cx = report.violation.expect("dOPT puzzle must surface");
+    assert_eq!(cx.trace(), "7:0.1.0.2.0");
+    assert_eq!(
+        cx.violation,
+        "sites n0 and n1 diverged: \"ABbcd\" vs \"Aabcd\""
+    );
 }

@@ -9,10 +9,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The five locking granularities named by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Granularity {
     /// One lock for the whole document.
     Document,
@@ -51,7 +49,7 @@ impl fmt::Display for Granularity {
 }
 
 /// Identifies one lockable unit within a document at some granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UnitId(pub u32);
 
 /// Returns the half-open char ranges `[start, end)` of the units of

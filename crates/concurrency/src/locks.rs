@@ -21,12 +21,11 @@ use std::fmt;
 use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, CoopMode, EventBus};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Identifies a lockable resource (object, or object×unit under
 /// fine-grained locking — compose with
 /// [`crate::granularity::UnitId`] via [`ResourceId::with_unit`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResourceId(pub u64);
 
 impl ResourceId {
@@ -43,7 +42,7 @@ impl fmt::Display for ResourceId {
 }
 
 /// Identifies a lock client (a user/session).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
 impl fmt::Display for ClientId {
@@ -53,7 +52,7 @@ impl fmt::Display for ClientId {
 }
 
 /// Shared (read) or exclusive (write) access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
     /// Multiple concurrent holders allowed.
     Shared,

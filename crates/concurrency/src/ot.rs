@@ -12,10 +12,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A character-granular edit operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CharOp {
     /// Insert `ch` so that it ends up at char position `pos`.
     Insert {

@@ -4,10 +4,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a shared object (e.g. one document).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u64);
 
 impl fmt::Display for ObjectId {
@@ -17,7 +15,7 @@ impl fmt::Display for ObjectId {
 }
 
 /// A value plus its monotonically increasing version.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Versioned {
     /// Current content.
     pub value: String,

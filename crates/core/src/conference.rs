@@ -18,10 +18,9 @@ use odp_concurrency::floor::{FloorControl, FloorPolicy};
 use odp_concurrency::locks::ClientId;
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// An input event a participant wants the shared application to process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputEvent {
     /// Who issued it.
     pub from: u32,
@@ -162,7 +161,7 @@ impl TransparentConference {
 }
 
 /// One participant's view in a collaboration-aware conference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct View {
     /// Scroll position (relaxed WYSIWIS: views may differ).
     pub viewport: u32,

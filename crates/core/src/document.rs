@@ -10,10 +10,9 @@ use std::fmt;
 
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The kinds of annotation Quilt distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnnotationKind {
     /// A margin comment.
     Comment,
@@ -24,11 +23,11 @@ pub enum AnnotationKind {
 }
 
 /// Names an annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AnnotationId(pub u64);
 
 /// An annotation anchored to a char range of the base document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Annotation {
     /// Its id.
     pub id: AnnotationId,

@@ -18,10 +18,8 @@ pub mod workflow;
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A rectangular result table (one per figure/table we regenerate).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Experiment id, e.g. `"E3"`.
     pub id: String,

@@ -17,10 +17,9 @@ use std::fmt;
 
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// An aircraft callsign.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Callsign(pub String);
 
 impl fmt::Display for Callsign {
@@ -30,7 +29,7 @@ impl fmt::Display for Callsign {
 }
 
 /// A reporting point (beacon) with a rack on the board.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Beacon(pub String);
 
 impl fmt::Display for Beacon {
@@ -40,7 +39,7 @@ impl fmt::Display for Beacon {
 }
 
 /// One flight progress strip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightStrip {
     /// The flight.
     pub callsign: Callsign,
@@ -53,7 +52,7 @@ pub struct FlightStrip {
 }
 
 /// How a strip was placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementMode {
     /// Filed silently in ETA order by the system.
     Automatic,
@@ -62,7 +61,7 @@ pub enum PlacementMode {
 }
 
 /// An attention event: who placed/moved what, seen by the whole team.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttentionEvent {
     /// The controller acting.
     pub by: NodeId,

@@ -9,14 +9,13 @@ use std::fmt;
 
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Names a hypertext node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HyperNodeId(pub u64);
 
 /// The node types (Sepia-style work-plan vocabulary plus plain content).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeType {
     /// Ordinary content.
     Content,
@@ -29,7 +28,7 @@ pub enum NodeType {
 }
 
 /// Typed, directed links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LinkType {
     /// Generic reference.
     Reference,
@@ -42,7 +41,7 @@ pub enum LinkType {
 }
 
 /// One hypertext node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HyperNode {
     /// Its id.
     pub id: HyperNodeId,

@@ -10,14 +10,13 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use odp_sim::net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Names an outline item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemId(pub u64);
 
 /// Who may see an item.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Visibility {
     /// Everyone in the session.
     Public,
@@ -28,7 +27,7 @@ pub enum Visibility {
 }
 
 /// One outline item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Item {
     /// Its id.
     pub id: ItemId,

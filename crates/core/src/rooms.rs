@@ -11,14 +11,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use odp_sim::net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Names a room.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RoomId(pub u32);
 
 /// Personal office or shared meeting room.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoomKind {
     /// A personal space with an owner.
     Office(u32),
@@ -27,7 +26,7 @@ pub enum RoomKind {
 }
 
 /// Door states, most to least welcoming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DoorState {
     /// Anyone may enter.
     #[default]

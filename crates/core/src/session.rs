@@ -16,10 +16,9 @@ use odp_fabric::SpanCarrier;
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 use odp_telemetry::span::SpanContext;
-use serde::{Deserialize, Serialize};
 
 /// The time dimension of the matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimeMode {
     /// Same time: participants interact synchronously.
     Synchronous,
@@ -28,7 +27,7 @@ pub enum TimeMode {
 }
 
 /// The place dimension of the matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlaceMode {
     /// Same place — co-located (logically: high-bandwidth, low-latency
     /// accessibility to each other).
@@ -38,7 +37,7 @@ pub enum PlaceMode {
 }
 
 /// One cell of the space–time matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SessionMode {
     /// Same or different time.
     pub time: TimeMode,
@@ -94,11 +93,11 @@ impl fmt::Display for SessionMode {
 }
 
 /// Names a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u32);
 
 /// A mode transition record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
     /// From which mode.
     pub from: SessionMode,

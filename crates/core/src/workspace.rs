@@ -16,7 +16,6 @@ use odp_awareness::events::{ActivityKind, AwarenessEvent};
 use odp_concurrency::store::{ObjectStore, StoreError};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 pub use odp_concurrency::store::ObjectId;
@@ -26,7 +25,7 @@ pub use odp_concurrency::store::ObjectId;
 pub type WorkspaceWeightFn = Box<dyn Fn(NodeId, &AwarenessEvent) -> f64 + Send>;
 
 /// One entry of the public history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistoryEntry {
     /// Who acted (the workspace maps participants to nodes 1:1).
     pub who: u32,

@@ -10,10 +10,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use odp_sim::net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Names a process group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
 impl fmt::Display for GroupId {
@@ -23,11 +22,11 @@ impl fmt::Display for GroupId {
 }
 
 /// Numbers successive views of one group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ViewId(pub u64);
 
 /// One snapshot of a group's membership.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     /// The group this view belongs to.
     pub group: GroupId,

@@ -23,14 +23,13 @@ use odp_fabric::SortedVecMap;
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 use odp_telemetry::span::{Carrier, SpanContext};
-use serde::{Deserialize, Serialize};
 
 use crate::membership::{GroupId, View};
 use crate::vclock::VectorClock;
 
 /// Uniquely identifies a multicast message: origin plus per-origin
 /// sequence number (1-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId {
     /// Sending node.
     pub origin: NodeId,
@@ -45,7 +44,7 @@ impl fmt::Display for MsgId {
 }
 
 /// Delivery ordering disciplines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Ordering {
     /// Deliver on arrival.
     #[default]

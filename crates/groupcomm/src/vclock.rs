@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use odp_sim::net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// The causal relationship between two vector clocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +33,7 @@ pub enum Causality {
 /// b.tick(NodeId(1));
 /// assert_eq!(a.compare(&b), Causality::Before);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VectorClock {
     entries: BTreeMap<NodeId, u64>,
 }

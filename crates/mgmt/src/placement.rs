@@ -18,10 +18,9 @@ use std::collections::BTreeMap;
 
 use odp_sim::net::NodeId;
 use odp_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Per-site access counts for one object or cluster.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UsagePattern {
     counts: BTreeMap<NodeId, u64>,
 }
@@ -91,7 +90,7 @@ pub struct Placement {
 }
 
 /// How candidates are scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Ignore the group: keep the object at its creator's node.
     /// (The naive baseline of E9.)

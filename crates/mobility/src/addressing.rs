@@ -10,10 +10,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use odp_sim::net::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A mobile host's permanent identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MobileId(pub u32);
 
 impl fmt::Display for MobileId {

@@ -9,10 +9,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use odp_concurrency::store::ObjectId;
-use serde::{Deserialize, Serialize};
 
 /// A cached object copy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedObject {
     /// The cached value.
     pub value: String,

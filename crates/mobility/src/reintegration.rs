@@ -14,10 +14,9 @@ use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, EventBus};
 use odp_concurrency::store::{ObjectId, ObjectStore, StoreError};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One logged disconnected mutation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
     /// The object written.
     pub object: ObjectId,
@@ -44,7 +43,7 @@ pub struct LogEntry {
 /// assert_eq!(log.len(), 1, "writes to one object collapse");
 /// assert_eq!(log.entries()[0].new_value, "draft B");
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ChangeLog {
     entries: Vec<LogEntry>,
     recorded: u64,
@@ -108,7 +107,7 @@ impl ChangeLog {
 }
 
 /// How write/write conflicts are settled at reintegration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConflictPolicy {
     /// The server's version stands; the mobile's write is discarded into
     /// a conflict report (Coda's approach: preserve, don't clobber).

@@ -1,9 +1,8 @@
 //! The hand-rolled binary wire codec and length-prefixed framing.
 //!
-//! The workspace builds offline (the vendored `serde` is an API stub
-//! with no real serializer behind it), so the wire format is a small
-//! explicit binary encoding: fixed-width big-endian integers, IEEE-754
-//! bit-pattern floats, length-prefixed strings and collections, and a
+//! The workspace builds offline with no serializer crate, so the wire
+//! format is a small explicit binary encoding: fixed-width big-endian
+//! integers, IEEE-754 bit-pattern floats, length-prefixed strings and collections, and a
 //! `u32` discriminant per enum variant. Every decoder is total — any
 //! input, however truncated or hostile, yields a typed
 //! [`NetError`](crate::NetError), never a panic — which the proptest

@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::net::{Connectivity, DropReason, LinkSpec, Network, NodeId, Verdict};
     pub use crate::rng::DetRng;
     pub use crate::sim::{
-        ActorHandle, ExecutedEvent, PendingEvent, QueueKind, RunOutcome, Sim, SimBuilder, Until,
+        ActorHandle, ExecutedEvent, PendingEvent, RunOutcome, Sim, SimBuilder, Until,
     };
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{Trace, TraceEvent};

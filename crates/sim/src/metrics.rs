@@ -7,8 +7,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// An exact-sample histogram of durations.
@@ -26,7 +24,7 @@ use crate::time::SimDuration;
 /// assert_eq!(h.percentile(0.5), SimDuration::from_millis(3));
 /// assert_eq!(h.max(), SimDuration::from_millis(5));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
     samples: Vec<u64>,
     sorted: bool,
@@ -155,7 +153,7 @@ impl FromIterator<SimDuration> for Histogram {
 }
 
 /// A compact statistical summary of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: u64,
@@ -200,7 +198,7 @@ impl fmt::Display for Summary {
 /// assert_eq!(m.counter("messages.sent"), 1);
 /// assert_eq!(m.histogram("latency").unwrap().len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,

@@ -10,13 +10,11 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a simulated node (one per actor in the default topology).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -38,7 +36,7 @@ impl fmt::Display for NodeId {
 /// let wan = LinkSpec::wan(SimDuration::from_millis(80));
 /// assert_eq!(wan.latency, SimDuration::from_millis(80));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Base one-way propagation delay.
     pub latency: SimDuration,
@@ -133,7 +131,7 @@ impl Default for LinkSpec {
 /// let path = LinkQos::NONE.then(hop).then(hop);
 /// assert_eq!(path.latency, SimDuration::from_millis(80));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkQos {
     /// Added one-way propagation delay.
     pub latency: SimDuration,
@@ -214,7 +212,7 @@ impl fmt::Display for LinkQos {
 /// The paper's three connectivity levels for mobile hosts (§4.2.2:
 /// "connection may vary from being disconnected to being partially
 /// connected ... to being fully connected").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Connectivity {
     /// No traffic in or out of the node.
     Disconnected,
@@ -236,7 +234,7 @@ pub enum Verdict {
 }
 
 /// Why a message was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// Random loss on the link.
     Loss,
@@ -392,7 +390,8 @@ impl Network {
     /// push a later `start` past `now`, exactly as if the entry were
     /// absent. The RNG draw order (one `chance`, then at most one
     /// `jittered`) is identical on every path, so runs are bit-equal to
-    /// [`Network::submit_unoptimized`].
+    /// the unskipped form, kept as the reference in this module's tests,
+    /// where a property test holds this function to it.
     pub fn submit(
         &mut self,
         now: SimTime,
@@ -432,28 +431,37 @@ impl Network {
         *free = start + transmit;
         Verdict::DeliverAt(start + transmit + delay)
     }
+}
 
-    /// The pre-refactor [`Network::submit`], kept verbatim as the
-    /// baseline the legacy engine path runs (and differential tests
-    /// compare against). Produces bit-identical verdicts and RNG draws
-    /// to the optimized path.
-    pub(crate) fn submit_unoptimized(
-        &mut self,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn rng() -> DetRng {
+        DetRng::seed_from(1)
+    }
+
+    /// [`Network::submit`] without its hot-path skips: every table is
+    /// consulted and every link's free time recorded, whatever their
+    /// contents. The reference `submit` must stay bit-equal to.
+    fn submit_unoptimized(
+        net: &mut Network,
         now: SimTime,
         from: NodeId,
         to: NodeId,
         bytes: usize,
         rng: &mut DetRng,
     ) -> Verdict {
-        if self.connectivity_of(from) == Connectivity::Disconnected
-            || self.connectivity_of(to) == Connectivity::Disconnected
+        if net.connectivity_of(from) == Connectivity::Disconnected
+            || net.connectivity_of(to) == Connectivity::Disconnected
         {
             return Verdict::Dropped(DropReason::Disconnected);
         }
-        if self.is_partitioned(from, to) {
+        if net.is_partitioned(from, to) {
             return Verdict::Dropped(DropReason::Partitioned);
         }
-        let spec = self.link(from, to);
+        let spec = net.link(from, to);
         if rng.chance(spec.loss) {
             return Verdict::Dropped(DropReason::Loss);
         }
@@ -461,21 +469,82 @@ impl Network {
         if from == to {
             return Verdict::DeliverAt(now);
         }
-        let free = self.link_free.entry((from, to)).or_insert(SimTime::ZERO);
+        let free = net.link_free.entry((from, to)).or_insert(SimTime::ZERO);
         let start = (*free).max(now);
         let transmit = spec.transmit_time(bytes);
         *free = start + transmit;
         let delay = rng.jittered(spec.latency, spec.jitter);
         Verdict::DeliverAt(start + transmit + delay)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Link specs with and without bandwidth, loss and jitter.
+    fn palette(i: u32) -> LinkSpec {
+        match i % 4 {
+            0 => LinkSpec::ideal(),
+            1 => LinkSpec::lan(),
+            2 => LinkSpec {
+                latency: SimDuration::from_millis(4),
+                jitter: SimDuration::from_millis(1),
+                bytes_per_sec: None,
+                loss: 0.3,
+            },
+            _ => LinkSpec::radio(),
+        }
+    }
 
-    fn rng() -> DetRng {
-        DetRng::seed_from(1)
+    proptest! {
+        /// Over any interleaving of sends with connectivity, override
+        /// and partition changes — so every table is empty at some
+        /// point and populated at another, and bandwidth-limited sends
+        /// follow free ones on the same link — `submit` and the
+        /// reference return the same verdict and leave the RNG in the
+        /// same state.
+        #[test]
+        fn submit_matches_the_unoptimized_reference(
+            seed in any::<u64>(),
+            default_link in 0u32..4,
+            ops in prop::collection::vec((0u32..12, 0u32..5, 0u32..5, 0u32..6_000), 1..120),
+        ) {
+            let mut fast = Network::new(palette(default_link));
+            let mut slow = fast.clone();
+            let (mut fast_rng, mut slow_rng) = (DetRng::seed_from(seed), DetRng::seed_from(seed));
+            let mut now = SimTime::ZERO;
+            for (i, &(op, a, b, c)) in ops.iter().enumerate() {
+                let (na, nb) = (NodeId(a), NodeId(b));
+                for net in [&mut fast, &mut slow] {
+                    match op {
+                        8 => net.set_link(na, nb, palette(c)),
+                        9 => {
+                            let level = [
+                                Connectivity::Disconnected,
+                                Connectivity::Partial,
+                                Connectivity::Full,
+                            ][c as usize % 3];
+                            net.set_connectivity(na, level);
+                        }
+                        10 => net.partition(vec![
+                            (0..=a).map(NodeId).collect(),
+                            (a + 1..5).map(NodeId).collect(),
+                        ]),
+                        11 => net.heal(),
+                        _ => {}
+                    }
+                }
+                if op < 8 {
+                    now += SimDuration::from_micros(u64::from(c) / 8);
+                    let bytes = c as usize;
+                    let got = fast.submit(now, na, nb, bytes, &mut fast_rng);
+                    let want = submit_unoptimized(&mut slow, now, na, nb, bytes, &mut slow_rng);
+                    prop_assert_eq!(got, want, "verdict of op #{}", i);
+                    prop_assert_eq!(
+                        fast_rng.clone().next_u64(),
+                        slow_rng.clone().next_u64(),
+                        "rng state after op #{}",
+                        i
+                    );
+                }
+            }
+        }
     }
 
     #[test]

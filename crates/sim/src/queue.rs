@@ -1,11 +1,9 @@
-//! Event queues for the engine: the calendar-queue event wheel
-//! (default) and the pre-refactor `BTreeMap` queue (retained for
-//! differential testing and as the scale-bench baseline).
+//! The engine's event queue: a calendar-queue event wheel.
 //!
-//! Both implementations drain events in exactly the same `(time, seq)`
-//! total order, so a run is bit-identical regardless of which queue it
-//! executes on — the calendar queue only changes *how fast* the order
-//! is produced, never the order itself. See DESIGN.md §10 for the
+//! Events drain in `(time, seq)` total order, the order a sorted map
+//! keyed by `(time, seq)` would produce — the wheel only changes *how
+//! fast* that order is produced, never the order itself. The unit tests
+//! below drive it against exactly such a map. See DESIGN.md §10 for the
 //! determinism argument.
 
 use std::cell::RefCell;
@@ -13,24 +11,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::net::NodeId;
 use crate::time::SimTime;
-
-/// Which event-queue implementation a [`crate::sim::Sim`] runs on.
-///
-/// Selected at construction via
-/// [`SimBuilder::queue`](crate::sim::SimBuilder::queue); the default is
-/// [`QueueKind::Calendar`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Calendar-queue event wheel: O(1) amortized enqueue/dequeue with
-    /// batched same-tick extraction.
-    #[default]
-    Calendar,
-    /// The pre-refactor engine path: a `BTreeMap<(SimTime, seq)>` event
-    /// queue and map-indexed actor dispatch. Retained so differential
-    /// tests and `campus_rush_hour` can replay identical schedules
-    /// through both engines and compare.
-    Legacy,
-}
 
 /// Payload-independent description of a queued event. Stored alongside
 /// each entry so [`crate::sim::Sim::pending_events`] and the lazily
@@ -109,7 +89,7 @@ pub(crate) struct CalendarQueue<T> {
 }
 
 impl<T> CalendarQueue<T> {
-    fn new() -> Self {
+    pub fn new() -> Self {
         CalendarQueue {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             shift: INITIAL_SHIFT,
@@ -124,11 +104,11 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn insert(&mut self, e: QueueEntry<T>) {
+    pub fn insert(&mut self, e: QueueEntry<T>) {
         if let Some(idx) = self.index.get_mut() {
             idx.insert((e.time, e.seq), e.meta);
         }
@@ -228,7 +208,14 @@ impl<T> CalendarQueue<T> {
         self.cur = tmin.as_micros() >> self.shift;
     }
 
-    fn pop_first_at_or_before(&mut self, limit: SimTime) -> Option<QueueEntry<T>> {
+    pub fn pop_first(&mut self) -> Option<QueueEntry<T>> {
+        self.pop_first_at_or_before(SimTime::MAX)
+    }
+
+    /// Pops the earliest event iff it is due at or before `limit` — the
+    /// single-scan primitive behind both `run(Until::Idle)` and the
+    /// deadline-bounded runs.
+    pub fn pop_first_at_or_before(&mut self, limit: SimTime) -> Option<QueueEntry<T>> {
         if self.batch.is_empty() {
             let (mut tmin, mut b, scanned) = self.find_next_tick()?;
             if scanned > LONG_SCAN_BUCKETS {
@@ -259,7 +246,7 @@ impl<T> CalendarQueue<T> {
         Some(e)
     }
 
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         if let Some(front) = self.batch.front() {
             return Some((front.time, front.seq));
         }
@@ -294,7 +281,8 @@ impl<T> CalendarQueue<T> {
         Some(e)
     }
 
-    fn remove_nth(&mut self, n: usize) -> Option<QueueEntry<T>> {
+    /// Removes the `n`-th queued event in `(time, seq)` order.
+    pub fn remove_nth(&mut self, n: usize) -> Option<QueueEntry<T>> {
         self.arm_index();
         let key = self
             .index
@@ -321,7 +309,8 @@ impl<T> CalendarQueue<T> {
         *idx = Some(map);
     }
 
-    fn for_each_in_order(&self, mut f: impl FnMut(SimTime, u64, EvMeta)) {
+    /// Visits every queued event's `(time, seq, meta)` in drain order.
+    pub fn for_each_in_order(&self, mut f: impl FnMut(SimTime, u64, EvMeta)) {
         self.arm_index();
         if let Some(idx) = self.index.borrow().as_ref() {
             for (&(time, seq), &meta) in idx {
@@ -416,111 +405,6 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-/// The engine-facing queue: one API, two implementations, identical
-/// drain order.
-pub(crate) enum EventQueue<T> {
-    Calendar(CalendarQueue<T>),
-    Legacy(BTreeMap<(SimTime, u64), (EvMeta, T)>),
-}
-
-impl<T> EventQueue<T> {
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Calendar => EventQueue::Calendar(CalendarQueue::new()),
-            QueueKind::Legacy => EventQueue::Legacy(BTreeMap::new()),
-        }
-    }
-
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            EventQueue::Calendar(_) => QueueKind::Calendar,
-            EventQueue::Legacy(_) => QueueKind::Legacy,
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(q) => q.len(),
-            EventQueue::Legacy(map) => map.len(),
-        }
-    }
-
-    pub fn insert(&mut self, time: SimTime, seq: u64, meta: EvMeta, payload: T) {
-        match self {
-            EventQueue::Calendar(q) => q.insert(QueueEntry {
-                time,
-                seq,
-                meta,
-                payload,
-            }),
-            EventQueue::Legacy(map) => {
-                map.insert((time, seq), (meta, payload));
-            }
-        }
-    }
-
-    pub fn pop_first(&mut self) -> Option<QueueEntry<T>> {
-        self.pop_first_at_or_before(SimTime::MAX)
-    }
-
-    /// Pops the earliest event iff it is due at or before `limit` — the
-    /// single-scan primitive behind both `run(Until::Idle)` and the
-    /// deadline-bounded runs.
-    pub fn pop_first_at_or_before(&mut self, limit: SimTime) -> Option<QueueEntry<T>> {
-        match self {
-            EventQueue::Calendar(q) => q.pop_first_at_or_before(limit),
-            EventQueue::Legacy(map) => {
-                let (&(time, _), _) = map.first_key_value()?;
-                if time > limit {
-                    return None;
-                }
-                map.pop_first()
-                    .map(|((time, seq), (meta, payload))| QueueEntry {
-                        time,
-                        seq,
-                        meta,
-                        payload,
-                    })
-            }
-        }
-    }
-
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        match self {
-            EventQueue::Calendar(q) => q.peek_key(),
-            EventQueue::Legacy(map) => map.keys().next().copied(),
-        }
-    }
-
-    /// Removes the `n`-th queued event in `(time, seq)` order.
-    pub fn remove_nth(&mut self, n: usize) -> Option<QueueEntry<T>> {
-        match self {
-            EventQueue::Calendar(q) => q.remove_nth(n),
-            EventQueue::Legacy(map) => {
-                let key = map.keys().nth(n).copied()?;
-                map.remove(&key).map(|(meta, payload)| QueueEntry {
-                    time: key.0,
-                    seq: key.1,
-                    meta,
-                    payload,
-                })
-            }
-        }
-    }
-
-    /// Visits every queued event's `(time, seq, meta)` in drain order.
-    pub fn for_each_in_order(&self, mut f: impl FnMut(SimTime, u64, EvMeta)) {
-        match self {
-            EventQueue::Calendar(q) => q.for_each_in_order(f),
-            EventQueue::Legacy(map) => {
-                for (&(time, seq), &(meta, _)) in map.iter() {
-                    f(time, seq, meta);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,11 +413,17 @@ mod tests {
         SimTime::from_micros(us)
     }
 
-    fn entry(us: u64, seq: u64) -> (SimTime, u64, EvMeta, u64) {
-        (t(us), seq, EvMeta::Timer(NodeId(0)), seq)
+    /// Queues an event at `us` whose payload is its own `seq`.
+    fn put(q: &mut CalendarQueue<u64>, us: u64, seq: u64) {
+        q.insert(QueueEntry {
+            time: t(us),
+            seq,
+            meta: EvMeta::Timer(NodeId(0)),
+            payload: seq,
+        });
     }
 
-    fn drain(q: &mut EventQueue<u64>) -> Vec<(u64, u64)> {
+    fn drain(q: &mut CalendarQueue<u64>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(e) = q.pop_first() {
             out.push((e.time.as_micros(), e.seq));
@@ -541,13 +431,62 @@ mod tests {
         out
     }
 
+    fn keys_in_order(q: &CalendarQueue<u64>) -> Vec<(SimTime, u64)> {
+        let mut keys = Vec::new();
+        q.for_each_in_order(|time, seq, _| keys.push((time, seq)));
+        keys
+    }
+
+    /// The reference the wheel is held to: a sorted map keyed by
+    /// `(time, seq)` — the engine's queue before the calendar queue
+    /// replaced it, with that queue's own definitions of the three
+    /// removal operations.
+    #[derive(Default)]
+    struct Legacy(BTreeMap<(SimTime, u64), u64>);
+
+    impl Legacy {
+        fn put(&mut self, us: u64, seq: u64) {
+            self.0.insert((t(us), seq), seq);
+        }
+
+        fn pop_first_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, u64)> {
+            let (&(time, _), _) = self.0.first_key_value()?;
+            if time > limit {
+                return None;
+            }
+            self.0
+                .pop_first()
+                .map(|((time, seq), payload)| (time, seq, payload))
+        }
+
+        fn remove_nth(&mut self, n: usize) -> Option<(SimTime, u64, u64)> {
+            let key = self.0.keys().nth(n).copied()?;
+            self.0.remove(&key).map(|payload| (key.0, key.1, payload))
+        }
+
+        fn keys_in_order(&self) -> Vec<(SimTime, u64)> {
+            self.0.keys().copied().collect()
+        }
+    }
+
+    fn key_of(e: QueueEntry<u64>) -> (SimTime, u64, u64) {
+        (e.time, e.seq, e.payload)
+    }
+
+    /// Pops both to exhaustion, event for event.
+    fn assert_same_drain(cal: &mut CalendarQueue<u64>, leg: &mut Legacy) {
+        while let Some(want) = leg.pop_first_at_or_before(SimTime::MAX) {
+            assert_eq!(cal.pop_first().map(key_of), Some(want));
+        }
+        assert_eq!(cal.len(), 0);
+    }
+
     #[test]
     fn calendar_drains_in_time_seq_order() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
+        let mut q = CalendarQueue::new();
         let times = [5_000u64, 10, 99_000, 10, 0, 5_000, 1 << 44];
         for (seq, &us) in times.iter().enumerate() {
-            let (time, seq, meta, payload) = entry(us, seq as u64);
-            q.insert(time, seq, meta, payload);
+            put(&mut q, us, seq as u64);
         }
         let mut expect: Vec<(u64, u64)> = times
             .iter()
@@ -558,45 +497,69 @@ mod tests {
         assert_eq!(drain(&mut q), expect);
     }
 
+    /// A deterministic pseudo-random mix of inserts, deadline-bounded
+    /// pops, arbitrary-rank removals and ordered traversals, each
+    /// answered identically by the wheel and the sorted map. Inserts
+    /// never precede an already-removed event's time, as in the engine
+    /// (`Sim` schedules at or after `now`, and `now` never rewinds).
     #[test]
     fn calendar_matches_legacy_on_random_workload() {
-        let mut cal = EventQueue::new(QueueKind::Calendar);
-        let mut leg = EventQueue::new(QueueKind::Legacy);
-        // A deterministic pseudo-random mix of inserts and pops.
+        let mut cal = CalendarQueue::new();
+        let mut leg = Legacy::default();
         let mut state = 0x9e3779b97f4a7c15u64;
-        let mut low_water = 0u64; // pops only move forward in time
-        for seq in 0..2_000u64 {
+        let mut low_water = 0u64;
+        for seq in 0..4_000u64 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(seq);
             let us = low_water + (state >> 33) % 1_000_000;
-            let (time, s, meta, payload) = entry(us, seq);
-            cal.insert(time, s, meta, payload);
-            leg.insert(time, s, meta, payload);
-            if state & 3 == 0 {
-                let a = cal.pop_first().map(|e| (e.time, e.seq, e.payload));
-                let b = leg.pop_first().map(|e| (e.time, e.seq, e.payload));
-                assert_eq!(a, b);
-                if let Some((popped, _, _)) = a {
-                    low_water = popped.as_micros();
+            put(&mut cal, us, seq);
+            leg.put(us, seq);
+            let removed = match state & 15 {
+                // Pop with a deadline that sometimes falls short.
+                0..=3 => {
+                    let limit = t(low_water + (state >> 20) % 400_000);
+                    let a = cal.pop_first_at_or_before(limit).map(key_of);
+                    assert_eq!(a, leg.pop_first_at_or_before(limit));
+                    a
                 }
+                4 => {
+                    let a = cal.pop_first().map(key_of);
+                    assert_eq!(a, leg.pop_first_at_or_before(SimTime::MAX));
+                    a
+                }
+                // Remove by rank, in and out of range.
+                5 | 6 => {
+                    let n = (state >> 40) as usize % (cal.len() + 2);
+                    let a = cal.remove_nth(n).map(key_of);
+                    assert_eq!(a, leg.remove_nth(n));
+                    a
+                }
+                7 => {
+                    assert_eq!(keys_in_order(&cal), leg.keys_in_order());
+                    None
+                }
+                _ => None,
+            };
+            if let Some((time, _, _)) = removed {
+                low_water = low_water.max(time.as_micros());
             }
+            assert_eq!(cal.len(), leg.0.len());
+            assert_eq!(cal.peek_key(), leg.0.keys().next().copied());
         }
-        assert_eq!(drain(&mut cal), drain(&mut leg));
+        assert_same_drain(&mut cal, &mut leg);
     }
 
     #[test]
     fn same_tick_inserts_during_batch_stay_in_seq_order() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
+        let mut q = CalendarQueue::new();
         for s in 0..4u64 {
-            let (time, seq, meta, payload) = entry(100, s);
-            q.insert(time, seq, meta, payload);
+            put(&mut q, 100, s);
         }
         // Pop one: stages the 4-event batch for tick 100.
         let first = q.pop_first().expect("staged");
         assert_eq!((first.time, first.seq), (t(100), 0));
         // Mid-batch, enqueue two more at the same tick.
         for s in 10..12u64 {
-            let (time, seq, meta, payload) = entry(100, s);
-            q.insert(time, seq, meta, payload);
+            put(&mut q, 100, s);
         }
         let rest: Vec<u64> = std::iter::from_fn(|| q.pop_first().map(|e| e.seq)).collect();
         assert_eq!(rest, vec![1, 2, 3, 10, 11]);
@@ -604,54 +567,44 @@ mod tests {
 
     #[test]
     fn remove_nth_and_ordered_traversal_agree_with_legacy() {
-        let mut cal = EventQueue::new(QueueKind::Calendar);
-        let mut leg = EventQueue::new(QueueKind::Legacy);
+        let mut cal = CalendarQueue::new();
+        let mut leg = Legacy::default();
         for (seq, us) in [(0u64, 300u64), (1, 100), (2, 200), (3, 100), (4, 700)] {
-            cal.insert(t(us), seq, EvMeta::NetChange, seq);
-            leg.insert(t(us), seq, EvMeta::NetChange, seq);
+            put(&mut cal, us, seq);
+            leg.put(us, seq);
         }
-        let mut cal_keys = Vec::new();
-        let mut leg_keys = Vec::new();
-        cal.for_each_in_order(|time, seq, _| cal_keys.push((time, seq)));
-        leg.for_each_in_order(|time, seq, _| leg_keys.push((time, seq)));
-        assert_eq!(cal_keys, leg_keys);
+        assert_eq!(keys_in_order(&cal), leg.keys_in_order());
         // Remove the 2nd-smallest from both; drains must still agree.
-        let a = cal.remove_nth(2).expect("in range");
-        let b = leg.remove_nth(2).expect("in range");
-        assert_eq!((a.time, a.seq), (b.time, b.seq));
+        assert_eq!(cal.remove_nth(2).map(key_of), leg.remove_nth(2));
         assert!(cal.remove_nth(9).is_none());
         assert!(leg.remove_nth(9).is_none());
-        assert_eq!(drain(&mut cal), drain(&mut leg));
+        assert_same_drain(&mut cal, &mut leg);
     }
 
     #[test]
     fn index_stays_consistent_across_inserts_after_arming() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
+        let mut q = CalendarQueue::new();
         for s in 0..8u64 {
-            q.insert(t(s * 10), s, EvMeta::NetChange, s);
+            put(&mut q, s * 10, s);
         }
         // Arm the index, then keep inserting and popping through it.
-        let mut seen = Vec::new();
-        q.for_each_in_order(|_, seq, _| seen.push(seq));
-        assert_eq!(seen.len(), 8);
-        q.insert(t(5), 100, EvMeta::NetChange, 100);
+        assert_eq!(keys_in_order(&q).len(), 8);
+        put(&mut q, 5, 100);
         let first = q.pop_first().expect("nonempty");
         assert_eq!(first.seq, 0, "t=0 precedes the late t=5 insert");
-        let mut after = Vec::new();
-        q.for_each_in_order(|_, seq, _| after.push(seq));
-        assert_eq!(after[0], 100, "armed index saw the new insert");
+        let after = keys_in_order(&q);
+        assert_eq!(after[0].1, 100, "armed index saw the new insert");
         assert_eq!(after.len(), 8);
     }
 
     #[test]
     fn wheel_resizes_through_growth_and_drain() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
+        let mut q = CalendarQueue::new();
         // Far beyond the initial 64 buckets, with a huge time span to
         // force a width re-derivation too.
         let n = 10_000u64;
         for s in 0..n {
-            let us = (s * 7_919) % 50_000_000;
-            q.insert(t(us), s, EvMeta::NetChange, s);
+            put(&mut q, (s * 7_919) % 50_000_000, s);
         }
         assert_eq!(q.len(), n as usize);
         let drained = drain(&mut q);
@@ -661,25 +614,23 @@ mod tests {
 
     #[test]
     fn sparse_far_future_events_are_found() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
-        q.insert(t(0), 0, EvMeta::NetChange, 0);
+        let mut q = CalendarQueue::new();
+        put(&mut q, 0, 0);
         // A full wheel rotation away at the initial width.
-        q.insert(t(1 << 30), 1, EvMeta::NetChange, 1);
-        q.insert(t(1 << 50), 2, EvMeta::NetChange, 2);
+        put(&mut q, 1 << 30, 1);
+        put(&mut q, 1 << 50, 2);
         assert_eq!(drain(&mut q), vec![(0, 0), (1 << 30, 1), (1 << 50, 2)]);
     }
 
     #[test]
     fn deadline_bounded_pop_leaves_later_events() {
-        for kind in [QueueKind::Calendar, QueueKind::Legacy] {
-            let mut q = EventQueue::new(kind);
-            q.insert(t(10), 0, EvMeta::NetChange, 0);
-            q.insert(t(20), 1, EvMeta::NetChange, 1);
-            assert!(q.pop_first_at_or_before(t(5)).is_none());
-            assert_eq!(q.pop_first_at_or_before(t(10)).map(|e| e.seq), Some(0));
-            assert!(q.pop_first_at_or_before(t(15)).is_none());
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.peek_key(), Some((t(20), 1)));
-        }
+        let mut q = CalendarQueue::new();
+        put(&mut q, 10, 0);
+        put(&mut q, 20, 1);
+        assert!(q.pop_first_at_or_before(t(5)).is_none());
+        assert_eq!(q.pop_first_at_or_before(t(10)).map(|e| e.seq), Some(0));
+        assert!(q.pop_first_at_or_before(t(15)).is_none());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_key(), Some((t(20), 1)));
     }
 }

@@ -7,23 +7,19 @@
 //!
 //! Sims are configured through [`SimBuilder`] and driven with
 //! [`Sim::run`]; the scheduler underneath is a calendar-queue event
-//! wheel with arena-allocated actor slots (see DESIGN.md §10), with the
-//! pre-refactor `BTreeMap` engine retained behind
-//! [`QueueKind::Legacy`] for differential testing.
+//! wheel with arena-allocated actor slots (see DESIGN.md §10).
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 use crate::actor::{Actor, Ctx, Effect, TimerId};
 use crate::metrics::MetricsRegistry;
 use crate::net::{DropReason, Network, NodeId, Verdict};
-use crate::queue::{EvMeta, EventQueue, QueueEntry};
+use crate::queue::{CalendarQueue, EvMeta, QueueEntry};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
-
-pub use crate::queue::QueueKind;
 
 /// Object-safe wrapper adding downcasting to [`Actor`].
 trait ActorObj<M>: Actor<M> {
@@ -261,9 +257,7 @@ pub enum RunOutcome {
 }
 
 /// Configures and constructs a [`Sim`]: seed, network, topology,
-/// telemetry and event budget in one fluent expression, replacing the
-/// old `with_network` / `set_max_events` / `set_default_msg_bytes`
-/// mutator sprawl.
+/// telemetry and event budget in one fluent expression.
 ///
 /// # Examples
 ///
@@ -280,7 +274,6 @@ pub enum RunOutcome {
 pub struct SimBuilder {
     seed: u64,
     net: Network,
-    queue: QueueKind,
     max_events: u64,
     default_msg_bytes: usize,
     telemetry: bool,
@@ -288,13 +281,12 @@ pub struct SimBuilder {
 }
 
 impl SimBuilder {
-    /// Starts a builder with the default (LAN) network, the calendar
-    /// queue, telemetry on, and a 50M-event runaway guard.
+    /// Starts a builder with the default (LAN) network, telemetry on,
+    /// and a 50M-event runaway guard.
     pub fn new(seed: u64) -> Self {
         SimBuilder {
             seed,
             net: Network::default(),
-            queue: QueueKind::default(),
             max_events: 50_000_000,
             default_msg_bytes: 256,
             telemetry: true,
@@ -312,14 +304,6 @@ impl SimBuilder {
     /// with [`crate::topology`] helpers and with [`SimBuilder::network`]).
     pub fn topology(mut self, build: impl FnOnce(&mut Network)) -> Self {
         build(&mut self.net);
-        self
-    }
-
-    /// Selects the event-queue implementation (default
-    /// [`QueueKind::Calendar`]). [`QueueKind::Legacy`] exists for
-    /// differential tests and the scale-bench baseline.
-    pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.queue = kind;
         self
     }
 
@@ -363,7 +347,7 @@ impl SimBuilder {
         Sim {
             now: SimTime::ZERO,
             seq: 0,
-            queue: EventQueue::new(self.queue),
+            queue: CalendarQueue::new(),
             slots: Vec::new(),
             by_id: BTreeMap::new(),
             dense: Vec::new(),
@@ -374,7 +358,7 @@ impl SimBuilder {
             hot: HotCounters::default(),
             hot_flushed: HotCounters::default(),
             scratch: Vec::new(),
-            cancelled: CancelSet::new(self.queue),
+            cancelled: CancelSet::default(),
             next_timer: 0,
             default_msg_bytes: self.default_msg_bytes,
             events_processed: 0,
@@ -403,75 +387,65 @@ struct HotCounters {
     drop_disconnected: u64,
 }
 
+impl HotCounters {
+    /// Every counter beside the registry name it is folded under.
+    fn named(&self) -> [(&'static str, u64); 8] {
+        [
+            ("sim.delivered", self.delivered),
+            ("sim.sent", self.sent),
+            ("sim.sent_bytes", self.sent_bytes),
+            ("sim.no_actor", self.no_actor),
+            ("sim.reentrant_dispatch", self.reentrant),
+            ("sim.dropped.Loss", self.drop_loss),
+            ("sim.dropped.Partitioned", self.drop_partitioned),
+            ("sim.dropped.Disconnected", self.drop_disconnected),
+        ]
+    }
+}
+
 /// Ids below this bound index directly into the dense `NodeId -> slot`
 /// table; sparser ids fall back to the ordered map.
 const DENSE_IDS: usize = 1 << 22;
 
 /// The set of cancelled-but-still-queued timer ids.
 ///
-/// Timer ids are handed out sequentially (`next_timer`), so the fast
-/// engine keeps membership as a bitmap indexed by id — one bit per
-/// timer ever armed, cache-resident even with millions of cancellations
-/// outstanding, where a hashed set of the same ids spans tens of
-/// megabytes and costs a cold miss per timer pop. The legacy engine
-/// keeps the seed's `HashSet` so its cost model is preserved for the
-/// scale-bench baseline. Membership — and therefore behaviour — is
-/// identical either way.
-enum CancelSet {
-    Hash(HashSet<u64>),
-    Bits { words: Vec<u64>, live: usize },
+/// Timer ids are handed out sequentially (`next_timer`), so membership
+/// is a bitmap indexed by id — one bit per timer ever armed,
+/// cache-resident even with millions of cancellations outstanding,
+/// where a hashed set of the same ids spans tens of megabytes and costs
+/// a cold miss per timer pop.
+#[derive(Default)]
+struct CancelSet {
+    words: Vec<u64>,
+    /// Number of set bits.
+    live: usize,
 }
 
 impl CancelSet {
-    fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Legacy => CancelSet::Hash(HashSet::new()),
-            QueueKind::Calendar => CancelSet::Bits {
-                words: Vec::new(),
-                live: 0,
-            },
-        }
-    }
-
     fn is_empty(&self) -> bool {
-        match self {
-            CancelSet::Hash(set) => set.is_empty(),
-            CancelSet::Bits { live, .. } => *live == 0,
-        }
+        self.live == 0
     }
 
     fn insert(&mut self, id: u64) {
-        match self {
-            CancelSet::Hash(set) => {
-                set.insert(id);
-            }
-            CancelSet::Bits { words, live } => {
-                let (w, bit) = ((id / 64) as usize, 1u64 << (id % 64));
-                if w >= words.len() {
-                    words.resize(w + 1, 0);
-                }
-                if words[w] & bit == 0 {
-                    words[w] |= bit;
-                    *live += 1;
-                }
-            }
+        let (w, bit) = ((id / 64) as usize, 1u64 << (id % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        if self.words[w] & bit == 0 {
+            self.words[w] |= bit;
+            self.live += 1;
         }
     }
 
     /// Removes `id`, reporting whether it was present.
     fn remove(&mut self, id: u64) -> bool {
-        match self {
-            CancelSet::Hash(set) => set.remove(&id),
-            CancelSet::Bits { words, live } => {
-                let (w, bit) = ((id / 64) as usize, 1u64 << (id % 64));
-                if words.get(w).is_some_and(|word| word & bit != 0) {
-                    words[w] &= !bit;
-                    *live -= 1;
-                    true
-                } else {
-                    false
-                }
-            }
+        let (w, bit) = ((id / 64) as usize, 1u64 << (id % 64));
+        if self.words.get(w).is_some_and(|word| word & bit != 0) {
+            self.words[w] &= !bit;
+            self.live -= 1;
+            true
+        } else {
+            false
         }
     }
 }
@@ -510,17 +484,15 @@ impl CancelSet {
 pub struct Sim<M> {
     now: SimTime,
     seq: u64,
-    /// The event queue; see [`crate::queue`]. Both implementations
-    /// drain in `(time, seq)` order, so [`Sim::step`],
-    /// [`Sim::step_nth`] and [`Sim::pending_events`] observe one total
-    /// order regardless of kind.
-    queue: EventQueue<Event<M>>,
+    /// The event queue; see [`crate::queue`]. It drains in
+    /// `(time, seq)` order, the one total order [`Sim::step`],
+    /// [`Sim::step_nth`] and [`Sim::pending_events`] all observe.
+    queue: CalendarQueue<Event<M>>,
     /// Arena of actor slots in registration order; dispatch indexes
     /// here directly instead of walking a map.
     slots: Vec<ActorSlot<M>>,
     /// `NodeId -> slot` in id order: the iteration view, the duplicate
-    /// check, the overflow store for ids past [`DENSE_IDS`] — and the
-    /// lookup path the legacy engine uses on every dispatch.
+    /// check, and the overflow store for ids past [`DENSE_IDS`].
     by_id: BTreeMap<NodeId, u32>,
     /// `NodeId.0 -> slot + 1` (0 = vacant): the O(1) dispatch lookup.
     dense: Vec<u32>,
@@ -530,7 +502,7 @@ pub struct Sim<M> {
     trace: Trace,
     hot: HotCounters,
     hot_flushed: HotCounters,
-    /// Reusable effects buffer for the fast dispatch path.
+    /// Reusable effects buffer for the dispatch path.
     scratch: Vec<Effect<M>>,
     cancelled: CancelSet,
     next_timer: u64,
@@ -545,19 +517,6 @@ pub struct Sim<M> {
 }
 
 impl<M: 'static> Sim<M> {
-    /// Creates a simulation with the default (LAN) network and the given
-    /// seed.
-    #[deprecated(note = "use SimBuilder::new(seed).build()")]
-    pub fn new(seed: u64) -> Self {
-        SimBuilder::new(seed).build()
-    }
-
-    /// Creates a simulation over a specific network model.
-    #[deprecated(note = "use SimBuilder::new(seed).network(net).build()")]
-    pub fn with_network(seed: u64, net: Network) -> Self {
-        SimBuilder::new(seed).network(net).build()
-    }
-
     /// Registers an actor on node `id`, scheduling its
     /// [`Actor::on_start`] at the current time, and returns a typed
     /// handle for later [`Sim::get`] / [`Sim::get_mut`] access.
@@ -618,18 +577,6 @@ impl<M: 'static> Sim<M> {
         self.push(at, EventKind::Deliver { from, to, msg });
     }
 
-    /// Sets the wire size assumed for [`Ctx::send`] (default 256 bytes).
-    #[deprecated(note = "configure via SimBuilder::default_msg_bytes")]
-    pub fn set_default_msg_bytes(&mut self, bytes: usize) {
-        self.default_msg_bytes = bytes;
-    }
-
-    /// Caps the number of processed events, as a runaway-protocol guard.
-    #[deprecated(note = "configure via SimBuilder::max_events; run(Until) reports EventCapHit")]
-    pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
-    }
-
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -679,29 +626,9 @@ impl<M: 'static> Sim<M> {
             .downcast_mut::<A>()
     }
 
-    /// Borrows the actor on `id` downcast to its concrete type, for
-    /// post-run inspection.
-    #[deprecated(note = "use Sim::get with the ActorHandle from add_actor (or ActorHandle::of)")]
-    pub fn actor<A: Actor<M> + Any>(&self, id: NodeId) -> Option<&A> {
-        self.get(ActorHandle::of(id))
-    }
-
-    /// Mutable variant of the deprecated `actor` accessor.
-    #[deprecated(
-        note = "use Sim::get_mut with the ActorHandle from add_actor (or ActorHandle::of)"
-    )]
-    pub fn actor_mut<A: Actor<M> + Any>(&mut self, id: NodeId) -> Option<&mut A> {
-        self.get_mut(ActorHandle::of(id))
-    }
-
     /// Node ids with registered actors, in ascending order.
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.by_id.keys().copied().collect()
-    }
-
-    /// Which queue implementation this sim runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// The largest number of simultaneously queued events seen so far
@@ -727,16 +654,15 @@ impl<M: 'static> Sim<M> {
     fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        let meta = meta_of(&kind);
-        self.queue.insert(
+        self.queue.insert(QueueEntry {
             time,
             seq,
-            meta,
-            Event {
+            meta: meta_of(&kind),
+            payload: Event {
                 kind,
                 caused_by: self.processing,
             },
-        );
+        });
         if self.queue.len() > self.peak_pending {
             self.peak_pending = self.queue.len();
         }
@@ -773,9 +699,9 @@ impl<M: 'static> Sim<M> {
 
     /// Descriptions of every queued event in `(time, seq)` order — the
     /// order [`Sim::step`] would process them. Index `n` here is the `n`
-    /// accepted by [`Sim::step_nth`]. On the calendar queue the first
-    /// call arms an ordered side index that is mirrored from then on,
-    /// so this stays an O(k) traversal rather than a sort.
+    /// accepted by [`Sim::step_nth`]. The first call arms an ordered
+    /// side index that is mirrored from then on, so this stays an O(k)
+    /// traversal rather than a sort.
     pub fn pending_events(&self) -> Vec<PendingEvent> {
         let mut out = Vec::with_capacity(self.queue.len());
         self.queue.for_each_in_order(|time, seq, meta| {
@@ -826,27 +752,14 @@ impl<M: 'static> Sim<M> {
             caused_by: ev.caused_by,
         });
         self.processing = Some(seq);
-        let legacy = self.queue.kind() == QueueKind::Legacy;
         match ev.kind {
             EventKind::Start(node) => self.dispatch(node, Dispatch::Start),
             EventKind::Deliver { from, to, msg } => {
-                if legacy {
-                    self.metrics.incr("sim.delivered");
-                } else {
-                    self.hot.delivered += 1;
-                }
+                self.hot.delivered += 1;
                 self.dispatch(to, Dispatch::Message { from, msg });
             }
             EventKind::Timer { node, id, tag } => {
-                // In the common no-cancellation case skip the hash
-                // lookup entirely; behaviour is identical since an
-                // empty set can't contain the id.
-                let fired = if self.cancelled.is_empty() {
-                    true
-                } else {
-                    !self.cancelled.remove(id.0)
-                };
-                if fired {
+                if self.cancelled.is_empty() || !self.cancelled.remove(id.0) {
                     self.dispatch(node, Dispatch::Timer { id, tag });
                 }
             }
@@ -855,17 +768,9 @@ impl<M: 'static> Sim<M> {
         self.processing = None;
     }
 
-    fn dispatch(&mut self, node: NodeId, what: Dispatch<M>) {
-        if self.queue.kind() == QueueKind::Legacy {
-            self.dispatch_legacy(node, what);
-        } else {
-            self.dispatch_fast(node, what);
-        }
-    }
-
     /// Arena dispatch: O(1) dense slot lookup, in-place actor and RNG
     /// borrows, and a reused effects buffer — no per-event allocation.
-    fn dispatch_fast(&mut self, node: NodeId, what: Dispatch<M>) {
+    fn dispatch(&mut self, node: NodeId, what: Dispatch<M>) {
         let Some(slot_idx) = self.slot_of(node) else {
             self.hot.no_actor += 1;
             return;
@@ -899,65 +804,13 @@ impl<M: 'static> Sim<M> {
         self.scratch = effects;
     }
 
-    /// The pre-refactor dispatch path, byte-for-byte in observable
-    /// behaviour: ordered-map slot lookup, actor take/put, RNG clone
-    /// and write-back, and a fresh effects vector per event. Kept so
-    /// `QueueKind::Legacy` reproduces the seed engine's cost model for
-    /// differential tests and the scale-bench baseline.
-    fn dispatch_legacy(&mut self, node: NodeId, what: Dispatch<M>) {
-        let Some(&slot_idx) = self.by_id.get(&node) else {
-            self.metrics.incr("sim.no_actor");
-            return;
-        };
-        let slot = &mut self.slots[slot_idx as usize];
-        let Some(mut actor) = slot.actor.take() else {
-            self.metrics.incr("sim.reentrant_dispatch");
-            return;
-        };
-        let mut rng = slot.rng.clone();
-        let mut effects: Vec<Effect<M>> = Vec::new();
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                id: node,
-                rng: &mut rng,
-                effects: &mut effects,
-                metrics: &mut self.metrics,
-                trace: &mut self.trace,
-                next_timer: &mut self.next_timer,
-                default_msg_bytes: self.default_msg_bytes,
-            };
-            match what {
-                Dispatch::Start => actor.on_start(&mut ctx),
-                Dispatch::Message { from, msg } => actor.on_message(&mut ctx, from, msg),
-                Dispatch::Timer { id, tag } => actor.on_timer(&mut ctx, id, tag),
-            }
-        }
-        let slot = &mut self.slots[slot_idx as usize];
-        slot.actor = Some(actor);
-        slot.rng = rng;
-        self.apply_effects(node, &mut effects);
-    }
-
     fn apply_effects(&mut self, node: NodeId, effects: &mut Vec<Effect<M>>) {
-        let legacy = self.queue.kind() == QueueKind::Legacy;
         for eff in effects.drain(..) {
             match eff {
                 Effect::Send { to, msg, bytes } => {
-                    if legacy {
-                        self.metrics.incr("sim.sent");
-                        self.metrics.add("sim.sent_bytes", bytes as u64);
-                    } else {
-                        self.hot.sent += 1;
-                        self.hot.sent_bytes += bytes as u64;
-                    }
-                    let verdict = if legacy {
-                        self.net
-                            .submit_unoptimized(self.now, node, to, bytes, &mut self.rng)
-                    } else {
-                        self.net.submit(self.now, node, to, bytes, &mut self.rng)
-                    };
-                    match verdict {
+                    self.hot.sent += 1;
+                    self.hot.sent_bytes += bytes as u64;
+                    match self.net.submit(self.now, node, to, bytes, &mut self.rng) {
                         Verdict::DeliverAt(at) => {
                             self.push(
                                 at,
@@ -968,16 +821,10 @@ impl<M: 'static> Sim<M> {
                                 },
                             );
                         }
-                        Verdict::Dropped(reason) => {
-                            if legacy {
-                                self.metrics.incr(&format!("sim.dropped.{reason:?}"));
-                            } else {
-                                match reason {
-                                    DropReason::Loss => self.hot.drop_loss += 1,
-                                    DropReason::Partitioned => self.hot.drop_partitioned += 1,
-                                    DropReason::Disconnected => self.hot.drop_disconnected += 1,
-                                }
-                            }
+                        Verdict::Dropped(DropReason::Loss) => self.hot.drop_loss += 1,
+                        Verdict::Dropped(DropReason::Partitioned) => self.hot.drop_partitioned += 1,
+                        Verdict::Dropped(DropReason::Disconnected) => {
+                            self.hot.drop_disconnected += 1
                         }
                     }
                 }
@@ -991,48 +838,21 @@ impl<M: 'static> Sim<M> {
         }
     }
 
-    /// Folds hot-path counters into the string-keyed registry. Metric
-    /// names match the legacy engine's exactly, so both queue kinds
-    /// report identical registries.
+    /// Folds the hot-path counters' growth since the last fold into the
+    /// string-keyed registry; a counter that has not moved is not
+    /// touched, so the registry never gains a zero-valued entry.
     fn flush_hot(&mut self) {
-        let (h, f) = (self.hot, self.hot_flushed);
-        if h == f {
+        if self.hot == self.hot_flushed {
             return;
         }
-        if h.delivered > f.delivered {
-            self.metrics.add("sim.delivered", h.delivered - f.delivered);
+        for ((name, now), (_, flushed)) in
+            self.hot.named().into_iter().zip(self.hot_flushed.named())
+        {
+            if now > flushed {
+                self.metrics.add(name, now - flushed);
+            }
         }
-        if h.sent > f.sent {
-            self.metrics.add("sim.sent", h.sent - f.sent);
-        }
-        if h.sent_bytes > f.sent_bytes {
-            self.metrics
-                .add("sim.sent_bytes", h.sent_bytes - f.sent_bytes);
-        }
-        if h.no_actor > f.no_actor {
-            self.metrics.add("sim.no_actor", h.no_actor - f.no_actor);
-        }
-        if h.reentrant > f.reentrant {
-            self.metrics
-                .add("sim.reentrant_dispatch", h.reentrant - f.reentrant);
-        }
-        if h.drop_loss > f.drop_loss {
-            self.metrics
-                .add("sim.dropped.Loss", h.drop_loss - f.drop_loss);
-        }
-        if h.drop_partitioned > f.drop_partitioned {
-            self.metrics.add(
-                "sim.dropped.Partitioned",
-                h.drop_partitioned - f.drop_partitioned,
-            );
-        }
-        if h.drop_disconnected > f.drop_disconnected {
-            self.metrics.add(
-                "sim.dropped.Disconnected",
-                h.drop_disconnected - f.drop_disconnected,
-            );
-        }
-        self.hot_flushed = h;
+        self.hot_flushed = self.hot;
     }
 
     /// Runs the simulation until the given condition and reports why it
@@ -1081,19 +901,6 @@ impl<M: 'static> Sim<M> {
         outcome
     }
 
-    /// Runs while the next event is at or before `deadline`; afterwards
-    /// the clock reads `deadline` if it would otherwise lag behind.
-    #[deprecated(note = "use run(Until::At(deadline))")]
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.run(Until::At(deadline));
-    }
-
-    /// Runs for `d` of simulated time from now.
-    #[deprecated(note = "use run(Until::For(d))")]
-    pub fn run_for(&mut self, d: SimDuration) {
-        self.run(Until::For(d));
-    }
-
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -1110,6 +917,7 @@ enum Dispatch<M> {
 mod tests {
     use super::*;
     use crate::net::LinkSpec;
+    use crate::trace::TraceEvent;
 
     #[derive(Debug, Clone, PartialEq)]
     enum Msg {
@@ -1165,17 +973,13 @@ mod tests {
         }
     }
 
-    fn build_on(seed: u64, kind: QueueKind) -> (Sim<Msg>, ActorHandle<Client>) {
+    fn build(seed: u64) -> (Sim<Msg>, ActorHandle<Client>) {
         let mut net = Network::new(LinkSpec::lan());
         net.set_default_link(LinkSpec::lan());
-        let mut sim = SimBuilder::new(seed).network(net).queue(kind).build();
+        let mut sim = SimBuilder::new(seed).network(net).build();
         let client = sim.add_actor(NodeId(0), Client::new(NodeId(1)));
         sim.add_actor(NodeId(1), Server);
         (sim, client)
-    }
-
-    fn build(seed: u64) -> (Sim<Msg>, ActorHandle<Client>) {
-        build_on(seed, QueueKind::Calendar)
     }
 
     #[test]
@@ -1199,29 +1003,55 @@ mod tests {
         assert_eq!(a.now(), b.now());
     }
 
+    /// The whole seed-99 run, event by event, as the `BTreeMap` engine
+    /// executed it at commit 632eeb9 (the last one carrying that
+    /// engine, where this listing was printed from it and from the
+    /// calendar engine alike): `(kind, node, time µs, seq, cause)`.
     #[test]
     fn legacy_and_calendar_engines_agree_exactly() {
-        let (mut cal, _) = build_on(99, QueueKind::Calendar);
-        let (mut leg, _) = build_on(99, QueueKind::Legacy);
-        let mut cal_execs = Vec::new();
-        let mut leg_execs = Vec::new();
-        while cal.step() {
-            cal_execs.extend(cal.last_executed());
+        let (mut sim, _) = build(99);
+        let mut stream = Vec::new();
+        while sim.step() {
+            let ev = sim.last_executed().expect("an event ran");
+            let kind = match ev.desc {
+                PendingEvent::Start { .. } => 's',
+                PendingEvent::Deliver { .. } => 'd',
+                PendingEvent::Timer { .. } => 't',
+                PendingEvent::NetChange { .. } => 'n',
+            };
+            let node = ev.desc.node().expect("no net change is scheduled");
+            stream.push((
+                kind,
+                node.0,
+                ev.desc.time().as_micros(),
+                ev.desc.seq(),
+                ev.caused_by,
+            ));
         }
-        while leg.step() {
-            leg_execs.extend(leg.last_executed());
-        }
-        assert_eq!(cal_execs, leg_execs);
-        assert_eq!(cal.trace().events(), leg.trace().events());
-        assert_eq!(cal.now(), leg.now());
         assert_eq!(
-            cal.metrics().counter("sim.sent"),
-            leg.metrics().counter("sim.sent")
+            stream,
+            [
+                ('s', 0, 0, 0, None),
+                ('s', 1, 0, 1, None),
+                ('d', 1, 1_113, 2, Some(0)),
+                ('d', 0, 1_999, 5, Some(2)),
+                // The cancelled 5 ms timer is popped but never dispatched.
+                ('t', 0, 5_000, 4, Some(0)),
+                ('t', 0, 10_000, 3, Some(0)),
+            ]
         );
         assert_eq!(
-            cal.metrics().counter("sim.delivered"),
-            leg.metrics().counter("sim.delivered")
+            sim.trace().events(),
+            [TraceEvent {
+                time: SimTime::from_micros(1_999),
+                node: NodeId(0),
+                label: "pong".to_owned(),
+                data: "1".to_owned(),
+            }]
         );
+        assert_eq!(sim.now(), SimTime::from_millis(10));
+        assert_eq!(sim.metrics().counter("sim.sent"), 2);
+        assert_eq!(sim.metrics().counter("sim.delivered"), 2);
     }
 
     #[test]
@@ -1465,39 +1295,55 @@ mod tests {
         assert!(sim.get(ActorHandle::<Server>::of(far)).is_some());
     }
 
-    /// The one-release compatibility shims still work; this module is
-    /// the only in-repo caller allowed to exercise them.
-    #[allow(deprecated)]
-    mod deprecated_shims {
-        use super::*;
+    /// The bitmap answers every operation as an ordered set of the
+    /// same ids does.
+    #[test]
+    fn cancel_set_matches_a_btreeset_model() {
+        use std::collections::BTreeSet;
 
-        #[test]
-        fn legacy_construction_and_run_surface_still_works() {
-            let mut sim: Sim<Msg> = Sim::new(1);
-            sim.set_max_events(10_000);
-            sim.set_default_msg_bytes(128);
-            sim.add_actor(NodeId(1), Server);
-            sim.add_actor(NodeId(0), Client::new(NodeId(1)));
-            sim.run_until(SimTime::from_millis(1));
-            sim.run_for(SimDuration::from_millis(20));
-            let client: &Client = sim.actor(NodeId(0)).expect("registered");
-            assert_eq!(client.received, vec![1]);
-            let client_mut: &mut Client = sim.actor_mut(NodeId(0)).expect("registered");
-            client_mut.received.clear();
+        enum Op {
+            Insert(u64),
+            Remove(u64),
         }
+        use Op::*;
 
-        #[test]
-        fn with_network_matches_builder_network() {
-            let wan = || Network::new(LinkSpec::wan(SimDuration::from_millis(20)));
-            let mut a: Sim<Msg> = Sim::with_network(9, wan());
-            let mut b: Sim<Msg> = SimBuilder::new(9).network(wan()).build();
-            a.add_actor(NodeId(0), Client::new(NodeId(1)));
-            a.add_actor(NodeId(1), Server);
-            b.add_actor(NodeId(0), Client::new(NodeId(1)));
-            b.add_actor(NodeId(1), Server);
-            a.run(Until::Idle);
-            b.run(Until::Idle);
-            assert_eq!(a.trace().events(), b.trace().events());
+        let mut set = CancelSet::default();
+        let mut model = BTreeSet::new();
+        assert!(set.is_empty());
+        let ops = [
+            // Insert and double insert, in one word and in distant ones.
+            Insert(3),
+            Insert(3),
+            Insert(64),
+            Insert(0),
+            Insert(1_000_003),
+            // Remove present, absent in range, absent past the end, twice.
+            Remove(64),
+            Remove(5),
+            Remove(9_999_999),
+            Remove(64),
+            Remove(3),
+            Remove(0),
+            // Cancel-then-fire: the pop reaps the id and the set drains.
+            Remove(1_000_003),
+            Insert(7),
+            Remove(7),
+            // Fire-then-cancel: the timer pops uncancelled, the late
+            // cancel is never reaped, and the set stays non-empty.
+            Remove(8),
+            Insert(8),
+        ];
+        for op in ops {
+            match op {
+                Insert(id) => {
+                    set.insert(id);
+                    model.insert(id);
+                }
+                Remove(id) => assert_eq!(set.remove(id), model.remove(&id), "remove {id}"),
+            }
+            assert_eq!(set.live, model.len());
+            assert_eq!(set.is_empty(), model.is_empty());
         }
+        assert!(!set.is_empty());
     }
 }

@@ -6,13 +6,12 @@
 //! afterwards.
 
 use odp_fabric::span::{SpanCarrier, SpanLog};
-use serde::{Deserialize, Serialize};
 
 use crate::net::NodeId;
 use crate::time::SimTime;
 
 /// One labelled, timestamped trace record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// When it happened.
     pub time: SimTime,
@@ -54,7 +53,7 @@ pub struct TraceEvent {
 /// assert_eq!(bounded.dropped(), 3);
 /// assert_eq!(bounded.events()[0].data, "3");
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     enabled: bool,

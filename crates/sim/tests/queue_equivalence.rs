@@ -1,8 +1,11 @@
-//! Differential suite: the calendar queue and the pre-refactor
-//! `BTreeMap` queue drain every workload in the identical `(time, seq)`
-//! order, with identical `ExecutedEvent` streams, RNG draws, traces and
-//! metrics — the determinism contract DPOR exploration and trace replay
-//! rely on.
+//! Golden suite for the event engine's determinism contract: fixed-seed
+//! workloads must reproduce, event for event, the runs recorded from the
+//! `BTreeMap` engine the calendar queue replaced (see [`Golden`] for how
+//! the constants were captured). Arbitrary workloads, which have no
+//! recorded run, are held to the oracle-free half of the contract:
+//! execution in strictly increasing `(time, seq)` order, a drained
+//! queue, and no dispatch of a cancelled timer. DPOR exploration and
+//! trace replay rely on both halves.
 
 use odp_sim::prelude::*;
 use proptest::prelude::*;
@@ -13,6 +16,10 @@ struct Churner {
     peers: Vec<NodeId>,
     live_timer: Option<TimerId>,
     handled: u64,
+    /// Every timer this actor has cancelled so far.
+    cancelled: Vec<TimerId>,
+    /// Timers that fired although they were already in `cancelled`.
+    fired_after_cancel: u64,
 }
 
 impl Churner {
@@ -21,6 +28,8 @@ impl Churner {
             peers,
             live_timer: None,
             handled: 0,
+            cancelled: Vec::new(),
+            fired_after_cancel: 0,
         }
     }
 }
@@ -44,6 +53,7 @@ impl Actor<u32> for Churner {
             1 => {
                 if let Some(t) = self.live_timer.take() {
                     ctx.cancel_timer(t);
+                    self.cancelled.push(t);
                 }
                 self.live_timer = Some(ctx.set_timer(SimDuration::from_millis(1), 1));
             }
@@ -52,7 +62,10 @@ impl Actor<u32> for Churner {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, timer: TimerId, tag: u64) {
+        if self.cancelled.contains(&timer) {
+            self.fired_after_cancel += 1;
+        }
         if tag > 0 && ctx.rng().chance(0.5) {
             let peer = self.peers[tag as usize % self.peers.len()];
             ctx.send(peer, (tag as u32).saturating_sub(5));
@@ -69,11 +82,10 @@ fn lossy_net() -> Network {
     net
 }
 
-/// Builds the scenario on the given queue, injects `injections`
-/// scripted `(at_us, from, to, msg)` stimuli, and drains it to
-/// quiescence collecting every executed event.
-fn drain_on(
-    kind: QueueKind,
+/// Builds the scenario, injects `injections` scripted
+/// `(at_us, from, to, msg)` stimuli, and drains it to quiescence
+/// collecting every executed event.
+fn drain(
     seed: u64,
     nodes: u32,
     injections: &[(u64, u32, u32, u32)],
@@ -81,7 +93,6 @@ fn drain_on(
     let ids: Vec<NodeId> = (0..nodes).map(NodeId).collect();
     let mut sim = SimBuilder::new(seed)
         .network(lossy_net())
-        .queue(kind)
         .max_events(500_000)
         .build();
     for &me in &ids {
@@ -103,33 +114,109 @@ fn drain_on(
     (executed, sim)
 }
 
-fn assert_equivalent(seed: u64, nodes: u32, injections: &[(u64, u32, u32, u32)]) {
-    let (cal_exec, cal) = drain_on(QueueKind::Calendar, seed, nodes, injections);
-    let (leg_exec, leg) = drain_on(QueueKind::Legacy, seed, nodes, injections);
-    assert_eq!(cal_exec.len(), leg_exec.len(), "event counts diverged");
-    for (i, (a, b)) in cal_exec.iter().zip(&leg_exec).enumerate() {
-        assert_eq!(a, b, "executed event #{i} diverged");
+/// 64-bit FNV-1a, fed whole words and length-prefixed strings.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    assert_eq!(cal.now(), leg.now());
-    assert_eq!(cal.trace().events(), leg.trace().events());
-    for name in [
-        "sim.sent",
-        "sim.sent_bytes",
-        "sim.delivered",
-        "sim.dropped.Loss",
-        "sim.no_actor",
-    ] {
-        assert_eq!(
-            cal.metrics().counter(name),
-            leg.metrics().counter(name),
-            "metric {name} diverged"
-        );
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        self.bytes(s.as_bytes());
     }
 }
 
-/// The headline satellite check: 10,000 randomly timed injections drain
-/// in identical order through both queues — same seeds, same
-/// `ExecutedEvent` streams.
+/// What one fixed-seed run must reproduce exactly.
+///
+/// The constants below were produced at commit 632eeb9 — the last one
+/// carrying the `BTreeMap` engine — by running this file there with
+/// `.queue(QueueKind::Legacy)` added to the builder in [`drain`] and
+/// reading the values off the failing `assert_eq!`; the calendar engine
+/// printed the same values at that commit and must keep printing them.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    /// Events executed before quiescence.
+    events: usize,
+    /// Final `Sim::now()`, in microseconds.
+    now_us: u64,
+    /// Digest of the `ExecutedEvent` stream (kind, nodes, time, seq,
+    /// cause of every event, in execution order).
+    executed: u64,
+    /// Digest of the trace (time, node, label, data of every record).
+    trace: u64,
+    /// `sim.sent`, `sim.sent_bytes`, `sim.delivered`,
+    /// `sim.dropped.Loss`, `sim.no_actor`.
+    counters: [u64; 5],
+}
+
+fn golden_of(executed: &[ExecutedEvent], sim: &Sim<u32>) -> Golden {
+    let mut exec = Fnv::new();
+    for ev in executed {
+        let (kind, a, b) = match ev.desc {
+            PendingEvent::Start { node, .. } => (0, node.0, 0),
+            PendingEvent::Deliver { from, to, .. } => (1, from.0, to.0),
+            PendingEvent::Timer { node, .. } => (2, node.0, 0),
+            PendingEvent::NetChange { .. } => (3, 0, 0),
+        };
+        for w in [
+            kind,
+            u64::from(a),
+            u64::from(b),
+            ev.desc.time().as_micros(),
+            ev.desc.seq(),
+            ev.caused_by.unwrap_or(u64::MAX),
+        ] {
+            exec.word(w);
+        }
+    }
+    let mut trace = Fnv::new();
+    for rec in sim.trace().events() {
+        trace.word(rec.time.as_micros());
+        trace.word(u64::from(rec.node.0));
+        trace.text(&rec.label);
+        trace.text(&rec.data);
+    }
+    Golden {
+        events: executed.len(),
+        now_us: sim.now().as_micros(),
+        executed: exec.0,
+        trace: trace.0,
+        counters: [
+            "sim.sent",
+            "sim.sent_bytes",
+            "sim.delivered",
+            "sim.dropped.Loss",
+            "sim.no_actor",
+        ]
+        .map(|name| sim.metrics().counter(name)),
+    }
+}
+
+/// The index of the first executed event whose `(time, seq)` key does
+/// not strictly exceed its predecessor's — `None` for a run in queue
+/// order, which is every run driven by [`Sim::step`] alone.
+fn first_out_of_order(executed: &[ExecutedEvent]) -> Option<usize> {
+    let key = |ev: &ExecutedEvent| (ev.desc.time(), ev.desc.seq());
+    executed
+        .windows(2)
+        .position(|w| key(&w[0]) >= key(&w[1]))
+        .map(|i| i + 1)
+}
+
+/// 10,000 randomly timed injections drain exactly as recorded.
 #[test]
 fn ten_thousand_random_injections_drain_identically() {
     let mut rng = DetRng::seed_from(0xCA1E_DA12);
@@ -141,7 +228,17 @@ fn ten_thousand_random_injections_drain_identically() {
         let msg = rng.range_u64(0, 10_000) as u32;
         injections.push((at, from, to, msg));
     }
-    assert_equivalent(0xDE5, 8, &injections);
+    let (executed, sim) = drain(0xDE5, 8, &injections);
+    assert_eq!(
+        golden_of(&executed, &sim),
+        Golden {
+            events: 132_464,
+            now_us: 2_172_105,
+            executed: 11878392384363602383,
+            trace: 15070873563762048518,
+            counters: [64_800, 7_318_372, 73_453, 1_347, 0],
+        }
+    );
 }
 
 /// Same-instant storms (many events on one tick) exercise the calendar
@@ -154,22 +251,62 @@ fn same_tick_storms_drain_identically() {
             injections.push((burst * 1_000, k, (k + 1) % 6, k * 3));
         }
     }
-    assert_equivalent(0xBEE, 6, &injections);
+    let (executed, sim) = drain(0xBEE, 6, &injections);
+    assert_eq!(
+        golden_of(&executed, &sim),
+        Golden {
+            events: 5_986,
+            now_us: 244_377,
+            executed: 6836576628881840782,
+            trace: 9984489210764763002,
+            counters: [2_735, 332_372, 3_687, 48, 0],
+        }
+    );
+}
+
+/// Known-bad for [`first_out_of_order`]: one `step_nth(1)` runs the
+/// second-earliest event ahead of the earliest, and the checker must
+/// point at the overtaken event that then runs late.
+#[test]
+fn ordering_checker_reports_an_out_of_order_step() {
+    let (in_order, _) = drain(1, 3, &[(10, 0, 1, 3), (20, 1, 2, 7)]);
+    assert_eq!(first_out_of_order(&in_order), None);
+
+    let mut sim: Sim<u32> = SimBuilder::new(1).network(lossy_net()).build();
+    sim.add_actor(NodeId(0), Churner::new(vec![NodeId(1)]));
+    sim.inject(SimTime::from_micros(10), NodeId(1), NodeId(0), 3);
+    sim.inject(SimTime::from_micros(20), NodeId(1), NodeId(0), 7);
+    let mut executed = Vec::new();
+    assert!(sim.step(), "the start event");
+    executed.extend(sim.last_executed());
+    assert!(sim.step_nth(1), "the t=20 injection overtakes the t=10 one");
+    executed.extend(sim.last_executed());
+    while sim.step() {
+        executed.extend(sim.last_executed());
+    }
+    assert_eq!(first_out_of_order(&executed), Some(2));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Arbitrary smaller workloads: any injection schedule, any seed,
-    /// both queues agree event-for-event.
+    /// runs in strictly increasing `(time, seq)` order, drains the
+    /// queue, and never dispatches a timer after its cancellation.
     #[test]
-    fn queues_agree_on_arbitrary_workloads(
+    fn arbitrary_workloads_execute_in_queue_order(
         seed in any::<u64>(),
         injections in prop::collection::vec(
             (0u64..500_000, 0u32..5, 0u32..5, 0u32..1_000),
             1..120,
         ),
     ) {
-        assert_equivalent(seed, 5, &injections);
+        let (executed, sim) = drain(seed, 5, &injections);
+        prop_assert_eq!(first_out_of_order(&executed), None);
+        prop_assert_eq!(sim.pending_len(), 0);
+        for id in sim.node_ids() {
+            let actor = sim.get(ActorHandle::<Churner>::of(id)).expect("registered");
+            prop_assert_eq!(actor.fired_after_cancel, 0);
+        }
     }
 }

@@ -14,17 +14,16 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use odp_sim::net::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::media::MediaKind;
 use crate::qos::QosSpec;
 
 /// Names a stream interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InterfaceId(pub u32);
 
 /// Whether an interface produces or consumes media.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Emits frames.
     Producer,
@@ -33,7 +32,7 @@ pub enum Direction {
 }
 
 /// A QoS-annotated, typed stream endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamInterface {
     /// Its name.
     pub id: InterfaceId,
@@ -48,7 +47,7 @@ pub struct StreamInterface {
 }
 
 /// Names a binding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BindingId(pub u32);
 
 /// The lifecycle of a binding.

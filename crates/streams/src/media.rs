@@ -12,10 +12,9 @@ use std::fmt;
 
 use odp_sim::time::{SimDuration, SimTime};
 use odp_telemetry::span::{Carrier, SpanContext};
-use serde::{Deserialize, Serialize};
 
 /// The kind of a continuous-media stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MediaKind {
     /// Sampled sound.
     Audio,
@@ -37,11 +36,11 @@ impl fmt::Display for MediaKind {
 }
 
 /// Identifies a stream within a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StreamId(pub u32);
 
 /// One media frame (headers only — payload bytes are simulated by size).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frame {
     /// Which stream.
     pub stream: StreamId,
@@ -151,7 +150,7 @@ impl MediaSource {
 }
 
 /// How a frame fared at the sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameFate {
     /// Arrived in time and was played at its deadline.
     Played,
@@ -162,7 +161,7 @@ pub enum FrameFate {
 }
 
 /// Per-frame playout record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlayoutRecord {
     /// The frame sequence number.
     pub seq: u64,

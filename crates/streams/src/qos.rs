@@ -14,10 +14,9 @@ use std::fmt;
 
 use odp_sim::net::{Connectivity, LinkQos};
 use odp_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A QoS contract for one stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosSpec {
     /// Required frames (or samples) per second.
     pub throughput_fps: u32,
@@ -203,7 +202,7 @@ pub fn negotiate(offer: &QosSpec, required: &QosSpec) -> NegotiationOutcome {
 }
 
 /// Which dimension of a contract was violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationKind {
     /// Delivered rate fell below the contract.
     Throughput,

@@ -16,7 +16,7 @@
 //!   causal DAGs, with well-formedness audits and critical-path
 //!   extraction (the longest virtual-time chain — for a quorum group
 //!   RPC, the slowest member's reply chain);
-//! - [`report`] — the serde-modelled [`TelemetryReport`] aggregating
+//! - [`report`] — the [`TelemetryReport`] aggregating
 //!   counters and latency percentiles per subsystem, rendered as
 //!   deterministic JSON for `BENCH_telemetry.json` rows.
 //!

@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use odp_sim::metrics::Summary;
 
 use crate::collector::Collector;
@@ -17,7 +15,7 @@ use crate::collector::Collector;
 /// Counters and latency summaries for one subsystem (the span-kind
 /// prefix before the first `.`: `rpc`, `gc`, `trader`, `stream`,
 /// `session`, ...).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SubsystemReport {
     /// Spans observed per kind.
     pub counters: BTreeMap<String, u64>,
@@ -27,7 +25,7 @@ pub struct SubsystemReport {
 }
 
 /// The whole run's telemetry, aggregated per subsystem.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryReport {
     /// The run's seed, for reproduction.
     pub seed: u64,

@@ -16,8 +16,6 @@
 //!   payload, so no new channel between actors and harness is needed.
 //!   A [`crate::collector::Collector`] parses them back afterwards.
 
-use serde::{Deserialize, Serialize};
-
 use odp_fabric::SpanCarrier;
 use odp_sim::rng::DetRng;
 
@@ -48,7 +46,7 @@ pub const CLOSE: &str = "tel.close";
 /// assert_eq!(child.trace_id, root.trace_id);
 /// assert_eq!(child.parent, Some(root.span_id));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanContext {
     /// Groups all spans of one causal trace.
     pub trace_id: u64,

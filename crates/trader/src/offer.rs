@@ -14,13 +14,12 @@ use std::fmt;
 use odp_sim::net::NodeId;
 use odp_streams::binding::StreamInterface;
 use odp_streams::qos::QosSpec;
-use serde::{Deserialize, Serialize};
 
 /// Names a service type ("video/conference", "session/design-review").
 ///
 /// Hierarchical slash-separated names are conventional but not enforced;
 /// federation link scopes match on prefixes of this name.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServiceType(pub String);
 
 impl ServiceType {
@@ -43,7 +42,7 @@ impl fmt::Display for ServiceType {
 }
 
 /// Names an offer within one trading domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OfferId(pub u64);
 
 impl fmt::Display for OfferId {
@@ -55,7 +54,7 @@ impl fmt::Display for OfferId {
 /// The flavour of collaborative session an offer fronts (the trader is
 /// deliberately ignorant of session internals — `cscw-core` maps its own
 /// session machinery onto these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionKind {
     /// A real-time conference.
     Conference,
@@ -69,7 +68,7 @@ pub enum SessionKind {
 
 /// What an offer actually exports: a stream endpoint or a session entry
 /// point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OfferedInterface {
     /// A continuous-media producer interface, bindable through
     /// `odp_streams::binding::BindingRegistry`.
@@ -79,7 +78,7 @@ pub enum OfferedInterface {
 }
 
 /// One entry in the trader's offer space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceOffer {
     /// Assigned by the store at export time.
     pub id: OfferId,

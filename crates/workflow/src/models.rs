@@ -13,12 +13,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::speechact::{Conversation, ConversationState, Party, SpeechAct};
 
 /// Names a unit of work in the shared task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WorkItem(pub u32);
 
 impl fmt::Display for WorkItem {
@@ -37,7 +35,7 @@ pub enum WorkAction {
 }
 
 /// Prescriptiveness accounting for one model run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrescriptivenessStats {
     /// Actions the participants wanted to take.
     pub attempts: u64,

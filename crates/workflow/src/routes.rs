@@ -10,12 +10,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::speechact::Party;
 
 /// Names a step in a route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StepId(pub u32);
 
 impl fmt::Display for StepId {
@@ -25,7 +23,7 @@ impl fmt::Display for StepId {
 }
 
 /// Where an outcome routes to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Next {
     /// Continue at this step.
     Step(StepId),
@@ -34,7 +32,7 @@ pub enum Next {
 }
 
 /// One routed step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteStep {
     /// Its id.
     pub id: StepId,
@@ -47,7 +45,7 @@ pub struct RouteStep {
 }
 
 /// One entry in the audit trail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrailEntry {
     /// The step performed.
     pub step: StepId,

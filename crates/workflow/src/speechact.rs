@@ -12,10 +12,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A participant in a conversation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Party(pub u32);
 
 impl fmt::Display for Party {
@@ -25,7 +23,7 @@ impl fmt::Display for Party {
 }
 
 /// The speech acts of the conversation-for-action network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpeechAct {
     /// Customer asks for something.
     Request,
@@ -65,7 +63,7 @@ impl fmt::Display for SpeechAct {
 }
 
 /// The conversation states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConversationState {
     /// Nothing asked yet.
     Initial,
