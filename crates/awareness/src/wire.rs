@@ -1,257 +1,61 @@
-//! Wire codecs for the cooperation-event bus envelope: [`BusWire`] and
-//! every [`CoopKind`] variant round-trip through `odp-net` framing, so
-//! bus replicas can disseminate over real transports.
+//! Wire declarations for the cooperation-event bus envelope:
+//! [`BusWire`] and every [`CoopKind`] variant round-trip through
+//! `odp-net` framing, so bus replicas can disseminate over real
+//! transports.
 //!
-//! All decoders are total — corrupt bytes yield a typed [`NetError`],
-//! never a panic. Impls live here per the orphan rule.
-
-use odp_net::error::NetError;
-use odp_net::wire::{WireCodec, WireReader};
-use odp_sim::net::NodeId;
-use odp_sim::time::SimTime;
+//! The generated decoders are total — corrupt bytes yield a typed
+//! [`odp_net::error::NetError`], never a panic. The declarations live
+//! here per the orphan rule.
 
 use crate::bus::{Audience, CoopEvent, CoopKind, CoopMode};
 use crate::dist::BusWire;
 use crate::events::ActivityKind;
 
-impl WireCodec for ActivityKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            ActivityKind::Edit => 0,
-            ActivityKind::View => 1,
-            ActivityKind::Enter => 2,
-            ActivityKind::Leave => 3,
-            ActivityKind::Gesture => 4,
-            ActivityKind::Move => 5,
-        };
-        tag.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        match u8::decode(r)? {
-            0 => Ok(ActivityKind::Edit),
-            1 => Ok(ActivityKind::View),
-            2 => Ok(ActivityKind::Enter),
-            3 => Ok(ActivityKind::Leave),
-            4 => Ok(ActivityKind::Gesture),
-            5 => Ok(ActivityKind::Move),
-            tag => Err(NetError::BadTag {
-                what: "ActivityKind",
-                tag: tag as u32,
-            }),
-        }
-    }
-}
-
-impl WireCodec for CoopMode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            CoopMode::Shared => 0,
-            CoopMode::Exclusive => 1,
-        };
-        tag.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        match u8::decode(r)? {
-            0 => Ok(CoopMode::Shared),
-            1 => Ok(CoopMode::Exclusive),
-            tag => Err(NetError::BadTag {
-                what: "CoopMode",
-                tag: tag as u32,
-            }),
-        }
-    }
-}
-
-impl WireCodec for Audience {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Audience::Everyone => 0u8.encode(out),
-            Audience::Direct(node) => {
-                1u8.encode(out);
-                node.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        match u8::decode(r)? {
-            0 => Ok(Audience::Everyone),
-            1 => Ok(Audience::Direct(NodeId::decode(r)?)),
-            tag => Err(NetError::BadTag {
-                what: "Audience",
-                tag: tag as u32,
-            }),
-        }
-    }
-}
-
-impl WireCodec for CoopKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CoopKind::Activity(kind) => {
-                0u8.encode(out);
-                kind.encode(out);
-            }
-            CoopKind::LockGranted { mode } => {
-                1u8.encode(out);
-                mode.encode(out);
-            }
-            CoopKind::LockTickled { by } => {
-                2u8.encode(out);
-                by.encode(out);
-            }
-            CoopKind::LockRevoked { to } => {
-                3u8.encode(out);
-                to.encode(out);
-            }
-            CoopKind::LockConflict { with } => {
-                4u8.encode(out);
-                with.encode(out);
-            }
-            CoopKind::LockAccess { by, mode } => {
-                5u8.encode(out);
-                by.encode(out);
-                mode.encode(out);
-            }
-            CoopKind::GroupAccess { mode } => {
-                6u8.encode(out);
-                mode.encode(out);
-            }
-            CoopKind::FloorGranted => 7u8.encode(out),
-            CoopKind::FloorPreempted => 8u8.encode(out),
-            CoopKind::FloorIdle => 9u8.encode(out),
-            CoopKind::RemoteOp { site, seq } => {
-                10u8.encode(out);
-                site.encode(out);
-                seq.encode(out);
-            }
-            CoopKind::AccessChanged { granted, rights } => {
-                11u8.encode(out);
-                granted.encode(out);
-                rights.encode(out);
-            }
-            CoopKind::ReintegrationConflict { applied } => {
-                12u8.encode(out);
-                applied.encode(out);
-            }
-            CoopKind::SessionSwitched { from, to } => {
-                13u8.encode(out);
-                from.encode(out);
-                to.encode(out);
-            }
-            CoopKind::ServiceInvalidated { reason } => {
-                14u8.encode(out);
-                reason.encode(out);
-            }
-            CoopKind::ClusterMigrated { from, to } => {
-                15u8.encode(out);
-                from.encode(out);
-                to.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        match u8::decode(r)? {
-            0 => Ok(CoopKind::Activity(ActivityKind::decode(r)?)),
-            1 => Ok(CoopKind::LockGranted {
-                mode: CoopMode::decode(r)?,
-            }),
-            2 => Ok(CoopKind::LockTickled {
-                by: NodeId::decode(r)?,
-            }),
-            3 => Ok(CoopKind::LockRevoked {
-                to: NodeId::decode(r)?,
-            }),
-            4 => Ok(CoopKind::LockConflict {
-                with: NodeId::decode(r)?,
-            }),
-            5 => Ok(CoopKind::LockAccess {
-                by: NodeId::decode(r)?,
-                mode: CoopMode::decode(r)?,
-            }),
-            6 => Ok(CoopKind::GroupAccess {
-                mode: CoopMode::decode(r)?,
-            }),
-            7 => Ok(CoopKind::FloorGranted),
-            8 => Ok(CoopKind::FloorPreempted),
-            9 => Ok(CoopKind::FloorIdle),
-            10 => Ok(CoopKind::RemoteOp {
-                site: NodeId::decode(r)?,
-                seq: u64::decode(r)?,
-            }),
-            11 => Ok(CoopKind::AccessChanged {
-                granted: bool::decode(r)?,
-                rights: String::decode(r)?,
-            }),
-            12 => Ok(CoopKind::ReintegrationConflict {
-                applied: bool::decode(r)?,
-            }),
-            13 => Ok(CoopKind::SessionSwitched {
-                from: String::decode(r)?,
-                to: String::decode(r)?,
-            }),
-            14 => Ok(CoopKind::ServiceInvalidated {
-                reason: String::decode(r)?,
-            }),
-            15 => Ok(CoopKind::ClusterMigrated {
-                from: NodeId::decode(r)?,
-                to: NodeId::decode(r)?,
-            }),
-            tag => Err(NetError::BadTag {
-                what: "CoopKind",
-                tag: tag as u32,
-            }),
-        }
-    }
-}
-
-impl WireCodec for CoopEvent {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.actor.encode(out);
-        self.artefact.encode(out);
-        self.at.encode(out);
-        self.audience.encode(out);
-        self.kind.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(CoopEvent {
-            actor: NodeId::decode(r)?,
-            artefact: String::decode(r)?,
-            at: SimTime::decode(r)?,
-            audience: Audience::decode(r)?,
-            kind: CoopKind::decode(r)?,
-        })
-    }
-}
-
-impl WireCodec for BusWire {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.event.encode(out);
-        self.grants.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(BusWire {
-            event: CoopEvent::decode(r)?,
-            grants: WireCodec::decode(r)?,
-        })
-    }
-}
+odp_net::wire_enum!(ActivityKind {
+    0 => Edit,
+    1 => View,
+    2 => Enter,
+    3 => Leave,
+    4 => Gesture,
+    5 => Move,
+});
+odp_net::wire_enum!(CoopMode { 0 => Shared, 1 => Exclusive });
+odp_net::wire_enum!(Audience { 0 => Everyone, 1 => Direct(node) });
+odp_net::wire_enum!(CoopKind {
+    0 => Activity(kind),
+    1 => LockGranted { mode },
+    2 => LockTickled { by },
+    3 => LockRevoked { to },
+    4 => LockConflict { with },
+    5 => LockAccess { by, mode },
+    6 => GroupAccess { mode },
+    7 => FloorGranted,
+    8 => FloorPreempted,
+    9 => FloorIdle,
+    10 => RemoteOp { site, seq },
+    11 => AccessChanged { granted, rights },
+    12 => ReintegrationConflict { applied },
+    13 => SessionSwitched { from, to },
+    14 => ServiceInvalidated { reason },
+    15 => ClusterMigrated { from, to },
+});
+odp_net::wire_struct!(CoopEvent {
+    actor,
+    artefact,
+    at,
+    audience,
+    kind
+});
+odp_net::wire_struct!(BusWire { event, grants });
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use odp_net::error::NetError;
+    use odp_net::wire::{laws, WireReader};
+    use odp_sim::net::NodeId;
+    use odp_sim::time::SimTime;
 
-    fn roundtrip<T: WireCodec + PartialEq + std::fmt::Debug>(value: &T) {
-        let mut buf = Vec::new();
-        value.encode(&mut buf);
-        let back: T = WireReader::new(&buf).finish().expect("decodes");
-        assert_eq!(&back, value);
-    }
+    use super::*;
 
     #[test]
     fn every_coop_kind_roundtrips() {
@@ -305,17 +109,14 @@ mod tests {
                 },
                 grants: vec![(NodeId(3), 1.0), (NodeId(4), 0.25)],
             };
-            roundtrip(&wire);
+            assert_eq!(laws::roundtrips(&wire), Ok(()));
         }
     }
 
     #[test]
     fn unknown_kind_tag_is_a_typed_error() {
-        let mut buf = Vec::new();
-        200u8.encode(&mut buf);
-        let got: Result<CoopKind, NetError> = WireReader::new(&buf).finish();
         assert_eq!(
-            got,
+            WireReader::new(&[200]).finish::<CoopKind>(),
             Err(NetError::BadTag {
                 what: "CoopKind",
                 tag: 200

@@ -6,7 +6,7 @@
 use odp_awareness::bus::{Audience, CoopEvent, CoopKind, CoopMode};
 use odp_awareness::dist::BusWire;
 use odp_awareness::events::ActivityKind;
-use odp_net::wire::{decode_frame, encode_frame, WireCodec, WireReader, MAX_FRAME};
+use odp_net::wire::{laws, WireCodec, WireReader, MAX_FRAME};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 use proptest::prelude::*;
@@ -97,14 +97,12 @@ fn arb_wire() -> impl Strategy<Value = BusWire> {
 
 proptest! {
     /// Every bus envelope — any kind, audience and grant list —
-    /// round-trips bit-exactly through the live transport's framing.
+    /// round-trips bit-exactly, bare and through the live transport's
+    /// framing.
     #[test]
     fn every_envelope_roundtrips(wire in arb_wire()) {
-        let bytes = encode_frame(&wire, MAX_FRAME).expect("encodes");
-        let (back, used): (BusWire, usize) =
-            decode_frame(&bytes, MAX_FRAME).expect("decodes");
-        prop_assert_eq!(back, wire);
-        prop_assert_eq!(used, bytes.len());
+        prop_assert_eq!(laws::roundtrips(&wire.event.kind), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&wire), Ok(()));
     }
 
     /// Grant weights survive by bit pattern, not by approximate value.
@@ -130,21 +128,14 @@ proptest! {
     /// Truncating a valid envelope anywhere is a typed error.
     #[test]
     fn truncation_never_panics(wire in arb_wire()) {
-        let mut body = Vec::new();
-        wire.encode(&mut body);
-        for cut in 0..body.len() {
-            prop_assert!(
-                WireReader::new(&body[..cut]).finish::<BusWire>().is_err(),
-                "prefix of {} bytes decoded", cut
-            );
-        }
+        prop_assert_eq!(laws::prefixes_err(&wire.event.kind), Ok(()));
+        prop_assert_eq!(laws::prefixes_err(&wire), Ok(()));
     }
 
     /// Arbitrary bytes never panic the envelope decoder.
     #[test]
     fn hostile_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..160)) {
-        let _ = WireReader::new(&bytes).finish::<BusWire>();
-        let _ = WireReader::new(&bytes).finish::<CoopKind>();
-        let _ = decode_frame::<BusWire>(&bytes, MAX_FRAME);
+        prop_assert_eq!(laws::total::<BusWire>(&bytes, MAX_FRAME), Ok(()));
+        prop_assert_eq!(laws::total::<CoopKind>(&bytes, MAX_FRAME), Ok(()));
     }
 }

@@ -141,7 +141,7 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
 
     /// Enables causal span telemetry: multicasts and RPCs mint
     /// [`SpanContext`]s from this actor's deterministic rng and record
-    /// `tel.open`/`tel.close` trace events. Off by default — minting
+    /// their opens and closes in the trace's span log. Off by default — minting
     /// draws from the actor's rng stream, so enabling it perturbs runs
     /// that share the seed with an uninstrumented baseline.
     pub fn set_telemetry(&mut self, on: bool) {
@@ -420,7 +420,6 @@ mod tests {
     use crate::membership::{GroupId, View};
     use crate::multicast::Ordering;
     use odp_sim::prelude::*;
-    use odp_telemetry::span::{CLOSE, OPEN};
 
     #[derive(Default)]
     struct Recorder {
@@ -724,8 +723,6 @@ mod tests {
             GcMsg::AppCmd("quiet".to_owned()),
         );
         sim.run(Until::For(SimDuration::from_secs(1)));
-        assert_eq!(sim.trace().with_label(OPEN).count(), 0);
-        assert_eq!(sim.trace().with_label(CLOSE).count(), 0);
         assert!(sim.trace().spans().is_empty());
     }
 

@@ -160,6 +160,59 @@ pub enum GcMsg<P> {
     InstallView(crate::membership::View),
 }
 
+impl<P> GcMsg<P> {
+    /// The same envelope around a payload converted by `f`; `f`'s first
+    /// error aborts the conversion. Control variants carry no payload
+    /// and are copied as they are.
+    pub fn try_map_payload<Q, E>(
+        &self,
+        mut f: impl FnMut(&P) -> Result<Q, E>,
+    ) -> Result<GcMsg<Q>, E> {
+        Ok(match self {
+            GcMsg::Data(d) => GcMsg::Data(DataMsg {
+                id: d.id,
+                group: d.group,
+                vclock: d.vclock.clone(),
+                span: d.span,
+                payload: f(&d.payload)?,
+            }),
+            &GcMsg::Ack { id } => GcMsg::Ack { id },
+            &GcMsg::SeqRequest { id } => GcMsg::SeqRequest { id },
+            &GcMsg::SeqAssign {
+                assign_id,
+                id,
+                total,
+            } => GcMsg::SeqAssign {
+                assign_id,
+                id,
+                total,
+            },
+            GcMsg::RpcRequest {
+                call,
+                execute_at,
+                span,
+                payload,
+            } => GcMsg::RpcRequest {
+                call: *call,
+                execute_at: *execute_at,
+                span: *span,
+                payload: f(payload)?,
+            },
+            GcMsg::RpcReply {
+                call,
+                span,
+                payload,
+            } => GcMsg::RpcReply {
+                call: *call,
+                span: *span,
+                payload: f(payload)?,
+            },
+            GcMsg::AppCmd(p) => GcMsg::AppCmd(f(p)?),
+            GcMsg::InstallView(v) => GcMsg::InstallView(v.clone()),
+        })
+    }
+}
+
 impl<P> Carrier for GcMsg<P> {
     fn span(&self) -> Option<SpanContext> {
         match self {

@@ -1,194 +1,54 @@
-//! Wire codecs for the group-communication envelope: every [`GcMsg`]
-//! variant (and the types it carries) round-trips through `odp-net`'s
-//! length-prefixed framing, so group actors run over real transports.
+//! Wire declarations for the group-communication envelope: every
+//! [`GcMsg`] variant (and the types it carries) round-trips through
+//! `odp-net`'s length-prefixed framing, so group actors run over real
+//! transports.
 //!
 //! All decoders are total: corrupt input yields a typed
-//! [`NetError`], never a panic. Impls live here (not in `odp-net`)
-//! per the orphan rule.
+//! [`NetError`], never a panic. The declarations live here (not in
+//! `odp-net`) per the orphan rule.
+
+use std::convert::Infallible;
 
 use odp_fabric::Payload;
 use odp_net::error::NetError;
 use odp_net::wire::{payload_as, payload_of, WireCodec, WireReader};
 use odp_sim::net::NodeId;
-use odp_sim::time::SimTime;
-use odp_telemetry::span::SpanContext;
 
 use crate::membership::{GroupId, View, ViewId};
 use crate::multicast::{DataMsg, GcMsg, MsgId};
 use crate::vclock::VectorClock;
 
-impl WireCodec for GroupId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
+odp_net::wire_newtype!(GroupId);
+odp_net::wire_newtype!(ViewId);
+odp_net::wire_struct!(View { group, id, members });
+odp_net::wire_struct!(MsgId { origin, seq });
+odp_net::wire_struct!(<P> DataMsg<P> { id, group, vclock, span, payload });
+odp_net::wire_enum!(<P> GcMsg<P> {
+    0 => Data(d),
+    1 => Ack { id },
+    2 => SeqRequest { id },
+    3 => SeqAssign { assign_id, id, total },
+    4 => RpcRequest { call, execute_at, span, payload },
+    5 => RpcReply { call, span, payload },
+    6 => AppCmd(p),
+    7 => InstallView(v),
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(GroupId(u32::decode(r)?))
-    }
-}
-
-impl WireCodec for ViewId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(ViewId(u64::decode(r)?))
-    }
-}
-
-impl WireCodec for View {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.group.encode(out);
-        self.id.encode(out);
-        self.members.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(View {
-            group: GroupId::decode(r)?,
-            id: ViewId::decode(r)?,
-            members: WireCodec::decode(r)?,
-        })
-    }
-}
-
-impl WireCodec for MsgId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.origin.encode(out);
-        self.seq.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(MsgId {
-            origin: NodeId::decode(r)?,
-            seq: u64::decode(r)?,
-        })
-    }
-}
-
+/// Hand-written because it is a conversion, not a field list: the
+/// clock travels as its `(node, counter)` entries behind a `u32` count
+/// (a `Vec`'s encoding), and decoding re-canonicalises through
+/// [`VectorClock::from_entries`].
 impl WireCodec for VectorClock {
     fn encode(&self, out: &mut Vec<u8>) {
-        let entries: Vec<(NodeId, u64)> = self.iter().collect();
-        entries.encode(out);
+        (self.len() as u32).encode(out);
+        for entry in self.iter() {
+            entry.encode(out);
+        }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         let entries: Vec<(NodeId, u64)> = WireCodec::decode(r)?;
         Ok(VectorClock::from_entries(entries))
-    }
-}
-
-impl<P: WireCodec> WireCodec for DataMsg<P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.group.encode(out);
-        self.vclock.encode(out);
-        self.span.encode(out);
-        self.payload.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(DataMsg {
-            id: MsgId::decode(r)?,
-            group: GroupId::decode(r)?,
-            vclock: Option::<VectorClock>::decode(r)?,
-            span: Option::<SpanContext>::decode(r)?,
-            payload: P::decode(r)?,
-        })
-    }
-}
-
-impl<P: WireCodec> WireCodec for GcMsg<P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            GcMsg::Data(d) => {
-                0u8.encode(out);
-                d.encode(out);
-            }
-            GcMsg::Ack { id } => {
-                1u8.encode(out);
-                id.encode(out);
-            }
-            GcMsg::SeqRequest { id } => {
-                2u8.encode(out);
-                id.encode(out);
-            }
-            GcMsg::SeqAssign {
-                assign_id,
-                id,
-                total,
-            } => {
-                3u8.encode(out);
-                assign_id.encode(out);
-                id.encode(out);
-                total.encode(out);
-            }
-            GcMsg::RpcRequest {
-                call,
-                execute_at,
-                span,
-                payload,
-            } => {
-                4u8.encode(out);
-                call.encode(out);
-                execute_at.encode(out);
-                span.encode(out);
-                payload.encode(out);
-            }
-            GcMsg::RpcReply {
-                call,
-                span,
-                payload,
-            } => {
-                5u8.encode(out);
-                call.encode(out);
-                span.encode(out);
-                payload.encode(out);
-            }
-            GcMsg::AppCmd(p) => {
-                6u8.encode(out);
-                p.encode(out);
-            }
-            GcMsg::InstallView(v) => {
-                7u8.encode(out);
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        match u8::decode(r)? {
-            0 => Ok(GcMsg::Data(DataMsg::decode(r)?)),
-            1 => Ok(GcMsg::Ack {
-                id: MsgId::decode(r)?,
-            }),
-            2 => Ok(GcMsg::SeqRequest {
-                id: MsgId::decode(r)?,
-            }),
-            3 => Ok(GcMsg::SeqAssign {
-                assign_id: MsgId::decode(r)?,
-                id: MsgId::decode(r)?,
-                total: u64::decode(r)?,
-            }),
-            4 => Ok(GcMsg::RpcRequest {
-                call: u64::decode(r)?,
-                execute_at: Option::<SimTime>::decode(r)?,
-                span: Option::<SpanContext>::decode(r)?,
-                payload: P::decode(r)?,
-            }),
-            5 => Ok(GcMsg::RpcReply {
-                call: u64::decode(r)?,
-                span: Option::<SpanContext>::decode(r)?,
-                payload: P::decode(r)?,
-            }),
-            6 => Ok(GcMsg::AppCmd(P::decode(r)?)),
-            7 => Ok(GcMsg::InstallView(View::decode(r)?)),
-            tag => Err(NetError::BadTag {
-                what: "GcMsg",
-                tag: tag as u32,
-            }),
-        }
     }
 }
 
@@ -201,48 +61,8 @@ impl<P: WireCodec> WireCodec for GcMsg<P> {
 /// engines can run on `GcMsg<Payload>` (fan-out clones become
 /// reference-count bumps) without changing a single wire frame.
 pub fn to_fabric<P: WireCodec>(msg: &GcMsg<P>) -> GcMsg<Payload> {
-    match msg {
-        GcMsg::Data(d) => GcMsg::Data(DataMsg {
-            id: d.id,
-            group: d.group,
-            vclock: d.vclock.clone(),
-            span: d.span,
-            payload: payload_of(&d.payload),
-        }),
-        GcMsg::Ack { id } => GcMsg::Ack { id: *id },
-        GcMsg::SeqRequest { id } => GcMsg::SeqRequest { id: *id },
-        GcMsg::SeqAssign {
-            assign_id,
-            id,
-            total,
-        } => GcMsg::SeqAssign {
-            assign_id: *assign_id,
-            id: *id,
-            total: *total,
-        },
-        GcMsg::RpcRequest {
-            call,
-            execute_at,
-            span,
-            payload,
-        } => GcMsg::RpcRequest {
-            call: *call,
-            execute_at: *execute_at,
-            span: *span,
-            payload: payload_of(payload),
-        },
-        GcMsg::RpcReply {
-            call,
-            span,
-            payload,
-        } => GcMsg::RpcReply {
-            call: *call,
-            span: *span,
-            payload: payload_of(payload),
-        },
-        GcMsg::AppCmd(p) => GcMsg::AppCmd(payload_of(p)),
-        GcMsg::InstallView(v) => GcMsg::InstallView(v.clone()),
-    }
+    let Ok(fabric) = msg.try_map_payload(|p| Ok::<_, Infallible>(payload_of(p)));
+    fabric
 }
 
 /// Inverse of [`to_fabric`]: decodes each byte payload back into `P`.
@@ -252,60 +72,16 @@ pub fn to_fabric<P: WireCodec>(msg: &GcMsg<P>) -> GcMsg<Payload> {
 /// Any [`NetError`] from decoding a payload that is not a valid `P`
 /// encoding (including trailing garbage).
 pub fn from_fabric<P: WireCodec>(msg: &GcMsg<Payload>) -> Result<GcMsg<P>, NetError> {
-    Ok(match msg {
-        GcMsg::Data(d) => GcMsg::Data(DataMsg {
-            id: d.id,
-            group: d.group,
-            vclock: d.vclock.clone(),
-            span: d.span,
-            payload: payload_as(&d.payload)?,
-        }),
-        GcMsg::Ack { id } => GcMsg::Ack { id: *id },
-        GcMsg::SeqRequest { id } => GcMsg::SeqRequest { id: *id },
-        GcMsg::SeqAssign {
-            assign_id,
-            id,
-            total,
-        } => GcMsg::SeqAssign {
-            assign_id: *assign_id,
-            id: *id,
-            total: *total,
-        },
-        GcMsg::RpcRequest {
-            call,
-            execute_at,
-            span,
-            payload,
-        } => GcMsg::RpcRequest {
-            call: *call,
-            execute_at: *execute_at,
-            span: *span,
-            payload: payload_as(payload)?,
-        },
-        GcMsg::RpcReply {
-            call,
-            span,
-            payload,
-        } => GcMsg::RpcReply {
-            call: *call,
-            span: *span,
-            payload: payload_as(payload)?,
-        },
-        GcMsg::AppCmd(p) => GcMsg::AppCmd(payload_as(p)?),
-        GcMsg::InstallView(v) => GcMsg::InstallView(v.clone()),
-    })
+    msg.try_map_payload(payload_as)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use odp_net::wire::laws;
+    use odp_sim::time::SimTime;
+    use odp_telemetry::span::SpanContext;
 
-    fn roundtrip<T: WireCodec + PartialEq + std::fmt::Debug>(value: &T) {
-        let mut buf = Vec::new();
-        value.encode(&mut buf);
-        let back: T = WireReader::new(&buf).finish().expect("decodes");
-        assert_eq!(&back, value);
-    }
+    use super::*;
 
     #[test]
     fn vector_clock_roundtrips_and_stays_canonical() {
@@ -313,7 +89,7 @@ mod tests {
         vc.tick(NodeId(3));
         vc.tick(NodeId(3));
         vc.tick(NodeId(7));
-        roundtrip(&vc);
+        assert_eq!(laws::roundtrips(&vc), Ok(()));
         // Zero entries are dropped on decode, keeping equality exact.
         let rebuilt = VectorClock::from_entries([(NodeId(1), 0), (NodeId(2), 5)]);
         assert_eq!(rebuilt.get(NodeId(1)), 0);
@@ -365,7 +141,7 @@ mod tests {
     #[test]
     fn every_gcmsg_variant_roundtrips() {
         for msg in &sample_msgs() {
-            roundtrip(msg);
+            assert_eq!(laws::roundtrips(msg), Ok(()));
         }
     }
 
@@ -391,11 +167,8 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_a_typed_error() {
-        let mut buf = Vec::new();
-        99u8.encode(&mut buf);
-        let got: Result<GcMsg<String>, NetError> = WireReader::new(&buf).finish();
         assert_eq!(
-            got,
+            WireReader::new(&[99]).finish::<GcMsg<String>>(),
             Err(NetError::BadTag {
                 what: "GcMsg",
                 tag: 99

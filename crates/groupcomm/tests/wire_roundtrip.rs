@@ -6,7 +6,7 @@
 use odp_groupcomm::membership::{GroupId, View, ViewId};
 use odp_groupcomm::multicast::{DataMsg, GcMsg, MsgId};
 use odp_groupcomm::vclock::VectorClock;
-use odp_net::wire::{decode_frame, encode_frame, WireCodec, WireReader, MAX_FRAME};
+use odp_net::wire::{laws, WireCodec, WireReader, MAX_FRAME};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 use odp_telemetry::span::SpanContext;
@@ -111,15 +111,11 @@ fn arb_gcmsg() -> impl Strategy<Value = GcMsg<String>> {
 }
 
 proptest! {
-    /// Every `GcMsg` envelope round-trips bit-exactly through the
-    /// length-prefixed framing used by the live transport.
+    /// Every `GcMsg` envelope round-trips bit-exactly, bare and through
+    /// the length-prefixed framing used by the live transport.
     #[test]
     fn every_envelope_roundtrips(msg in arb_gcmsg()) {
-        let bytes = encode_frame(&msg, MAX_FRAME).expect("encodes");
-        let (back, used): (GcMsg<String>, usize) =
-            decode_frame(&bytes, MAX_FRAME).expect("decodes");
-        prop_assert_eq!(back, msg);
-        prop_assert_eq!(used, bytes.len());
+        prop_assert_eq!(laws::roundtrips(&msg), Ok(()));
     }
 
     /// Vector clocks stay canonical across the wire: entries decode to
@@ -137,21 +133,13 @@ proptest! {
     /// error, never a panic and never a silent partial decode.
     #[test]
     fn truncation_never_panics(msg in arb_gcmsg()) {
-        let mut body = Vec::new();
-        msg.encode(&mut body);
-        for cut in 0..body.len() {
-            prop_assert!(
-                WireReader::new(&body[..cut]).finish::<GcMsg<String>>().is_err(),
-                "prefix of {} bytes decoded", cut
-            );
-        }
+        prop_assert_eq!(laws::prefixes_err(&msg), Ok(()));
     }
 
     /// Arbitrary bytes fed to the envelope decoder always produce a
     /// value or a typed error.
     #[test]
     fn hostile_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..160)) {
-        let _ = WireReader::new(&bytes).finish::<GcMsg<String>>();
-        let _ = decode_frame::<GcMsg<String>>(&bytes, MAX_FRAME);
+        prop_assert_eq!(laws::total::<GcMsg<String>>(&bytes, MAX_FRAME), Ok(()));
     }
 }

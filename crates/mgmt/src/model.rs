@@ -15,6 +15,8 @@ pub struct CapsuleId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u32);
 
+odp_net::wire_newtype!(ClusterId);
+
 /// Names a managed object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ManagedObjectId(pub u64);

@@ -39,9 +39,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
-use crate::error::NetError;
-use crate::wire::{WireCodec, WireReader};
-
 /// Tuning knobs for one node's session layer.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -537,77 +534,13 @@ fn frame_seq<M>(frame: &Frame<M>) -> Option<u64> {
     }
 }
 
-impl<M: WireCodec> WireCodec for Frame<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Frame::Hello { from, expected } => {
-                0u8.encode(out);
-                from.encode(out);
-                expected.encode(out);
-            }
-            Frame::Heartbeat => 1u8.encode(out),
-            Frame::Data { seq, msg } => {
-                2u8.encode(out);
-                seq.encode(out);
-                msg.encode(out);
-            }
-            Frame::Bcast {
-                seq,
-                origin,
-                bseq,
-                msg,
-            } => {
-                3u8.encode(out);
-                seq.encode(out);
-                origin.encode(out);
-                bseq.encode(out);
-                msg.encode(out);
-            }
-            Frame::Fwd {
-                seq,
-                origin,
-                bseq,
-                msg,
-            } => {
-                4u8.encode(out);
-                seq.encode(out);
-                origin.encode(out);
-                bseq.encode(out);
-                msg.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        match u8::decode(r)? {
-            0 => Ok(Frame::Hello {
-                from: NodeId::decode(r)?,
-                expected: u64::decode(r)?,
-            }),
-            1 => Ok(Frame::Heartbeat),
-            2 => Ok(Frame::Data {
-                seq: u64::decode(r)?,
-                msg: M::decode(r)?,
-            }),
-            3 => Ok(Frame::Bcast {
-                seq: u64::decode(r)?,
-                origin: NodeId::decode(r)?,
-                bseq: u64::decode(r)?,
-                msg: M::decode(r)?,
-            }),
-            4 => Ok(Frame::Fwd {
-                seq: u64::decode(r)?,
-                origin: NodeId::decode(r)?,
-                bseq: u64::decode(r)?,
-                msg: M::decode(r)?,
-            }),
-            tag => Err(NetError::BadTag {
-                what: "Frame",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-}
+crate::wire_enum!(<M> Frame<M> {
+    0 => Hello { from, expected },
+    1 => Heartbeat,
+    2 => Data { seq, msg },
+    3 => Bcast { seq, origin, bseq, msg },
+    4 => Fwd { seq, origin, bseq, msg },
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,12 +1,44 @@
-//! The hand-rolled binary wire codec and length-prefixed framing.
+//! The binary wire codec, its declarative envelope layer, and
+//! length-prefixed framing.
 //!
 //! The workspace builds offline with no serializer crate, so the wire
 //! format is a small explicit binary encoding: fixed-width big-endian
-//! integers, IEEE-754 bit-pattern floats, length-prefixed strings and collections, and a
-//! `u32` discriminant per enum variant. Every decoder is total — any
-//! input, however truncated or hostile, yields a typed
-//! [`NetError`](crate::NetError), never a panic — which the proptest
-//! suites in the owning crates pin down per envelope type.
+//! integers, IEEE-754 bit-pattern floats, length-prefixed strings and
+//! collections, and a `u8` tag per enum variant. Every decoder is total
+//! — any input, however truncated or hostile, yields a typed
+//! [`NetError`](crate::NetError), never a panic — which [`laws`] states
+//! once and each owning crate's proptest suite feeds per envelope.
+//!
+//! Only the primitives, containers and [`Payload`] below are written by
+//! hand. An envelope is *declared*, once, in the crate that owns the
+//! type, and the macro derives both directions from that one field
+//! list (fields travel in the order listed; their types are inferred):
+//!
+//! ```
+//! # use odp_net::wire::laws;
+//! # #[derive(Debug, PartialEq)]
+//! struct Id(u32);
+//! # #[derive(Debug, PartialEq)]
+//! struct Stamp<P> { id: Id, seq: u64, body: P }
+//! # #[derive(Debug, PartialEq)]
+//! enum Msg<P> { Ping, Ack(Id, u64), Data { stamp: Stamp<P> } }
+//!
+//! odp_net::wire_newtype!(Id);
+//! odp_net::wire_struct!(<P> Stamp<P> { id, seq, body });
+//! odp_net::wire_enum!(<P> Msg<P> { 0 => Ping, 1 => Ack(id, seq), 2 => Data { stamp } });
+//! # let stamp = Stamp { id: Id(7), seq: 1, body: "hi".to_owned() };
+//! # assert_eq!(laws::roundtrips(&Msg::Data { stamp }), Ok(()));
+//! # assert_eq!(laws::roundtrips(&Msg::<String>::Ack(Id(7), 2)), Ok(()));
+//! # assert_eq!(laws::roundtrips(&Msg::<String>::Ping), Ok(()));
+//! ```
+//!
+//! Grammar: `wire_newtype!(Name)`; `wire_struct!([<G, ..>] Name[<G, ..>]
+//! { field, .. })`; `wire_enum!([<G, ..>] Name[<G, ..>] { tag => Variant,
+//! tag => Variant(binding, ..), tag => Variant { field, .. }, .. })`
+//! with `u8` literal tags. Every generic parameter is bound by
+//! [`WireCodec`]. An unknown tag decodes to `NetError::BadTag { what:
+//! "Name", .. }`. A [`Payload`] field is legal **only as the trailing
+//! field** of its envelope (see its impl below).
 //!
 //! Framing is `[len: u32 BE][body: len bytes]` with a hard cap checked
 //! on *both* sides: encoders refuse to produce an oversized frame and
@@ -86,17 +118,13 @@ pub trait WireCodec: Sized {
 
 /// Encodes `value` as one length-prefixed frame, enforcing `max_body`.
 pub fn encode_frame<T: WireCodec>(value: &T, max_body: usize) -> Result<Vec<u8>, NetError> {
-    let mut body = Vec::new();
-    value.encode(&mut body);
-    if body.len() > max_body {
-        return Err(NetError::FrameTooLarge {
-            len: body.len(),
-            max: max_body,
-        });
+    let mut frame = vec![0u8; 4];
+    value.encode(&mut frame);
+    let len = frame.len() - 4;
+    if len > max_body {
+        return Err(NetError::FrameTooLarge { len, max: max_body });
     }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&body);
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
     Ok(frame)
 }
 
@@ -126,6 +154,103 @@ pub fn decode_frame<T: WireCodec>(buf: &[u8], max_body: usize) -> Result<(T, usi
     }
     let value = WireReader::new(&buf[4..4 + len]).finish()?;
     Ok((value, 4 + len))
+}
+
+/// Declares the [`WireCodec`] of a one-field tuple struct as that of
+/// its field (see the [module docs](self) for the grammar).
+#[macro_export]
+macro_rules! wire_newtype {
+    ($name:ident) => {
+        impl $crate::wire::WireCodec for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $crate::wire::WireCodec::encode(&self.0, out);
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::error::NetError> {
+                Ok(Self($crate::wire::WireCodec::decode(r)?))
+            }
+        }
+    };
+}
+
+/// Declares the [`WireCodec`] of a struct: its fields, in wire order
+/// (see the [module docs](self) for the grammar). A field left out of
+/// the declaration does not build:
+///
+/// ```compile_fail
+/// struct Stamp { id: u32, seq: u64 }
+/// odp_net::wire_struct!(Stamp { id });
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($(<$($g:ident),+>)? $name:ident $(<$($a:ident),+>)? { $($field:ident),+ $(,)? }) => {
+        impl $(<$($g: $crate::wire::WireCodec),+>)? $crate::wire::WireCodec
+            for $name $(<$($a),+>)?
+        {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let Self { $($field),+ } = self;
+                $($crate::wire::WireCodec::encode($field, out);)+
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::error::NetError> {
+                $(let $field = $crate::wire::WireCodec::decode(r)?;)+
+                Ok(Self { $($field),+ })
+            }
+        }
+    };
+}
+
+/// Declares the [`WireCodec`] of an enum: a `u8` tag per variant, then
+/// the variant's fields in wire order (see the [module docs](self) for
+/// the grammar). A variant left out of the declaration does not build,
+/// and neither does a tag used twice:
+///
+/// ```compile_fail
+/// enum Msg { Ping, Pong }
+/// odp_net::wire_enum!(Msg { 0 => Ping });
+/// ```
+///
+/// ```compile_fail
+/// enum Msg { Ping, Pong }
+/// odp_net::wire_enum!(Msg { 0 => Ping, 0 => Pong });
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($(<$($g:ident),+>)? $name:ident $(<$($a:ident),+>)? {
+        $($tag:literal => $variant:ident $(($($tf:ident),+))? $({ $($sf:ident),+ })?),+ $(,)?
+    }) => {
+        impl $(<$($g: $crate::wire::WireCodec),+>)? $crate::wire::WireCodec
+            for $name $(<$($a),+>)?
+        {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {$(
+                    Self::$variant $(($($tf),+))? $({ $($sf),+ })? => {
+                        out.push($tag);
+                        $($($crate::wire::WireCodec::encode($tf, out);)+)?
+                        $($($crate::wire::WireCodec::encode($sf, out);)+)?
+                    }
+                )+}
+            }
+            #[deny(unreachable_patterns)]
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::error::NetError> {
+                match <u8 as $crate::wire::WireCodec>::decode(r)? {
+                    $($tag => {
+                        $($(let $tf = $crate::wire::WireCodec::decode(r)?;)+)?
+                        $($(let $sf = $crate::wire::WireCodec::decode(r)?;)+)?
+                        Ok(Self::$variant $(($($tf),+))? $({ $($sf),+ })?)
+                    })+
+                    tag => Err($crate::error::NetError::BadTag {
+                        what: stringify!($name),
+                        tag: u32::from(tag),
+                    }),
+                }
+            }
+        }
+    };
 }
 
 macro_rules! impl_wire_uint {
@@ -286,14 +411,7 @@ impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
     }
 }
 
-impl WireCodec for NodeId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(NodeId(u32::decode(r)?))
-    }
-}
+crate::wire_newtype!(NodeId);
 
 impl WireCodec for SimTime {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -339,9 +457,13 @@ impl WireCodec for Payload {
 /// `value`'s wire encoding, so re-encoding the payload reproduces the
 /// typed frame bit-for-bit.
 pub fn payload_of<T: WireCodec>(value: &T) -> Payload {
+    Payload::from_vec(encoding(value))
+}
+
+fn encoding<T: WireCodec>(value: &T) -> Vec<u8> {
     let mut buf = Vec::new();
     value.encode(&mut buf);
-    Payload::from_vec(buf)
+    buf
 }
 
 /// Decodes a typed value back out of a fabric [`Payload`], requiring
@@ -350,9 +472,132 @@ pub fn payload_as<T: WireCodec>(payload: &Payload) -> Result<T, NetError> {
     WireReader::new(payload.as_slice()).finish()
 }
 
+/// The codec laws every envelope must obey, as plain checks a test
+/// feeds with values (or bytes) from its own generator.
+pub mod laws {
+    use std::fmt::Debug;
+
+    use super::{decode_frame, encode_frame, encoding, NetError, WireCodec, WireReader, MAX_FRAME};
+
+    /// `decode ∘ encode = id`, bare and through the framing (which
+    /// consumes exactly the frame), and the decoded value re-encodes to
+    /// the same bytes.
+    pub fn roundtrips<T: WireCodec + PartialEq + Debug>(value: &T) -> Result<(), String> {
+        let body = encoding(value);
+        match WireReader::new(&body).finish::<T>() {
+            Ok(back) if &back == value && encoding(&back) == body => {}
+            other => return Err(format!("{value:?} came back as {other:?}")),
+        }
+        let frame = encode_frame(value, MAX_FRAME).map_err(|e| e.to_string())?;
+        match decode_frame::<T>(&frame, MAX_FRAME) {
+            Ok((back, used)) if &back == value && used == frame.len() => Ok(()),
+            other => Err(format!("framing {value:?} returned {other:?}")),
+        }
+    }
+
+    /// Every strict prefix of a valid encoding is a typed error — never
+    /// a panic, never a silently accepted cut-off value.
+    pub fn prefixes_err<T: WireCodec + Debug>(value: &T) -> Result<(), String> {
+        let body = encoding(value);
+        for cut in 0..body.len() {
+            if let Ok(got) = WireReader::new(&body[..cut]).finish::<T>() {
+                return Err(format!("{cut}-byte prefix of {value:?} decoded as {got:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Arbitrary bytes never panic the decoder, bare or framed under
+    /// `max_body`: the outcome is a typed error or a value, and an
+    /// accepted value's encoding is canonical (decoding it and encoding
+    /// again reproduces it).
+    pub fn total<T: WireCodec>(bytes: &[u8], max_body: usize) -> Result<(), String> {
+        if let Ok(value) = WireReader::new(bytes).finish::<T>() {
+            let canonical = encoding(&value);
+            let again = WireReader::new(&canonical).finish::<T>();
+            if again.as_ref().map(encoding) != Ok(canonical) {
+                return Err(format!(
+                    "accepted {bytes:?} but its re-encoding is not canonical"
+                ));
+            }
+        }
+        match decode_frame::<T>(bytes, max_body) {
+            Ok((_, used)) if used > bytes.len() => Err(format!("consumed {used} bytes")),
+            Err(NetError::FrameTooLarge { len, max }) if len <= max => Err(format!(
+                "refused an admissible {len}-byte header under {max}"
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Toy(u16);
+    #[derive(Debug, Clone, PartialEq)]
+    struct ToyPair<P> {
+        id: Toy,
+        body: P,
+    }
+    #[derive(Debug, Clone, PartialEq)]
+    enum ToyMsg<P> {
+        Unit,
+        Tuple(Toy, bool),
+        Named { pair: ToyPair<P>, at: SimTime },
+    }
+    crate::wire_newtype!(Toy);
+    crate::wire_struct!(<P> ToyPair<P> { id, body });
+    crate::wire_enum!(<P> ToyMsg<P> { 1 => Unit, 4 => Tuple(toy, flag), 9 => Named { pair, at } });
+
+    #[test]
+    fn wire_newtype_is_its_field() {
+        assert_eq!(encoding(&Toy(0x0102)), [1, 2]);
+        assert_eq!(laws::roundtrips(&Toy(7)), Ok(()));
+        assert_eq!(laws::prefixes_err(&Toy(7)), Ok(()));
+    }
+
+    #[test]
+    fn wire_struct_writes_fields_in_declared_order() {
+        let pair = ToyPair {
+            id: Toy(3),
+            body: "ab".to_owned(),
+        };
+        assert_eq!(encoding(&pair), [0, 3, 0, 0, 0, 2, b'a', b'b']);
+        assert_eq!(laws::roundtrips(&pair), Ok(()));
+        assert_eq!(laws::prefixes_err(&pair), Ok(()));
+    }
+
+    #[test]
+    fn wire_enum_tags_every_variant_shape_and_rejects_unknown_tags() {
+        let named = ToyMsg::Named {
+            pair: ToyPair {
+                id: Toy(3),
+                body: 5u8,
+            },
+            at: SimTime::from_micros(1),
+        };
+        assert_eq!(encoding(&ToyMsg::<u8>::Unit), [1]);
+        assert_eq!(encoding(&ToyMsg::<u8>::Tuple(Toy(2), true)), [4, 0, 2, 1]);
+        assert_eq!(encoding(&named), [9, 0, 3, 5, 0, 0, 0, 0, 0, 0, 0, 1]);
+        for msg in [ToyMsg::Unit, ToyMsg::Tuple(Toy(2), true), named] {
+            assert_eq!(laws::roundtrips(&msg), Ok(()));
+            assert_eq!(laws::prefixes_err(&msg), Ok(()));
+        }
+        assert_eq!(
+            WireReader::new(&[0]).finish::<ToyMsg<u8>>(),
+            Err(NetError::BadTag {
+                what: "ToyMsg",
+                tag: 0
+            })
+        );
+        for junk in [&[4, 0, 2, 7][..], &[9, 0], &[1, 1]] {
+            assert_eq!(laws::total::<ToyMsg<u8>>(junk, MAX_FRAME), Ok(()));
+            assert!(WireReader::new(junk).finish::<ToyMsg<u8>>().is_err());
+        }
+    }
 
     #[test]
     fn frame_roundtrip_and_consumed_length() {

@@ -9,21 +9,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use odp_fabric::Payload;
 use odp_net::error::NetError;
 use odp_net::session::Frame;
-use odp_net::wire::{decode_frame, encode_frame, WireCodec, WireReader, MAX_FRAME};
+use odp_net::wire::{encode_frame, laws, WireCodec, WireReader};
 use odp_net::{payload_as, payload_of};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
-
-fn roundtrip<T: WireCodec + PartialEq + std::fmt::Debug>(value: &T) -> Result<(), String> {
-    let mut buf = Vec::new();
-    value.encode(&mut buf);
-    match WireReader::new(&buf).finish::<T>() {
-        Ok(back) if &back == value => Ok(()),
-        Ok(back) => Err(format!("decoded {back:?} != {value:?}")),
-        Err(e) => Err(format!("failed to decode own encoding: {e}")),
-    }
-}
 
 /// An arbitrary link-layer frame over `String` payloads, covering all
 /// five variants.
@@ -69,24 +59,24 @@ proptest! {
         pairs in prop::collection::vec((any::<u32>(), any::<u64>()), 0..12),
         set in prop::collection::btree_set(any::<u32>(), 0..12),
     ) {
-        prop_assert!(roundtrip(&a).is_ok());
-        prop_assert!(roundtrip(&b).is_ok());
-        prop_assert!(roundtrip(&(a as i64)).is_ok());
-        prop_assert!(roundtrip(&s).is_ok());
-        prop_assert!(roundtrip(&flag).is_ok());
-        prop_assert!(roundtrip(&NodeId(b)).is_ok());
-        prop_assert!(roundtrip(&SimTime::from_micros(a)).is_ok());
-        prop_assert!(roundtrip(&SimDuration::from_micros(a)).is_ok());
-        prop_assert!(roundtrip(&Some(s.clone())).is_ok());
-        prop_assert!(roundtrip(&Option::<String>::None).is_ok());
+        prop_assert_eq!(laws::roundtrips(&a), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&b), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&(a as i64)), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&s), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&flag), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&NodeId(b)), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&SimTime::from_micros(a)), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&SimDuration::from_micros(a)), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&Some(s.clone())), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&Option::<String>::None), Ok(()));
         let map: BTreeMap<NodeId, u64> =
             pairs.iter().map(|&(k, v)| (NodeId(k), v)).collect();
-        prop_assert!(roundtrip(&map).is_ok());
+        prop_assert_eq!(laws::roundtrips(&map), Ok(()));
         let ids: BTreeSet<NodeId> = set.iter().map(|&n| NodeId(n)).collect();
-        prop_assert!(roundtrip(&ids).is_ok());
+        prop_assert_eq!(laws::roundtrips(&ids), Ok(()));
         let nested: Vec<(NodeId, Vec<String>)> =
             vec![(NodeId(b), vec![s.clone(), String::new()])];
-        prop_assert!(roundtrip(&nested).is_ok());
+        prop_assert_eq!(laws::roundtrips(&nested), Ok(()));
     }
 
     /// Floats round-trip by bit pattern — NaN payloads and signed
@@ -104,23 +94,14 @@ proptest! {
     /// decode_frame pipeline, consuming exactly the bytes produced.
     #[test]
     fn frames_roundtrip_through_framing(frame in arb_frame()) {
-        let bytes = encode_frame(&frame, MAX_FRAME).expect("frame encodes");
-        let (back, used): (Frame<String>, usize) =
-            decode_frame(&bytes, MAX_FRAME).expect("frame decodes");
-        prop_assert_eq!(back, frame);
-        prop_assert_eq!(used, bytes.len());
+        prop_assert_eq!(laws::roundtrips(&frame), Ok(()));
     }
 
     /// Every strict prefix of a valid encoding is an error — the
     /// decoder never silently accepts a cut-off value.
     #[test]
     fn truncated_frames_error_at_every_prefix(frame in arb_frame()) {
-        let mut body = Vec::new();
-        frame.encode(&mut body);
-        for cut in 0..body.len() {
-            let got = WireReader::new(&body[..cut]).finish::<Frame<String>>();
-            prop_assert!(got.is_err(), "prefix of {} bytes decoded", cut);
-        }
+        prop_assert_eq!(laws::prefixes_err(&frame), Ok(()));
     }
 
     /// Arbitrary hostile bytes never panic the frame decoder: the
@@ -131,17 +112,9 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..200),
         cap in 8usize..64,
     ) {
-        match decode_frame::<Frame<String>>(&bytes, cap) {
-            Ok((_, used)) => prop_assert!(used <= bytes.len()),
-            Err(NetError::FrameTooLarge { len, max }) => {
-                prop_assert!(len > max);
-            }
-            Err(_) => {}
-        }
-        // The raw value decoder is total too.
-        let _ = WireReader::new(&bytes).finish::<Frame<String>>();
-        let _ = WireReader::new(&bytes).finish::<Vec<(NodeId, f64)>>();
-        let _ = WireReader::new(&bytes).finish::<BTreeMap<NodeId, String>>();
+        prop_assert_eq!(laws::total::<Frame<String>>(&bytes, cap), Ok(()));
+        prop_assert_eq!(laws::total::<Vec<(NodeId, f64)>>(&bytes, cap), Ok(()));
+        prop_assert_eq!(laws::total::<BTreeMap<NodeId, String>>(&bytes, cap), Ok(()));
     }
 
     /// `Payload` is wire-transparent: it encodes as its raw bytes with

@@ -10,38 +10,17 @@
 //! - the **migration plane** — the freeze → chunk → install → release
 //!   handshake between the controller and the two tile hosts.
 //!
-//! All decoders are total: truncated or hostile bytes yield a typed
-//! [`NetError`], never a panic (property-tested in
-//! `tests/wire_properties.rs`).
+//! Both codecs are declared, not written: the generated decoders are
+//! total, so truncated or hostile bytes yield a typed
+//! [`odp_net::error::NetError`], never a panic (`tests/wire_properties.rs`
+//! feeds them through `odp_net::wire::laws`).
 
 use odp_mgmt::model::ClusterId;
-use odp_net::error::NetError;
-use odp_net::wire::{WireCodec, WireReader};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 use odp_telemetry::span::{Carrier, SpanContext};
 
 use odp_awareness::bus::CoopEvent;
-
-impl WireCodec for SpanObs {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ctx.encode(out);
-        self.kind.encode(out);
-        self.node.encode(out);
-        self.opened.encode(out);
-        self.closed.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(SpanObs {
-            ctx: SpanContext::decode(r)?,
-            kind: String::decode(r)?,
-            node: NodeId::decode(r)?,
-            opened: SimTime::decode(r)?,
-            closed: SimTime::decode(r)?,
-        })
-    }
-}
 
 /// One closed span observed at a site, shipped to the controller so it
 /// can rebuild the causal DAG in its own
@@ -60,15 +39,13 @@ pub struct SpanObs {
     pub closed: SimTime,
 }
 
-/// A `ClusterId` newtype codec (odp-mgmt does not depend on odp-net, so
-/// the impl cannot live there; encode through the raw u32 instead).
-fn encode_cluster(c: ClusterId, out: &mut Vec<u8>) {
-    c.0.encode(out);
-}
-
-fn decode_cluster(r: &mut WireReader<'_>) -> Result<ClusterId, NetError> {
-    Ok(ClusterId(u32::decode(r)?))
-}
+odp_net::wire_struct!(SpanObs {
+    ctx,
+    kind,
+    node,
+    opened,
+    closed
+});
 
 /// The placement protocol envelope.
 #[derive(Debug, Clone, PartialEq)]
@@ -259,246 +236,34 @@ impl Carrier for PlaceWire {
     }
 }
 
-impl WireCodec for PlaceWire {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            PlaceWire::Read { cluster, span } => {
-                0u8.encode(out);
-                encode_cluster(*cluster, out);
-                span.encode(out);
-            }
-            PlaceWire::ReadOk { cluster } => {
-                1u8.encode(out);
-                encode_cluster(*cluster, out);
-            }
-            PlaceWire::Write {
-                cluster,
-                byte,
-                span,
-            } => {
-                2u8.encode(out);
-                encode_cluster(*cluster, out);
-                byte.encode(out);
-                span.encode(out);
-            }
-            PlaceWire::WriteOk { cluster } => {
-                3u8.encode(out);
-                encode_cluster(*cluster, out);
-            }
-            PlaceWire::WriteRefused { cluster } => {
-                4u8.encode(out);
-                encode_cluster(*cluster, out);
-            }
-            PlaceWire::Moved { cluster, to } => {
-                5u8.encode(out);
-                encode_cluster(*cluster, out);
-                to.encode(out);
-            }
-            PlaceWire::Stats { spans, accesses } => {
-                6u8.encode(out);
-                spans.encode(out);
-                accesses.encode(out);
-            }
-            PlaceWire::HomeUpdate { cluster, node } => {
-                7u8.encode(out);
-                encode_cluster(*cluster, out);
-                node.encode(out);
-            }
-            PlaceWire::ViewChange { view_id, members } => {
-                8u8.encode(out);
-                view_id.encode(out);
-                members.encode(out);
-            }
-            PlaceWire::Notice(event) => {
-                9u8.encode(out);
-                event.encode(out);
-            }
-            PlaceWire::Freeze { cluster, epoch, to } => {
-                10u8.encode(out);
-                encode_cluster(*cluster, out);
-                epoch.encode(out);
-                to.encode(out);
-            }
-            PlaceWire::Chunk {
-                cluster,
-                epoch,
-                index,
-                total,
-                data,
-            } => {
-                11u8.encode(out);
-                encode_cluster(*cluster, out);
-                epoch.encode(out);
-                index.encode(out);
-                total.encode(out);
-                data.encode(out);
-            }
-            PlaceWire::ChunkAck {
-                cluster,
-                epoch,
-                index,
-            } => {
-                12u8.encode(out);
-                encode_cluster(*cluster, out);
-                epoch.encode(out);
-                index.encode(out);
-            }
-            PlaceWire::TransferDone {
-                cluster,
-                epoch,
-                hash,
-            } => {
-                13u8.encode(out);
-                encode_cluster(*cluster, out);
-                epoch.encode(out);
-                hash.encode(out);
-            }
-            PlaceWire::TransferFailed {
-                cluster,
-                epoch,
-                reason,
-            } => {
-                14u8.encode(out);
-                encode_cluster(*cluster, out);
-                epoch.encode(out);
-                reason.encode(out);
-            }
-            PlaceWire::Commit {
-                cluster,
-                epoch,
-                hash,
-            } => {
-                15u8.encode(out);
-                encode_cluster(*cluster, out);
-                epoch.encode(out);
-                hash.encode(out);
-            }
-            PlaceWire::Installed { cluster, epoch } => {
-                16u8.encode(out);
-                encode_cluster(*cluster, out);
-                epoch.encode(out);
-            }
-            PlaceWire::InstallFailed {
-                cluster,
-                epoch,
-                reason,
-            } => {
-                17u8.encode(out);
-                encode_cluster(*cluster, out);
-                epoch.encode(out);
-                reason.encode(out);
-            }
-            PlaceWire::Release { cluster, epoch, to } => {
-                18u8.encode(out);
-                encode_cluster(*cluster, out);
-                epoch.encode(out);
-                to.encode(out);
-            }
-            PlaceWire::Abort { cluster, epoch } => {
-                19u8.encode(out);
-                encode_cluster(*cluster, out);
-                epoch.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        match u8::decode(r)? {
-            0 => Ok(PlaceWire::Read {
-                cluster: decode_cluster(r)?,
-                span: Option::<SpanContext>::decode(r)?,
-            }),
-            1 => Ok(PlaceWire::ReadOk {
-                cluster: decode_cluster(r)?,
-            }),
-            2 => Ok(PlaceWire::Write {
-                cluster: decode_cluster(r)?,
-                byte: u8::decode(r)?,
-                span: Option::<SpanContext>::decode(r)?,
-            }),
-            3 => Ok(PlaceWire::WriteOk {
-                cluster: decode_cluster(r)?,
-            }),
-            4 => Ok(PlaceWire::WriteRefused {
-                cluster: decode_cluster(r)?,
-            }),
-            5 => Ok(PlaceWire::Moved {
-                cluster: decode_cluster(r)?,
-                to: NodeId::decode(r)?,
-            }),
-            6 => Ok(PlaceWire::Stats {
-                spans: Vec::<SpanObs>::decode(r)?,
-                accesses: Vec::<(u32, u64)>::decode(r)?,
-            }),
-            7 => Ok(PlaceWire::HomeUpdate {
-                cluster: decode_cluster(r)?,
-                node: NodeId::decode(r)?,
-            }),
-            8 => Ok(PlaceWire::ViewChange {
-                view_id: u64::decode(r)?,
-                members: Vec::<NodeId>::decode(r)?,
-            }),
-            9 => Ok(PlaceWire::Notice(CoopEvent::decode(r)?)),
-            10 => Ok(PlaceWire::Freeze {
-                cluster: decode_cluster(r)?,
-                epoch: u64::decode(r)?,
-                to: NodeId::decode(r)?,
-            }),
-            11 => Ok(PlaceWire::Chunk {
-                cluster: decode_cluster(r)?,
-                epoch: u64::decode(r)?,
-                index: u32::decode(r)?,
-                total: u32::decode(r)?,
-                data: Vec::<u8>::decode(r)?,
-            }),
-            12 => Ok(PlaceWire::ChunkAck {
-                cluster: decode_cluster(r)?,
-                epoch: u64::decode(r)?,
-                index: u32::decode(r)?,
-            }),
-            13 => Ok(PlaceWire::TransferDone {
-                cluster: decode_cluster(r)?,
-                epoch: u64::decode(r)?,
-                hash: u64::decode(r)?,
-            }),
-            14 => Ok(PlaceWire::TransferFailed {
-                cluster: decode_cluster(r)?,
-                epoch: u64::decode(r)?,
-                reason: String::decode(r)?,
-            }),
-            15 => Ok(PlaceWire::Commit {
-                cluster: decode_cluster(r)?,
-                epoch: u64::decode(r)?,
-                hash: u64::decode(r)?,
-            }),
-            16 => Ok(PlaceWire::Installed {
-                cluster: decode_cluster(r)?,
-                epoch: u64::decode(r)?,
-            }),
-            17 => Ok(PlaceWire::InstallFailed {
-                cluster: decode_cluster(r)?,
-                epoch: u64::decode(r)?,
-                reason: String::decode(r)?,
-            }),
-            18 => Ok(PlaceWire::Release {
-                cluster: decode_cluster(r)?,
-                epoch: u64::decode(r)?,
-                to: NodeId::decode(r)?,
-            }),
-            19 => Ok(PlaceWire::Abort {
-                cluster: decode_cluster(r)?,
-                epoch: u64::decode(r)?,
-            }),
-            tag => Err(NetError::BadTag {
-                what: "PlaceWire",
-                tag: tag as u32,
-            }),
-        }
-    }
-}
+odp_net::wire_enum!(PlaceWire {
+    0 => Read { cluster, span },
+    1 => ReadOk { cluster },
+    2 => Write { cluster, byte, span },
+    3 => WriteOk { cluster },
+    4 => WriteRefused { cluster },
+    5 => Moved { cluster, to },
+    6 => Stats { spans, accesses },
+    7 => HomeUpdate { cluster, node },
+    8 => ViewChange { view_id, members },
+    9 => Notice(event),
+    10 => Freeze { cluster, epoch, to },
+    11 => Chunk { cluster, epoch, index, total, data },
+    12 => ChunkAck { cluster, epoch, index },
+    13 => TransferDone { cluster, epoch, hash },
+    14 => TransferFailed { cluster, epoch, reason },
+    15 => Commit { cluster, epoch, hash },
+    16 => Installed { cluster, epoch },
+    17 => InstallFailed { cluster, epoch, reason },
+    18 => Release { cluster, epoch, to },
+    19 => Abort { cluster, epoch },
+});
 
 #[cfg(test)]
 mod tests {
+    use odp_net::error::NetError;
+    use odp_net::wire::WireReader;
+
     use super::*;
 
     #[test]
@@ -521,11 +286,8 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_a_typed_error() {
-        let mut buf = Vec::new();
-        77u8.encode(&mut buf);
-        let got: Result<PlaceWire, NetError> = WireReader::new(&buf).finish();
         assert_eq!(
-            got,
+            WireReader::new(&[77]).finish::<PlaceWire>(),
             Err(NetError::BadTag {
                 what: "PlaceWire",
                 tag: 77

@@ -5,7 +5,7 @@
 
 use odp_awareness::bus::{CoopEvent, CoopKind};
 use odp_mgmt::model::ClusterId;
-use odp_net::wire::{decode_frame, encode_frame, WireCodec, WireReader, MAX_FRAME};
+use odp_net::wire::{laws, MAX_FRAME};
 use odp_place::wire::{PlaceWire, SpanObs};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
@@ -129,35 +129,25 @@ fn arb_wire() -> impl Strategy<Value = PlaceWire> {
 }
 
 proptest! {
-    /// Every envelope of both planes round-trips bit-exactly through
-    /// the live transport's framing.
+    /// Every envelope of both planes round-trips bit-exactly, bare and
+    /// through the live transport's framing.
     #[test]
-    fn every_envelope_roundtrips(wire in arb_wire()) {
-        let bytes = encode_frame(&wire, MAX_FRAME).expect("encodes");
-        let (back, used): (PlaceWire, usize) =
-            decode_frame(&bytes, MAX_FRAME).expect("decodes");
-        prop_assert_eq!(back, wire);
-        prop_assert_eq!(used, bytes.len());
+    fn every_envelope_roundtrips(wire in arb_wire(), obs in arb_obs()) {
+        prop_assert_eq!(laws::roundtrips(&wire), Ok(()));
+        prop_assert_eq!(laws::roundtrips(&obs), Ok(()));
     }
 
     /// Truncating a valid envelope anywhere is a typed error.
     #[test]
-    fn truncation_never_panics(wire in arb_wire()) {
-        let mut body = Vec::new();
-        wire.encode(&mut body);
-        for cut in 0..body.len() {
-            prop_assert!(
-                WireReader::new(&body[..cut]).finish::<PlaceWire>().is_err(),
-                "prefix of {} bytes decoded", cut
-            );
-        }
+    fn truncation_never_panics(wire in arb_wire(), obs in arb_obs()) {
+        prop_assert_eq!(laws::prefixes_err(&wire), Ok(()));
+        prop_assert_eq!(laws::prefixes_err(&obs), Ok(()));
     }
 
     /// Arbitrary bytes never panic the decoder.
     #[test]
     fn hostile_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        let _ = WireReader::new(&bytes).finish::<PlaceWire>();
-        let _ = WireReader::new(&bytes).finish::<SpanObs>();
-        let _ = decode_frame::<PlaceWire>(&bytes, MAX_FRAME);
+        prop_assert_eq!(laws::total::<PlaceWire>(&bytes, MAX_FRAME), Ok(()));
+        prop_assert_eq!(laws::total::<SpanObs>(&bytes, MAX_FRAME), Ok(()));
     }
 }

@@ -17,7 +17,7 @@ use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 use odp_sim::trace::Trace;
 
-use crate::span::{SpanContext, CLOSE, OPEN};
+use crate::span::SpanContext;
 
 /// One observed span: identity, kind, where it ran and when it was
 /// open.
@@ -205,31 +205,11 @@ impl Collector {
         Collector::default()
     }
 
-    /// Builds a collector from a finished run's trace by parsing every
-    /// [`OPEN`] / [`CLOSE`] string event, then replaying the binary
-    /// [`odp_fabric::SpanLog`] riding on the trace. Instrumented code
-    /// records through one channel or the other (legacy string payloads
-    /// vs the allocation-free span log), never both for one span, so
-    /// ingesting the streams back-to-back cannot double-open.
+    /// Builds a collector from a finished run's trace by replaying the
+    /// binary [`odp_fabric::SpanLog`] riding on it — the one channel
+    /// instrumented code records spans through.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut c = Collector::new();
-        for e in trace.events() {
-            if e.label == OPEN {
-                match SpanContext::parse_open(&e.data) {
-                    Some((ctx, kind)) => c.ingest_open(e.time, e.node, ctx, kind),
-                    None => c
-                        .errors
-                        .push(format!("malformed open payload {:?}", e.data)),
-                }
-            } else if e.label == CLOSE {
-                match SpanContext::parse_close(&e.data) {
-                    Some((trace_id, span_id)) => c.ingest_close(e.time, trace_id, span_id),
-                    None => c
-                        .errors
-                        .push(format!("malformed close payload {:?}", e.data)),
-                }
-            }
-        }
         let log = trace.spans();
         for e in log.events() {
             let time = SimTime::from_micros(e.time_us);
@@ -496,30 +476,14 @@ mod tests {
     }
 
     #[test]
-    fn from_trace_merges_string_and_binary_streams() {
-        // Distinct traces through each channel coexist in one collector.
-        let legacy = SpanContext::root_with(20, 1);
-        let fabric = SpanContext::root_with(21, 1);
-        let mut tr = Trace::new();
-        tr.record(t(0), NodeId(0), OPEN, legacy.open_data("old.way"));
-        tr.record(t(2), NodeId(0), CLOSE, legacy.close_data());
-        tr.span_open(t(1), NodeId(1), fabric.carrier(), "new.way");
-        tr.span_close(t(3), NodeId(1), fabric.carrier());
-        let c = Collector::from_trace(&tr);
-        assert!(c.well_formed().is_ok());
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.span_count(), 2);
-    }
-
-    #[test]
     fn from_trace_round_trips_through_payloads() {
         let root = SpanContext::root_with(9, 1);
         let child = root.child_with(2);
         let mut tr = Trace::new();
-        tr.record(t(0), NodeId(0), OPEN, root.open_data("rpc.call"));
-        tr.record(t(3), NodeId(1), OPEN, child.open_data("rpc.serve"));
-        tr.record(t(4), NodeId(1), CLOSE, child.close_data());
-        tr.record(t(8), NodeId(0), CLOSE, root.close_data());
+        tr.span_open(t(0), NodeId(0), root.carrier(), "rpc.call");
+        tr.span_open(t(3), NodeId(1), child.carrier(), "rpc.serve");
+        tr.span_close(t(4), NodeId(1), child.carrier());
+        tr.span_close(t(8), NodeId(0), root.carrier());
         let c = Collector::from_trace(&tr);
         assert!(c.well_formed().is_ok());
         assert_eq!(c.span_count(), 2);

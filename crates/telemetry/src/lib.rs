@@ -57,11 +57,11 @@ pub mod wire;
 
 pub use collector::{Collector, SpanRecord, TraceDag};
 pub use report::{SubsystemReport, TelemetryReport};
-pub use span::{Carrier, SpanContext, CLOSE, OPEN};
+pub use span::{Carrier, SpanContext};
 
 /// Everything an instrumented subsystem typically needs.
 pub mod prelude {
     pub use crate::collector::{Collector, SpanRecord, TraceDag};
     pub use crate::report::{SubsystemReport, TelemetryReport};
-    pub use crate::span::{Carrier, SpanContext, CLOSE, OPEN};
+    pub use crate::span::{Carrier, SpanContext};
 }

@@ -11,22 +11,15 @@
 //! - **on the wire**, piggybacked on protocol envelopes through the
 //!   [`Carrier`] trait, so causality survives multicast fan-out,
 //!   federation hops and stream binding;
-//! - **into the run record**, as ordinary [`odp_sim::trace::Trace`]
-//!   events labelled [`OPEN`] / [`CLOSE`] with a compact textual
-//!   payload, so no new channel between actors and harness is needed.
-//!   A [`crate::collector::Collector`] parses them back afterwards.
+//! - **into the run record**, as binary open/close events in the
+//!   [`odp_fabric::SpanLog`] riding on the run's
+//!   [`odp_sim::trace::Trace`] (recorded through the actor context's
+//!   `span_open` / `span_close`), so no new channel between actors and
+//!   harness is needed. A [`crate::collector::Collector`] replays them
+//!   afterwards.
 
 use odp_fabric::SpanCarrier;
 use odp_sim::rng::DetRng;
-
-/// Trace-event label marking a span opening. Payload format:
-/// `trace:span:parent:kind` with ids in fixed-width hex and `-` for a
-/// root's absent parent (see [`SpanContext::open_data`]).
-pub const OPEN: &str = "tel.open";
-
-/// Trace-event label marking a span closing. Payload format:
-/// `trace:span` (see [`SpanContext::close_data`]).
-pub const CLOSE: &str = "tel.close";
 
 /// The identity of one span within a causal trace.
 ///
@@ -94,66 +87,6 @@ impl SpanContext {
         }
     }
 
-    /// Renders the [`OPEN`] payload: `trace:span:parent:kind`, ids as
-    /// fixed-width hex, `-` for an absent parent. `kind` is a stable
-    /// dotted name such as `rpc.call`; it must not contain `:`.
-    ///
-    /// Hand-rolled hex (no `format!` machinery): this runs twice per
-    /// minted span on instrumented message paths, and the rendering
-    /// cost is the bulk of the telemetry overhead the bench reports.
-    pub fn open_data(&self, kind: &str) -> String {
-        debug_assert!(!kind.contains(':'), "span kind {kind:?} contains ':'");
-        let mut out = String::with_capacity(3 * 17 + 1 + kind.len());
-        push_hex16(&mut out, self.trace_id);
-        out.push(':');
-        push_hex16(&mut out, self.span_id);
-        out.push(':');
-        match self.parent {
-            Some(p) => push_hex16(&mut out, p),
-            None => out.push('-'),
-        }
-        out.push(':');
-        out.push_str(kind);
-        out
-    }
-
-    /// Renders the [`CLOSE`] payload: `trace:span` in fixed-width hex.
-    pub fn close_data(&self) -> String {
-        let mut out = String::with_capacity(2 * 17);
-        push_hex16(&mut out, self.trace_id);
-        out.push(':');
-        push_hex16(&mut out, self.span_id);
-        out
-    }
-
-    /// Parses an [`OPEN`] payload back into a context and its kind.
-    pub fn parse_open(data: &str) -> Option<(SpanContext, &str)> {
-        let mut parts = data.splitn(4, ':');
-        let trace_id = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let span_id = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let parent = match parts.next()? {
-            "-" => None,
-            p => Some(u64::from_str_radix(p, 16).ok()?),
-        };
-        let kind = parts.next()?;
-        Some((
-            SpanContext {
-                trace_id,
-                span_id,
-                parent,
-            },
-            kind,
-        ))
-    }
-
-    /// Parses a [`CLOSE`] payload back into `(trace_id, span_id)`.
-    pub fn parse_close(data: &str) -> Option<(u64, u64)> {
-        let mut parts = data.splitn(2, ':');
-        let trace_id = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let span_id = u64::from_str_radix(parts.next()?, 16).ok()?;
-        Some((trace_id, span_id))
-    }
-
     /// The fabric-layer view of this context, for recording into a
     /// host's binary [`odp_fabric::SpanLog`] or piggybacking on a
     /// byte-oriented envelope. Same three fields, no telemetry deps.
@@ -182,17 +115,6 @@ impl From<SpanCarrier> for SpanContext {
     }
 }
 
-/// Appends `v` as exactly 16 lowercase hex digits.
-fn push_hex16(out: &mut String, v: u64) {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut buf = [0u8; 16];
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = DIGITS[((v >> ((15 - i) * 4)) & 0xf) as usize];
-    }
-    // Every byte is ASCII hex, so the slice is valid UTF-8.
-    out.push_str(std::str::from_utf8(&buf).unwrap_or("????????????????"));
-}
-
 /// A protocol envelope that can piggyback a span context.
 ///
 /// Implemented by `odp_groupcomm`'s multicast/RPC envelopes,
@@ -218,36 +140,6 @@ mod tests {
         let rb = SpanContext::root(&mut b);
         assert_eq!(ra, rb);
         assert_eq!(ra.child(&mut a), rb.child(&mut b));
-    }
-
-    #[test]
-    fn open_payload_round_trips() {
-        let mut rng = DetRng::seed_from(1);
-        let root = SpanContext::root(&mut rng);
-        let child = root.child(&mut rng);
-        for (ctx, kind) in [(root, "rpc.call"), (child, "rpc.serve")] {
-            let data = ctx.open_data(kind);
-            let (parsed, parsed_kind) = SpanContext::parse_open(&data).expect("parses");
-            assert_eq!(parsed, ctx);
-            assert_eq!(parsed_kind, kind);
-        }
-    }
-
-    #[test]
-    fn close_payload_round_trips() {
-        let ctx = SpanContext::root_with(0xdead_beef, 7);
-        assert_eq!(
-            SpanContext::parse_close(&ctx.close_data()),
-            Some((0xdead_beef, 7))
-        );
-    }
-
-    #[test]
-    fn malformed_payloads_are_rejected() {
-        assert!(SpanContext::parse_open("").is_none());
-        assert!(SpanContext::parse_open("zz:1:-:k").is_none());
-        assert!(SpanContext::parse_open("1:2:3").is_none());
-        assert!(SpanContext::parse_close("only-one-part").is_none());
     }
 
     #[test]

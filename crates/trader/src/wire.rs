@@ -1,4 +1,4 @@
-//! Wire codecs for the trader's cache-coherence envelope: the
+//! Wire declarations for the trader's cache-coherence envelope: the
 //! [`Invalidation`] notes disseminated over the reliable multicast
 //! group round-trip through `odp-net` framing, so the coherence group
 //! (traders + importers) can run over a real transport as
@@ -8,77 +8,43 @@
 //! [`crate::offer::ServiceOffer`] and QoS specs) is deliberately not on
 //! the wire yet — see the backend-support matrix in the README.
 
-use odp_net::error::NetError;
-use odp_net::wire::{WireCodec, WireReader};
-
 use crate::actors::{Invalidation, InvalidationReason};
 use crate::offer::ServiceType;
 
-impl WireCodec for ServiceType {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(ServiceType(String::decode(r)?))
-    }
-}
-
-impl WireCodec for InvalidationReason {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            InvalidationReason::Withdrawn => 0,
-            InvalidationReason::Modified => 1,
-            InvalidationReason::Rebalanced => 2,
-        };
-        tag.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        match u8::decode(r)? {
-            0 => Ok(InvalidationReason::Withdrawn),
-            1 => Ok(InvalidationReason::Modified),
-            2 => Ok(InvalidationReason::Rebalanced),
-            tag => Err(NetError::BadTag {
-                what: "InvalidationReason",
-                tag: tag as u32,
-            }),
-        }
-    }
-}
-
-impl WireCodec for Invalidation {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.service_type.encode(out);
-        self.reason.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(Invalidation {
-            service_type: ServiceType::decode(r)?,
-            reason: InvalidationReason::decode(r)?,
-        })
-    }
-}
+odp_net::wire_newtype!(ServiceType);
+odp_net::wire_enum!(InvalidationReason { 0 => Withdrawn, 1 => Modified, 2 => Rebalanced });
+odp_net::wire_struct!(Invalidation {
+    service_type,
+    reason
+});
 
 #[cfg(test)]
 mod tests {
+    use odp_net::wire::{laws, MAX_FRAME};
+    use proptest::prelude::*;
+
     use super::*;
 
-    #[test]
-    fn invalidations_roundtrip() {
-        for reason in [
-            InvalidationReason::Withdrawn,
-            InvalidationReason::Modified,
-            InvalidationReason::Rebalanced,
-        ] {
+    proptest! {
+        /// Every invalidation obeys the codec laws, and hostile bytes
+        /// never panic its decoder.
+        #[test]
+        fn invalidations_roundtrip(
+            name in "[a-z/]{0,24}",
+            reason in 0usize..3,
+            bytes in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
             let note = Invalidation {
-                service_type: ServiceType::new("video/conference"),
-                reason,
+                service_type: ServiceType(name),
+                reason: [
+                    InvalidationReason::Withdrawn,
+                    InvalidationReason::Modified,
+                    InvalidationReason::Rebalanced,
+                ][reason],
             };
-            let mut buf = Vec::new();
-            note.encode(&mut buf);
-            assert_eq!(WireReader::new(&buf).finish(), Ok(note));
+            prop_assert_eq!(laws::roundtrips(&note), Ok(()));
+            prop_assert_eq!(laws::prefixes_err(&note), Ok(()));
+            prop_assert_eq!(laws::total::<Invalidation>(&bytes, MAX_FRAME), Ok(()));
         }
     }
 }
