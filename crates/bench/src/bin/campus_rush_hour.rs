@@ -36,14 +36,14 @@
 //! breakdown.
 //!
 //! ```text
-//! cargo run -p cscw-bench --bin campus_rush_hour --release \
-//!     [OUT.json] [--floor FLOOR.json] [--quick]
+//! cargo run -p cscw-bench --bin campus_rush_hour --release [OUT.json] [--quick]
 //! ```
 //!
-//! With `--floor`, the bench fails (exit 1) if the acceptance rung's
-//! events/sec falls more than 20 % below the checked-in floor — the
-//! CI regression gate. `--quick` runs only the acceptance rung.
+//! The bench fails if the acceptance rung's events/sec falls below the
+//! `campus_events_per_sec` threshold of `floors.json` — the CI
+//! regression gate. `--quick` runs only the acceptance rung.
 
+use cscw_bench::harness::{self, Bench, Report};
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::{LinkSpec, Network, NodeId};
 use odp_sim::prelude::{ActorHandle, RunOutcome, Sim, SimBuilder, Until};
@@ -73,7 +73,7 @@ const LEASE_TAG: u64 = u64::MAX;
 const RETRY_TAG: u64 = u64::MAX - 1;
 /// The agent-count ladder; the third rung is the acceptance rung.
 const LADDER: [u32; 4] = [5_000, 10_000, 20_000, 40_000];
-/// The rung the event count and the floor gate are judged at.
+/// The rung the event count and the gate are judged at.
 const ACCEPTANCE_AGENTS: u32 = 20_000;
 /// Events the acceptance rung processes under [`cscw_bench::REPORT_SEED`]:
 /// the count both engines reported at commit 632eeb9, the last one that
@@ -316,20 +316,30 @@ fn campus(seed: u64, agents: u32) -> Sim<CampusMsg> {
 }
 
 /// One timed rung: events/sec over the whole rush hour, the events
-/// processed, peak queue depth, and the finished sim for auditing.
+/// processed and the peak queue depth.
 struct Rung {
     agents: u32,
     events: u64,
     wall_ns: u128,
     events_per_sec: f64,
-    peak_pending: usize,
+    peak_pending: u64,
+}
+
+impl Rung {
+    fn report(&self) -> Report {
+        let mut rung = Report::default();
+        rung.int("agents", self.agents)
+            .int("events", self.events)
+            .int("wall_ns", self.wall_ns)
+            .float("events_per_sec", self.events_per_sec, 0)
+            .int("peak_pending", self.peak_pending);
+        rung
+    }
 }
 
 fn run_rung(seed: u64, agents: u32) -> Rung {
     let mut sim = campus(seed, agents);
-    let start = std::time::Instant::now(); // odp-check: allow(wallclock)
-    let outcome = sim.run(Until::Idle);
-    let wall_ns = start.elapsed().as_nanos();
+    let (wall_ns, outcome) = harness::time(|| sim.run(Until::Idle));
     assert_eq!(outcome, RunOutcome::Quiesced, "campus must drain");
     audit(&sim, agents);
     let events = sim.events_processed();
@@ -338,7 +348,7 @@ fn run_rung(seed: u64, agents: u32) -> Rung {
         events,
         wall_ns,
         events_per_sec: events as f64 / (wall_ns as f64 / 1e9),
-        peak_pending: sim.peak_pending(),
+        peak_pending: sim.peak_pending() as u64,
     }
 }
 
@@ -384,66 +394,37 @@ fn audit(sim: &Sim<CampusMsg>, agents: u32) {
     assert_eq!(timeouts, u64::from(agents) * FANOUT as u64);
 }
 
-/// Reads `{"events_per_sec_floor": N}` from the checked-in floor file
-/// with a no-dependency scan.
-fn read_floor(path: &str) -> f64 {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("campus_rush_hour: cannot read floor {path}: {e}"));
-    let key = "\"events_per_sec_floor\"";
-    let at = text.find(key).expect("floor key missing") + key.len();
-    let rest = text[at..].trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().expect("floor value unparsable")
+fn main() {
+    harness::main("campus_rush_hour", "BENCH_scale.json", run);
 }
 
-fn main() {
-    let mut out_path = "BENCH_scale.json".to_owned();
-    let mut floor_path: Option<String> = None;
-    let mut quick = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--floor" => floor_path = Some(args.next().expect("--floor needs a path")),
-            "--quick" => quick = true,
-            other => out_path = other.to_owned(),
-        }
-    }
+fn run(bench: &mut Bench) -> Result<(), String> {
     let seed = cscw_bench::REPORT_SEED;
-
-    let ladder: Vec<u32> = if quick {
-        vec![ACCEPTANCE_AGENTS]
+    let ladder: &[u32] = if bench.quick {
+        &[ACCEPTANCE_AGENTS]
     } else {
-        LADDER.to_vec()
+        &LADDER
     };
 
-    println!(
-        "campus at rush hour (seed {seed}, {DOMAINS} domains, {AGENDA} agenda slots, \
-         {RETRIES}-deep retry ladders):"
-    );
     let mut rungs = Vec::new();
-    for &agents in &ladder {
-        let r = run_rung(seed, agents);
-        println!(
-            "  {:>6} agents  {:>9} events  {:>7.1} ms  {:>12.0} events/sec  peak queue {}",
-            r.agents,
-            r.events,
-            r.wall_ns as f64 / 1e6,
-            r.events_per_sec,
-            r.peak_pending,
-        );
-        rungs.push(r);
+    for &agents in ladder {
+        let rung = run_rung(seed, agents);
+        // Progress: the full ladder runs for a minute.
+        println!("  {}", rung.report().to_json());
+        rungs.push(rung);
     }
 
     let accepted = rungs
         .iter()
         .find(|r| r.agents == ACCEPTANCE_AGENTS)
         .expect("acceptance rung must be in the ladder");
-    assert_eq!(
-        accepted.events, ACCEPTANCE_EVENTS,
-        "acceptance rung diverged from the recorded run — determinism broken"
-    );
+    if accepted.events != ACCEPTANCE_EVENTS {
+        return Err(format!(
+            "acceptance rung processed {} events, the recorded run {ACCEPTANCE_EVENTS} — \
+             determinism broken",
+            accepted.events
+        ));
+    }
 
     // Max sustainable population: the largest rung that still clears
     // half the acceptance rung's throughput (i.e. scaling stays within
@@ -455,44 +436,17 @@ fn main() {
         .max()
         .unwrap_or(0);
 
-    if let Some(fp) = &floor_path {
-        let floor = read_floor(fp);
-        if accepted.events_per_sec < floor * 0.8 {
-            eprintln!(
-                "campus_rush_hour: {:.0} events/sec regressed >20% below floor {floor:.0}",
-                accepted.events_per_sec,
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "  floor check ok: {:.0} >= 0.8 * {floor:.0}",
-            accepted.events_per_sec
-        );
-    }
-
-    let rung_json: Vec<String> = rungs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"agents\":{},\"events\":{},\"wall_ns\":{},\
-                 \"events_per_sec\":{:.0},\"peak_pending\":{}}}",
-                r.agents, r.events, r.wall_ns, r.events_per_sec, r.peak_pending,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"workload\":\"campus-rush-hour\",\"seed\":{seed},\"domains\":{DOMAINS},\
-         \"agenda_slots\":{AGENDA},\"retry_ladder\":{RETRIES},\"rungs\":[{}],\
-         \"events_per_sec\":{:.0},\"peak_pending\":{},\
-         \"max_sustainable_agents\":{max_sustainable}}}",
-        rung_json.join(","),
-        accepted.events_per_sec,
-        accepted.peak_pending,
-    );
-    if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
-        eprintln!("campus_rush_hour: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("  max sustainable population {max_sustainable} agents");
-    println!("  wrote {out_path}");
+    bench
+        .report
+        .text("workload", "campus-rush-hour")
+        .int("seed", seed)
+        .int("domains", DOMAINS)
+        .int("agenda_slots", AGENDA)
+        .int("retry_ladder", RETRIES as u64)
+        .array("rungs", rungs.iter().map(Rung::report))
+        .float("events_per_sec", accepted.events_per_sec, 0)
+        .int("peak_pending", accepted.peak_pending)
+        .int("max_sustainable_agents", max_sustainable);
+    bench.at_least("campus_events_per_sec", accepted.events_per_sec)?;
+    Ok(())
 }

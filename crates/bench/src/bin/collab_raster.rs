@@ -14,27 +14,24 @@
 //!
 //! The process exits non-zero — failing the CI gate — if the
 //! controller-on arm migrated nothing, if its mean critical path is
-//! not at least [`MIN_IMPROVEMENT`]× shorter than the baseline's, or
-//! if either arm's span log fails the telemetry audit.
+//! not shorter than the baseline's by at least the
+//! `raster_improvement_ratio` of `floors.json`, or if either arm's
+//! span log fails the telemetry audit. The workload's WAN round trip
+//! is ~40× the LAN one and a healthy controller converts most of
+//! phase 2 to LAN trips (~2.8× on the report seed, pre-migration WAN
+//! accesses included); a controller that migrates late, thrashes, or
+//! freezes writers for too long falls under the bound.
 //!
 //! ```text
 //! cargo run -p cscw-bench --bin collab_raster --release [OUT.json]
 //! ```
 
+use cscw_bench::harness::{self, Bench, Report};
 use odp_net::sim_host::SimHost;
 use odp_place::controller::{PlacementActor, ACCESS_KIND_PREFIX};
 use odp_place::scenario::{collab_raster, RasterConfig, RasterScenario};
 use odp_sim::sim::{ActorHandle, Until};
 use odp_telemetry::collector::Collector;
-use odp_telemetry::report::json_string;
-
-/// The controller-on arm must shorten the mean phase-2 critical path
-/// by at least this factor. The workload's WAN round trip is ~40× the
-/// LAN one and a healthy controller converts most of phase 2 to LAN
-/// trips (~2.8× on the report seed, pre-migration WAN accesses
-/// included); a controller that migrates late, thrashes, or freezes
-/// writers for too long falls under the bound.
-const MIN_IMPROVEMENT: f64 = 1.5;
 
 /// One arm's measured outcome.
 struct Arm {
@@ -51,10 +48,8 @@ struct Arm {
 }
 
 impl Arm {
+    /// NaN for an arm without samples.
     fn mean_us(&self) -> f64 {
-        if self.lat_us.is_empty() {
-            return f64::NAN;
-        }
         self.lat_us.iter().sum::<u64>() as f64 / self.lat_us.len() as f64
     }
 
@@ -66,18 +61,16 @@ impl Arm {
         self.lat_us[idx.min(self.lat_us.len() - 1)]
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"samples\":{},\"mean_us\":{:.1},\"p95_us\":{},\"migrations\":{},\
-             \"decisions\":{},\"writes_refused\":{},\"ops_skipped\":{}}}",
-            self.lat_us.len(),
-            self.mean_us(),
-            self.p95_us(),
-            self.migrations,
-            self.decisions,
-            self.refused,
-            self.skipped,
-        )
+    fn report(&self) -> Report {
+        let mut arm = Report::default();
+        arm.int("samples", self.lat_us.len() as u64)
+            .float("mean_us", self.mean_us(), 1)
+            .int("p95_us", self.p95_us())
+            .int("migrations", self.migrations as u64)
+            .int("decisions", self.decisions as u64)
+            .int("writes_refused", self.refused)
+            .int("ops_skipped", self.skipped);
+        arm
     }
 }
 
@@ -95,20 +88,18 @@ fn bench_config(controller_on: bool) -> RasterConfig {
 }
 
 /// Runs one arm to quiescence and extracts its metrics.
-fn run_arm(controller_on: bool) -> Arm {
+fn run_arm(controller_on: bool) -> Result<Arm, String> {
     let cfg = bench_config(controller_on);
     let (mut sim, sc) = collab_raster(&cfg);
     sim.run(Until::Idle);
     if sim.trace().dropped() > 0 {
-        eprintln!("collab_raster: trace ring overflowed; metrics would lie");
-        std::process::exit(1);
+        return Err("trace ring overflowed; metrics would lie".to_owned());
     }
 
     let collector = Collector::from_trace(sim.trace());
-    if let Err(e) = collector.well_formed() {
-        eprintln!("collab_raster: span audit failed (controller_on={controller_on}): {e}");
-        std::process::exit(1);
-    }
+    collector
+        .well_formed()
+        .map_err(|e| format!("span audit failed (controller_on={controller_on}): {e}"))?;
 
     let mut lat_us = Vec::new();
     for (_, dag) in collector.traces() {
@@ -129,13 +120,13 @@ fn run_arm(controller_on: bool) -> Arm {
         .expect("controller actor")
         .inner();
     let (refused, skipped) = editor_totals(&sim, &sc);
-    Arm {
+    Ok(Arm {
         lat_us,
         migrations: ctl.migrations().len(),
         decisions: ctl.decisions().len(),
         refused,
         skipped,
-    }
+    })
 }
 
 fn editor_totals(
@@ -156,69 +147,37 @@ fn editor_totals(
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_placement.json".to_owned());
-    let cfg = bench_config(true);
+    harness::main("collab_raster", "BENCH_placement.json", run);
+}
 
-    let off = run_arm(false);
-    let on = run_arm(true);
+fn run(bench: &mut Bench) -> Result<(), String> {
+    let cfg = bench_config(true);
+    let off = run_arm(false)?;
+    let on = run_arm(true)?;
 
     if off.migrations != 0 {
-        eprintln!("collab_raster: baseline arm migrated — arms are not comparable");
-        std::process::exit(1);
+        return Err("baseline arm migrated — arms are not comparable".to_owned());
     }
     if on.migrations == 0 {
-        eprintln!("collab_raster: controller-on arm committed no migrations");
-        std::process::exit(1);
+        return Err("controller-on arm committed no migrations".to_owned());
     }
     if off.lat_us.is_empty() || on.lat_us.is_empty() {
-        eprintln!("collab_raster: an arm produced no phase-2 access spans");
-        std::process::exit(1);
+        return Err("an arm produced no phase-2 access spans".to_owned());
     }
 
     let improvement = off.mean_us() / on.mean_us();
-    let json = format!(
-        "{{\"workload\":{},\"seed\":{},\"tiles\":{},\"editors_per_island\":{},\
-         \"phase_ops\":{},\"wan_ms\":{},\"off\":{},\"on\":{},\
-         \"improvement_ratio\":{improvement:.3},\"min_improvement_ratio\":{MIN_IMPROVEMENT}}}",
-        json_string("collab-raster"),
-        cfg.seed,
-        cfg.tiles,
-        cfg.editors_per_island,
-        cfg.phase_ops,
-        cfg.wan.as_millis(),
-        off.to_json(),
-        on.to_json(),
-    );
-    if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
-        eprintln!("collab_raster: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-
-    println!(
-        "phase-2 critical paths on collab-raster (seed {}):",
-        cfg.seed
-    );
-    println!(
-        "  controller off  mean {:>10.1} us  p95 {:>8} us  ({} accesses)",
-        off.mean_us(),
-        off.p95_us(),
-        off.lat_us.len()
-    );
-    println!(
-        "  controller on   mean {:>10.1} us  p95 {:>8} us  ({} accesses, {} migrations, {} refused writes)",
-        on.mean_us(),
-        on.p95_us(),
-        on.lat_us.len(),
-        on.migrations,
-        on.refused
-    );
-    println!("  improvement     {improvement:>10.2} x  (gate: >= {MIN_IMPROVEMENT})");
-    println!("  wrote {out_path}");
-
-    if improvement.is_nan() || improvement < MIN_IMPROVEMENT {
-        eprintln!("collab_raster: improvement {improvement:.3}x below the {MIN_IMPROVEMENT}x gate");
-        std::process::exit(1);
-    }
+    let min_improvement = bench.at_least("raster_improvement_ratio", improvement)?;
+    bench
+        .report
+        .text("workload", "collab-raster")
+        .int("seed", cfg.seed)
+        .int("tiles", cfg.tiles)
+        .int("editors_per_island", cfg.editors_per_island as u64)
+        .int("phase_ops", cfg.phase_ops as u64)
+        .int("wan_ms", cfg.wan.as_millis())
+        .raw("off", off.report().to_json())
+        .raw("on", on.report().to_json())
+        .float("improvement_ratio", improvement, 3)
+        .float("min_improvement_ratio", min_improvement, 1);
+    Ok(())
 }

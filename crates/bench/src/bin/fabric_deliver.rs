@@ -1,48 +1,32 @@
 //! Delivery hot-path bench for the `odp-fabric` envelope layer, and
-//! the CI gate on its two acceptance numbers: writes
-//! `BENCH_fabric.json`.
+//! the CI gate on its acceptance number: writes `BENCH_fabric.json`.
 //!
-//! Two measurements, one per claim the fabric makes:
+//! A 32-member group under FIFO/best-effort multicast where the sender
+//! multicasts 4 KiB payloads and every peer engine processes the wire
+//! message. The same loop runs over `GroupEngine<Vec<u8>>` (the
+//! pre-fabric typed baseline, where each per-peer envelope clone
+//! deep-copies the payload) and over `GroupEngine<Payload>` (where a
+//! clone is a reference-count bump), interleaved under the harness
+//! protocol. Both variants must deliver identical counts and byte
+//! checksums — a built-in differential — and the fabric ns/delivery is
+//! gated (`fabric_ns_per_delivery` in `floors.json`: the typed
+//! baseline runs well above it, so the gate trips before the zero-copy
+//! win is lost).
 //!
-//! - **ns/delivery fan-out microbench** — a 32-member group under
-//!   FIFO/best-effort multicast where the sender multicasts 4 KiB
-//!   payloads and every peer engine processes the wire message. The
-//!   same loop runs over `GroupEngine<Vec<u8>>` (the pre-fabric typed
-//!   baseline, where each per-peer envelope clone deep-copies the
-//!   payload) and over `GroupEngine<Payload>` (where a clone is a
-//!   reference-count bump). Both variants must deliver identical
-//!   counts and byte checksums — a built-in differential — and the
-//!   fabric figure is gated against the checked-in floor.
-//!
-//! - **E13 telemetry overhead** — the shared [`cscw_bench::e13`]
-//!   workload, timed instrumented-vs-baseline. The binary `SpanCarrier`
-//!   replaced the old `trace:span:parent:kind` hex-string span
-//!   payloads, which is what brought this from ~9.8 % at the seed to
-//!   under 2 %. Single measurements of a ~2 ms workload are noisy
-//!   (observed spread is a few points either way), so the gate takes
-//!   the *minimum* over several interleaved best-of rounds — upward
-//!   noise cannot produce a false pass on the minimum, only mask a
-//!   real regression behind even more noise, and a real regression
-//!   (like reverting to string spans) shifts every round.
+//! The other claim the fabric makes — binary `SpanCarrier` spans
+//! brought the E13 telemetry overhead from ~9.8 % under 2 % — is
+//! measured and gated by `telemetry_report`.
 //!
 //! ```text
-//! cargo run -p cscw-bench --bin fabric_deliver --release \
-//!     [OUT.json] [--floor FLOOR.json]
+//! cargo run -p cscw-bench --bin fabric_deliver --release [OUT.json]
 //! ```
-//!
-//! With `--floor`, the bench fails (exit 1) if the fabric ns/delivery
-//! rises more than 50 % above the checked-in floor — generous headroom
-//! for shared CI runners; the typed baseline runs ~4x slower, so the
-//! gate still trips well before the zero-copy win is lost. The
-//! telemetry gate (overhead < 2 %) is always on.
 
+use cscw_bench::harness::{self, Bench};
 use odp_fabric::Payload;
 use odp_groupcomm::membership::{GroupId, View};
-use odp_groupcomm::multicast::{GroupEngine, Ordering, Reliability};
+use odp_groupcomm::multicast::{Delivery, GroupEngine, Ordering, Reliability};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-
-use cscw_bench::e13;
 
 /// Group size of the fan-out microbench (1 sender + 31 peers).
 const GROUP: u32 = 32;
@@ -53,30 +37,16 @@ const PAYLOAD_BYTES: usize = 4096;
 const MCASTS: u64 = 1000;
 /// Timed rounds per variant, interleaved; the fastest is reported.
 const ROUNDS: u32 = 7;
-/// Interleaved E13 iterations per overhead round.
-const E13_ITERS: u32 = 20;
-/// Overhead rounds; the minimum across rounds is gated.
-const E13_ROUNDS: u32 = 5;
-/// The telemetry overhead ceiling, in percent.
-const MAX_OVERHEAD_PCT: f64 = 2.0;
-/// How far above the checked-in floor the fabric ns/delivery may
-/// drift before the gate trips.
-const FLOOR_HEADROOM: f64 = 1.5;
-
-/// One timed fan-out round: total wall nanoseconds, deliveries
-/// observed, and a byte checksum proving the variants saw the same
-/// payloads.
-struct FanoutRun {
-    wall_ns: u128,
-    deliveries: u64,
-    checksum: u64,
-}
 
 /// Runs `MCASTS` multicasts from node 0 through a full set of peer
 /// engines, timing the mcast fan-out plus every peer's `on_message`.
-/// `bytes` projects a payload back to its bytes so the checksum (and
-/// thus the loop) stays live under optimization.
-fn fanout_round<P: Clone>(make: &dyn Fn(u64) -> P, bytes: &dyn Fn(&P) -> &[u8]) -> FanoutRun {
+/// Returns the wall nanoseconds and `(deliveries, checksum)`; `bytes`
+/// projects a payload back to its bytes so the checksum (and thus the
+/// loop) stays live under optimization.
+fn fanout_round<P: Clone>(
+    make: &dyn Fn(u64) -> P,
+    bytes: &dyn Fn(&P) -> &[u8],
+) -> (u128, (u64, u64)) {
     let nodes: Vec<NodeId> = (0..GROUP).map(NodeId).collect();
     let view = View::initial(GroupId(0), nodes.iter().copied());
     let mut sender = GroupEngine::new(
@@ -103,32 +73,29 @@ fn fanout_round<P: Clone>(make: &dyn Fn(u64) -> P, bytes: &dyn Fn(&P) -> &[u8]) 
     let mut deliveries = 0u64;
     let mut checksum = 0u64;
     let now = SimTime::ZERO;
-    let start = std::time::Instant::now(); // odp-check: allow(wallclock)
-    while let Some(payload) = payloads.pop() {
-        let step = sender.mcast(payload, now);
-        for d in &step.delivered {
-            deliveries += 1;
-            let b = bytes(&d.payload);
-            checksum = checksum
-                .wrapping_mul(31)
-                .wrapping_add(u64::from(b[0]) ^ b.len() as u64);
-        }
-        for (to, msg) in step.outbound {
-            let got = receivers[to.0 as usize - 1].on_message(NodeId(0), msg, now);
-            for d in &got.delivered {
+    let (wall_ns, ()) = harness::time(|| {
+        let mut fold = |delivered: &[Delivery<P>]| {
+            for d in delivered {
                 deliveries += 1;
                 let b = bytes(&d.payload);
                 checksum = checksum
                     .wrapping_mul(31)
                     .wrapping_add(u64::from(b[0]) ^ b.len() as u64);
             }
+        };
+        while let Some(payload) = payloads.pop() {
+            let step = sender.mcast(payload, now);
+            fold(&step.delivered);
+            for (to, msg) in step.outbound {
+                fold(
+                    &receivers[to.0 as usize - 1]
+                        .on_message(NodeId(0), msg, now)
+                        .delivered,
+                );
+            }
         }
-    }
-    FanoutRun {
-        wall_ns: start.elapsed().as_nanos(),
-        deliveries,
-        checksum,
-    }
+    });
+    (wall_ns, (deliveries, checksum))
 }
 
 /// A deterministic 4 KiB payload for multicast `i`.
@@ -138,140 +105,40 @@ fn payload_bytes(i: u64) -> Vec<u8> {
     v
 }
 
-/// Best-of-`ROUNDS` ns/delivery for both variants, interleaved so
-/// frequency drift hits them equally. Returns `(typed, fabric)` runs.
-fn fanout_best() -> (FanoutRun, FanoutRun) {
-    let typed_round = || fanout_round::<Vec<u8>>(&payload_bytes, &|p| p.as_slice());
-    let fabric_round =
-        || fanout_round::<Payload>(&|i| Payload::from_vec(payload_bytes(i)), &|p| p.as_slice());
-    // Warm-up pages in both code paths.
-    let mut typed = typed_round();
-    let mut fabric = fabric_round();
-    for _ in 0..ROUNDS {
-        let t = typed_round();
-        assert_eq!(t.deliveries, typed.deliveries);
-        assert_eq!(t.checksum, typed.checksum);
-        if t.wall_ns < typed.wall_ns {
-            typed = t;
-        }
-        let f = fabric_round();
-        assert_eq!(f.deliveries, fabric.deliveries);
-        assert_eq!(f.checksum, fabric.checksum);
-        if f.wall_ns < fabric.wall_ns {
-            fabric = f;
-        }
-    }
-    (typed, fabric)
-}
-
-/// Reads `{"ns_per_delivery_floor": N}` from the checked-in floor file
-/// with a no-dependency scan.
-fn read_floor(path: &str) -> f64 {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("fabric_deliver: cannot read floor {path}: {e}"));
-    let key = "\"ns_per_delivery_floor\"";
-    let at = text.find(key).expect("floor key missing") + key.len();
-    let rest = text[at..].trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().expect("floor value unparsable")
-}
-
 fn main() {
-    let mut out_path = "BENCH_fabric.json".to_owned();
-    let mut floor_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--floor" => floor_path = Some(args.next().expect("--floor needs a path")),
-            other => out_path = other.to_owned(),
-        }
-    }
-    let seed = cscw_bench::REPORT_SEED;
+    harness::main("fabric_deliver", "BENCH_fabric.json", run);
+}
 
-    // --- ns/delivery fan-out differential ---------------------------------
-    let (typed, fabric) = fanout_best();
-    assert_eq!(
-        typed.deliveries, fabric.deliveries,
-        "typed and fabric fan-outs must deliver identically"
-    );
-    assert_eq!(
-        typed.checksum, fabric.checksum,
-        "typed and fabric fan-outs must deliver the same bytes"
-    );
-    assert_eq!(typed.deliveries, MCASTS * u64::from(GROUP));
-    let typed_ns = typed.wall_ns as f64 / typed.deliveries as f64;
-    let fabric_ns = fabric.wall_ns as f64 / fabric.deliveries as f64;
-    let speedup = typed_ns / fabric_ns;
-    println!(
-        "fan-out over {GROUP} members, {PAYLOAD_BYTES} B payloads, {MCASTS} mcasts \
-         (best of {ROUNDS}):"
-    );
-    println!("  typed  GroupEngine<Vec<u8>>  {typed_ns:>8.1} ns/delivery");
-    println!("  fabric GroupEngine<Payload>  {fabric_ns:>8.1} ns/delivery  ({speedup:.2}x)");
+fn run(bench: &mut Bench) -> Result<(), String> {
+    let fabric_payload = |i| Payload::from_vec(payload_bytes(i));
+    let mut typed = || Ok(fanout_round::<Vec<u8>>(&payload_bytes, &|p| p.as_slice()));
+    let mut fabric = || Ok(fanout_round::<Payload>(&fabric_payload, &|p| p.as_slice()));
+    let [(typed_round_ns, typed), (fabric_round_ns, fabric)] =
+        harness::interleaved(ROUNDS, [&mut typed, &mut fabric])?;
+    let (deliveries, _) = typed;
+    if typed != fabric || deliveries != MCASTS * u64::from(GROUP) {
+        return Err(format!(
+            "typed and fabric fan-outs must deliver the same payloads and bytes: \
+             (deliveries, checksum) typed {typed:?}, fabric {fabric:?}"
+        ));
+    }
+    let typed_ns = harness::fastest(&typed_round_ns) as f64 / deliveries as f64;
+    let fabric_ns = harness::fastest(&fabric_round_ns) as f64 / deliveries as f64;
 
-    // --- E13 telemetry overhead, min over rounds --------------------------
-    let mut e13_rounds: Vec<f64> = Vec::new();
-    let mut best = f64::INFINITY;
-    let mut best_pair = (0u128, 0u128);
-    for _ in 0..E13_ROUNDS {
-        let (base, instr, _) = e13::measure_overhead(seed, E13_ITERS);
-        let pct = e13::overhead_pct(base, instr);
-        if pct < best {
-            best = pct;
-            best_pair = (base, instr);
-        }
-        e13_rounds.push(pct);
-    }
-    let rounds_str: Vec<String> = e13_rounds.iter().map(|p| format!("{p:.3}")).collect();
-    println!(
-        "telemetry overhead on E13 (seed {seed}, min of {E13_ROUNDS} rounds x best-of-{E13_ITERS}):"
-    );
-    println!("  rounds   [{} ] %", rounds_str.join(", "));
-    println!("  overhead {best:>7.3} %  (gate < {MAX_OVERHEAD_PCT} %)");
-
-    // --- gates -------------------------------------------------------------
-    let mut failed = false;
-    if best >= MAX_OVERHEAD_PCT || best.is_nan() {
-        eprintln!(
-            "fabric_deliver: E13 telemetry overhead {best:.3}% breaches the \
-             {MAX_OVERHEAD_PCT}% ceiling"
-        );
-        failed = true;
-    }
-    if let Some(fp) = &floor_path {
-        let floor = read_floor(fp);
-        if fabric_ns > floor * FLOOR_HEADROOM {
-            eprintln!(
-                "fabric_deliver: {fabric_ns:.1} ns/delivery regressed >{:.0}% above \
-                 floor {floor:.1}",
-                (FLOOR_HEADROOM - 1.0) * 100.0
-            );
-            failed = true;
-        } else {
-            println!("  floor check ok: {fabric_ns:.1} <= {FLOOR_HEADROOM} * {floor:.1}");
-        }
-    }
-
-    let json = format!(
-        "{{\"workload\":\"fabric-deliver\",\"seed\":{seed},\"group\":{GROUP},\
-         \"payload_bytes\":{PAYLOAD_BYTES},\"mcasts\":{MCASTS},\"rounds\":{ROUNDS},\
-         \"deliveries\":{},\"typed_ns_per_delivery\":{typed_ns:.1},\
-         \"fabric_ns_per_delivery\":{fabric_ns:.1},\"speedup\":{speedup:.2},\
-         \"e13_overhead_pct\":{best:.3},\"e13_rounds\":[{}],\
-         \"e13_baseline_ns\":{},\"e13_instrumented_ns\":{}}}",
-        typed.deliveries,
-        rounds_str.join(","),
-        best_pair.0,
-        best_pair.1,
-    );
-    if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
-        eprintln!("fabric_deliver: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("  wrote {out_path}");
-    if failed {
-        std::process::exit(1);
-    }
+    bench
+        .report
+        .text("workload", "fabric-deliver")
+        .int("seed", cscw_bench::REPORT_SEED)
+        .int("group", GROUP)
+        .int("payload_bytes", PAYLOAD_BYTES as u64)
+        .int("mcasts", MCASTS)
+        .int("rounds", ROUNDS)
+        .int("deliveries", deliveries)
+        .timing("typed_round_ns", &typed_round_ns)
+        .timing("fabric_round_ns", &fabric_round_ns)
+        .float("typed_ns_per_delivery", typed_ns, 1)
+        .float("fabric_ns_per_delivery", fabric_ns, 1)
+        .float("speedup", typed_ns / fabric_ns, 2);
+    bench.at_most("fabric_ns_per_delivery", fabric_ns)?;
+    Ok(())
 }

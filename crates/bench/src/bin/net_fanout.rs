@@ -5,18 +5,19 @@
 //!
 //! - **sim** — the deterministic simulator over the E13 15 ms WAN; the
 //!   figure is the wall-clock cost of executing the whole scenario to
-//!   quiescence (fastest of several runs);
+//!   quiescence (the shared [`cscw_bench::e13::bus_fanout_sim`]);
 //! - **tcp** — real loopback sockets via [`TcpNode`]; the figure is
 //!   the *convergence window*, first `aware.publish` to last
 //!   `aware.deliver` across the fleet (node clocks all start at spawn,
-//!   so cross-node skew is bounded by spawn spread), fastest of
-//!   several runs.
+//!   so cross-node skew is bounded by spawn spread).
+//!
+//! Both run under the harness protocol, fastest round reported.
 //!
 //! The two numbers measure different things — a simulated WAN executed
 //! as fast as the CPU allows versus real frames crossing real sockets —
 //! so both are reported raw, never as a ratio. The bench *audits* that
 //! both backends converge to the identical delivered census and that
-//! the TCP sessions saw no sequence gaps, and fails hard otherwise.
+//! the TCP sessions saw no sequence gaps, and fails otherwise.
 //!
 //! ```text
 //! cargo run -p cscw-bench --bin net_fanout --release [OUT.json]
@@ -25,126 +26,49 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 
-use odp_awareness::bus::{CoopEvent, CoopKind, EventBus};
+use cscw_bench::e13::{self, WRITES_EACH};
+use cscw_bench::harness::{self, Bench};
 use odp_awareness::dist::{BusActor, BusWire};
-use odp_awareness::events::ActivityKind;
 use odp_fabric::SpanOp;
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::GcMsg;
 use odp_net::tcp::{TcpConfig, TcpHandle, TcpNode};
-use odp_sim::net::{LinkSpec, Network, NodeId};
-use odp_sim::prelude::{ActorHandle, Sim, SimBuilder, Until};
-use odp_sim::time::{SimDuration, SimTime};
+use odp_sim::net::NodeId;
+use odp_sim::time::SimTime;
 
 /// Fleet size (kept below E13's 8 so the TCP mesh — one socket pair
 /// per node pair — stays cheap on CI runners).
 const NODES: u32 = 4;
-/// Broadcast edits published per replica.
-const WRITES_EACH: u32 = 4;
-/// The shared artefact every edit concerns.
-const ARTEFACT: &str = "doc/plan";
-/// Timed sim iterations; the fastest is reported.
+/// Timed sim rounds; the fastest is reported.
 const SIM_ITERS: u32 = 20;
-/// Timed TCP iterations; the fastest is reported.
+/// Timed TCP rounds; the fastest is reported.
 const TCP_ITERS: u32 = 3;
 
-fn view() -> View {
-    View::initial(GroupId(0), (0..NODES).map(NodeId))
-}
-
-fn open_bus() -> EventBus {
-    let mut bus = EventBus::new();
+/// Runs the TCP variant once; returns the convergence window in ns and
+/// `(total deliveries, total sequence gaps)`.
+fn run_tcp_once(seed: u64) -> Result<(u128, (u64, u64)), String> {
+    let mut nodes = Vec::new();
+    let mut addrs: BTreeMap<NodeId, SocketAddr> = BTreeMap::new();
     for i in 0..NODES {
-        bus.register(NodeId(i), 0.0);
+        let cfg = TcpConfig {
+            seed,
+            ..TcpConfig::default()
+        };
+        let node = TcpNode::bind(NodeId(i), cfg)
+            .map_err(|e| format!("cannot bind loopback node {i}: {e}"))?;
+        let addr = node
+            .local_addr()
+            .map_err(|e| format!("no local addr: {e}"))?;
+        addrs.insert(NodeId(i), addr);
+        nodes.push(node);
     }
-    bus
-}
-
-fn edit(publisher: u32, write: u32) -> BusWire {
-    BusWire::new(CoopEvent::broadcast(
-        NodeId(publisher),
-        ARTEFACT,
-        SimTime::from_millis(u64::from(write)),
-        CoopKind::Activity(ActivityKind::Edit),
-    ))
-}
-
-/// Every replica must surface exactly the other replicas' writes.
-fn expected_deliveries() -> u64 {
-    u64::from(NODES) * u64::from(NODES - 1) * u64::from(WRITES_EACH)
-}
-
-// ------------------------------------------------------------------- sim
-
-/// Runs the sim variant once; returns wall ns and total deliveries.
-fn run_sim_once(seed: u64) -> (u128, u64) {
-    let link = LinkSpec::wan(SimDuration::from_millis(15));
-    let mut net = Network::new(link);
-    net.set_default_link(link);
-    let mut sim: Sim<GcMsg<BusWire>> = SimBuilder::new(seed).network(net).build();
-    for i in 0..NODES {
-        sim.add_actor(NodeId(i), BusActor::new(NodeId(i), view(), open_bus()));
-    }
-    for i in 0..NODES {
-        for w in 0..WRITES_EACH {
-            sim.inject(
-                SimTime::from_millis(10 + u64::from(w) * 50),
-                NodeId(i),
-                NodeId(i),
-                GcMsg::AppCmd(edit(i, w)),
-            );
-        }
-    }
-    let start = std::time::Instant::now(); // odp-check: allow(wallclock)
-    sim.run(Until::For(SimDuration::from_secs(30)));
-    let ns = start.elapsed().as_nanos();
-    let delivered: u64 = (0..NODES)
-        .map(|i| {
-            let actor: &BusActor = sim.get(ActorHandle::of(NodeId(i))).expect("replica exists");
-            actor.delivered().len() as u64
-        })
-        .sum();
-    (ns, delivered)
-}
-
-// ------------------------------------------------------------------- tcp
-
-/// Runs the TCP variant once; returns the convergence window in ns,
-/// total deliveries, and total sequence gaps.
-fn run_tcp_once(seed: u64) -> (u128, u64, u64) {
-    let mut nodes: Vec<TcpNode> = (0..NODES)
-        .map(|i| {
-            let cfg = TcpConfig {
-                seed,
-                ..TcpConfig::default()
-            };
-            TcpNode::bind(NodeId(i), cfg).unwrap_or_else(|e| {
-                eprintln!("net_fanout: cannot bind loopback node {i}: {e}");
-                std::process::exit(1);
-            })
-        })
-        .collect();
-    let addrs: BTreeMap<NodeId, SocketAddr> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| {
-            (
-                NodeId(i as u32),
-                n.local_addr().unwrap_or_else(|e| {
-                    eprintln!("net_fanout: no local addr: {e}");
-                    std::process::exit(1);
-                }),
-            )
-        })
-        .collect();
-    for node in &mut nodes {
-        node.set_peers(addrs.clone());
-    }
+    let view = View::initial(GroupId(0), (0..NODES).map(NodeId));
     let handles: Vec<TcpHandle<BusActor, GcMsg<BusWire>>> = nodes
         .into_iter()
         .enumerate()
-        .map(|(i, node)| {
-            let mut actor = BusActor::new(NodeId(i as u32), view(), open_bus());
+        .map(|(i, mut node)| {
+            node.set_peers(addrs.clone());
+            let mut actor = BusActor::new(NodeId(i as u32), view.clone(), e13::bus(NODES, None));
             actor.set_telemetry(true); // deliver spans carry the timestamps
             node.spawn(actor)
         })
@@ -152,7 +76,8 @@ fn run_tcp_once(seed: u64) -> (u128, u64, u64) {
     std::thread::sleep(std::time::Duration::from_millis(250)); // mesh up
     for (i, handle) in handles.iter().enumerate() {
         for w in 0..WRITES_EACH {
-            handle.inject(NodeId(i as u32), GcMsg::AppCmd(edit(i as u32, w)));
+            let stamp = SimTime::from_millis(u64::from(w));
+            handle.inject(NodeId(i as u32), GcMsg::AppCmd(e13::edit(i as u32, stamp)));
         }
     }
     std::thread::sleep(std::time::Duration::from_millis(1200)); // converge
@@ -161,13 +86,9 @@ fn run_tcp_once(seed: u64) -> (u128, u64, u64) {
     let mut delivered = 0u64;
     let mut gaps = 0u64;
     for handle in handles {
-        let (actor, report) = match handle.stop() {
-            Ok(fin) => fin,
-            Err(e) => {
-                eprintln!("net_fanout: node failed to stop: {e}");
-                std::process::exit(1);
-            }
-        };
+        let (actor, report) = handle
+            .stop()
+            .map_err(|e| format!("node failed to stop: {e}"))?;
         delivered += actor.delivered().len() as u64;
         gaps += report.stats.gaps;
         let log = report.trace.spans();
@@ -182,71 +103,52 @@ fn run_tcp_once(seed: u64) -> (u128, u64, u64) {
             }
         }
     }
-    let window_ns = if first_publish == u64::MAX || last_deliver <= first_publish {
-        0
-    } else {
-        u128::from(last_deliver - first_publish) * 1_000
-    };
-    (window_ns, delivered, gaps)
+    if first_publish == u64::MAX || last_deliver <= first_publish {
+        return Err("tcp run opened no publish-to-deliver window".to_owned());
+    }
+    let window_ns = u128::from(last_deliver - first_publish) * 1_000;
+    Ok((window_ns, (delivered, gaps)))
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_net.json".to_owned());
+    harness::main("net_fanout", "BENCH_net.json", run);
+}
+
+fn run(bench: &mut Bench) -> Result<(), String> {
     let seed = cscw_bench::REPORT_SEED;
-    let expected = expected_deliveries();
+    // Every replica must surface exactly the other replicas' writes.
+    let expected = u64::from(NODES) * u64::from(NODES - 1) * u64::from(WRITES_EACH);
 
-    // Sim: warm-up, then fastest-of.
-    let (_, sim_delivered) = run_sim_once(seed);
-    let mut sim_ns = u128::MAX;
-    for _ in 0..SIM_ITERS {
-        sim_ns = sim_ns.min(run_sim_once(seed).0);
+    let (sim_ns, sim_delivered) = harness::best_of(SIM_ITERS, &mut || {
+        let built = e13::bus_fanout_sim(seed, NODES, || e13::bus(NODES, None), false);
+        let (ns, done) = e13::run_timed(built);
+        Ok((ns, e13::fanout_census(&done, NODES).0))
+    })?;
+    let (tcp_ns, (tcp_delivered, tcp_gaps)) =
+        harness::best_of(TCP_ITERS, &mut || run_tcp_once(seed))?;
+    // The harness held every round to its warm-up's census, so this
+    // check covers every run: both backends converged, gap-free.
+    if sim_delivered != expected || (tcp_delivered, tcp_gaps) != (expected, 0) {
+        return Err(format!(
+            "did not converge cleanly: expected {expected} deliveries, sim {sim_delivered}, \
+             tcp {tcp_delivered} with {tcp_gaps} gaps"
+        ));
     }
+    let tcp_msgs_per_sec = tcp_delivered as f64 / (harness::fastest(&tcp_ns) as f64 / 1e9);
 
-    // TCP loopback: fastest convergence window; every run must both
-    // converge and stay gap-free.
-    let mut tcp_ns = u128::MAX;
-    let mut tcp_delivered = 0u64;
-    for _ in 0..TCP_ITERS {
-        let (window_ns, delivered, gaps) = run_tcp_once(seed);
-        if delivered != expected || gaps != 0 || window_ns == 0 {
-            eprintln!(
-                "net_fanout: tcp run did not converge cleanly: \
-                 {delivered}/{expected} deliveries, {gaps} gaps, {window_ns} ns window"
-            );
-            std::process::exit(1);
-        }
-        tcp_ns = tcp_ns.min(window_ns);
-        tcp_delivered = delivered;
-    }
-    if sim_delivered != expected {
-        eprintln!("net_fanout: sim delivered {sim_delivered}, expected {expected}");
-        std::process::exit(1);
-    }
-
-    let tcp_throughput = tcp_delivered as f64 / (tcp_ns as f64 / 1e9);
-    let json = format!(
-        "{{\"workload\":{},\"nodes\":{NODES},\"writes_each\":{WRITES_EACH},\
-         \"expected_deliveries\":{expected},\
-         \"sim_iters\":{SIM_ITERS},\"tcp_iters\":{TCP_ITERS},\
-         \"sim_scenario_ns\":{sim_ns},\"sim_deliveries\":{sim_delivered},\
-         \"tcp_convergence_ns\":{tcp_ns},\"tcp_deliveries\":{tcp_delivered},\
-         \"tcp_msgs_per_sec\":{tcp_throughput:.1},\"tcp_gaps\":0}}",
-        odp_telemetry::report::json_string("e13-net-fanout"),
-    );
-    if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
-        eprintln!("net_fanout: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-
-    println!("awareness fan-out across backends (seed {seed}):");
-    println!(
-        "  sim   {sim_ns:>12} ns scenario      {sim_delivered} deliveries (best of {SIM_ITERS})"
-    );
-    println!(
-        "  tcp   {tcp_ns:>12} ns convergence   {tcp_delivered} deliveries, \
-         {tcp_throughput:.0} msg/s (best of {TCP_ITERS})"
-    );
-    println!("  wrote {out_path}");
+    bench
+        .report
+        .text("workload", "e13-net-fanout")
+        .int("nodes", NODES)
+        .int("writes_each", WRITES_EACH)
+        .int("expected_deliveries", expected)
+        .int("sim_iters", SIM_ITERS)
+        .int("tcp_iters", TCP_ITERS)
+        .timing("sim_scenario_ns", &sim_ns)
+        .int("sim_deliveries", sim_delivered)
+        .timing("tcp_convergence_ns", &tcp_ns)
+        .int("tcp_deliveries", tcp_delivered)
+        .float("tcp_msgs_per_sec", tcp_msgs_per_sec, 1)
+        .int("tcp_gaps", tcp_gaps);
+    Ok(())
 }

@@ -1,31 +1,60 @@
-//! The E13 replicated-workspace workload, shared by the
-//! `telemetry_report` and `fabric_deliver` binaries.
+//! The E13-shaped workloads the measuring bins share: a group of
+//! replicas over the 15 ms WAN, each submitting [`WRITES_EACH`]
+//! multicasts, quiescent well inside 30 simulated seconds.
 //!
-//! E13's largest configuration: 8 replicas of a shared workspace over
-//! the 15 ms WAN, each submitting 4 totally-ordered edits. The same
-//! seeded sim is built with span telemetry either off (the baseline)
-//! or on at every replica, so the two variants differ *only* in the
-//! instrumentation — timing them against each other isolates the
-//! telemetry overhead.
+//! - [`e13_sim`] — E13's largest configuration: 8 replicas of a shared
+//!   workspace, 4 totally-ordered edits each. Its two variants differ
+//!   *only* in the span instrumentation, so timing them against each
+//!   other isolates the telemetry overhead (`telemetry_report`).
+//! - [`bus_fanout_sim`] — the same shape with [`BusActor`] replicas
+//!   publishing broadcast edits (`awareness_fanout`, `net_fanout`).
 
-use odp_access::matrix::Subject;
-use odp_access::rbac::{Effect, RoleId};
-use odp_access::rights::Rights;
+use std::any::Any;
 
 use cscw_core::replicated::{replica_actor, WsOp};
 use cscw_core::workspace::{ObjectId, SharedWorkspace};
-
+use odp_access::matrix::Subject;
+use odp_access::rbac::{Effect, RbacPolicy, RoleId};
+use odp_access::rights::Rights;
+use odp_awareness::bus::{CoopEvent, CoopKind, EventBus};
+use odp_awareness::dist::{BusActor, BusWire};
+use odp_awareness::events::ActivityKind;
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::GcMsg;
+use odp_sim::actor::Actor;
 use odp_sim::net::{LinkSpec, Network, NodeId};
-use odp_sim::prelude::{Sim, SimBuilder, Until};
+use odp_sim::prelude::{ActorHandle, Sim, SimBuilder, Until};
 use odp_sim::time::{SimDuration, SimTime};
 
 /// E13's largest group size.
 pub const REPLICAS: u32 = 8;
-
-/// Concurrent edits submitted per replica.
+/// Concurrent multicasts submitted per replica.
 pub const WRITES_EACH: u32 = 4;
+
+/// The shared skeleton: `nodes` actors on one view over the 15 ms WAN,
+/// each sent `WRITES_EACH` commands at 50 ms intervals from 10 ms.
+fn wan_group_sim<P: 'static, A: Actor<GcMsg<P>> + Any>(
+    seed: u64,
+    nodes: u32,
+    mut actor: impl FnMut(NodeId, View) -> A,
+    command: impl Fn(u32, u32, SimTime) -> P,
+) -> Sim<GcMsg<P>> {
+    let view = View::initial(GroupId(0), (0..nodes).map(NodeId));
+    let link = LinkSpec::wan(SimDuration::from_millis(15));
+    let mut net = Network::new(link);
+    net.set_default_link(link);
+    let mut sim: Sim<GcMsg<P>> = SimBuilder::new(seed).network(net).build();
+    for i in 0..nodes {
+        sim.add_actor(NodeId(i), actor(NodeId(i), view.clone()));
+    }
+    for i in 0..nodes {
+        for w in 0..WRITES_EACH {
+            let at = SimTime::from_millis(10 + u64::from(w) * 50);
+            sim.inject(at, NodeId(i), NodeId(i), GcMsg::AppCmd(command(i, w, at)));
+        }
+    }
+    sim
+}
 
 fn configured_workspace(n: u32) -> SharedWorkspace {
     let mut ws = SharedWorkspace::new();
@@ -42,73 +71,106 @@ fn configured_workspace(n: u32) -> SharedWorkspace {
 /// The E13 replicated-workspace sim, with span telemetry toggled on
 /// every replica's group actor.
 pub fn e13_sim(seed: u64, telemetry: bool) -> Sim<GcMsg<WsOp>> {
-    let view = View::initial(GroupId(0), (0..REPLICAS).map(NodeId));
-    let link = LinkSpec::wan(SimDuration::from_millis(15));
-    let mut net = Network::new(link);
-    net.set_default_link(link);
-    let mut sim: Sim<GcMsg<WsOp>> = SimBuilder::new(seed).network(net).build();
-    for i in 0..REPLICAS {
-        let mut replica = replica_actor(NodeId(i), view.clone(), configured_workspace(REPLICAS));
-        replica.set_telemetry(telemetry);
-        sim.add_actor(NodeId(i), replica);
-    }
-    for i in 0..REPLICAS {
-        for w in 0..WRITES_EACH {
-            sim.inject(
-                SimTime::from_millis(10 + w as u64 * 50),
-                NodeId(i),
-                NodeId(i),
-                GcMsg::AppCmd(WsOp {
-                    actor: i,
-                    object: 1,
-                    value: format!("edit-{i}-{w}"),
-                }),
-            );
+    wan_group_sim(
+        seed,
+        REPLICAS,
+        |me, view| {
+            let mut replica = replica_actor(me, view, configured_workspace(REPLICAS));
+            replica.set_telemetry(telemetry);
+            replica
+        },
+        |i, w, _| WsOp {
+            actor: i,
+            object: 1,
+            value: format!("edit-{i}-{w}"),
+        },
+    )
+}
+
+/// A bus with `nodes` observers registered. Without `readers` it is
+/// open (no policy, gate disarmed): every observer hears every event.
+/// With it, only nodes `0..readers` hold read rights on `doc/*`; the
+/// rest are suppressed, and counted.
+pub fn bus(nodes: u32, readers: Option<u32>) -> EventBus {
+    let mut bus = EventBus::new();
+    if let Some(readers) = readers {
+        let mut policy = RbacPolicy::new();
+        policy.add_rule(RoleId(1), "doc".into(), Rights::READ, Effect::Allow);
+        for i in 0..readers {
+            policy.assign(Subject(i), RoleId(1));
         }
+        bus.set_policy(policy);
     }
-    sim
-}
-
-/// Runs one variant once; returns the wall-clock nanoseconds of the
-/// run and the finished sim (whose trace holds the spans when
-/// `telemetry` is on).
-pub fn run_once(seed: u64, telemetry: bool) -> (u128, Sim<GcMsg<WsOp>>) {
-    let mut sim = e13_sim(seed, telemetry);
-    let start = std::time::Instant::now(); // odp-check: allow(wallclock)
-    sim.run(Until::For(SimDuration::from_secs(30)));
-    (start.elapsed().as_nanos(), sim)
-}
-
-/// One interleaved overhead measurement: `iters` timed pairs
-/// (telemetry off, telemetry on) with each variant's fastest run kept,
-/// so frequency drift hits both variants equally and scheduler noise
-/// is filtered by the min. Returns `(baseline_ns, instrumented_ns,
-/// instrumented sim)` — the sim is the fastest instrumented run, ready
-/// for span auditing.
-pub fn measure_overhead(seed: u64, iters: u32) -> (u128, u128, Sim<GcMsg<WsOp>>) {
-    // Warm-up round pages in code and allocator arenas.
-    let (_, _) = run_once(seed, false);
-    let (_, mut sim) = run_once(seed, true);
-    let mut baseline_ns = u128::MAX;
-    let mut instrumented_ns = u128::MAX;
-    for _ in 0..iters {
-        let (off_ns, _) = run_once(seed, false);
-        baseline_ns = baseline_ns.min(off_ns);
-        let (on_ns, on_sim) = run_once(seed, true);
-        if on_ns < instrumented_ns {
-            instrumented_ns = on_ns;
-            sim = on_sim;
-        }
+    for i in 0..nodes {
+        bus.register(NodeId(i), 0.0);
     }
-    (baseline_ns, instrumented_ns, sim)
+    bus
 }
 
-/// The overhead percentage implied by a `(baseline, instrumented)`
-/// pair.
-pub fn overhead_pct(baseline_ns: u128, instrumented_ns: u128) -> f64 {
-    if baseline_ns > 0 {
-        (instrumented_ns as f64 - baseline_ns as f64) / baseline_ns as f64 * 100.0
-    } else {
-        f64::NAN
+/// A broadcast edit of the shared `doc/plan` by `publisher`, stamped `at`.
+pub fn edit(publisher: u32, at: SimTime) -> BusWire {
+    BusWire::new(CoopEvent::broadcast(
+        NodeId(publisher),
+        "doc/plan",
+        at,
+        CoopKind::Activity(ActivityKind::Edit),
+    ))
+}
+
+/// The bus fan-out sim: `nodes` [`BusActor`] replicas, each holding a
+/// bus from `make_bus` and publishing `WRITES_EACH` broadcast edits.
+pub fn bus_fanout_sim(
+    seed: u64,
+    nodes: u32,
+    make_bus: impl Fn() -> EventBus,
+    telemetry: bool,
+) -> Sim<GcMsg<BusWire>> {
+    wan_group_sim(
+        seed,
+        nodes,
+        |me, view| {
+            let mut actor = BusActor::new(me, view, make_bus());
+            actor.set_telemetry(telemetry);
+            actor
+        },
+        |i, _, at| edit(i, at),
+    )
+}
+
+/// Deliveries surfaced across `nodes` bus replicas, and the total
+/// publications the rights gate suppressed.
+pub fn fanout_census(sim: &Sim<GcMsg<BusWire>>, nodes: u32) -> (u64, u64) {
+    let mut delivered = 0u64;
+    let mut suppressed = 0u64;
+    for i in 0..nodes {
+        let actor: &BusActor = sim
+            .get(ActorHandle::of(NodeId(i)))
+            .expect("bus replica exists");
+        delivered += actor.delivered().len() as u64;
+        suppressed += actor.bus().suppressed_by_rights();
+    }
+    (delivered, suppressed)
+}
+
+/// Runs either workload's 30 simulated seconds under the harness
+/// clock; returns the wall-clock nanoseconds and the finished sim.
+pub fn run_timed<M: 'static>(mut sim: Sim<M>) -> (u128, Sim<M>) {
+    let (ns, _) = crate::harness::time(|| sim.run(Until::For(SimDuration::from_secs(30))));
+    (ns, sim)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bus_fanout_reproduces_the_censuses_recorded_before_the_bins_shared_it() {
+        let seed = crate::REPORT_SEED;
+        let (_, gated) = run_timed(bus_fanout_sim(seed, 8, || bus(8, Some(6)), false));
+        assert_eq!(fanout_census(&gated, 8), (168, 56));
+        let (_, direct) = run_timed(bus_fanout_sim(seed, 8, || bus(8, None), false));
+        assert_eq!(fanout_census(&direct, 8), (224, 0));
+        let (_, open) = run_timed(bus_fanout_sim(seed, 4, || bus(4, None), true));
+        assert_eq!(fanout_census(&open, 4), (48, 0));
     }
 }

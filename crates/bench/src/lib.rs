@@ -1,17 +1,26 @@
 #![warn(missing_docs)]
 
-//! # cscw-bench — the benchmark harness
+//! # cscw-bench — the measuring side of the workspace
 //!
-//! One Criterion bench per derived experiment (`benches/experiments.rs`),
-//! micro-benchmarks of the hot primitives (`benches/primitives.rs`), and
-//! the `report` binary that regenerates every table for EXPERIMENTS.md:
+//! All on the fixed [`REPORT_SEED`]: the `report` binary regenerates
+//! every derived-experiment table for EXPERIMENTS.md, `benches/` holds
+//! the Criterion-style micro-benches, and six **measuring bins** each
+//! write one `BENCH_*.json` and gate CI — `campus_rush_hour` (scheduler
+//! scale), `fabric_deliver` (zero-copy fan-out), `telemetry_report`
+//! (span overhead on E13), `awareness_fanout` (rights-gated bus),
+//! `net_fanout` (sim vs TCP loopback), `collab_raster` (placement
+//! controller off vs on). All six sit on [`harness`]: one timing
+//! protocol, one JSON report writer, one gate (thresholds in
+//! `crates/bench/floors.json`), one exit. [`e13`] holds the workloads
+//! more than one bin runs.
 //!
 //! ```text
 //! cargo run -p cscw-bench --bin report --release
-//! cargo bench -p cscw-bench
+//! cargo run -p cscw-bench --bin telemetry_report --release [OUT.json]
 //! ```
 
 pub mod e13;
+pub mod harness;
 
 /// The default seed used by the report binary and benches, so published
 /// numbers are reproducible.

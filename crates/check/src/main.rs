@@ -375,11 +375,6 @@ fn find_check(name: &str) -> Option<&'static Check> {
     CHECKS.iter().find(|c| c.name == name)
 }
 
-/// Minimal JSON string escaping for the stats artifact.
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn stats_json(seed: u64, kind: BudgetKind, rows: &[(&'static str, Report)]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -389,7 +384,7 @@ fn stats_json(seed: u64, kind: BudgetKind, rows: &[(&'static str, Report)]) -> S
     out.push_str("  \"checks\": [\n");
     for (i, (name, report)) in rows.iter().enumerate() {
         let violation = match &report.violation {
-            Some(cx) => format!("\"{}\"", json_escape(&cx.trace())),
+            Some(cx) => odp_telemetry::report::json_string(&cx.trace()),
             None => "null".to_owned(),
         };
         out.push_str(&format!(
