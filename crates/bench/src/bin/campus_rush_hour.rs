@@ -17,23 +17,25 @@
 //!   failure-detector churn of an awareness service;
 //! - **shared-workspace write with a pre-armed retry ladder** — append
 //!   to the domain's active document with `RETRIES` retransmit timers
-//!   scheduled up front; the ack cancels the whole ladder, so the
-//!   scheduler reaps them as cancelled pops;
+//!   scheduled up front; the ack cancels the whole ladder, and the
+//!   scheduler unlinks each rung from its queue on the spot;
 //! - **trader lookup** — resolve a service offer, every third slot,
 //!   some federated to a remote domain.
 //!
-//! The cancel-heavy mix is deliberate: it drives the pending set to
-//! millions of entries and makes the *scheduler* — not actor dispatch —
-//! the bottleneck, which is exactly the regime the calendar queue
-//! exists for.
+//! The cancel-heavy mix is deliberate: millions of timers are armed,
+//! 97 % of them are cancelled, and the *scheduler* — not actor dispatch
+//! — is the bottleneck, which is exactly the regime the calendar queue
+//! and its O(1) cancel exist for.
 //!
 //! The bench climbs an agent-count ladder, reporting wall-clock
 //! events/sec and peak queue depth per rung. The run is deterministic,
 //! so the acceptance rung must process exactly [`ACCEPTANCE_EVENTS`]
 //! events — the count the `BTreeMap` engine this one replaced also
-//! processed; DESIGN.md §10 carries that engine's measured throughput
-//! (the calendar queue cleared the rush ~1.8x faster) and the component
-//! breakdown.
+//! processed — and its queue must never be deeper than
+//! [`ACCEPTANCE_PEAK_PENDING`], the live events of the busiest instant:
+//! a cancelled timer that lingers in the queue shows up there as a
+//! count, not as a timing. DESIGN.md §10 carries the engines' measured
+//! throughput and the component breakdown.
 //!
 //! ```text
 //! cargo run -p cscw-bench --bin campus_rush_hour --release [OUT.json] [--quick]
@@ -78,7 +80,38 @@ const ACCEPTANCE_AGENTS: u32 = 20_000;
 /// Events the acceptance rung processes under [`cscw_bench::REPORT_SEED`]:
 /// the count both engines reported at commit 632eeb9, the last one that
 /// replayed the rung on the `BTreeMap` engine and asserted the two equal.
+///
+/// LAN loss is zero, so the count follows from the parameters. An event
+/// is a start, a delivery, or an armed timer — counted once, when it
+/// fires or at the moment it is cancelled
+/// (`Sim::events_dispatched` + `Sim::timers_reaped`):
+///
+/// * starts: one per actor, `20 000 + 2 * DOMAINS` = 20 008;
+/// * deliveries, per agent: `AGENDA` slots of `FANOUT` presence notes,
+///   one write and its ack, plus a lookup and its answer on the 4 slots
+///   divisible by `LOOKUP_EVERY` — `12 * 4 + 4 * 2` = 56, so 1 120 000;
+/// * timers armed, per agent: `AGENDA` slots, `AGENDA * RETRIES` ladder
+///   rungs and one lease per presence note heard (`AGENDA * FANOUT`) —
+///   `12 + 384 + 24` = 420, so 8 400 000. Of each 420, 14 fire (the 12
+///   slots and the last lease per watched colleague) and 406 are
+///   cancelled.
 const ACCEPTANCE_EVENTS: u64 = 9_540_008;
+/// The deepest the acceptance rung's queue ever is: `47 * 20 000`.
+///
+/// Every agent's slot `k` (of `1..=AGENDA`) fires at the same instant,
+/// `k` minutes in, before anything those slots send is delivered. When
+/// the last agent's slot has run, each agent has queued: the agenda
+/// slots it has left (`AGENDA - k`), one lease per watched colleague
+/// once it has heard from them (`FANOUT` from `k = 2`, re-armed in
+/// place ever after), this minute-mark's retry ladder (`RETRIES`), its
+/// messages in flight (`FANOUT` presence notes and the write) and, on a
+/// lookup slot (`k = 1, 4, 7, 10`), the lookup. That is `11 + 0 + 32 +
+/// 3 + 1` at the first mark and `10 + 2 + 32 + 3 + 0` at the second,
+/// 47 either way, and less from then on; the acks then cancel the
+/// ladders, which leave the queue at once. (While cancelled timers
+/// waited in the queue to be popped, this peak was 6 610 340.)
+const ACCEPTANCE_PEAK_PENDING: u64 =
+    ACCEPTANCE_AGENTS as u64 * ((AGENDA - 1) + RETRIES as u64 + (FANOUT as u64 + 1) + 1);
 
 /// Wire protocol of the campus infrastructure.
 #[derive(Debug, Clone)]
@@ -423,6 +456,13 @@ fn run(bench: &mut Bench) -> Result<(), String> {
             "acceptance rung processed {} events, the recorded run {ACCEPTANCE_EVENTS} — \
              determinism broken",
             accepted.events
+        ));
+    }
+    if accepted.peak_pending != ACCEPTANCE_PEAK_PENDING {
+        return Err(format!(
+            "acceptance rung's queue peaked at {} events, its live set at the busiest instant \
+             is {ACCEPTANCE_PEAK_PENDING} — cancelled timers are piling up in the queue",
+            accepted.peak_pending
         ));
     }
 

@@ -23,7 +23,7 @@
 //! the session stats prove no sequence gaps and exactly-once
 //! forwarding.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
@@ -80,6 +80,10 @@ pub struct TcpReport {
     pub trace: Trace,
     /// Session-layer counters: gaps, duplicates, forwards.
     pub stats: SessionStats,
+    /// Actor timers still armed when the node stopped. A cancelled
+    /// timer leaves the driver's wheel at its cancellation, so it is
+    /// not among them.
+    pub timers_armed: usize,
 }
 
 /// Wall-clock readings mapped onto the `SimTime` scale (µs since node
@@ -298,7 +302,10 @@ struct Driver<M, A> {
     writers: BTreeMap<NodeId, TcpStream>,
     /// `(due, timer id) -> tag`, driving `on_timer`.
     timers: BTreeMap<(SimTime, u64), u64>,
-    cancelled: BTreeSet<u64>,
+    /// `timer id -> due` for every entry of `timers`, so a cancel can
+    /// find and remove its entry; a fired or cancelled id is in
+    /// neither map.
+    due_of: BTreeMap<u64, SimTime>,
     next_timer_id: u64,
     tx: Sender<Input<M>>,
     stop: Arc<AtomicBool>,
@@ -326,7 +333,7 @@ where
             trace: Trace::new(),
             writers: BTreeMap::new(),
             timers: BTreeMap::new(),
-            cancelled: BTreeSet::new(),
+            due_of: BTreeMap::new(),
             next_timer_id: 0,
             tx,
             stop: Arc::clone(&stop),
@@ -401,9 +408,13 @@ where
         }
         for (id, delay, tag) in effects.set_timers {
             self.timers.insert((now + delay, id), tag);
+            self.due_of.insert(id, now + delay);
         }
         for id in effects.cancels {
-            self.cancelled.insert(id);
+            // Fired, cancelled before, or never armed: nothing to do.
+            if let Some(due) = self.due_of.remove(&id) {
+                self.timers.remove(&(due, id));
+            }
         }
         for (to, msg) in effects.sends {
             let now = self.clock.now();
@@ -471,9 +482,7 @@ where
                 return;
             }
             self.timers.remove(&(due, id));
-            if self.cancelled.remove(&id) {
-                continue;
-            }
+            self.due_of.remove(&id);
             self.dispatch(|actor, ctx| actor.on_timer(ctx, TimerId::from_raw(id), tag));
         }
     }
@@ -536,6 +545,7 @@ where
             metrics: self.metrics,
             trace: self.trace,
             stats: self.session.stats(),
+            timers_armed: self.timers.len(),
         };
         (self.actor, report)
     }

@@ -140,8 +140,9 @@ impl<'a, M> Ctx<'a, M> {
         id
     }
 
-    /// Cancels a pending timer; firing of an already-cancelled or already-
-    /// fired timer is silently suppressed.
+    /// Cancels a pending timer: it leaves the event queue as soon as
+    /// this callback returns, and will not fire. Cancelling a timer
+    /// that already fired or was already cancelled does nothing.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.effects.push(Effect::CancelTimer(id));
     }

@@ -16,7 +16,7 @@ use std::marker::PhantomData;
 use crate::actor::{Actor, Ctx, Effect, TimerId};
 use crate::metrics::MetricsRegistry;
 use crate::net::{DropReason, Network, NodeId, Verdict};
-use crate::queue::{CalendarQueue, EvMeta, QueueEntry};
+use crate::queue::{CalendarQueue, EvMeta, Handle, QueueEntry};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
@@ -93,7 +93,8 @@ pub enum PendingEvent {
         /// The event's queue identity (unique within a run).
         seq: u64,
     },
-    /// A timer is armed on `node` (possibly already cancelled).
+    /// A timer is armed on `node`. A cancelled timer leaves the queue at
+    /// its cancellation, so it is never listed.
     Timer {
         /// The node whose timer it is.
         node: NodeId,
@@ -358,10 +359,11 @@ impl SimBuilder {
             hot: HotCounters::default(),
             hot_flushed: HotCounters::default(),
             scratch: Vec::new(),
-            cancelled: CancelSet::default(),
+            timer_handles: Vec::new(),
             next_timer: 0,
             default_msg_bytes: self.default_msg_bytes,
-            events_processed: 0,
+            events_dispatched: 0,
+            timers_reaped: 0,
             max_events: self.max_events,
             processing: None,
             last_executed: None,
@@ -406,49 +408,6 @@ impl HotCounters {
 /// Ids below this bound index directly into the dense `NodeId -> slot`
 /// table; sparser ids fall back to the ordered map.
 const DENSE_IDS: usize = 1 << 22;
-
-/// The set of cancelled-but-still-queued timer ids.
-///
-/// Timer ids are handed out sequentially (`next_timer`), so membership
-/// is a bitmap indexed by id — one bit per timer ever armed,
-/// cache-resident even with millions of cancellations outstanding,
-/// where a hashed set of the same ids spans tens of megabytes and costs
-/// a cold miss per timer pop.
-#[derive(Default)]
-struct CancelSet {
-    words: Vec<u64>,
-    /// Number of set bits.
-    live: usize,
-}
-
-impl CancelSet {
-    fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    fn insert(&mut self, id: u64) {
-        let (w, bit) = ((id / 64) as usize, 1u64 << (id % 64));
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        if self.words[w] & bit == 0 {
-            self.words[w] |= bit;
-            self.live += 1;
-        }
-    }
-
-    /// Removes `id`, reporting whether it was present.
-    fn remove(&mut self, id: u64) -> bool {
-        let (w, bit) = ((id / 64) as usize, 1u64 << (id % 64));
-        if self.words.get(w).is_some_and(|word| word & bit != 0) {
-            self.words[w] &= !bit;
-            self.live -= 1;
-            true
-        } else {
-            false
-        }
-    }
-}
 
 /// A deterministic discrete-event simulation.
 ///
@@ -504,10 +463,17 @@ pub struct Sim<M> {
     hot_flushed: HotCounters,
     /// Reusable effects buffer for the dispatch path.
     scratch: Vec<Effect<M>>,
-    cancelled: CancelSet,
+    /// Where each armed timer sits in the queue, indexed by the raw
+    /// [`TimerId`] (ids are handed out sequentially from `next_timer`);
+    /// [`Handle::NONE`] once the timer has fired or been cancelled, so
+    /// a late or repeated cancel finds nothing. Four bytes per timer
+    /// ever armed — the one structure that grows with the run's length
+    /// rather than the queue's depth.
+    timer_handles: Vec<Handle>,
     next_timer: u64,
     default_msg_bytes: usize,
-    events_processed: u64,
+    events_dispatched: u64,
+    timers_reaped: u64,
     max_events: u64,
     /// `seq` of the event currently being processed; pushes made while
     /// it is set record it as their cause.
@@ -651,10 +617,10 @@ impl<M: 'static> Sim<M> {
         }
     }
 
-    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
+    fn push(&mut self, time: SimTime, kind: EventKind<M>) -> Handle {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.insert(QueueEntry {
+        let handle = self.queue.insert(QueueEntry {
             time,
             seq,
             meta: meta_of(&kind),
@@ -666,6 +632,7 @@ impl<M: 'static> Sim<M> {
         if self.queue.len() > self.peak_pending {
             self.peak_pending = self.queue.len();
         }
+        handle
     }
 
     /// Processes the next event. Returns false when the queue is empty or
@@ -677,7 +644,7 @@ impl<M: 'static> Sim<M> {
     }
 
     fn step_inner(&mut self) -> bool {
-        if self.events_processed >= self.max_events {
+        if self.events_processed() >= self.max_events {
             return false;
         }
         let Some(entry) = self.queue.pop_first() else {
@@ -687,7 +654,8 @@ impl<M: 'static> Sim<M> {
         true
     }
 
-    /// Number of events currently queued (cancelled timers included).
+    /// Number of events currently queued. A cancelled timer leaves the
+    /// queue at its cancellation and is not counted.
     pub fn pending_len(&self) -> usize {
         self.queue.len()
     }
@@ -718,7 +686,7 @@ impl<M: 'static> Sim<M> {
     /// the event cap is reached. Removal costs O(log n) against the
     /// same armed index [`Sim::pending_events`] reads.
     pub fn step_nth(&mut self, n: usize) -> bool {
-        if self.events_processed >= self.max_events {
+        if self.events_processed() >= self.max_events {
             return false;
         }
         let Some(entry) = self.queue.remove_nth(n) else {
@@ -743,7 +711,7 @@ impl<M: 'static> Sim<M> {
             meta,
             payload: ev,
         } = entry;
-        self.events_processed += 1;
+        self.events_dispatched += 1;
         // Under step_nth the chosen event may carry an earlier timestamp
         // than an already-processed one; the clock only moves forward.
         self.now = self.now.max(time);
@@ -759,9 +727,10 @@ impl<M: 'static> Sim<M> {
                 self.dispatch(to, Dispatch::Message { from, msg });
             }
             EventKind::Timer { node, id, tag } => {
-                if self.cancelled.is_empty() || !self.cancelled.remove(id.0) {
-                    self.dispatch(node, Dispatch::Timer { id, tag });
-                }
+                // The entry is gone and its slot will be reused: a
+                // cancel that arrives from now on must find no handle.
+                self.timer_handles[id.0 as usize] = Handle::NONE;
+                self.dispatch(node, Dispatch::Timer { id, tag });
             }
             EventKind::NetChange(f) => f(&mut self.net),
         }
@@ -829,10 +798,26 @@ impl<M: 'static> Sim<M> {
                     }
                 }
                 Effect::SetTimer { id, at, tag } => {
-                    self.push(at, EventKind::Timer { node, id, tag });
+                    let handle = self.push(at, EventKind::Timer { node, id, tag });
+                    let slot = id.0 as usize;
+                    if slot >= self.timer_handles.len() {
+                        self.timer_handles.resize(slot + 1, Handle::NONE);
+                    }
+                    self.timer_handles[slot] = handle;
                 }
                 Effect::CancelTimer(id) => {
-                    self.cancelled.insert(id.0);
+                    // Unlink the entry on the spot. An id that already
+                    // fired, was already cancelled or was never armed
+                    // names no handle, and nothing is counted.
+                    let armed = usize::try_from(id.0)
+                        .ok()
+                        .and_then(|slot| self.timer_handles.get_mut(slot));
+                    if let Some(handle) = armed {
+                        let handle = std::mem::replace(handle, Handle::NONE);
+                        if self.queue.remove(handle).is_some() {
+                            self.timers_reaped += 1;
+                        }
+                    }
                 }
             }
         }
@@ -874,7 +859,7 @@ impl<M: 'static> Sim<M> {
     fn run_inner(&mut self, deadline: SimTime, budget: u64, bump_clock: bool) -> RunOutcome {
         let mut left = budget;
         let outcome = loop {
-            if left == 0 || self.events_processed >= self.max_events {
+            if left == 0 || self.events_processed() >= self.max_events {
                 break match self.queue.peek_key() {
                     None => RunOutcome::Quiesced,
                     Some((t, _)) if t > deadline => RunOutcome::DeadlineHit,
@@ -901,9 +886,35 @@ impl<M: 'static> Sim<M> {
         outcome
     }
 
-    /// Number of events processed so far.
+    /// Number of events processed so far: every event taken off the
+    /// queue and dispatched plus every armed timer cancelled —
+    /// [`Sim::events_dispatched`] + [`Sim::timers_reaped`]. An armed
+    /// timer is counted exactly once, when it fires or at the moment it
+    /// is cancelled, so a drained run's census (`starts + deliveries +
+    /// timers armed + net changes`) does not depend on how the engine
+    /// disposes of cancelled timers. [`SimBuilder::max_events`] bounds
+    /// this count.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.events_dispatched + self.timers_reaped
+    }
+
+    /// Number of events taken off the queue and dispatched: starts,
+    /// deliveries, timers that fired, net changes. Each advanced `now`
+    /// to its due time, became [`Sim::last_executed`], and spent one
+    /// step of an [`Until::Events`] budget.
+    pub fn events_dispatched(&self) -> u64 {
+        self.events_dispatched
+    }
+
+    /// Number of armed timers removed from the queue by
+    /// [`Ctx::cancel_timer`]. A reaped timer is unlinked while its
+    /// canceller's effects are applied: it never advances `now`, is
+    /// never [`Sim::last_executed`] and does not spend an
+    /// [`Until::Events`] step — only the [`SimBuilder::max_events`]
+    /// guard counts it. Cancelling a timer that already fired, or
+    /// twice, reaps nothing.
+    pub fn timers_reaped(&self) -> u64 {
+        self.timers_reaped
     }
 }
 
@@ -1003,16 +1014,26 @@ mod tests {
         assert_eq!(a.now(), b.now());
     }
 
-    /// The whole seed-99 run, event by event, as the `BTreeMap` engine
-    /// executed it at commit 632eeb9 (the last one carrying that
+    /// The whole seed-99 run, dispatch by dispatch, as the `BTreeMap`
+    /// engine executed it at commit 632eeb9 (the last one carrying that
     /// engine, where this listing was printed from it and from the
-    /// calendar engine alike): `(kind, node, time µs, seq, cause)`.
+    /// calendar engine alike): `(kind, node, time µs, seq, cause)`. A
+    /// timer step that did not move the client's fire counter — the pop
+    /// of the cancelled 5 ms timer `('t', 0, 5_000, 4, Some(0))`, on an
+    /// engine that still queues those — is not a dispatch; the listing
+    /// without it passed at commit f328368, the last such engine.
     #[test]
     fn legacy_and_calendar_engines_agree_exactly() {
-        let (mut sim, _) = build(99);
+        let (mut sim, client) = build(99);
         let mut stream = Vec::new();
+        let mut fired = 0;
         while sim.step() {
             let ev = sim.last_executed().expect("an event ran");
+            let now_fired = sim.get(client).expect("registered").timer_fired;
+            if matches!(ev.desc, PendingEvent::Timer { .. }) && now_fired == fired {
+                continue;
+            }
+            fired = now_fired;
             let kind = match ev.desc {
                 PendingEvent::Start { .. } => 's',
                 PendingEvent::Deliver { .. } => 'd',
@@ -1035,8 +1056,6 @@ mod tests {
                 ('s', 1, 0, 1, None),
                 ('d', 1, 1_113, 2, Some(0)),
                 ('d', 0, 1_999, 5, Some(2)),
-                // The cancelled 5 ms timer is popped but never dispatched.
-                ('t', 0, 5_000, 4, Some(0)),
                 ('t', 0, 10_000, 3, Some(0)),
             ]
         );
@@ -1052,6 +1071,10 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_millis(10));
         assert_eq!(sim.metrics().counter("sim.sent"), 2);
         assert_eq!(sim.metrics().counter("sim.delivered"), 2);
+        // Two starts, two deliveries, one timer fired, one cancelled.
+        assert_eq!(sim.events_processed(), 6);
+        assert_eq!(sim.events_dispatched(), stream.len() as u64);
+        assert_eq!(sim.timers_reaped(), 1);
     }
 
     #[test]
@@ -1087,8 +1110,17 @@ mod tests {
     fn run_events_budget_reports_cap() {
         let (mut sim, _) = build(8);
         assert_eq!(sim.run(Until::Events(1)), RunOutcome::EventCapHit);
-        assert_eq!(sim.events_processed(), 1);
+        // Exactly one handler ran: the client's start, which sent the
+        // ping the server (not yet started) has not answered.
+        assert_eq!(sim.metrics().counter("sim.sent"), 1);
+        assert_eq!(sim.metrics().counter("sim.delivered"), 0);
+        // The timer that start cancelled was reaped on the spot: counted
+        // as processed, but not against the one-step budget.
+        assert_eq!(sim.events_dispatched(), 1);
+        assert_eq!(sim.timers_reaped(), 1);
+        assert_eq!(sim.events_processed(), 2);
         assert_eq!(sim.run(Until::Events(1_000)), RunOutcome::Quiesced);
+        assert_eq!(sim.events_processed(), 6);
     }
 
     #[test]
@@ -1295,55 +1327,106 @@ mod tests {
         assert!(sim.get(ActorHandle::<Server>::of(far)).is_some());
     }
 
-    /// The bitmap answers every operation as an ordered set of the
-    /// same ids does.
-    #[test]
-    fn cancel_set_matches_a_btreeset_model() {
-        use std::collections::BTreeSet;
+    /// Arms timers on request and records what fires.
+    struct Alarm {
+        fired: Vec<u64>,
+        armed: Vec<TimerId>,
+    }
 
-        enum Op {
-            Insert(u64),
-            Remove(u64),
-        }
-        use Op::*;
-
-        let mut set = CancelSet::default();
-        let mut model = BTreeSet::new();
-        assert!(set.is_empty());
-        let ops = [
-            // Insert and double insert, in one word and in distant ones.
-            Insert(3),
-            Insert(3),
-            Insert(64),
-            Insert(0),
-            Insert(1_000_003),
-            // Remove present, absent in range, absent past the end, twice.
-            Remove(64),
-            Remove(5),
-            Remove(9_999_999),
-            Remove(64),
-            Remove(3),
-            Remove(0),
-            // Cancel-then-fire: the pop reaps the id and the set drains.
-            Remove(1_000_003),
-            Insert(7),
-            Remove(7),
-            // Fire-then-cancel: the timer pops uncancelled, the late
-            // cancel is never reaped, and the set stays non-empty.
-            Remove(8),
-            Insert(8),
-        ];
-        for op in ops {
-            match op {
-                Insert(id) => {
-                    set.insert(id);
-                    model.insert(id);
+    /// `Ping(ms)` arms a timer `ms` out, tagged `ms`; `Pong(n)` cancels
+    /// the `n`-th timer armed.
+    impl Actor<Msg> for Alarm {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _: NodeId, msg: Msg) {
+            match msg {
+                Msg::Ping(ms) => {
+                    let id = ctx.set_timer(SimDuration::from_millis(u64::from(ms)), u64::from(ms));
+                    self.armed.push(id);
                 }
-                Remove(id) => assert_eq!(set.remove(id), model.remove(&id), "remove {id}"),
+                Msg::Pong(n) => ctx.cancel_timer(self.armed[n as usize]),
             }
-            assert_eq!(set.live, model.len());
-            assert_eq!(set.is_empty(), model.is_empty());
         }
-        assert!(!set.is_empty());
+        fn on_timer(&mut self, _: &mut Ctx<'_, Msg>, _: TimerId, tag: u64) {
+            self.fired.push(tag);
+        }
+    }
+
+    fn alarm(script: &[(u64, Msg)]) -> (Sim<Msg>, ActorHandle<Alarm>) {
+        let mut sim: Sim<Msg> = SimBuilder::new(3).build();
+        let alarm = sim.add_actor(
+            NodeId(0),
+            Alarm {
+                fired: Vec::new(),
+                armed: Vec::new(),
+            },
+        );
+        for (at_ms, msg) in script {
+            sim.inject(
+                SimTime::from_millis(*at_ms),
+                NodeId(9),
+                NodeId(0),
+                msg.clone(),
+            );
+        }
+        (sim, alarm)
+    }
+
+    #[test]
+    fn cancel_after_fire_and_double_cancel_are_noops() {
+        let (mut sim, alarm) = alarm(&[
+            (0, Msg::Ping(5)),  // timer 0, fires at 5 ms
+            (0, Msg::Ping(50)), // timer 1, cancelled at 10 ms
+            (10, Msg::Pong(1)),
+        ]);
+        sim.run(Until::At(SimTime::from_millis(10)));
+        assert_eq!(sim.get(alarm).unwrap().fired, [5]);
+        assert_eq!(sim.timers_reaped(), 1);
+        assert_eq!(sim.pending_len(), 0);
+
+        // Cancel the fired timer, cancel the cancelled one again, and
+        // then arm a third — which takes over a freed queue slot.
+        let now = sim.now();
+        sim.inject(now, NodeId(9), NodeId(0), Msg::Pong(0));
+        sim.inject(now, NodeId(9), NodeId(0), Msg::Pong(1));
+        sim.run(Until::At(now));
+        assert_eq!(sim.timers_reaped(), 1, "neither cancel found a timer");
+        assert_eq!(sim.pending_len(), 0);
+        sim.inject(now, NodeId(9), NodeId(0), Msg::Ping(7));
+        sim.run(Until::At(now));
+        assert_eq!(sim.pending_len(), 1);
+
+        // The stale cancels again: the new timer must not be their victim.
+        sim.inject(now, NodeId(9), NodeId(0), Msg::Pong(0));
+        sim.inject(now, NodeId(9), NodeId(0), Msg::Pong(1));
+        sim.run(Until::At(now));
+        assert_eq!(sim.timers_reaped(), 1);
+        assert_eq!(sim.pending_len(), 1);
+        assert_eq!(sim.run(Until::Idle), RunOutcome::Quiesced);
+        assert_eq!(sim.get(alarm).unwrap().fired, [5, 7]);
+        assert_eq!(sim.events_processed(), sim.events_dispatched() + 1);
+    }
+
+    #[test]
+    fn a_cancelled_timer_is_no_pending_event_and_no_step_nth_choice() {
+        let (mut sim, alarm) = alarm(&[
+            (0, Msg::Ping(20)),
+            (0, Msg::Ping(30)),
+            (0, Msg::Ping(40)),
+            (1, Msg::Pong(1)),
+        ]);
+        sim.run(Until::At(SimTime::from_millis(1)));
+        let pending = sim.pending_events();
+        let due: Vec<u64> = pending.iter().map(|ev| ev.time().as_micros()).collect();
+        assert_eq!(due, [20_000, 40_000], "the 30 ms timer left the queue");
+        assert!(pending
+            .iter()
+            .all(|ev| matches!(ev, PendingEvent::Timer { .. })));
+        // Rank 1 is the 40 ms timer, and there is no rank 2.
+        assert!(!sim.step_nth(2));
+        assert!(sim.step_nth(1));
+        assert_eq!(sim.get(alarm).unwrap().fired, [40]);
+        assert!(sim.step_nth(0));
+        assert!(!sim.step_nth(0), "nothing left to choose");
+        assert_eq!(sim.get(alarm).unwrap().fired, [40, 20]);
+        assert_eq!(sim.timers_reaped(), 1);
     }
 }
