@@ -4,8 +4,9 @@
 //! The paper's requirements (§4.2.1), all realised here:
 //!
 //! - policies are based on **roles**, not individual identity;
-//! - roles are **dynamic**: assignments change during a collaboration in
-//!   O(1), without re-administering per-object lists;
+//! - roles are **dynamic**: an assignment changes during a collaboration
+//!   by touching that one subject's entry, without re-administering
+//!   per-object lists;
 //! - control is **fine-grained**: objects are hierarchical paths
 //!   (`"report/sec2/para3"`, down to individual lines) and rules attach
 //!   at any level, inherited downward;
@@ -20,6 +21,11 @@ use std::fmt;
 use crate::matrix::Subject;
 use crate::rights::Rights;
 
+/// A hierarchical object path, e.g. `report/sec2/para3/line14` — the
+/// workspace's shared name type, so the path an event carries off the
+/// wire is the path the policy checks, uncopied and unparsed.
+pub use odp_fabric::ObjectPath;
+
 /// Names a role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RoleId(pub u32);
@@ -27,59 +33,6 @@ pub struct RoleId(pub u32);
 impl fmt::Display for RoleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "role{}", self.0)
-    }
-}
-
-/// A hierarchical object path, e.g. `report/sec2/para3/line14`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ObjectPath(String);
-
-impl ObjectPath {
-    /// Creates a path, trimming redundant slashes.
-    pub fn new(path: impl Into<String>) -> Self {
-        let raw: String = path.into();
-        let cleaned: Vec<&str> = raw.split('/').filter(|s| !s.is_empty()).collect();
-        ObjectPath(cleaned.join("/"))
-    }
-
-    /// The path as a string.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// Number of components.
-    pub fn depth(&self) -> usize {
-        if self.0.is_empty() {
-            0
-        } else {
-            self.0.split('/').count()
-        }
-    }
-
-    /// True if `self` is `other` or an ancestor of it.
-    pub fn covers(&self, other: &ObjectPath) -> bool {
-        if self.0.is_empty() {
-            return true; // root covers everything
-        }
-        other.0 == self.0 || other.0.starts_with(&format!("{}/", self.0))
-    }
-
-    /// The parent path (`None` at the root).
-    pub fn parent(&self) -> Option<ObjectPath> {
-        let idx = self.0.rfind('/')?;
-        Some(ObjectPath(self.0[..idx].to_owned()))
-    }
-}
-
-impl fmt::Display for ObjectPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl From<&str> for ObjectPath {
-    fn from(s: &str) -> Self {
-        ObjectPath::new(s)
     }
 }
 
@@ -114,7 +67,23 @@ pub struct Decision {
     pub because: Option<Rule>,
 }
 
+/// The roles one subject holds.
+#[derive(Debug, Clone, Default)]
+struct Held {
+    /// Directly assigned.
+    direct: BTreeSet<RoleId>,
+    /// `direct` plus every transitively inherited junior role, sorted.
+    /// Rebuilt by the three mutators that can change it (`assign`,
+    /// `unassign`, `add_inheritance`), so a check reads it as it is.
+    effective: Vec<RoleId>,
+}
+
 /// The Shen–Dewan policy engine.
+///
+/// A policy is *compiled* as it is edited: every subject's effective
+/// role set is kept current by the mutators (all `&mut self`), so an
+/// access check walks the rules against a ready sorted slice and
+/// allocates nothing.
 ///
 /// # Examples
 ///
@@ -129,15 +98,38 @@ pub struct Decision {
 /// p.add_rule(author, "report/appendix".into(), Rights::WRITE, Effect::Deny);
 /// p.assign(Subject(5), author);
 /// assert!(p.check(Subject(5), &"report/sec1".into(), Rights::WRITE).allowed);
-/// assert!(!p.check(Subject(5), &"report/appendix/a1".into(), Rights::WRITE).allowed);
+/// assert!(!p.allows(Subject(5), &"report/appendix/a1".into(), Rights::WRITE));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RbacPolicy {
     rules: Vec<Rule>,
-    assignments: BTreeMap<Subject, BTreeSet<RoleId>>,
+    subjects: BTreeMap<Subject, Held>,
     /// role -> roles it inherits from (junior roles).
     inherits: BTreeMap<RoleId, BTreeSet<RoleId>>,
     role_changes: u64,
+}
+
+/// `direct` plus the junior roles reachable through `inherits`, sorted.
+fn closure(
+    direct: &BTreeSet<RoleId>,
+    inherits: &BTreeMap<RoleId, BTreeSet<RoleId>>,
+) -> Vec<RoleId> {
+    let mut out = BTreeSet::new();
+    let mut stack: Vec<RoleId> = direct.iter().copied().collect();
+    while let Some(role) = stack.pop() {
+        if out.insert(role) {
+            if let Some(juniors) = inherits.get(&role) {
+                stack.extend(juniors.iter().copied());
+            }
+        }
+    }
+    out.into_iter().collect()
+}
+
+/// Whether the deciding rule (None = default deny) grants `needed`.
+fn grants(deciding: Option<&Rule>, needed: Rights) -> bool {
+    needed.is_empty()
+        || deciding.is_some_and(|rule| rule.effect == Effect::Allow && rule.rights.contains(needed))
 }
 
 impl RbacPolicy {
@@ -159,44 +151,44 @@ impl RbacPolicy {
     /// Declares that `senior` inherits all permissions of `junior`.
     pub fn add_inheritance(&mut self, senior: RoleId, junior: RoleId) {
         self.inherits.entry(senior).or_default().insert(junior);
+        for held in self.subjects.values_mut() {
+            held.effective = closure(&held.direct, &self.inherits);
+        }
     }
 
-    /// Assigns a role to a subject — an O(1) *dynamic* change, the
-    /// operation static schemes cannot express without re-administration.
+    /// Assigns a role to a subject — a *dynamic* change touching that
+    /// subject alone, the operation static schemes cannot express
+    /// without re-administration.
     pub fn assign(&mut self, subject: Subject, role: RoleId) {
-        self.assignments.entry(subject).or_default().insert(role);
+        let held = self.subjects.entry(subject).or_default();
+        held.direct.insert(role);
+        held.effective = closure(&held.direct, &self.inherits);
         self.role_changes += 1;
     }
 
     /// Removes a role from a subject (equally dynamic).
     pub fn unassign(&mut self, subject: Subject, role: RoleId) {
-        if let Some(roles) = self.assignments.get_mut(&subject) {
-            roles.remove(&role);
+        if let Some(held) = self.subjects.get_mut(&subject) {
+            held.direct.remove(&role);
+            held.effective = closure(&held.direct, &self.inherits);
         }
         self.role_changes += 1;
     }
 
     /// The subject's direct roles.
     pub fn roles_of(&self, subject: Subject) -> Vec<RoleId> {
-        self.assignments
+        self.subjects
             .get(&subject)
-            .map(|r| r.iter().copied().collect())
+            .map(|held| held.direct.iter().copied().collect())
             .unwrap_or_default()
     }
 
     /// The subject's effective roles (direct plus transitively inherited
-    /// junior roles).
-    pub fn effective_roles(&self, subject: Subject) -> BTreeSet<RoleId> {
-        let mut out = BTreeSet::new();
-        let mut stack: Vec<RoleId> = self.roles_of(subject);
-        while let Some(role) = stack.pop() {
-            if out.insert(role) {
-                if let Some(juniors) = self.inherits.get(&role) {
-                    stack.extend(juniors.iter().copied());
-                }
-            }
-        }
-        out
+    /// junior roles), ascending.
+    pub fn effective_roles(&self, subject: Subject) -> &[RoleId] {
+        self.subjects
+            .get(&subject)
+            .map_or(&[], |held| held.effective.as_slice())
     }
 
     /// Number of dynamic role changes performed (for E5 accounting).
@@ -204,48 +196,55 @@ impl RbacPolicy {
         self.role_changes
     }
 
+    /// The rule that decides whether `subject` may exercise `needed` on
+    /// `path`: among the rules of the subject's effective roles that
+    /// cover the path and speak of any needed right, the deepest path
+    /// wins and deny beats allow at equal depth. `None` = no applicable
+    /// rule (default deny). The one resolution every entry point —
+    /// [`check`](Self::check), [`allows`](Self::allows),
+    /// [`explain`](Self::explain) — goes through.
+    fn decide(&self, subject: Subject, path: &ObjectPath, needed: Rights) -> Option<&Rule> {
+        let roles = self.effective_roles(subject);
+        let mut best: Option<(&Rule, usize)> = None;
+        for rule in &self.rules {
+            if rule.rights.intersection(needed).is_empty()
+                || roles.binary_search(&rule.role).is_err()
+                || !rule.path.covers(path)
+            {
+                continue;
+            }
+            let depth = rule.path.depth();
+            let wins = match best {
+                None => true,
+                Some((cur, cur_depth)) => {
+                    depth > cur_depth
+                        || (depth == cur_depth
+                            && rule.effect == Effect::Deny
+                            && cur.effect == Effect::Allow)
+                }
+            };
+            if wins {
+                best = Some((rule, depth));
+            }
+        }
+        best.map(|(rule, _)| rule)
+    }
+
+    /// Whether `subject` may exercise `needed` on `path` — the verdict
+    /// of [`check`](Self::check) without its justification, and without
+    /// a single allocation: what the per-delivery gates call.
+    pub fn allows(&self, subject: Subject, path: &ObjectPath, needed: Rights) -> bool {
+        grants(self.decide(subject, path, needed), needed)
+    }
+
     /// Checks whether `subject` may exercise `needed` on `path`, and
     /// explains why. Conflict resolution: deepest matching path wins;
     /// deny beats allow at equal depth; default deny.
     pub fn check(&self, subject: Subject, path: &ObjectPath, needed: Rights) -> Decision {
-        if needed.is_empty() {
-            return Decision {
-                allowed: true,
-                because: None,
-            };
-        }
-        let roles = self.effective_roles(subject);
-        let mut best: Option<(&Rule, usize)> = None;
-        for rule in &self.rules {
-            if !roles.contains(&rule.role) || !rule.path.covers(path) {
-                continue;
-            }
-            if !rule.rights.intersection(needed).is_empty() || rule.rights.contains(needed) {
-                // Relevant if it says anything about any needed right.
-                let depth = rule.path.depth();
-                let wins = match best {
-                    None => true,
-                    Some((cur, cur_depth)) => {
-                        depth > cur_depth
-                            || (depth == cur_depth
-                                && rule.effect == Effect::Deny
-                                && cur.effect == Effect::Allow)
-                    }
-                };
-                if wins {
-                    best = Some((rule, depth));
-                }
-            }
-        }
-        match best {
-            Some((rule, _)) => Decision {
-                allowed: rule.effect == Effect::Allow && rule.rights.contains(needed),
-                because: Some(rule.clone()),
-            },
-            None => Decision {
-                allowed: false,
-                because: None,
-            },
+        let because = self.decide(subject, path, needed);
+        Decision {
+            allowed: grants(because, needed),
+            because: because.cloned(),
         }
     }
 

@@ -212,7 +212,10 @@ pub struct CoopEvent {
     /// Who caused the event.
     pub actor: NodeId,
     /// The artefact path it concerns (rights are checked against this).
-    pub artefact: String,
+    /// Always in [`ObjectPath`] normal form: a name is normalised where
+    /// it enters — these constructors, or the wire decoder — so
+    /// `"doc//a/"` reads back as `"doc/a"`.
+    pub artefact: ObjectPath,
     /// When.
     pub at: SimTime,
     /// Who should hear about it.
@@ -225,7 +228,7 @@ impl CoopEvent {
     /// A broadcast event (audience [`Audience::Everyone`]).
     pub fn broadcast(
         actor: NodeId,
-        artefact: impl Into<String>,
+        artefact: impl Into<ObjectPath>,
         at: SimTime,
         kind: CoopKind,
     ) -> Self {
@@ -242,7 +245,7 @@ impl CoopEvent {
     pub fn direct(
         actor: NodeId,
         to: NodeId,
-        artefact: impl Into<String>,
+        artefact: impl Into<ObjectPath>,
         at: SimTime,
         kind: CoopKind,
     ) -> Self {
@@ -441,17 +444,11 @@ impl EventBus {
 
     /// Whether `observer` may read `artefact` under the installed
     /// policy (always `true` while the gate is disarmed).
-    pub fn rights_allow(&self, observer: NodeId, artefact: &str) -> bool {
-        if !self.gate {
-            return true;
-        }
-        self.policy
-            .check(
-                Subject(observer.0),
-                &ObjectPath::new(artefact),
-                Rights::READ,
-            )
-            .allowed
+    pub fn rights_allow(&self, observer: NodeId, artefact: &ObjectPath) -> bool {
+        !self.gate
+            || self
+                .policy
+                .allows(Subject(observer.0), artefact, Rights::READ)
     }
 
     /// Publishes a cooperation event.
@@ -463,7 +460,11 @@ impl EventBus {
     /// `1.0`; broadcast events never reach their own actor.
     pub fn publish(&mut self, event: CoopEvent) -> Vec<BusDelivery> {
         self.published += 1;
-        let mut out = Vec::new();
+        // Sized once for the most that can pass, not grown per push.
+        let mut out = Vec::with_capacity(match event.audience {
+            Audience::Direct(_) => 1,
+            Audience::Everyone => self.observers.len(),
+        });
         for (&observer, state) in self.observers.iter_mut() {
             let weight = match event.audience {
                 Audience::Direct(to) => {
@@ -484,12 +485,7 @@ impl EventBus {
             let allowed = !self.gate
                 || self
                     .policy
-                    .check(
-                        Subject(observer.0),
-                        &ObjectPath::new(event.artefact.as_str()),
-                        Rights::READ,
-                    )
-                    .allowed;
+                    .allows(Subject(observer.0), &event.artefact, Rights::READ);
             if !allowed {
                 state.suppressed_by_rights += 1;
                 continue;
@@ -502,8 +498,10 @@ impl EventBus {
                 state.received += 1;
                 out.push(BusDelivery {
                     observer,
-                    // Each observer gets an owned event by API contract;
-                    // the deep part is one short artefact string.
+                    // Each observer gets an owned event by API contract.
+                    // For activity events that is a refcount bump on the
+                    // artefact path plus `Copy` fields; only the rarer
+                    // kinds that carry a label string copy it.
                     // odp-check: allow(hot-path-alloc)
                     event: event.clone(),
                     weight,

@@ -16,6 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use odp_fabric::ObjectPath;
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 
@@ -55,8 +56,9 @@ impl fmt::Display for ActivityKind {
 pub struct AwarenessEvent {
     /// Who acted.
     pub actor: NodeId,
-    /// The artefact acted upon (an application-level identifier).
-    pub artefact: String,
+    /// The artefact acted upon (an application-level identifier, in
+    /// [`ObjectPath`] normal form).
+    pub artefact: ObjectPath,
     /// The kind of action.
     pub kind: ActivityKind,
     /// When.
@@ -163,8 +165,9 @@ impl AwarenessEngine {
                 state.received += 1;
                 out.push(WeightedDelivery {
                     observer,
-                    // Each observer gets an owned event by API contract;
-                    // the deep part is one short artefact string.
+                    // Each observer gets an owned event by API contract:
+                    // a refcount bump on the artefact path plus `Copy`
+                    // fields.
                     // odp-check: allow(hot-path-alloc)
                     event: event.clone(),
                     weight: w,

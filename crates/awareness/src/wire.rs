@@ -102,7 +102,7 @@ mod tests {
             let wire = BusWire {
                 event: CoopEvent {
                     actor: NodeId(1),
-                    artefact: "doc/a".to_owned(),
+                    artefact: "doc/a".into(),
                     at: SimTime::from_millis(9),
                     audience: Audience::Direct(NodeId(3)),
                     kind,

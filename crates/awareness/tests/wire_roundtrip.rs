@@ -1,12 +1,17 @@
 //! Property tests: every [`BusWire`] envelope — all sixteen
 //! [`CoopKind`] variants, both audiences, arbitrary grant lists —
-//! survives the `odp-net` framing bit-exactly, and corrupt bytes
-//! always yield a typed error instead of a panic.
+//! survives the `odp-net` framing bit-exactly, corrupt bytes always
+//! yield a typed error instead of a panic, and an artefact name
+//! spelled with redundant slashes is normalised by the decoder and
+//! gated as its normal form.
 
-use odp_awareness::bus::{Audience, CoopEvent, CoopKind, CoopMode};
+use odp_access::matrix::Subject;
+use odp_access::rbac::{Effect, RbacPolicy, RoleId};
+use odp_access::rights::Rights;
+use odp_awareness::bus::{Audience, CoopEvent, CoopKind, CoopMode, EventBus};
 use odp_awareness::dist::BusWire;
 use odp_awareness::events::ActivityKind;
-use odp_net::wire::{laws, WireCodec, WireReader, MAX_FRAME};
+use odp_net::wire::{decode_frame, laws, WireCodec, WireReader, MAX_FRAME};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 use proptest::prelude::*;
@@ -81,7 +86,7 @@ fn arb_wire() -> impl Strategy<Value = BusWire> {
             |(kind, (actor, at, everyone, direct), artefact, grants)| BusWire {
                 event: CoopEvent {
                     actor: NodeId(actor),
-                    artefact,
+                    artefact: artefact.into(),
                     at: SimTime::from_micros(at),
                     audience: if everyone {
                         Audience::Everyone
@@ -138,4 +143,44 @@ proptest! {
         prop_assert_eq!(laws::total::<BusWire>(&bytes, MAX_FRAME), Ok(()));
         prop_assert_eq!(laws::total::<CoopKind>(&bytes, MAX_FRAME), Ok(()));
     }
+}
+
+/// A frame from a peer that never normalised: the artefact travels as
+/// `"doc//a/"`. The decoder is where that name enters this node, so it
+/// reads `"doc/a"` from there on and the rights gate treats it exactly
+/// as `"doc/a"`.
+#[test]
+fn an_unnormalised_artefact_decodes_to_its_normal_form_and_is_gated_as_it() {
+    let edit = CoopKind::Activity(ActivityKind::Edit);
+    let mut body = Vec::new();
+    NodeId(0).encode(&mut body);
+    "doc//a/".to_owned().encode(&mut body);
+    SimTime::ZERO.encode(&mut body);
+    Audience::Everyone.encode(&mut body);
+    edit.encode(&mut body);
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&body);
+
+    assert_eq!(laws::total::<CoopEvent>(&body, MAX_FRAME), Ok(()));
+    let (decoded, used): (CoopEvent, usize) = decode_frame(&frame, MAX_FRAME).expect("decodes");
+    assert_eq!(used, frame.len());
+    assert_eq!(decoded.artefact, "doc/a");
+    let normal = CoopEvent::broadcast(NodeId(0), "doc/a", SimTime::ZERO, edit);
+    assert_eq!(decoded, normal);
+
+    // Observer 1 may read `doc/a` and nothing else under `doc`;
+    // observer 2 may read nothing.
+    let gated = |event: CoopEvent| {
+        let mut policy = RbacPolicy::new();
+        policy.add_rule(RoleId(1), "doc/a".into(), Rights::READ, Effect::Allow);
+        policy.assign(Subject(1), RoleId(1));
+        let mut bus = EventBus::new();
+        bus.set_policy(policy);
+        bus.register(NodeId(1), 0.0);
+        bus.register(NodeId(2), 0.0);
+        let observers: Vec<NodeId> = bus.publish(event).iter().map(|d| d.observer).collect();
+        (observers, bus.suppressed_by_rights())
+    };
+    assert_eq!(gated(decoded), (vec![NodeId(1)], 1));
+    assert_eq!(gated(normal), (vec![NodeId(1)], 1));
 }

@@ -11,7 +11,10 @@
 //! [`harness::overhead_pct`]): that settles around 1 % to within a few
 //! tenths, while a real regression (like reverting to string spans,
 //! ~9.8 %) shifts every round. This is the workspace's only timing of
-//! that overhead and the CI gate on it (`telemetry_overhead_pct`).
+//! that overhead and the CI gate on it (`telemetry_overhead_pct`). The
+//! gate is a ratio, so it also rises when the *baseline* gets faster;
+//! `span_ns_per_delivery` beside it — the same paired difference over
+//! the edits applied — says whether the instrumentation itself moved.
 //!
 //! One further instrumented run's trace is assembled into a
 //! [`Collector`], audited, and aggregated into the machine-readable
@@ -46,6 +49,11 @@ fn run(bench: &mut Bench) -> Result<(), String> {
     let overhead_pct = harness::overhead_pct(&baseline_ns, &instrumented_ns);
 
     let (_, sim) = e13::run_timed(e13::e13_sim(seed, true));
+    // The same overhead as an absolute cost per applied edit: the
+    // percentage's denominator shrinks when the workload itself gets
+    // faster, this does not.
+    let span_ns_per_delivery =
+        harness::overhead_ns(&baseline_ns, &instrumented_ns) / e13::applied(&sim) as f64;
     let collector = Collector::from_trace(sim.trace());
     collector
         .well_formed()
@@ -61,6 +69,7 @@ fn run(bench: &mut Bench) -> Result<(), String> {
         .timing("baseline_ns", &baseline_ns)
         .timing("instrumented_ns", &instrumented_ns)
         .float("overhead_pct", overhead_pct, 3)
+        .float("span_ns_per_delivery", span_ns_per_delivery, 1)
         .raw("report", report.to_json());
     bench.at_most("telemetry_overhead_pct", overhead_pct)?;
     Ok(())

@@ -11,7 +11,7 @@
 
 use std::any::Any;
 
-use cscw_core::replicated::{replica_actor, WsOp};
+use cscw_core::replicated::{replica_actor, WorkspaceReplica, WsOp};
 use cscw_core::workspace::{ObjectId, SharedWorkspace};
 use odp_access::matrix::Subject;
 use odp_access::rbac::{Effect, RbacPolicy, RoleId};
@@ -19,6 +19,7 @@ use odp_access::rights::Rights;
 use odp_awareness::bus::{CoopEvent, CoopKind, EventBus};
 use odp_awareness::dist::{BusActor, BusWire};
 use odp_awareness::events::ActivityKind;
+use odp_groupcomm::actors::GroupActor;
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::GcMsg;
 use odp_sim::actor::Actor;
@@ -85,6 +86,18 @@ pub fn e13_sim(seed: u64, telemetry: bool) -> Sim<GcMsg<WsOp>> {
             value: format!("edit-{i}-{w}"),
         },
     )
+}
+
+/// Edits applied across the replicas of a finished [`e13_sim`] run.
+pub fn applied(sim: &Sim<GcMsg<WsOp>>) -> u64 {
+    (0..REPLICAS)
+        .map(|i| {
+            let replica: &GroupActor<WsOp, WorkspaceReplica> = sim
+                .get(ActorHandle::of(NodeId(i)))
+                .expect("workspace replica exists");
+            replica.app().applied()
+        })
+        .sum()
 }
 
 /// A bus with `nodes` observers registered. Without `readers` it is

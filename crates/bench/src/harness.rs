@@ -4,7 +4,8 @@
 //!   [`interleaved`] is the only timing loop. A variant's figure is its
 //!   *minimum* (scheduler noise only ever adds time), written with the
 //!   median, max and round count beside it ([`Report::timing`]); two
-//!   variants are compared round by round ([`overhead_pct`]).
+//!   variants are compared round by round ([`overhead_pct`],
+//!   [`overhead_ns`]).
 //! - **Report writer** — [`Report`], an insertion-ordered JSON object
 //!   builder; [`main`] prints it as the summary and writes the file.
 //! - **Gate** — [`Bench::at_least`] / [`Bench::at_most`] judge a
@@ -76,20 +77,33 @@ pub fn best_of<T: PartialEq + Debug>(rounds: u32, run: Round<'_, T>) -> Result<T
     interleaved(rounds, [run]).map(|[timed]| timed)
 }
 
-/// How much slower `with` ran than `base` (samples of one
-/// [`interleaved`] call), in percent: the median of the per-round
-/// differences. Round *k* of both variants ran back to back, so this
-/// cancels the drift that a ratio of two minima, each found in a
-/// different round, keeps. NaN with nothing to compare.
-pub fn overhead_pct(base: &[u128], with: &[u128]) -> f64 {
-    let mut pcts: Vec<f64> = base
+/// The median over rounds of `compare(base, with)` on the samples of
+/// one [`interleaved`] call. Round *k* of both variants ran back to
+/// back, so comparing round by round cancels the drift that comparing
+/// two minima, each found in a different round, keeps. NaN with
+/// nothing to compare.
+fn median_paired(base: &[u128], with: &[u128], compare: impl Fn(f64, f64) -> f64) -> f64 {
+    let mut rounds: Vec<f64> = base
         .iter()
         .zip(with)
         .filter(|(b, _)| **b > 0)
-        .map(|(b, w)| (*w as f64 - *b as f64) / *b as f64 * 100.0)
+        .map(|(b, w)| compare(*b as f64, *w as f64))
         .collect();
-    pcts.sort_unstable_by(f64::total_cmp);
-    pcts.get(pcts.len() / 2).copied().unwrap_or(f64::NAN)
+    rounds.sort_unstable_by(f64::total_cmp);
+    rounds.get(rounds.len() / 2).copied().unwrap_or(f64::NAN)
+}
+
+/// How much slower `with` ran than `base`, in percent of `base`: the
+/// median of the per-round differences.
+pub fn overhead_pct(base: &[u128], with: &[u128]) -> f64 {
+    median_paired(base, with, |b, w| (w - b) / b * 100.0)
+}
+
+/// How much slower `with` ran than `base`, in nanoseconds: the median
+/// of the per-round differences. Unlike [`overhead_pct`] it does not
+/// move when a change makes `base` itself faster.
+pub fn overhead_ns(base: &[u128], with: &[u128]) -> f64 {
+    median_paired(base, with, |b, w| w - b)
 }
 
 /// An insertion-ordered JSON object under construction: `(key,
@@ -289,6 +303,7 @@ mod tests {
         // A round slow for both and a lucky baseline: +10 %, +10 %, +100 %.
         assert_eq!(overhead_pct(&[100, 300, 50], &[110, 330, 100]), 10.0);
         assert!(overhead_pct(&[], &[]).is_nan() && overhead_pct(&[0], &[5]).is_nan());
+        assert_eq!(overhead_ns(&[100, 300, 50], &[110, 330, 100]), 30.0);
     }
 
     #[test]

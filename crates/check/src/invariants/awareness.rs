@@ -15,7 +15,7 @@
 //! receives both events on every schedule, and the detector must say so.
 
 use odp_access::matrix::Subject;
-use odp_access::rbac::{Effect, ObjectPath, RbacPolicy, RoleId};
+use odp_access::rbac::{Effect, RbacPolicy, RoleId};
 use odp_access::rights::Rights;
 use odp_awareness::bus::{CoopEvent, CoopKind, EventBus};
 use odp_awareness::dist::{BusActor, BusWire};
@@ -122,10 +122,16 @@ pub fn fingerprint(sim: &Sim<GcMsg<BusWire>>) -> u64 {
     let mut parts = Vec::new();
     for member in bus_members() {
         if let Some(actor) = sim.get::<BusActor>(ActorHandle::of(member)) {
-            let deliveries: Vec<(u32, String, &'static str)> = actor
+            let deliveries: Vec<(u32, &str, &'static str)> = actor
                 .delivered()
                 .iter()
-                .map(|d| (d.observer.0, d.event.artefact.clone(), d.event.kind.label()))
+                .map(|d| {
+                    (
+                        d.observer.0,
+                        d.event.artefact.as_str(),
+                        d.event.kind.label(),
+                    )
+                })
                 .collect();
             parts.push((member.0, deliveries));
         }
@@ -165,14 +171,11 @@ impl Invariant<GcMsg<BusWire>> for RightsGated {
                 .ok_or_else(|| format!("bus replica {member} missing"))?;
             for delivery in actor.delivered() {
                 surfaced += 1;
-                let allowed = self
-                    .policy
-                    .check(
-                        Subject(delivery.observer.0),
-                        &ObjectPath::new(delivery.event.artefact.as_str()),
-                        Rights::READ,
-                    )
-                    .allowed;
+                let allowed = self.policy.allows(
+                    Subject(delivery.observer.0),
+                    &delivery.event.artefact,
+                    Rights::READ,
+                );
                 if !allowed {
                     return Err(format!(
                         "node {member} surfaced {} on {} to observer {} \

@@ -53,8 +53,10 @@ pub struct LintConfig {
     /// benchmark harnesses abort the whole run on failure by design and
     /// allocate freely while staging scenarios — they are not protocol
     /// code, a panic there tears down nothing but the experiment itself,
-    /// and their allocations are not on any measured delivery path. The
-    /// determinism rules (`wallclock`, `hashmap-iter`) still apply.
+    /// and their allocations are not on any measured delivery path (so
+    /// a prefix must not take in code that is: list the harness
+    /// directory, not its crate). The determinism rules (`wallclock`,
+    /// `hashmap-iter`) still apply.
     pub harness_paths: Vec<String>,
 }
 
@@ -62,20 +64,37 @@ impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
             // tests/, examples/ and benches/ are exempt by the rules'
-            // own definition; vendor/ is third-party; target/ is build
-            // output.
-            skip_dirs: ["tests", "examples", "benches", "vendor", "target", ".git"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            // odp-core hosts the scripted experiment drivers; odp-bench
-            // is the measurement harness; the invariants directory holds
-            // the explorer's scenario harnesses (bus replicas, scripted
-            // races) whose construction aborts the check run by design.
-            harness_paths: ["crates/core", "crates/bench", "crates/check/src/invariants"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            // own definition; benchmark/ is the standalone measuring
+            // package (`odpbench`): reading the wall clock is its job and
+            // it aborts the run on a failed audit by design, like
+            // benches/; vendor/ is third-party; target/ is build output.
+            skip_dirs: [
+                "tests",
+                "examples",
+                "benches",
+                "benchmark",
+                "vendor",
+                "target",
+                ".git",
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect(),
+            // The experiments directory of cscw-core hosts the scripted
+            // experiment drivers (the rest of the crate — workspace,
+            // replicas, sessions — is delivery-path code and is linted
+            // in full); odp-bench is the measurement harness; the
+            // invariants directory holds the explorer's scenario
+            // harnesses (bus replicas, scripted races) whose
+            // construction aborts the check run by design.
+            harness_paths: [
+                "crates/core/src/experiments",
+                "crates/bench",
+                "crates/check/src/invariants",
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect(),
         }
     }
 }
@@ -262,6 +281,11 @@ mod tests {
         assert!(config.rule_applies(harness, "wallclock"));
         assert!(config.rule_applies(protocol, "unwrap"));
         assert!(config.rule_applies(protocol, "hot-path-alloc"));
+        // Only the experiment drivers of cscw-core are harness code; the
+        // workspace and its replicas are `group_edit`'s delivery path.
+        let delivery_path = Path::new("crates/core/src/workspace.rs");
+        assert!(config.rule_applies(delivery_path, "unwrap"));
+        assert!(config.rule_applies(delivery_path, "hot-path-alloc"));
         // The explorer's scenario harnesses are harness code too, but
         // the bus protocol module they exercise is not.
         let invariant_harness = Path::new("crates/check/src/invariants/awareness.rs");

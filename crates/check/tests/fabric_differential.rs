@@ -43,7 +43,7 @@ fn bus_wires() -> Vec<BusWire> {
     granted.grants = vec![(NodeId(2), 0.75), (NodeId(3), 0.5)];
     let directed = CoopEvent {
         actor: NodeId(4),
-        artefact: "doc/fig1.svg".to_owned(),
+        artefact: "doc/fig1.svg".into(),
         at: SimTime::from_millis(20),
         audience: Audience::Direct(NodeId(5)),
         kind: CoopKind::LockGranted {

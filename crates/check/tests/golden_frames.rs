@@ -96,7 +96,7 @@ fn view() -> View {
 fn event(kind: CoopKind) -> CoopEvent {
     CoopEvent {
         actor: NodeId(1),
-        artefact: "doc/a".to_owned(),
+        artefact: "doc/a".into(),
         at: SimTime::from_millis(9),
         audience: Audience::Direct(NodeId(3)),
         kind,

@@ -119,21 +119,14 @@ impl Outline {
         visibility: Visibility,
     ) -> Result<ItemId, OutlineError> {
         let id = ItemId(self.next);
-        let siblings_len = match parent {
-            Some(p) => self
-                .items
-                .get(&p)
-                .ok_or(OutlineError::UnknownItem(p))?
-                .children
-                .len(),
-            None => self.roots.len(),
-        };
-        if position > siblings_len {
+        let siblings = self.siblings_mut(parent)?;
+        if position > siblings.len() {
             return Err(OutlineError::BadPosition {
                 index: position,
-                len: siblings_len,
+                len: siblings.len(),
             });
         }
+        siblings.insert(position, id);
         self.next += 1;
         self.items.insert(
             id,
@@ -145,16 +138,19 @@ impl Outline {
                 children: Vec::new(),
             },
         );
+        Ok(id)
+    }
+
+    /// The sibling list under `parent` (the top level for `None`).
+    fn siblings_mut(&mut self, parent: Option<ItemId>) -> Result<&mut Vec<ItemId>, OutlineError> {
         match parent {
             Some(p) => self
                 .items
                 .get_mut(&p)
-                .expect("checked")
-                .children
-                .insert(position, id),
-            None => self.roots.insert(position, id),
+                .map(|item| &mut item.children)
+                .ok_or(OutlineError::UnknownItem(p)),
+            None => Ok(&mut self.roots),
         }
-        Ok(id)
     }
 
     /// Edits an item's text (any participant — GROVE let the group edit
@@ -247,30 +243,18 @@ impl Outline {
             if p == id || self.is_descendant(p, id) {
                 return Err(OutlineError::WouldCycle(id));
             }
-            if !self.items.contains_key(&p) {
-                return Err(OutlineError::UnknownItem(p));
-            }
         }
+        // Every error is raised before the item is detached.
+        self.siblings_mut(new_parent)?;
         // Detach.
         self.roots.retain(|&r| r != id);
         for item in self.items.values_mut() {
             item.children.retain(|&c| c != id);
         }
         // Attach.
-        let siblings_len = match new_parent {
-            Some(p) => self.items.get(&p).expect("checked").children.len(),
-            None => self.roots.len(),
-        };
-        let position = position.min(siblings_len);
-        match new_parent {
-            Some(p) => self
-                .items
-                .get_mut(&p)
-                .expect("checked")
-                .children
-                .insert(position, id),
-            None => self.roots.insert(position, id),
-        }
+        let siblings = self.siblings_mut(new_parent)?;
+        let position = position.min(siblings.len());
+        siblings.insert(position, id);
         Ok(())
     }
 

@@ -125,7 +125,7 @@ impl Building {
     ///
     /// Unknown rooms or refusing doors fail.
     pub fn enter(&mut self, who: NodeId, id: RoomId) -> Result<(), RoomError> {
-        let room = self.rooms.get(&id).ok_or(RoomError::UnknownRoom(id))?;
+        let room = self.rooms.get_mut(&id).ok_or(RoomError::UnknownRoom(id))?;
         let owner_entering = matches!(room.kind, RoomKind::Office(owner) if owner == who.0);
         let admitted = owner_entering
             || match room.door {
@@ -136,16 +136,12 @@ impl Building {
         if !admitted {
             return Err(RoomError::DoorRefused(id));
         }
-        if let Some(prev) = self.whereabouts.insert(who, id) {
+        room.occupants.insert(who);
+        if let Some(prev) = self.whereabouts.insert(who, id).filter(|&prev| prev != id) {
             if let Some(prev_room) = self.rooms.get_mut(&prev) {
                 prev_room.occupants.remove(&who);
             }
         }
-        self.rooms
-            .get_mut(&id)
-            .expect("checked above")
-            .occupants
-            .insert(who);
         Ok(())
     }
 

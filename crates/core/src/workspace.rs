@@ -30,7 +30,7 @@ pub struct HistoryEntry {
     /// Who acted (the workspace maps participants to nodes 1:1).
     pub who: u32,
     /// The artefact path.
-    pub artefact: String,
+    pub artefact: ObjectPath,
     /// What they did.
     pub kind: ActivityKind,
     /// When.
@@ -166,6 +166,8 @@ impl SharedWorkspace {
         self.paths.insert(id, path.into());
     }
 
+    /// The path `id` was created under — a clone of the shared name,
+    /// not a copy — or `obj/<id>` for an object nobody registered.
     fn path_of(&self, id: ObjectId) -> ObjectPath {
         self.paths
             .get(&id)
@@ -173,15 +175,21 @@ impl SharedWorkspace {
             .unwrap_or_else(|| ObjectPath::new(format!("obj/{}", id.0)))
     }
 
+    /// Whether the policy lets `who` exercise `needed` on artefact `id`,
+    /// judged on the path the artefact was registered under.
+    pub fn allows(&self, who: NodeId, id: ObjectId, needed: Rights) -> bool {
+        self.bus
+            .policy()
+            .allows(Subject(who.0), &self.path_of(id), needed)
+    }
+
     fn check(&self, who: NodeId, id: ObjectId, needed: Rights) -> Result<(), WorkspaceError> {
-        let path = self.path_of(id);
-        let decision = self.bus.policy().check(Subject(who.0), &path, needed);
-        if decision.allowed {
+        if self.allows(who, id, needed) {
             Ok(())
         } else {
             Err(WorkspaceError::Denied(self.bus.policy().explain(
                 Subject(who.0),
-                &path,
+                &self.path_of(id),
                 needed,
             )))
         }
@@ -194,7 +202,7 @@ impl SharedWorkspace {
         kind: ActivityKind,
         at: SimTime,
     ) -> Vec<BusDelivery> {
-        let artefact = self.path_of(id).to_string();
+        let artefact = self.path_of(id);
         self.history.push(HistoryEntry {
             who: who.0,
             artefact: artefact.clone(),

@@ -2,10 +2,12 @@
 
 //! # odp-fabric — the zero-copy message fabric
 //!
-//! The delivery hot path moves three kinds of data millions of times
+//! The delivery hot path moves four kinds of data millions of times
 //! per run: envelope payloads (multicast fan-out clones one payload per
-//! peer), telemetry span records (two per instrumented hop), and small
-//! ordered maps that exist only so iteration order is deterministic.
+//! peer), telemetry span records (two per instrumented hop), small
+//! ordered maps that exist only so iteration order is deterministic,
+//! and artefact names (one rights check and one event copy per
+//! observer).
 //! This crate provides the byte-oriented primitives every
 //! envelope-carrying crate shares, and *nothing else* — it sits below
 //! `odp-sim` in the dependency graph and deliberately depends on no
@@ -13,7 +15,7 @@
 //! and nodes raw `u32`s here (the sim layer re-exports them with its
 //! `SimTime`/`NodeId` vocabulary).
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! - [`Payload`](bytes::Payload): cheaply-cloneable Arc-backed shared
 //!   bytes with copy-on-write. Fan-out to N peers bumps a refcount N
@@ -30,18 +32,26 @@
 //!   wherever the map is small-to-medium and iteration order (not
 //!   asymptotic insert/remove) is what the BTreeMap was buying —
 //!   retransmit buffers, observer registries, lookup caches.
+//! - [`ObjectPath`]: a shared, normalised hierarchical
+//!   name. What `Payload` is to bytes it is to artefact names: parsed
+//!   once where the name enters, a refcount bump per copy, and a prefix
+//!   test ("does this rule's subtree cover that artefact?") that
+//!   compares bytes instead of building strings.
 
 pub mod bytes;
 pub mod map;
+pub mod path;
 pub mod span;
 
 pub use bytes::Payload;
 pub use map::SortedVecMap;
+pub use path::ObjectPath;
 pub use span::{FabricError, KindId, SpanCarrier, SpanEvent, SpanLog, SpanOp};
 
 /// Everything a consuming crate usually wants.
 pub mod prelude {
     pub use crate::bytes::Payload;
     pub use crate::map::SortedVecMap;
+    pub use crate::path::ObjectPath;
     pub use crate::span::{KindId, SpanCarrier, SpanEvent, SpanLog, SpanOp};
 }

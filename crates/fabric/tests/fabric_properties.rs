@@ -1,13 +1,28 @@
 //! Property tests for the fabric primitives: the [`SpanCarrier`]
 //! binary codec round-trips and is total over hostile bytes, the
 //! [`Payload`] copy-on-write handle never lets a writer disturb other
-//! handles, and [`SortedVecMap`] is observationally equivalent to
-//! `BTreeMap` under arbitrary operation sequences.
+//! handles, [`SortedVecMap`] is observationally equivalent to
+//! `BTreeMap` under arbitrary operation sequences, and [`ObjectPath`]
+//! normalises and prefix-tests exactly as the `String`-building
+//! definition it replaced.
 
 use std::collections::BTreeMap;
 
-use odp_fabric::{FabricError, Payload, SortedVecMap, SpanCarrier};
+use odp_fabric::{FabricError, ObjectPath, Payload, SortedVecMap, SpanCarrier};
 use proptest::prelude::*;
+
+/// The path algebra as it was written over `String`s — split, filter,
+/// join; cover by `format!` — kept as the oracle.
+mod string_paths {
+    pub fn normalised(raw: &str) -> String {
+        let parts: Vec<&str> = raw.split('/').filter(|s| !s.is_empty()).collect();
+        parts.join("/")
+    }
+
+    pub fn covers(ancestor: &str, path: &str) -> bool {
+        ancestor.is_empty() || path == ancestor || path.starts_with(&format!("{ancestor}/"))
+    }
+}
 
 /// An arbitrary carrier, roots and children alike.
 fn arb_carrier() -> impl Strategy<Value = SpanCarrier> {
@@ -169,5 +184,35 @@ proptest! {
             prop_assert_eq!(subject.get(&k), model.get(&k));
             prop_assert_eq!(subject.contains_key(&k), model.contains_key(&k));
         }
+    }
+
+    /// `new` lands on the normal form the string algebra defines, and
+    /// is idempotent: a normalised name passes through unchanged.
+    #[test]
+    fn path_new_normalises_once(raw in "[a-z0-9/]*") {
+        let path = ObjectPath::new(&raw);
+        prop_assert_eq!(path.as_str(), string_paths::normalised(&raw));
+        prop_assert_eq!(ObjectPath::new(path.as_str()), path.clone());
+        prop_assert_eq!(path.depth(), path.as_str().split('/').filter(|s| !s.is_empty()).count());
+    }
+
+    /// `covers` by byte comparison is `covers` by `format!`, on
+    /// unrelated names and on names that extend one another (where the
+    /// component boundary decides: `a/b` covers `a/b/c`, not `a/bc`).
+    #[test]
+    fn path_covers_matches_the_string_definition(
+        a in "[a-z0-9/]*",
+        b in "[a-z0-9/]*",
+        tail in "[ab/]{0,4}",
+    ) {
+        let extended = format!("{a}{tail}");
+        for (x, y) in [(&a, &b), (&a, &extended), (&extended, &a)] {
+            let want = string_paths::covers(
+                &string_paths::normalised(x),
+                &string_paths::normalised(y),
+            );
+            prop_assert_eq!(ObjectPath::new(x).covers(&ObjectPath::new(y)), want, "{} covers {}", x, y);
+        }
+        prop_assert!(ObjectPath::new("").covers(&ObjectPath::new(&b)), "root covers all");
     }
 }

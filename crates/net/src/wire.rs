@@ -9,8 +9,8 @@
 //! [`NetError`](crate::NetError), never a panic — which [`laws`] states
 //! once and each owning crate's proptest suite feeds per envelope.
 //!
-//! Only the primitives, containers and [`Payload`] below are written by
-//! hand. An envelope is *declared*, once, in the crate that owns the
+//! Only the primitives, containers, [`Payload`] and [`ObjectPath`] below
+//! are written by hand. An envelope is *declared*, once, in the crate that owns the
 //! type, and the macro derives both directions from that one field
 //! list (fields travel in the order listed; their types are inferred):
 //!
@@ -47,7 +47,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use odp_fabric::Payload;
+use odp_fabric::{ObjectPath, Payload};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
@@ -296,15 +296,35 @@ impl WireCodec for f64 {
     }
 }
 
+fn encode_str(text: &str, out: &mut Vec<u8>) {
+    (text.len() as u32).encode(out);
+    out.extend_from_slice(text.as_bytes());
+}
+
+fn decode_str<'a>(r: &mut WireReader<'a>) -> Result<&'a str, NetError> {
+    let len = u32::decode(r)? as usize;
+    std::str::from_utf8(r.take(len)?).map_err(|_| NetError::BadUtf8)
+}
+
 impl WireCodec for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        out.extend_from_slice(self.as_bytes());
+        encode_str(self, out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        let len = u32::decode(r)? as usize;
-        let bytes = r.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| NetError::BadUtf8)
+        decode_str(r).map(str::to_owned)
+    }
+}
+
+/// An [`ObjectPath`] travels as the string it is — byte for byte what
+/// `String` writes, so a field changing between the two types moves no
+/// frame. The decoder normalises: a name enters the system here, and
+/// `"doc//a/"` off the wire reads `"doc/a"` from then on.
+impl WireCodec for ObjectPath {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_str(self.as_str(), out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        decode_str(r).map(ObjectPath::new)
     }
 }
 

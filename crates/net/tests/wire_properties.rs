@@ -6,10 +6,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use odp_fabric::Payload;
+use odp_fabric::{ObjectPath, Payload};
 use odp_net::error::NetError;
 use odp_net::session::Frame;
-use odp_net::wire::{encode_frame, laws, WireCodec, WireReader};
+use odp_net::wire::{encode_frame, laws, WireCodec, WireReader, MAX_FRAME};
 use odp_net::{payload_as, payload_of};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
@@ -115,6 +115,29 @@ proptest! {
         prop_assert_eq!(laws::total::<Frame<String>>(&bytes, cap), Ok(()));
         prop_assert_eq!(laws::total::<Vec<(NodeId, f64)>>(&bytes, cap), Ok(()));
         prop_assert_eq!(laws::total::<BTreeMap<NodeId, String>>(&bytes, cap), Ok(()));
+        prop_assert_eq!(laws::total::<(NodeId, ObjectPath)>(&bytes, cap), Ok(()));
+    }
+
+    /// An `ObjectPath` obeys the codec laws and is, on the wire, the
+    /// string it holds: a field may change between the two types
+    /// without moving a frame. A name spelled with redundant slashes
+    /// decodes to its normal form, whose encoding is the canonical one.
+    #[test]
+    fn object_paths_travel_as_their_strings(raw in "[a-z0-9/]{0,40}") {
+        let path = ObjectPath::new(&raw);
+        prop_assert_eq!(laws::roundtrips(&path), Ok(()));
+        prop_assert_eq!(laws::prefixes_err(&path), Ok(()));
+        let mut as_path = Vec::new();
+        path.encode(&mut as_path);
+        let mut as_string = Vec::new();
+        path.as_str().to_owned().encode(&mut as_string);
+        prop_assert_eq!(&as_path, &as_string);
+
+        let mut unnormalised = Vec::new();
+        raw.encode(&mut unnormalised);
+        prop_assert_eq!(laws::total::<ObjectPath>(&unnormalised, MAX_FRAME), Ok(()));
+        let back = WireReader::new(&unnormalised).finish::<ObjectPath>().expect("total");
+        prop_assert_eq!(back, path);
     }
 
     /// `Payload` is wire-transparent: it encodes as its raw bytes with
