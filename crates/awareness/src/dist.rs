@@ -167,12 +167,14 @@ impl BusActor {
         match msg {
             GcMsg::AppCmd(mut wire) => {
                 let event = wire.event.clone();
+                // The grant list travels in the envelope: building it
+                // is the publish, once per event and not per observer.
                 wire.grants = self
                     .bus
                     .publish(event)
                     .into_iter()
                     .map(|d| (d.observer, d.weight))
-                    .collect();
+                    .collect(); // odp-check: allow(hot-path-alloc)
                 ctx.metrics().incr("aware.publish");
                 let span = if self.telemetry {
                     // The publish root closes at issue time; deliveries

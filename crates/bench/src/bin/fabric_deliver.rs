@@ -9,9 +9,9 @@
 //! clone is a reference-count bump), interleaved under the harness
 //! protocol. Both variants must deliver identical counts and byte
 //! checksums — a built-in differential — and the fabric ns/delivery is
-//! gated (`fabric_ns_per_delivery` in `floors.json`: the typed
-//! baseline runs well above it, so the gate trips before the zero-copy
-//! win is lost).
+//! gated (`fabric_ns_per_delivery` in `floors.json`: the bound is where
+//! the typed baseline runs, so the gate trips before the zero-copy win
+//! is lost).
 //!
 //! The other claim the fabric makes — binary `SpanCarrier` spans
 //! brought the E13 telemetry overhead from ~9.8 % under 2 % — is

@@ -206,25 +206,33 @@ pub fn hashmap_iter_rule(file: &ScannedFile) -> Vec<Finding> {
     out
 }
 
-/// The method names that make up the delivery hot path: the sim calls
-/// these once per message (or tick), so anything they allocate is paid
-/// per delivery across the whole run.
+/// The method names that make up the delivery hot path: the sim (or
+/// the transport driver) calls these once per message, frame or tick,
+/// so anything they allocate is paid per delivery across the whole run.
 const HOT_FNS: &[&str] = &[
     "on_message",
     "on_data",
     "on_deliver",
     "on_tick",
+    "on_frame",
     "apply_step",
     "handle_message",
     "deliver",
     "publish",
+    "mcast",
+    "mcast_spanned",
+    "unicast",
+    "broadcast",
+    "encode_frame",
 ];
 
 /// Per-delivery heap allocation inside hot delivery-path methods.
 ///
 /// Flags, inside any function named in [`HOT_FNS`]: `format!` (builds a
 /// `String` per delivery), `.to_string()` / `.to_owned()` / `.to_vec()`
-/// (deep copies), and `.clone()` *inside a loop* (the per-peer fan-out
+/// (deep copies), `.collect()` (builds a container per delivery — a
+/// FIFO hold-back scan once copied every key into a `Vec` per message
+/// this way), and `.clone()` *inside a loop* (the per-peer fan-out
 /// pattern — clone a handle like `odp_fabric::Payload` instead, or
 /// restructure so the last peer takes the value by move). A `.clone()`
 /// outside a loop is tolerated: it is a constant per-delivery cost, and
@@ -308,6 +316,21 @@ pub fn hot_alloc_rule(file: &ScannedFile) -> Vec<Finding> {
                         message: format!(
                             "`.{text}()` in hot path `{fn_name}` deep-copies per \
                              delivery; borrow, intern, or precompute instead"
+                        ),
+                    });
+                }
+                "collect"
+                    if k > 0
+                        && toks[k - 1].text == "."
+                        && matches!(toks.get(k + 1).map(|t| t.text.as_str()), Some("(" | ":")) =>
+                {
+                    out.push(Finding {
+                        rule: RULE_HOT_ALLOC,
+                        line: toks[k].line,
+                        message: format!(
+                            "`.collect()` in hot path `{fn_name}` builds a container \
+                             per delivery; iterate in place, or keep the container \
+                             across calls"
                         ),
                     });
                 }
@@ -408,6 +431,41 @@ mod tests {
         let f = hot_alloc_rule(&scan(src));
         assert_eq!(f.len(), 4, "{f:?}");
         assert!(f.iter().all(|f| f.rule == RULE_HOT_ALLOC));
+    }
+
+    #[test]
+    fn hot_alloc_fires_on_collect_with_or_without_a_turbofish() {
+        let src = "
+            fn on_data(&mut self) {
+                let keys: Vec<u64> = self.holdback.keys().copied().collect();
+                let peers = self.view.iter().collect::<Vec<_>>();
+                let n = collect(self);
+            }
+        ";
+        let f = hot_alloc_rule(&scan(src));
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|f| f.message.contains(".collect()")));
+    }
+
+    #[test]
+    fn hot_alloc_covers_the_send_side_and_the_frame_codec() {
+        for name in [
+            "mcast",
+            "mcast_spanned",
+            "unicast",
+            "broadcast",
+            "on_frame",
+            "encode_frame",
+        ] {
+            let src = format!(
+                "fn {name}(&mut self) {{
+                    let targets: Vec<NodeId> = self.peers.keys().copied().collect();
+                    for peer in targets {{ out.push((peer, frame.clone())); }}
+                }}"
+            );
+            let f = hot_alloc_rule(&scan(&src));
+            assert_eq!(f.len(), 2, "`{name}` is a hot path: {f:?}");
+        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! binary codec round-trips and is total over hostile bytes, the
 //! [`Payload`] copy-on-write handle never lets a writer disturb other
 //! handles, [`SortedVecMap`] is observationally equivalent to
-//! `BTreeMap` under arbitrary operation sequences, and [`ObjectPath`]
-//! normalises and prefix-tests exactly as the `String`-building
-//! definition it replaced.
+//! `BTreeMap` under arbitrary operation sequences, [`SeqSet`] answers
+//! every insert as a `BTreeSet` does while keeping its ranges
+//! canonical, and [`ObjectPath`] normalises and prefix-tests exactly
+//! as the `String`-building definition it replaced.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use odp_fabric::{FabricError, ObjectPath, Payload, SortedVecMap, SpanCarrier};
+use odp_fabric::{FabricError, ObjectPath, Payload, SeqSet, SortedVecMap, SpanCarrier};
 use proptest::prelude::*;
 
 /// The path algebra as it was written over `String`s — split, filter,
@@ -53,7 +54,44 @@ fn arb_map_op() -> impl Strategy<Value = MapOp> {
     })
 }
 
+/// Sequence numbers as a duplicate filter meets them: runs from 1,
+/// a resumed sender's jump, the sequencer's assignment ids from
+/// `u64::MAX / 2` up, and the end of the domain — each a small window,
+/// so arrivals collide, touch and leave holes.
+fn arb_seq() -> impl Strategy<Value = u64> {
+    (0usize..5, 0u64..24).prop_map(|(window, offset)| {
+        [0, 1_000, u64::MAX / 2, u64::MAX - 23, u64::MAX - 40][window] + offset
+    })
+}
+
 proptest! {
+    /// `SeqSet::insert` says what `BTreeSet::insert` says for any
+    /// arrival order — duplicates, jumps and both ends of `u64`
+    /// included — and the ranges stay sorted, disjoint, non-adjacent
+    /// and exactly the model's contents.
+    #[test]
+    fn seq_set_matches_btreeset(arrivals in prop::collection::vec(arb_seq(), 0..96)) {
+        let mut subject = SeqSet::new();
+        let mut model: BTreeSet<u64> = BTreeSet::new();
+        for seq in arrivals {
+            prop_assert_eq!(subject.insert(seq), model.insert(seq), "insert({})", seq);
+            for pair in subject.ranges().windows(2) {
+                let (left, right) = (pair[0], pair[1]);
+                // A gap of at least one number between neighbours.
+                prop_assert!(
+                    left.1.checked_add(1).is_some_and(|next| next < right.0),
+                    "{:?} and {:?} overlap, touch or are out of order", left, right
+                );
+            }
+        }
+        let mut held = BTreeSet::new();
+        for &(lo, hi) in subject.ranges() {
+            prop_assert!(lo <= hi);
+            held.extend(lo..=hi);
+        }
+        prop_assert_eq!(held, model);
+    }
+
     /// Every carrier round-trips through the binary codec, consuming
     /// exactly the bytes it produced — including with trailing junk
     /// after the encoding.

@@ -16,10 +16,10 @@
 //! - [`Ordering::Total`] — a sequencer (the view leader) assigns a global
 //!   sequence; everyone delivers in that sequence.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use odp_fabric::SortedVecMap;
+use odp_fabric::{SeqSet, SortedVecMap};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 use odp_telemetry::span::{Carrier, SpanContext};
@@ -261,17 +261,39 @@ impl<P> Step<P> {
         }
     }
 
-    fn merge(&mut self, mut other: Step<P>) {
-        self.outbound.append(&mut other.outbound);
-        self.delivered.append(&mut other.delivered);
+    /// Hands `data` to the application. A step delivers one message
+    /// far more often than several, so the first slot is allocated
+    /// alone instead of as the four a first `push` would take.
+    fn deliver(&mut self, data: DataMsg<P>) {
+        if self.delivered.is_empty() {
+            self.delivered.reserve_exact(1);
+        }
+        self.delivered.push(Delivery {
+            id: data.id,
+            span: data.span,
+            payload: data.payload,
+        });
     }
 }
 
 struct RelOut<P> {
     msg: GcMsg<P>,
-    pending: BTreeSet<NodeId>,
+    /// Peers yet to ack, ascending (as [`View::peers`] lists them).
+    pending: Vec<NodeId>,
     last_sent: SimTime,
     retries: u32,
+}
+
+/// Message ids already processed, as one [`SeqSet`] per origin: the
+/// state is O(origins + gaps), not O(messages).
+#[derive(Default)]
+struct IdSet(SortedVecMap<NodeId, SeqSet>);
+
+impl IdSet {
+    /// Records `id`; true when it had not been seen.
+    fn insert(&mut self, id: MsgId) -> bool {
+        self.0.get_mut_or_default(id.origin).insert(id.seq)
+    }
 }
 
 /// The per-member multicast engine.
@@ -301,8 +323,9 @@ pub struct GroupEngine<P> {
     ordering: Ordering,
     reliability: Reliability,
     next_seq: u64,
-    // Dedup of data/assign messages already processed.
-    seen: HashSet<MsgId>,
+    // Dedup of data/assign messages already processed. Assignment ids
+    // are the sequencer's own second range, `u64::MAX / 2` up.
+    seen: IdSet,
     // Reliable retransmission state. A sorted vec, not a BTreeMap: the
     // set is small (unacked window), iterated every tick in key order,
     // and contiguous storage keeps the retransmit scan cache-friendly.
@@ -320,7 +343,7 @@ pub struct GroupEngine<P> {
     // Sequencer-only state.
     seq_next_assign: u64,
     seq_assign_counter: u64,
-    seq_already_assigned: HashSet<MsgId>,
+    seq_already_assigned: IdSet,
 }
 
 impl<P: Clone> GroupEngine<P> {
@@ -333,7 +356,7 @@ impl<P: Clone> GroupEngine<P> {
             ordering,
             reliability,
             next_seq: 0,
-            seen: HashSet::new(),
+            seen: IdSet::default(),
             rel_out: SortedVecMap::new(),
             fifo_expected: BTreeMap::new(),
             fifo_holdback: BTreeMap::new(),
@@ -344,7 +367,7 @@ impl<P: Clone> GroupEngine<P> {
             total_waiting: HashMap::new(),
             seq_next_assign: 1,
             seq_assign_counter: 0,
-            seq_already_assigned: HashSet::new(),
+            seq_already_assigned: IdSet::default(),
         }
     }
 
@@ -431,17 +454,33 @@ impl<P: Clone> GroupEngine<P> {
             span,
             payload,
         };
-        let mut step = Step::empty();
         // Put it on the wire to every peer: build the envelope once and
         // clone handles from it (with a byte payload a clone is a
-        // reference-count bump, not a copy of the data).
+        // reference-count bump, not a copy of the data) — every peer
+        // owns its envelope, which is what the two allow-comments in
+        // the fan-out loops below stand for.
         let peers = self.view.peers(self.me);
+        let sequencer = match self.ordering {
+            Ordering::Total => self.sequencer(),
+            _ => None,
+        };
+        // One slot per peer, and under total order either the request
+        // to the sequencer or, at the sequencer, the assignments.
+        let ordering_msgs = match sequencer {
+            Some(node) if node == self.me => peers.len(),
+            Some(_) => 1,
+            None => 0,
+        };
+        let mut step = Step {
+            outbound: Vec::with_capacity(peers.len() + ordering_msgs),
+            delivered: Vec::new(),
+        };
         match self.reliability {
             Reliability::BestEffort => {
                 if let Some((last, rest)) = peers.split_last() {
                     let wire = GcMsg::Data(data.clone());
                     for peer in rest {
-                        step.outbound.push((*peer, wire.clone()));
+                        step.outbound.push((*peer, wire.clone())); // odp-check: allow(hot-path-alloc)
                     }
                     step.outbound.push((*last, wire));
                 }
@@ -449,15 +488,16 @@ impl<P: Clone> GroupEngine<P> {
             Reliability::Reliable { .. } => {
                 let wire = GcMsg::Data(data.clone());
                 for peer in &peers {
-                    step.outbound.push((*peer, wire.clone()));
+                    step.outbound.push((*peer, wire.clone())); // odp-check: allow(hot-path-alloc)
                 }
                 // The retransmit buffer takes the envelope itself — no
-                // extra deep clone of the payload.
+                // extra deep clone of the payload — and the peer list
+                // as it stands: ascending, all still to ack.
                 self.rel_out.insert(
                     id,
                     RelOut {
                         msg: wire,
-                        pending: peers.iter().copied().collect(),
+                        pending: peers,
                         last_sent: now,
                         retries: 0,
                     },
@@ -469,31 +509,21 @@ impl<P: Clone> GroupEngine<P> {
             Ordering::Total => {
                 // Hold even our own message until sequenced.
                 self.total_waiting.insert(id, data);
-                if let Some(seq_node) = self.sequencer() {
+                if let Some(seq_node) = sequencer {
                     if seq_node == self.me {
-                        step.merge(self.sequence_msg(id, now));
+                        self.sequence_msg(id, now, &mut step);
                     } else {
                         step.outbound.push((seq_node, GcMsg::SeqRequest { id }));
                     }
                 }
-                step.merge(self.try_deliver_total());
+                self.try_deliver_total(&mut step);
             }
             Ordering::Fifo => {
                 // Track our own FIFO counter so symmetry holds.
                 self.fifo_expected.insert(self.me, id.seq + 1);
-                step.delivered.push(Delivery {
-                    id,
-                    span: data.span,
-                    payload: data.payload,
-                });
+                step.deliver(data);
             }
-            Ordering::Causal | Ordering::Unordered => {
-                step.delivered.push(Delivery {
-                    id,
-                    span: data.span,
-                    payload: data.payload,
-                });
-            }
+            Ordering::Causal | Ordering::Unordered => step.deliver(data),
         }
         step
     }
@@ -504,7 +534,9 @@ impl<P: Clone> GroupEngine<P> {
             GcMsg::Data(data) => self.on_data(from, data, now),
             GcMsg::Ack { id } => {
                 if let Some(out) = self.rel_out.get_mut(&id) {
-                    out.pending.remove(&from);
+                    if let Ok(at) = out.pending.binary_search(&from) {
+                        out.pending.remove(at);
+                    }
                     if out.pending.is_empty() {
                         self.rel_out.remove(&id);
                     }
@@ -512,24 +544,21 @@ impl<P: Clone> GroupEngine<P> {
                 Step::empty()
             }
             GcMsg::SeqRequest { id } => {
+                let mut step = Step::empty();
                 if self.sequencer() == Some(self.me) {
-                    self.sequence_msg(id, now)
-                } else {
-                    Step::empty()
+                    self.sequence_msg(id, now, &mut step);
                 }
+                step
             }
             GcMsg::SeqAssign {
                 assign_id,
                 id,
                 total,
             } => {
-                let mut step = Step::empty();
-                if self.is_reliable() {
-                    step.outbound.push((from, GcMsg::Ack { id: assign_id }));
-                }
+                let mut step = self.ack_step(from, assign_id);
                 if self.seen.insert(assign_id) {
                     self.total_assignments.insert(total, id);
-                    step.merge(self.try_deliver_total());
+                    self.try_deliver_total(&mut step);
                 }
                 step
             }
@@ -546,34 +575,47 @@ impl<P: Clone> GroupEngine<P> {
         matches!(self.reliability, Reliability::Reliable { .. })
     }
 
-    fn on_data(&mut self, from: NodeId, data: DataMsg<P>, _now: SimTime) -> Step<P> {
+    /// The step every received `Data`/`SeqAssign` starts from: under
+    /// reliable delivery the ack to `from` (fresh or duplicate alike),
+    /// otherwise nothing.
+    fn ack_step(&self, from: NodeId, id: MsgId) -> Step<P> {
         let mut step = Step::empty();
         if self.is_reliable() {
-            step.outbound.push((from, GcMsg::Ack { id: data.id }));
+            step.outbound = vec![(from, GcMsg::Ack { id })];
         }
+        step
+    }
+
+    fn on_data(&mut self, from: NodeId, data: DataMsg<P>, _now: SimTime) -> Step<P> {
+        let mut step = self.ack_step(from, data.id);
         if !self.seen.insert(data.id) {
             return step; // duplicate (retransmission)
         }
         match self.ordering {
-            Ordering::Unordered => {
-                step.delivered.push(Delivery {
-                    id: data.id,
-                    span: data.span,
-                    payload: data.payload,
-                });
-            }
+            Ordering::Unordered => step.deliver(data),
             Ordering::Fifo => {
-                self.fifo_holdback
-                    .insert((data.id.origin, data.id.seq), data);
-                step.merge(self.try_deliver_fifo());
+                let origin = data.id.origin;
+                let expected = self.fifo_expected.entry(origin).or_insert(1);
+                if data.id.seq == *expected {
+                    // The next in line is delivered without touching
+                    // the hold-back, and then whatever it was blocking.
+                    *expected += 1;
+                    step.deliver(data);
+                    while let Some(next) = self.fifo_holdback.remove(&(origin, *expected)) {
+                        *expected += 1;
+                        step.deliver(next);
+                    }
+                } else {
+                    self.fifo_holdback.insert((origin, data.id.seq), data);
+                }
             }
             Ordering::Causal => {
                 self.causal_holdback.push(data);
-                step.merge(self.try_deliver_causal());
+                self.try_deliver_causal(&mut step);
             }
             Ordering::Total => {
                 self.total_waiting.insert(data.id, data);
-                step.merge(self.try_deliver_total());
+                self.try_deliver_total(&mut step);
             }
         }
         step
@@ -623,10 +665,18 @@ impl<P: Clone> GroupEngine<P> {
         self.fifo_holdback.len() + self.causal_holdback.len() + self.total_waiting.len()
     }
 
-    fn sequence_msg(&mut self, id: MsgId, now: SimTime) -> Step<P> {
-        let mut step = Step::empty();
+    /// Size of the duplicate filter: sequence-number ranges held, over
+    /// all origins. One per origin when nothing is outstanding, one
+    /// more per gap — never one per message.
+    pub fn dedup_ranges(&self) -> usize {
+        self.seen.0.values().map(|set| set.ranges().len()).sum()
+    }
+
+    /// At the sequencer: gives `id` its place in the total order (once)
+    /// and adds the assignment for every peer to `step`.
+    fn sequence_msg(&mut self, id: MsgId, now: SimTime, step: &mut Step<P>) {
         if !self.seq_already_assigned.insert(id) {
-            return step; // duplicate SeqRequest
+            return; // duplicate SeqRequest
         }
         let total = self.seq_next_assign;
         self.seq_next_assign += 1;
@@ -643,6 +693,7 @@ impl<P: Clone> GroupEngine<P> {
             total,
         };
         let peers = self.view.peers(self.me);
+        step.outbound.reserve(peers.len());
         for peer in &peers {
             step.outbound.push((*peer, assign.clone()));
         }
@@ -651,7 +702,7 @@ impl<P: Clone> GroupEngine<P> {
                 assign_id,
                 RelOut {
                     msg: assign,
-                    pending: peers.into_iter().collect(),
+                    pending: peers,
                     last_sent: now,
                     retries: 0,
                 },
@@ -660,39 +711,10 @@ impl<P: Clone> GroupEngine<P> {
         // Apply locally.
         self.seen.insert(assign_id);
         self.total_assignments.insert(total, id);
-        step.merge(self.try_deliver_total());
-        step
+        self.try_deliver_total(step);
     }
 
-    fn try_deliver_fifo(&mut self) -> Step<P> {
-        let mut step = Step::empty();
-        loop {
-            let mut delivered_any = false;
-            let keys: Vec<(NodeId, u64)> = self.fifo_holdback.keys().copied().collect();
-            for (origin, seq) in keys {
-                let expected = self.fifo_expected.entry(origin).or_insert(1);
-                if seq == *expected {
-                    let Some(data) = self.fifo_holdback.remove(&(origin, seq)) else {
-                        continue;
-                    };
-                    *expected += 1;
-                    step.delivered.push(Delivery {
-                        id: data.id,
-                        span: data.span,
-                        payload: data.payload,
-                    });
-                    delivered_any = true;
-                }
-            }
-            if !delivered_any {
-                break;
-            }
-        }
-        step
-    }
-
-    fn try_deliver_causal(&mut self) -> Step<P> {
-        let mut step = Step::empty();
+    fn try_deliver_causal(&mut self, step: &mut Step<P>) {
         loop {
             // Causal senders always stamp a clock; a clockless message
             // (a peer in the wrong mode) is simply never deliverable.
@@ -704,30 +726,19 @@ impl<P: Clone> GroupEngine<P> {
             let Some(idx) = idx else { break };
             let data = self.causal_holdback.remove(idx);
             self.vclock.tick(data.id.origin);
-            step.delivered.push(Delivery {
-                id: data.id,
-                span: data.span,
-                payload: data.payload,
-            });
+            step.deliver(data);
         }
-        step
     }
 
-    fn try_deliver_total(&mut self) -> Step<P> {
-        let mut step = Step::empty();
+    fn try_deliver_total(&mut self, step: &mut Step<P>) {
         while let Some(&id) = self.total_assignments.get(&self.total_next_deliver) {
             let Some(data) = self.total_waiting.remove(&id) else {
                 break; // assignment known but data not yet arrived
             };
             self.total_assignments.remove(&self.total_next_deliver);
             self.total_next_deliver += 1;
-            step.delivered.push(Delivery {
-                id: data.id,
-                span: data.span,
-                payload: data.payload,
-            });
+            step.deliver(data);
         }
-        step
     }
 }
 

@@ -46,6 +46,10 @@ impl WireCodec for VectorClock {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(|entry| entry.encoded_len()).sum::<usize>()
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         let entries: Vec<(NodeId, u64)> = WireCodec::decode(r)?;
         Ok(VectorClock::from_entries(entries))

@@ -1,9 +1,15 @@
 //! Property tests: delivery-ordering guarantees hold under randomised
-//! network conditions (latency, jitter, loss) and workloads.
+//! network conditions (latency, jitter, loss) and workloads, and the
+//! engine's range-set dedup and in-order fast path deliver exactly what
+//! the set-and-scan definition they replaced delivers.
+
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use odp_groupcomm::actors::{GroupActor, GroupApp};
 use odp_groupcomm::membership::{GroupId, View};
-use odp_groupcomm::multicast::{Delivery, GcMsg, Ordering, Reliability};
+use odp_groupcomm::multicast::{
+    DataMsg, Delivery, GcMsg, GroupEngine, MsgId, Ordering, Reliability,
+};
 use odp_groupcomm::vclock::{Causality, VectorClock};
 use odp_net::ctx::NetCtx;
 use odp_sim::prelude::*;
@@ -71,6 +77,244 @@ fn run(
             a.app().delivered.clone()
         })
         .collect()
+}
+
+/// The receiving side of the engine as it was defined before the
+/// range sets and the fast path: remember every id in a hash set, park
+/// every fresh message, then deliver whatever the ordering's condition
+/// admits. Kept as the oracle.
+#[derive(Default)]
+struct SetAndScanModel {
+    seen: HashSet<MsgId>,
+    fifo_expected: BTreeMap<NodeId, u64>,
+    fifo_holdback: BTreeMap<(NodeId, u64), u32>,
+    total_next: u64,
+    total_assignments: BTreeMap<u64, MsgId>,
+    total_waiting: HashMap<MsgId, u32>,
+}
+
+impl SetAndScanModel {
+    /// FIFO: dedup by set, park, deliver while an origin's `expected`
+    /// is present — rescanning the whole hold-back, as
+    /// `try_deliver_fifo` did.
+    fn on_fifo_data(&mut self, data: &DataMsg<u32>) -> Vec<u32> {
+        let mut out = Vec::new();
+        if !self.seen.insert(data.id) {
+            return out;
+        }
+        self.fifo_holdback
+            .insert((data.id.origin, data.id.seq), data.payload);
+        loop {
+            let before = out.len();
+            let keys: Vec<(NodeId, u64)> = self.fifo_holdback.keys().copied().collect();
+            for (origin, seq) in keys {
+                let expected = self.fifo_expected.entry(origin).or_insert(1);
+                if seq == *expected {
+                    *expected += 1;
+                    out.extend(self.fifo_holdback.remove(&(origin, seq)));
+                }
+            }
+            if out.len() == before {
+                return out;
+            }
+        }
+    }
+
+    /// Total: dedup data and assignments by the one set, deliver while
+    /// the next position's assignment and its data are both here.
+    fn on_total(&mut self, msg: &GcMsg<u32>) -> Vec<u32> {
+        match msg {
+            GcMsg::Data(data) => {
+                if self.seen.insert(data.id) {
+                    self.total_waiting.insert(data.id, data.payload);
+                }
+            }
+            &GcMsg::SeqAssign {
+                assign_id,
+                id,
+                total,
+            } => {
+                if self.seen.insert(assign_id) {
+                    self.total_assignments.insert(total, id);
+                }
+            }
+            other => panic!("not receiver traffic: {other:?}"),
+        }
+        let mut out = Vec::new();
+        while let Some(id) = self.total_assignments.get(&(self.total_next + 1)) {
+            let Some(payload) = self.total_waiting.remove(id) else {
+                break;
+            };
+            self.total_next += 1;
+            self.total_assignments.remove(&self.total_next);
+            out.push(payload);
+        }
+        out
+    }
+
+    /// How many maximal runs of consecutive seqs `seen` holds, summed
+    /// over origins: what a range set must store for it.
+    fn seen_runs(&self) -> usize {
+        let ordered: BTreeSet<MsgId> = self.seen.iter().copied().collect();
+        let mut runs = 0;
+        let mut last: Option<MsgId> = None;
+        for id in ordered {
+            let continues =
+                last.is_some_and(|prev| prev.origin == id.origin && prev.seq + 1 == id.seq);
+            runs += usize::from(!continues);
+            last = Some(id);
+        }
+        runs
+    }
+}
+
+const RECEIVER: NodeId = NodeId(2);
+
+fn engine(me: u32, ordering: Ordering) -> GroupEngine<u32> {
+    let view = View::initial(GroupId(0), (0..3).map(NodeId));
+    GroupEngine::new(NodeId(me), view, ordering, Reliability::reliable())
+}
+
+/// Has `sender` multicast `before` messages, resume its sequence from
+/// `jump` (a rejoin: a no-op when it is not ahead) and multicast
+/// `after` more. Returns every outbound envelope as `(from, to, msg)`.
+fn burst(
+    sender: &mut GroupEngine<u32>,
+    before: u32,
+    jump: u64,
+    after: u32,
+) -> Vec<(NodeId, NodeId, GcMsg<u32>)> {
+    let from = sender.me();
+    let mut sent = Vec::new();
+    for k in 0..before + after {
+        if k == before {
+            sender.resume_seq_from(jump);
+        }
+        let step = sender.mcast((from.0 << 16) | k, SimTime::ZERO);
+        sent.extend(step.outbound.into_iter().map(|(to, msg)| (from, to, msg)));
+    }
+    sent
+}
+
+/// An arrival order over `n` envelopes: each once, each of `again`
+/// (taken modulo `n`) once more — the retransmission duplicates — all
+/// shuffled by `keys`.
+fn arrivals(n: usize, again: &[u16], keys: &[u32]) -> Vec<usize> {
+    let mut keyed: Vec<(u32, usize)> = (0..n)
+        .chain(again.iter().map(|&pick| usize::from(pick) % n))
+        .enumerate()
+        .map(|(slot, index)| (keys[slot % keys.len()], index))
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, index)| index).collect()
+}
+
+proptest! {
+    /// FIFO at one receiver, two senders, arrivals shuffled and
+    /// duplicated, one sender resuming its sequence after a jump: the
+    /// engine acks every arrival and delivers, arrival by arrival,
+    /// exactly what the set-and-scan model delivers — so exactly once
+    /// and in per-origin order up to the jump, and (today's definition)
+    /// holding back everything past a jump that left a hole.
+    #[test]
+    fn fifo_fast_path_and_range_dedup_match_the_set_and_scan_model(
+        before in 1u32..7,
+        jump in 0u64..30,
+        after in 0u32..6,
+        other in 0u32..7,
+        again in prop::collection::vec(any::<u16>(), 0..20),
+        keys in prop::collection::vec(any::<u32>(), 1..48),
+    ) {
+        let mut sent = burst(&mut engine(0, Ordering::Fifo), before, jump, after);
+        sent.extend(burst(&mut engine(1, Ordering::Fifo), other, 0, 0));
+        sent.retain(|(_, to, _)| *to == RECEIVER);
+
+        let mut receiver = engine(RECEIVER.0, Ordering::Fifo);
+        let mut model = SetAndScanModel::default();
+        let mut delivered = Vec::new();
+        for index in arrivals(sent.len(), &again, &keys) {
+            let (from, _, msg) = sent[index].clone();
+            let GcMsg::Data(data) = &msg else { panic!("senders only multicast") };
+            let want = model.on_fifo_data(data);
+            let ack = (from, GcMsg::Ack { id: data.id });
+            let step = receiver.on_message(from, msg, SimTime::ZERO);
+            prop_assert_eq!(step.outbound, vec![ack], "fresh or duplicate, every arrival is acked");
+            let got: Vec<u32> = step.delivered.iter().map(|d| d.payload).collect();
+            prop_assert_eq!(&got, &want, "arrival {} diverges from the model", index);
+            delivered.extend(step.delivered.into_iter().map(|d| d.id));
+        }
+        prop_assert_eq!(receiver.held_back(), model.fifo_holdback.len());
+        prop_assert_eq!(receiver.dedup_ranges(), model.seen_runs());
+        // Exactly once, and in order per origin.
+        let unique: BTreeSet<MsgId> = delivered.iter().copied().collect();
+        prop_assert_eq!(unique.len(), delivered.len(), "a message was delivered twice");
+        for origin in [NodeId(0), NodeId(1)] {
+            let seqs: Vec<u64> = delivered.iter().filter(|id| id.origin == origin).map(|id| id.seq).collect();
+            let in_order: Vec<u64> = (1..=seqs.len() as u64).collect();
+            prop_assert_eq!(seqs, in_order, "origin {} out of order or with a hole", origin);
+        }
+        // Everything up to the jump arrives; past it, only if the jump
+        // left no hole.
+        let from_jumper = if jump <= u64::from(before) { before + after } else { before };
+        prop_assert_eq!(delivered.len() as u32, from_jumper + other);
+    }
+
+    /// Total order through the same arrival generator: the sequencer
+    /// sees every `SeqRequest` twice and assigns once; the receiver
+    /// sees data and assignments shuffled and duplicated and delivers,
+    /// arrival by arrival, what the model delivers — every message
+    /// once, in assignment order, a sender's sequence jump included.
+    #[test]
+    fn total_order_survives_duplicated_requests_and_assignments(
+        before in 1u32..6,
+        jump in 0u64..30,
+        after in 0u32..5,
+        own in 0u32..5,
+        again in prop::collection::vec(any::<u16>(), 0..24),
+        keys in prop::collection::vec(any::<u32>(), 1..48),
+    ) {
+        let mut sequencer = engine(0, Ordering::Total);
+        // The sequencer's own multicasts are sequenced on the spot...
+        let mut sent = burst(&mut sequencer, own, 0, 0);
+        // ...a member's when its requests reach the sequencer: twice
+        // each here, as after a retransmission.
+        for (from, to, msg) in burst(&mut engine(1, Ordering::Total), before, jump, after) {
+            if to == RECEIVER {
+                sent.push((from, to, msg));
+                continue;
+            }
+            let is_request = matches!(msg, GcMsg::SeqRequest { .. });
+            let first = sequencer.on_message(from, msg.clone(), SimTime::ZERO);
+            let second = sequencer.on_message(from, msg, SimTime::ZERO);
+            if is_request {
+                prop_assert_eq!(first.outbound.len(), 2, "one assignment per peer");
+                prop_assert!(second.outbound.is_empty(), "a duplicate request assigns nothing");
+            }
+            sent.extend(first.outbound.into_iter().map(|(to, msg)| (NodeId(0), to, msg)));
+        }
+        sent.retain(|(_, to, msg)| *to == RECEIVER && !matches!(msg, GcMsg::Ack { .. }));
+        let multicasts = (own + before + after) as usize;
+        prop_assert_eq!(sent.len(), 2 * multicasts, "a data message and an assignment each");
+
+        let mut receiver = engine(RECEIVER.0, Ordering::Total);
+        let mut model = SetAndScanModel::default();
+        let mut delivered = Vec::new();
+        for index in arrivals(sent.len(), &again, &keys) {
+            let (from, _, msg) = sent[index].clone();
+            let want = model.on_total(&msg);
+            let step = receiver.on_message(from, msg, SimTime::ZERO);
+            prop_assert_eq!(step.outbound.len(), 1, "fresh or duplicate, every arrival is acked");
+            let got: Vec<u32> = step.delivered.iter().map(|d| d.payload).collect();
+            prop_assert_eq!(&got, &want, "arrival {} diverges from the model", index);
+            delivered.extend(got);
+        }
+        prop_assert_eq!(receiver.held_back(), 0);
+        prop_assert_eq!(receiver.dedup_ranges(), model.seen_runs());
+        // The order the sequencer decided: its own first, then the
+        // member's as requested, each exactly once.
+        let decided: Vec<u32> = (0..own).chain((0..before + after).map(|k| (1 << 16) | k)).collect();
+        prop_assert_eq!(delivered, decided);
+    }
 }
 
 proptest! {

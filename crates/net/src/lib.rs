@@ -36,7 +36,8 @@ pub use session::{Frame, PeerEvent, SessionConfig, SessionLayer, SessionStats, S
 pub use sim_host::SimHost;
 pub use tcp::{TcpConfig, TcpHandle, TcpNode, TcpReport};
 pub use wire::{
-    decode_frame, encode_frame, payload_as, payload_of, WireCodec, WireReader, MAX_FRAME,
+    decode_frame, encode_frame, payload_as, payload_of, FrameStream, WireCodec, WireReader,
+    MAX_FRAME,
 };
 
 /// Everything an actor port or a backend driver needs.

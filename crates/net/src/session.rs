@@ -34,8 +34,9 @@
 //! `(origin, bseq)` dedup makes delivery exactly-once however many
 //! survivors forward the same message.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
+use odp_fabric::{SeqSet, SortedVecMap};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
@@ -160,6 +161,14 @@ impl<M> SessionStep<M> {
             events: Vec::new(),
         }
     }
+
+    /// A step that transmits `outbound` and nothing else.
+    fn sending(outbound: Vec<(NodeId, Frame<M>)>) -> Self {
+        SessionStep {
+            outbound,
+            ..SessionStep::empty()
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -188,6 +197,27 @@ impl<M> PeerState<M> {
     }
 }
 
+impl<M: Clone> PeerState<M> {
+    /// Gives the frame `build` makes this link's next seq and retains a
+    /// copy for reconnect replay, evicting (and counting) whatever no
+    /// longer fits in `keep` frames.
+    fn sequence(
+        &mut self,
+        keep: usize,
+        evicted: &mut u64,
+        build: impl FnOnce(u64) -> Frame<M>,
+    ) -> Frame<M> {
+        let frame = build(self.next_out);
+        self.next_out += 1;
+        self.sent.push_back(frame.clone());
+        while self.sent.len() > keep {
+            self.sent.pop_front();
+            *evicted += 1;
+        }
+        frame
+    }
+}
+
 /// The sans-IO session state machine for one node.
 ///
 /// Generic over the payload `M`; cloning is required because replay and
@@ -201,8 +231,8 @@ pub struct SessionLayer<M> {
     next_bseq: u64,
     /// Retained broadcasts per origin (own included), for forwarding.
     retained: BTreeMap<NodeId, VecDeque<(u64, M)>>,
-    /// `(origin, bseq)` pairs already delivered (broadcast dedup).
-    seen: BTreeSet<(NodeId, u64)>,
+    /// Broadcast dedup: per origin, the `bseq`s already delivered.
+    seen: SortedVecMap<NodeId, SeqSet>,
     stats: SessionStats,
     /// Fault injection for the explorer's known-bad fixture: when
     /// false, forwarded broadcasts skip `(origin, bseq)` dedup, so
@@ -220,7 +250,7 @@ impl<M: Clone> SessionLayer<M> {
             peers: BTreeMap::new(),
             next_bseq: 0,
             retained: BTreeMap::new(),
-            seen: BTreeSet::new(),
+            seen: SortedVecMap::new(),
             stats: SessionStats::default(),
             forward_dedup: true,
             last_beat: SimTime::ZERO,
@@ -273,60 +303,44 @@ impl<M: Clone> SessionLayer<M> {
         }
     }
 
-    fn next_seq(&mut self, peer: NodeId, now: SimTime) -> u64 {
+    /// Sends `msg` to `peer` as a sequenced unicast.
+    pub fn unicast(&mut self, peer: NodeId, msg: M, now: SimTime) -> SessionStep<M> {
         let state = self
             .peers
             .entry(peer)
             .or_insert_with(|| PeerState::new(now));
-        let seq = state.next_out;
-        state.next_out += 1;
-        seq
-    }
-
-    fn retain_sent(&mut self, peer: NodeId, frame: Frame<M>) {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return;
-        };
-        state.sent.push_back(frame);
-        while state.sent.len() > self.cfg.retransmit_buffer {
-            state.sent.pop_front();
-            self.stats.evicted += 1;
-        }
-    }
-
-    /// Sends `msg` to `peer` as a sequenced unicast.
-    pub fn unicast(&mut self, peer: NodeId, msg: M, now: SimTime) -> SessionStep<M> {
-        let mut step = SessionStep::empty();
-        let seq = self.next_seq(peer, now);
-        let frame = Frame::Data { seq, msg };
-        self.retain_sent(peer, frame.clone());
-        step.outbound.push((peer, frame));
-        step
+        let frame = state.sequence(self.cfg.retransmit_buffer, &mut self.stats.evicted, |seq| {
+            Frame::Data { seq, msg }
+        });
+        SessionStep::sending(vec![(peer, frame)])
     }
 
     /// Broadcasts `msg` to every registered peer, retaining it for
     /// crash forwarding.
-    pub fn broadcast(&mut self, msg: M, now: SimTime) -> SessionStep<M> {
-        let mut step = SessionStep::empty();
+    pub fn broadcast(&mut self, msg: M, _now: SimTime) -> SessionStep<M> {
         self.next_bseq += 1;
         let bseq = self.next_bseq;
-        self.retain_bcast(self.me, bseq, msg.clone());
+        let origin = self.me;
+        self.retain_bcast(origin, bseq, msg.clone());
         // Own broadcasts are "seen": a survivor forwarding one back at
         // us after our crash verdict was wrong must not self-deliver.
-        self.seen.insert((self.me, bseq));
-        let targets: Vec<NodeId> = self.peers.keys().copied().collect();
-        for peer in targets {
-            let seq = self.next_seq(peer, now);
-            let frame = Frame::Bcast {
-                seq,
-                origin: self.me,
-                bseq,
-                msg: msg.clone(),
-            };
-            self.retain_sent(peer, frame.clone());
-            step.outbound.push((peer, frame));
+        self.seen.get_mut_or_default(origin).insert(bseq);
+        let mut outbound = Vec::with_capacity(self.peers.len());
+        for (&peer, state) in &mut self.peers {
+            let frame =
+                state.sequence(self.cfg.retransmit_buffer, &mut self.stats.evicted, |seq| {
+                    Frame::Bcast {
+                        seq,
+                        origin,
+                        bseq,
+                        // Every peer's link owns its frame; with a handle
+                        // payload this is a reference-count bump.
+                        msg: msg.clone(), // odp-check: allow(hot-path-alloc)
+                    }
+                });
+            outbound.push((peer, frame));
         }
-        step
+        SessionStep::sending(outbound)
     }
 
     fn retain_bcast(&mut self, origin: NodeId, bseq: u64, msg: M) {
@@ -356,27 +370,20 @@ impl<M: Clone> SessionLayer<M> {
         true
     }
 
-    /// Delivers a broadcast-class payload if `(origin, bseq)` is fresh.
-    fn deliver_bcast(
-        &mut self,
-        origin: NodeId,
-        bseq: u64,
-        msg: M,
-        dedup: bool,
-        step: &mut SessionStep<M>,
-    ) {
-        if dedup && !self.seen.insert((origin, bseq)) {
+    /// Admits one broadcast-class payload: returns whether to deliver
+    /// it (`(origin, bseq)` is fresh), having retained it if so.
+    fn admit_bcast(&mut self, origin: NodeId, bseq: u64, msg: &M, dedup: bool) -> bool {
+        // The known-bad path (`dedup` off) still records the pair, so
+        // later honest receives count as duplicates, but delivers
+        // regardless.
+        let fresh = self.seen.get_mut_or_default(origin).insert(bseq);
+        if dedup && !fresh {
             self.stats.bcast_duplicates += 1;
-            return;
-        }
-        if !dedup {
-            // Known-bad path: still record the pair so later honest
-            // receives count as duplicates, but deliver regardless.
-            self.seen.insert((origin, bseq));
+            return false;
         }
         self.retain_bcast(origin, bseq, msg.clone());
         self.stats.delivered += 1;
-        step.delivered.push((origin, msg));
+        true
     }
 
     /// Processes one received frame from `from`.
@@ -408,15 +415,11 @@ impl<M: Clone> SessionLayer<M> {
                 // seq onward. Frames below it were delivered; frames
                 // above the retained window are gone (the receiver will
                 // record a gap).
-                let replay: Vec<Frame<M>> = state
+                let replay = state
                     .sent
                     .iter()
-                    .filter(|f| frame_seq(f).is_some_and(|s| s >= expected))
-                    .cloned()
-                    .collect();
-                for f in replay {
-                    step.outbound.push((peer, f));
-                }
+                    .filter(|f| frame_seq(f).is_some_and(|s| s >= expected));
+                step.outbound.extend(replay.map(|f| (peer, f.clone())));
             }
             Frame::Heartbeat => {
                 let state = self
@@ -432,7 +435,7 @@ impl<M: Clone> SessionLayer<M> {
             Frame::Data { seq, msg } => {
                 if self.admit_seq(from, seq, now) {
                     self.stats.delivered += 1;
-                    step.delivered.push((from, msg));
+                    step.delivered = vec![(from, msg)];
                 }
             }
             Frame::Bcast {
@@ -441,8 +444,8 @@ impl<M: Clone> SessionLayer<M> {
                 bseq,
                 msg,
             } => {
-                if self.admit_seq(from, seq, now) {
-                    self.deliver_bcast(origin, bseq, msg, true, &mut step);
+                if self.admit_seq(from, seq, now) && self.admit_bcast(origin, bseq, &msg, true) {
+                    step.delivered = vec![(origin, msg)];
                 }
             }
             Frame::Fwd {
@@ -451,9 +454,9 @@ impl<M: Clone> SessionLayer<M> {
                 bseq,
                 msg,
             } => {
-                if self.admit_seq(from, seq, now) {
-                    let dedup = self.forward_dedup;
-                    self.deliver_bcast(origin, bseq, msg, dedup, &mut step);
+                let dedup = self.forward_dedup;
+                if self.admit_seq(from, seq, now) && self.admit_bcast(origin, bseq, &msg, dedup) {
+                    step.delivered = vec![(origin, msg)];
                 }
             }
         }
@@ -478,45 +481,42 @@ impl<M: Clone> SessionLayer<M> {
                 }
             }
         }
-        // Failure detection.
-        let newly_down: Vec<NodeId> = self
+        // Failure detection, lowest id first. Each verdict clears
+        // `alive`, so the search moves on.
+        while let Some(peer) = self
             .peers
-            .iter()
-            .filter(|(_, s)| s.alive && now.saturating_since(s.last_heard) >= self.cfg.fail_after)
-            .map(|(&p, _)| p)
-            .collect();
-        for peer in newly_down {
-            if let Some(state) = self.peers.get_mut(&peer) {
+            .iter_mut()
+            .find(|(_, s)| s.alive && now.saturating_since(s.last_heard) >= self.cfg.fail_after)
+            .map(|(&peer, state)| {
                 state.alive = false;
-            }
+                peer
+            })
+        {
             step.events.push(PeerEvent::Down(peer));
             // Forward the dead origin's retained broadcasts to every
             // surviving peer; (origin, bseq) dedup collapses overlap
             // between survivors into exactly-once delivery.
-            let retained: Vec<(u64, M)> = self
-                .retained
-                .get(&peer)
-                .map(|buf| buf.iter().cloned().collect())
-                .unwrap_or_default();
-            let survivors: Vec<NodeId> = self
-                .peers
-                .iter()
-                .filter(|(&p, s)| p != peer && s.alive)
-                .map(|(&p, _)| p)
-                .collect();
-            // Failure recovery, not steady state: this loop runs only
-            // when a peer is declared down, and the survivors must each
-            // own the forwarded frame.
+            let Some(retained) = self.retained.get(&peer) else {
+                continue;
+            };
             for (bseq, msg) in retained {
-                for &to in &survivors {
-                    let seq = self.next_seq(to, now);
-                    let frame = Frame::Fwd {
-                        seq,
-                        origin: peer,
-                        bseq,
-                        msg: msg.clone(), // odp-check: allow(hot-path-alloc)
-                    };
-                    self.retain_sent(to, frame.clone()); // odp-check: allow(hot-path-alloc)
+                for (&to, state) in &mut self.peers {
+                    if to == peer || !state.alive {
+                        continue;
+                    }
+                    let frame = state.sequence(
+                        self.cfg.retransmit_buffer,
+                        &mut self.stats.evicted,
+                        |seq| Frame::Fwd {
+                            seq,
+                            origin: peer,
+                            bseq: *bseq,
+                            // Failure recovery, not steady state: this
+                            // runs only when a peer is declared down,
+                            // and each survivor's link owns its frame.
+                            msg: msg.clone(), // odp-check: allow(hot-path-alloc)
+                        },
+                    );
                     step.outbound.push((to, frame));
                     self.stats.forwarded += 1;
                 }

@@ -43,7 +43,7 @@ use crate::actor::TransportActor;
 use crate::ctx::NetCtx;
 use crate::error::NetError;
 use crate::session::{Frame, PeerEvent, SessionConfig, SessionLayer, SessionStats, SessionStep};
-use crate::wire::{decode_frame, encode_frame, WireCodec, MAX_FRAME};
+use crate::wire::{encode_frame, FrameStream, WireCodec, MAX_FRAME};
 
 /// Tuning for one TCP node.
 #[derive(Debug, Clone)]
@@ -586,7 +586,7 @@ fn read_loop<M: WireCodec + Send + 'static>(
             return;
         }
     }
-    let mut buf: Vec<u8> = Vec::new();
+    let mut frames = FrameStream::new();
     let mut chunk = [0u8; 16 * 1024];
     loop {
         if stop.load(AtomicOrdering::SeqCst) {
@@ -595,11 +595,10 @@ fn read_loop<M: WireCodec + Send + 'static>(
         match reader.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
+                frames.push(&chunk[..n]);
                 loop {
-                    match decode_frame::<Frame<M>>(&buf, max_frame) {
-                        Ok((frame, used)) => {
-                            buf.drain(..used);
+                    match frames.next::<Frame<M>>(max_frame) {
+                        Ok(Some(frame)) => {
                             if peer.is_none() {
                                 let Frame::Hello { from, .. } = &frame else {
                                     // An unidentified connection must
@@ -624,7 +623,7 @@ fn read_loop<M: WireCodec + Send + 'static>(
                                 return;
                             }
                         }
-                        Err(NetError::Truncated { .. }) => break,
+                        Ok(None) => break,
                         Err(_) => {
                             // Oversized or malformed: the stream is
                             // unframeable from here — drop it.

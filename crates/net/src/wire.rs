@@ -112,48 +112,115 @@ pub trait WireCodec: Sized {
     /// Appends this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
+    /// Exactly how many bytes [`encode`](WireCodec::encode) appends:
+    /// what lets the framing layer refuse an oversized value before
+    /// writing a byte and allocate a frame once, at its final size.
+    /// Derived by the declaration macros from the same field list;
+    /// [`laws::roundtrips`] holds every envelope to it.
+    fn encoded_len(&self) -> usize;
+
     /// Reads one value from the cursor.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError>;
 }
 
 /// Encodes `value` as one length-prefixed frame, enforcing `max_body`.
+///
+/// The body may never exceed `u32::MAX` bytes whatever `max_body` says:
+/// the header is a `u32`, and a longer body would travel behind a
+/// truncated — lying — length. An inadmissible value is refused before
+/// anything is allocated; an admissible one is written into a buffer of
+/// exactly its final size.
 pub fn encode_frame<T: WireCodec>(value: &T, max_body: usize) -> Result<Vec<u8>, NetError> {
-    let mut frame = vec![0u8; 4];
-    value.encode(&mut frame);
-    let len = frame.len() - 4;
-    if len > max_body {
-        return Err(NetError::FrameTooLarge { len, max: max_body });
+    let len = value.encoded_len();
+    let max = max_body.min(u32::MAX as usize);
+    if len > max {
+        return Err(NetError::FrameTooLarge { len, max });
     }
-    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    value.encode(&mut frame);
+    assert_eq!(frame.len(), 4 + len, "encoded_len must be exact");
     Ok(frame)
 }
 
 /// Decodes one frame from the front of `buf`.
 ///
 /// Returns the value and the total bytes consumed (header + body), or
-/// `Truncated` when the buffer does not yet hold a whole frame (the
-/// stream reader's signal to keep reading), or `FrameTooLarge` when the
-/// header itself is inadmissible (the stream reader's signal to drop
-/// the connection).
+/// `Truncated` when the buffer does not hold a whole frame, or
+/// `FrameTooLarge` when the header itself is inadmissible. To take
+/// frames off a byte stream as it arrives use [`FrameStream`], which
+/// tells "not all here yet" from "all here and malformed".
 pub fn decode_frame<T: WireCodec>(buf: &[u8], max_body: usize) -> Result<(T, usize), NetError> {
-    if buf.len() < 4 {
+    let body = frame_body(buf, max_body)?;
+    let value = WireReader::new(body).finish()?;
+    Ok((value, 4 + body.len()))
+}
+
+/// The body of the frame at the front of `buf`: `Truncated` until the
+/// whole frame is there, `FrameTooLarge` for an inadmissible header.
+fn frame_body(buf: &[u8], max_body: usize) -> Result<&[u8], NetError> {
+    let Some((header, rest)) = buf.split_first_chunk::<4>() else {
         return Err(NetError::Truncated {
             needed: 4,
             have: buf.len(),
         });
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+    };
+    let len = u32::from_be_bytes(*header) as usize;
     if len > max_body {
         return Err(NetError::FrameTooLarge { len, max: max_body });
     }
-    if buf.len() < 4 + len {
-        return Err(NetError::Truncated {
-            needed: 4 + len,
-            have: buf.len(),
-        });
+    rest.get(..len).ok_or(NetError::Truncated {
+        needed: 4 + len,
+        have: buf.len(),
+    })
+}
+
+/// The receiving end of a byte stream of frames, without the stream:
+/// feed it what each read returned, take the frames out.
+///
+/// Consumed frames are skipped by a read cursor and dropped from the
+/// buffer once per [`push`](FrameStream::push), so draining a read that
+/// held hundreds of small frames moves the unconsumed tail once, not
+/// once per frame.
+#[derive(Debug, Default)]
+pub struct FrameStream {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already handed out as frames.
+    read: usize,
+}
+
+impl FrameStream {
+    /// An empty stream.
+    pub fn new() -> Self {
+        FrameStream::default()
     }
-    let value = WireReader::new(&buf[4..4 + len]).finish()?;
-    Ok((value, 4 + len))
+
+    /// Appends bytes as they arrived, in whatever chunks.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.read);
+        self.read = 0;
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next whole frame, decoded; `Ok(None)` when the bytes so far
+    /// end inside one (they are kept: push more and ask again).
+    ///
+    /// # Errors
+    ///
+    /// `FrameTooLarge` for a header over `max_body`, or whatever `T`'s
+    /// decoder says of a frame that is all there and still not a `T`
+    /// (`Truncated` included: the body ended before the value did).
+    /// Either way the stream cannot be framed from here on and the
+    /// caller must drop it.
+    pub fn next<T: WireCodec>(&mut self, max_body: usize) -> Result<Option<T>, NetError> {
+        let body = match frame_body(&self.buf[self.read..], max_body) {
+            Ok(body) => body,
+            Err(NetError::Truncated { .. }) => return Ok(None),
+            Err(err) => return Err(err),
+        };
+        self.read += 4 + body.len();
+        WireReader::new(body).finish().map(Some)
+    }
 }
 
 /// Declares the [`WireCodec`] of a one-field tuple struct as that of
@@ -164,6 +231,9 @@ macro_rules! wire_newtype {
         impl $crate::wire::WireCodec for $name {
             fn encode(&self, out: &mut Vec<u8>) {
                 $crate::wire::WireCodec::encode(&self.0, out);
+            }
+            fn encoded_len(&self) -> usize {
+                $crate::wire::WireCodec::encoded_len(&self.0)
             }
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
@@ -191,6 +261,10 @@ macro_rules! wire_struct {
             fn encode(&self, out: &mut Vec<u8>) {
                 let Self { $($field),+ } = self;
                 $($crate::wire::WireCodec::encode($field, out);)+
+            }
+            fn encoded_len(&self) -> usize {
+                let Self { $($field),+ } = self;
+                0 $(+ $crate::wire::WireCodec::encoded_len($field))+
             }
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
@@ -233,6 +307,14 @@ macro_rules! wire_enum {
                     }
                 )+}
             }
+            fn encoded_len(&self) -> usize {
+                match self {$(
+                    Self::$variant $(($($tf),+))? $({ $($sf),+ })? => {
+                        1 $($(+ $crate::wire::WireCodec::encoded_len($tf))+)?
+                            $($(+ $crate::wire::WireCodec::encoded_len($sf))+)?
+                    }
+                )+}
+            }
             #[deny(unreachable_patterns)]
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
@@ -259,6 +341,9 @@ macro_rules! impl_wire_uint {
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_be_bytes());
             }
+            fn encoded_len(&self) -> usize {
+                std::mem::size_of::<$ty>()
+            }
             fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
                 let bytes = r.take(std::mem::size_of::<$ty>())?;
                 let mut fixed = [0u8; std::mem::size_of::<$ty>()];
@@ -275,6 +360,9 @@ impl WireCodec for bool {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
+    fn encoded_len(&self) -> usize {
+        1
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         match u8::decode(r)? {
             0 => Ok(false),
@@ -290,6 +378,9 @@ impl WireCodec for bool {
 impl WireCodec for f64 {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_bits().to_be_bytes());
+    }
+    fn encoded_len(&self) -> usize {
+        8
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         Ok(f64::from_bits(u64::decode(r)?))
@@ -310,6 +401,9 @@ impl WireCodec for String {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_str(self, out);
     }
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         decode_str(r).map(str::to_owned)
     }
@@ -322,6 +416,9 @@ impl WireCodec for String {
 impl WireCodec for ObjectPath {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_str(self.as_str(), out);
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.as_str().len()
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         decode_str(r).map(ObjectPath::new)
@@ -337,6 +434,9 @@ impl<T: WireCodec> WireCodec for Option<T> {
                 value.encode(out);
             }
         }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::encoded_len)
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         match u8::decode(r)? {
@@ -371,6 +471,9 @@ impl<T: WireCodec> WireCodec for Vec<T> {
             item.encode(out);
         }
     }
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(T::encoded_len).sum::<usize>()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         let len = u32::decode(r)? as usize;
         check_len(len, r)?;
@@ -389,6 +492,12 @@ impl<K: WireCodec + Ord, V: WireCodec> WireCodec for BTreeMap<K, V> {
             key.encode(out);
             value.encode(out);
         }
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self
+            .iter()
+            .map(|(key, value)| key.encoded_len() + value.encoded_len())
+            .sum::<usize>()
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         let len = u32::decode(r)? as usize;
@@ -410,6 +519,9 @@ impl<T: WireCodec + Ord> WireCodec for BTreeSet<T> {
             item.encode(out);
         }
     }
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(T::encoded_len).sum::<usize>()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         let len = u32::decode(r)? as usize;
         check_len(len, r)?;
@@ -426,6 +538,9 @@ impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
         self.0.encode(out);
         self.1.encode(out);
     }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         Ok((A::decode(r)?, B::decode(r)?))
     }
@@ -437,6 +552,9 @@ impl WireCodec for SimTime {
     fn encode(&self, out: &mut Vec<u8>) {
         self.as_micros().encode(out);
     }
+    fn encoded_len(&self) -> usize {
+        8
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         Ok(SimTime::from_micros(u64::decode(r)?))
     }
@@ -445,6 +563,9 @@ impl WireCodec for SimTime {
 impl WireCodec for SimDuration {
     fn encode(&self, out: &mut Vec<u8>) {
         self.as_micros().encode(out);
+    }
+    fn encoded_len(&self) -> usize {
+        8
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         Ok(SimDuration::from_micros(u64::decode(r)?))
@@ -466,6 +587,9 @@ impl WireCodec for Payload {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.as_slice());
     }
+    fn encoded_len(&self) -> usize {
+        self.len()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         let rest = r.take(r.remaining())?;
         Ok(Payload::from_slice(rest))
@@ -481,7 +605,7 @@ pub fn payload_of<T: WireCodec>(value: &T) -> Payload {
 }
 
 fn encoding<T: WireCodec>(value: &T) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(value.encoded_len());
     value.encode(&mut buf);
     buf
 }
@@ -500,10 +624,17 @@ pub mod laws {
     use super::{decode_frame, encode_frame, encoding, NetError, WireCodec, WireReader, MAX_FRAME};
 
     /// `decode ∘ encode = id`, bare and through the framing (which
-    /// consumes exactly the frame), and the decoded value re-encodes to
-    /// the same bytes.
+    /// consumes exactly the frame), the decoded value re-encodes to
+    /// the same bytes, and `encoded_len` is the length of the encoding.
     pub fn roundtrips<T: WireCodec + PartialEq + Debug>(value: &T) -> Result<(), String> {
         let body = encoding(value);
+        if value.encoded_len() != body.len() {
+            return Err(format!(
+                "{value:?} reports encoded_len {} and encodes to {} bytes",
+                value.encoded_len(),
+                body.len()
+            ));
+        }
         match WireReader::new(&body).finish::<T>() {
             Ok(back) if &back == value && encoding(&back) == body => {}
             other => return Err(format!("{value:?} came back as {other:?}")),
@@ -644,6 +775,104 @@ mod tests {
             matches!(err, NetError::FrameTooLarge { len: 68, max: 16 }),
             "{err}"
         );
+    }
+
+    /// Reports a body past what a `u32` header can say; reaching its
+    /// `encode` means the refusal came too late.
+    #[cfg(target_pointer_width = "64")]
+    #[derive(Debug)]
+    struct Huge;
+
+    #[cfg(target_pointer_width = "64")]
+    impl WireCodec for Huge {
+        fn encode(&self, _out: &mut Vec<u8>) {
+            unreachable!("an inadmissible value is refused before a byte is written");
+        }
+        fn encoded_len(&self) -> usize {
+            u32::MAX as usize + 1
+        }
+        fn decode(_r: &mut WireReader<'_>) -> Result<Self, NetError> {
+            Ok(Huge)
+        }
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn no_cap_admits_a_body_the_header_cannot_describe() {
+        // `len as u32` used to truncate here and write a prefix of 0.
+        let err = encode_frame(&Huge, usize::MAX).unwrap_err();
+        assert_eq!(
+            err,
+            NetError::FrameTooLarge {
+                len: u32::MAX as usize + 1,
+                max: u32::MAX as usize
+            }
+        );
+    }
+
+    #[test]
+    fn a_frame_is_allocated_once_at_its_final_size() {
+        let frame = encode_frame(&vec!["some".to_string(), "strings".to_string()], MAX_FRAME)
+            .expect("encode");
+        assert_eq!(frame.capacity(), frame.len());
+        let payload = payload_of(&(7u64, "x".to_string())).into_vec();
+        assert_eq!(payload.capacity(), payload.len());
+    }
+
+    fn stream_of(values: &[String]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for v in values {
+            bytes.extend(encode_frame(v, MAX_FRAME).expect("encode"));
+        }
+        bytes
+    }
+
+    #[test]
+    fn frame_stream_fed_byte_by_byte_yields_every_frame() {
+        let sent = ["", "a", "hello world"].map(str::to_owned);
+        let mut stream = FrameStream::new();
+        let mut got = Vec::new();
+        // Every split point there is, those inside the headers included.
+        for byte in stream_of(&sent) {
+            stream.push(&[byte]);
+            while let Some(v) = stream.next::<String>(MAX_FRAME).expect("well-formed") {
+                got.push(v);
+            }
+        }
+        assert_eq!(got, sent);
+    }
+
+    #[test]
+    fn frame_stream_keeps_the_bytes_of_an_unfinished_frame() {
+        let sent = ["first".to_owned(), "second".to_owned()];
+        let bytes = stream_of(&sent);
+        let cut = bytes.len() - 3;
+        let mut stream = FrameStream::new();
+        stream.push(&bytes[..cut]);
+        assert_eq!(stream.next::<String>(MAX_FRAME), Ok(Some(sent[0].clone())));
+        // Asking again changes nothing: the tail waits for its end.
+        assert_eq!(stream.next::<String>(MAX_FRAME), Ok(None));
+        assert_eq!(stream.next::<String>(MAX_FRAME), Ok(None));
+        stream.push(&bytes[cut..]);
+        assert_eq!(stream.next::<String>(MAX_FRAME), Ok(Some(sent[1].clone())));
+        assert_eq!(stream.next::<String>(MAX_FRAME), Ok(None));
+    }
+
+    #[test]
+    fn frame_stream_ends_on_a_lying_length_or_a_malformed_body() {
+        let mut stream = FrameStream::new();
+        stream.push(&stream_of(&["ok".to_owned()]));
+        stream.push(&u32::MAX.to_be_bytes());
+        assert_eq!(stream.next::<String>(MAX_FRAME), Ok(Some("ok".to_owned())));
+        let err = stream.next::<String>(MAX_FRAME).unwrap_err();
+        assert!(matches!(err, NetError::FrameTooLarge { .. }), "{err}");
+
+        // A whole frame whose body stops short of the value it starts:
+        // an error, not a wait for bytes that belong to the next frame.
+        let mut stream = FrameStream::new();
+        stream.push(&[0, 0, 0, 2, 0, 0]);
+        let err = stream.next::<String>(MAX_FRAME).unwrap_err();
+        assert!(matches!(err, NetError::Truncated { .. }), "{err}");
     }
 
     #[test]

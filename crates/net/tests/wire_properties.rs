@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use odp_fabric::{ObjectPath, Payload};
 use odp_net::error::NetError;
 use odp_net::session::Frame;
-use odp_net::wire::{encode_frame, laws, WireCodec, WireReader, MAX_FRAME};
+use odp_net::wire::{encode_frame, laws, FrameStream, WireCodec, WireReader, MAX_FRAME};
 use odp_net::{payload_as, payload_of};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
@@ -174,6 +174,36 @@ proptest! {
         }
         let _ = payload_as::<(String, u64)>(&Payload::from_vec(junk.clone()));
         let _ = payload_as::<Frame<String>>(&Payload::from_vec(junk));
+    }
+
+    /// However a byte stream of frames is cut into reads — inside a
+    /// header, inside a body, between frames, into empty reads — the
+    /// stream decoder hands out the frames that were sent, in order.
+    #[test]
+    fn any_chunking_of_a_stream_yields_the_same_frames(
+        frames in prop::collection::vec(arb_frame(), 1..10),
+        cuts in prop::collection::vec(any::<u32>(), 0..24),
+    ) {
+        let mut bytes = Vec::new();
+        for frame in &frames {
+            bytes.extend(encode_frame(frame, MAX_FRAME).expect("encodes"));
+        }
+        let mut at: Vec<usize> = cuts.iter().map(|&c| c as usize % (bytes.len() + 1)).collect();
+        at.extend([0, bytes.len()]);
+        at.sort_unstable();
+        let mut stream = FrameStream::new();
+        let mut got = Vec::new();
+        for read in at.windows(2) {
+            stream.push(&bytes[read[0]..read[1]]);
+            loop {
+                match stream.next::<Frame<String>>(MAX_FRAME) {
+                    Ok(Some(frame)) => got.push(frame),
+                    Ok(None) => break,
+                    Err(err) => prop_assert!(false, "a well-formed stream failed: {}", err),
+                }
+            }
+        }
+        prop_assert_eq!(got, frames);
     }
 
     /// The encoder refuses to produce frames above the cap, with the

