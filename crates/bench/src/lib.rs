@@ -3,9 +3,8 @@
 //! # cscw-bench — the measuring side of the workspace
 //!
 //! All on the fixed [`REPORT_SEED`]: the `report` binary regenerates
-//! every derived-experiment table for EXPERIMENTS.md, `benches/` holds
-//! the Criterion-style micro-benches, and six **measuring bins** each
-//! write one `BENCH_*.json` and gate CI — `campus_rush_hour` (scheduler
+//! every derived-experiment table for EXPERIMENTS.md, and six
+//! **measuring bins** each write one `BENCH_*.json` and gate CI — `campus_rush_hour` (scheduler
 //! scale), `fabric_deliver` (zero-copy fan-out), `telemetry_report`
 //! (span overhead on E13), `awareness_fanout` (rights-gated bus),
 //! `net_fanout` (sim vs TCP loopback), `collab_raster` (placement
@@ -22,7 +21,7 @@
 pub mod e13;
 pub mod harness;
 
-/// The default seed used by the report binary and benches, so published
+/// The default seed used by the report binary and the bins, so published
 /// numbers are reproducible.
 pub const REPORT_SEED: u64 = 42;
 

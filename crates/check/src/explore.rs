@@ -253,6 +253,17 @@ pub enum ReplayError {
         /// How many candidates the branch point actually had.
         candidates: usize,
     },
+    /// The run finished clean without reading every prescribed choice:
+    /// it met fewer branch points than the trace has entries — the
+    /// trace was recorded under a deeper [`Budget`] or against a
+    /// different scenario, so "clean" would be a verdict on some other
+    /// schedule.
+    UnconsumedChoices {
+        /// How many choices the run read.
+        consumed: usize,
+        /// How many the trace prescribed.
+        prescribed: usize,
+    },
 }
 
 impl std::fmt::Display for ReplayError {
@@ -266,6 +277,14 @@ impl std::fmt::Display for ReplayError {
                 f,
                 "stale trace: choice {choice} at branch point {position} is out of range \
                  ({candidates} candidates) — the trace does not match this scenario"
+            ),
+            ReplayError::UnconsumedChoices {
+                consumed,
+                prescribed,
+            } => write!(
+                f,
+                "stale trace: the run ended clean after reading {consumed} of {prescribed} \
+                 choices — replay under the budget the trace was recorded with"
             ),
         }
     }
@@ -684,8 +703,8 @@ impl Explorer {
     /// Replays one exact schedule (e.g. a counterexample's `choices`)
     /// and returns its violation, if it still fails.
     ///
-    /// A trace recorded against a different scenario build is rejected
-    /// with [`ReplayError::ChoiceOutOfRange`] instead of silently
+    /// A trace recorded against a different scenario build or a deeper
+    /// budget is rejected with a [`ReplayError`] instead of silently
     /// replaying some other schedule.
     pub fn replay<M, F, G>(
         &self,
@@ -706,6 +725,12 @@ impl Explorer {
         };
         match self.run_schedule(&factory, &invariants, &job, None, &mut visited, &mut events) {
             RunOutcome::Violation(cx) => Ok(Some(cx)),
+            RunOutcome::Finished(data) if data.taken.len() < choices.len() => {
+                Err(ReplayError::UnconsumedChoices {
+                    consumed: data.taken.len(),
+                    prescribed: choices.len(),
+                })
+            }
             RunOutcome::Finished(_) => Ok(None),
             RunOutcome::BadChoice {
                 position,
@@ -1132,6 +1157,22 @@ mod tests {
                 position: 0,
                 choice: 9,
                 candidates: 3,
+            }
+        );
+    }
+
+    #[test]
+    fn replay_rejects_choices_it_never_read() {
+        // Three messages make two branch points (3 then 2 candidates);
+        // a four-choice trace belongs to some deeper run.
+        let err = Explorer::new(7, Budget::default())
+            .replay(build, Vec::new, &[0, 0, 0, 0])
+            .expect_err("a clean verdict on a shorter schedule would mislead");
+        assert_eq!(
+            err,
+            ReplayError::UnconsumedChoices {
+                consumed: 2,
+                prescribed: 4,
             }
         );
     }

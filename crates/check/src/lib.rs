@@ -22,18 +22,21 @@
 //! for the protocol subsystems: two-phase-locking consistency and
 //! deadlock-victim liveness, group-communication ordering, OT/dOPT
 //! convergence, and trader cache coherence under shard churn.
+//! [`suites`] registers each (harness, invariants, fingerprint) triple
+//! once, for the CLI and the known-bad tests alike.
 //!
 //! Run both from the workspace root:
 //!
 //! ```text
 //! cargo run -p odp-check -- lint
 //! cargo run -p odp-check -- explore --smoke
-//! cargo run -p odp-check -- replay <seed:c0.c1...>
+//! cargo run -p odp-check -- replay <CHECK> <seed:c0.c1...> [--smoke|--deep]
 //! ```
 
 pub mod explore;
 pub mod invariants;
 pub mod lint;
+pub mod suites;
 
 pub use explore::{Budget, Counterexample, Explorer, Invariant, Report};
 pub use lint::{Diagnostic, LintConfig};

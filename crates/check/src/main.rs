@@ -4,7 +4,8 @@
 //! odp-check lint [ROOT]          run the determinism lint pass
 //! odp-check explore [--smoke|--deep]    run every invariant suite
 //! odp-check explore <CHECK> [--smoke|--deep] [--json PATH] [--min-reduction X]
-//! odp-check replay <CHECK> <TRACE>   re-run one schedule (seed:c0.c1...)
+//! odp-check replay <CHECK> <TRACE> [--smoke|--deep]
+//!                                re-run one schedule (seed:c0.c1...) under its budget
 //! odp-check list                 list the invariant suites
 //! ```
 //!
@@ -15,318 +16,9 @@
 
 use std::process::ExitCode;
 
-use odp_check::explore::{Budget, Counterexample, Explorer, Invariant, ReplayError, Report};
-use odp_check::invariants::{
-    awareness, federation, groupcomm, locks, placement, replication, telemetry, trader, transport,
-};
+use odp_check::explore::{Counterexample, Report};
 use odp_check::lint;
-use odp_groupcomm::multicast::Ordering;
-use odp_sim::time::SimTime;
-
-/// Which of the three stock budgets a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BudgetKind {
-    Smoke,
-    Default,
-    Deep,
-}
-
-impl BudgetKind {
-    fn label(self) -> &'static str {
-        match self {
-            BudgetKind::Smoke => "smoke",
-            BudgetKind::Default => "default",
-            BudgetKind::Deep => "deep",
-        }
-    }
-}
-
-/// The replay entry point of a registered check.
-type ReplayFn = fn(u64, Budget, &[usize]) -> Result<Option<Counterexample>, ReplayError>;
-
-/// One named invariant suite: a harness factory plus its invariants,
-/// with a budget tuned to its schedule space.
-struct Check {
-    name: &'static str,
-    about: &'static str,
-    run: fn(u64, Budget) -> Report,
-    replay: ReplayFn,
-    budget: fn(BudgetKind) -> Budget,
-}
-
-fn plain_budget(kind: BudgetKind) -> Budget {
-    match kind {
-        BudgetKind::Smoke => Budget::smoke(),
-        BudgetKind::Default => Budget::default(),
-        BudgetKind::Deep => Budget::deep(),
-    }
-}
-
-fn horizon_budget(kind: BudgetKind) -> Budget {
-    plain_budget(kind).with_horizon(SimTime::from_secs(2))
-}
-
-fn locks_invs(n: usize) -> Vec<Box<dyn Invariant<locks::TxnHarnessMsg>>> {
-    vec![
-        Box::new(locks::LockTableConsistent),
-        Box::new(locks::DeadlockResolved::new(n)),
-    ]
-}
-
-fn run_locks(n: usize, seed: u64, budget: Budget) -> Report {
-    Explorer::new(seed, budget).explore_hashed(
-        |s| locks::cycle_sim(s, n),
-        || locks_invs(n),
-        locks::fingerprint,
-    )
-}
-
-fn replay_locks(
-    n: usize,
-    seed: u64,
-    budget: Budget,
-    choices: &[usize],
-) -> Result<Option<Counterexample>, ReplayError> {
-    Explorer::new(seed, budget).replay(|s| locks::cycle_sim(s, n), || locks_invs(n), choices)
-}
-
-fn group_invs(ordering: Ordering) -> Vec<Box<dyn Invariant<odp_groupcomm::multicast::GcMsg<u64>>>> {
-    let members = groupcomm::group_members();
-    let mut invs: Vec<Box<dyn Invariant<_>>> =
-        vec![Box::new(groupcomm::VClockMonotone::new(members.clone()))];
-    match ordering {
-        Ordering::Fifo => invs.push(Box::new(groupcomm::FifoDelivery::new(members, 2))),
-        Ordering::Total => invs.push(Box::new(groupcomm::DeliveryAgreement::new(members))),
-        Ordering::Causal | Ordering::Unordered => {}
-    }
-    invs
-}
-
-fn run_group(ordering: Ordering, seed: u64, budget: Budget) -> Report {
-    Explorer::new(seed, budget).explore_hashed(
-        |s| groupcomm::group_sim(s, ordering, 2),
-        || group_invs(ordering),
-        groupcomm::fingerprint,
-    )
-}
-
-fn replay_group(
-    ordering: Ordering,
-    seed: u64,
-    budget: Budget,
-    choices: &[usize],
-) -> Result<Option<Counterexample>, ReplayError> {
-    Explorer::new(seed, budget).replay(
-        |s| groupcomm::group_sim(s, ordering, 2),
-        || group_invs(ordering),
-        choices,
-    )
-}
-
-fn dopt_invs(n: usize) -> Vec<Box<dyn Invariant<odp_concurrency::dopt::RemoteOp>>> {
-    vec![Box::new(replication::Converged::new(
-        replication::dopt_sites(n),
-    ))]
-}
-
-fn trader_invs() -> Vec<Box<dyn Invariant<odp_trader::actors::TraderMsg>>> {
-    vec![Box::new(trader::CacheCoherent::for_rebalance_sim())]
-}
-
-fn federation_invs() -> Vec<Box<dyn Invariant<federation::FedMsg>>> {
-    vec![Box::new(federation::FederationSound)]
-}
-
-fn telemetry_invs() -> Vec<Box<dyn Invariant<odp_groupcomm::multicast::GcMsg<String>>>> {
-    vec![Box::new(telemetry::TelemetrySpans)]
-}
-
-fn awareness_invs(
-) -> Vec<Box<dyn Invariant<odp_groupcomm::multicast::GcMsg<odp_awareness::dist::BusWire>>>> {
-    vec![Box::new(awareness::RightsGated::for_gating_sim())]
-}
-
-fn transport_invs() -> Vec<Box<dyn Invariant<transport::TransportMsg>>> {
-    vec![Box::new(transport::TransportFidelity::for_transport_sim())]
-}
-
-fn placement_invs() -> Vec<Box<dyn Invariant<odp_place::wire::PlaceWire>>> {
-    vec![Box::new(placement::PlacementSound::for_placement_sim())]
-}
-
-const CHECKS: &[Check] = &[
-    Check {
-        name: "locks-cycle-2",
-        about: "strict 2PL: 2-txn lock cycle resolves, victim is youngest",
-        run: |seed, b| run_locks(2, seed, b),
-        replay: |seed, b, c| replay_locks(2, seed, b, c),
-        budget: plain_budget,
-    },
-    Check {
-        name: "locks-cycle-3",
-        about: "strict 2PL: 3-txn lock cycle resolves, victim is youngest",
-        run: |seed, b| run_locks(3, seed, b),
-        replay: |seed, b, c| replay_locks(3, seed, b, c),
-        budget: plain_budget,
-    },
-    Check {
-        name: "group-fifo",
-        about: "multicast: vclock monotone + per-origin FIFO delivery",
-        run: |seed, b| run_group(Ordering::Fifo, seed, b),
-        replay: |seed, b, c| replay_group(Ordering::Fifo, seed, b, c),
-        budget: horizon_budget,
-    },
-    Check {
-        name: "group-total",
-        about: "multicast: vclock monotone + total-order delivery agreement",
-        run: |seed, b| run_group(Ordering::Total, seed, b),
-        replay: |seed, b, c| replay_group(Ordering::Total, seed, b, c),
-        budget: horizon_budget,
-    },
-    Check {
-        name: "dopt-pair",
-        about: "dOPT: two concurrent replicas converge at quiescence",
-        run: |seed, b| {
-            Explorer::new(seed, b).explore_hashed(
-                |s| replication::dopt_sim(s, 2),
-                || dopt_invs(2),
-                replication::fingerprint_for(replication::dopt_sites(2)),
-            )
-        },
-        replay: |seed, b, c| {
-            Explorer::new(seed, b).replay(|s| replication::dopt_sim(s, 2), || dopt_invs(2), c)
-        },
-        budget: plain_budget,
-    },
-    Check {
-        name: "dopt",
-        about: "dOPT: six concurrent edits across two replicas converge (deep DPOR space)",
-        run: |seed, b| {
-            Explorer::new(seed, b).explore_hashed(
-                replication::dopt_deep_sim,
-                || dopt_invs(2),
-                replication::fingerprint_for(replication::dopt_sites(2)),
-            )
-        },
-        replay: |seed, b, c| {
-            Explorer::new(seed, b).replay(replication::dopt_deep_sim, || dopt_invs(2), c)
-        },
-        budget: plain_budget,
-    },
-    Check {
-        name: "trader-rebalance",
-        about: "trader: importer caches stay coherent across a ring change",
-        run: |seed, b| {
-            Explorer::new(seed, b).explore_hashed(
-                |s| trader::rebalance_sim(s, true),
-                trader_invs,
-                trader::fingerprint,
-            )
-        },
-        replay: |seed, b, c| {
-            Explorer::new(seed, b).replay(|s| trader::rebalance_sim(s, true), trader_invs, c)
-        },
-        budget: horizon_budget,
-    },
-    Check {
-        name: "trader-federation",
-        about: "trader: federated imports are scope-sound and penalty-accounted",
-        run: |seed, b| {
-            Explorer::new(seed, b).explore_hashed(
-                |s| federation::federation_sim(s, true),
-                federation_invs,
-                federation::fingerprint,
-            )
-        },
-        replay: |seed, b, c| {
-            Explorer::new(seed, b).replay(
-                |s| federation::federation_sim(s, true),
-                federation_invs,
-                c,
-            )
-        },
-        budget: plain_budget,
-    },
-    Check {
-        name: "telemetry-spans",
-        about: "telemetry: every span closes, parents precede children, DAGs acyclic",
-        run: |seed, b| {
-            Explorer::new(seed, b).explore_hashed(
-                |s| telemetry::telemetry_sim(s, true),
-                telemetry_invs,
-                telemetry::fingerprint,
-            )
-        },
-        replay: |seed, b, c| {
-            Explorer::new(seed, b).replay(|s| telemetry::telemetry_sim(s, true), telemetry_invs, c)
-        },
-        budget: horizon_budget,
-    },
-    Check {
-        name: "awareness-gating",
-        about: "awareness: no event reaches an observer without rights on its artefact",
-        run: |seed, b| {
-            Explorer::new(seed, b).explore_hashed(
-                |s| awareness::gating_sim(s, true),
-                awareness_invs,
-                awareness::fingerprint,
-            )
-        },
-        replay: |seed, b, c| {
-            Explorer::new(seed, b).replay(|s| awareness::gating_sim(s, true), awareness_invs, c)
-        },
-        budget: horizon_budget,
-    },
-    Check {
-        name: "awareness-deep",
-        about: "awareness: four racing publications stay rights-gated (deep DPOR space)",
-        run: |seed, b| {
-            Explorer::new(seed, b).explore_hashed(
-                |s| awareness::gating_deep_sim(s, true),
-                awareness_invs,
-                awareness::fingerprint,
-            )
-        },
-        replay: |seed, b, c| {
-            Explorer::new(seed, b).replay(
-                |s| awareness::gating_deep_sim(s, true),
-                awareness_invs,
-                c,
-            )
-        },
-        budget: horizon_budget,
-    },
-    Check {
-        name: "transport-fidelity",
-        about: "net: no seq gaps after reconnect, forwarded broadcasts exactly-once",
-        run: |seed, b| {
-            Explorer::new(seed, b).explore_hashed(
-                |s| transport::transport_sim(s, true),
-                transport_invs,
-                transport::fingerprint,
-            )
-        },
-        replay: |seed, b, c| {
-            Explorer::new(seed, b).replay(|s| transport::transport_sim(s, true), transport_invs, c)
-        },
-        budget: horizon_budget,
-    },
-    Check {
-        name: "placement-soundness",
-        about: "place: migration decisions replay from recorded inputs, transfers exactly-once",
-        run: |seed, b| {
-            Explorer::new(seed, b).explore_hashed(
-                |s| placement::placement_sim(s, true),
-                placement_invs,
-                placement::fingerprint,
-            )
-        },
-        replay: |seed, b, c| {
-            Explorer::new(seed, b).replay(|s| placement::placement_sim(s, true), placement_invs, c)
-        },
-        budget: horizon_budget,
-    },
-];
+use odp_check::suites::{self, Arm, BudgetKind, Suite};
 
 const DEFAULT_SEED: u64 = 42;
 
@@ -334,7 +26,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  odp-check lint [ROOT]\n  odp-check explore [CHECK] [--smoke|--deep] [--seed N] \
          [--json PATH] [--min-reduction X]\n  \
-         odp-check replay <CHECK> <TRACE>\n  odp-check list"
+         odp-check replay <CHECK> <TRACE> [--smoke|--deep]\n  odp-check list"
     );
     ExitCode::from(2)
 }
@@ -371,11 +63,15 @@ fn cmd_lint(root_arg: Option<&str>) -> ExitCode {
     }
 }
 
-fn find_check(name: &str) -> Option<&'static Check> {
-    CHECKS.iter().find(|c| c.name == name)
+/// The registered suite called `name`, or the exit code for a typo.
+fn find_suite(name: &str) -> Result<Suite, ExitCode> {
+    suites::find(name).ok_or_else(|| {
+        eprintln!("odp-check: unknown check `{name}` (try `odp-check list`)");
+        ExitCode::from(2)
+    })
 }
 
-fn stats_json(seed: u64, kind: BudgetKind, rows: &[(&'static str, Report)]) -> String {
+fn stats_json(seed: u64, kind: BudgetKind, rows: &[(String, Report)]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"odp-check/explore-stats/v1\",\n");
@@ -414,20 +110,23 @@ fn cmd_explore(
     json: Option<&str>,
     min_reduction: Option<f64>,
 ) -> ExitCode {
-    let selected: Vec<&Check> = match which {
-        Some(name) => match find_check(name) {
-            Some(c) => vec![c],
-            None => {
-                eprintln!("odp-check: unknown check `{name}` (try `odp-check list`)");
-                return ExitCode::from(2);
-            }
+    let selected = match which {
+        Some(name) => match find_suite(name) {
+            Ok(suite) => vec![suite],
+            Err(code) => return code,
         },
-        None => CHECKS.iter().collect(),
+        None => suites::all(),
+    };
+    // The flag that makes `replay` read a trace as deep and as wide as
+    // this run recorded it.
+    let flag = match kind {
+        BudgetKind::Default => String::new(),
+        other => format!(" --{}", other.label()),
     };
     let mut failed = false;
-    let mut rows: Vec<(&'static str, Report)> = Vec::new();
+    let mut rows: Vec<(String, Report)> = Vec::new();
     for check in selected {
-        let report = (check.run)(seed, (check.budget)(kind));
+        let report = check.explore(Arm::Armed, kind, seed);
         let coverage = if report.complete {
             "complete"
         } else {
@@ -442,7 +141,7 @@ fn cmd_explore(
                     check.name, check.about, report.runs, report.events, cx
                 );
                 println!(
-                    "     replay: odp-check replay {} {}",
+                    "     replay: odp-check replay {} {}{flag}",
                     check.name,
                     cx.trace()
                 );
@@ -489,16 +188,16 @@ fn cmd_explore(
     }
 }
 
-fn cmd_replay(name: &str, trace: &str) -> ExitCode {
-    let Some(check) = find_check(name) else {
-        eprintln!("odp-check: unknown check `{name}` (try `odp-check list`)");
-        return ExitCode::from(2);
+fn cmd_replay(name: &str, trace: &str, kind: BudgetKind) -> ExitCode {
+    let check = match find_suite(name) {
+        Ok(suite) => suite,
+        Err(code) => return code,
     };
     let Some((seed, choices)) = Counterexample::parse_trace(trace) else {
         eprintln!("odp-check: malformed trace `{trace}` (expected seed:c0.c1...)");
         return ExitCode::from(2);
     };
-    match (check.replay)(seed, (check.budget)(BudgetKind::Default), &choices) {
+    match check.replay(Arm::Armed, kind, seed, &choices) {
         Ok(Some(cx)) => {
             println!("reproduced: {cx}");
             ExitCode::FAILURE
@@ -551,9 +250,9 @@ fn main() -> ExitCode {
         ["lint", root] => cmd_lint(Some(root)),
         ["explore"] => cmd_explore(None, kind, seed, json, min_reduction),
         ["explore", name] => cmd_explore(Some(name), kind, seed, json, min_reduction),
-        ["replay", name, trace] => cmd_replay(name, trace),
+        ["replay", name, trace] => cmd_replay(name, trace, kind),
         ["list"] => {
-            for c in CHECKS {
+            for c in suites::all() {
                 println!("{:18} {}", c.name, c.about);
             }
             ExitCode::SUCCESS

@@ -311,7 +311,10 @@ fn replay_reports_out_of_range_choices_as_typed_errors() {
         position,
         choice,
         candidates,
-    } = err;
+    } = err
+    else {
+        panic!("expected an out-of-range choice, got {err:?}");
+    };
     assert_eq!(position, 0);
     assert_eq!(choice, 42);
     assert_eq!(candidates, 3);

@@ -1,42 +1,95 @@
-//! End-to-end exploration suite: the checker must *pass* the fixed
-//! protocols across every bounded schedule, and must *fail* the seeded
-//! known-bad variants — proving the detector actually detects.
+//! End-to-end exploration suite over the `odp_check::suites` registry:
+//! the checker must *pass* the fixed protocols across every bounded
+//! schedule, and must *fail* the seeded known-bad variants — proving
+//! the detector actually detects. Each arm of each suite is one named
+//! test; only scenarios that are not a registry entry build their own
+//! explorer.
 
-use odp_check::explore::{Budget, Explorer, Invariant};
-use odp_check::invariants::{
-    awareness, federation, groupcomm, locks, placement, replication, telemetry, trader, transport,
-};
-use odp_groupcomm::multicast::Ordering;
-use odp_sim::prelude::{ActorHandle, Until};
-use odp_sim::time::SimTime;
+use odp_check::explore::{Budget, Counterexample, Explorer, Invariant, ReplayError};
+use odp_check::invariants::{locks, replication};
+use odp_check::suites::{self, Arm, BudgetKind, Suite};
+use odp_sim::prelude::{ActorHandle, SimTime, Until};
 
 const SEED: u64 = 42;
 
-fn locks_invs(n: usize) -> Vec<Box<dyn Invariant<locks::TxnHarnessMsg>>> {
-    vec![
-        Box::new(locks::LockTableConsistent),
-        Box::new(locks::DeadlockResolved::new(n)),
-    ]
+fn suite(name: &str) -> Suite {
+    suites::find(name).unwrap_or_else(|| panic!("no suite `{name}` is registered"))
 }
 
-/// Satellite: every 2-, 3- and 4-transaction lock cycle resolves by
-/// aborting exactly the youngest transaction, under every explored
-/// acquisition order.
+/// The armed arm violates nothing in any schedule of the default
+/// budget, and the scenario is not vacuous: it has more than one.
+fn holds(suite: Suite) {
+    let report = suite.explore(Arm::Armed, BudgetKind::Default, SEED);
+    if let Some(cx) = &report.violation {
+        panic!("{}: {cx}", suite.name);
+    }
+    assert!(report.runs > 1, "{} explored one schedule", suite.name);
+}
+
+/// The disarmed arm trips the declared invariant with the declared
+/// message within the CI smoke budget, the counterexample replays to
+/// the same violation, and its trace — the user-facing replay handle —
+/// round-trips.
+fn caught(suite: Suite) {
+    let bad = suite.known_bad.expect("the suite declares a disarmed arm");
+    let cx = suite
+        .explore(Arm::Disarmed, BudgetKind::Smoke, SEED)
+        .violation
+        .expect("the disarmed arm must be detected");
+    assert_eq!(cx.invariant, bad.invariant);
+    assert!(
+        cx.violation.contains(bad.needle),
+        "unexpected violation: {}",
+        cx.violation
+    );
+    let replayed = suite
+        .replay(Arm::Disarmed, BudgetKind::Smoke, SEED, &cx.choices)
+        .expect("trace stays in range")
+        .expect("counterexample must reproduce");
+    assert_eq!(replayed.violation, cx.violation);
+    let parsed = Counterexample::parse_trace(&cx.trace());
+    assert_eq!(parsed, Some((SEED, cx.choices)));
+}
+
+/// One named test per arm, so a failure says which protocol broke or
+/// which detector went blind.
+macro_rules! arm_tests {
+    ($($test:ident => $driver:ident $suite:literal;)+) => {$(
+        #[test]
+        fn $test() {
+            $driver(suite($suite));
+        }
+    )+};
+}
+
+arm_tests! {
+    group_fifo_holds_in_every_schedule => holds "group-fifo";
+    group_total_order_agreement_holds_in_every_schedule => holds "group-total";
+    explorer_finds_fifo_passed_off_as_total_order => caught "group-total";
+    dopt_six_edits_converge_in_every_schedule => holds "dopt";
+    trader_rebalance_is_coherent_in_every_schedule => holds "trader-rebalance";
+    explorer_finds_the_silent_transfer_coherence_bug => caught "trader-rebalance";
+    federated_imports_are_sound_in_every_schedule => holds "trader-federation";
+    explorer_finds_the_unaccounted_penalty_bug => caught "trader-federation";
+    telemetry_spans_are_well_formed_in_every_schedule => holds "telemetry-spans";
+    explorer_finds_the_leaked_span => caught "telemetry-spans";
+    awareness_gating_holds_in_every_schedule => holds "awareness-gating";
+    explorer_finds_the_disarmed_rights_gate => caught "awareness-gating";
+    awareness_deep_holds_in_every_schedule => holds "awareness-deep";
+    explorer_finds_the_disarmed_rights_gate_under_four_publications => caught "awareness-deep";
+    transport_fidelity_holds_in_every_schedule => holds "transport-fidelity";
+    explorer_finds_the_disarmed_forward_dedup => caught "transport-fidelity";
+    placement_soundness_holds_in_every_schedule => holds "placement-soundness";
+    explorer_finds_the_disarmed_write_freeze => caught "placement-soundness";
+}
+
+/// Every 2-, 3- and 4-transaction lock cycle resolves by aborting
+/// exactly the youngest transaction, under every explored acquisition
+/// order. Two and three are the registered `locks-cycle-*` suites.
 #[test]
 fn txn_cycles_abort_exactly_the_youngest_in_every_schedule() {
     for n in 2..=4 {
-        let budget = Budget {
-            max_runs: 200,
-            ..Budget::default()
-        };
-        let report =
-            Explorer::new(SEED, budget).explore(|s| locks::cycle_sim(s, n), || locks_invs(n));
-        assert!(
-            report.violation.is_none(),
-            "{n}-cycle: {}",
-            report.violation.unwrap()
-        );
-        assert!(report.runs > 1, "{n}-cycle explored only one schedule");
+        holds(suites::locks_cycle(n));
     }
 }
 
@@ -59,124 +112,12 @@ fn default_schedule_deadlocks_and_aborts_the_youngest() {
     }
 }
 
-/// Regression for the ROADMAP "cache coherence under churn" item: with
-/// rebalance invalidations in place, no explored schedule of the churn
-/// scenario leaves a stale importer cache.
-#[test]
-fn trader_rebalance_is_coherent_in_every_schedule() {
-    let budget = Budget::default().with_horizon(SimTime::from_secs(2));
-    let report = Explorer::new(SEED, budget).explore(
-        |s| trader::rebalance_sim(s, true),
-        || {
-            vec![Box::new(trader::CacheCoherent::for_rebalance_sim())
-                as Box<dyn Invariant<odp_trader::actors::TraderMsg>>]
-        },
-    );
-    assert!(
-        report.violation.is_none(),
-        "stale cache: {}",
-        report.violation.unwrap()
-    );
-    assert!(report.runs > 1, "churn scenario explored only one schedule");
-}
-
-/// Seeded known-bad fixture: a trader that adopts transferred offers
-/// *silently* (no rebalance invalidation) leaves some schedule with a
-/// stale importer cache. The explorer must find it within the CI smoke
-/// budget, and the counterexample must replay.
-#[test]
-fn explorer_finds_the_silent_transfer_coherence_bug() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let invs = || {
-        vec![Box::new(trader::CacheCoherent::for_rebalance_sim())
-            as Box<dyn Invariant<odp_trader::actors::TraderMsg>>]
-    };
-    let ex = Explorer::new(SEED, budget);
-    let report = ex.explore(|s| trader::rebalance_sim(s, false), invs);
-    let cx = report
-        .violation
-        .expect("the injected coherence bug must be detected");
-    assert_eq!(cx.invariant, "trader-cache-coherent");
-    let replayed = ex
-        .replay(|s| trader::rebalance_sim(s, false), invs, &cx.choices)
-        .expect("trace stays in range")
-        .expect("counterexample must reproduce");
-    assert_eq!(replayed.violation, cx.violation);
-    // The trace is the user-facing replay handle; it must round-trip.
-    let (seed, choices) =
-        odp_check::explore::Counterexample::parse_trace(&cx.trace()).expect("trace parses");
-    assert_eq!(seed, SEED);
-    assert_eq!(choices, cx.choices);
-}
-
-fn federation_invs() -> Vec<Box<dyn Invariant<federation::FedMsg>>> {
-    vec![Box::new(federation::FederationSound)]
-}
-
-/// Every explored interleaving of imports against offer churn yields
-/// resolutions whose narrowed scope, penalty and agreed contract
-/// withstand recomputation from the traversed links.
-#[test]
-fn federated_imports_are_sound_in_every_schedule() {
-    let report = Explorer::new(SEED, Budget::default())
-        .explore(|s| federation::federation_sim(s, true), federation_invs);
-    assert!(
-        report.violation.is_none(),
-        "unsound resolution: {}",
-        report.violation.unwrap()
-    );
-    assert!(
-        report.runs > 1,
-        "federation scenario explored only one schedule"
-    );
-}
-
-/// Seeded known-bad fixture: with penalty accounting disabled the
-/// planner reports offers on their raw advertised QoS, so any
-/// resolution across a penalized link disagrees with the link
-/// recomputation. The explorer must find it within the CI smoke budget
-/// and the counterexample must replay.
-#[test]
-fn explorer_finds_the_unaccounted_penalty_bug() {
-    let ex = Explorer::new(SEED, Budget::smoke());
-    let report = ex.explore(|s| federation::federation_sim(s, false), federation_invs);
-    let cx = report
-        .violation
-        .expect("the disabled penalty accounting must be detected");
-    assert_eq!(cx.invariant, "trader-federation-sound");
-    assert!(
-        cx.violation.contains("penalty accounting broken"),
-        "unexpected violation: {}",
-        cx.violation
-    );
-    let replayed = ex
-        .replay(
-            |s| federation::federation_sim(s, false),
-            federation_invs,
-            &cx.choices,
-        )
-        .expect("trace stays in range")
-        .expect("counterexample must reproduce");
-    assert_eq!(replayed.violation, cx.violation);
-    let (seed, choices) =
-        odp_check::explore::Counterexample::parse_trace(&cx.trace()).expect("trace parses");
-    assert_eq!(seed, SEED);
-    assert_eq!(choices, cx.choices);
-}
-
 /// Two dOPT replicas converge under every delivery order (the provable
-/// case).
+/// case). Their two deliveries commute, so one schedule covers the space:
+/// completeness, not a run count, is what shows nothing was skipped.
 #[test]
 fn dopt_pair_converges_in_every_schedule() {
-    let report = Explorer::new(SEED, Budget::default()).explore(
-        |s| replication::dopt_sim(s, 2),
-        || {
-            vec![
-                Box::new(replication::Converged::new(replication::dopt_sites(2)))
-                    as Box<dyn Invariant<odp_concurrency::dopt::RemoteOp>>,
-            ]
-        },
-    );
+    let report = suite("dopt-pair").explore(Arm::Armed, BudgetKind::Default, SEED);
     assert!(report.violation.is_none(), "{}", report.violation.unwrap());
     assert!(report.complete);
 }
@@ -205,264 +146,41 @@ fn explorer_exhibits_the_dopt_puzzle_on_three_sites() {
     assert_eq!(cx.invariant, "dopt-convergence");
 }
 
-/// FIFO multicast keeps per-origin order and loses nothing, in every
-/// explored schedule of the three-member group.
+/// Every suite either declares a known-bad arm or is listed here with
+/// the reason it has none; a new suite cannot join this list unseen.
 #[test]
-fn group_fifo_holds_in_every_schedule() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let report = Explorer::new(SEED, budget).explore(
-        |s| groupcomm::group_sim(s, Ordering::Fifo, 2),
-        || {
-            let members = groupcomm::group_members();
-            vec![
-                Box::new(groupcomm::VClockMonotone::new(members.clone()))
-                    as Box<dyn Invariant<odp_groupcomm::multicast::GcMsg<u64>>>,
-                Box::new(groupcomm::FifoDelivery::new(members, 2)),
-            ]
-        },
-    );
-    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
+fn only_these_suites_lack_a_disarmed_arm() {
+    let knob_free = [
+        "locks-cycle-2", // TxnManager has no switch for victim choice
+        "locks-cycle-3", // as locks-cycle-2
+        "group-fifo",    // an origin's multicasts are 40 ms apart: none reorders
+        "dopt-pair",     // two-site dOPT is the provable case
+        "dopt",          // as dopt-pair; three sites diverge in the test above
+    ];
+    let unarmed: Vec<String> = suites::all()
+        .into_iter()
+        .filter(|suite| suite.known_bad.is_none())
+        .map(|suite| suite.name)
+        .collect();
+    assert_eq!(unarmed, knob_free);
 }
 
-/// Totally ordered multicast produces identical delivery sequences at
-/// all members, in every explored schedule.
+/// A `--deep` counterexample replays under the budget that found it,
+/// and a shallower budget refuses it instead of reading six of its ten
+/// choices and calling the rest of the default schedule clean. Seed 71
+/// is one whose first fifteen schedules agree.
 #[test]
-fn group_total_order_agreement_holds_in_every_schedule() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let report = Explorer::new(SEED, budget).explore(
-        |s| groupcomm::group_sim(s, Ordering::Total, 2),
-        || {
-            let members = groupcomm::group_members();
-            vec![
-                Box::new(groupcomm::VClockMonotone::new(members.clone()))
-                    as Box<dyn Invariant<odp_groupcomm::multicast::GcMsg<u64>>>,
-                Box::new(groupcomm::DeliveryAgreement::new(members)),
-            ]
-        },
-    );
-    assert!(report.violation.is_none(), "{}", report.violation.unwrap());
-}
-
-fn telemetry_invs() -> Vec<Box<dyn Invariant<odp_groupcomm::multicast::GcMsg<String>>>> {
-    vec![Box::new(telemetry::TelemetrySpans)]
-}
-
-/// The instrumented group-RPC workload emits a well-formed span DAG in
-/// every explored schedule: all spans close, parents precede children.
-#[test]
-fn telemetry_spans_are_well_formed_in_every_schedule() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let report =
-        Explorer::new(SEED, budget).explore(|s| telemetry::telemetry_sim(s, true), telemetry_invs);
-    assert!(
-        report.violation.is_none(),
-        "malformed span log: {}",
-        report.violation.unwrap()
-    );
-    assert!(
-        report.runs > 1,
-        "telemetry scenario explored only one schedule"
-    );
-}
-
-fn awareness_invs(
-) -> Vec<Box<dyn Invariant<odp_groupcomm::multicast::GcMsg<odp_awareness::dist::BusWire>>>> {
-    vec![Box::new(awareness::RightsGated::for_gating_sim())]
-}
-
-/// The rights-gated cooperation-event bus never surfaces an event to an
-/// observer lacking read rights on its artefact, in every explored
-/// multicast schedule — and the workload is non-vacuous (events do
-/// reach the entitled observers).
-#[test]
-fn awareness_gating_holds_in_every_schedule() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let report =
-        Explorer::new(SEED, budget).explore(|s| awareness::gating_sim(s, true), awareness_invs);
-    assert!(
-        report.violation.is_none(),
-        "rights leak: {}",
-        report.violation.unwrap()
-    );
-    assert!(
-        report.runs > 1,
-        "gating scenario explored only one schedule"
-    );
-}
-
-/// Seeded known-bad fixture: every replica's rights gate disarmed. The
-/// rightless observer then receives the racing publications, the
-/// detector must flag it, and the counterexample must replay.
-#[test]
-fn explorer_finds_the_disarmed_rights_gate() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let ex = Explorer::new(SEED, budget);
-    let report = ex.explore(|s| awareness::gating_sim(s, false), awareness_invs);
-    let cx = report
-        .violation
-        .expect("the disarmed gate must be detected");
-    assert_eq!(cx.invariant, "awareness-gating");
-    assert!(
-        cx.violation.contains("no read rights"),
-        "unexpected violation: {}",
-        cx.violation
-    );
-    let replayed = ex
-        .replay(
-            |s| awareness::gating_sim(s, false),
-            awareness_invs,
-            &cx.choices,
-        )
-        .expect("trace stays in range")
-        .expect("counterexample must reproduce");
-    assert_eq!(replayed.violation, cx.violation);
-    let (seed, choices) =
-        odp_check::explore::Counterexample::parse_trace(&cx.trace()).expect("trace parses");
-    assert_eq!(seed, SEED);
-    assert_eq!(choices, cx.choices);
-}
-
-/// Seeded known-bad fixture: a `bad.probe` span opened at start and
-/// never closed. The explorer must flag it in the first schedule and
-/// the counterexample must replay.
-#[test]
-fn explorer_finds_the_leaked_span() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let ex = Explorer::new(SEED, budget);
-    let report = ex.explore(|s| telemetry::telemetry_sim(s, false), telemetry_invs);
-    let cx = report.violation.expect("the leaked span must be detected");
-    assert_eq!(cx.invariant, "telemetry-spans");
-    assert!(
-        cx.violation.contains("never closed"),
-        "unexpected violation: {}",
-        cx.violation
-    );
-    let replayed = ex
-        .replay(
-            |s| telemetry::telemetry_sim(s, false),
-            telemetry_invs,
-            &cx.choices,
-        )
-        .expect("trace stays in range")
-        .expect("counterexample must reproduce");
-    assert_eq!(replayed.violation, cx.violation);
-    let (seed, choices) =
-        odp_check::explore::Counterexample::parse_trace(&cx.trace()).expect("trace parses");
-    assert_eq!(seed, SEED);
-    assert_eq!(choices, cx.choices);
-}
-
-fn transport_invs() -> Vec<Box<dyn Invariant<transport::TransportMsg>>> {
-    vec![Box::new(transport::TransportFidelity::for_transport_sim())]
-}
-
-/// The live transport's session layer keeps its fidelity promises in
-/// every explored schedule of the crash/replay scenario: no sequence
-/// gaps after reconnect replay, the dead origin's forwarded broadcast
-/// delivered exactly once, and the forwarding/dedup paths actually ran.
-#[test]
-fn transport_fidelity_holds_in_every_schedule() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let report =
-        Explorer::new(SEED, budget).explore(|s| transport::transport_sim(s, true), transport_invs);
-    assert!(
-        report.violation.is_none(),
-        "transport infidelity: {}",
-        report.violation.unwrap()
-    );
-    assert!(
-        report.runs > 1,
-        "transport scenario explored only one schedule"
-    );
-}
-
-/// Seeded known-bad fixture: `(origin, bseq)` dedup disarmed for
-/// forwarded frames. Overlapping survivors then double-deliver the
-/// crashed origin's broadcast, the detector must flag it, and the
-/// counterexample must replay.
-#[test]
-fn explorer_finds_the_disarmed_forward_dedup() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let ex = Explorer::new(SEED, budget);
-    let report = ex.explore(|s| transport::transport_sim(s, false), transport_invs);
-    let cx = report
-        .violation
-        .expect("the disarmed forward dedup must be detected");
-    assert_eq!(cx.invariant, "transport-fidelity");
-    assert!(
-        cx.violation.contains("duplicates or omissions"),
-        "unexpected violation: {}",
-        cx.violation
-    );
-    let replayed = ex
-        .replay(
-            |s| transport::transport_sim(s, false),
-            transport_invs,
-            &cx.choices,
-        )
-        .expect("trace stays in range")
-        .expect("counterexample must reproduce");
-    assert_eq!(replayed.violation, cx.violation);
-    let (seed, choices) =
-        odp_check::explore::Counterexample::parse_trace(&cx.trace()).expect("trace parses");
-    assert_eq!(seed, SEED);
-    assert_eq!(choices, cx.choices);
-}
-
-fn placement_invs() -> Vec<Box<dyn Invariant<odp_place::wire::PlaceWire>>> {
-    vec![Box::new(placement::PlacementSound::for_placement_sim())]
-}
-
-/// The closed-loop placement controller is sound in every explored
-/// schedule of the raster workload: each migration decision replays
-/// bit-for-bit from its recorded inputs, epochs are serialised, state
-/// transfers exactly once, and no write slips inside a freeze window —
-/// non-vacuously (a migration commits, writes do hit freezes).
-#[test]
-fn placement_soundness_holds_in_every_schedule() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let report =
-        Explorer::new(SEED, budget).explore(|s| placement::placement_sim(s, true), placement_invs);
-    assert!(
-        report.violation.is_none(),
-        "unsound placement: {}",
-        report.violation.unwrap()
-    );
-    assert!(
-        report.runs > 1,
-        "placement scenario explored only one schedule"
-    );
-}
-
-/// Seeded known-bad fixture: the write freeze disarmed
-/// (`set_quiesce(false)`). Writes then land inside freeze windows and
-/// are lost to the in-flight snapshot; the detector must flag it and
-/// the counterexample must replay.
-#[test]
-fn explorer_finds_the_disarmed_write_freeze() {
-    let budget = Budget::smoke().with_horizon(SimTime::from_secs(2));
-    let ex = Explorer::new(SEED, budget);
-    let report = ex.explore(|s| placement::placement_sim(s, false), placement_invs);
-    let cx = report
-        .violation
-        .expect("the disarmed write freeze must be detected");
-    assert_eq!(cx.invariant, "placement-soundness");
-    assert!(
-        cx.violation.contains("freeze window"),
-        "unexpected violation: {}",
-        cx.violation
-    );
-    let replayed = ex
-        .replay(
-            |s| placement::placement_sim(s, false),
-            placement_invs,
-            &cx.choices,
-        )
-        .expect("trace stays in range")
-        .expect("counterexample must reproduce");
-    assert_eq!(replayed.violation, cx.violation);
-    let (seed, choices) =
-        odp_check::explore::Counterexample::parse_trace(&cx.trace()).expect("trace parses");
-    assert_eq!(seed, SEED);
-    assert_eq!(choices, cx.choices);
+fn deep_counterexample_replays_only_under_the_deep_budget() {
+    let suite = suite("group-total");
+    let found = suite.explore(Arm::Disarmed, BudgetKind::Deep, 71);
+    let cx = found.violation.expect("FIFO diverges in some schedule");
+    assert!(found.runs > 1 && cx.choices.len() > 6, "{}", cx.trace());
+    let replayed = suite.replay(Arm::Disarmed, BudgetKind::Deep, 71, &cx.choices);
+    assert_eq!(replayed, Ok(Some(cx.clone())));
+    let shallow = suite.replay(Arm::Disarmed, BudgetKind::Default, 71, &cx.choices);
+    let refused = ReplayError::UnconsumedChoices {
+        consumed: 6,
+        prescribed: cx.choices.len(),
+    };
+    assert_eq!(shallow, Err(refused));
 }

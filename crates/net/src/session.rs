@@ -46,7 +46,11 @@ pub struct SessionConfig {
     /// How often [`SessionLayer::on_tick`] emits heartbeats per peer.
     pub heartbeat_every: SimDuration,
     /// Silence after which a peer is declared down. Should cover
-    /// several heartbeats plus scheduling jitter.
+    /// several heartbeats plus scheduling jitter. The clock runs from
+    /// the last frame heard, so a connection dropped at the byte level
+    /// needs no signal of its own: it is not a failure verdict by
+    /// itself — reconnect may beat the deadline — and the silence it
+    /// starts is already being timed.
     pub fail_after: SimDuration,
     /// Ordered frames retained per link for reconnect replay.
     pub retransmit_buffer: usize,
@@ -462,12 +466,6 @@ impl<M: Clone> SessionLayer<M> {
         }
         step
     }
-
-    /// A connection to `peer` dropped at the byte level. Not a failure
-    /// verdict by itself — reconnect may beat the heartbeat deadline —
-    /// but the clock on [`SessionConfig::fail_after`] is already
-    /// running from the last frame heard.
-    pub fn on_disconnect(&mut self, _peer: NodeId) {}
 
     /// Periodic maintenance: emits heartbeats, runs failure detection
     /// and triggers crash forwarding.

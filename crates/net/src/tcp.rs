@@ -457,7 +457,6 @@ where
             Ok(bytes) => {
                 if writer.write_all(&bytes).is_err() {
                     self.writers.remove(&to);
-                    self.session.on_disconnect(to);
                     self.metrics.incr("net.tcp.tx_broken");
                 } else {
                     self.metrics.incr("net.tcp.tx_frames");
@@ -521,7 +520,6 @@ where
                 }
                 Ok(Input::Gone { peer }) => {
                     self.writers.remove(&peer);
-                    self.session.on_disconnect(peer);
                     self.metrics.incr("net.tcp.conn_lost");
                 }
                 Ok(Input::Inject { from, msg }) => {
