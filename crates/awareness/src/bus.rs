@@ -18,8 +18,16 @@
 //!    in `suppressed_by_rights`, disclosed via [`EventBus::stats`]);
 //! 2. **focus–nimbus weighting** — survivors are scored by a pluggable
 //!    [`CoopWeightFn`] and compared against the observer's interest
-//!    threshold, exactly as [`crate::events::AwarenessEngine`] does for
-//!    raw activity events.
+//!    threshold; a weight of `0.0` never delivers. Weight functions
+//!    written against the raw [`AwarenessEvent`] vocabulary of
+//!    [`crate::events`] plug in through
+//!    [`EventBus::set_awareness_weight_fn`].
+//!
+//! Producers do not know the bus. Every cooperation-aware engine returns
+//! its own typed outcome (`Notice`, `FloorEvent`, `GroupNotice`, ...),
+//! each outcome projects itself with `CoopEvent::from(&outcome)`, and the
+//! caller hands the lot to [`EventBus::publish_all`] — the one way a
+//! projection reaches observers.
 //!
 //! Network distribution of bus deliveries over causal multicast lives in
 //! [`crate::dist`].
@@ -392,11 +400,6 @@ impl EventBus {
         self.gate = on;
     }
 
-    /// Whether the rights gate is armed.
-    pub fn rights_gate(&self) -> bool {
-        self.gate
-    }
-
     /// The installed access policy.
     pub fn policy(&self) -> &RbacPolicy {
         &self.policy
@@ -440,15 +443,6 @@ impl EventBus {
     /// The registered observers.
     pub fn observers(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.observers.keys().copied()
-    }
-
-    /// Whether `observer` may read `artefact` under the installed
-    /// policy (always `true` while the gate is disarmed).
-    pub fn rights_allow(&self, observer: NodeId, artefact: &ObjectPath) -> bool {
-        !self.gate
-            || self
-                .policy
-                .allows(Subject(observer.0), artefact, Rights::READ)
     }
 
     /// Publishes a cooperation event.
@@ -511,6 +505,18 @@ impl EventBus {
             }
         }
         out
+    }
+
+    /// Publishes everything an engine's outcome projects to, in order,
+    /// concatenating the surviving deliveries: `bus.publish_all(&notices)`.
+    pub fn publish_all(
+        &mut self,
+        events: impl IntoIterator<Item = impl Into<CoopEvent>>,
+    ) -> Vec<BusDelivery> {
+        events
+            .into_iter()
+            .flat_map(|e| self.publish(e.into()))
+            .collect()
     }
 
     /// Total events published.
@@ -577,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn open_bus_behaves_like_the_awareness_engine() {
+    fn open_bus_delivers_to_everyone_but_the_actor() {
         let mut bus = EventBus::new();
         bus.register(NodeId(0), 0.0);
         bus.register(NodeId(1), 0.0);
@@ -663,6 +669,25 @@ mod tests {
         let s2 = bus.stats(NodeId(2)).unwrap();
         assert_eq!(s2.suppressed_low_weight, 1);
         assert_eq!(s2.suppressed_by_rights, 0);
+    }
+
+    #[test]
+    fn publish_all_projects_each_item_and_concatenates_in_order() {
+        let mut bus = EventBus::new();
+        bus.register(NodeId(1), 0.0);
+        bus.register(NodeId(2), 0.0);
+        let out = bus.publish_all([bcast(0), bcast(1)]);
+        let seen: Vec<(NodeId, NodeId)> = out.iter().map(|d| (d.event.actor, d.observer)).collect();
+        assert_eq!(
+            seen,
+            vec![
+                (NodeId(0), NodeId(1)),
+                (NodeId(0), NodeId(2)),
+                (NodeId(1), NodeId(2))
+            ]
+        );
+        assert_eq!(bus.published(), 2);
+        assert!(bus.publish_all(Vec::<CoopEvent>::new()).is_empty());
     }
 
     #[test]

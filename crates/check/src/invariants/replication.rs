@@ -54,9 +54,11 @@ impl Actor<RemoteOp> for DoptActor {
         }
     }
 
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, RemoteOp>, _from: NodeId, msg: RemoteOp) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, RemoteOp>, _from: NodeId, msg: RemoteOp) {
         self.received.push(msg.site);
-        self.site.receive(msg);
+        // The convergence invariant reads the site's text; nobody here
+        // observes whose op landed.
+        let _applied = self.site.receive(msg, ctx.now());
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, RemoteOp>, _timer: TimerId, tag: u64) {

@@ -15,7 +15,7 @@
 //! scheme in [`crate::jupiter`]; `dopt` is provided for fidelity to the
 //! paper and is guaranteed convergent for two sites (see tests).
 
-use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, EventBus};
+use odp_awareness::bus::{CoopEvent, CoopKind};
 use odp_groupcomm::vclock::{Causality, VectorClock};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
@@ -37,6 +37,37 @@ pub struct RemoteOp {
     pub op: CharOp,
 }
 
+/// A remote operation a site integrated into its document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AppliedOp {
+    /// Originating site.
+    pub site: NodeId,
+    /// The op's number at its origin (`clock[site]` of the stamped op).
+    pub seq: u64,
+    /// The op in the form it was executed here, after transformation.
+    pub executed: CharOp,
+    /// When it was integrated.
+    pub at: SimTime,
+}
+
+/// The integration as a unified cooperation event: a
+/// [`CoopKind::RemoteOp`] broadcast from the *originating* site on
+/// [`DOPT_ARTEFACT`] — so co-authors become aware of whose edit just
+/// landed, not merely that the text changed.
+impl From<&AppliedOp> for CoopEvent {
+    fn from(applied: &AppliedOp) -> CoopEvent {
+        CoopEvent::broadcast(
+            applied.site,
+            DOPT_ARTEFACT,
+            applied.at,
+            CoopKind::RemoteOp {
+                site: applied.site,
+                seq: applied.seq,
+            },
+        )
+    }
+}
+
 #[derive(Debug, Clone)]
 struct LogEntry {
     site: NodeId,
@@ -53,13 +84,15 @@ struct LogEntry {
 /// use odp_concurrency::dopt::DoptSite;
 /// use odp_concurrency::ot::CharOp;
 /// use odp_sim::net::NodeId;
+/// use odp_sim::time::SimTime;
 ///
 /// let mut a = DoptSite::new(NodeId(0), "ab");
 /// let mut b = DoptSite::new(NodeId(1), "ab");
 /// let op_a = a.local(CharOp::Insert { pos: 1, ch: 'X' })?;
 /// let op_b = b.local(CharOp::Insert { pos: 1, ch: 'Y' })?;
-/// a.receive(op_b);
-/// b.receive(op_a);
+/// let landed = a.receive(op_b, SimTime::ZERO);
+/// assert_eq!(landed[0].site, NodeId(1));
+/// let _ = b.receive(op_a, SimTime::ZERO);
 /// assert_eq!(a.text(), b.text(), "concurrent inserts converge");
 /// # Ok::<(), odp_concurrency::ot::ApplyError>(())
 /// ```
@@ -124,42 +157,8 @@ impl DoptSite {
     /// Integrates a remote operation (possibly deferring it until its
     /// causal predecessors arrive). Returns the ops actually applied to
     /// the local document, in application order.
-    pub fn receive(&mut self, op: RemoteOp) -> Vec<CharOp> {
-        self.receive_inner(op)
-            .into_iter()
-            .map(|(_, executed)| executed)
-            .collect()
-    }
-
-    /// Like [`DoptSite::receive`], but every remote op actually applied
-    /// is also announced on the cooperation-event bus as a
-    /// [`CoopKind::RemoteOp`] broadcast from the *originating* site — so
-    /// co-authors become aware of whose edit just landed, not merely
-    /// that the text changed.
-    pub fn receive_via(
-        &mut self,
-        bus: &mut EventBus,
-        op: RemoteOp,
-        at: SimTime,
-    ) -> (Vec<CharOp>, Vec<BusDelivery>) {
-        let mut executed = Vec::new();
-        let mut deliveries = Vec::new();
-        for (remote, applied) in self.receive_inner(op) {
-            executed.push(applied);
-            deliveries.extend(bus.publish(CoopEvent::broadcast(
-                remote.site,
-                DOPT_ARTEFACT,
-                at,
-                CoopKind::RemoteOp {
-                    site: remote.site,
-                    seq: remote.clock.get(remote.site),
-                },
-            )));
-        }
-        (executed, deliveries)
-    }
-
-    fn receive_inner(&mut self, op: RemoteOp) -> Vec<(RemoteOp, CharOp)> {
+    #[must_use]
+    pub fn receive(&mut self, op: RemoteOp, at: SimTime) -> Vec<AppliedOp> {
         self.pending.push(op);
         let mut applied = Vec::new();
         loop {
@@ -169,8 +168,12 @@ impl DoptSite {
                 .position(|r| self.clock.deliverable(&r.clock, r.site));
             let Some(idx) = ready else { break };
             let remote = self.pending.remove(idx);
-            let executed = self.integrate(&remote);
-            applied.push((remote, executed));
+            applied.push(AppliedOp {
+                site: remote.site,
+                seq: remote.clock.get(remote.site),
+                executed: self.integrate(&remote),
+                at,
+            });
         }
         applied
     }
@@ -216,15 +219,18 @@ impl DoptSite {
 mod tests {
     use super::*;
     use crate::ot::CharOp::*;
+    use odp_awareness::bus::EventBus;
+
+    const NOW: SimTime = SimTime::ZERO;
 
     #[test]
     fn sequential_ops_need_no_transformation() {
         let mut a = DoptSite::new(NodeId(0), "ab");
         let mut b = DoptSite::new(NodeId(1), "ab");
         let op1 = a.local(Insert { pos: 0, ch: 'X' }).unwrap();
-        b.receive(op1);
+        let _ = b.receive(op1, NOW);
         let op2 = b.local(Insert { pos: 3, ch: 'Y' }).unwrap();
-        a.receive(op2);
+        let _ = a.receive(op2, NOW);
         assert_eq!(a.text(), "XabY");
         assert_eq!(b.text(), "XabY");
     }
@@ -235,8 +241,8 @@ mod tests {
         let mut b = DoptSite::new(NodeId(1), "abcd");
         let oa = a.local(Delete { pos: 1 }).unwrap();
         let ob = b.local(Insert { pos: 2, ch: 'Z' }).unwrap();
-        a.receive(ob);
-        b.receive(oa);
+        let _ = a.receive(ob, NOW);
+        let _ = b.receive(oa, NOW);
         assert_eq!(a.text(), b.text());
         assert_eq!(a.text(), "aZcd".to_owned());
     }
@@ -249,9 +255,9 @@ mod tests {
         // a's second op causally follows its first.
         let op2 = a.local(Insert { pos: 2, ch: '2' }).unwrap();
         // b receives op2 first: must buffer.
-        assert!(b.receive(op2).is_empty());
+        assert!(b.receive(op2, NOW).is_empty());
         assert_eq!(b.pending(), 1);
-        let applied = b.receive(op1);
+        let applied = b.receive(op1, NOW);
         assert_eq!(applied.len(), 2, "both apply once the gap fills");
         assert_eq!(b.text(), "x12");
     }
@@ -290,10 +296,10 @@ mod tests {
             }
             // Exchange everything (causal order preserved per sender).
             for op in from_b {
-                a.receive(op);
+                let _ = a.receive(op, NOW);
             }
             for op in from_a {
-                b.receive(op);
+                let _ = b.receive(op, NOW);
             }
             assert_eq!(a.text(), b.text(), "diverged at seed {seed}");
             assert_eq!(a.pending(), 0);
@@ -326,10 +332,11 @@ mod tests {
         let op1 = b.local(Insert { pos: 1, ch: '1' }).unwrap();
         let op2 = b.local(Insert { pos: 2, ch: '2' }).unwrap();
         // Deliver out of causal order: op2 buffers, op1 releases both.
-        let (executed, seen) = a.receive_via(&mut bus, op2, SimTime::ZERO);
-        assert!(executed.is_empty() && seen.is_empty());
-        let (executed, seen) = a.receive_via(&mut bus, op1, SimTime::ZERO);
-        assert_eq!(executed.len(), 2);
+        assert!(a.receive(op2, NOW).is_empty());
+        let applied = a.receive(op1, SimTime::from_millis(7));
+        assert_eq!(applied.len(), 2);
+        let seen = bus.publish_all(&applied);
+        assert!(seen.iter().all(|d| d.event.at == SimTime::from_millis(7)));
         // One broadcast per integrated op: actor is the *origin* (site 1),
         // so both registered observers hear about both ops.
         assert_eq!(seen.len(), 4);

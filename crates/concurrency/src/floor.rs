@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, EventBus};
+use odp_awareness::bus::{CoopEvent, CoopKind};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
@@ -28,7 +28,9 @@ pub enum FloorPolicy {
     PreemptAfter(SimDuration),
 }
 
-/// Events emitted by floor-control decisions.
+/// Events emitted by floor-control decisions. Each names the participant
+/// it is about and when it happened, so it projects onto the
+/// cooperation-event bus (`bus.publish_all(&events)`) unaided.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FloorEvent {
     /// `who` now holds the floor.
@@ -42,42 +44,33 @@ pub enum FloorEvent {
     Preempted {
         /// The ousted holder.
         who: ClientId,
+        /// When it was ousted.
+        at: SimTime,
     },
     /// The floor is now free (no holder, empty queue).
-    Idle,
+    Idle {
+        /// Who let go of it.
+        by: ClientId,
+        /// When.
+        at: SimTime,
+    },
 }
 
 /// The conference-floor artefact path the bus gates floor events on.
 pub const FLOOR_ARTEFACT: &str = "floor";
 
-impl FloorEvent {
-    /// The event as a unified cooperation event, broadcast to every
-    /// participant: floor movements concern the whole conference. The
-    /// actor is the granted/preempted party, or — for [`FloorEvent::Idle`],
-    /// which names nobody — the `fallback` client that triggered the
-    /// state change.
-    pub fn to_coop(&self, fallback: ClientId, at: SimTime) -> CoopEvent {
-        let (actor, at, kind) = match *self {
+/// The event as a unified cooperation event, broadcast to every
+/// participant: floor movements concern the whole conference. The actor
+/// is the granted or preempted party, or whoever left the floor idle.
+impl From<&FloorEvent> for CoopEvent {
+    fn from(event: &FloorEvent) -> CoopEvent {
+        let (actor, at, kind) = match *event {
             FloorEvent::Granted { who, at } => (who, at, CoopKind::FloorGranted),
-            FloorEvent::Preempted { who } => (who, at, CoopKind::FloorPreempted),
-            FloorEvent::Idle => (fallback, at, CoopKind::FloorIdle),
+            FloorEvent::Preempted { who, at } => (who, at, CoopKind::FloorPreempted),
+            FloorEvent::Idle { by, at } => (by, at, CoopKind::FloorIdle),
         };
         CoopEvent::broadcast(NodeId(actor.0), FLOOR_ARTEFACT, at, kind)
     }
-}
-
-/// Publishes floor events through the bus, concatenating the surviving
-/// deliveries.
-fn publish_events(
-    bus: &mut EventBus,
-    events: &[FloorEvent],
-    fallback: ClientId,
-    at: SimTime,
-) -> Vec<BusDelivery> {
-    events
-        .iter()
-        .flat_map(|e| bus.publish(e.to_coop(fallback, at)))
-        .collect()
 }
 
 /// Errors from floor operations.
@@ -115,7 +108,7 @@ impl std::error::Error for FloorError {}
 /// bus.register(NodeId(0), 0.0);
 /// bus.register(NodeId(1), 0.0);
 /// let mut fc = FloorControl::new(FloorPolicy::RequestQueue);
-/// let seen = fc.request_via(&mut bus, ClientId(0), SimTime::ZERO);
+/// let seen = bus.publish_all(&fc.request(ClientId(0), SimTime::ZERO));
 /// // The grant is broadcast: participant 1 becomes aware of it.
 /// assert!(matches!(seen[0].event.kind, CoopKind::FloorGranted));
 /// assert_eq!(fc.holder(), Some(ClientId(0)));
@@ -168,23 +161,9 @@ impl FloorControl {
         self.wait_total
     }
 
-    /// Requests the floor, publishing resulting events through the
-    /// cooperation-event bus. Grants immediately if free, else queues.
-    pub fn request_via(
-        &mut self,
-        bus: &mut EventBus,
-        client: ClientId,
-        now: SimTime,
-    ) -> Vec<BusDelivery> {
-        let events = self.request_direct(client, now);
-        publish_events(bus, &events, client, now)
-    }
-
-    /// Requests the floor, returning raw [`FloorEvent`]s without bus
-    /// publication (the direct-notice engine path used by consumers
-    /// that drive their own event distribution, e.g. the scheme rig).
-    /// Grants immediately if free, else queues.
-    pub fn request_direct(&mut self, client: ClientId, now: SimTime) -> Vec<FloorEvent> {
+    /// Requests the floor. Grants immediately if free, else queues.
+    #[must_use]
+    pub fn request(&mut self, client: ClientId, now: SimTime) -> Vec<FloorEvent> {
         if self.holder.map(|(c, _)| c) == Some(client) {
             return Vec::new(); // already holding
         }
@@ -199,29 +178,13 @@ impl FloorControl {
         }
     }
 
-    /// Releases the floor via the cooperation-event bus, promoting the
-    /// next waiter (if the policy queues) or leaving the floor idle.
+    /// Releases the floor, promoting the next waiter (if the policy
+    /// queues) or leaving the floor idle.
     ///
     /// # Errors
     ///
     /// [`FloorError::NotHolder`] if `client` does not hold the floor.
-    pub fn release_via(
-        &mut self,
-        bus: &mut EventBus,
-        client: ClientId,
-        now: SimTime,
-    ) -> Result<Vec<BusDelivery>, FloorError> {
-        let events = self.release_direct(client, now)?;
-        Ok(publish_events(bus, &events, client, now))
-    }
-
-    /// Releases the floor without bus publication (direct-notice engine
-    /// path), promoting the next waiter or leaving the floor idle.
-    ///
-    /// # Errors
-    ///
-    /// [`FloorError::NotHolder`] if `client` does not hold the floor.
-    pub fn release_direct(
+    pub fn release(
         &mut self,
         client: ClientId,
         now: SimTime,
@@ -229,37 +192,19 @@ impl FloorControl {
         match self.holder {
             Some((c, _)) if c == client => {
                 self.holder = None;
-                Ok(self.promote(now))
+                Ok(self.promote(client, now))
             }
             _ => Err(FloorError::NotHolder(client)),
         }
     }
 
-    /// Explicitly passes the floor to `target` via the cooperation-event
-    /// bus.
+    /// Explicitly passes the floor to `target` (who must be waiting) —
+    /// required under [`FloorPolicy::ExplicitPass`], allowed under all.
     ///
     /// # Errors
     ///
     /// Fails if `client` is not the holder or `target` is not waiting.
-    pub fn pass_via(
-        &mut self,
-        bus: &mut EventBus,
-        client: ClientId,
-        target: ClientId,
-        now: SimTime,
-    ) -> Result<Vec<BusDelivery>, FloorError> {
-        let events = self.pass_direct(client, target, now)?;
-        Ok(publish_events(bus, &events, client, now))
-    }
-
-    /// Explicitly passes the floor to `target` (who must be waiting)
-    /// without bus publication (direct-notice engine path) — required
-    /// under [`FloorPolicy::ExplicitPass`], allowed under all.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `client` is not the holder or `target` is not waiting.
-    pub fn pass_direct(
+    pub fn pass(
         &mut self,
         client: ClientId,
         target: ClientId,
@@ -279,21 +224,10 @@ impl FloorControl {
         Ok(self.grant(target, asked, now))
     }
 
-    /// Time-based maintenance via the cooperation-event bus: under
-    /// [`FloorPolicy::PreemptAfter`], preempts over-long holders.
-    pub fn tick_via(&mut self, bus: &mut EventBus, now: SimTime) -> Vec<BusDelivery> {
-        // Preemption only fires while someone holds the floor, so the
-        // fallback actor (only used for Idle, which tick never emits) is
-        // moot; the pre-tick holder keeps it well-defined regardless.
-        let fallback = self.holder().unwrap_or(ClientId(0));
-        let events = self.tick_direct(now);
-        publish_events(bus, &events, fallback, now)
-    }
-
-    /// Time-based maintenance without bus publication (direct-notice
-    /// engine path): under [`FloorPolicy::PreemptAfter`], preempts
-    /// over-long holders.
-    pub fn tick_direct(&mut self, now: SimTime) -> Vec<FloorEvent> {
+    /// Time-based maintenance: under [`FloorPolicy::PreemptAfter`],
+    /// preempts over-long holders.
+    #[must_use]
+    pub fn tick(&mut self, now: SimTime) -> Vec<FloorEvent> {
         let FloorPolicy::PreemptAfter(limit) = self.policy else {
             return Vec::new();
         };
@@ -303,21 +237,27 @@ impl FloorControl {
         if now.saturating_since(since) >= limit && !self.queue.is_empty() {
             self.holder = None;
             self.preemptions += 1;
-            let mut events = vec![FloorEvent::Preempted { who: holder }];
-            events.extend(self.promote(now));
+            let mut events = vec![FloorEvent::Preempted {
+                who: holder,
+                at: now,
+            }];
+            events.extend(self.promote(holder, now));
             events
         } else {
             Vec::new()
         }
     }
 
-    fn promote(&mut self, now: SimTime) -> Vec<FloorEvent> {
+    /// Hands the floor `by` just vacated to the next waiter, if the
+    /// policy queues.
+    fn promote(&mut self, by: ClientId, now: SimTime) -> Vec<FloorEvent> {
+        let idle = FloorEvent::Idle { by, at: now };
         match self.policy {
             FloorPolicy::ExplicitPass => {
                 // The floor stays free until someone requests it afresh or
                 // it is explicitly passed; waiters stay queued for `pass`.
                 if self.queue.is_empty() {
-                    vec![FloorEvent::Idle]
+                    vec![idle]
                 } else {
                     Vec::new()
                 }
@@ -326,7 +266,7 @@ impl FloorControl {
                 if let Some((next, asked)) = self.queue.pop_front() {
                     self.grant(next, asked, now)
                 } else {
-                    vec![FloorEvent::Idle]
+                    vec![idle]
                 }
             }
         }
@@ -346,6 +286,7 @@ impl FloorControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odp_awareness::bus::EventBus;
     use odp_sim::net::NodeId;
 
     fn t(ms: u64) -> SimTime {
@@ -364,7 +305,7 @@ mod tests {
     fn via_grants_broadcast_to_every_other_participant() {
         let mut bus = bus(3);
         let mut fc = FloorControl::new(FloorPolicy::RequestQueue);
-        let seen = fc.request_via(&mut bus, ClientId(0), t(0));
+        let seen = bus.publish_all(&fc.request(ClientId(0), t(0)));
         // Broadcast audience: the actor itself is excluded, the other two hear it.
         let observers: Vec<NodeId> = seen.iter().map(|d| d.observer).collect();
         assert_eq!(observers, vec![NodeId(1), NodeId(2)]);
@@ -378,9 +319,9 @@ mod tests {
     fn via_preemption_publishes_preempted_then_granted() {
         let mut bus = bus(3);
         let mut fc = FloorControl::new(FloorPolicy::PreemptAfter(SimDuration::from_millis(5)));
-        fc.request_via(&mut bus, ClientId(0), t(0));
-        fc.request_via(&mut bus, ClientId(1), t(1));
-        let seen = fc.tick_via(&mut bus, t(10));
+        let _ = fc.request(ClientId(0), t(0));
+        let _ = fc.request(ClientId(1), t(1));
+        let seen = bus.publish_all(&fc.tick(t(10)));
         // Each event fans out to the two non-actors, preserving order.
         let labels: Vec<&str> = seen
             .iter()
@@ -394,18 +335,19 @@ mod tests {
     fn via_release_with_empty_queue_publishes_idle_from_the_releaser() {
         let mut bus = bus(2);
         let mut fc = FloorControl::new(FloorPolicy::RequestQueue);
-        fc.request_via(&mut bus, ClientId(0), t(0));
-        let seen = fc.release_via(&mut bus, ClientId(0), t(5)).unwrap();
+        let _ = fc.request(ClientId(0), t(0));
+        let seen = bus.publish_all(&fc.release(ClientId(0), t(5)).unwrap());
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].observer, NodeId(1));
         assert!(matches!(seen[0].event.kind, CoopKind::FloorIdle));
         assert_eq!(seen[0].event.actor, NodeId(0));
+        assert_eq!(seen[0].event.at, t(5));
     }
 
     #[test]
     fn free_floor_grants_immediately() {
         let mut fc = FloorControl::new(FloorPolicy::RequestQueue);
-        let ev = fc.request_direct(ClientId(0), t(0));
+        let ev = fc.request(ClientId(0), t(0));
         assert_eq!(
             ev,
             vec![FloorEvent::Granted {
@@ -419,10 +361,10 @@ mod tests {
     #[test]
     fn queue_policy_transfers_on_release_in_fifo_order() {
         let mut fc = FloorControl::new(FloorPolicy::RequestQueue);
-        fc.request_direct(ClientId(0), t(0));
-        fc.request_direct(ClientId(1), t(1));
-        fc.request_direct(ClientId(2), t(2));
-        let ev = fc.release_direct(ClientId(0), t(10)).unwrap();
+        let _ = fc.request(ClientId(0), t(0));
+        let _ = fc.request(ClientId(1), t(1));
+        let _ = fc.request(ClientId(2), t(2));
+        let ev = fc.release(ClientId(0), t(10)).unwrap();
         assert_eq!(
             ev,
             vec![FloorEvent::Granted {
@@ -437,16 +379,16 @@ mod tests {
     #[test]
     fn explicit_pass_policy_requires_a_pass() {
         let mut fc = FloorControl::new(FloorPolicy::ExplicitPass);
-        fc.request_direct(ClientId(0), t(0));
-        fc.request_direct(ClientId(1), t(1));
+        let _ = fc.request(ClientId(0), t(0));
+        let _ = fc.request(ClientId(1), t(1));
         // Release does not auto-promote.
-        let ev = fc.release_direct(ClientId(0), t(2)).unwrap();
+        let ev = fc.release(ClientId(0), t(2)).unwrap();
         assert!(ev.is_empty());
         assert_eq!(fc.holder(), None);
         assert_eq!(fc.waiting(), vec![ClientId(1)]);
         // Re-request and pass.
-        fc.request_direct(ClientId(0), t(3));
-        let ev = fc.pass_direct(ClientId(0), ClientId(1), t(4)).unwrap();
+        let _ = fc.request(ClientId(0), t(3));
+        let ev = fc.pass(ClientId(0), ClientId(1), t(4)).unwrap();
         assert_eq!(
             ev,
             vec![FloorEvent::Granted {
@@ -459,9 +401,9 @@ mod tests {
     #[test]
     fn pass_to_non_waiter_fails() {
         let mut fc = FloorControl::new(FloorPolicy::ExplicitPass);
-        fc.request_direct(ClientId(0), t(0));
+        let _ = fc.request(ClientId(0), t(0));
         assert_eq!(
-            fc.pass_direct(ClientId(0), ClientId(5), t(1)).unwrap_err(),
+            fc.pass(ClientId(0), ClientId(5), t(1)).unwrap_err(),
             FloorError::TargetNotWaiting(ClientId(5))
         );
     }
@@ -469,9 +411,9 @@ mod tests {
     #[test]
     fn non_holder_release_fails() {
         let mut fc = FloorControl::new(FloorPolicy::RequestQueue);
-        fc.request_direct(ClientId(0), t(0));
+        let _ = fc.request(ClientId(0), t(0));
         assert_eq!(
-            fc.release_direct(ClientId(1), t(1)).unwrap_err(),
+            fc.release(ClientId(1), t(1)).unwrap_err(),
             FloorError::NotHolder(ClientId(1))
         );
     }
@@ -479,14 +421,17 @@ mod tests {
     #[test]
     fn preemption_after_holding_limit() {
         let mut fc = FloorControl::new(FloorPolicy::PreemptAfter(SimDuration::from_millis(100)));
-        fc.request_direct(ClientId(0), t(0));
-        fc.request_direct(ClientId(1), t(5));
-        assert!(fc.tick_direct(t(50)).is_empty(), "not yet over the limit");
-        let ev = fc.tick_direct(t(100));
+        let _ = fc.request(ClientId(0), t(0));
+        let _ = fc.request(ClientId(1), t(5));
+        assert!(fc.tick(t(50)).is_empty(), "not yet over the limit");
+        let ev = fc.tick(t(100));
         assert_eq!(
             ev,
             vec![
-                FloorEvent::Preempted { who: ClientId(0) },
+                FloorEvent::Preempted {
+                    who: ClientId(0),
+                    at: t(100)
+                },
                 FloorEvent::Granted {
                     who: ClientId(1),
                     at: t(100)
@@ -499,9 +444,9 @@ mod tests {
     #[test]
     fn no_preemption_when_nobody_waits() {
         let mut fc = FloorControl::new(FloorPolicy::PreemptAfter(SimDuration::from_millis(100)));
-        fc.request_direct(ClientId(0), t(0));
+        let _ = fc.request(ClientId(0), t(0));
         assert!(
-            fc.tick_direct(t(500)).is_empty(),
+            fc.tick(t(500)).is_empty(),
             "holder keeps an uncontested floor"
         );
     }
@@ -509,18 +454,24 @@ mod tests {
     #[test]
     fn duplicate_requests_are_idempotent() {
         let mut fc = FloorControl::new(FloorPolicy::RequestQueue);
-        fc.request_direct(ClientId(0), t(0));
-        assert!(fc.request_direct(ClientId(0), t(1)).is_empty());
-        fc.request_direct(ClientId(1), t(2));
-        assert!(fc.request_direct(ClientId(1), t(3)).is_empty());
+        let _ = fc.request(ClientId(0), t(0));
+        assert!(fc.request(ClientId(0), t(1)).is_empty());
+        let _ = fc.request(ClientId(1), t(2));
+        assert!(fc.request(ClientId(1), t(3)).is_empty());
         assert_eq!(fc.waiting(), vec![ClientId(1)]);
     }
 
     #[test]
     fn release_with_empty_queue_reports_idle() {
         let mut fc = FloorControl::new(FloorPolicy::RequestQueue);
-        fc.request_direct(ClientId(0), t(0));
-        let ev = fc.release_direct(ClientId(0), t(1)).unwrap();
-        assert_eq!(ev, vec![FloorEvent::Idle]);
+        let _ = fc.request(ClientId(0), t(0));
+        let ev = fc.release(ClientId(0), t(1)).unwrap();
+        assert_eq!(
+            ev,
+            vec![FloorEvent::Idle {
+                by: ClientId(0),
+                at: t(1)
+            }]
+        );
     }
 }

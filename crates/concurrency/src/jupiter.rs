@@ -151,11 +151,6 @@ impl OtServer {
         self.bridges.insert(client, Bridge::server_end());
     }
 
-    /// Removes a client connection.
-    pub fn remove_client(&mut self, client: u32) {
-        self.bridges.remove(&client);
-    }
-
     /// The authoritative text.
     pub fn text(&self) -> String {
         self.doc.text()

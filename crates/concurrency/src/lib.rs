@@ -24,6 +24,12 @@
 //! Every scheme reports the two Ellis real-time measures — *response
 //! time* and *notification time* — plus the awareness events it lets
 //! flow, which is what experiments E2–E4 compare.
+//!
+//! No engine here knows the cooperation-event bus. Each operation has
+//! one method, which returns its typed outcome ([`Notice`],
+//! [`FloorEvent`], [`GroupNotice`], [`AppliedOp`]); every outcome carries
+//! what its `From<&_> for CoopEvent` projection needs, and a caller that
+//! wants it seen hands it to `EventBus::publish_all`.
 
 pub mod dopt;
 pub mod floor;
@@ -36,7 +42,7 @@ pub mod store;
 pub mod twophase;
 pub mod txgroup;
 
-pub use dopt::{DoptSite, RemoteOp};
+pub use dopt::{AppliedOp, DoptSite, RemoteOp};
 pub use floor::{FloorControl, FloorError, FloorEvent, FloorPolicy};
 pub use granularity::{unit_at, unit_count, unit_ranges, Granularity, UnitId};
 pub use jupiter::{Bridge, OpMsg, OtClient, OtServer};

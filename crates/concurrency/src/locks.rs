@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
-use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, CoopMode, EventBus};
+use odp_awareness::bus::{CoopEvent, CoopKind, CoopMode};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
@@ -105,7 +105,8 @@ pub enum LockReply {
 
 /// Awareness/coordination notices emitted by the table. The caller (a
 /// lock-server actor) forwards each to its addressee — this is the
-/// "information flow between users" of Figure 2b.
+/// "information flow between users" of Figure 2b — or publishes the lot
+/// on the cooperation-event bus (`bus.publish_all(&notices)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Notice {
     /// Addressee.
@@ -114,6 +115,8 @@ pub struct Notice {
     pub kind: NoticeKind,
     /// The resource concerned.
     pub resource: ResourceId,
+    /// When the table decided it.
+    pub at: SimTime,
 }
 
 /// The kinds of notice a [`LockTable`] emits.
@@ -148,14 +151,14 @@ pub enum NoticeKind {
     },
 }
 
-impl Notice {
-    /// The notice as a unified cooperation event: directed at its
-    /// addressee on the resource's artefact path (`res/<id>`), with the
-    /// causing party carried in the [`CoopKind`] payload. [`ClientId`]s
-    /// map 1:1 onto [`NodeId`]s.
-    pub fn to_coop(&self, at: SimTime) -> CoopEvent {
-        let to = NodeId(self.to.0);
-        let kind = match self.kind {
+/// The notice as a unified cooperation event: directed at its addressee
+/// on the resource's artefact path (`res/<id>`), with the causing party
+/// carried in the [`CoopKind`] payload. [`ClientId`]s map 1:1 onto
+/// [`NodeId`]s.
+impl From<&Notice> for CoopEvent {
+    fn from(notice: &Notice) -> CoopEvent {
+        let to = NodeId(notice.to.0);
+        let kind = match notice.kind {
             NoticeKind::Granted { mode } => CoopKind::LockGranted { mode: mode.into() },
             NoticeKind::TickleRequest { by } => CoopKind::LockTickled { by: NodeId(by.0) },
             NoticeKind::Revoked { to } => CoopKind::LockRevoked { to: NodeId(to.0) },
@@ -167,17 +170,14 @@ impl Notice {
                 mode: mode.into(),
             },
         };
-        CoopEvent::direct(to, to, format!("res/{}", self.resource.0), at, kind)
+        CoopEvent::direct(
+            to,
+            to,
+            format!("res/{}", notice.resource.0),
+            notice.at,
+            kind,
+        )
     }
-}
-
-/// Publishes each notice through the bus, concatenating the surviving
-/// deliveries.
-fn publish_notices(bus: &mut EventBus, notices: &[Notice], at: SimTime) -> Vec<BusDelivery> {
-    notices
-        .iter()
-        .flat_map(|n| bus.publish(n.to_coop(at)))
-        .collect()
 }
 
 /// Errors from lock operations.
@@ -230,14 +230,19 @@ impl LockState {
 /// use odp_sim::net::NodeId;
 /// use odp_sim::time::SimTime;
 ///
-/// let mut bus = EventBus::new();
-/// bus.register(NodeId(0), 0.0);
-/// bus.register(NodeId(1), 0.0);
 /// let mut t = LockTable::new(LockScheme::Hard);
-/// let (r1, _) = t.request_via(&mut bus, ClientId(0), ResourceId(1), LockMode::Exclusive, SimTime::ZERO);
+/// let (r1, _) = t.request(ClientId(0), ResourceId(1), LockMode::Exclusive, SimTime::ZERO);
 /// assert_eq!(r1, LockReply::Granted);
-/// let (r2, _) = t.request_via(&mut bus, ClientId(1), ResourceId(1), LockMode::Exclusive, SimTime::ZERO);
+/// let (r2, _) = t.request(ClientId(1), ResourceId(1), LockMode::Exclusive, SimTime::ZERO);
 /// assert_eq!(r2, LockReply::Queued);
+///
+/// // The table knows nothing of the bus: whoever wants the notices
+/// // seen publishes what an operation returned.
+/// let mut bus = EventBus::new();
+/// bus.register(NodeId(1), 0.0);
+/// let notices = t.release(ClientId(0), ResourceId(1), SimTime::ZERO).unwrap();
+/// let seen = bus.publish_all(&notices);
+/// assert_eq!(seen[0].event.kind.label(), "lock.granted");
 /// ```
 #[derive(Debug)]
 pub struct LockTable {
@@ -259,26 +264,10 @@ impl LockTable {
         self.scheme
     }
 
-    /// Requests a lock, publishing the resulting notices through the
-    /// cooperation-event bus. Returns the immediate reply plus the bus
-    /// deliveries that survived rights gating and weighting.
-    pub fn request_via(
-        &mut self,
-        bus: &mut EventBus,
-        client: ClientId,
-        resource: ResourceId,
-        mode: LockMode,
-        now: SimTime,
-    ) -> (LockReply, Vec<BusDelivery>) {
-        let (reply, notices) = self.request_direct(client, resource, mode, now);
-        (reply, publish_notices(bus, &notices, now))
-    }
-
-    /// Requests a lock, returning raw [`Notice`]s without bus
-    /// publication (the direct-notice engine path used by consumers
-    /// that drive their own notice distribution, e.g. the 2PL
-    /// scheduler and the scheme rig).
-    pub fn request_direct(
+    /// Requests a lock. Returns the immediate reply plus the notices the
+    /// request caused (tickles, conflict warnings, access notifications).
+    #[must_use]
+    pub fn request(
         &mut self,
         client: ClientId,
         resource: ResourceId,
@@ -311,6 +300,7 @@ impl LockTable {
                         to: other,
                         kind: NoticeKind::ConflictWarning { with: client },
                         resource,
+                        at: now,
                     });
                 }
                 state.holders.insert(client, mode);
@@ -328,6 +318,7 @@ impl LockTable {
                         to: other,
                         kind: NoticeKind::AccessNotification { by: client, mode },
                         resource,
+                        at: now,
                     });
                 }
                 if state.compatible_with_holders(client, mode) && state.queue.is_empty() {
@@ -354,6 +345,7 @@ impl LockTable {
                                     to: holder,
                                     kind: NoticeKind::TickleRequest { by: client },
                                     resource,
+                                    at: now,
                                 });
                                 state.tickles.push((client, holder, now));
                             }
@@ -374,30 +366,13 @@ impl LockTable {
         }
     }
 
-    /// Releases a lock and promotes waiters, publishing grant notices
-    /// through the cooperation-event bus.
+    /// Releases a lock and promotes waiters, returning their grant
+    /// notices.
     ///
     /// # Errors
     ///
     /// [`LockError::NotHeld`] if the client holds no lock on `resource`.
-    pub fn release_via(
-        &mut self,
-        bus: &mut EventBus,
-        client: ClientId,
-        resource: ResourceId,
-        now: SimTime,
-    ) -> Result<Vec<BusDelivery>, LockError> {
-        let notices = self.release_direct(client, resource, now)?;
-        Ok(publish_notices(bus, &notices, now))
-    }
-
-    /// Releases a lock and promotes waiters, returning raw notices
-    /// without bus publication (direct-notice engine path).
-    ///
-    /// # Errors
-    ///
-    /// [`LockError::NotHeld`] if the client holds no lock on `resource`.
-    pub fn release_direct(
+    pub fn release(
         &mut self,
         client: ClientId,
         resource: ResourceId,
@@ -415,46 +390,31 @@ impl LockTable {
     }
 
     /// Releases everything `client` holds or waits for (client
-    /// departure), publishing grant notices through the bus.
-    pub fn release_all_via(
-        &mut self,
-        bus: &mut EventBus,
-        client: ClientId,
-        now: SimTime,
-    ) -> Vec<BusDelivery> {
-        let notices = self.release_all_direct(client, now);
-        publish_notices(bus, &notices, now)
-    }
-
-    /// Releases everything `client` holds or waits for (client
-    /// departure), returning raw notices without bus publication
-    /// (direct-notice engine path).
-    pub fn release_all_direct(&mut self, client: ClientId, now: SimTime) -> Vec<Notice> {
+    /// departure), returning the grant notices of whoever that unblocks
+    /// — a departing *waiter* unblocks the compatible requests queued
+    /// behind it just as a departing holder does.
+    #[must_use]
+    pub fn release_all(&mut self, client: ClientId, now: SimTime) -> Vec<Notice> {
         let mut notices = Vec::new();
         for (&r, state) in self.locks.iter_mut() {
+            let queued = state.queue.len();
             state.queue.retain(|w| w.client != client);
             state
                 .tickles
                 .retain(|&(req, holder, _)| req != client && holder != client);
-            if state.holders.remove(&client).is_some() {
+            let held = state.holders.remove(&client).is_some();
+            if held || state.queue.len() != queued {
                 notices.extend(Self::promote(state, r, now));
             }
         }
         notices
     }
 
-    /// Tickle maintenance via the cooperation-event bus: transfers
-    /// locks whose holders have been idle past the timeout, publishing
+    /// Tickle maintenance: transfers locks whose holders have been idle
+    /// past the timeout to the (oldest) tickler, returning the
     /// revocations and grants. Call periodically.
-    pub fn tick_via(&mut self, bus: &mut EventBus, now: SimTime) -> Vec<BusDelivery> {
-        let notices = self.tick_direct(now);
-        publish_notices(bus, &notices, now)
-    }
-
-    /// Tickle maintenance returning raw notices without bus publication
-    /// (direct-notice engine path): transfers locks whose holders have
-    /// been idle past the timeout to the (oldest) tickler.
-    pub fn tick_direct(&mut self, now: SimTime) -> Vec<Notice> {
+    #[must_use]
+    pub fn tick(&mut self, now: SimTime) -> Vec<Notice> {
         let LockScheme::Tickle { idle_timeout } = self.scheme else {
             return Vec::new();
         };
@@ -483,6 +443,7 @@ impl LockTable {
                     to: holder,
                     kind: NoticeKind::Revoked { to: requester },
                     resource,
+                    at: now,
                 });
                 // The requester jumps its queue entry.
                 let jumped = state
@@ -497,6 +458,7 @@ impl LockTable {
                         to: requester,
                         kind: NoticeKind::Granted { mode: waiter.mode },
                         resource,
+                        at: now,
                     });
                 }
                 notices.extend(Self::promote(state, resource, now));
@@ -524,6 +486,7 @@ impl LockTable {
                 to: w.client,
                 kind: NoticeKind::Granted { mode: w.mode },
                 resource,
+                at: now,
             });
         }
         notices
@@ -555,6 +518,7 @@ impl LockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odp_awareness::bus::EventBus;
 
     const R: ResourceId = ResourceId(1);
     fn t(ms: u64) -> SimTime {
@@ -574,13 +538,14 @@ mod tests {
     fn via_promotion_grants_flow_through_the_bus() {
         let mut b = bus(3);
         let mut lt = LockTable::new(LockScheme::Hard);
-        lt.request_via(&mut b, ClientId(0), R, LockMode::Exclusive, t(0));
-        lt.request_via(&mut b, ClientId(1), R, LockMode::Exclusive, t(1));
-        let out = lt.release_via(&mut b, ClientId(0), R, t(2)).unwrap();
+        let _ = lt.request(ClientId(0), R, LockMode::Exclusive, t(0));
+        let _ = lt.request(ClientId(1), R, LockMode::Exclusive, t(1));
+        let out = b.publish_all(&lt.release(ClientId(0), R, t(2)).unwrap());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].observer, NodeId(1), "grant reaches the promotee");
         assert_eq!(out[0].event.kind.label(), "lock.granted");
         assert_eq!(out[0].event.artefact, "res/1");
+        assert_eq!(out[0].event.at, t(2), "stamped when the table decided");
     }
 
     #[test]
@@ -589,13 +554,14 @@ mod tests {
         let mut lt = LockTable::new(LockScheme::Tickle {
             idle_timeout: SimDuration::from_millis(100),
         });
-        lt.request_via(&mut b, ClientId(0), R, LockMode::Exclusive, t(0));
-        let (reply, tickles) = lt.request_via(&mut b, ClientId(1), R, LockMode::Exclusive, t(50));
+        let _ = lt.request(ClientId(0), R, LockMode::Exclusive, t(0));
+        let (reply, notices) = lt.request(ClientId(1), R, LockMode::Exclusive, t(50));
         assert_eq!(reply, LockReply::Queued);
+        let tickles = b.publish_all(&notices);
         assert_eq!(tickles.len(), 1);
         assert_eq!(tickles[0].observer, NodeId(0), "holder is tickled");
         assert_eq!(tickles[0].event.kind.label(), "lock.tickled");
-        let out = lt.tick_via(&mut b, t(160));
+        let out = b.publish_all(&lt.tick(t(160)));
         let labels: Vec<&str> = out.iter().map(|d| d.event.kind.label()).collect();
         assert_eq!(labels, vec!["lock.revoked", "lock.granted"]);
         assert_eq!(out[0].observer, NodeId(0));
@@ -618,9 +584,11 @@ mod tests {
         b.set_policy(policy);
 
         let mut lt = LockTable::new(LockScheme::Soft);
-        lt.request_via(&mut b, ClientId(0), R, LockMode::Exclusive, t(0));
-        let (reply, out) = lt.request_via(&mut b, ClientId(1), R, LockMode::Exclusive, t(1));
+        let _ = lt.request(ClientId(0), R, LockMode::Exclusive, t(0));
+        let (reply, notices) = lt.request(ClientId(1), R, LockMode::Exclusive, t(1));
         assert!(matches!(reply, LockReply::GrantedConflict(_)));
+        assert_eq!(notices.len(), 1, "the table still warns client 0");
+        let out = b.publish_all(&notices);
         assert!(out.is_empty(), "warning to client 0 is rights-gated");
         assert_eq!(b.suppressed_by_rights(), 1);
     }
@@ -634,8 +602,9 @@ mod tests {
                 mode: LockMode::Shared,
             },
             resource: ResourceId(42),
+            at: t(5),
         };
-        let ev = n.to_coop(t(5));
+        let ev = CoopEvent::from(&n);
         assert_eq!(ev.actor, NodeId(3));
         assert_eq!(ev.artefact, "res/42");
         assert_eq!(ev.at, t(5));
@@ -652,11 +621,11 @@ mod tests {
     fn hard_shared_locks_coexist() {
         let mut lt = LockTable::new(LockScheme::Hard);
         assert_eq!(
-            lt.request_direct(ClientId(0), R, LockMode::Shared, t(0)).0,
+            lt.request(ClientId(0), R, LockMode::Shared, t(0)).0,
             LockReply::Granted
         );
         assert_eq!(
-            lt.request_direct(ClientId(1), R, LockMode::Shared, t(0)).0,
+            lt.request(ClientId(1), R, LockMode::Shared, t(0)).0,
             LockReply::Granted
         );
         assert_eq!(lt.holders(R).len(), 2);
@@ -665,18 +634,16 @@ mod tests {
     #[test]
     fn hard_exclusive_blocks_and_promotes_in_fifo_order() {
         let mut lt = LockTable::new(LockScheme::Hard);
-        lt.request_direct(ClientId(0), R, LockMode::Exclusive, t(0));
+        let _ = lt.request(ClientId(0), R, LockMode::Exclusive, t(0));
         assert_eq!(
-            lt.request_direct(ClientId(1), R, LockMode::Exclusive, t(1))
-                .0,
+            lt.request(ClientId(1), R, LockMode::Exclusive, t(1)).0,
             LockReply::Queued
         );
         assert_eq!(
-            lt.request_direct(ClientId(2), R, LockMode::Exclusive, t(2))
-                .0,
+            lt.request(ClientId(2), R, LockMode::Exclusive, t(2)).0,
             LockReply::Queued
         );
-        let notices = lt.release_direct(ClientId(0), R, t(3)).unwrap();
+        let notices = lt.release(ClientId(0), R, t(3)).unwrap();
         assert_eq!(notices.len(), 1);
         assert_eq!(notices[0].to, ClientId(1));
         assert!(matches!(notices[0].kind, NoticeKind::Granted { .. }));
@@ -686,24 +653,23 @@ mod tests {
     #[test]
     fn shared_waiters_promote_together() {
         let mut lt = LockTable::new(LockScheme::Hard);
-        lt.request_direct(ClientId(0), R, LockMode::Exclusive, t(0));
-        lt.request_direct(ClientId(1), R, LockMode::Shared, t(1));
-        lt.request_direct(ClientId(2), R, LockMode::Shared, t(1));
-        let notices = lt.release_direct(ClientId(0), R, t(2)).unwrap();
+        let _ = lt.request(ClientId(0), R, LockMode::Exclusive, t(0));
+        let _ = lt.request(ClientId(1), R, LockMode::Shared, t(1));
+        let _ = lt.request(ClientId(2), R, LockMode::Shared, t(1));
+        let notices = lt.release(ClientId(0), R, t(2)).unwrap();
         assert_eq!(notices.len(), 2, "both readers promoted at once");
     }
 
     #[test]
     fn reentrant_request_is_granted() {
         let mut lt = LockTable::new(LockScheme::Hard);
-        lt.request_direct(ClientId(0), R, LockMode::Exclusive, t(0));
+        let _ = lt.request(ClientId(0), R, LockMode::Exclusive, t(0));
         assert_eq!(
-            lt.request_direct(ClientId(0), R, LockMode::Shared, t(1)).0,
+            lt.request(ClientId(0), R, LockMode::Shared, t(1)).0,
             LockReply::Granted
         );
         assert_eq!(
-            lt.request_direct(ClientId(0), R, LockMode::Exclusive, t(1))
-                .0,
+            lt.request(ClientId(0), R, LockMode::Exclusive, t(1)).0,
             LockReply::Granted
         );
     }
@@ -711,10 +677,10 @@ mod tests {
     #[test]
     fn release_without_hold_is_an_error() {
         let mut lt = LockTable::new(LockScheme::Hard);
-        assert!(lt.release_direct(ClientId(0), R, t(0)).is_err());
-        lt.request_direct(ClientId(1), R, LockMode::Shared, t(0));
+        assert!(lt.release(ClientId(0), R, t(0)).is_err());
+        let _ = lt.request(ClientId(1), R, LockMode::Shared, t(0));
         assert_eq!(
-            lt.release_direct(ClientId(0), R, t(0)).unwrap_err(),
+            lt.release(ClientId(0), R, t(0)).unwrap_err(),
             LockError::NotHeld(ClientId(0), R)
         );
     }
@@ -723,11 +689,10 @@ mod tests {
     fn soft_locks_grant_immediately_with_warnings_to_both_sides() {
         let mut lt = LockTable::new(LockScheme::Soft);
         assert_eq!(
-            lt.request_direct(ClientId(0), R, LockMode::Exclusive, t(0))
-                .0,
+            lt.request(ClientId(0), R, LockMode::Exclusive, t(0)).0,
             LockReply::Granted
         );
-        let (reply, notices) = lt.request_direct(ClientId(1), R, LockMode::Exclusive, t(1));
+        let (reply, notices) = lt.request(ClientId(1), R, LockMode::Exclusive, t(1));
         assert_eq!(reply, LockReply::GrantedConflict(vec![ClientId(0)]));
         assert_eq!(notices.len(), 1);
         assert_eq!(notices[0].to, ClientId(0));
@@ -742,8 +707,8 @@ mod tests {
     #[test]
     fn notification_locks_emit_awareness_on_every_access() {
         let mut lt = LockTable::new(LockScheme::Notification);
-        lt.request_direct(ClientId(0), R, LockMode::Shared, t(0));
-        let (reply, notices) = lt.request_direct(ClientId(1), R, LockMode::Shared, t(1));
+        let _ = lt.request(ClientId(0), R, LockMode::Shared, t(0));
+        let (reply, notices) = lt.request(ClientId(1), R, LockMode::Shared, t(1));
         assert_eq!(reply, LockReply::Granted);
         assert_eq!(notices.len(), 1);
         assert!(matches!(
@@ -751,7 +716,7 @@ mod tests {
             NoticeKind::AccessNotification { by, mode: LockMode::Shared } if by == ClientId(1)
         ));
         // Exclusive still queues (it is a *lock*, not advisory)...
-        let (reply2, notices2) = lt.request_direct(ClientId(2), R, LockMode::Exclusive, t(2));
+        let (reply2, notices2) = lt.request(ClientId(2), R, LockMode::Exclusive, t(2));
         assert_eq!(reply2, LockReply::Queued);
         // ...but both holders heard about the attempt.
         assert_eq!(notices2.len(), 2);
@@ -762,15 +727,15 @@ mod tests {
         let mut lt = LockTable::new(LockScheme::Tickle {
             idle_timeout: SimDuration::from_millis(100),
         });
-        lt.request_direct(ClientId(0), R, LockMode::Exclusive, t(0));
-        let (reply, notices) = lt.request_direct(ClientId(1), R, LockMode::Exclusive, t(50));
+        let _ = lt.request(ClientId(0), R, LockMode::Exclusive, t(0));
+        let (reply, notices) = lt.request(ClientId(1), R, LockMode::Exclusive, t(50));
         assert_eq!(reply, LockReply::Queued);
         assert!(matches!(notices[0].kind, NoticeKind::TickleRequest { by } if by == ClientId(1)));
         // Holder still active at t=60: no transfer at t=120 (idle only 60ms).
         lt.touch(ClientId(0), R, t(60));
-        assert!(lt.tick_direct(t(120)).is_empty());
+        assert!(lt.tick(t(120)).is_empty());
         // At t=160 the holder has been idle 100ms: transfer.
-        let notices = lt.tick_direct(t(160));
+        let notices = lt.tick(t(160));
         assert_eq!(notices.len(), 2);
         assert!(matches!(notices[0].kind, NoticeKind::Revoked { to } if to == ClientId(1)));
         assert!(matches!(notices[1].kind, NoticeKind::Granted { .. }));
@@ -782,11 +747,11 @@ mod tests {
         let mut lt = LockTable::new(LockScheme::Tickle {
             idle_timeout: SimDuration::from_millis(100),
         });
-        lt.request_direct(ClientId(0), R, LockMode::Exclusive, t(0));
-        lt.request_direct(ClientId(1), R, LockMode::Exclusive, t(10));
+        let _ = lt.request(ClientId(0), R, LockMode::Exclusive, t(0));
+        let _ = lt.request(ClientId(1), R, LockMode::Exclusive, t(10));
         for ms in (20..500).step_by(50) {
             lt.touch(ClientId(0), R, t(ms));
-            assert!(lt.tick_direct(t(ms + 10)).is_empty(), "at {ms}");
+            assert!(lt.tick(t(ms + 10)).is_empty(), "at {ms}");
         }
         assert_eq!(lt.holders(R), vec![(ClientId(0), LockMode::Exclusive)]);
     }
@@ -795,25 +760,62 @@ mod tests {
     fn release_all_frees_everything_and_promotes() {
         let mut lt = LockTable::new(LockScheme::Hard);
         let r2 = ResourceId(2);
-        lt.request_direct(ClientId(0), R, LockMode::Exclusive, t(0));
-        lt.request_direct(ClientId(0), r2, LockMode::Exclusive, t(0));
-        lt.request_direct(ClientId(1), R, LockMode::Exclusive, t(1));
-        lt.request_direct(ClientId(1), r2, LockMode::Shared, t(1));
-        let notices = lt.release_all_direct(ClientId(0), t(2));
+        let _ = lt.request(ClientId(0), R, LockMode::Exclusive, t(0));
+        let _ = lt.request(ClientId(0), r2, LockMode::Exclusive, t(0));
+        let _ = lt.request(ClientId(1), R, LockMode::Exclusive, t(1));
+        let _ = lt.request(ClientId(1), r2, LockMode::Shared, t(1));
+        let notices = lt.release_all(ClientId(0), t(2));
         assert_eq!(notices.len(), 2);
         assert_eq!(lt.holders(R), vec![(ClientId(1), LockMode::Exclusive)]);
         assert_eq!(lt.holders(r2), vec![(ClientId(1), LockMode::Shared)]);
     }
 
     #[test]
+    fn a_departing_head_waiter_unblocks_the_compatible_requests_behind_it() {
+        let mut lt = LockTable::new(LockScheme::Hard);
+        let _ = lt.request(ClientId(0), R, LockMode::Shared, t(0));
+        assert_eq!(
+            lt.request(ClientId(1), R, LockMode::Exclusive, t(1)).0,
+            LockReply::Queued
+        );
+        assert_eq!(
+            lt.request(ClientId(2), R, LockMode::Shared, t(2)).0,
+            LockReply::Queued,
+            "FIFO: a reader does not overtake the queued writer"
+        );
+        // The writer gives up while still waiting: the reader behind it is
+        // compatible with the holder and must be granted now, not at some
+        // unrelated later release.
+        let notices = lt.release_all(ClientId(1), t(3));
+        assert_eq!(
+            notices,
+            vec![Notice {
+                to: ClientId(2),
+                kind: NoticeKind::Granted {
+                    mode: LockMode::Shared
+                },
+                resource: R,
+                at: t(3),
+            }]
+        );
+        assert_eq!(lt.queue_len(R), 0);
+        assert_eq!(lt.holders(R).len(), 2);
+        // A waiter leaving from behind an incompatible head changes nothing.
+        let _ = lt.request(ClientId(3), R, LockMode::Exclusive, t(4));
+        let _ = lt.request(ClientId(4), R, LockMode::Shared, t(5));
+        assert!(lt.release_all(ClientId(4), t(6)).is_empty());
+        assert_eq!(lt.queue_len(R), 1);
+    }
+
+    #[test]
     fn upgrade_from_shared_to_exclusive_waits_for_other_readers() {
         let mut lt = LockTable::new(LockScheme::Hard);
-        lt.request_direct(ClientId(0), R, LockMode::Shared, t(0));
-        lt.request_direct(ClientId(1), R, LockMode::Shared, t(0));
+        let _ = lt.request(ClientId(0), R, LockMode::Shared, t(0));
+        let _ = lt.request(ClientId(1), R, LockMode::Shared, t(0));
         // Client 0 upgrades: must wait for client 1.
-        let (reply, _) = lt.request_direct(ClientId(0), R, LockMode::Exclusive, t(1));
+        let (reply, _) = lt.request(ClientId(0), R, LockMode::Exclusive, t(1));
         assert_eq!(reply, LockReply::Queued);
-        let notices = lt.release_direct(ClientId(1), R, t(2)).unwrap();
+        let notices = lt.release(ClientId(1), R, t(2)).unwrap();
         assert_eq!(notices.len(), 1);
         assert_eq!(notices[0].to, ClientId(0));
         assert_eq!(lt.holders(R), vec![(ClientId(0), LockMode::Exclusive)]);

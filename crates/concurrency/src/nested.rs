@@ -16,7 +16,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use odp_awareness::bus::{BusDelivery, EventBus};
 use odp_sim::time::SimTime;
 
 use crate::locks::ClientId;
@@ -82,24 +81,22 @@ struct GroupNode {
 /// # Examples
 ///
 /// ```
-/// use odp_awareness::bus::EventBus;
 /// use odp_concurrency::locks::ClientId;
 /// use odp_concurrency::nested::GroupTree;
 /// use odp_concurrency::store::{ObjectId, ObjectStore};
 /// use odp_concurrency::txgroup::CooperativeRule;
 /// use odp_sim::time::SimTime;
 ///
-/// let mut bus = EventBus::new();
 /// let mut store = ObjectStore::new();
 /// store.create(ObjectId(1), "v0");
 /// let mut tree = GroupTree::new(store, [ClientId(0)], Box::new(CooperativeRule));
 /// let sub = tree.create_subgroup(tree.root(), [ClientId(1)], Box::new(CooperativeRule))?;
-/// tree.write_via(&mut bus, sub, ClientId(1), ObjectId(1), "sub draft", SimTime::ZERO)?;
+/// tree.write(sub, ClientId(1), ObjectId(1), "sub draft", SimTime::ZERO)?;
 /// // The parent does not see the subgroup's dirty work yet...
-/// assert_eq!(tree.read_via(&mut bus, tree.root(), ClientId(0), ObjectId(1), SimTime::ZERO)?.0, "v0");
+/// assert_eq!(tree.read(tree.root(), ClientId(0), ObjectId(1), SimTime::ZERO)?.0, "v0");
 /// tree.commit(sub)?;
 /// // ...until the subgroup commits upward.
-/// assert_eq!(tree.read_via(&mut bus, tree.root(), ClientId(0), ObjectId(1), SimTime::ZERO)?.0, "sub draft");
+/// assert_eq!(tree.read(tree.root(), ClientId(0), ObjectId(1), SimTime::ZERO)?.0, "sub draft");
 /// # Ok::<(), odp_concurrency::nested::TreeError>(())
 /// ```
 pub struct GroupTree {
@@ -174,73 +171,28 @@ impl GroupTree {
     }
 
     /// Reads inside a group (dirty within the group, per its rule),
-    /// publishing any access notices on the cooperation-event bus.
+    /// returning the value with the group's access notices.
     ///
     /// # Errors
     ///
     /// Propagates rule denials and unknown groups/objects.
-    pub fn read_via(
-        &mut self,
-        bus: &mut EventBus,
-        group: GroupNodeId,
-        member: ClientId,
-        object: ObjectId,
-        at: SimTime,
-    ) -> Result<(String, Vec<BusDelivery>), TreeError> {
-        Ok(self
-            .node_mut(group)?
-            .group
-            .read_via(bus, member, object, at)?)
-    }
-
-    /// Reads inside a group (dirty within the group, per its rule),
-    /// returning raw notices without bus publication (direct-notice
-    /// engine path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates rule denials and unknown groups/objects.
-    pub fn read_direct(
+    pub fn read(
         &mut self,
         group: GroupNodeId,
         member: ClientId,
         object: ObjectId,
         at: SimTime,
     ) -> Result<(String, Vec<GroupNotice>), TreeError> {
-        Ok(self
-            .node_mut(group)?
-            .group
-            .read_direct(member, object, at)?)
+        Ok(self.node_mut(group)?.group.read(member, object, at)?)
     }
 
-    /// Writes inside a group, publishing any access notices on the
-    /// cooperation-event bus.
+    /// Writes inside a group, returning the new version with the
+    /// group's access notices.
     ///
     /// # Errors
     ///
     /// Propagates rule denials and unknown groups/objects.
-    pub fn write_via(
-        &mut self,
-        bus: &mut EventBus,
-        group: GroupNodeId,
-        member: ClientId,
-        object: ObjectId,
-        value: impl Into<String>,
-        at: SimTime,
-    ) -> Result<(u64, Vec<BusDelivery>), TreeError> {
-        Ok(self
-            .node_mut(group)?
-            .group
-            .write_via(bus, member, object, value, at)?)
-    }
-
-    /// Writes inside a group, returning raw notices without bus
-    /// publication (direct-notice engine path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates rule denials and unknown groups/objects.
-    pub fn write_direct(
+    pub fn write(
         &mut self,
         group: GroupNodeId,
         member: ClientId,
@@ -251,7 +203,7 @@ impl GroupTree {
         Ok(self
             .node_mut(group)?
             .group
-            .write_direct(member, object, value, at)?)
+            .write(member, object, value, at)?)
     }
 
     /// Commits a group: a subgroup publishes its working state into its
@@ -304,10 +256,10 @@ impl GroupTree {
 }
 
 #[cfg(test)]
-// the legacy Vec<GroupNotice> shims stay covered until removal
 mod tests {
     use super::*;
     use crate::txgroup::{CooperativeRule, ExclusiveWriterRule};
+    use odp_awareness::bus::EventBus;
     use odp_sim::net::NodeId;
 
     const NOW: SimTime = SimTime::ZERO;
@@ -325,16 +277,12 @@ mod tests {
         let sub = t
             .create_subgroup(t.root(), [ClientId(2)], Box::new(CooperativeRule))
             .unwrap();
-        t.write_direct(sub, ClientId(2), DOC, "sub work", NOW)
-            .unwrap();
-        assert_eq!(
-            t.read_direct(t.root(), ClientId(0), DOC, NOW).unwrap().0,
-            "v0"
-        );
+        t.write(sub, ClientId(2), DOC, "sub work", NOW).unwrap();
+        assert_eq!(t.read(t.root(), ClientId(0), DOC, NOW).unwrap().0, "v0");
         assert_eq!(t.external_read(DOC).unwrap(), "v0");
         t.commit(sub).unwrap();
         assert_eq!(
-            t.read_direct(t.root(), ClientId(0), DOC, NOW).unwrap().0,
+            t.read(t.root(), ClientId(0), DOC, NOW).unwrap().0,
             "sub work"
         );
         assert_eq!(
@@ -350,13 +298,13 @@ mod tests {
     #[test]
     fn subgroups_start_from_the_parents_working_state() {
         let mut t = tree();
-        t.write_direct(t.root(), ClientId(0), DOC, "team draft", NOW)
+        t.write(t.root(), ClientId(0), DOC, "team draft", NOW)
             .unwrap();
         let sub = t
             .create_subgroup(t.root(), [ClientId(2)], Box::new(CooperativeRule))
             .unwrap();
         assert_eq!(
-            t.read_direct(sub, ClientId(2), DOC, NOW).unwrap().0,
+            t.read(sub, ClientId(2), DOC, NOW).unwrap().0,
             "team draft",
             "the sub-team sees the in-progress work"
         );
@@ -365,23 +313,18 @@ mod tests {
     #[test]
     fn aborting_a_subgroup_leaves_the_parent_untouched() {
         let mut t = tree();
-        t.write_direct(t.root(), ClientId(0), DOC, "keep me", NOW)
-            .unwrap();
+        t.write(t.root(), ClientId(0), DOC, "keep me", NOW).unwrap();
         let sub = t
             .create_subgroup(t.root(), [ClientId(2)], Box::new(CooperativeRule))
             .unwrap();
-        t.write_direct(sub, ClientId(2), DOC, "scrap me", NOW)
-            .unwrap();
+        t.write(sub, ClientId(2), DOC, "scrap me", NOW).unwrap();
         t.abort(sub).unwrap();
         assert_eq!(
-            t.read_direct(t.root(), ClientId(0), DOC, NOW).unwrap().0,
+            t.read(t.root(), ClientId(0), DOC, NOW).unwrap().0,
             "keep me"
         );
         // The aborted subgroup rolled back to its seed.
-        assert_eq!(
-            t.read_direct(sub, ClientId(2), DOC, NOW).unwrap().0,
-            "keep me"
-        );
+        assert_eq!(t.read(sub, ClientId(2), DOC, NOW).unwrap().0, "keep me");
     }
 
     #[test]
@@ -394,18 +337,15 @@ mod tests {
                 Box::new(ExclusiveWriterRule),
             )
             .unwrap();
-        t.write_direct(strict, ClientId(2), DOC, "claimed", NOW)
-            .unwrap();
+        t.write(strict, ClientId(2), DOC, "claimed", NOW).unwrap();
         // The strict subgroup's rule denies a second writer...
         assert!(matches!(
-            t.write_direct(strict, ClientId(3), DOC, "denied", NOW),
+            t.write(strict, ClientId(3), DOC, "denied", NOW),
             Err(TreeError::Group(GroupError::Denied { .. }))
         ));
         // ...while the cooperative root lets both members write.
-        t.write_direct(t.root(), ClientId(0), DOC, "a", NOW)
-            .unwrap();
-        t.write_direct(t.root(), ClientId(1), DOC, "b", NOW)
-            .unwrap();
+        t.write(t.root(), ClientId(0), DOC, "a", NOW).unwrap();
+        t.write(t.root(), ClientId(1), DOC, "b", NOW).unwrap();
     }
 
     #[test]
@@ -415,7 +355,7 @@ mod tests {
         assert!(matches!(t.commit(ghost), Err(TreeError::UnknownGroup(_))));
         assert!(matches!(t.abort(ghost), Err(TreeError::UnknownGroup(_))));
         assert!(matches!(
-            t.read_direct(ghost, ClientId(0), DOC, NOW),
+            t.read(ghost, ClientId(0), DOC, NOW),
             Err(TreeError::UnknownGroup(_))
         ));
         assert!(matches!(
@@ -437,10 +377,10 @@ mod tests {
                 Box::new(CooperativeRule),
             )
             .unwrap();
-        t.write_via(&mut bus, sub, ClientId(2), DOC, "sub work", NOW)
-            .unwrap();
-        let (value, seen) = t.read_via(&mut bus, sub, ClientId(0), DOC, NOW).unwrap();
+        t.write(sub, ClientId(2), DOC, "sub work", NOW).unwrap();
+        let (value, notices) = t.read(sub, ClientId(0), DOC, NOW).unwrap();
         assert_eq!(value, "sub work");
+        let seen = bus.publish_all(&notices);
         // The cooperative rule notifies the other member of the access.
         assert!(seen.iter().any(|d| d.observer == NodeId(2)));
         assert!(seen.iter().all(|d| d.event.kind.label() == "group.access"));

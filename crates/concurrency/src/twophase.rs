@@ -275,11 +275,12 @@ impl TxnManager {
             OpKind::Read => LockMode::Shared,
             OpKind::Insert(_) | OpKind::Delete(_) => LockMode::Exclusive,
         };
-        // The 2PL scheduler consumes raw notices to drive TxnEvents; its
-        // cooperative surface is the TxnEvent layer, not the bus.
-        let (reply, _notices) =
-            self.table
-                .request_direct(Self::lock_client(txn), resource, mode, now);
+        // Hard locks emit nothing on request; grants arrive on release and
+        // `finish` turns them into TxnEvents, the scheduler's own
+        // cooperative surface.
+        let (reply, _notices) = self
+            .table
+            .request(Self::lock_client(txn), resource, mode, now);
         match reply {
             LockReply::Granted => {
                 let result = self.perform(txn, &op)?;
@@ -343,7 +344,7 @@ impl TxnManager {
 
     fn finish(&mut self, txn: TxnId, now: SimTime) -> Result<Vec<TxnEvent>, TxnError> {
         self.txns.remove(&txn).ok_or(TxnError::UnknownTxn(txn))?;
-        let notices = self.table.release_all_direct(Self::lock_client(txn), now);
+        let notices = self.table.release_all(Self::lock_client(txn), now);
         let mut events = Vec::new();
         for notice in notices {
             if let NoticeKind::Granted { .. } = notice.kind {
@@ -640,6 +641,36 @@ mod tests {
         let events = tm.abort(t1, t(1)).unwrap();
         assert!(matches!(events[0], TxnEvent::OpCompleted { txn, .. } if txn == t2));
         assert_eq!(tm.aborts(), 1);
+    }
+
+    #[test]
+    fn aborting_a_waiting_txn_resumes_the_compatible_txn_queued_behind_it() {
+        let mut tm = manager(Granularity::Document);
+        let t1 = tm.begin();
+        let t2 = tm.begin();
+        let t3 = tm.begin();
+        assert!(matches!(
+            tm.submit(t1, read(1, 0), t(0)).unwrap(),
+            SubmitReply::Done(_)
+        ));
+        assert_eq!(
+            tm.submit(t2, insert(1, 0, "w"), t(1)).unwrap(),
+            SubmitReply::Blocked
+        );
+        assert_eq!(
+            tm.submit(t3, read(1, 0), t(2)).unwrap(),
+            SubmitReply::Blocked,
+            "queued behind the waiting writer"
+        );
+        // T2 never held anything; with it gone T3's read is compatible
+        // with T1's and must complete now, not at T1's commit.
+        let events = tm.abort(t2, t(3)).unwrap();
+        assert_eq!(events.len(), 1);
+        assert!(matches!(
+            &events[0],
+            TxnEvent::OpCompleted { txn, result: OpResult::Value(_) } if *txn == t3
+        ));
+        assert!(tm.commit(t3, t(4)).unwrap().is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, CoopMode, EventBus};
+use odp_awareness::bus::{CoopEvent, CoopKind, CoopMode};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 
@@ -182,32 +182,23 @@ pub struct GroupNotice {
     pub at: SimTime,
 }
 
-impl GroupNotice {
-    /// The notice as a unified cooperation event: the acting member is
-    /// the actor, the notified member the (direct) audience, on the
-    /// object's artefact path (`obj/<id>`).
-    pub fn to_coop(&self) -> CoopEvent {
-        let mode = match self.mode {
+/// The notice as a unified cooperation event: the acting member is the
+/// actor, the notified member the (direct) audience, on the object's
+/// artefact path (`obj/<id>`).
+impl From<&GroupNotice> for CoopEvent {
+    fn from(notice: &GroupNotice) -> CoopEvent {
+        let mode = match notice.mode {
             AccessMode::Read => CoopMode::Shared,
             AccessMode::Write => CoopMode::Exclusive,
         };
         CoopEvent::direct(
-            NodeId(self.by.0),
-            NodeId(self.to.0),
-            format!("obj/{}", self.object.0),
-            self.at,
+            NodeId(notice.by.0),
+            NodeId(notice.to.0),
+            format!("obj/{}", notice.object.0),
+            notice.at,
             CoopKind::GroupAccess { mode },
         )
     }
-}
-
-/// Publishes each group notice through the bus, concatenating the
-/// surviving deliveries.
-fn publish_notices(bus: &mut EventBus, notices: &[GroupNotice]) -> Vec<BusDelivery> {
-    notices
-        .iter()
-        .flat_map(|n| bus.publish(n.to_coop()))
-        .collect()
 }
 
 /// Errors from group operations.
@@ -277,9 +268,10 @@ impl From<StoreError> for GroupError {
 /// let mut store = ObjectStore::new();
 /// store.create(ObjectId(1), "draft");
 /// let mut g = TransactionGroup::new(store, [ClientId(0), ClientId(1)], CooperativeRule);
-/// let (val, _) = g.read_via(&mut bus, ClientId(0), ObjectId(1), SimTime::ZERO)?;
+/// let (val, _) = g.read(ClientId(0), ObjectId(1), SimTime::ZERO)?;
 /// assert_eq!(val, "draft");
-/// let (_, seen) = g.write_via(&mut bus, ClientId(1), ObjectId(1), "draft v2", SimTime::ZERO)?;
+/// let (_, notices) = g.write(ClientId(1), ObjectId(1), "draft v2", SimTime::ZERO)?;
+/// let seen = bus.publish_all(&notices);
 /// assert_eq!(seen.len(), 1, "reader 0 is notified of the write");
 /// # Ok::<(), odp_concurrency::txgroup::GroupError>(())
 /// ```
@@ -361,32 +353,14 @@ impl<R: AccessRule> TransactionGroup<R> {
         }
     }
 
-    /// Reads the group-internal value of `object`, publishing awareness
-    /// notices through the cooperation-event bus.
-    ///
-    /// # Errors
-    ///
-    /// Denied accesses, non-members and unknown objects fail.
-    pub fn read_via(
-        &mut self,
-        bus: &mut EventBus,
-        member: ClientId,
-        object: ObjectId,
-        at: SimTime,
-    ) -> Result<(String, Vec<BusDelivery>), GroupError> {
-        let (value, notices) = self.read_direct(member, object, at)?;
-        Ok((value, publish_notices(bus, &notices)))
-    }
-
     /// Reads the group-internal value of `object` — including dirty
     /// writes by other members ("reading over their shoulder") —
-    /// returning raw [`GroupNotice`]s without bus publication (the
-    /// direct-notice engine path, e.g. for the scheme rig).
+    /// returning it with the awareness notices the rule asked for.
     ///
     /// # Errors
     ///
     /// Denied accesses, non-members and unknown objects fail.
-    pub fn read_direct(
+    pub fn read(
         &mut self,
         member: ClientId,
         object: ObjectId,
@@ -402,32 +376,14 @@ impl<R: AccessRule> TransactionGroup<R> {
         Ok((value, notices))
     }
 
-    /// Writes `object` inside the group, publishing awareness notices
-    /// through the cooperation-event bus.
-    ///
-    /// # Errors
-    ///
-    /// Denied accesses, non-members and unknown objects fail.
-    pub fn write_via(
-        &mut self,
-        bus: &mut EventBus,
-        member: ClientId,
-        object: ObjectId,
-        value: impl Into<String>,
-        at: SimTime,
-    ) -> Result<(u64, Vec<BusDelivery>), GroupError> {
-        let (version, notices) = self.write_direct(member, object, value, at)?;
-        Ok((version, publish_notices(bus, &notices)))
-    }
-
-    /// Writes `object` inside the group, returning raw notices without
-    /// bus publication (direct-notice engine path). The new value is
+    /// Writes `object` inside the group, returning the new version with
+    /// the awareness notices the rule asked for. The new value is
     /// immediately visible to other members but not outside the group.
     ///
     /// # Errors
     ///
     /// Denied accesses, non-members and unknown objects fail.
-    pub fn write_direct(
+    pub fn write(
         &mut self,
         member: ClientId,
         object: ObjectId,
@@ -480,6 +436,7 @@ impl<R: AccessRule> TransactionGroup<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odp_awareness::bus::EventBus;
 
     fn setup<R: AccessRule>(rule: R) -> TransactionGroup<R> {
         let mut store = ObjectStore::new();
@@ -496,11 +453,10 @@ mod tests {
             bus.register(NodeId(i), 0.0);
         }
         let mut g = setup(CooperativeRule);
-        g.read_via(&mut bus, ClientId(0), ObjectId(1), NOW).unwrap();
-        g.read_via(&mut bus, ClientId(1), ObjectId(1), NOW).unwrap();
-        let (_, seen) = g
-            .write_via(&mut bus, ClientId(2), ObjectId(1), "x", NOW)
-            .unwrap();
+        g.read(ClientId(0), ObjectId(1), NOW).unwrap();
+        g.read(ClientId(1), ObjectId(1), NOW).unwrap();
+        let (_, notices) = g.write(ClientId(2), ObjectId(1), "x", NOW).unwrap();
+        let seen = bus.publish_all(&notices);
         let observers: Vec<NodeId> = seen.iter().map(|d| d.observer).collect();
         assert_eq!(observers, vec![NodeId(0), NodeId(1)]);
         assert_eq!(seen[0].event.actor, NodeId(2));
@@ -517,7 +473,7 @@ mod tests {
             mode: AccessMode::Write,
             at: SimTime::from_millis(3),
         };
-        let ev = n.to_coop();
+        let ev = CoopEvent::from(&n);
         assert_eq!(ev.actor, NodeId(2));
         assert_eq!(ev.artefact, "obj/9");
         assert!(matches!(
@@ -531,9 +487,8 @@ mod tests {
     #[test]
     fn dirty_reads_inside_the_group_are_visible() {
         let mut g = setup(CooperativeRule);
-        g.write_direct(ClientId(0), ObjectId(1), "dirty", NOW)
-            .unwrap();
-        let (val, _) = g.read_direct(ClientId(1), ObjectId(1), NOW).unwrap();
+        g.write(ClientId(0), ObjectId(1), "dirty", NOW).unwrap();
+        let (val, _) = g.read(ClientId(1), ObjectId(1), NOW).unwrap();
         assert_eq!(val, "dirty", "member sees uncommitted write");
         assert_eq!(
             g.external_read(ObjectId(1)).unwrap(),
@@ -545,8 +500,7 @@ mod tests {
     #[test]
     fn group_commit_publishes_externally() {
         let mut g = setup(CooperativeRule);
-        g.write_direct(ClientId(0), ObjectId(1), "done", NOW)
-            .unwrap();
+        g.write(ClientId(0), ObjectId(1), "done", NOW).unwrap();
         g.commit_group();
         assert_eq!(g.external_read(ObjectId(1)).unwrap(), "done");
     }
@@ -554,19 +508,18 @@ mod tests {
     #[test]
     fn group_abort_rolls_back_working_state() {
         let mut g = setup(CooperativeRule);
-        g.write_direct(ClientId(0), ObjectId(1), "scrap", NOW)
-            .unwrap();
+        g.write(ClientId(0), ObjectId(1), "scrap", NOW).unwrap();
         g.abort_group();
-        let (val, _) = g.read_direct(ClientId(1), ObjectId(1), NOW).unwrap();
+        let (val, _) = g.read(ClientId(1), ObjectId(1), NOW).unwrap();
         assert_eq!(val, "v0");
     }
 
     #[test]
     fn cooperative_rule_notifies_all_active_members() {
         let mut g = setup(CooperativeRule);
-        g.read_direct(ClientId(0), ObjectId(1), NOW).unwrap();
-        g.read_direct(ClientId(1), ObjectId(1), NOW).unwrap();
-        let (_, notices) = g.write_direct(ClientId(2), ObjectId(1), "x", NOW).unwrap();
+        g.read(ClientId(0), ObjectId(1), NOW).unwrap();
+        g.read(ClientId(1), ObjectId(1), NOW).unwrap();
+        let (_, notices) = g.write(ClientId(2), ObjectId(1), "x", NOW).unwrap();
         let to: Vec<ClientId> = notices.iter().map(|n| n.to).collect();
         assert_eq!(to, vec![ClientId(0), ClientId(1)]);
         assert_eq!(
@@ -579,15 +532,13 @@ mod tests {
     #[test]
     fn exclusive_writer_rule_claims_and_denies() {
         let mut g = setup(ExclusiveWriterRule);
-        g.write_direct(ClientId(0), ObjectId(1), "a", NOW).unwrap();
-        let err = g
-            .write_direct(ClientId(1), ObjectId(1), "b", NOW)
-            .unwrap_err();
+        g.write(ClientId(0), ObjectId(1), "a", NOW).unwrap();
+        let err = g.write(ClientId(1), ObjectId(1), "b", NOW).unwrap_err();
         assert!(matches!(err, GroupError::Denied { member, .. } if member == ClientId(1)));
         // Claim holder may keep writing.
-        g.write_direct(ClientId(0), ObjectId(1), "a2", NOW).unwrap();
+        g.write(ClientId(0), ObjectId(1), "a2", NOW).unwrap();
         // Readers are allowed, and the writer is told.
-        let (_, notices) = g.read_direct(ClientId(2), ObjectId(1), NOW).unwrap();
+        let (_, notices) = g.read(ClientId(2), ObjectId(1), NOW).unwrap();
         assert_eq!(notices[0].to, ClientId(0));
         assert_eq!(g.denials(), 1);
     }
@@ -595,27 +546,27 @@ mod tests {
     #[test]
     fn exclusive_claim_resets_on_group_commit() {
         let mut g = setup(ExclusiveWriterRule);
-        g.write_direct(ClientId(0), ObjectId(1), "a", NOW).unwrap();
+        g.write(ClientId(0), ObjectId(1), "a", NOW).unwrap();
         g.commit_group();
-        assert!(g.write_direct(ClientId(1), ObjectId(1), "b", NOW).is_ok());
+        assert!(g.write(ClientId(1), ObjectId(1), "b", NOW).is_ok());
     }
 
     #[test]
     fn reviewer_rule_requires_read_before_write() {
         let mut g = setup(ReviewerRule);
         assert!(matches!(
-            g.write_direct(ClientId(0), ObjectId(1), "x", NOW),
+            g.write(ClientId(0), ObjectId(1), "x", NOW),
             Err(GroupError::Denied { .. })
         ));
-        g.read_direct(ClientId(0), ObjectId(1), NOW).unwrap();
-        assert!(g.write_direct(ClientId(0), ObjectId(1), "x", NOW).is_ok());
+        g.read(ClientId(0), ObjectId(1), NOW).unwrap();
+        assert!(g.write(ClientId(0), ObjectId(1), "x", NOW).is_ok());
     }
 
     #[test]
     fn non_members_are_rejected() {
         let mut g = setup(CooperativeRule);
         assert_eq!(
-            g.read_direct(ClientId(9), ObjectId(1), NOW).unwrap_err(),
+            g.read(ClientId(9), ObjectId(1), NOW).unwrap_err(),
             GroupError::NotMember(ClientId(9))
         );
     }
@@ -624,7 +575,7 @@ mod tests {
     fn unknown_objects_error_through() {
         let mut g = setup(CooperativeRule);
         assert!(matches!(
-            g.read_direct(ClientId(0), ObjectId(42), NOW),
+            g.read(ClientId(0), ObjectId(42), NOW),
             Err(GroupError::Store(StoreError::UnknownObject(_)))
         ));
     }

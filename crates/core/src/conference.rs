@@ -13,8 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use odp_awareness::bus::{BusDelivery, EventBus};
-use odp_concurrency::floor::{FloorControl, FloorPolicy};
+use odp_concurrency::floor::{FloorControl, FloorEvent, FloorPolicy};
 use odp_concurrency::locks::ClientId;
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
@@ -55,16 +54,16 @@ impl std::error::Error for ConferenceError {}
 ///
 /// ```
 /// use cscw_core::conference::TransparentConference;
-/// use odp_awareness::bus::EventBus;
 /// use odp_concurrency::floor::FloorPolicy;
 /// use odp_sim::net::NodeId;
 /// use odp_sim::time::SimTime;
 ///
-/// let mut bus = EventBus::new();
 /// let mut conf = TransparentConference::new(FloorPolicy::RequestQueue);
 /// conf.join(NodeId(0));
 /// conf.join(NodeId(1));
-/// conf.request_floor_via(&mut bus, NodeId(0), SimTime::ZERO);
+/// // `EventBus::publish_all(&granted)` would show every seat whose turn it is.
+/// let granted = conf.request_floor(NodeId(0), SimTime::ZERO);
+/// assert_eq!(granted.len(), 1);
 /// let outputs = conf.input(NodeId(0), "type A", SimTime::ZERO)?;
 /// assert_eq!(outputs.len(), 2, "both participants see the same output");
 /// # Ok::<(), cscw_core::conference::ConferenceError>(())
@@ -94,29 +93,19 @@ impl TransparentConference {
         }
     }
 
-    /// Requests the floor, announcing grants on the cooperation-event
-    /// bus (so every participant's awareness display can show whose turn
-    /// it is).
-    pub fn request_floor_via(
-        &mut self,
-        bus: &mut EventBus,
-        who: NodeId,
-        now: SimTime,
-    ) -> Vec<BusDelivery> {
-        self.floor.request_via(bus, ClientId(who.0), now)
+    /// Requests the floor. Publish the returned events on the
+    /// cooperation-event bus and every participant's awareness display
+    /// can show whose turn it is.
+    #[must_use]
+    pub fn request_floor(&mut self, who: NodeId, now: SimTime) -> Vec<FloorEvent> {
+        self.floor.request(ClientId(who.0), now)
     }
 
-    /// Releases the floor, announcing the hand-over on the
-    /// cooperation-event bus.
-    pub fn release_floor_via(
-        &mut self,
-        bus: &mut EventBus,
-        who: NodeId,
-        now: SimTime,
-    ) -> Vec<BusDelivery> {
-        self.floor
-            .release_via(bus, ClientId(who.0), now)
-            .unwrap_or_default()
+    /// Releases the floor, returning the hand-over (nothing if `who` did
+    /// not hold it).
+    #[must_use]
+    pub fn release_floor(&mut self, who: NodeId, now: SimTime) -> Vec<FloorEvent> {
+        self.floor.release(ClientId(who.0), now).unwrap_or_default()
     }
 
     /// Current floor holder.
@@ -251,9 +240,9 @@ impl AwareConference {
 }
 
 #[cfg(test)]
-// the legacy Vec<FloorEvent> shims stay covered until removal
 mod tests {
     use super::*;
+    use odp_awareness::bus::EventBus;
 
     const NOW: SimTime = SimTime::ZERO;
 
@@ -265,12 +254,12 @@ mod tests {
         let mut conf = TransparentConference::new(FloorPolicy::RequestQueue);
         conf.join(NodeId(0));
         conf.join(NodeId(1));
-        let seen = conf.request_floor_via(&mut bus, NodeId(0), NOW);
+        let seen = bus.publish_all(&conf.request_floor(NodeId(0), NOW));
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].observer, NodeId(1));
         assert_eq!(seen[0].event.kind.label(), "floor.granted");
         // The hand-over announces idle (empty queue) to the non-actor.
-        let seen = conf.release_floor_via(&mut bus, NodeId(0), NOW);
+        let seen = bus.publish_all(&conf.release_floor(NodeId(0), NOW));
         assert_eq!(seen[0].event.kind.label(), "floor.idle");
     }
 
@@ -279,15 +268,15 @@ mod tests {
         let mut conf = TransparentConference::new(FloorPolicy::RequestQueue);
         conf.join(NodeId(0));
         conf.join(NodeId(1));
-        conf.request_floor_via(&mut EventBus::new(), NodeId(0), NOW);
+        let _ = conf.request_floor(NodeId(0), NOW);
         conf.input(NodeId(0), "a", NOW).unwrap();
         assert_eq!(
             conf.input(NodeId(1), "b", NOW).unwrap_err(),
             ConferenceError::NoFloor(NodeId(1))
         );
         // Floor passes on release.
-        conf.request_floor_via(&mut EventBus::new(), NodeId(1), NOW);
-        conf.release_floor_via(&mut EventBus::new(), NodeId(0), NOW);
+        let _ = conf.request_floor(NodeId(1), NOW);
+        let _ = conf.release_floor(NodeId(0), NOW);
         conf.input(NodeId(1), "b", NOW).unwrap();
         assert_eq!(conf.app_log().len(), 2);
     }
@@ -298,7 +287,7 @@ mod tests {
         for n in 0..3 {
             conf.join(NodeId(n));
         }
-        conf.request_floor_via(&mut EventBus::new(), NodeId(2), NOW);
+        let _ = conf.request_floor(NodeId(2), NOW);
         let out = conf.input(NodeId(2), "draw", NOW).unwrap();
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|(_, e)| e.payload == "draw"));
@@ -308,7 +297,7 @@ mod tests {
     fn non_participants_are_rejected() {
         let mut conf = TransparentConference::new(FloorPolicy::RequestQueue);
         conf.join(NodeId(0));
-        conf.request_floor_via(&mut EventBus::new(), NodeId(9), NOW); // floor even grants to strangers...
+        let _ = conf.request_floor(NodeId(9), NOW); // floor even grants to strangers...
         assert_eq!(
             conf.input(NodeId(9), "x", NOW).unwrap_err(),
             ConferenceError::UnknownParticipant(NodeId(9))

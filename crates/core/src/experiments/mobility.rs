@@ -1,6 +1,6 @@
 //! Experiment E10: the mobile field engineer across connectivity levels.
 
-use odp_awareness::bus::EventBus;
+use odp_awareness::bus::{CoopEvent, EventBus};
 use odp_concurrency::store::{ObjectId, ObjectStore};
 use odp_mobility::host::{MobileHost, Served};
 use odp_mobility::reintegration::ConflictPolicy;
@@ -44,7 +44,7 @@ pub fn e10_mobility(seed: u64) -> Vec<Table> {
         for o in 0..15 {
             host.cache_mut().hoard(ObjectId(o));
         }
-        host.reconnect_via(&mut bus, NodeId(1), &mut server, SimTime::ZERO)
+        host.reconnect(NodeId(1), &mut server, SimTime::ZERO)
             .expect("initial hoard fetch");
 
         let mut minute = 0u64;
@@ -79,14 +79,10 @@ pub fn e10_mobility(seed: u64) -> Vec<Table> {
         }
         // Phase 3: back at the depot — reconnect, reintegrate, bulk
         // update.
-        let (report, announced) = host
-            .reconnect_via(
-                &mut bus,
-                NodeId(1),
-                &mut server,
-                SimTime::from_secs(minute * 60),
-            )
+        let report = host
+            .reconnect(NodeId(1), &mut server, SimTime::from_secs(minute * 60))
             .expect("reintegration");
+        let announced = bus.publish_all(report.replay.iter().filter_map(Option::<CoopEvent>::from));
         assert_eq!(
             announced.len(),
             report.conflicts(),
@@ -132,8 +128,7 @@ pub fn e10_mobility(seed: u64) -> Vec<Table> {
         for o in 0..6 {
             host.cache_mut().hoard(ObjectId(o));
         }
-        let mut bus = EventBus::new();
-        host.reconnect_via(&mut bus, NodeId(1), &mut server, SimTime::ZERO)
+        host.reconnect(NodeId(1), &mut server, SimTime::ZERO)
             .expect("hoard");
         host.set_connectivity(level);
         let (mut by_server, mut by_cache, mut logged, mut unavailable) = (0u32, 0u32, 0u32, 0u32);

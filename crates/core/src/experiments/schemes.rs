@@ -14,9 +14,9 @@
 //! | `Ot` | never (local apply) | the relayed operation itself | push |
 //! | `Floor` | until the floor is granted | multicast output (WYSIWIS) | push |
 
-// This rig deliberately stays on the direct-notice engine path
-// (`*_direct`): it forwards raw notices as simulation messages and is
-// the pre-bus baseline the awareness_fanout bench compares the
+// This rig consumes the engines' typed outcomes itself: it forwards raw
+// notices as simulation messages and never publishes them, which makes
+// it the pre-bus baseline the awareness_fanout bench compares the
 // cooperation-event bus against.
 use std::collections::HashMap;
 
@@ -348,7 +348,7 @@ impl SchemeServer {
                 };
                 if begin {
                     let (reply, notices) =
-                        table.request_direct(client, resource, LockMode::Exclusive, ctx.now());
+                        table.request(client, resource, LockMode::Exclusive, ctx.now());
                     for n in &notices {
                         ctx.metrics().incr("cc.lock_notices");
                         ctx.send(
@@ -382,7 +382,7 @@ impl SchemeServer {
             ServerState::TxGroup { group } => {
                 let member = ClientId(from.0);
                 let current = group
-                    .read_direct(member, DOC, ctx.now())
+                    .read(member, DOC, ctx.now())
                     .map(|(v, _)| v)
                     .unwrap_or_default();
                 let mut chars: Vec<char> = current.chars().collect();
@@ -391,7 +391,7 @@ impl SchemeServer {
                     chars.insert(at + i, ch);
                 }
                 let new_value: String = chars.into_iter().collect();
-                match group.write_direct(member, DOC, new_value, ctx.now()) {
+                match group.write(member, DOC, new_value, ctx.now()) {
                     Ok((_, notices)) => {
                         ctx.metrics().add("cc.group_notices", notices.len() as u64);
                         applied.push((from, op));
@@ -415,7 +415,7 @@ impl SchemeServer {
                     .map(|v| v.value.chars().count())
                     .unwrap_or(0);
                 if begin && floor.holder() != Some(client) {
-                    let events = floor.request_direct(client, ctx.now());
+                    let events = floor.request(client, ctx.now());
                     let granted_now = events
                         .iter()
                         .any(|e| matches!(e, FloorEvent::Granted { who, .. } if *who == client));
@@ -492,7 +492,7 @@ impl SchemeServer {
             }
             ServerState::Locks { table, blocked, .. } => {
                 let client = ClientId(from.0);
-                for n in table.release_all_direct(client, ctx.now()) {
+                for n in table.release_all(client, ctx.now()) {
                     if let NoticeKind::Granted { .. } = n.kind {
                         if let Some((pending_op, pos, text)) = blocked.remove(&n.to) {
                             unblocked.push((NodeId(n.to.0), pending_op, pos, text));
@@ -503,7 +503,7 @@ impl SchemeServer {
             ServerState::TxGroup { .. } | ServerState::Ot { .. } => {}
             ServerState::Floor { floor, blocked, .. } => {
                 let client = ClientId(from.0);
-                for ev in floor.release_direct(client, ctx.now()).unwrap_or_default() {
+                for ev in floor.release(client, ctx.now()).unwrap_or_default() {
                     if let FloorEvent::Granted { who, .. } = ev {
                         if let Some((pending_op, pos, text)) = blocked.remove(&who) {
                             unblocked.push((NodeId(who.0), pending_op, pos, text));
@@ -607,7 +607,7 @@ impl Actor<CcMsg> for SchemeServer {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, CcMsg>, _timer: TimerId, _tag: u64) {
         let mut unblocked: Vec<(NodeId, u64, usize, String)> = Vec::new();
         if let ServerState::Locks { table, blocked, .. } = &mut self.state {
-            for n in table.tick_direct(ctx.now()) {
+            for n in table.tick(ctx.now()) {
                 match n.kind {
                     NoticeKind::Granted { .. } => {
                         if let Some((op, pos, text)) = blocked.remove(&n.to) {

@@ -133,12 +133,8 @@ pub fn e12_transitions(seed: u64) -> Vec<Table> {
     // author's awareness display shows the seam.
     ws.policy_mut()
         .add_rule(RoleId(1), "session".into(), Rights::READ, Effect::Allow);
-    let (t1, announced) = session.switch_mode_via(
-        ws.bus_mut(),
-        a,
-        SessionMode::ASYNC_DISTRIBUTED,
-        SimTime::from_secs(3600),
-    );
+    let t1 = session.switch_mode(a, SessionMode::ASYNC_DISTRIBUTED, SimTime::from_secs(3600));
+    let announced = ws.bus_mut().publish_all([&t1]);
     assert_eq!(announced.len(), 1, "the co-author hears the switch");
     ws.write(
         a,
@@ -149,12 +145,8 @@ pub fn e12_transitions(seed: u64) -> Vec<Table> {
     .expect("write");
 
     // Reconvene synchronously next morning.
-    let (t2, _) = session.switch_mode_via(
-        ws.bus_mut(),
-        b,
-        SessionMode::SYNC_DISTRIBUTED,
-        SimTime::from_secs(60_000),
-    );
+    let t2 = session.switch_mode(b, SessionMode::SYNC_DISTRIBUTED, SimTime::from_secs(60_000));
+    ws.bus_mut().publish_all([&t2]);
     ws.write(
         b,
         ObjectId(1),

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, EventBus};
+use odp_awareness::bus::{CoopEvent, CoopKind};
 use odp_fabric::SpanCarrier;
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
@@ -99,6 +99,10 @@ pub struct SessionId(pub u32);
 /// A mode transition record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
+    /// The session that switched.
+    pub session: SessionId,
+    /// Who pulled the lever.
+    pub by: NodeId,
     /// From which mode.
     pub from: SessionMode,
     /// To which mode.
@@ -107,6 +111,24 @@ pub struct Transition {
     pub at: SimTime,
     /// How long the rebind took.
     pub cost: SimDuration,
+}
+
+/// The transition as a unified cooperation event: a
+/// [`CoopKind::SessionSwitched`] broadcast from `by` on `session/{id}` —
+/// a seam the *other* participants need to notice, not just the one who
+/// pulled the lever.
+impl From<&Transition> for CoopEvent {
+    fn from(t: &Transition) -> CoopEvent {
+        CoopEvent::broadcast(
+            t.by,
+            format!("session/{}", t.session.0),
+            t.at,
+            CoopKind::SessionSwitched {
+                from: t.from.label().to_owned(),
+                to: t.to.label().to_owned(),
+            },
+        )
+    }
 }
 
 /// Errors from session operations.
@@ -358,34 +380,10 @@ impl Session {
     /// Switches mode **seamlessly** (participants and artefacts are
     /// untouched; the transition and its modelled rebind cost are
     /// logged — 200 ms to re-bind interaction machinery across the time
-    /// dimension, 50 ms to re-bind transport across place, compounding),
-    /// announcing the transition on the cooperation-event bus as a
-    /// [`CoopKind::SessionSwitched`] broadcast from `by` on
-    /// `session/{id}` — a seam the *other* participants need to notice,
-    /// not just the one who pulled the lever.
-    ///
-    /// [`CoopKind::SessionSwitched`]: odp_awareness::bus::CoopKind::SessionSwitched
-    pub fn switch_mode_via(
-        &mut self,
-        bus: &mut EventBus,
-        by: NodeId,
-        to: SessionMode,
-        at: SimTime,
-    ) -> (Transition, Vec<BusDelivery>) {
-        let t = self.switch_mode_inner(to, at);
-        let deliveries = bus.publish(CoopEvent::broadcast(
-            by,
-            format!("session/{}", self.id.0),
-            at,
-            CoopKind::SessionSwitched {
-                from: t.from.label().to_owned(),
-                to: t.to.label().to_owned(),
-            },
-        ));
-        (t, deliveries)
-    }
-
-    fn switch_mode_inner(&mut self, to: SessionMode, at: SimTime) -> Transition {
+    /// dimension, 50 ms to re-bind transport across place, compounding)
+    /// on behalf of participant `by`.
+    #[must_use]
+    pub fn switch_mode(&mut self, by: NodeId, to: SessionMode, at: SimTime) -> Transition {
         let mut cost = SimDuration::ZERO;
         if self.mode.time != to.time {
             cost += SimDuration::from_millis(200);
@@ -394,6 +392,8 @@ impl Session {
             cost += SimDuration::from_millis(50);
         }
         let t = Transition {
+            session: self.id,
+            by,
             from: self.mode,
             to,
             at,
@@ -418,6 +418,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odp_awareness::bus::EventBus;
 
     #[test]
     fn quadrant_labels_match_figure_1() {
@@ -455,14 +456,11 @@ mod tests {
         s.join(NodeId(0), SimTime::ZERO).unwrap();
         s.join(NodeId(1), SimTime::ZERO).unwrap();
         s.share("report.tex");
-        let t = s
-            .switch_mode_via(
-                &mut EventBus::new(),
-                NodeId(0),
-                SessionMode::ASYNC_DISTRIBUTED,
-                SimTime::from_secs(60),
-            )
-            .0;
+        let t = s.switch_mode(
+            NodeId(0),
+            SessionMode::ASYNC_DISTRIBUTED,
+            SimTime::from_secs(60),
+        );
         assert_eq!(t.cost, SimDuration::from_millis(200), "time switch only");
         assert_eq!(s.participants().len(), 2, "participants preserved");
         assert_eq!(s.artefacts(), vec!["report.tex"], "artefacts preserved");
@@ -478,8 +476,7 @@ mod tests {
         s.enable_telemetry(42, SimTime::ZERO);
         s.join(NodeId(0), SimTime::from_millis(10)).unwrap();
         s.join(NodeId(1), SimTime::from_millis(20)).unwrap();
-        let _ = s.switch_mode_via(
-            &mut EventBus::new(),
+        let _ = s.switch_mode(
             NodeId(0),
             SessionMode::ASYNC_DISTRIBUTED,
             SimTime::from_secs(60),
@@ -532,12 +529,12 @@ mod tests {
         let mut s = Session::new(SessionId(4), SessionMode::SYNC_DISTRIBUTED);
         s.join(NodeId(0), SimTime::ZERO).unwrap();
         s.join(NodeId(1), SimTime::ZERO).unwrap();
-        let (t, seen) = s.switch_mode_via(
-            &mut bus,
+        let t = s.switch_mode(
             NodeId(0),
             SessionMode::ASYNC_DISTRIBUTED,
             SimTime::from_secs(60),
         );
+        let seen = bus.publish_all([&t]);
         assert_eq!(t.cost, SimDuration::from_millis(200));
         // The switcher is the actor, so only the other participant hears it.
         assert_eq!(seen.len(), 1);
@@ -555,23 +552,9 @@ mod tests {
     #[test]
     fn transition_cost_compounds_across_dimensions() {
         let mut s = Session::new(SessionId(1), SessionMode::FACE_TO_FACE);
-        let t = s
-            .switch_mode_via(
-                &mut EventBus::new(),
-                NodeId(0),
-                SessionMode::ASYNC_DISTRIBUTED,
-                SimTime::ZERO,
-            )
-            .0;
+        let t = s.switch_mode(NodeId(0), SessionMode::ASYNC_DISTRIBUTED, SimTime::ZERO);
         assert_eq!(t.cost, SimDuration::from_millis(250));
-        let t2 = s
-            .switch_mode_via(
-                &mut EventBus::new(),
-                NodeId(0),
-                SessionMode::ASYNC_DISTRIBUTED,
-                SimTime::ZERO,
-            )
-            .0;
+        let t2 = s.switch_mode(NodeId(0), SessionMode::ASYNC_DISTRIBUTED, SimTime::ZERO);
         assert_eq!(t2.cost, SimDuration::ZERO, "no-op switch is free");
         assert_eq!(s.transitions().len(), 2);
     }

@@ -29,17 +29,17 @@ fn conference_lives_inside_a_session() {
         bus.register(NodeId(n), 0.0);
     }
     session.share("whiteboard");
-    let grants = conf.request_floor_via(&mut bus, NodeId(0), SimTime::ZERO);
+    let grants = bus.publish_all(&conf.request_floor(NodeId(0), SimTime::ZERO));
     assert_eq!(grants.len(), 2, "both other members see the floor grant");
     conf.input(NodeId(0), "sketch the design", SimTime::from_secs(1))
         .expect("floor holder");
     // The meeting ends; work continues asynchronously on the same session.
-    let (t, announced) = session.switch_mode_via(
-        &mut bus,
+    let t = session.switch_mode(
         NodeId(0),
         SessionMode::ASYNC_DISTRIBUTED,
         SimTime::from_secs(3_600),
     );
+    let announced = bus.publish_all([&t]);
     assert!(t.cost > SimDuration::ZERO);
     assert_eq!(announced.len(), 2, "the seam is announced to the others");
     assert_eq!(

@@ -12,13 +12,12 @@
 
 use std::fmt;
 
-use odp_awareness::bus::{BusDelivery, EventBus};
 use odp_concurrency::store::{ObjectId, ObjectStore, StoreError};
 use odp_sim::net::{Connectivity, NodeId};
 use odp_sim::time::SimTime;
 
 use crate::cache::MobileCache;
-use crate::reintegration::{reintegrate_via, ChangeLog, ConflictPolicy, ReplayOutcome};
+use crate::reintegration::{reintegrate, ChangeLog, ConflictPolicy, ReplayOutcome};
 
 /// How an operation was satisfied (for the E10 availability accounting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +56,11 @@ impl From<StoreError> for MobileError {
     }
 }
 
-/// A reintegration/bulk-update report produced on reconnection.
+/// A reintegration/bulk-update report produced on reconnection. Its
+/// `replay` outcomes project onto the cooperation-event bus
+/// (`bus.publish_all(report.replay.iter().filter_map(Option::<CoopEvent>::from))`),
+/// so co-authors whose edits raced the disconnection learn how each
+/// race was settled.
 #[derive(Debug, Clone, Default)]
 pub struct ReconnectReport {
     /// Outcomes of replaying the disconnected log.
@@ -216,34 +219,24 @@ impl MobileHost {
         }
     }
 
-    /// Restores full connectivity like [`MobileHost::reconnect`], but
-    /// announces every reintegration conflict on the cooperation-event
-    /// bus (as `mobile`, the node this host runs on) so co-authors whose
-    /// edits raced the disconnection learn how the race was settled.
+    /// Restores full connectivity: replays the disconnected log against
+    /// the server (as `mobile`, the node this host runs on), then
+    /// bulk-refreshes the hoard and every cached entry.
     ///
     /// # Errors
     ///
     /// Propagates reintegration store failures.
-    pub fn reconnect_via(
+    pub fn reconnect(
         &mut self,
-        bus: &mut EventBus,
         mobile: NodeId,
         server: &mut ObjectStore,
         at: SimTime,
-    ) -> Result<(ReconnectReport, Vec<BusDelivery>), MobileError> {
+    ) -> Result<ReconnectReport, MobileError> {
         self.connectivity = Connectivity::Full;
-        let (replay, deliveries) = reintegrate_via(bus, mobile, &self.log, server, self.policy, at)
-            .map_err(|e| match e {
+        let replay =
+            reintegrate(mobile, &self.log, server, self.policy, at).map_err(|e| match e {
                 crate::reintegration::ReintegrationError::Store(s) => MobileError::Store(s),
             })?;
-        Ok((self.finish_reconnect(server, replay), deliveries))
-    }
-
-    fn finish_reconnect(
-        &mut self,
-        server: &mut ObjectStore,
-        replay: Vec<ReplayOutcome>,
-    ) -> ReconnectReport {
         self.log.clear();
         // Bulk update: refresh hoarded objects and all current entries.
         let mut refreshed = 0;
@@ -262,17 +255,18 @@ impl MobileHost {
                 refreshed += 1;
             }
         }
-        ReconnectReport {
+        Ok(ReconnectReport {
             replay,
             refreshed,
             bulk_bytes,
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odp_awareness::bus::{CoopEvent, EventBus};
 
     fn server() -> ObjectStore {
         let mut s = ObjectStore::new();
@@ -328,10 +322,7 @@ mod tests {
             "plan",
             "server untouched while offline"
         );
-        let report = host
-            .reconnect_via(&mut EventBus::new(), NodeId(0), &mut srv, NOW)
-            .unwrap()
-            .0;
+        let report = host.reconnect(NodeId(0), &mut srv, NOW).unwrap();
         assert_eq!(report.conflicts(), 0);
         assert_eq!(srv.read(ObjectId(1)).unwrap().value, "field edit");
         assert!(host.log().is_empty());
@@ -347,10 +338,7 @@ mod tests {
             .unwrap();
         // Someone edits at the office meanwhile.
         srv.write(ObjectId(1), "office edit").unwrap();
-        let report = host
-            .reconnect_via(&mut EventBus::new(), NodeId(0), &mut srv, NOW)
-            .unwrap()
-            .0;
+        let report = host.reconnect(NodeId(0), &mut srv, NOW).unwrap();
         assert_eq!(report.conflicts(), 1);
         assert_eq!(
             srv.read(ObjectId(1)).unwrap().value,
@@ -394,10 +382,7 @@ mod tests {
         );
         srv.write(ObjectId(1), "office edit").unwrap();
         host.set_connectivity(Connectivity::Full);
-        let report = host
-            .reconnect_via(&mut EventBus::new(), NodeId(0), &mut srv, NOW)
-            .unwrap()
-            .0;
+        let report = host.reconnect(NodeId(0), &mut srv, NOW).unwrap();
         assert_eq!(report.conflicts(), 1, "the race must surface as a conflict");
         assert_eq!(
             srv.read(ObjectId(1)).unwrap().value,
@@ -421,10 +406,7 @@ mod tests {
         host.write(ObjectId(1), "radio edit", &mut srv, NOW)
             .unwrap();
         srv.write(ObjectId(1), "office edit").unwrap();
-        let report = host
-            .reconnect_via(&mut EventBus::new(), NodeId(0), &mut srv, NOW)
-            .unwrap()
-            .0;
+        let report = host.reconnect(NodeId(0), &mut srv, NOW).unwrap();
         assert_eq!(report.conflicts(), 1, "still counted as a conflict");
         assert_eq!(
             srv.read(ObjectId(1)).unwrap().value,
@@ -445,10 +427,7 @@ mod tests {
         host.write(ObjectId(1), "radio edit", &mut srv, NOW)
             .unwrap();
         srv.write(ObjectId(2), "office map edit").unwrap(); // different object
-        let report = host
-            .reconnect_via(&mut EventBus::new(), NodeId(0), &mut srv, NOW)
-            .unwrap()
-            .0;
+        let report = host.reconnect(NodeId(0), &mut srv, NOW).unwrap();
         assert_eq!(report.conflicts(), 0, "no overlap, no conflict");
         assert_eq!(srv.read(ObjectId(1)).unwrap().value, "radio edit");
         assert_eq!(srv.read(ObjectId(2)).unwrap().value, "office map edit");
@@ -477,14 +456,18 @@ mod tests {
         host.write(ObjectId(1), "field edit", &mut srv, NOW)
             .unwrap();
         srv.write(ObjectId(1), "desk edit").unwrap();
-        let (report, seen) = host
-            .reconnect_via(&mut bus, NodeId(3), &mut srv, SimTime::from_secs(5))
+        let report = host
+            .reconnect(NodeId(3), &mut srv, SimTime::from_secs(5))
             .unwrap();
         assert_eq!(report.conflicts(), 1);
+        let seen = bus.publish_all(report.replay.iter().filter_map(Option::<CoopEvent>::from));
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].observer, NodeId(0));
         assert_eq!(seen[0].event.kind.label(), "mobility.conflict");
-        assert!(host.log().is_empty(), "via path also drains the log");
+        assert!(
+            host.log().is_empty(),
+            "the log drains on a conflicting replay too"
+        );
     }
 
     #[test]
@@ -494,10 +477,7 @@ mod tests {
         host.cache_mut().hoard(ObjectId(1));
         host.cache_mut().hoard(ObjectId(2));
         host.set_connectivity(Connectivity::Disconnected);
-        let report = host
-            .reconnect_via(&mut EventBus::new(), NodeId(0), &mut srv, NOW)
-            .unwrap()
-            .0;
+        let report = host.reconnect(NodeId(0), &mut srv, NOW).unwrap();
         assert_eq!(report.refreshed, 2);
         assert!(report.bulk_bytes >= "plan".len() + "map".len());
         // Now a later disconnection can still read both.

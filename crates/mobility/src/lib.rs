@@ -43,5 +43,5 @@ pub use addressing::{AddressingError, HomeAgent, MobileId};
 pub use cache::{CachedObject, MobileCache};
 pub use host::{MobileError, MobileHost, ReconnectReport, Served};
 pub use reintegration::{
-    reintegrate_via, ChangeLog, ConflictPolicy, LogEntry, ReintegrationError, ReplayOutcome,
+    reintegrate, ChangeLog, ConflictPolicy, LogEntry, ReintegrationError, ReplayOutcome,
 };

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, EventBus};
+use odp_awareness::bus::{CoopEvent, CoopKind};
 use odp_concurrency::store::{ObjectId, ObjectStore, StoreError};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
@@ -128,6 +128,8 @@ pub enum ReplayOutcome {
     },
     /// Conflict detected and settled by policy.
     Conflict {
+        /// The reintegrating mobile.
+        mobile: NodeId,
         /// The object.
         object: ObjectId,
         /// The mobile's (discarded or applied) value.
@@ -136,7 +138,35 @@ pub enum ReplayOutcome {
         server_value: String,
         /// Whether the mobile's value was applied ([`ConflictPolicy::ClientWins`]).
         applied: bool,
+        /// When the replay settled it.
+        at: SimTime,
     },
+}
+
+/// What the outcome tells the co-authors: a write/write conflict is a
+/// [`CoopKind::ReintegrationConflict`] broadcast from the mobile on
+/// `obj/{id}` — whoever's edit raced the disconnected mobile learns the
+/// race was settled (and how). A clean apply is an ordinary write and
+/// projects to nothing, hence `Option`:
+/// `bus.publish_all(outcomes.iter().filter_map(Option::<CoopEvent>::from))`.
+impl From<&ReplayOutcome> for Option<CoopEvent> {
+    fn from(outcome: &ReplayOutcome) -> Option<CoopEvent> {
+        match *outcome {
+            ReplayOutcome::Applied { .. } => None,
+            ReplayOutcome::Conflict {
+                mobile,
+                object,
+                applied,
+                at,
+                ..
+            } => Some(CoopEvent::broadcast(
+                mobile,
+                format!("obj/{}", object.0),
+                at,
+                CoopKind::ReintegrationConflict { applied },
+            )),
+        }
+    }
 }
 
 /// Errors during reintegration.
@@ -162,50 +192,21 @@ impl From<StoreError> for ReintegrationError {
     }
 }
 
-/// Replays an optimised log against the authoritative `server` store,
-/// announcing every write/write conflict on the cooperation-event bus as
-/// a [`CoopKind::ReintegrationConflict`] broadcast from `mobile` on
-/// `obj/{id}` — so the co-authors whose edits raced the disconnected
-/// mobile learn the race was settled (and how). Clean applies are not
-/// announced; they are ordinary writes.
+/// Replays `mobile`'s optimised log against the authoritative `server`
+/// store at `at`, settling write/write conflicts by `policy`.
 ///
-/// Returns the per-entry outcomes (in log order) plus the bus
-/// deliveries. The log is not cleared — callers clear it after
-/// inspecting the outcomes.
+/// Returns the per-entry outcomes in log order. The log is not cleared —
+/// callers clear it after inspecting the outcomes.
 ///
 /// # Errors
 ///
 /// Fails only if an object vanished from the server entirely.
-pub fn reintegrate_via(
-    bus: &mut EventBus,
+pub fn reintegrate(
     mobile: NodeId,
     log: &ChangeLog,
     server: &mut ObjectStore,
     policy: ConflictPolicy,
     at: SimTime,
-) -> Result<(Vec<ReplayOutcome>, Vec<BusDelivery>), ReintegrationError> {
-    let outcomes = reintegrate_inner(log, server, policy)?;
-    let mut deliveries = Vec::new();
-    for outcome in &outcomes {
-        if let ReplayOutcome::Conflict {
-            object, applied, ..
-        } = outcome
-        {
-            deliveries.extend(bus.publish(CoopEvent::broadcast(
-                mobile,
-                format!("obj/{}", object.0),
-                at,
-                CoopKind::ReintegrationConflict { applied: *applied },
-            )));
-        }
-    }
-    Ok((outcomes, deliveries))
-}
-
-pub(crate) fn reintegrate_inner(
-    log: &ChangeLog,
-    server: &mut ObjectStore,
-    policy: ConflictPolicy,
 ) -> Result<Vec<ReplayOutcome>, ReintegrationError> {
     let mut outcomes = Vec::with_capacity(log.len());
     for entry in log.entries() {
@@ -222,10 +223,12 @@ pub(crate) fn reintegrate_inner(
                 server.write(entry.object, entry.new_value.clone())?;
             }
             outcomes.push(ReplayOutcome::Conflict {
+                mobile,
                 object: entry.object,
                 mobile_value: entry.new_value.clone(),
                 server_value: current.value,
                 applied,
+                at,
             });
         }
     }
@@ -235,6 +238,7 @@ pub(crate) fn reintegrate_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odp_awareness::bus::EventBus;
 
     fn server() -> ObjectStore {
         let mut s = ObjectStore::new();
@@ -249,16 +253,14 @@ mod tests {
         let mut log = ChangeLog::new();
         log.record(ObjectId(1), 0, "mobile1", SimTime::ZERO);
         log.record(ObjectId(2), 0, "mobile2", SimTime::ZERO);
-        let out = reintegrate_via(
-            &mut EventBus::new(),
+        let out = reintegrate(
             NodeId(0),
             &log,
             &mut srv,
             ConflictPolicy::ServerWins,
             SimTime::ZERO,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0], ReplayOutcome::Applied { .. }));
         assert_eq!(srv.read(ObjectId(1)).unwrap().value, "mobile1");
@@ -270,16 +272,14 @@ mod tests {
         srv.write(ObjectId(1), "someone else's edit").unwrap(); // version 1
         let mut log = ChangeLog::new();
         log.record(ObjectId(1), 0, "mobile edit", SimTime::ZERO);
-        let out = reintegrate_via(
-            &mut EventBus::new(),
+        let out = reintegrate(
             NodeId(0),
             &log,
             &mut srv,
             ConflictPolicy::ServerWins,
             SimTime::ZERO,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         match &out[0] {
             ReplayOutcome::Conflict {
                 applied,
@@ -300,16 +300,14 @@ mod tests {
         srv.write(ObjectId(1), "server edit").unwrap();
         let mut log = ChangeLog::new();
         log.record(ObjectId(1), 0, "mobile edit", SimTime::ZERO);
-        let out = reintegrate_via(
-            &mut EventBus::new(),
+        let out = reintegrate(
             NodeId(0),
             &log,
             &mut srv,
             ConflictPolicy::ClientWins,
             SimTime::ZERO,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         assert!(matches!(
             &out[0],
             ReplayOutcome::Conflict { applied: true, .. }
@@ -335,8 +333,7 @@ mod tests {
         let mut log = ChangeLog::new();
         log.record(ObjectId(9), 0, "x", SimTime::ZERO);
         assert!(matches!(
-            reintegrate_via(
-                &mut EventBus::new(),
+            reintegrate(
                 NodeId(0),
                 &log,
                 &mut srv,
@@ -365,8 +362,7 @@ mod tests {
         let mut log = ChangeLog::new();
         log.record(ObjectId(1), 0, "field edit", SimTime::ZERO);
         log.record(ObjectId(2), 0, "clean edit", SimTime::ZERO);
-        let (out, seen) = reintegrate_via(
-            &mut bus,
+        let out = reintegrate(
             NodeId(7),
             &log,
             &mut srv,
@@ -375,11 +371,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 2);
+        let seen = bus.publish_all(out.iter().filter_map(Option::<CoopEvent>::from));
         // Only the conflict is announced; the broadcast excludes the actor.
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].observer, NodeId(1));
         assert_eq!(seen[0].event.actor, NodeId(7));
         assert_eq!(seen[0].event.artefact, "obj/1");
+        assert_eq!(seen[0].event.at, SimTime::from_secs(9));
         assert!(matches!(
             seen[0].event.kind,
             CoopKind::ReintegrationConflict { applied: false }

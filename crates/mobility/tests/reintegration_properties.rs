@@ -1,9 +1,9 @@
 //! Property tests for disconnected operation and reintegration.
 
-use odp_awareness::bus::EventBus;
+use odp_awareness::bus::{CoopEvent, EventBus};
 use odp_concurrency::store::{ObjectId, ObjectStore};
 use odp_mobility::host::MobileHost;
-use odp_mobility::reintegration::{reintegrate_via, ChangeLog, ConflictPolicy, ReplayOutcome};
+use odp_mobility::reintegration::{reintegrate, ChangeLog, ConflictPolicy, ReplayOutcome};
 use odp_sim::net::{Connectivity, NodeId};
 use odp_sim::time::SimTime;
 use proptest::prelude::*;
@@ -61,9 +61,9 @@ proptest! {
         // An office observer hears each conflict on the cooperation-event bus.
         let mut bus = EventBus::new();
         bus.register(NodeId(9), 0.0);
-        let (outcomes, announced) =
-            reintegrate_via(&mut bus, NodeId(1), &log, &mut server, policy, SimTime::ZERO)
-                .expect("all objects exist");
+        let outcomes = reintegrate(NodeId(1), &log, &mut server, policy, SimTime::ZERO)
+            .expect("all objects exist");
+        let announced = bus.publish_all(outcomes.iter().filter_map(Option::<CoopEvent>::from));
         let conflicts = outcomes
             .iter()
             .filter(|o| matches!(o, ReplayOutcome::Conflict { .. }))
@@ -96,7 +96,7 @@ proptest! {
         }
         let mut bus = EventBus::new();
         bus.register(NodeId(9), 0.0);
-        host.reconnect_via(&mut bus, NodeId(1), &mut server, SimTime::ZERO)
+        host.reconnect(NodeId(1), &mut server, SimTime::ZERO)
             .expect("hoard");
         host.set_connectivity(Connectivity::Disconnected);
         for (i, &(o, write)) in ops.iter().enumerate() {
@@ -107,9 +107,10 @@ proptest! {
                 host.read(ObjectId(o), &mut server).expect("hoarded");
             }
         }
-        let (report, announced) = host
-            .reconnect_via(&mut bus, NodeId(1), &mut server, SimTime::from_secs(100))
+        let report = host
+            .reconnect(NodeId(1), &mut server, SimTime::from_secs(100))
             .expect("reintegrate");
+        let announced = bus.publish_all(report.replay.iter().filter_map(Option::<CoopEvent>::from));
         prop_assert_eq!(report.conflicts(), 0);
         prop_assert!(announced.is_empty(), "clean replays stay quiet on the bus");
         for o in 0..4u64 {

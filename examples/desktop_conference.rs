@@ -20,20 +20,20 @@ fn main() {
     println!("==================\n");
 
     // ---- Collaboration-transparent: shared single-user whiteboard ----
-    // Floor grants and releases announce themselves on the
-    // cooperation-event bus so every seat sees whose turn it is.
+    // The conference returns its floor grants and releases; publishing
+    // them on the cooperation-event bus shows every seat whose turn it is.
     let mut bus = EventBus::new();
     let mut shared = TransparentConference::new(FloorPolicy::RequestQueue);
     for n in 0..3 {
         shared.join(NodeId(n));
         bus.register(NodeId(n), 0.0);
     }
-    let grants = shared.request_floor_via(&mut bus, NodeId(0), SimTime::ZERO);
+    let grants = bus.publish_all(&shared.request_floor(NodeId(0), SimTime::ZERO));
     println!(
         "Floor granted to node 0; {} peers notified on the bus.",
         grants.len()
     );
-    shared.request_floor_via(&mut bus, NodeId(1), SimTime::ZERO); // queued
+    bus.publish_all(&shared.request_floor(NodeId(1), SimTime::ZERO)); // queued: nothing to announce
     let out = shared
         .input(NodeId(0), "draw architecture box", SimTime::from_secs(1))
         .expect("holder may draw");
@@ -45,7 +45,7 @@ fn main() {
         Err(e) => println!("Node 1 tries to draw concurrently: {e} (turn-taking enforced)"),
         Ok(_) => unreachable!("floor control must refuse"),
     }
-    shared.release_floor_via(&mut bus, NodeId(0), SimTime::from_secs(3));
+    bus.publish_all(&shared.release_floor(NodeId(0), SimTime::from_secs(3)));
     println!(
         "Floor passes to node {:?} on release.\n",
         shared.floor_holder()

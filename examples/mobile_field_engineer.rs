@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example mobile_field_engineer`
 
-use cscw::awareness::bus::EventBus;
+use cscw::awareness::bus::{CoopEvent, EventBus};
 use cscw::concurrency::store::{ObjectId, ObjectStore};
 use cscw::mobility::host::{MobileHost, Served};
 use cscw::mobility::reintegration::{ConflictPolicy, ReplayOutcome};
@@ -30,8 +30,8 @@ fn main() {
     // 08:00 — at the depot (fully connected): hoard today's work orders.
     engineer.cache_mut().hoard(ObjectId(1));
     engineer.cache_mut().hoard(ObjectId(2));
-    let (report, _) = engineer
-        .reconnect_via(&mut bus, NodeId(1), &mut office, SimTime::ZERO)
+    let report = engineer
+        .reconnect(NodeId(1), &mut office, SimTime::ZERO)
         .expect("depot network up");
     println!(
         "08:00 depot   : hoarded {} work orders ({} bytes).",
@@ -66,14 +66,10 @@ fn main() {
     println!("11:00 office  : dispatcher cancels WO-1 (concurrent edit!).");
 
     // 16:00 — back at the depot: reintegration detects the conflict.
-    let (report, announced) = engineer
-        .reconnect_via(
-            &mut bus,
-            NodeId(1),
-            &mut office,
-            SimTime::from_secs(8 * 3600),
-        )
+    let report = engineer
+        .reconnect(NodeId(1), &mut office, SimTime::from_secs(8 * 3600))
         .expect("depot network up");
+    let announced = bus.publish_all(report.replay.iter().filter_map(Option::<CoopEvent>::from));
     println!(
         "\n16:00 depot   : reintegrating {} logged change(s)...",
         report.replay.len()
@@ -95,6 +91,7 @@ fn main() {
                 mobile_value,
                 server_value,
                 applied,
+                ..
             } => {
                 println!("  {object}: CONFLICT");
                 println!("    field copy : {mobile_value:?}");

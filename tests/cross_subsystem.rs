@@ -6,7 +6,7 @@ use cscw::access::matrix::Subject;
 use cscw::access::negotiation::Negotiator;
 use cscw::access::rbac::{Effect, RoleId};
 use cscw::access::rights::Rights;
-use cscw::awareness::bus::EventBus;
+use cscw::awareness::bus::{CoopEvent, EventBus};
 use cscw::awareness::spatial::{Position, SpatialBody, SpatialModel};
 use cscw::concurrency::store::{ObjectId as MobObj, ObjectStore};
 use cscw::core::session::{Session, SessionId, SessionMode};
@@ -140,9 +140,10 @@ fn cross_organisation_co_authoring() {
         SimTime::from_secs(30),
     )
     .expect("cached base");
-    let (report, announced) = host
-        .reconnect_via(&mut bus, mobile, &mut field_store, SimTime::from_secs(40))
+    let report = host
+        .reconnect(mobile, &mut field_store, SimTime::from_secs(40))
         .expect("reintegration");
+    let announced = bus.publish_all(report.replay.iter().filter_map(Option::<CoopEvent>::from));
     assert_eq!(report.conflicts(), 0);
     assert!(announced.is_empty(), "clean replays stay quiet on the bus");
     assert_eq!(
@@ -151,12 +152,12 @@ fn cross_organisation_co_authoring() {
     );
 
     // --- Seamless transition to async ------------------------------------
-    let (t, seam) = session.switch_mode_via(
-        &mut bus,
+    let t = session.switch_mode(
         author,
         SessionMode::ASYNC_DISTRIBUTED,
         SimTime::from_secs(3600),
     );
+    let seam = bus.publish_all([&t]);
     assert_eq!(seam.len(), 2, "the others hear about the mode switch");
     assert_eq!(session.participants().len(), 3, "membership survives");
     assert!(t.cost.as_millis() > 0);
