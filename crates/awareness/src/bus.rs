@@ -18,10 +18,9 @@
 //!    in `suppressed_by_rights`, disclosed via [`EventBus::stats`]);
 //! 2. **focus–nimbus weighting** — survivors are scored by a pluggable
 //!    [`CoopWeightFn`] and compared against the observer's interest
-//!    threshold; a weight of `0.0` never delivers. Weight functions
-//!    written against the raw [`AwarenessEvent`] vocabulary of
-//!    [`crate::events`] plug in through
-//!    [`EventBus::set_awareness_weight_fn`].
+//!    threshold; a weight of `0.0` never delivers. A weight function
+//!    that cares only for the kind of activity matches on
+//!    [`CoopKind::activity`].
 //!
 //! Producers do not know the bus. Every cooperation-aware engine returns
 //! its own typed outcome (`Notice`, `FloorEvent`, `GroupNotice`, ...),
@@ -41,7 +40,7 @@ use odp_fabric::SortedVecMap;
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 
-use crate::events::{ActivityKind, AwarenessEvent, WeightFn};
+use crate::events::ActivityKind;
 
 /// Lock/access mode carried by cooperation events.
 ///
@@ -188,8 +187,8 @@ impl CoopKind {
     }
 
     /// Maps the cooperative phenomenon onto the closest raw
-    /// [`ActivityKind`], so existing [`WeightFn`]s written against
-    /// [`AwarenessEvent`] can score cooperation events too.
+    /// [`ActivityKind`], so a weight function can score every
+    /// cooperation event by the kind of activity it is.
     pub fn activity(&self) -> ActivityKind {
         match self {
             CoopKind::Activity(k) => *k,
@@ -263,17 +262,6 @@ impl CoopEvent {
             at,
             audience: Audience::Direct(to),
             kind,
-        }
-    }
-
-    /// The event viewed as a raw [`AwarenessEvent`], for weight
-    /// functions written against the older vocabulary.
-    pub fn as_awareness(&self) -> AwarenessEvent {
-        AwarenessEvent {
-            actor: self.actor,
-            artefact: self.artefact.clone(),
-            kind: self.kind.activity(),
-            at: self.at,
         }
     }
 }
@@ -413,12 +401,6 @@ impl EventBus {
     /// Replaces the weighting function.
     pub fn set_weight_fn(&mut self, weight: CoopWeightFn) {
         self.weight = weight;
-    }
-
-    /// Adapts a legacy [`WeightFn`] (written against [`AwarenessEvent`])
-    /// into the bus's weighting slot via [`CoopEvent::as_awareness`].
-    pub fn set_awareness_weight_fn(&mut self, weight: WeightFn) {
-        self.weight = Box::new(move |obs, ev| weight(obs, &ev.as_awareness()));
     }
 
     /// Registers an observer with a minimum-interest threshold in
@@ -703,9 +685,9 @@ mod tests {
     #[test]
     fn legacy_weight_fns_score_coop_events_via_the_activity_mapping() {
         let mut bus = EventBus::new();
-        // A legacy fn that only cares about Edit activity.
-        bus.set_awareness_weight_fn(Box::new(|_, ev| {
-            if ev.kind == ActivityKind::Edit {
+        // A fn that only cares about Edit activity.
+        bus.set_weight_fn(Box::new(|_, ev| {
+            if ev.kind.activity() == ActivityKind::Edit {
                 1.0
             } else {
                 0.0

@@ -23,7 +23,6 @@ use odp_net::ctx::NetCtx;
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimDuration;
-use odp_telemetry::span::SpanContext;
 
 use crate::bus::{BusDelivery, CoopEvent, EventBus};
 
@@ -139,9 +138,9 @@ impl BusActor {
             ctx.metrics().incr("aware.deliver");
             if self.telemetry {
                 if let Some(parent) = delivery.span {
-                    let child = parent.child(ctx.rng());
-                    ctx.span_open(child.carrier(), "aware.deliver");
-                    ctx.span_close(child.carrier());
+                    let child = ctx.rng().span_child(&parent);
+                    ctx.span_open(child, "aware.deliver");
+                    ctx.span_close(child);
                 }
             }
             self.delivered.push(BusDelivery {
@@ -179,9 +178,9 @@ impl BusActor {
                 let span = if self.telemetry {
                     // The publish root closes at issue time; deliveries
                     // hang aware.deliver children off it as they land.
-                    let root = SpanContext::root(ctx.rng());
-                    ctx.span_open(root.carrier(), "aware.publish");
-                    ctx.span_close(root.carrier());
+                    let root = ctx.rng().span_root();
+                    ctx.span_open(root, "aware.publish");
+                    ctx.span_close(root);
                     Some(root)
                 } else {
                     None

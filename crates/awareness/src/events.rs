@@ -6,22 +6,18 @@
 //! generate awareness weightings defining the impact of actions on other
 //! users."*
 //!
-//! This module is the raw activity vocabulary: an [`AwarenessEvent`] is
-//! one observable action, and a [`WeightFn`] scores it for an observer
-//! (see [`crate::spatial`] and [`crate::weights`] for the standard
-//! metrics). Routing is [`crate::bus::EventBus`]'s job: it takes a
-//! [`WeightFn`] through [`EventBus::set_awareness_weight_fn`], and
-//! deliveries weighted below an observer's threshold are suppressed —
-//! this is how "at a glance" peripheral awareness stays useful rather
-//! than noisy.
+//! This module is the raw activity vocabulary: an [`ActivityKind`] names
+//! what a participant did, and every [`crate::bus::CoopKind`] maps onto
+//! one ([`CoopKind::activity`]), so a weight function can score any
+//! cooperation event by the kind of activity it is (see
+//! [`crate::spatial`] and [`crate::weights`] for the standard metrics).
+//! Routing is [`crate::bus::EventBus`]'s job: deliveries weighted below
+//! an observer's threshold are suppressed — this is how "at a glance"
+//! peripheral awareness stays useful rather than noisy.
 //!
-//! [`EventBus::set_awareness_weight_fn`]: crate::bus::EventBus::set_awareness_weight_fn
+//! [`CoopKind::activity`]: crate::bus::CoopKind::activity
 
 use std::fmt;
-
-use odp_fabric::ObjectPath;
-use odp_sim::net::NodeId;
-use odp_sim::time::SimTime;
 
 /// What a participant did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,39 +50,20 @@ impl fmt::Display for ActivityKind {
     }
 }
 
-/// One observable action by a participant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AwarenessEvent {
-    /// Who acted.
-    pub actor: NodeId,
-    /// The artefact acted upon (an application-level identifier, in
-    /// [`ObjectPath`] normal form).
-    pub artefact: ObjectPath,
-    /// The kind of action.
-    pub kind: ActivityKind,
-    /// When.
-    pub at: SimTime,
-}
-
-/// Computes the awareness weight of `event` for `observer`.
-///
-/// Returning `0.0` suppresses delivery entirely.
-///
-/// `Send` so awareness state can ride along when a hosting actor moves
-/// into a threaded transport backend.
-pub type WeightFn = Box<dyn Fn(NodeId, &AwarenessEvent) -> f64 + Send>;
-
 #[cfg(test)]
 mod tests {
-    //! How the bus scores this vocabulary: a [`WeightFn`] installed
-    //! through `set_awareness_weight_fn` decides who hears an activity.
+    //! How the bus scores this vocabulary: a weight function installed
+    //! through `set_weight_fn` decides who hears an activity.
+
+    use odp_sim::net::NodeId;
+    use odp_sim::time::SimTime;
 
     use super::*;
-    use crate::bus::{BusDelivery, CoopEvent, CoopKind, EventBus};
+    use crate::bus::{BusDelivery, CoopEvent, CoopKind, CoopWeightFn, EventBus};
 
-    fn bus(weight: WeightFn) -> EventBus {
+    fn bus(weight: CoopWeightFn) -> EventBus {
         let mut b = EventBus::new();
-        b.set_awareness_weight_fn(weight);
+        b.set_weight_fn(weight);
         b
     }
 
@@ -144,7 +121,7 @@ mod tests {
         assert_eq!((out[0].observer, out[0].weight), (NodeId(1), 1.0));
         // Thresholds clamp too: 9.0 means 1.0, which a full weight meets.
         b.register(NodeId(3), 9.0);
-        b.set_awareness_weight_fn(Box::new(|_, _| 1.0));
+        b.set_weight_fn(Box::new(|_, _| 1.0));
         assert!(edit(&mut b).iter().any(|d| d.observer == NodeId(3)));
     }
 
@@ -163,8 +140,8 @@ mod tests {
         let mut b = bus(Box::new(|_, _| 0.0));
         b.register(NodeId(1), 0.1);
         assert!(edit(&mut b).is_empty());
-        b.set_awareness_weight_fn(Box::new(|_, ev| {
-            if ev.kind == ActivityKind::Edit {
+        b.set_weight_fn(Box::new(|_, ev| {
+            if ev.kind.activity() == ActivityKind::Edit {
                 1.0
             } else {
                 0.0

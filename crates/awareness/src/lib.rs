@@ -6,8 +6,8 @@
 //! systems need users to be **aware** of each other's activity. This
 //! crate provides the mechanisms the paper surveys:
 //!
-//! - [`events`] — the raw activity vocabulary ([`AwarenessEvent`]) and
-//!   the weight-function type the bus scores it with;
+//! - [`events`] — the raw activity vocabulary ([`ActivityKind`]) every
+//!   cooperation event maps onto for weighting;
 //! - [`bus`] — the unified, rights-gated cooperation-event bus: one
 //!   [`CoopEvent`] vocabulary for lock, txgroup, floor, mobility,
 //!   session and trader notices, gated through `odp_access` rights and
@@ -45,7 +45,7 @@ pub use bus::{
     Audience, BusDelivery, BusStats, CoopEvent, CoopKind, CoopMode, CoopWeightFn, EventBus,
 };
 pub use dist::{BusActor, BusWire};
-pub use events::{ActivityKind, AwarenessEvent};
+pub use events::ActivityKind;
 pub use mediaspace::{
     Acceptance, ConnectOutcome, ConnectionId, ConnectionType, MediaSpace, MediaSpaceError,
 };

@@ -315,8 +315,7 @@ impl Actor<CampusMsg> for AgentScript {
 fn campus(seed: u64, agents: u32) -> Sim<CampusMsg> {
     // One campus LAN as the network default link: per-pair topology
     // would cost O(agents^2) link entries for identical specs.
-    let mut net = Network::new(LinkSpec::lan());
-    net.set_default_link(LinkSpec::lan());
+    let net = Network::new(LinkSpec::lan());
     let mut sim: Sim<CampusMsg> = SimBuilder::new(seed)
         .network(net)
         .telemetry(false)

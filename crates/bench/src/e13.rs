@@ -42,8 +42,7 @@ fn wan_group_sim<P: 'static, A: Actor<GcMsg<P>> + Any>(
 ) -> Sim<GcMsg<P>> {
     let view = View::initial(GroupId(0), (0..nodes).map(NodeId));
     let link = LinkSpec::wan(SimDuration::from_millis(15));
-    let mut net = Network::new(link);
-    net.set_default_link(link);
+    let net = Network::new(link);
     let mut sim: Sim<GcMsg<P>> = SimBuilder::new(seed).network(net).build();
     for i in 0..nodes {
         sim.add_actor(NodeId(i), actor(NodeId(i), view.clone()));

@@ -10,6 +10,7 @@
 //! closes — the exact bug (an instrumented operation that loses its
 //! completion path) the invariant exists to catch.
 
+use odp_fabric::SpanCarrier;
 use odp_fabric::SpanOp;
 use odp_groupcomm::actors::{GroupActor, GroupApp, RpcConfig};
 use odp_groupcomm::membership::{GroupId, View};
@@ -17,7 +18,6 @@ use odp_groupcomm::multicast::{Delivery, GcMsg, Ordering, Reliability};
 use odp_net::ctx::NetCtx;
 use odp_sim::prelude::*;
 use odp_telemetry::collector::Collector;
-use odp_telemetry::span::SpanContext;
 
 use crate::explore::Invariant;
 
@@ -52,8 +52,8 @@ impl Actor<GcMsg<String>> for CallerHost {
         if self.leak_a_span {
             // Fixed ids, not rng-minted: the leak must appear in every
             // explored schedule, not just the first.
-            let probe = SpanContext::root_with(0xbad, 0xbad);
-            ctx.span_open(probe.carrier(), "bad.probe");
+            let probe = SpanCarrier::root(0xbad, 0xbad);
+            ctx.span_open(probe, "bad.probe");
         }
         self.inner
             .invoke_rpc_now(ctx, "ping".to_owned(), RpcConfig::default());

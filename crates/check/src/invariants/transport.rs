@@ -132,8 +132,7 @@ impl Actor<TransportMsg> for SessionHost {
 /// explore schedules the transport never promises to survive.
 pub fn transport_sim(seed: u64, forward_dedup: bool) -> Sim<TransportMsg> {
     let members = session_members();
-    let mut net = Network::new(LinkSpec::lan());
-    net.set_default_link(LinkSpec::lan());
+    let net = Network::new(LinkSpec::lan());
     let mut sim = SimBuilder::new(seed).network(net).build();
     for &member in &members {
         sim.add_actor(member, SessionHost::new(member, &members, forward_dedup));

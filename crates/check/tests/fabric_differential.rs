@@ -11,6 +11,7 @@ use odp_awareness::bus::{Audience, CoopEvent, CoopKind, CoopMode};
 use odp_awareness::dist::BusWire;
 use odp_awareness::events::ActivityKind;
 use odp_fabric::Payload;
+use odp_fabric::SpanCarrier;
 use odp_groupcomm::actors::{GroupActor, GroupApp};
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::{DataMsg, Delivery, GcMsg, MsgId, Ordering, Reliability};
@@ -20,7 +21,6 @@ use odp_net::ctx::NetCtx;
 use odp_net::wire::{payload_of, WireCodec};
 use odp_place::wire::{PlaceWire, SpanObs};
 use odp_sim::prelude::*;
-use odp_telemetry::span::SpanContext;
 use odp_trader::actors::{Invalidation, InvalidationReason};
 use odp_trader::offer::ServiceType;
 
@@ -70,7 +70,7 @@ fn invalidations() -> Vec<Invalidation> {
 
 /// Every `PlaceWire` variant, workload and migration plane alike.
 fn place_wires() -> Vec<PlaceWire> {
-    let span = SpanContext::root_with(0x11, 0x22);
+    let span = SpanCarrier::root(0x11, 0x22);
     vec![
         PlaceWire::Read {
             cluster: odp_mgmt::model::ClusterId(3),
@@ -96,7 +96,7 @@ fn place_wires() -> Vec<PlaceWire> {
         },
         PlaceWire::Stats {
             spans: vec![SpanObs {
-                ctx: span.child_with(0x33),
+                ctx: SpanCarrier::child_of(span.trace_id, 0x33, span.span_id),
                 kind: "tile.serve".to_owned(),
                 node: NodeId(2),
                 opened: SimTime::from_millis(1),
@@ -180,7 +180,7 @@ fn gc_envelopes<P: Clone>(payload: P) -> Vec<GcMsg<P>> {
     };
     let mut vc = VectorClock::new();
     vc.tick(NodeId(0));
-    let span = SpanContext::root_with(0xaa, 0xbb);
+    let span = SpanCarrier::root(0xaa, 0xbb);
     vec![
         GcMsg::Data(DataMsg {
             id,
@@ -207,7 +207,7 @@ fn gc_envelopes<P: Clone>(payload: P) -> Vec<GcMsg<P>> {
         },
         GcMsg::RpcReply {
             call: 4,
-            span: Some(span.child_with(0xcc)),
+            span: Some(SpanCarrier::child_of(span.trace_id, 0xcc, span.span_id)),
             payload: payload.clone(),
         },
         GcMsg::AppCmd(payload),

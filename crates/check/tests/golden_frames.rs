@@ -13,6 +13,7 @@ use odp_awareness::bus::{Audience, CoopEvent, CoopKind, CoopMode};
 use odp_awareness::dist::BusWire;
 use odp_awareness::events::ActivityKind;
 use odp_fabric::Payload;
+use odp_fabric::SpanCarrier;
 use odp_groupcomm::membership::{GroupId, View, ViewId};
 use odp_groupcomm::multicast::{DataMsg, GcMsg, MsgId};
 use odp_groupcomm::to_fabric;
@@ -23,7 +24,6 @@ use odp_net::wire::{decode_frame, encode_frame, WireCodec, WireReader, MAX_FRAME
 use odp_place::wire::{PlaceWire, SpanObs};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use odp_telemetry::span::SpanContext;
 use odp_trader::actors::{Invalidation, InvalidationReason};
 use odp_trader::offer::ServiceType;
 
@@ -68,12 +68,12 @@ fn hex(bytes: &[u8]) -> String {
     out
 }
 
-const ROOT: SpanContext = SpanContext {
+const ROOT: SpanCarrier = SpanCarrier {
     trace_id: 0x0102_0304_0506_0708,
     span_id: 0x1112_1314_1516_1718,
     parent: None,
 };
-const CHILD: SpanContext = SpanContext {
+const CHILD: SpanCarrier = SpanCarrier {
     trace_id: 0x0102_0304_0506_0708,
     span_id: 0x2122_2324_2526_2728,
     parent: Some(0x1112_1314_1516_1718),
@@ -110,7 +110,7 @@ fn bus_wire() -> BusWire {
     }
 }
 
-fn data(vclock: Option<VectorClock>, span: Option<SpanContext>) -> GcMsg<String> {
+fn data(vclock: Option<VectorClock>, span: Option<SpanCarrier>) -> GcMsg<String> {
     GcMsg::Data(DataMsg {
         id: ID,
         group: GroupId(1),
@@ -122,8 +122,8 @@ fn data(vclock: Option<VectorClock>, span: Option<SpanContext>) -> GcMsg<String>
 
 fn telemetry_cases() -> Vec<Case> {
     vec![
-        case("SpanContext/root", ROOT),
-        case("SpanContext/child", CHILD),
+        case("SpanCarrier/root", ROOT),
+        case("SpanCarrier/child", CHILD),
     ]
 }
 
@@ -534,8 +534,8 @@ fn cases() -> Vec<Case> {
 
 /// `(case name, hex of its encoding)`, in `cases()` order.
 const GOLDEN: &[(&str, &str)] = &[
-    ("SpanContext/root", "0102030405060708111213141516171800"),
-    ("SpanContext/child", "01020304050607082122232425262728011112131415161718"),
+    ("SpanCarrier/root", "0102030405060708111213141516171800"),
+    ("SpanCarrier/child", "01020304050607082122232425262728011112131415161718"),
     ("ServiceType", "0000000a766964656f2f6c697665"),
     ("InvalidationReason::Withdrawn", "00"),
     ("InvalidationReason::Modified", "01"),

@@ -283,11 +283,11 @@ impl LockTable {
                 state.last_access.insert(client, now);
                 return (LockReply::Granted, notices);
             }
-            // Shared -> exclusive upgrade: treat as fresh request below,
-            // dropping the shared hold first.
-            state.holders.remove(&client);
         }
-        match scheme {
+        // Shared -> exclusive upgrade: treat as fresh request below,
+        // dropping the shared hold first.
+        let upgrading = state.holders.remove(&client).is_some();
+        let reply = match scheme {
             LockScheme::Soft => {
                 let conflicts: Vec<ClientId> = state
                     .holders
@@ -306,9 +306,9 @@ impl LockTable {
                 state.holders.insert(client, mode);
                 state.last_access.insert(client, now);
                 if conflicts.is_empty() {
-                    (LockReply::Granted, notices)
+                    LockReply::Granted
                 } else {
-                    (LockReply::GrantedConflict(conflicts), notices)
+                    LockReply::GrantedConflict(conflicts)
                 }
             }
             LockScheme::Notification => {
@@ -324,17 +324,17 @@ impl LockTable {
                 if state.compatible_with_holders(client, mode) && state.queue.is_empty() {
                     state.holders.insert(client, mode);
                     state.last_access.insert(client, now);
-                    (LockReply::Granted, notices)
+                    LockReply::Granted
                 } else {
                     state.queue.push_back(Waiter { client, mode });
-                    (LockReply::Queued, notices)
+                    LockReply::Queued
                 }
             }
             LockScheme::Hard | LockScheme::Tickle { .. } => {
                 if state.compatible_with_holders(client, mode) && state.queue.is_empty() {
                     state.holders.insert(client, mode);
                     state.last_access.insert(client, now);
-                    (LockReply::Granted, notices)
+                    LockReply::Granted
                 } else {
                     state.queue.push_back(Waiter { client, mode });
                     if let LockScheme::Tickle { .. } = scheme {
@@ -351,10 +351,18 @@ impl LockTable {
                             }
                         }
                     }
-                    (LockReply::Queued, notices)
+                    LockReply::Queued
                 }
             }
+        };
+        if upgrading && reply == LockReply::Queued {
+            // The upgrader gave up its hold to wait: whoever that hold
+            // was keeping at the head of the queue goes now, as on a
+            // release.
+            state.tickles.retain(|&(_, holder, _)| holder != client);
+            notices.extend(Self::promote(state, resource, now));
         }
+        (reply, notices)
     }
 
     /// Records activity by a holder (resets its tickle idle clock).
@@ -805,6 +813,71 @@ mod tests {
         let _ = lt.request(ClientId(4), R, LockMode::Shared, t(5));
         assert!(lt.release_all(ClientId(4), t(6)).is_empty());
         assert_eq!(lt.queue_len(R), 1);
+    }
+
+    /// The table's liveness invariant: no request compatible with the
+    /// current holders waits at the head of the queue.
+    fn assert_the_head_of_the_queue_is_blocked(lt: &LockTable, resource: ResourceId) {
+        let Some(state) = lt.locks.get(&resource) else {
+            return;
+        };
+        if let Some(head) = state.queue.front() {
+            assert!(
+                !state.compatible_with_holders(head.client, head.mode),
+                "{:?}: {:?} waits for {:?} at the head of the queue though the holders {:?} admit it",
+                lt.scheme,
+                head.client,
+                head.mode,
+                state.holders
+            );
+        }
+    }
+
+    #[test]
+    fn an_upgrader_queued_behind_a_writer_hands_the_resource_to_it() {
+        let idle_timeout = SimDuration::from_secs(60);
+        for scheme in [
+            LockScheme::Hard,
+            LockScheme::Tickle { idle_timeout },
+            LockScheme::Notification,
+            LockScheme::Soft,
+        ] {
+            let mut lt = LockTable::new(scheme);
+            let _ = lt.request(ClientId(0), R, LockMode::Shared, t(0));
+            let _ = lt.request(ClientId(1), R, LockMode::Exclusive, t(1));
+            // The sole reader upgrades: it drops its hold and takes its
+            // place in the queue — behind the writer, who must not be left
+            // waiting for a resource nobody holds.
+            let (reply, notices) = lt.request(ClientId(0), R, LockMode::Exclusive, t(2));
+            assert_the_head_of_the_queue_is_blocked(&lt, R);
+            if scheme == LockScheme::Soft {
+                // Soft locks never queue: the upgrade is a conflict warning.
+                assert_eq!(reply, LockReply::GrantedConflict(vec![ClientId(1)]));
+                continue;
+            }
+            assert_eq!(reply, LockReply::Queued, "{scheme:?}");
+            assert_eq!(
+                notices,
+                vec![Notice {
+                    to: ClientId(1),
+                    kind: NoticeKind::Granted {
+                        mode: LockMode::Exclusive
+                    },
+                    resource: R,
+                    at: t(2),
+                }],
+                "{scheme:?}"
+            );
+            assert_eq!(lt.holders(R), vec![(ClientId(1), LockMode::Exclusive)]);
+            assert_eq!(lt.queue_len(R), 1);
+            let notices = lt.release(ClientId(1), R, t(3)).unwrap();
+            assert_eq!(notices.len(), 1);
+            // The tickle aimed at the reader's dropped hold went with it:
+            // it cannot come back to revoke the upgraded lock for nobody.
+            assert!(lt.tick(t(3) + idle_timeout).is_empty(), "{scheme:?}");
+            assert_eq!(lt.holders(R), vec![(ClientId(0), LockMode::Exclusive)]);
+            assert_the_head_of_the_queue_is_blocked(&lt, R);
+        }
     }
 
     #[test]

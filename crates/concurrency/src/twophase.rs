@@ -14,7 +14,9 @@ use std::fmt;
 use odp_sim::time::SimTime;
 
 use crate::granularity::{unit_at, Granularity};
-use crate::locks::{ClientId, LockMode, LockReply, LockScheme, LockTable, NoticeKind, ResourceId};
+use crate::locks::{
+    ClientId, LockMode, LockReply, LockScheme, LockTable, Notice, NoticeKind, ResourceId,
+};
 use crate::store::{ObjectId, ObjectStore, StoreError};
 
 /// Identifies a transaction.
@@ -275,10 +277,10 @@ impl TxnManager {
             OpKind::Read => LockMode::Shared,
             OpKind::Insert(_) | OpKind::Delete(_) => LockMode::Exclusive,
         };
-        // Hard locks emit nothing on request; grants arrive on release and
-        // `finish` turns them into TxnEvents, the scheduler's own
-        // cooperative surface.
-        let (reply, _notices) = self
+        // Hard locks emit one thing on request: the grant of whoever an
+        // upgrader's dropped read lock was holding back. `resume` turns
+        // grants into TxnEvents, the scheduler's own cooperative surface.
+        let (reply, notices) = self
             .table
             .request(Self::lock_client(txn), resource, mode, now);
         match reply {
@@ -298,7 +300,8 @@ impl TxnManager {
                     .ok_or(TxnError::Inconsistent("queued txn vanished"))?;
                 state.pending = Some(op);
                 state.waiting_on = Some(resource);
-                let events = self.resolve_deadlocks(now);
+                let mut events = self.resume(notices)?;
+                events.extend(self.resolve_deadlocks(now));
                 Ok((SubmitReply::Blocked, events))
             }
             LockReply::GrantedConflict(_) => unreachable!("hard locks never soft-grant"),
@@ -345,6 +348,12 @@ impl TxnManager {
     fn finish(&mut self, txn: TxnId, now: SimTime) -> Result<Vec<TxnEvent>, TxnError> {
         self.txns.remove(&txn).ok_or(TxnError::UnknownTxn(txn))?;
         let notices = self.table.release_all(Self::lock_client(txn), now);
+        self.resume(notices)
+    }
+
+    /// Performs the pending operation of every transaction a notice
+    /// grants its awaited lock to.
+    fn resume(&mut self, notices: Vec<Notice>) -> Result<Vec<TxnEvent>, TxnError> {
         let mut events = Vec::new();
         for notice in notices {
             if let NoticeKind::Granted { .. } = notice.kind {
@@ -671,6 +680,37 @@ mod tests {
             TxnEvent::OpCompleted { txn, result: OpResult::Value(_) } if *txn == t3
         ));
         assert!(tm.commit(t3, t(4)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_upgrade_behind_a_waiting_writer_resumes_the_writer() {
+        let mut tm = manager(Granularity::Document);
+        let t1 = tm.begin();
+        let t2 = tm.begin();
+        assert!(matches!(
+            tm.submit(t1, read(1, 0), t(0)).unwrap(),
+            SubmitReply::Done(_)
+        ));
+        assert_eq!(
+            tm.submit(t2, insert(1, 0, "w"), t(1)).unwrap(),
+            SubmitReply::Blocked
+        );
+        // T1 upgrades its read lock: it queues behind T2 and lets go of
+        // the lock T2 was waiting for, so T2's insert runs now — not
+        // never, with both blocked on a resource nobody holds.
+        let (reply, events) = tm.submit_with_events(t1, insert(1, 0, "r"), t(2)).unwrap();
+        assert_eq!(reply, SubmitReply::Blocked);
+        assert!(matches!(
+            &events[..],
+            [TxnEvent::OpCompleted { txn, result: OpResult::Applied { .. } }] if *txn == t2
+        ));
+        let events = tm.commit(t2, t(3)).unwrap();
+        assert!(matches!(
+            &events[..],
+            [TxnEvent::OpCompleted { txn, result: OpResult::Applied { .. } }] if *txn == t1
+        ));
+        assert!(tm.commit(t1, t(4)).unwrap().is_empty());
+        assert_eq!(tm.active(), 0);
     }
 
     #[test]

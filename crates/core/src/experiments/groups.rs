@@ -49,8 +49,7 @@ fn mcast_run(
     reliability: Reliability,
 ) -> (f64, f64) {
     let view = View::initial(GroupId(0), (0..n).map(NodeId));
-    let mut net = Network::new(link);
-    net.set_default_link(link);
+    let net = Network::new(link);
     let mut sim: Sim<GcMsg<String>> = SimBuilder::new(seed).network(net).build();
     for i in 0..n {
         sim.add_actor(NodeId(i), {
@@ -251,8 +250,7 @@ fn rpc_run(deadline_ms: u64, seed: u64) -> (u32, u32) {
     let n = 8u32;
     let view = View::initial(GroupId(0), (0..n).map(NodeId));
     let link = LinkSpec::wan(SimDuration::from_millis(20));
-    let mut net = Network::new(link);
-    net.set_default_link(link);
+    let net = Network::new(link);
     let mut sim: Sim<GcMsg<String>> = SimBuilder::new(seed).network(net).build();
     sim.add_actor(
         NodeId(0),
@@ -289,8 +287,7 @@ fn invocation_skew(seed: u64) -> u64 {
     let n = 8u32;
     let view = View::initial(GroupId(0), (0..n).map(NodeId));
     let link = LinkSpec::wan(SimDuration::from_millis(20));
-    let mut net = Network::new(link);
-    net.set_default_link(link);
+    let net = Network::new(link);
     let mut sim: Sim<GcMsg<String>> = SimBuilder::new(seed).network(net).build();
     struct Invoker {
         inner: GroupActor<String, Outcomes>,

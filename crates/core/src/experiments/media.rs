@@ -42,8 +42,7 @@ pub fn e6_qos_streams(seed: u64) -> Vec<Table> {
     );
     for adaptive in [true, false] {
         let mut sim: Sim<StreamMsg> = {
-            let mut net = Network::new(LinkSpec::lan());
-            net.set_default_link(LinkSpec::lan());
+            let net = Network::new(LinkSpec::lan());
             SimBuilder::new(seed).network(net).build()
         };
         let contract = QosSpec::video();
@@ -97,8 +96,7 @@ pub fn e6_qos_streams(seed: u64) -> Vec<Table> {
     );
     {
         let mut sim: Sim<StreamMsg> = {
-            let mut net = Network::new(LinkSpec::lan());
-            net.set_default_link(LinkSpec::lan());
+            let net = Network::new(LinkSpec::lan());
             SimBuilder::new(seed).network(net).build()
         };
         let contract = QosSpec::video();

@@ -52,8 +52,7 @@ pub fn e13_replicated_workspace(seed: u64) -> Vec<Table> {
     for &n in &[2u32, 4, 8] {
         let view = View::initial(GroupId(0), (0..n).map(NodeId));
         let link = LinkSpec::wan(SimDuration::from_millis(15));
-        let mut net = Network::new(link);
-        net.set_default_link(link);
+        let net = Network::new(link);
         let mut sim: Sim<GcMsg<WsOp>> = SimBuilder::new(seed).network(net).build();
         for i in 0..n {
             sim.add_actor(

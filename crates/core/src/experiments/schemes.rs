@@ -834,8 +834,7 @@ pub fn run_scheme(scheme: Scheme, n: u32, latency_ms: u64, seed: u64) -> odp_sim
         bytes_per_sec: None,
         loss: 0.0,
     };
-    let mut net = Network::new(link);
-    net.set_default_link(link);
+    let net = Network::new(link);
     let mut sim = SimBuilder::new(seed).network(net).build();
     let server_node = NodeId(0);
     let clients: Vec<NodeId> = (1..=n).map(NodeId).collect();

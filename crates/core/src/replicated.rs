@@ -179,8 +179,7 @@ mod tests {
 
     fn build_with(n: u32, seed: u64, workspace: impl Fn() -> SharedWorkspace) -> Sim<GcMsg<WsOp>> {
         let view = View::initial(GroupId(0), (0..n).map(NodeId));
-        let mut net = Network::new(LinkSpec::wan(SimDuration::from_millis(15)));
-        net.set_default_link(LinkSpec::wan(SimDuration::from_millis(15)));
+        let net = Network::new(LinkSpec::wan(SimDuration::from_millis(15)));
         let mut sim = SimBuilder::new(seed).network(net).build();
         for i in 0..n {
             sim.add_actor(

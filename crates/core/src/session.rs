@@ -15,7 +15,6 @@ use odp_awareness::bus::{CoopEvent, CoopKind};
 use odp_fabric::SpanCarrier;
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
-use odp_telemetry::span::SpanContext;
 
 /// The time dimension of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,15 +169,15 @@ pub struct SpanEvent {
 ///
 /// Sessions are plain library state — they have no actor context and no
 /// RNG — so span ids are allocated from a counter instead of the seeded
-/// RNG (`SpanContext::root_with`/`child_with`), which is every bit as
-/// deterministic. A `session.live` root span covers the instrumented
+/// RNG ([`SpanCarrier::root`]/[`SpanCarrier::child_of`]), which is every
+/// bit as deterministic. A `session.live` root span covers the instrumented
 /// window; each join/leave/switch hangs a child off it. Events are
 /// buffered here and drained by the harness into the simulation
-/// [`odp_sim::trace::Trace`], where [`odp_telemetry`]'s collector picks
+/// [`odp_sim::trace::Trace`], where `odp_telemetry`'s collector picks
 /// them up alongside the wire-level spans.
 #[derive(Debug, Clone)]
 struct SessionSpans {
-    root: SpanContext,
+    root: SpanCarrier,
     next_span: u64,
     open: bool,
     events: Vec<SpanEvent>,
@@ -186,10 +185,10 @@ struct SessionSpans {
 
 impl SessionSpans {
     fn new(trace_id: u64, at: SimTime) -> Self {
-        let root = SpanContext::root_with(trace_id, 1);
+        let root = SpanCarrier::root(trace_id, 1);
         let events = vec![SpanEvent {
             at,
-            span: root.carrier(),
+            span: root,
             open_kind: Some("session.live"),
         }];
         SessionSpans {
@@ -205,15 +204,15 @@ impl SessionSpans {
             return;
         }
         self.next_span += 1;
-        let span = self.root.child_with(self.next_span);
+        let span = SpanCarrier::child_of(self.root.trace_id, self.next_span, self.root.span_id);
         self.events.push(SpanEvent {
             at: opened,
-            span: span.carrier(),
+            span,
             open_kind: Some(kind),
         });
         self.events.push(SpanEvent {
             at: closed,
-            span: span.carrier(),
+            span,
             open_kind: None,
         });
     }
@@ -223,7 +222,7 @@ impl SessionSpans {
             self.open = false;
             self.events.push(SpanEvent {
                 at,
-                span: self.root.carrier(),
+                span: self.root,
                 open_kind: None,
             });
         }

@@ -11,18 +11,14 @@
 use odp_access::matrix::Subject;
 use odp_access::rbac::{ObjectPath, RbacPolicy};
 use odp_access::rights::Rights;
-use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, EventBus};
-use odp_awareness::events::{ActivityKind, AwarenessEvent};
+use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, CoopWeightFn, EventBus};
+use odp_awareness::events::ActivityKind;
 use odp_concurrency::store::{ObjectStore, StoreError};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 use std::fmt;
 
 pub use odp_concurrency::store::ObjectId;
-
-/// An awareness weighting function: maps `(observer, event)` to a weight
-/// in `[0, 1]` (see [`odp_awareness::events::WeightFn`]).
-pub type WorkspaceWeightFn = Box<dyn Fn(NodeId, &AwarenessEvent) -> f64 + Send>;
 
 /// One entry of the public history.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,8 +147,8 @@ impl SharedWorkspace {
 
     /// Installs an awareness weighting function (e.g. from a
     /// [`odp_awareness::spatial::SpatialModel`]).
-    pub fn set_weight_fn(&mut self, weight: WorkspaceWeightFn) {
-        self.bus.set_awareness_weight_fn(weight);
+    pub fn set_weight_fn(&mut self, weight: CoopWeightFn) {
+        self.bus.set_weight_fn(weight);
     }
 
     /// Creates an artefact at an access-control path.

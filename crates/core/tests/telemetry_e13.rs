@@ -73,7 +73,6 @@ fn group_rpc_critical_path_runs_through_the_slowest_member() {
     let caller = NodeId(0);
     let laggard = NodeId(3);
     let mut net = Network::new(fast);
-    net.set_default_link(fast);
     net.set_link(caller, laggard, slow);
 
     let mut sim: Sim<GcMsg<String>> = SimBuilder::new(1913).network(net).build();

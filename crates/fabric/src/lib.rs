@@ -18,22 +18,21 @@
 //!
 //! Five pieces:
 //!
-//! - [`Payload`](bytes::Payload): cheaply-cloneable Arc-backed shared
+//! - [`Payload`]: cheaply-cloneable Arc-backed shared
 //!   bytes with copy-on-write. Fan-out to N peers bumps a refcount N
 //!   times instead of copying the body N times; the first writer to a
 //!   shared buffer pays one copy.
-//! - [`SpanCarrier`](span::SpanCarrier) + [`SpanLog`](span::SpanLog):
-//!   the interned binary representation of telemetry span events,
-//!   replacing the `trace:span:parent:kind` hex strings that cost two
-//!   `String` allocations per span record. Kinds are interned to a
-//!   small [`KindId`](span::KindId); one span record is a fixed-size
-//!   push.
-//! - [`SortedVecMap`](map::SortedVecMap): a binary-searched sorted
+//! - [`SpanCarrier`] + [`SpanLog`]: the one identity of a telemetry
+//!   span — what is minted, carried on envelopes, encoded on the wire
+//!   and collected after the run — and the binary log of span events.
+//!   Kinds are interned to a small [`KindId`]; one span record is a
+//!   fixed-size push.
+//! - [`SortedVecMap`]: a binary-searched sorted
 //!   vector with the `BTreeMap` API subset the hot sites use. Sound
 //!   wherever the map is small-to-medium and iteration order (not
 //!   asymptotic insert/remove) is what the BTreeMap was buying —
 //!   retransmit buffers, observer registries, lookup caches.
-//! - [`SeqSet`](seqset::SeqSet): a set of sequence numbers kept as
+//! - [`SeqSet`]: a set of sequence numbers kept as
 //!   merged ranges — the duplicate filter of every layer that numbers
 //!   its messages per origin. Its size is the number of gaps, not of
 //!   messages, and inserting the next number in line is O(1).

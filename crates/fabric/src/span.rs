@@ -8,11 +8,15 @@
 //! a [`SpanCarrier`] and the kind string is interned once per distinct
 //! kind into a [`KindId`].
 //!
-//! The carrier also has a standalone binary codec
-//! ([`SpanCarrier::encode_into`] / [`SpanCarrier::decode_from`]) whose
-//! byte layout matches the workspace wire convention (big-endian
-//! fixed-width ints, `0`/`1` option tag), and whose decoder is total —
-//! the hostile-bytes property suite pins that down.
+//! A [`SpanCarrier`] is the span's one identity everywhere: minted
+//! beside the rng (`odp_sim::rng::DetRng::span_root` / `span_child`) or
+//! from a counter ([`SpanCarrier::root`] / [`SpanCarrier::child_of`]),
+//! carried on every envelope, recorded here and replayed by the
+//! collector. Its binary codec ([`SpanCarrier::encode_into`] /
+//! [`SpanCarrier::decode_from`]) is the one the wire uses — `odp-net`'s
+//! `WireCodec` impl delegates to it — in the workspace wire convention
+//! (big-endian fixed-width ints, `0`/`1` option tag), with a total
+//! decoder the hostile-bytes property suite pins down.
 
 use std::fmt;
 
@@ -79,8 +83,8 @@ impl SpanCarrier {
 
     /// Appends the binary encoding: `trace_id` and `span_id` as
     /// big-endian `u64`s, then a `0`/`1` option tag and, if present,
-    /// the parent id — the same layout the workspace wire codec uses
-    /// for `(u64, u64, Option<u64>)`.
+    /// the parent id — what the workspace wire codec would derive for
+    /// `(u64, u64, Option<u64>)`, and what it writes for a span.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.trace_id.to_be_bytes());
         out.extend_from_slice(&self.span_id.to_be_bytes());
@@ -275,6 +279,15 @@ impl SpanLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn explicit_ctors_link_parent() {
+        let root = SpanCarrier::root(9, 1);
+        let child = SpanCarrier::child_of(root.trace_id, 2, root.span_id);
+        assert_eq!(root.parent, None);
+        assert_eq!(child.trace_id, 9);
+        assert_eq!(child.parent, Some(1));
+    }
 
     #[test]
     fn carrier_roundtrips_with_and_without_parent() {

@@ -12,12 +12,12 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
+use odp_fabric::SpanCarrier;
 use odp_net::actor::TransportActor;
 use odp_net::ctx::NetCtx;
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
-use odp_telemetry::span::SpanContext;
 
 use crate::multicast::{Delivery, GcMsg, GroupEngine, Step};
 use crate::rpc::{CallOutcome, Quorum, RpcEngine};
@@ -110,7 +110,7 @@ pub struct GroupActor<P, A> {
     pending_exec: BTreeMap<u64, (u64, P)>, // timer tag -> (call, payload)
     next_exec_tag: u64,
     telemetry: bool,
-    open_calls: BTreeMap<u64, SpanContext>, // call id -> rpc.call root span
+    open_calls: BTreeMap<u64, SpanCarrier>, // call id -> rpc.call root span
 }
 
 impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
@@ -140,7 +140,7 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
     }
 
     /// Enables causal span telemetry: multicasts and RPCs mint
-    /// [`SpanContext`]s from this actor's deterministic rng and record
+    /// [`SpanCarrier`]s from this actor's deterministic rng and record
     /// their opens and closes in the trace's span log. Off by default — minting
     /// draws from the actor's rng stream, so enabling it perturbs runs
     /// that share the seed with an uninstrumented baseline.
@@ -195,9 +195,9 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
                 if let Some(parent) = delivery.span {
                     // Each delivery is an instantaneous child span: the
                     // gap back to the root open is the delivery latency.
-                    let child = parent.child(ctx.rng());
-                    ctx.span_open(child.carrier(), "gc.deliver");
-                    ctx.span_close(child.carrier());
+                    let child = ctx.rng().span_child(&parent);
+                    ctx.span_open(child, "gc.deliver");
+                    ctx.span_close(child);
                 }
             }
             self.app.on_deliver(ctx, delivery);
@@ -240,8 +240,8 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
     ) -> u64 {
         let targets = self.engine.view().peers(self.engine.me());
         let span = if self.telemetry {
-            let root = SpanContext::root(ctx.rng());
-            ctx.span_open(root.carrier(), "rpc.call");
+            let root = ctx.rng().span_root();
+            ctx.span_open(root, "rpc.call");
             Some(root)
         } else {
             None
@@ -268,7 +268,7 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
     /// opened one.
     fn close_call_span(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, call: u64) {
         if let Some(root) = self.open_calls.remove(&call) {
-            ctx.span_close(root.carrier());
+            ctx.span_close(root);
         }
     }
 }
@@ -286,9 +286,9 @@ impl<P: Clone + Any, A: GroupApp<P>> GroupActor<P, A> {
                     let span = if self.telemetry {
                         // The mcast root closes at issue time; deliveries
                         // hang their children off it as they land.
-                        let root = SpanContext::root(ctx.rng());
-                        ctx.span_open(root.carrier(), "gc.mcast");
-                        ctx.span_close(root.carrier());
+                        let root = ctx.rng().span_root();
+                        ctx.span_open(root, "gc.mcast");
+                        ctx.span_close(root);
                         Some(root)
                     } else {
                         None
@@ -307,9 +307,9 @@ impl<P: Clone + Any, A: GroupApp<P>> GroupActor<P, A> {
                 if let Some(reply) = self.app.on_rpc(ctx, from, call, &payload) {
                     let serve = match span.filter(|_| self.telemetry) {
                         Some(parent) => {
-                            let serve = parent.child(ctx.rng());
-                            ctx.span_open(serve.carrier(), "rpc.serve");
-                            ctx.span_close(serve.carrier());
+                            let serve = ctx.rng().span_child(&parent);
+                            ctx.span_open(serve, "rpc.serve");
+                            ctx.span_close(serve);
                             Some(serve)
                         }
                         None => None,
@@ -337,9 +337,9 @@ impl<P: Clone + Any, A: GroupApp<P>> GroupActor<P, A> {
                 payload,
             } => {
                 if let Some(parent) = span.filter(|_| self.telemetry) {
-                    let reply = parent.child(ctx.rng());
-                    ctx.span_open(reply.carrier(), "rpc.reply");
-                    ctx.span_close(reply.carrier());
+                    let reply = ctx.rng().span_child(&parent);
+                    ctx.span_open(reply, "rpc.reply");
+                    ctx.span_close(reply);
                 }
                 if let Some(outcome) = self.rpc.on_reply(call, from, payload, ctx.now()) {
                     self.close_call_span(ctx, outcome.call);
@@ -502,11 +502,7 @@ mod tests {
     #[test]
     fn reliable_fifo_survives_a_lossy_link() {
         let view = View::initial(GroupId(0), [NodeId(0), NodeId(1)]);
-        let mut net = Network::new(LinkSpec {
-            loss: 0.3,
-            ..LinkSpec::lan()
-        });
-        net.set_default_link(LinkSpec {
+        let net = Network::new(LinkSpec {
             loss: 0.3,
             ..LinkSpec::lan()
         });

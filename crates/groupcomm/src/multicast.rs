@@ -19,10 +19,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use odp_fabric::{SeqSet, SortedVecMap};
+use odp_fabric::{SeqSet, SortedVecMap, SpanCarrier};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
-use odp_telemetry::span::{Carrier, SpanContext};
 
 use crate::membership::{GroupId, View};
 use crate::vclock::VectorClock;
@@ -90,20 +89,10 @@ pub struct DataMsg<P> {
     pub group: GroupId,
     /// Causal timestamp (present only under [`Ordering::Causal`]).
     pub vclock: Option<VectorClock>,
-    /// Piggybacked telemetry span (see `odp_telemetry`).
-    pub span: Option<SpanContext>,
+    /// Piggybacked telemetry span.
+    pub span: Option<SpanCarrier>,
     /// Application payload.
     pub payload: P,
-}
-
-impl<P> Carrier for DataMsg<P> {
-    fn span(&self) -> Option<SpanContext> {
-        self.span
-    }
-
-    fn set_span(&mut self, span: Option<SpanContext>) {
-        self.span = span;
-    }
 }
 
 /// Wire messages exchanged by group members.
@@ -137,7 +126,7 @@ pub enum GcMsg<P> {
         /// Optional agreed execution instant (group invocation).
         execute_at: Option<SimTime>,
         /// Piggybacked telemetry span (the caller's `rpc.call` root).
-        span: Option<SpanContext>,
+        span: Option<SpanCarrier>,
         /// Application payload.
         payload: P,
     },
@@ -146,7 +135,7 @@ pub enum GcMsg<P> {
         /// Correlation id from the request.
         call: u64,
         /// Piggybacked telemetry span (the responder's `rpc.serve`).
-        span: Option<SpanContext>,
+        span: Option<SpanCarrier>,
         /// Application payload.
         payload: P,
     },
@@ -213,24 +202,6 @@ impl<P> GcMsg<P> {
     }
 }
 
-impl<P> Carrier for GcMsg<P> {
-    fn span(&self) -> Option<SpanContext> {
-        match self {
-            GcMsg::Data(d) => d.span,
-            GcMsg::RpcRequest { span, .. } | GcMsg::RpcReply { span, .. } => *span,
-            _ => None,
-        }
-    }
-
-    fn set_span(&mut self, new: Option<SpanContext>) {
-        match self {
-            GcMsg::Data(d) => d.span = new,
-            GcMsg::RpcRequest { span, .. } | GcMsg::RpcReply { span, .. } => *span = new,
-            _ => {}
-        }
-    }
-}
-
 /// A payload delivered to the application, with its provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery<P> {
@@ -238,7 +209,7 @@ pub struct Delivery<P> {
     pub id: MsgId,
     /// The telemetry span the message carried, if any (the sender's
     /// `gc.mcast` root; receivers mint `gc.deliver` children from it).
-    pub span: Option<SpanContext>,
+    pub span: Option<SpanCarrier>,
     /// The application payload.
     pub payload: P,
 }
@@ -434,7 +405,7 @@ impl<P: Clone> GroupEngine<P> {
         &mut self,
         payload: P,
         now: SimTime,
-        span: Option<SpanContext>,
+        span: Option<SpanCarrier>,
     ) -> Step<P> {
         self.next_seq += 1;
         let id = MsgId {

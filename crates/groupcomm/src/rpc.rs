@@ -13,9 +13,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use odp_fabric::SpanCarrier;
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
-use odp_telemetry::span::SpanContext;
 
 use crate::multicast::GcMsg;
 
@@ -164,7 +164,7 @@ impl<P: Clone> RpcEngine<P> {
         now: SimTime,
         timeout: SimDuration,
         quorum: Quorum,
-        span: Option<SpanContext>,
+        span: Option<SpanCarrier>,
     ) -> (u64, Vec<(NodeId, GcMsg<P>)>) {
         let call = self.next_call;
         self.next_call += 1;

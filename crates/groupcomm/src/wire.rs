@@ -81,9 +81,9 @@ pub fn from_fabric<P: WireCodec>(msg: &GcMsg<Payload>) -> Result<GcMsg<P>, NetEr
 
 #[cfg(test)]
 mod tests {
+    use odp_fabric::SpanCarrier;
     use odp_net::wire::laws;
     use odp_sim::time::SimTime;
-    use odp_telemetry::span::SpanContext;
 
     use super::*;
 
@@ -107,7 +107,7 @@ mod tests {
         };
         let mut vc = VectorClock::new();
         vc.tick(NodeId(0));
-        let span = SpanContext::root_with(0xaa, 0xbb);
+        let span = SpanCarrier::root(0xaa, 0xbb);
         vec![
             GcMsg::Data(DataMsg {
                 id,
@@ -134,7 +134,7 @@ mod tests {
             },
             GcMsg::RpcReply {
                 call: 4,
-                span: Some(span.child_with(0xcc)),
+                span: Some(SpanCarrier::child_of(span.trace_id, 0xcc, span.span_id)),
                 payload: "rep".to_owned(),
             },
             GcMsg::AppCmd("cmd".to_owned()),

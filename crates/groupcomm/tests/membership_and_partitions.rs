@@ -22,8 +22,7 @@ impl GroupApp<String> for Collector {
 
 fn build(n: u32, seed: u64, reliability: Reliability) -> (Sim<GcMsg<String>>, View) {
     let view = View::initial(GroupId(0), (0..n).map(NodeId));
-    let mut net = Network::new(LinkSpec::lan());
-    net.set_default_link(LinkSpec::lan());
+    let net = Network::new(LinkSpec::lan());
     let mut sim = SimBuilder::new(seed).network(net).build();
     for i in 0..n {
         let mut a = GroupActor::new(

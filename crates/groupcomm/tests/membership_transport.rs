@@ -144,8 +144,7 @@ fn cmd(s: &str) -> GcMsg<String> {
 #[test]
 fn crash_and_rejoin_on_the_sim_backend() {
     for seed in [7u64, 99, 0xBEEF] {
-        let mut net = Network::new(LinkSpec::lan());
-        net.set_default_link(LinkSpec::lan());
+        let net = Network::new(LinkSpec::lan());
         let mut sim = SimBuilder::new(seed).network(net).build();
         for id in MEMBERS {
             sim.add_actor(id, member(id));

@@ -38,11 +38,7 @@ fn run(
     reliability: Reliability,
 ) -> Vec<Vec<(u32, u32)>> {
     let view = View::initial(GroupId(0), (0..n).map(NodeId));
-    let mut net = Network::new(LinkSpec {
-        loss,
-        ..LinkSpec::lan()
-    });
-    net.set_default_link(LinkSpec {
+    let net = Network::new(LinkSpec {
         loss,
         ..LinkSpec::lan()
     });

@@ -3,13 +3,13 @@
 //! `odp-net` framing, and corrupt bytes always come back as a typed
 //! error rather than a panic.
 
+use odp_fabric::SpanCarrier;
 use odp_groupcomm::membership::{GroupId, View, ViewId};
 use odp_groupcomm::multicast::{DataMsg, GcMsg, MsgId};
 use odp_groupcomm::vclock::VectorClock;
 use odp_net::wire::{laws, WireCodec, WireReader, MAX_FRAME};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use odp_telemetry::span::SpanContext;
 use proptest::prelude::*;
 
 fn arb_vclock() -> impl Strategy<Value = VectorClock> {
@@ -18,7 +18,7 @@ fn arb_vclock() -> impl Strategy<Value = VectorClock> {
     })
 }
 
-fn arb_span() -> impl Strategy<Value = Option<SpanContext>> {
+fn arb_span() -> impl Strategy<Value = Option<SpanCarrier>> {
     (
         any::<bool>(),
         any::<u64>(),
@@ -27,7 +27,7 @@ fn arb_span() -> impl Strategy<Value = Option<SpanContext>> {
         any::<bool>(),
     )
         .prop_map(|(present, trace_id, span_id, parent, has_parent)| {
-            present.then_some(SpanContext {
+            present.then_some(SpanCarrier {
                 trace_id,
                 span_id,
                 parent: has_parent.then_some(parent),

@@ -288,7 +288,7 @@ impl<M: Clone> SessionLayer<M> {
         self.stats
     }
 
-    /// Fault injection (see [`SessionLayer::forward_dedup`] field docs);
+    /// Fault injection (see the `forward_dedup` field docs);
     /// production code never calls this.
     pub fn set_forward_dedup(&mut self, on: bool) {
         self.forward_dedup = on;

@@ -6,13 +6,14 @@
 //! integers, IEEE-754 bit-pattern floats, length-prefixed strings and
 //! collections, and a `u8` tag per enum variant. Every decoder is total
 //! — any input, however truncated or hostile, yields a typed
-//! [`NetError`](crate::NetError), never a panic — which [`laws`] states
+//! [`NetError`], never a panic — which [`laws`] states
 //! once and each owning crate's proptest suite feeds per envelope.
 //!
-//! Only the primitives, containers, [`Payload`] and [`ObjectPath`] below
-//! are written by hand. An envelope is *declared*, once, in the crate that owns the
-//! type, and the macro derives both directions from that one field
-//! list (fields travel in the order listed; their types are inferred):
+//! Only the primitives, containers, [`Payload`], [`ObjectPath`] and
+//! [`SpanCarrier`] below are written by hand. An envelope is
+//! *declared*, once, in the crate that owns the type, and the macro
+//! derives both directions from that one field list (fields travel in
+//! the order listed; their types are inferred):
 //!
 //! ```
 //! # use odp_net::wire::laws;
@@ -47,7 +48,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use odp_fabric::{ObjectPath, Payload};
+use odp_fabric::{FabricError, ObjectPath, Payload, SpanCarrier};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
@@ -593,6 +594,36 @@ impl WireCodec for Payload {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         let rest = r.take(r.remaining())?;
         Ok(Payload::from_slice(rest))
+    }
+}
+
+/// A [`SpanCarrier`] travels through the fabric's own codec —
+/// [`SpanCarrier::encode_into`] / [`SpanCarrier::decode_from`], 17 bytes
+/// for a root and 25 for a child, the layout `(u64, u64, Option<u64>)`
+/// would derive — so the span bytes a frame pays for are the ones the
+/// fabric's micro-benchmarks time.
+impl WireCodec for SpanCarrier {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_into(out);
+    }
+    fn encoded_len(&self) -> usize {
+        17 + self.parent.map_or(0, |_| 8)
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        match SpanCarrier::decode_from(&r.buf[r.pos..]) {
+            Ok((span, used)) => {
+                r.pos += used;
+                Ok(span)
+            }
+            Err(FabricError::Truncated { needed, have }) => {
+                Err(NetError::Truncated { needed, have })
+            }
+            // The one tag in a span is its parent's option tag.
+            Err(FabricError::BadTag { tag }) => Err(NetError::BadTag {
+                what: "Option",
+                tag: u32::from(tag),
+            }),
+        }
     }
 }
 

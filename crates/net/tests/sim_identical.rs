@@ -59,8 +59,7 @@ fn replica(i: u32) -> BusActor {
 /// [`SimHost`] instead of registering it directly.
 fn fanout_sim(seed: u64, wrapped: bool) -> Sim<GcMsg<BusWire>> {
     let link = LinkSpec::wan(SimDuration::from_millis(15));
-    let mut net = Network::new(link);
-    net.set_default_link(link);
+    let net = Network::new(link);
     let mut sim: Sim<GcMsg<BusWire>> = SimBuilder::new(seed).network(net).build();
     for i in 0..REPLICAS {
         if wrapped {

@@ -6,7 +6,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use odp_fabric::{ObjectPath, Payload};
+use odp_fabric::{ObjectPath, Payload, SpanCarrier};
 use odp_net::error::NetError;
 use odp_net::session::Frame;
 use odp_net::wire::{encode_frame, laws, FrameStream, WireCodec, WireReader, MAX_FRAME};
@@ -138,6 +138,34 @@ proptest! {
         prop_assert_eq!(laws::total::<ObjectPath>(&unnormalised, MAX_FRAME), Ok(()));
         let back = WireReader::new(&unnormalised).finish::<ObjectPath>().expect("total");
         prop_assert_eq!(back, path);
+    }
+
+    /// A `SpanCarrier` — root or child — obeys the codec laws, hostile
+    /// bytes never panic its decoder, and the wire codec *is* the
+    /// fabric's: `WireCodec::encode` and `SpanCarrier::encode_into`
+    /// emit the same 17 or 25 bytes, which `encoded_len` reports.
+    #[test]
+    fn span_carriers_travel_through_the_fabric_codec(
+        ids in (any::<u64>(), any::<u64>(), any::<u64>()),
+        has_parent in any::<bool>(),
+        bytes in prop::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let span = SpanCarrier {
+            trace_id: ids.0,
+            span_id: ids.1,
+            parent: has_parent.then_some(ids.2),
+        };
+        prop_assert_eq!(laws::roundtrips(&span), Ok(()));
+        prop_assert_eq!(laws::prefixes_err(&span), Ok(()));
+        prop_assert_eq!(laws::total::<SpanCarrier>(&bytes, MAX_FRAME), Ok(()));
+
+        let mut on_the_wire = Vec::new();
+        span.encode(&mut on_the_wire);
+        let mut by_the_fabric = Vec::new();
+        span.encode_into(&mut by_the_fabric);
+        prop_assert_eq!(&on_the_wire, &by_the_fabric);
+        prop_assert_eq!(span.encoded_len(), on_the_wire.len());
+        prop_assert_eq!(on_the_wire.len(), if has_parent { 25 } else { 17 });
     }
 
     /// `Payload` is wire-transparent: it encodes as its raw bytes with

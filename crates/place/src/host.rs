@@ -241,13 +241,13 @@ impl TileHostActor {
     fn serve_span(
         &mut self,
         ctx: &mut dyn NetCtx<PlaceWire>,
-        parent: Option<odp_telemetry::span::SpanContext>,
+        parent: Option<odp_fabric::SpanCarrier>,
     ) {
         let Some(parent) = parent else { return };
-        let child = parent.child(ctx.rng());
+        let child = ctx.rng().span_child(&parent);
         let now = ctx.now();
-        ctx.span_open(child.carrier(), "tile.serve");
-        ctx.span_close(child.carrier());
+        ctx.span_open(child, "tile.serve");
+        ctx.span_close(child);
         let me = self.me;
         self.buffer_span(
             ctx,

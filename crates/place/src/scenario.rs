@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 
+use odp_fabric::SpanCarrier;
 use odp_mgmt::model::ClusterId;
 use odp_net::actor::TransportActor;
 use odp_net::ctx::NetCtx;
@@ -25,7 +26,6 @@ use odp_sim::actor::TimerId;
 use odp_sim::net::{LinkSpec, Network, NodeId};
 use odp_sim::sim::{Sim, SimBuilder};
 use odp_sim::time::{SimDuration, SimTime};
-use odp_telemetry::span::SpanContext;
 
 use odp_awareness::bus::CoopEvent;
 
@@ -51,7 +51,7 @@ pub struct ScriptedOp {
 
 #[derive(Debug)]
 struct Pending {
-    span: SpanContext,
+    span: SpanCarrier,
     write: bool,
     byte: u8,
     opened: SimTime,
@@ -189,9 +189,9 @@ impl EditorActor {
             ctx.metrics().incr("place.editor.skipped");
             return;
         }
-        let span = SpanContext::root(ctx.rng());
+        let span = ctx.rng().span_root();
         let kind = format!("{ACCESS_KIND_PREFIX}{}", op.cluster.0);
-        ctx.span_open(span.carrier(), &kind);
+        ctx.span_open(span, &kind);
         self.pending.insert(
             op.cluster,
             Pending {
@@ -209,7 +209,7 @@ impl EditorActor {
             return;
         };
         let now = ctx.now();
-        ctx.span_close(p.span.carrier());
+        ctx.span_close(p.span);
         let me = self.me;
         self.buffer_obs(
             ctx,

@@ -4,7 +4,7 @@
 //! hostable on any backend with a single codec:
 //!
 //! - the **workload plane** — tile reads/writes with piggybacked
-//!   [`SpanContext`]s, stale-home redirects, and the periodic
+//!   [`SpanCarrier`]s, stale-home redirects, and the periodic
 //!   [`PlaceWire::Stats`] reports (shipped span observations plus
 //!   per-cluster access counts) the controller feeds on;
 //! - the **migration plane** — the freeze → chunk → install → release
@@ -15,10 +15,10 @@
 //! [`odp_net::error::NetError`], never a panic (`tests/wire_properties.rs`
 //! feeds them through `odp_net::wire::laws`).
 
+use odp_fabric::SpanCarrier;
 use odp_mgmt::model::ClusterId;
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use odp_telemetry::span::{Carrier, SpanContext};
 
 use odp_awareness::bus::CoopEvent;
 
@@ -28,7 +28,7 @@ use odp_awareness::bus::CoopEvent;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanObs {
     /// The span's identity and parent link.
-    pub ctx: SpanContext,
+    pub ctx: SpanCarrier,
     /// Span kind (`tile.access.c<id>` roots, `tile.serve` children).
     pub kind: String,
     /// The node the span ran on.
@@ -56,7 +56,7 @@ pub enum PlaceWire {
         /// Target cluster.
         cluster: ClusterId,
         /// The editor's root `tile.access.c<id>` span.
-        span: Option<SpanContext>,
+        span: Option<SpanCarrier>,
     },
     /// Home → editor: read served.
     ReadOk {
@@ -71,7 +71,7 @@ pub enum PlaceWire {
         /// would carry patches).
         byte: u8,
         /// The editor's root span.
-        span: Option<SpanContext>,
+        span: Option<SpanCarrier>,
     },
     /// Home → editor: write applied.
     WriteOk {
@@ -220,22 +220,6 @@ pub enum PlaceWire {
     },
 }
 
-impl Carrier for PlaceWire {
-    fn span(&self) -> Option<SpanContext> {
-        match self {
-            PlaceWire::Read { span, .. } | PlaceWire::Write { span, .. } => *span,
-            _ => None,
-        }
-    }
-
-    fn set_span(&mut self, ctx: Option<SpanContext>) {
-        match self {
-            PlaceWire::Read { span, .. } | PlaceWire::Write { span, .. } => *span = ctx,
-            _ => {}
-        }
-    }
-}
-
 odp_net::wire_enum!(PlaceWire {
     0 => Read { cluster, span },
     1 => ReadOk { cluster },
@@ -265,24 +249,6 @@ mod tests {
     use odp_net::wire::WireReader;
 
     use super::*;
-
-    #[test]
-    fn carrier_rides_read_and_write_only() {
-        let ctx = SpanContext::root_with(7, 9);
-        let mut read = PlaceWire::Read {
-            cluster: ClusterId(1),
-            span: None,
-        };
-        assert_eq!(read.span(), None);
-        read.set_span(Some(ctx));
-        assert_eq!(read.span(), Some(ctx));
-
-        let mut ok = PlaceWire::ReadOk {
-            cluster: ClusterId(1),
-        };
-        ok.set_span(Some(ctx));
-        assert_eq!(ok.span(), None, "replies carry no span");
-    }
 
     #[test]
     fn unknown_tag_is_a_typed_error() {

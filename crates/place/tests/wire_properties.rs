@@ -4,18 +4,18 @@
 //! panic.
 
 use odp_awareness::bus::{CoopEvent, CoopKind};
+use odp_fabric::SpanCarrier;
 use odp_mgmt::model::ClusterId;
 use odp_net::wire::{laws, MAX_FRAME};
 use odp_place::wire::{PlaceWire, SpanObs};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
-use odp_telemetry::span::SpanContext;
 use proptest::prelude::*;
 
-fn arb_span() -> impl Strategy<Value = Option<SpanContext>> {
+fn arb_span() -> impl Strategy<Value = Option<SpanCarrier>> {
     (any::<u8>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
         |(flags, trace_id, span_id, parent)| {
-            (flags & 1 != 0).then_some(SpanContext {
+            (flags & 1 != 0).then_some(SpanCarrier {
                 trace_id,
                 span_id,
                 parent: (flags & 2 != 0).then_some(parent),
@@ -33,7 +33,7 @@ fn arb_obs() -> impl Strategy<Value = SpanObs> {
         any::<u64>(),
     )
         .prop_map(|(span, kind, node, opened, closed)| SpanObs {
-            ctx: span.unwrap_or(SpanContext {
+            ctx: span.unwrap_or(SpanCarrier {
                 trace_id: 1,
                 span_id: 2,
                 parent: None,

@@ -985,8 +985,7 @@ mod tests {
     }
 
     fn build(seed: u64) -> (Sim<Msg>, ActorHandle<Client>) {
-        let mut net = Network::new(LinkSpec::lan());
-        net.set_default_link(LinkSpec::lan());
+        let net = Network::new(LinkSpec::lan());
         let mut sim = SimBuilder::new(seed).network(net).build();
         let client = sim.add_actor(NodeId(0), Client::new(NodeId(1)));
         sim.add_actor(NodeId(1), Server);

@@ -105,7 +105,6 @@ proptest! {
             loss: base_loss,
         };
         let mut net = Network::new(base);
-        net.set_default_link(base);
         net.set_connectivity(NodeId(0), Connectivity::Partial);
         let eff = net.link(NodeId(0), NodeId(1));
         prop_assert!(eff.latency >= base.latency);

@@ -61,8 +61,7 @@ proptest! {
                     }
                 }
             }
-            let mut net = Network::new(LinkSpec::wan(SimDuration::from_millis(20)));
-            net.set_default_link(LinkSpec::wan(SimDuration::from_millis(20)));
+            let net = Network::new(LinkSpec::wan(SimDuration::from_millis(20)));
             let mut sim = SimBuilder::new(seed).network(net).build();
             sim.add_actor(NodeId(0), Echo);
             sim.add_actor(NodeId(1), Echo);

@@ -91,9 +91,7 @@ impl Actor<u32> for Churner {
 fn lossy_net() -> Network {
     let mut spec = LinkSpec::lan();
     spec.loss = 0.02;
-    let mut net = Network::new(spec);
-    net.set_default_link(spec);
-    net
+    Network::new(spec)
 }
 
 /// Handler runs so far, summed over every actor.

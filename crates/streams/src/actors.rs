@@ -6,7 +6,6 @@
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::{Connectivity, NodeId};
 use odp_sim::time::{SimDuration, SimTime};
-use odp_telemetry::span::{Carrier, SpanContext};
 
 use crate::media::{Frame, MediaSink, MediaSource};
 use crate::monitor::{QosMonitor, Violation};
@@ -28,21 +27,6 @@ pub enum StreamMsg {
     /// (mobile hosts). Below the contract's accepted level, monitoring is
     /// suspended rather than violated.
     ConnectivityChanged(Connectivity),
-}
-
-impl Carrier for StreamMsg {
-    fn span(&self) -> Option<SpanContext> {
-        match self {
-            StreamMsg::Frame(f) => f.span(),
-            _ => None,
-        }
-    }
-
-    fn set_span(&mut self, span: Option<SpanContext>) {
-        if let StreamMsg::Frame(f) = self {
-            f.set_span(span);
-        }
-    }
 }
 
 const SEND: u64 = 1;
@@ -179,9 +163,9 @@ impl Actor<StreamMsg> for SourceActor {
                 // source cannot know arrival times); each sink hangs a
                 // stream.recv child off it as the frame lands.
                 if self.telemetry {
-                    let root = SpanContext::root(ctx.rng());
-                    ctx.span_open(root.carrier(), "stream.frame");
-                    ctx.span_close(root.carrier());
+                    let root = ctx.rng().span_root();
+                    ctx.span_open(root, "stream.frame");
+                    ctx.span_close(root);
                     frame.span = Some(root);
                 }
                 ctx.metrics().incr("stream.frames_sent");
@@ -261,9 +245,9 @@ impl Actor<StreamMsg> for SinkActor {
                 // arrival at this sink.
                 if self.telemetry {
                     if let Some(parent) = frame.span {
-                        let recv = parent.child(ctx.rng());
-                        ctx.span_open(recv.carrier(), "stream.recv");
-                        ctx.span_close(recv.carrier());
+                        let recv = ctx.rng().span_child(&parent);
+                        ctx.span_open(recv, "stream.recv");
+                        ctx.span_close(recv);
                     }
                 }
                 self.sink.arrive(frame, ctx.now());
@@ -335,8 +319,7 @@ mod tests {
     use odp_sim::prelude::*;
 
     fn stream_sim(link: LinkSpec, adaptive: bool) -> Sim<StreamMsg> {
-        let mut net = Network::new(link);
-        net.set_default_link(link);
+        let net = Network::new(link);
         let mut sim = SimBuilder::new(42).network(net).build();
         let contract = QosSpec::video();
         let src = MediaSource::new(StreamId(0), MediaKind::Video, 25, 4_000);
@@ -353,8 +336,7 @@ mod tests {
 
     #[test]
     fn telemetry_spans_link_frames_to_arrivals() {
-        let mut net = Network::new(LinkSpec::lan());
-        net.set_default_link(LinkSpec::lan());
+        let net = Network::new(LinkSpec::lan());
         let mut sim: Sim<StreamMsg> = SimBuilder::new(42).network(net).build();
         let contract = QosSpec::video();
         let src = MediaSource::new(StreamId(0), MediaKind::Video, 25, 4_000);
@@ -474,8 +456,7 @@ mod tests {
     fn accepted_partial_connectivity_suspends_violations() {
         // Contract tolerant of partial connectivity; host drops to
         // Partial and the (physically degraded) stream is *not* reported.
-        let mut net = Network::new(LinkSpec::lan());
-        net.set_default_link(LinkSpec::lan());
+        let net = Network::new(LinkSpec::lan());
         let mut sim: Sim<StreamMsg> = SimBuilder::new(9).network(net).build();
         let contract = QosSpec::mobile_video(); // min_connectivity: Partial
         let src = MediaSource::new(StreamId(0), MediaKind::Video, 5, 500);

@@ -10,8 +10,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use odp_fabric::SpanCarrier;
 use odp_sim::time::{SimDuration, SimTime};
-use odp_telemetry::span::{Carrier, SpanContext};
 
 /// The kind of a continuous-media stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,17 +54,7 @@ pub struct Frame {
     pub bytes: usize,
     /// Piggybacked telemetry span (the source's `stream.frame` root),
     /// if the source has telemetry on.
-    pub span: Option<SpanContext>,
-}
-
-impl Carrier for Frame {
-    fn span(&self) -> Option<SpanContext> {
-        self.span
-    }
-
-    fn set_span(&mut self, span: Option<SpanContext>) {
-        self.span = span;
-    }
+    pub span: Option<SpanCarrier>,
 }
 
 /// Generates frames at a fixed rate.

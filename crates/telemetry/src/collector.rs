@@ -11,20 +11,18 @@
 
 use std::collections::BTreeMap;
 
-use odp_fabric::SpanOp;
+use odp_fabric::{SpanCarrier, SpanOp};
 use odp_sim::metrics::Histogram;
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 use odp_sim::trace::Trace;
-
-use crate::span::SpanContext;
 
 /// One observed span: identity, kind, where it ran and when it was
 /// open.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// The span's identity within its trace.
-    pub ctx: SpanContext,
+    pub ctx: SpanCarrier,
     /// Stable dotted kind, e.g. `rpc.serve`.
     pub kind: String,
     /// The node that opened the span.
@@ -182,10 +180,8 @@ impl TraceDag {
 /// use odp_sim::rng::DetRng;
 /// use odp_sim::time::SimTime;
 /// use odp_telemetry::collector::Collector;
-/// use odp_telemetry::span::SpanContext;
 ///
-/// let mut rng = DetRng::seed_from(3);
-/// let root = SpanContext::root(&mut rng);
+/// let root = DetRng::seed_from(3).span_root();
 /// let mut c = Collector::new();
 /// c.ingest_open(SimTime::ZERO, NodeId(0), root, "rpc.call");
 /// c.ingest_close(SimTime::from_millis(4), root.trace_id, root.span_id);
@@ -215,7 +211,7 @@ impl Collector {
             let time = SimTime::from_micros(e.time_us);
             match e.op {
                 SpanOp::Open { span, kind } => {
-                    c.ingest_open(time, NodeId(e.node), span.into(), log.kind(kind));
+                    c.ingest_open(time, NodeId(e.node), span, log.kind(kind));
                 }
                 SpanOp::Close { trace_id, span_id } => {
                     c.ingest_close(time, trace_id, span_id);
@@ -226,7 +222,7 @@ impl Collector {
     }
 
     /// Records a span opening.
-    pub fn ingest_open(&mut self, time: SimTime, node: NodeId, ctx: SpanContext, kind: &str) {
+    pub fn ingest_open(&mut self, time: SimTime, node: NodeId, ctx: SpanCarrier, kind: &str) {
         let dag = self.traces.entry(ctx.trace_id).or_default();
         if dag.spans.contains_key(&ctx.span_id) {
             self.errors.push(format!(
@@ -352,9 +348,9 @@ mod tests {
 
     fn chain() -> (Collector, u64) {
         // root(call) -> serve -> reply, the canonical RPC shape.
-        let root = SpanContext::root_with(1, 10);
-        let serve = root.child_with(20);
-        let reply = serve.child_with(30);
+        let root = SpanCarrier::root(1, 10);
+        let serve = SpanCarrier::child_of(1, 20, 10);
+        let reply = SpanCarrier::child_of(1, 30, 20);
         let mut c = Collector::new();
         c.ingest_open(t(0), NodeId(0), root, "rpc.call");
         c.ingest_open(t(5), NodeId(1), serve, "rpc.serve");
@@ -391,7 +387,7 @@ mod tests {
     #[test]
     fn unclosed_span_fails_the_audit() {
         let mut c = Collector::new();
-        c.ingest_open(t(0), NodeId(0), SpanContext::root_with(2, 1), "probe");
+        c.ingest_open(t(0), NodeId(0), SpanCarrier::root(2, 1), "probe");
         assert_eq!(c.unclosed(), 1);
         let err = c.well_formed().unwrap_err();
         assert!(err.contains("never closed"), "{err}");
@@ -400,7 +396,7 @@ mod tests {
     #[test]
     fn missing_parent_fails_the_audit() {
         let mut c = Collector::new();
-        let orphan = SpanContext {
+        let orphan = SpanCarrier {
             trace_id: 3,
             span_id: 5,
             parent: Some(99),
@@ -414,8 +410,8 @@ mod tests {
     #[test]
     fn parent_opening_after_child_fails_the_audit() {
         let mut c = Collector::new();
-        let root = SpanContext::root_with(4, 1);
-        let child = root.child_with(2);
+        let root = SpanCarrier::root(4, 1);
+        let child = SpanCarrier::child_of(4, 2, 1);
         c.ingest_open(t(9), NodeId(0), child, "early");
         c.ingest_open(t(10), NodeId(0), root, "late-root");
         c.ingest_close(t(11), 4, 1);
@@ -427,12 +423,12 @@ mod tests {
     #[test]
     fn parent_cycle_fails_the_audit() {
         let mut c = Collector::new();
-        let a = SpanContext {
+        let a = SpanCarrier {
             trace_id: 5,
             span_id: 1,
             parent: Some(2),
         };
-        let b = SpanContext {
+        let b = SpanCarrier {
             trace_id: 5,
             span_id: 2,
             parent: Some(1),
@@ -449,7 +445,7 @@ mod tests {
     fn orphan_close_and_double_open_are_errors() {
         let mut c = Collector::new();
         c.ingest_close(t(0), 7, 7);
-        let root = SpanContext::root_with(8, 1);
+        let root = SpanCarrier::root(8, 1);
         c.ingest_open(t(0), NodeId(0), root, "k");
         c.ingest_open(t(1), NodeId(0), root, "k");
         assert_eq!(c.errors().len(), 2);
@@ -458,13 +454,13 @@ mod tests {
 
     #[test]
     fn from_trace_ingests_the_binary_span_log() {
-        let root = SpanContext::root_with(11, 1);
-        let child = root.child_with(2);
+        let root = SpanCarrier::root(11, 1);
+        let child = SpanCarrier::child_of(11, 2, 1);
         let mut tr = Trace::new();
-        tr.span_open(t(0), NodeId(0), root.carrier(), "rpc.call");
-        tr.span_open(t(3), NodeId(1), child.carrier(), "rpc.serve");
-        tr.span_close(t(4), NodeId(1), child.carrier());
-        tr.span_close(t(8), NodeId(0), root.carrier());
+        tr.span_open(t(0), NodeId(0), root, "rpc.call");
+        tr.span_open(t(3), NodeId(1), child, "rpc.serve");
+        tr.span_close(t(4), NodeId(1), child);
+        tr.span_close(t(8), NodeId(0), root);
         let c = Collector::from_trace(&tr);
         assert!(c.well_formed().is_ok());
         assert_eq!(c.span_count(), 2);
@@ -477,13 +473,13 @@ mod tests {
 
     #[test]
     fn from_trace_round_trips_through_payloads() {
-        let root = SpanContext::root_with(9, 1);
-        let child = root.child_with(2);
+        let root = SpanCarrier::root(9, 1);
+        let child = SpanCarrier::child_of(9, 2, 1);
         let mut tr = Trace::new();
-        tr.span_open(t(0), NodeId(0), root.carrier(), "rpc.call");
-        tr.span_open(t(3), NodeId(1), child.carrier(), "rpc.serve");
-        tr.span_close(t(4), NodeId(1), child.carrier());
-        tr.span_close(t(8), NodeId(0), root.carrier());
+        tr.span_open(t(0), NodeId(0), root, "rpc.call");
+        tr.span_open(t(3), NodeId(1), child, "rpc.serve");
+        tr.span_close(t(4), NodeId(1), child);
+        tr.span_close(t(8), NodeId(0), root);
         let c = Collector::from_trace(&tr);
         assert!(c.well_formed().is_ok());
         assert_eq!(c.span_count(), 2);

@@ -1,17 +1,18 @@
 #![warn(missing_docs)]
 
-//! # odp-telemetry — causal span tracing and run reports
+//! # odp-telemetry — causal span analysis and run reports
 //!
 //! The paper demands *end-to-end monitoring* of QoS (the continuous
 //! media requirement: negotiate, monitor, re-negotiate) and management
 //! driven by observed access patterns (§4.2.1). This crate supplies the
-//! observability layer those demands imply, on top of the deterministic
-//! simulator:
+//! after-the-run half of the observability layer those demands imply.
+//! Spans themselves are not made here: an instrumented actor mints an
+//! [`odp_fabric::SpanCarrier`] from its seeded rng
+//! ([`DetRng::span_root`] / [`DetRng::span_child`]), carries it on its
+//! envelopes and records it through its context's `span_open` /
+//! `span_close` into the run's [`odp_sim::trace::Trace`]. This crate
+//! reads that record back:
 //!
-//! - [`span`] — [`SpanContext`] identities minted from the sim's seeded
-//!   RNG (no wallclock anywhere), a compact textual wire format layered
-//!   on [`odp_sim::trace::Trace`] events, and the [`Carrier`] trait by
-//!   which protocol envelopes piggyback spans across hops;
 //! - [`collector`] — the [`Collector`] assembling spans into per-trace
 //!   causal DAGs, with well-formedness audits and critical-path
 //!   extraction (the longest virtual-time chain — for a quorum group
@@ -31,8 +32,8 @@
 //! use odp_telemetry::prelude::*;
 //!
 //! let mut rng = DetRng::seed_from(42);
-//! let call = SpanContext::root(&mut rng);
-//! let serve = call.child(&mut rng);
+//! let call = rng.span_root();
+//! let serve = rng.span_child(&call);
 //!
 //! let mut c = Collector::new();
 //! c.ingest_open(SimTime::ZERO, NodeId(0), call, "rpc.call");
@@ -49,19 +50,17 @@
 //! ```
 //!
 //! [`DetRng`]: odp_sim::rng::DetRng
+//! [`DetRng::span_root`]: odp_sim::rng::DetRng::span_root
+//! [`DetRng::span_child`]: odp_sim::rng::DetRng::span_child
 
 pub mod collector;
 pub mod report;
-pub mod span;
-pub mod wire;
 
 pub use collector::{Collector, SpanRecord, TraceDag};
 pub use report::{SubsystemReport, TelemetryReport};
-pub use span::{Carrier, SpanContext};
 
-/// Everything an instrumented subsystem typically needs.
+/// Everything a harness reading a finished run typically needs.
 pub mod prelude {
     pub use crate::collector::{Collector, SpanRecord, TraceDag};
     pub use crate::report::{SubsystemReport, TelemetryReport};
-    pub use crate::span::{Carrier, SpanContext};
 }

@@ -160,13 +160,13 @@ fn summary_json(s: &Summary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanContext;
+    use odp_fabric::SpanCarrier;
     use odp_sim::net::NodeId;
     use odp_sim::time::SimTime;
 
     fn sample_collector() -> Collector {
-        let root = SpanContext::root_with(1, 1);
-        let child = root.child_with(2);
+        let root = SpanCarrier::root(1, 1);
+        let child = SpanCarrier::child_of(1, 2, 1);
         let mut c = Collector::new();
         c.ingest_open(SimTime::ZERO, NodeId(0), root, "rpc.call");
         c.ingest_open(SimTime::from_millis(2), NodeId(1), child, "gc.deliver");

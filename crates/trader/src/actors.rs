@@ -13,6 +13,7 @@
 //! microseconds *is* the hit rate), plus plain counters.
 
 use odp_awareness::bus::{CoopEvent, CoopKind, EventBus};
+use odp_fabric::SpanCarrier;
 use odp_groupcomm::membership::View;
 use odp_groupcomm::multicast::{GcMsg, GroupEngine, Ordering, Reliability, Step};
 use odp_net::actor::TransportActor;
@@ -21,7 +22,6 @@ use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 use odp_streams::qos::QosSpec;
-use odp_telemetry::span::{Carrier, SpanContext};
 
 use crate::cache::LookupCache;
 use crate::offer::{OfferId, ServiceOffer, ServiceType};
@@ -69,7 +69,7 @@ pub enum TraderMsg {
         required: QosSpec,
         /// Piggybacked telemetry span (the importer's `trader.import`
         /// root), if the importer has telemetry on.
-        span: Option<SpanContext>,
+        span: Option<SpanCarrier>,
     },
     /// Trader → importer: the offers that satisfied the requirement
     /// (selection-policy-ranked; best first).
@@ -82,7 +82,7 @@ pub enum TraderMsg {
         resolved: Vec<ServiceOffer>,
         /// Piggybacked telemetry span (the trader's `trader.serve`
         /// child), if the trader minted one.
-        span: Option<SpanContext>,
+        span: Option<SpanCarrier>,
     },
     /// Operator → everyone: the trader ring changed. Traders rehome
     /// offers; importers re-route future lookups.
@@ -97,21 +97,6 @@ pub enum TraderMsg {
     Transfer(ServiceOffer),
     /// Cache-coherence traffic (reliable multicast engine payloads).
     Gc(GcMsg<Invalidation>),
-}
-
-impl Carrier for TraderMsg {
-    fn span(&self) -> Option<SpanContext> {
-        match self {
-            TraderMsg::Lookup { span, .. } | TraderMsg::LookupReply { span, .. } => *span,
-            _ => None,
-        }
-    }
-
-    fn set_span(&mut self, new: Option<SpanContext>) {
-        if let TraderMsg::Lookup { span, .. } | TraderMsg::LookupReply { span, .. } = self {
-            *span = new;
-        }
-    }
 }
 
 const TICK_TAG: u64 = 1;
@@ -266,9 +251,9 @@ impl TraderActor {
                 // simulator; the span marks where the work happened).
                 let serve = match span.filter(|_| self.telemetry) {
                     Some(parent) => {
-                        let serve = parent.child(ctx.rng());
-                        ctx.span_open(serve.carrier(), "trader.serve");
-                        ctx.span_close(serve.carrier());
+                        let serve = ctx.rng().span_child(&parent);
+                        ctx.span_open(serve, "trader.serve");
+                        ctx.span_close(serve);
                         Some(serve)
                     }
                     None => None,
@@ -457,7 +442,7 @@ pub struct ImporterActor {
     jobs: Vec<LookupJob>,
     /// call → (type, issue time, the type's invalidation epoch at
     /// issue, the `trader.import` root span if telemetry is on).
-    pending: std::collections::BTreeMap<u64, (ServiceType, SimTime, u64, Option<SpanContext>)>,
+    pending: std::collections::BTreeMap<u64, (ServiceType, SimTime, u64, Option<SpanCarrier>)>,
     /// Per-type count of invalidations seen. A reply that raced an
     /// invalidation (issued under an older epoch) is *used* but not
     /// *cached*: the result was valid when computed, but caching it
@@ -580,8 +565,8 @@ impl ImporterActor {
         // reply is processed (or never, if the reply is lost — the
         // telemetry audit will flag the unclosed span).
         let root = if self.telemetry {
-            let root = SpanContext::root(ctx.rng());
-            ctx.span_open(root.carrier(), "trader.import");
+            let root = ctx.rng().span_root();
+            ctx.span_open(root, "trader.import");
             Some(root)
         } else {
             None
@@ -634,12 +619,12 @@ impl ImporterActor {
                 // close the import root this reply completes.
                 if self.telemetry {
                     if let Some(serve) = span {
-                        let reply = serve.child(ctx.rng());
-                        ctx.span_open(reply.carrier(), "trader.reply");
-                        ctx.span_close(reply.carrier());
+                        let reply = ctx.rng().span_child(&serve);
+                        ctx.span_open(reply, "trader.reply");
+                        ctx.span_close(reply);
                     }
                     if let Some(root) = root {
-                        ctx.span_close(root.carrier());
+                        ctx.span_close(root);
                     }
                 }
                 if resolved.is_empty() {

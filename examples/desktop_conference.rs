@@ -73,8 +73,7 @@ fn main() {
 
     // ---- The video channel with QoS management ------------------------
     println!("Conference video (25 fps contract, link degrades at t=5s):");
-    let mut net = Network::new(LinkSpec::lan());
-    net.set_default_link(LinkSpec::lan());
+    let net = Network::new(LinkSpec::lan());
     let mut sim: Sim<StreamMsg> = SimBuilder::new(7).network(net).build();
     let contract = QosSpec::video();
     sim.add_actor(

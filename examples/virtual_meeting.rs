@@ -82,8 +82,7 @@ fn main() {
     println!("\nEach participant's node holds a replica of the whiteboard;");
     println!("edits go through totally-ordered reliable multicast:\n");
     let view = View::initial(GroupId(0), (0..3).map(NodeId));
-    let mut net = Network::new(LinkSpec::wan(SimDuration::from_millis(15)));
-    net.set_default_link(LinkSpec::wan(SimDuration::from_millis(15)));
+    let net = Network::new(LinkSpec::wan(SimDuration::from_millis(15)));
     let mut sim: Sim<GcMsg<WsOp>> = SimBuilder::new(5).network(net).build();
     for i in 0..3u32 {
         sim.add_actor(
