@@ -224,6 +224,8 @@ const HOT_FNS: &[&str] = &[
     "unicast",
     "broadcast",
     "encode_frame",
+    "transmit",
+    "flush_links",
 ];
 
 /// Per-delivery heap allocation inside hot delivery-path methods.
@@ -466,6 +468,30 @@ mod tests {
             let f = hot_alloc_rule(&scan(&src));
             assert_eq!(f.len(), 2, "`{name}` is a hot path: {f:?}");
         }
+    }
+
+    #[test]
+    fn hot_alloc_covers_the_tcp_drivers_encode_and_flush() {
+        // `transmit` runs once per frame and `flush_links` once per
+        // driver turn: the flush walks its links in place.
+        let src = "
+            fn transmit(&mut self, to: NodeId, frame: &Frame<M>) {
+                let bytes = encode_frame(frame, max).to_vec();
+            }
+            fn flush_links(&mut self) {
+                let peers: Vec<NodeId> = self.links.keys().copied().collect();
+            }
+        ";
+        let f = hot_alloc_rule(&scan(src));
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0].message.contains("`transmit`"), "{f:?}");
+        assert!(f[1].message.contains("`flush_links`"), "{f:?}");
+        let in_place = "
+            fn flush_links(&mut self) {
+                self.links.retain(|_, link| link.flush());
+            }
+        ";
+        assert!(hot_alloc_rule(&scan(in_place)).is_empty());
     }
 
     #[test]

@@ -15,6 +15,17 @@
 //!   forwarding, fires actor timers from its own wheel, and applies
 //!   actor effects (sends become sequenced unicasts).
 //!
+//! The driver works in turns: it blocks for one input, handles what
+//! else is already queued (up to a fixed number), fires due timers,
+//! runs the session tick, and only then writes. Every frame a turn
+//! produces for a peer is encoded into that peer's `Link` buffer, and
+//! the flush hands each link's bytes to its socket in one write — so a
+//! burst of sends and acks costs one syscall per connection, not one
+//! per frame. Nothing waits for a timer: the flush runs before the
+//! driver blocks again, before a reconnect replaces a link, and on the
+//! way out. Each connection carries an id, so the end of a replaced
+//! connection cannot tear down its successor.
+//!
 //! Unlike the sim backend this one is **not deterministic**: the OS
 //! scheduler and the network order deliveries, and `NetCtx::now` is
 //! elapsed wall time since node start. What *is* preserved are the
@@ -26,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -43,7 +54,17 @@ use crate::actor::TransportActor;
 use crate::ctx::NetCtx;
 use crate::error::NetError;
 use crate::session::{Frame, PeerEvent, SessionConfig, SessionLayer, SessionStats, SessionStep};
-use crate::wire::{encode_frame, FrameStream, WireCodec, MAX_FRAME};
+use crate::wire::{encode_frame_into, FrameStream, WireCodec, MAX_FRAME};
+
+/// Inputs one driver turn handles, the blocking one included, before it
+/// fires timers, ticks the session and flushes: a burst is coalesced
+/// into one write per link, and timers and heartbeats still run at
+/// least once per this many inputs.
+const DRAIN_MAX: usize = 256;
+
+/// Capacity a link buffer keeps across flushes: a usual turn's frames
+/// reuse it, and the buffer a larger burst grew is given back.
+const LINK_KEEP: usize = 64 * 1024;
 
 /// Tuning for one TCP node.
 #[derive(Debug, Clone)]
@@ -74,7 +95,9 @@ impl Default for TcpConfig {
 #[derive(Debug)]
 pub struct TcpReport {
     /// The node's metrics registry (counters such as
-    /// `net.tcp.rx_frames`, plus everything the actor recorded).
+    /// `net.tcp.rx_frames`, plus everything the actor recorded). The
+    /// per-frame `net.tcp.*` counters are kept outside it while the
+    /// node runs and folded in when it stops.
     pub metrics: MetricsRegistry,
     /// The node's trace (actor `trace()` calls, span events, ...).
     pub trace: Trace,
@@ -110,13 +133,17 @@ impl WallClock {
 
 /// Control and data inputs multiplexed into the driver thread.
 enum Input<M> {
-    /// A connection to `peer` is byte-ready; `stream` is the write
+    /// Connection `conn` to `peer` is byte-ready; `stream` is the write
     /// half (the sending thread keeps the read half).
-    Conn { peer: NodeId, stream: TcpStream },
+    Conn {
+        peer: NodeId,
+        conn: u64,
+        stream: TcpStream,
+    },
     /// A decoded frame from `peer`.
     Frame { from: NodeId, frame: Frame<M> },
-    /// The connection to `peer` dropped.
-    Gone { peer: NodeId },
+    /// Connection `conn` to `peer` dropped.
+    Gone { peer: NodeId, conn: u64 },
     /// Local injection: deliver `msg` to the actor as if sent by
     /// `from` (the TCP analogue of `Sim::inject`).
     Inject { from: NodeId, msg: M },
@@ -199,7 +226,9 @@ impl<A, M> TcpHandle<A, M> {
         let _ = self.tx.send(Input::Bcast { msg });
     }
 
-    /// Stops the node and returns the actor plus its report. Peers see
+    /// Stops the node and returns the actor plus its report. Whatever
+    /// was injected or broadcast before is handled first, and what it
+    /// sent is written before the node returns. Peers see
     /// the connection drop and, after their failure deadline, a peer-
     /// down event — exactly what a crash looks like, which is what the
     /// crash/rejoin suites use it for.
@@ -217,12 +246,52 @@ struct EffectBuf<M> {
     cancels: Vec<u64>,
 }
 
-impl<M> EffectBuf<M> {
-    fn new() -> Self {
+impl<M> Default for EffectBuf<M> {
+    fn default() -> Self {
         EffectBuf {
             sends: Vec::new(),
             set_timers: Vec::new(),
             cancels: Vec::new(),
+        }
+    }
+}
+
+/// The driver's end of one connection.
+struct Link {
+    /// Which connection this is; a `Gone` naming another one (the
+    /// connection this link replaced) leaves it alone.
+    conn: u64,
+    stream: TcpStream,
+    /// Frames encoded since the last flush, back to back.
+    pending: Vec<u8>,
+    /// How many frames `pending` holds.
+    frames: u64,
+}
+
+/// The driver's per-frame counters, kept as plain fields and folded
+/// into the metrics registry under their `net.tcp.*` names when the
+/// node stops.
+#[derive(Debug, Default)]
+struct HotCounters {
+    rx_frames: u64,
+    delivered: u64,
+    tx_frames: u64,
+    tx_bytes: u64,
+}
+
+impl HotCounters {
+    /// Adds every counter that moved to `metrics`; one that did not
+    /// gains no zero-valued entry.
+    fn fold_into(&self, metrics: &mut MetricsRegistry) {
+        for (name, n) in [
+            ("net.tcp.rx_frames", self.rx_frames),
+            ("net.tcp.delivered", self.delivered),
+            ("net.tcp.tx_frames", self.tx_frames),
+            ("net.tcp.tx_bytes", self.tx_bytes),
+        ] {
+            if n > 0 {
+                metrics.add(name, n);
+            }
         }
     }
 }
@@ -298,8 +367,11 @@ struct Driver<M, A> {
     clock: WallClock,
     rng: DetRng,
     metrics: MetricsRegistry,
+    hot: HotCounters,
     trace: Trace,
-    writers: BTreeMap<NodeId, TcpStream>,
+    links: BTreeMap<NodeId, Link>,
+    /// Reused by every callback: `dispatch` takes it and puts it back.
+    effects: EffectBuf<M>,
     /// `(due, timer id) -> tag`, driving `on_timer`.
     timers: BTreeMap<(SimTime, u64), u64>,
     /// `timer id -> due` for every entry of `timers`, so a cancel can
@@ -330,8 +402,10 @@ where
             clock: WallClock::new(),
             rng: DetRng::seed_from(seed),
             metrics: MetricsRegistry::new(),
+            hot: HotCounters::default(),
             trace: Trace::new(),
-            writers: BTreeMap::new(),
+            links: BTreeMap::new(),
+            effects: EffectBuf::default(),
             timers: BTreeMap::new(),
             due_of: BTreeMap::new(),
             next_timer_id: 0,
@@ -345,17 +419,21 @@ where
     /// Starts the acceptor and one dialer per higher-numbered peer.
     fn spawn_io(&self, listener: TcpListener, peers: BTreeMap<NodeId, SocketAddr>) {
         let max_frame = self.cfg.max_frame;
+        // Every connection, accepted or dialed, gets the next id.
+        let next_conn = Arc::new(AtomicU64::new(0));
         // Acceptor: non-blocking poll so the thread can observe stop.
         let tx = self.tx.clone();
         let stop = Arc::clone(&self.stop);
+        let conns = Arc::clone(&next_conn);
         std::thread::spawn(move || {
             while !stop.load(AtomicOrdering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let tx = tx.clone();
                         let stop = Arc::clone(&stop);
+                        let conn = conns.fetch_add(1, AtomicOrdering::Relaxed);
                         std::thread::spawn(move || {
-                            read_loop::<M>(stream, None, tx, stop, max_frame);
+                            read_loop::<M>(stream, conn, None, tx, stop, max_frame);
                         });
                     }
                     Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
@@ -370,6 +448,7 @@ where
         for (&peer, &addr) in peers.iter().filter(|(&p, _)| p > self.me) {
             let tx = self.tx.clone();
             let stop = Arc::clone(&self.stop);
+            let conns = Arc::clone(&next_conn);
             std::thread::spawn(move || {
                 while !stop.load(AtomicOrdering::SeqCst) {
                     if let Ok(stream) = TcpStream::connect(addr) {
@@ -377,6 +456,7 @@ where
                         // drops, then fall through to redial.
                         read_loop::<M>(
                             stream,
+                            conns.fetch_add(1, AtomicOrdering::Relaxed),
                             Some(peer),
                             tx.clone(),
                             Arc::clone(&stop),
@@ -389,10 +469,11 @@ where
         }
     }
 
-    /// Runs one actor callback under a fresh effect buffer, then
-    /// applies the effects.
+    /// Runs one actor callback under the reusable effect buffer, then
+    /// applies the effects. A callback nested inside this one's sends
+    /// finds the buffer taken and starts an empty one of its own.
     fn dispatch(&mut self, call: impl FnOnce(&mut A, &mut dyn NetCtx<M>)) {
-        let mut effects = EffectBuf::new();
+        let mut effects = std::mem::take(&mut self.effects);
         let now = self.clock.now();
         {
             let mut ctx = TcpCtx {
@@ -406,21 +487,22 @@ where
             };
             call(&mut self.actor, &mut ctx);
         }
-        for (id, delay, tag) in effects.set_timers {
+        for (id, delay, tag) in effects.set_timers.drain(..) {
             self.timers.insert((now + delay, id), tag);
             self.due_of.insert(id, now + delay);
         }
-        for id in effects.cancels {
+        for id in effects.cancels.drain(..) {
             // Fired, cancelled before, or never armed: nothing to do.
             if let Some(due) = self.due_of.remove(&id) {
                 self.timers.remove(&(due, id));
             }
         }
-        for (to, msg) in effects.sends {
+        for (to, msg) in effects.sends.drain(..) {
             let now = self.clock.now();
             let step = self.session.unicast(to, msg, now);
             self.process_step(step);
         }
+        self.effects = effects;
     }
 
     /// Transmits frames, surfaces deliveries and peer events.
@@ -441,34 +523,53 @@ where
             }
         }
         for (origin, msg) in step.delivered {
-            self.metrics.incr("net.tcp.delivered");
+            self.hot.delivered += 1;
             self.dispatch(|actor, ctx| actor.on_message(ctx, origin, msg));
         }
     }
 
+    /// Encodes `frame` onto the end of `to`'s link buffer; the next
+    /// flush writes it.
     fn transmit(&mut self, to: NodeId, frame: &Frame<M>) {
-        let Some(writer) = self.writers.get_mut(&to) else {
+        let Some(link) = self.links.get_mut(&to) else {
             // No live connection: sequenced frames sit in the session's
             // retransmit buffer until the peer's hello pulls them.
             self.metrics.incr("net.tcp.tx_unrouted");
             return;
         };
-        match encode_frame(frame, self.cfg.max_frame) {
-            Ok(bytes) => {
-                if writer.write_all(&bytes).is_err() {
-                    self.writers.remove(&to);
-                    self.metrics.incr("net.tcp.tx_broken");
-                } else {
-                    self.metrics.incr("net.tcp.tx_frames");
-                    self.metrics.add("net.tcp.tx_bytes", bytes.len() as u64);
-                }
-            }
+        match encode_frame_into(frame, self.cfg.max_frame, &mut link.pending) {
+            Ok(_) => link.frames += 1,
             Err(_) => {
                 // An oversized application payload is the sender's bug;
-                // count it, never panic, never poison the stream.
+                // count it, never panic, never poison the stream (the
+                // refused frame left the buffer as it was).
                 self.metrics.incr("net.tcp.tx_oversized");
             }
         }
+    }
+
+    /// Writes every link's pending frames to its stream, one write per
+    /// link. A link whose write fails is dropped: its sequenced frames
+    /// wait in the session's retransmit buffer for the next hello.
+    fn flush_links(&mut self) {
+        let hot = &mut self.hot;
+        let metrics = &mut self.metrics;
+        self.links.retain(|_, link| {
+            if link.pending.is_empty() {
+                return true;
+            }
+            let written = link.stream.write_all(&link.pending).is_ok();
+            if written {
+                hot.tx_frames += link.frames;
+                hot.tx_bytes += link.pending.len() as u64;
+            } else {
+                metrics.incr("net.tcp.tx_broken");
+            }
+            link.pending.clear();
+            link.pending.shrink_to(LINK_KEEP);
+            link.frames = 0;
+            written
+        });
     }
 
     fn fire_due_timers(&mut self) {
@@ -497,48 +598,88 @@ where
         budget.max(Duration::from_millis(1))
     }
 
+    /// Handles one input; `false` for `Stop`.
+    fn handle(&mut self, input: Input<M>) -> bool {
+        match input {
+            Input::Stop => return false,
+            Input::Conn { peer, conn, stream } => {
+                self.metrics.incr("net.tcp.conn");
+                // A replaced link's frames leave on its own stream, and
+                // the hello is the first frame on the new one.
+                self.flush_links();
+                self.links.insert(
+                    peer,
+                    Link {
+                        conn,
+                        stream,
+                        pending: Vec::new(),
+                        frames: 0,
+                    },
+                );
+                let now = self.clock.now();
+                let hello = self.session.hello_for(peer, now);
+                self.transmit(peer, &hello);
+            }
+            Input::Frame { from, frame } => {
+                self.hot.rx_frames += 1;
+                let now = self.clock.now();
+                let step = self.session.on_frame(from, frame, now);
+                self.process_step(step);
+            }
+            Input::Gone { peer, conn } => {
+                // Only if it is the peer's current connection: one that
+                // a reconnect already replaced takes nothing with it.
+                if self.links.get(&peer).is_some_and(|link| link.conn == conn) {
+                    self.links.remove(&peer);
+                }
+                self.metrics.incr("net.tcp.conn_lost");
+            }
+            Input::Inject { from, msg } => {
+                self.dispatch(|actor, ctx| actor.on_message(ctx, from, msg));
+            }
+            Input::Bcast { msg } => {
+                let now = self.clock.now();
+                let step = self.session.broadcast(msg, now);
+                self.process_step(step);
+            }
+        }
+        true
+    }
+
+    /// The driver loop, one turn at a time: flush, block for an input,
+    /// handle what else is queued (`DRAIN_MAX` in all), fire due
+    /// timers, tick the session. Inputs are handled in the order they
+    /// were sent, so everything queued before `Stop` is handled, and
+    /// what it sends is flushed on the way out.
     fn run(mut self, rx: Receiver<Input<M>>) -> (A, TcpReport) {
         self.dispatch(|actor, ctx| actor.on_start(ctx));
-        loop {
-            if self.stop.load(AtomicOrdering::SeqCst) {
-                break;
-            }
-            match rx.recv_timeout(self.idle_budget()) {
-                Ok(Input::Stop) => break,
-                Ok(Input::Conn { peer, stream }) => {
-                    self.metrics.incr("net.tcp.conn");
-                    self.writers.insert(peer, stream);
-                    let now = self.clock.now();
-                    let hello = self.session.hello_for(peer, now);
-                    self.transmit(peer, &hello);
-                }
-                Ok(Input::Frame { from, frame }) => {
-                    self.metrics.incr("net.tcp.rx_frames");
-                    let now = self.clock.now();
-                    let step = self.session.on_frame(from, frame, now);
-                    self.process_step(step);
-                }
-                Ok(Input::Gone { peer }) => {
-                    self.writers.remove(&peer);
-                    self.metrics.incr("net.tcp.conn_lost");
-                }
-                Ok(Input::Inject { from, msg }) => {
-                    self.dispatch(|actor, ctx| actor.on_message(ctx, from, msg));
-                }
-                Ok(Input::Bcast { msg }) => {
-                    let now = self.clock.now();
-                    let step = self.session.broadcast(msg, now);
-                    self.process_step(step);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
+        'turns: loop {
+            self.flush_links();
+            let mut next = match rx.recv_timeout(self.idle_budget()) {
+                Ok(input) => Some(input),
+                Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => break,
+            };
+            let mut handled = 0;
+            while let Some(input) = next {
+                if !self.handle(input) {
+                    break 'turns;
+                }
+                handled += 1;
+                next = if handled < DRAIN_MAX {
+                    rx.try_recv().ok()
+                } else {
+                    None
+                };
             }
             self.fire_due_timers();
             let now = self.clock.now();
             let step = self.session.on_tick(now);
             self.process_step(step);
         }
+        self.flush_links();
         self.stop.store(true, AtomicOrdering::SeqCst);
+        self.hot.fold_into(&mut self.metrics);
         let report = TcpReport {
             metrics: self.metrics,
             trace: self.trace,
@@ -556,6 +697,7 @@ where
 /// known up front and the write half is registered immediately.
 fn read_loop<M: WireCodec + Send + 'static>(
     stream: TcpStream,
+    conn: u64,
     mut peer: Option<NodeId>,
     tx: Sender<Input<M>>,
     stop: Arc<AtomicBool>,
@@ -577,6 +719,7 @@ fn read_loop<M: WireCodec + Send + 'static>(
         if tx
             .send(Input::Conn {
                 peer: p,
+                conn,
                 stream: write_half,
             })
             .is_err()
@@ -608,6 +751,7 @@ fn read_loop<M: WireCodec + Send + 'static>(
                                     if tx
                                         .send(Input::Conn {
                                             peer: *from,
+                                            conn,
                                             stream: write_half,
                                         })
                                         .is_err()
@@ -626,7 +770,7 @@ fn read_loop<M: WireCodec + Send + 'static>(
                             // Oversized or malformed: the stream is
                             // unframeable from here — drop it.
                             if let Some(p) = peer {
-                                let _ = tx.send(Input::Gone { peer: p });
+                                let _ = tx.send(Input::Gone { peer: p, conn });
                             }
                             return;
                         }
@@ -643,6 +787,6 @@ fn read_loop<M: WireCodec + Send + 'static>(
         }
     }
     if let Some(p) = peer {
-        let _ = tx.send(Input::Gone { peer: p });
+        let _ = tx.send(Input::Gone { peer: p, conn });
     }
 }

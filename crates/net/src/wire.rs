@@ -132,16 +132,46 @@ pub trait WireCodec: Sized {
 /// anything is allocated; an admissible one is written into a buffer of
 /// exactly its final size.
 pub fn encode_frame<T: WireCodec>(value: &T, max_body: usize) -> Result<Vec<u8>, NetError> {
+    let len = admissible_len(value, max_body)?;
+    let mut frame = Vec::with_capacity(4 + len);
+    put_frame(value, len, &mut frame);
+    Ok(frame)
+}
+
+/// Appends `value` as one length-prefixed frame to `out` and returns
+/// how many bytes it appended — what a writer batching frames into one
+/// reusable buffer calls.
+///
+/// The same bytes and the same refusal as [`encode_frame`]: bytes
+/// already in `out` are left as they are, and on `FrameTooLarge`
+/// nothing is appended. `out` grows amortised, not to an exact size.
+pub fn encode_frame_into<T: WireCodec>(
+    value: &T,
+    max_body: usize,
+    out: &mut Vec<u8>,
+) -> Result<usize, NetError> {
+    let len = admissible_len(value, max_body)?;
+    out.reserve(4 + len);
+    put_frame(value, len, out);
+    Ok(4 + len)
+}
+
+/// `value`'s body length, or `FrameTooLarge` if no frame may carry it.
+fn admissible_len<T: WireCodec>(value: &T, max_body: usize) -> Result<usize, NetError> {
     let len = value.encoded_len();
     let max = max_body.min(u32::MAX as usize);
     if len > max {
         return Err(NetError::FrameTooLarge { len, max });
     }
-    let mut frame = Vec::with_capacity(4 + len);
-    frame.extend_from_slice(&(len as u32).to_be_bytes());
-    value.encode(&mut frame);
-    assert_eq!(frame.len(), 4 + len, "encoded_len must be exact");
-    Ok(frame)
+    Ok(len)
+}
+
+/// Appends the header and body of a value whose body is `len` bytes.
+fn put_frame<T: WireCodec>(value: &T, len: usize, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&(len as u32).to_be_bytes());
+    value.encode(out);
+    assert_eq!(out.len() - start, 4 + len, "encoded_len must be exact");
 }
 
 /// Decodes one frame from the front of `buf`.

@@ -9,7 +9,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use odp_fabric::{ObjectPath, Payload, SpanCarrier};
 use odp_net::error::NetError;
 use odp_net::session::Frame;
-use odp_net::wire::{encode_frame, laws, FrameStream, WireCodec, WireReader, MAX_FRAME};
+use odp_net::wire::{
+    encode_frame, encode_frame_into, laws, FrameStream, WireCodec, WireReader, MAX_FRAME,
+};
 use odp_net::{payload_as, payload_of};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
@@ -232,6 +234,37 @@ proptest! {
             }
         }
         prop_assert_eq!(got, frames);
+    }
+
+    /// `encode_frame_into` appends exactly the bytes `encode_frame`
+    /// returns and reports their length; what the buffer already held
+    /// is untouched, and a refused frame leaves the buffer as it was,
+    /// with the same error `encode_frame` gives.
+    #[test]
+    fn encode_frame_into_appends_what_encode_frame_returns(
+        frame in arb_frame(),
+        held in prop::collection::vec(any::<u8>(), 0..16),
+        cap in 0usize..64,
+    ) {
+        let mut buf = held.clone();
+        match (encode_frame(&frame, cap), encode_frame_into(&frame, cap, &mut buf)) {
+            (Ok(bytes), Ok(appended)) => {
+                prop_assert_eq!(appended, bytes.len());
+                prop_assert_eq!(&buf[..held.len()], held.as_slice());
+                prop_assert_eq!(&buf[held.len()..], bytes.as_slice());
+            }
+            (Err(refused), Err(err)) => {
+                prop_assert!(matches!(err, NetError::FrameTooLarge { .. }), "{}", err);
+                prop_assert_eq!(err, refused);
+                prop_assert_eq!(&buf, &held);
+            }
+            (framed, into) => prop_assert!(
+                false,
+                "encode_frame {:?} disagrees with encode_frame_into {:?}",
+                framed.map(|bytes| bytes.len()),
+                into
+            ),
+        }
     }
 
     /// The encoder refuses to produce frames above the cap, with the
