@@ -25,10 +25,14 @@
 //! - [`awareness`] — cooperation-event rights gating: no schedule may
 //!   deliver a `CoopEvent` to an observer lacking read rights on its
 //!   artefact ([`odp_awareness::bus`]).
-//! - [`transport`] — transport fidelity: the live transport's session
-//!   layer shows no sequence gaps after reconnect replay and delivers a
-//!   crashed origin's forwarded broadcasts exactly once
-//!   ([`odp_net::session`]).
+//! - [`transport`] — the TCP driver's core hosted on the simulator
+//!   (`CoreHost`), and transport fidelity over it: no sequence gaps
+//!   after reconnect replay, a crashed origin's forwarded broadcasts
+//!   delivered exactly once ([`odp_net::driver`], [`odp_net::session`]).
+//! - [`tcp_driver`] — the driver core's link table under connection
+//!   churn: a connection's end takes only its own link, `Hello` comes
+//!   first, frames leave in order, `Stop` flushes
+//!   ([`odp_net::driver`]).
 //! - [`placement`] — placement soundness: every migration decision the
 //!   closed-loop controller takes withstands recomputation from its
 //!   recorded inputs, epochs never overlap, state transfers exactly
@@ -41,6 +45,7 @@ pub mod groupcomm;
 pub mod locks;
 pub mod placement;
 pub mod replication;
+pub mod tcp_driver;
 pub mod telemetry;
 pub mod trader;
 pub mod transport;

@@ -226,6 +226,7 @@ const HOT_FNS: &[&str] = &[
     "encode_frame",
     "transmit",
     "flush_links",
+    "frame_from",
 ];
 
 /// Per-delivery heap allocation inside hot delivery-path methods.
@@ -472,8 +473,9 @@ mod tests {
 
     #[test]
     fn hot_alloc_covers_the_tcp_drivers_encode_and_flush() {
-        // `transmit` runs once per frame and `flush_links` once per
-        // driver turn: the flush walks its links in place.
+        // In the driver core, `transmit` and `frame_from` run once per
+        // frame and `flush_links` once per driver turn: the flush walks
+        // its links in place.
         let src = "
             fn transmit(&mut self, to: NodeId, frame: &Frame<M>) {
                 let bytes = encode_frame(frame, max).to_vec();
@@ -481,11 +483,15 @@ mod tests {
             fn flush_links(&mut self) {
                 let peers: Vec<NodeId> = self.links.keys().copied().collect();
             }
+            fn frame_from(&mut self, now: SimTime, from: NodeId, frame: Frame<M>) {
+                self.trace(format!(\"{from} sent {frame:?}\"));
+            }
         ";
         let f = hot_alloc_rule(&scan(src));
-        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!(f.len(), 3, "{f:?}");
         assert!(f[0].message.contains("`transmit`"), "{f:?}");
         assert!(f[1].message.contains("`flush_links`"), "{f:?}");
+        assert!(f[2].message.contains("`frame_from`"), "{f:?}");
         let in_place = "
             fn flush_links(&mut self) {
                 self.links.retain(|_, link| link.flush());

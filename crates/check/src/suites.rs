@@ -15,7 +15,8 @@ use odp_sim::time::SimTime;
 
 use crate::explore::{Budget, Counterexample, Explorer, Invariant, ReplayError, Report};
 use crate::invariants::{
-    awareness, federation, groupcomm, locks, placement, replication, telemetry, trader, transport,
+    awareness, federation, groupcomm, locks, placement, replication, tcp_driver, telemetry, trader,
+    transport,
 };
 
 /// Which of the three stock budgets a run uses.
@@ -262,6 +263,14 @@ pub fn all() -> Vec<Suite> {
         )
         .ticking()
         .disarmed_trips("transport-fidelity", "duplicates or omissions"),
+        Suite::new(
+            "tcp-driver",
+            "net: a connection's end drops only its own link; hello first, frames in order, stop flushes",
+            tcp_driver::churn_sim,
+            || vec![Box::new(tcp_driver::TcpDriverSound)],
+            transport::fingerprint,
+        )
+        .disarmed_trips("tcp-driver", "another connection's end took its link"),
         Suite::new(
             "placement-soundness",
             "place: migration decisions replay from recorded inputs, transfers exactly-once",

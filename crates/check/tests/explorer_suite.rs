@@ -6,7 +6,7 @@
 //! explorer.
 
 use odp_check::explore::{Budget, Counterexample, Explorer, Invariant, ReplayError};
-use odp_check::invariants::{locks, replication};
+use odp_check::invariants::{locks, replication, tcp_driver, transport};
 use odp_check::suites::{self, Arm, BudgetKind, Suite};
 use odp_sim::prelude::{ActorHandle, SimTime, Until};
 
@@ -79,6 +79,8 @@ arm_tests! {
     explorer_finds_the_disarmed_rights_gate_under_four_publications => caught "awareness-deep";
     transport_fidelity_holds_in_every_schedule => holds "transport-fidelity";
     explorer_finds_the_disarmed_forward_dedup => caught "transport-fidelity";
+    tcp_driver_link_table_holds_in_every_schedule => holds "tcp-driver";
+    explorer_finds_a_stale_gone_taking_its_successors_link => caught "tcp-driver";
     placement_soundness_holds_in_every_schedule => holds "placement-soundness";
     explorer_finds_the_disarmed_write_freeze => caught "placement-soundness";
 }
@@ -144,6 +146,30 @@ fn explorer_exhibits_the_dopt_puzzle_on_three_sites() {
         .violation
         .expect("three-site dOPT must diverge somewhere");
     assert_eq!(cx.invariant, "dopt-convergence");
+}
+
+/// ROADMAP item 6, pinned: a connection is whoever its `Hello` says.
+/// An impostor's claim to node 0, read at node 1 after the real node
+/// 0's, takes node 0's link, and node 0 never delivers what node 1
+/// sends it next. `tcp-driver` leaves this interleaving out until a
+/// checked claim guards it; this test fails once one does.
+#[test]
+fn a_duplicate_hello_claim_takes_the_dialers_link() {
+    let report = Explorer::new(SEED, Budget::default()).explore_hashed(
+        tcp_driver::duplicate_claim_sim,
+        || vec![Box::new(tcp_driver::TcpDriverSound) as Box<dyn Invariant<_>>],
+        transport::fingerprint,
+    );
+    let cx = report
+        .violation
+        .expect("a duplicate claim steals the link in some schedule");
+    assert_eq!(cx.trace(), "42:1.1.0.1.0.2");
+    assert_eq!(cx.invariant, "tcp-driver");
+    assert!(
+        cx.violation.contains(r#"expected [(NodeId(1), "b-late")"#),
+        "{}",
+        cx.violation
+    );
 }
 
 /// Every suite either declares a known-bad arm or is listed here with

@@ -2,11 +2,11 @@
 //!
 //! [`NetCtx`] is the dyn-compatible intersection of what a protocol
 //! actor may ask of its host: the clock, its identity, its seeded RNG,
-//! framed sends, timers, metrics and trace. `odp_sim::actor::Ctx`
-//! implements it directly (every method is a 1:1 forward, so a ported
+//! framed sends, timers, metrics and trace. `odp_sim::actor::Ctx` is
+//! its one implementation (every method is a 1:1 forward, so a ported
 //! actor's sim behaviour — including its RNG draw order and trace
-//! stream — is byte-for-byte unchanged), and the TCP driver implements
-//! it over its own wall-clock state.
+//! stream — is byte-for-byte unchanged); the TCP driver's core builds
+//! the same `Ctx` over its own clock reading with `Ctx::new`.
 
 use odp_fabric::SpanCarrier;
 use odp_sim::actor::{Ctx, TimerId};

@@ -5,8 +5,6 @@
 
 use std::fmt;
 
-use odp_sim::net::NodeId;
-
 /// A transport-layer failure: wire decoding, framing or socket I/O.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
@@ -48,9 +46,6 @@ pub enum NetError {
     /// `Clone` nor `PartialEq`, and callers only branch on the kind of
     /// *protocol* error, never on errno).
     Io(String),
-    /// A send or connect addressed a node the transport has no route
-    /// for.
-    UnknownPeer(NodeId),
     /// The driver thread exited (panicked or was already stopped) while
     /// a handle operation waited on it.
     DriverGone,
@@ -75,7 +70,6 @@ impl fmt::Display for NetError {
             NetError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             NetError::BadValue { what } => write!(f, "malformed {what} value"),
             NetError::Io(err) => write!(f, "transport I/O: {err}"),
-            NetError::UnknownPeer(node) => write!(f, "no route to {node}"),
             NetError::DriverGone => write!(f, "transport driver thread is gone"),
         }
     }

@@ -18,11 +18,14 @@
 //!
 //! The split mirrors the session layer of the sans-IO protocol engines
 //! elsewhere in the workspace: everything that can be pure state
-//! machine is ([`session::SessionLayer`]), and the two thin drivers
-//! differ only in where bytes, clocks and wake-ups come from.
+//! machine is — the session ([`session::SessionLayer`]) and the TCP
+//! driver's core ([`driver::DriverCore`]), which hands actors the
+//! simulator's own `Ctx` — and the threads in [`tcp`] only move bytes,
+//! read the clock and wait.
 
 pub mod actor;
 pub mod ctx;
+pub mod driver;
 pub mod error;
 pub mod session;
 pub mod sim_host;
@@ -31,6 +34,7 @@ pub mod wire;
 
 pub use actor::TransportActor;
 pub use ctx::NetCtx;
+pub use driver::DriverCore;
 pub use error::NetError;
 pub use session::{Frame, PeerEvent, SessionConfig, SessionLayer, SessionStats, SessionStep};
 pub use sim_host::SimHost;

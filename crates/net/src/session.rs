@@ -8,9 +8,9 @@
 //! per-peer sequence numbers, reconnect replay from bounded retransmit
 //! buffers, heartbeat failure detection, and survivors forwarding a
 //! crashed origin's broadcasts — testable deterministically on the
-//! simulator (the explorer's transport-fidelity check hosts exactly
-//! this struct on sim actors) while the threaded driver stays a thin
-//! byte shuffle.
+//! simulator (the explorer's `transport-fidelity` and `tcp-driver`
+//! suites run it inside the TCP driver's core on sim actors) while the
+//! threaded driver stays a thin byte shuffle.
 //!
 //! ## Sequencing model
 //!
@@ -18,11 +18,14 @@
 //! (`seq`, starting at 1). Senders keep the last
 //! [`SessionConfig::retransmit_buffer`] frames per link; when a peer
 //! reconnects its [`Frame::Hello`] announces the next `seq` it expects
-//! and the sender replays everything buffered from there. A receiver
-//! seeing `seq` jump forward records a **gap** (the buffer was too
-//! short — data is lost and the transport-fidelity invariant fails); a
-//! `seq` at or below the expected one is a **replay duplicate** and is
-//! dropped silently (that is the mechanism working, not a fault).
+//! and the sender replays everything buffered from there; ordered
+//! frames sent after the connection opened but before that `Hello`
+//! leave with the replay, since sent at once they could overtake a
+//! frame the peer never got. A receiver seeing `seq` jump
+//! forward records a **gap** (the buffer was too short — data is lost
+//! and the transport-fidelity invariant fails); a `seq` at or below
+//! the expected one is a **replay duplicate** and is dropped silently
+//! (that is the mechanism working, not a fault).
 //!
 //! ## Broadcast forwarding
 //!
@@ -187,6 +190,10 @@ struct PeerState<M> {
     last_heard: SimTime,
     /// Failure-detector verdict.
     alive: bool,
+    /// A connection opened ([`SessionLayer::hello_for`]) and the peer's
+    /// `Hello` is not read yet: new sequenced frames only join `sent`,
+    /// and leave with the replay that `Hello` pulls (module docs).
+    awaiting_hello: bool,
 }
 
 impl<M> PeerState<M> {
@@ -197,6 +204,7 @@ impl<M> PeerState<M> {
             sent: VecDeque::new(),
             last_heard: now,
             alive: true,
+            awaiting_hello: false,
         }
     }
 }
@@ -204,13 +212,14 @@ impl<M> PeerState<M> {
 impl<M: Clone> PeerState<M> {
     /// Gives the frame `build` makes this link's next seq and retains a
     /// copy for reconnect replay, evicting (and counting) whatever no
-    /// longer fits in `keep` frames.
+    /// longer fits in `keep` frames. Returns the frame to transmit, or
+    /// `None` while the link awaits the peer's `Hello`.
     fn sequence(
         &mut self,
         keep: usize,
         evicted: &mut u64,
         build: impl FnOnce(u64) -> Frame<M>,
-    ) -> Frame<M> {
+    ) -> Option<Frame<M>> {
         let frame = build(self.next_out);
         self.next_out += 1;
         self.sent.push_back(frame.clone());
@@ -218,7 +227,7 @@ impl<M: Clone> PeerState<M> {
             self.sent.pop_front();
             *evicted += 1;
         }
-        frame
+        (!self.awaiting_hello).then_some(frame)
     }
 }
 
@@ -278,11 +287,6 @@ impl<M: Clone> SessionLayer<M> {
         self.peers.keys().copied()
     }
 
-    /// Whether the failure detector currently believes `peer` is up.
-    pub fn peer_alive(&self, peer: NodeId) -> bool {
-        self.peers.get(&peer).is_some_and(|p| p.alive)
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> SessionStats {
         self.stats
@@ -295,12 +299,14 @@ impl<M: Clone> SessionLayer<M> {
     }
 
     /// The `Hello` to transmit to `peer` when a connection to it is
-    /// (re-)established.
+    /// (re-)established. New sequenced frames to `peer` wait for its
+    /// `Hello` in turn, and leave with the replay it pulls.
     pub fn hello_for(&mut self, peer: NodeId, now: SimTime) -> Frame<M> {
         let state = self
             .peers
             .entry(peer)
             .or_insert_with(|| PeerState::new(now));
+        state.awaiting_hello = true;
         Frame::Hello {
             from: self.me,
             expected: state.expected_in,
@@ -316,7 +322,10 @@ impl<M: Clone> SessionLayer<M> {
         let frame = state.sequence(self.cfg.retransmit_buffer, &mut self.stats.evicted, |seq| {
             Frame::Data { seq, msg }
         });
-        SessionStep::sending(vec![(peer, frame)])
+        match frame {
+            Some(frame) => SessionStep::sending(vec![(peer, frame)]),
+            None => SessionStep::empty(),
+        }
     }
 
     /// Broadcasts `msg` to every registered peer, retaining it for
@@ -342,7 +351,7 @@ impl<M: Clone> SessionLayer<M> {
                         msg: msg.clone(), // odp-check: allow(hot-path-alloc)
                     }
                 });
-            outbound.push((peer, frame));
+            outbound.extend(frame.map(|frame| (peer, frame)));
         }
         SessionStep::sending(outbound)
     }
@@ -415,10 +424,12 @@ impl<M: Clone> SessionLayer<M> {
                 // duplicates. For a continuous session `expected` never
                 // exceeds `next_out`, so this is a no-op there.
                 state.next_out = state.next_out.max(expected);
+                state.awaiting_hello = false;
                 // Replay everything retained from the peer's expected
-                // seq onward. Frames below it were delivered; frames
-                // above the retained window are gone (the receiver will
-                // record a gap).
+                // seq onward — frames held for this `Hello` included.
+                // Frames below it were delivered; frames above the
+                // retained window are gone (the receiver will record a
+                // gap).
                 let replay = state
                     .sent
                     .iter()
@@ -515,7 +526,7 @@ impl<M: Clone> SessionLayer<M> {
                             msg: msg.clone(), // odp-check: allow(hot-path-alloc)
                         },
                     );
-                    step.outbound.push((to, frame));
+                    step.outbound.extend(frame.map(|frame| (to, frame)));
                     self.stats.forwarded += 1;
                 }
             }
@@ -608,6 +619,28 @@ mod tests {
         );
         assert_eq!(b.stats().gaps, 0, "replay closed the hole");
         assert_eq!(b.stats().link_duplicates, 0);
+    }
+
+    #[test]
+    fn a_send_on_a_new_connection_waits_for_the_peers_hello() {
+        // The explorer's tcp-driver counterexample: a frame sent while
+        // no connection was up, then one sent on the dialer's new
+        // connection before the peer's hello came back.
+        let (mut a, mut b) = pair();
+        let _unrouted = a.unicast(NodeId(1), "m0".into(), ms(0));
+        let hello_a = a.hello_for(NodeId(1), ms(1));
+        let early = a.unicast(NodeId(1), "m1".into(), ms(2));
+        assert!(early.outbound.is_empty(), "held until b's hello");
+        b.on_frame(NodeId(0), hello_a, ms(3));
+        let hello_b = b.hello_for(NodeId(0), ms(3));
+        let replay = a.on_frame(NodeId(1), hello_b, ms(4));
+        let got = shovel(replay, NodeId(0), &mut [(&mut b, NodeId(1))], ms(4));
+        let want = [(NodeId(0), "m0".to_string()), (NodeId(0), "m1".to_string())];
+        assert_eq!(got, want);
+        assert_eq!(b.stats().gaps, 0);
+        // Once b's hello is read, sends go straight out again.
+        let step = a.unicast(NodeId(1), "m2".into(), ms(5));
+        assert_eq!(step.outbound.len(), 1);
     }
 
     #[test]

@@ -46,16 +46,6 @@ impl<A> SimHost<A> {
     pub fn inner(&self) -> &A {
         &self.inner
     }
-
-    /// Mutable access to the hosted actor.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
-    /// Unwraps the hosted actor.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
 }
 
 impl<M: 'static, A: TransportActor<M>> Actor<M> for SimHost<A> {

@@ -1,5 +1,6 @@
 //! Backend-parametrised timer-cancellation suite: one scripted actor,
-//! one set of invariants, two transports.
+//! one set of invariants, two transports — and the TCP driver's core on
+//! its own, stepped through explicit ticks.
 //!
 //! The script arms a timer far in the future, cancels it and re-arms a
 //! near one in the same callback; a third timer, when it fires, cancels
@@ -13,8 +14,11 @@ use std::time::Duration;
 
 use odp_net::actor::TransportActor;
 use odp_net::ctx::NetCtx;
+use odp_net::driver::DriverCore;
+use odp_net::session::{SessionConfig, SessionLayer};
 use odp_net::sim_host::SimHost;
 use odp_net::tcp::{TcpConfig, TcpNode};
+use odp_net::wire::MAX_FRAME;
 use odp_sim::prelude::*;
 
 // ---------------------------------------------------------------- shared
@@ -95,5 +99,31 @@ fn cancel_and_rearm_on_the_tcp_backend() {
     let (script, report) = handle.stop().expect("node stops cleanly");
     verify(&script);
     // No residue: the cancelled 60 s timer is not waiting in the wheel.
+    assert_eq!(report.timers_armed, 0);
+}
+
+// ------------------------------------------------------------ bare core
+
+#[test]
+fn cancel_and_rearm_on_a_bare_driver_core() {
+    let ms = SimTime::from_millis;
+    let session = SessionLayer::new(NodeId(0), SessionConfig::default());
+    let mut core = DriverCore::new(session, 0, MAX_FRAME, Script::default());
+    core.start(ms(0));
+    // The cancelled 60 s timer left the table with its cancel.
+    assert_eq!(core.next_due(), Some(ms(10)));
+    core.tick(ms(9));
+    assert!(core.actor().fired.is_empty(), "nothing is due before 10 ms");
+    core.tick(ms(10));
+    assert_eq!(core.actor().fired.len(), 1);
+    assert_eq!(
+        core.next_due(),
+        Some(ms(20)),
+        "the re-armed and the late timer"
+    );
+    core.tick(ms(20));
+    assert_eq!(core.next_due(), None);
+    let (script, report) = core.finish();
+    verify(&script);
     assert_eq!(report.timers_armed, 0);
 }

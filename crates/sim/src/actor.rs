@@ -13,21 +13,6 @@ use crate::trace::Trace;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub(crate) u64);
 
-impl TimerId {
-    /// Reconstructs a timer id from its raw counter value. Intended for
-    /// alternative transport backends (e.g. `odp-net`'s TCP driver)
-    /// that run their own timer wheel but hand actors the same handle
-    /// type; sim code never needs this.
-    pub fn from_raw(raw: u64) -> Self {
-        TimerId(raw)
-    }
-
-    /// The raw counter value behind this id.
-    pub fn raw(&self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Display for TimerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "timer#{}", self.0)
@@ -68,12 +53,29 @@ pub trait Actor<M> {
     }
 }
 
-/// A deferred effect produced by an actor callback; applied by the engine
-/// after the callback returns.
+/// A deferred effect produced by an actor callback; the host applies it
+/// after the callback returns, in the order the callback produced it.
 #[derive(Debug)]
-pub(crate) enum Effect<M> {
-    Send { to: NodeId, msg: M, bytes: usize },
-    SetTimer { id: TimerId, at: SimTime, tag: u64 },
+pub enum Effect<M> {
+    /// Send `msg` to `to`, accounting `bytes` on the wire.
+    Send {
+        /// The receiver.
+        to: NodeId,
+        /// The message.
+        msg: M,
+        /// Its size for the bandwidth model.
+        bytes: usize,
+    },
+    /// Fire [`Actor::on_timer`] with `id` and `tag` at `at`.
+    SetTimer {
+        /// The id [`Ctx::set_timer`] returned.
+        id: TimerId,
+        /// When it is due.
+        at: SimTime,
+        /// The caller's tag.
+        tag: u64,
+    },
+    /// Disarm a timer; one that fired or was cancelled is left alone.
     CancelTimer(TimerId),
 }
 
@@ -91,6 +93,32 @@ pub struct Ctx<'a, M> {
 }
 
 impl<'a, M> Ctx<'a, M> {
+    /// A context for a host that runs actors outside [`Sim`](crate::sim::Sim)
+    /// (`odp-net`'s TCP driver core): the callback's effects land in
+    /// `effects`, timer ids are drawn from `next_timer`, and a plain
+    /// [`Ctx::send`] accounts zero bytes — such a host sizes its frames
+    /// itself.
+    pub fn new(
+        now: SimTime,
+        id: NodeId,
+        rng: &'a mut DetRng,
+        effects: &'a mut Vec<Effect<M>>,
+        metrics: &'a mut MetricsRegistry,
+        trace: &'a mut Trace,
+        next_timer: &'a mut u64,
+    ) -> Self {
+        Ctx {
+            now,
+            id,
+            rng,
+            effects,
+            metrics,
+            trace,
+            next_timer,
+            default_msg_bytes: 0,
+        }
+    }
+
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -116,16 +144,6 @@ impl<'a, M> Ctx<'a, M> {
     /// bandwidth model; continuous-media senders use real frame sizes).
     pub fn send_sized(&mut self, to: NodeId, msg: M, bytes: usize) {
         self.effects.push(Effect::Send { to, msg, bytes });
-    }
-
-    /// Sends the same message to every node in `to` (cloned per receiver).
-    pub fn send_all(&mut self, to: impl IntoIterator<Item = NodeId>, msg: M)
-    where
-        M: Clone,
-    {
-        for node in to {
-            self.send(node, msg.clone());
-        }
     }
 
     /// Schedules [`Actor::on_timer`] to fire after `delay` with `tag`.

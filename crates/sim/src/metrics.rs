@@ -238,19 +238,9 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Returns the named histogram mutably, creating it if absent.
-    pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_owned()).or_default()
-    }
-
     /// Iterates over all counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates over all histogram names in name order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(|k| k.as_str())
     }
 
     /// Merges `other` into `self` (counters add, histograms concatenate).

@@ -301,11 +301,6 @@ impl Network {
         self.overrides.insert((b, a), spec);
     }
 
-    /// Sets a directed link from `from` to `to` only.
-    pub fn set_link_directed(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) {
-        self.overrides.insert((from, to), spec);
-    }
-
     /// Returns the spec currently in force from `from` to `to`, accounting
     /// for partial connectivity of either endpoint.
     pub fn link(&self, from: NodeId, to: NodeId) -> LinkSpec {
@@ -337,12 +332,6 @@ impl Network {
     /// connectivity degradation).
     pub fn link_qos(&self, from: NodeId, to: NodeId) -> LinkQos {
         LinkQos::from_spec(&self.link(from, to))
-    }
-
-    /// Sets the link characteristics used while a node is at
-    /// [`Connectivity::Partial`].
-    pub fn set_partial_link(&mut self, spec: LinkSpec) {
-        self.partial_link = spec;
     }
 
     /// Splits the network into the given groups; traffic crosses group

@@ -513,12 +513,6 @@ impl<M: 'static> Sim<M> {
         ActorHandle::of(id)
     }
 
-    /// Mutable access to the network model (mid-run degradation,
-    /// partitions, link changes).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
     /// Read access to the network model.
     pub fn network(&self) -> &Network {
         &self.net

@@ -250,12 +250,6 @@ impl Trace {
         &self.spans
     }
 
-    /// Mutable span log, for harnesses replaying buffered span events
-    /// (e.g. session telemetry) into the run's trace.
-    pub fn spans_mut(&mut self) -> &mut SpanLog {
-        &mut self.spans
-    }
-
     /// Clears all records and the dropped-events counter; the capacity
     /// bound (and enablement) are kept.
     pub fn clear(&mut self) {
