@@ -209,6 +209,8 @@ pub fn hashmap_iter_rule(file: &ScannedFile) -> Vec<Finding> {
 /// The method names that make up the delivery hot path: the sim (or
 /// the transport driver) calls these once per message, frame or tick,
 /// so anything they allocate is paid per delivery across the whole run.
+/// The schedule explorer's per-event loop and its per-run reducer are
+/// listed too: they run once per explored event or racing pair.
 const HOT_FNS: &[&str] = &[
     "on_message",
     "on_data",
@@ -227,6 +229,9 @@ const HOT_FNS: &[&str] = &[
     "transmit",
     "flush_links",
     "frame_from",
+    "run_schedule",
+    "branch_candidates",
+    "dpor_extensions",
 ];
 
 /// Per-delivery heap allocation inside hot delivery-path methods.
@@ -495,6 +500,35 @@ mod tests {
         let in_place = "
             fn flush_links(&mut self) {
                 self.links.retain(|_, link| link.flush());
+            }
+        ";
+        assert!(hot_alloc_rule(&scan(in_place)).is_empty());
+    }
+
+    #[test]
+    fn hot_alloc_covers_the_explorers_per_event_loop_and_reducer() {
+        // `run_schedule` steps once per explored event, `branch_candidates`
+        // scans once per step, `dpor_extensions` walks every racing pair.
+        let src = "
+            fn run_schedule(&mut self) {
+                loop { let asleep = sleep.clone(); }
+            }
+            fn branch_candidates(pending: &[PendingEvent], out: &mut Vec<Candidate>) {
+                let found: Vec<Candidate> = pending.iter().filter_map(cand).collect();
+            }
+            fn dpor_extensions(&self, data: &RunData) {
+                for bp in &data.branch_points { let key = data.taken[..bp.depth].to_vec(); }
+            }
+        ";
+        let f = hot_alloc_rule(&scan(src));
+        assert_eq!(f.len(), 3, "{f:?}");
+        assert!(f[0].message.contains("`run_schedule`"), "{f:?}");
+        assert!(f[1].message.contains("`branch_candidates`"), "{f:?}");
+        assert!(f[2].message.contains("`dpor_extensions`"), "{f:?}");
+        let in_place = "
+            fn branch_candidates(pending: &[PendingEvent], out: &mut Vec<Candidate>) {
+                out.clear();
+                for (idx, ev) in pending.iter().enumerate() { out.push(cand(idx, ev)); }
             }
         ";
         assert!(hot_alloc_rule(&scan(in_place)).is_empty());

@@ -216,8 +216,14 @@ impl MetricsRegistry {
     }
 
     /// Adds `delta` to the named counter, creating it at zero if absent.
+    /// Only the first touch of a name allocates (its key).
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Reads the named counter (zero if it was never touched).
@@ -225,12 +231,18 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records one duration sample into the named histogram.
+    /// Records one duration sample into the named histogram. Only the
+    /// first sample under a name allocates a key; later ones cost the
+    /// sample buffer's amortised growth.
     pub fn observe(&mut self, name: &str, d: SimDuration) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(d);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(d),
+            None => {
+                let mut h = Histogram::new();
+                h.record(d);
+                self.histograms.insert(name.to_owned(), h);
+            }
+        }
     }
 
     /// Returns the named histogram, if any samples were recorded.

@@ -666,10 +666,18 @@ impl<M: 'static> Sim<M> {
     /// traversal rather than a sort.
     pub fn pending_events(&self) -> Vec<PendingEvent> {
         let mut out = Vec::with_capacity(self.queue.len());
+        self.pending_events_into(&mut out);
+        out
+    }
+
+    /// [`Sim::pending_events`] into a caller-owned buffer, which is
+    /// cleared first: a caller that scans once per step reuses one
+    /// allocation for the whole run.
+    pub fn pending_events_into(&self, out: &mut Vec<PendingEvent>) {
+        out.clear();
         self.queue.for_each_in_order(|time, seq, meta| {
             out.push(PendingEvent::from_meta(time, seq, meta))
         });
-        out
     }
 
     /// Processes the `n`-th queued event in `(time, seq)` order instead
