@@ -17,6 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::matrix::Subject;
 use crate::rights::Rights;
@@ -83,7 +84,9 @@ struct Held {
 /// A policy is *compiled* as it is edited: every subject's effective
 /// role set is kept current by the mutators (all `&mut self`), so an
 /// access check walks the rules against a ready sorted slice and
-/// allocates nothing.
+/// allocates nothing. Each mutator also moves the policy to a fresh
+/// [`generation`](Self::generation), so a caller can keep a verdict for
+/// as long as the generation it was decided under stands.
 ///
 /// # Examples
 ///
@@ -107,6 +110,16 @@ pub struct RbacPolicy {
     /// role -> roles it inherits from (junior roles).
     inherits: BTreeMap<RoleId, BTreeSet<RoleId>>,
     role_changes: u64,
+    generation: u64,
+}
+
+/// A generation no mutation in this process has taken yet. Unique
+/// process-wide rather than per policy, so a policy swapped in whole
+/// (`*bus.policy_mut() = other`) never reads as the one it replaced.
+fn fresh_generation() -> u64 {
+    // Relaxed: the value is an identity; it publishes no other data.
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// `direct` plus the junior roles reachable through `inherits`, sorted.
@@ -138,6 +151,14 @@ impl RbacPolicy {
         RbacPolicy::default()
     }
 
+    /// Identifies what the policy decides: `0` until its first
+    /// mutation, then a value fresh from every mutator. Two policies
+    /// share a generation only when one is an unmutated clone of the
+    /// other, so equal generations mean equal verdicts.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Adds a rule.
     pub fn add_rule(&mut self, role: RoleId, path: ObjectPath, rights: Rights, effect: Effect) {
         self.rules.push(Rule {
@@ -146,6 +167,7 @@ impl RbacPolicy {
             rights,
             effect,
         });
+        self.generation = fresh_generation();
     }
 
     /// Declares that `senior` inherits all permissions of `junior`.
@@ -154,6 +176,7 @@ impl RbacPolicy {
         for held in self.subjects.values_mut() {
             held.effective = closure(&held.direct, &self.inherits);
         }
+        self.generation = fresh_generation();
     }
 
     /// Assigns a role to a subject — a *dynamic* change touching that
@@ -164,6 +187,7 @@ impl RbacPolicy {
         held.direct.insert(role);
         held.effective = closure(&held.direct, &self.inherits);
         self.role_changes += 1;
+        self.generation = fresh_generation();
     }
 
     /// Removes a role from a subject (equally dynamic).
@@ -173,6 +197,7 @@ impl RbacPolicy {
             held.effective = closure(&held.direct, &self.inherits);
         }
         self.role_changes += 1;
+        self.generation = fresh_generation();
     }
 
     /// The subject's direct roles.
@@ -431,6 +456,39 @@ mod tests {
         assert!(ObjectPath::new("").covers(&p), "root covers all");
         assert_eq!(p.parent().unwrap().as_str(), "a/b");
         assert_eq!(ObjectPath::new("a").parent(), None);
+    }
+
+    #[test]
+    fn every_mutator_moves_the_policy_to_a_fresh_generation() {
+        let mut p = RbacPolicy::new();
+        assert_eq!(p.generation(), 0, "a policy never mutated");
+        let mut seen = vec![p.generation()];
+        let mut after = |p: &RbacPolicy, what: &str| {
+            assert!(!seen.contains(&p.generation()), "{what} kept a generation");
+            seen.push(p.generation());
+        };
+        p.add_rule(RoleId(1), "doc".into(), Rights::READ, Effect::Allow);
+        after(&p, "add_rule");
+        p.add_inheritance(RoleId(2), RoleId(1));
+        after(&p, "add_inheritance");
+        p.assign(Subject(1), RoleId(2));
+        after(&p, "assign");
+        p.unassign(Subject(1), RoleId(2));
+        after(&p, "unassign");
+        // A clone decides alike and says so; mutating either parts them.
+        let mut q = p.clone();
+        assert_eq!(q.generation(), p.generation());
+        q.assign(Subject(1), RoleId(1));
+        p.assign(Subject(1), RoleId(1));
+        assert_ne!(q.generation(), p.generation(), "generations are unique");
+        // Reads leave it alone.
+        let g = p.generation();
+        let _ = p.explain(Subject(1), &"doc/a".into(), Rights::READ);
+        let _ = (
+            p.allows(Subject(1), &"doc/a".into(), Rights::READ),
+            p.roles_of(Subject(1)),
+        );
+        assert_eq!(p.generation(), g);
     }
 
     #[test]

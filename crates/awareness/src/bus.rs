@@ -295,6 +295,33 @@ struct BusObserver {
     received: u64,
     suppressed_low_weight: u64,
     suppressed_by_rights: u64,
+    /// The last rights verdict: the artefact (a handle on the event's
+    /// path, not a copy), the [`RbacPolicy::generation`] it was decided
+    /// under, and whether the observer may read it.
+    verdict: Option<(ObjectPath, u64, bool)>,
+}
+
+impl BusObserver {
+    /// Whether `observer` may read `path` under `policy`. The policy is
+    /// asked only when the path or the policy's generation differs from
+    /// the last question's: an edit stream on one artefact asks once per
+    /// observer until the policy changes.
+    fn may_read(
+        &mut self,
+        observer: NodeId,
+        path: &ObjectPath,
+        policy: &RbacPolicy,
+        generation: u64,
+    ) -> bool {
+        match &self.verdict {
+            Some((seen, at, allowed)) if *at == generation && seen == path => *allowed,
+            _ => {
+                let allowed = policy.allows(Subject(observer.0), path, Rights::READ);
+                self.verdict = Some((path.clone(), generation, allowed));
+                allowed
+            }
+        }
+    }
 }
 
 /// Per-observer delivery statistics, disclosed by [`EventBus::stats`].
@@ -355,6 +382,10 @@ pub struct EventBus {
     policy: RbacPolicy,
     gate: bool,
     published: u64,
+    /// Seeded known-bad for the cached-verdict differential: the cache
+    /// keys on the artefact alone and misses every policy change.
+    #[cfg(test)]
+    key_on_path_only: bool,
 }
 
 impl EventBus {
@@ -367,12 +398,20 @@ impl EventBus {
             policy: RbacPolicy::new(),
             gate: false,
             published: 0,
+            #[cfg(test)]
+            key_on_path_only: false,
         }
     }
 
     /// Installs the access policy the rights gate consults and arms the
     /// gate: from now on an observer needs [`Rights::READ`] on an
     /// event's artefact path to receive it.
+    ///
+    /// Each observer keeps its last verdict under the policy's
+    /// [`generation`](RbacPolicy::generation), which every policy
+    /// mutation renews and which is unique process-wide; a policy
+    /// installed here, or edited or replaced through
+    /// [`EventBus::policy_mut`], is therefore asked afresh.
     pub fn set_policy(&mut self, policy: RbacPolicy) {
         self.policy = policy;
         self.gate = true;
@@ -413,6 +452,7 @@ impl EventBus {
                 received: 0,
                 suppressed_low_weight: 0,
                 suppressed_by_rights: 0,
+                verdict: None,
             },
         );
     }
@@ -433,9 +473,14 @@ impl EventBus {
     /// rights on the artefact → suppressed, counted), then — broadcast
     /// audience only — the weight function against the observer's
     /// threshold. Directed events go only to their addressee at weight
-    /// `1.0`; broadcast events never reach their own actor.
+    /// `1.0`; broadcast events never reach their own actor. A verdict is
+    /// reused while the observer, artefact and policy generation are
+    /// those it was decided for, so it is exactly what the policy says.
     pub fn publish(&mut self, event: CoopEvent) -> Vec<BusDelivery> {
         self.published += 1;
+        let generation = self.policy.generation();
+        #[cfg(test)]
+        let generation = if self.key_on_path_only { 0 } else { generation };
         // Sized once for the most that can pass, not grown per push.
         let mut out = Vec::with_capacity(match event.audience {
             Audience::Direct(_) => 1,
@@ -458,10 +503,8 @@ impl EventBus {
             };
             // Rights first: an observer without read rights must not
             // learn the event existed, regardless of interest.
-            let allowed = !self.gate
-                || self
-                    .policy
-                    .allows(Subject(observer.0), &event.artefact, Rights::READ);
+            let allowed =
+                !self.gate || state.may_read(observer, &event.artefact, &self.policy, generation);
             if !allowed {
                 state.suppressed_by_rights += 1;
                 continue;
@@ -743,5 +786,229 @@ mod tests {
             .label(),
             "place.migrated"
         );
+    }
+
+    /// The bus's cached verdicts against a bus that asks the policy for
+    /// every observer of every event.
+    mod cached_verdicts {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::strategy::Strategy;
+        use proptest::test_runner::TestRng;
+        use std::collections::BTreeMap;
+
+        const NODES: u32 = 5;
+        const PATHS: [&str; 4] = ["doc/a", "doc/b", "doc/a/x", "other/1"];
+        const PREFIXES: [&str; 4] = ["doc", "doc/a", "other", ""];
+
+        fn weight(observer: NodeId, event: &CoopEvent) -> f64 {
+            f64::from((observer.0 * 3 + event.actor.0) % 4) / 3.0
+        }
+
+        /// The publish loop with `allows` asked every time. Kept as the
+        /// oracle.
+        #[derive(Default)]
+        struct AskEveryTime {
+            policy: RbacPolicy,
+            gate: bool,
+            observers: BTreeMap<NodeId, (f64, BusStats)>,
+        }
+
+        impl AskEveryTime {
+            fn publish(&mut self, event: &CoopEvent) -> Vec<BusDelivery> {
+                let mut out = Vec::new();
+                for (&observer, (threshold, stats)) in &mut self.observers {
+                    let weight = match event.audience {
+                        Audience::Direct(to) if to == observer => 1.0,
+                        Audience::Everyone if observer != event.actor => weight(observer, event),
+                        _ => continue,
+                    };
+                    let readable =
+                        self.policy
+                            .allows(Subject(observer.0), &event.artefact, Rights::READ);
+                    if self.gate && !readable {
+                        stats.suppressed_by_rights += 1;
+                    } else if matches!(event.audience, Audience::Direct(_))
+                        || (weight >= *threshold && weight > 0.0)
+                    {
+                        stats.received += 1;
+                        out.push(BusDelivery {
+                            observer,
+                            event: event.clone(),
+                            weight,
+                        });
+                    } else {
+                        stats.suppressed_low_weight += 1;
+                    }
+                }
+                out
+            }
+        }
+
+        /// A small policy drawn from two numbers: role 0 reads under one
+        /// prefix, role 1 holds every right under another, and the
+        /// subjects in `members`' low bits hold role `b % 2`.
+        fn drawn_policy(a: u32, members: u32) -> RbacPolicy {
+            let mut p = RbacPolicy::new();
+            p.add_rule(
+                RoleId(0),
+                PREFIXES[a as usize % 4].into(),
+                Rights::READ,
+                Effect::Allow,
+            );
+            p.add_rule(
+                RoleId(1),
+                PREFIXES[(a / 4) as usize % 4].into(),
+                Rights::ALL,
+                Effect::Allow,
+            );
+            for s in (0..NODES).filter(|s| members >> s & 1 == 1) {
+                p.assign(Subject(s), RoleId(members >> 8 & 1));
+            }
+            p
+        }
+
+        /// Drives the bus and the oracle through `ops` and compares every
+        /// publish's deliveries and every observer's statistics after
+        /// every step; the first difference is the error.
+        fn drive(ops: &[(u32, u32, u32, u32)], key_on_path_only: bool) -> Result<(), String> {
+            let mut bus = EventBus::new();
+            bus.key_on_path_only = key_on_path_only;
+            bus.set_weight_fn(Box::new(weight));
+            let mut oracle = AskEveryTime::default();
+            let shared: Vec<ObjectPath> = PATHS.iter().map(ObjectPath::new).collect();
+            for (step, &(op, a, b, c)) in ops.iter().enumerate() {
+                let role = |x: u32| RoleId(x % 3);
+                let mut deliveries = None;
+                match op {
+                    0..=5 => {
+                        let which = a as usize % PATHS.len();
+                        // A handle on one allocation, or an equal path
+                        // decoded afresh: both must hit the cache.
+                        let path = if c % 2 == 0 {
+                            shared[which].clone()
+                        } else {
+                            ObjectPath::new(PATHS[which])
+                        };
+                        let actor = NodeId(b % NODES);
+                        let kind = CoopKind::Activity(ActivityKind::Edit);
+                        let event = if (b / NODES).is_multiple_of(3) {
+                            CoopEvent::direct(
+                                actor,
+                                NodeId(c / 2 % NODES),
+                                path,
+                                SimTime::ZERO,
+                                kind,
+                            )
+                        } else {
+                            CoopEvent::broadcast(actor, path, SimTime::ZERO, kind)
+                        };
+                        deliveries = Some((bus.publish(event.clone()), oracle.publish(&event)));
+                    }
+                    6 => {
+                        let (rights, effect) = [
+                            (Rights::READ, Effect::Allow),
+                            (Rights::ALL, Effect::Allow),
+                            (Rights::READ, Effect::Deny),
+                            (Rights::WRITE, Effect::Allow),
+                        ][a as usize % 4];
+                        let path: ObjectPath = PREFIXES[c as usize % 4].into();
+                        bus.policy_mut()
+                            .add_rule(role(b), path.clone(), rights, effect);
+                        oracle.policy.add_rule(role(b), path, rights, effect);
+                    }
+                    7 => {
+                        bus.policy_mut().add_inheritance(role(b), role(c));
+                        oracle.policy.add_inheritance(role(b), role(c));
+                    }
+                    8 => {
+                        bus.policy_mut().assign(Subject(b % NODES), role(c));
+                        oracle.policy.assign(Subject(b % NODES), role(c));
+                    }
+                    9 => {
+                        bus.policy_mut().unassign(Subject(b % NODES), role(c));
+                        oracle.policy.unassign(Subject(b % NODES), role(c));
+                    }
+                    10 => {
+                        bus.set_policy(drawn_policy(a, b));
+                        oracle.policy = drawn_policy(a, b);
+                        oracle.gate = true;
+                    }
+                    11 => {
+                        // Replaced whole, not through `set_policy`.
+                        *bus.policy_mut() = drawn_policy(a, b);
+                        oracle.policy = drawn_policy(a, b);
+                    }
+                    12 => {
+                        bus.set_rights_gate(b % 2 == 0);
+                        oracle.gate = b % 2 == 0;
+                    }
+                    13 => {
+                        let threshold = f64::from(c % 3) * 0.3;
+                        bus.register(NodeId(b % NODES), threshold);
+                        let stats = BusStats {
+                            received: 0,
+                            suppressed_low_weight: 0,
+                            suppressed_by_rights: 0,
+                        };
+                        oracle
+                            .observers
+                            .insert(NodeId(b % NODES), (threshold, stats));
+                    }
+                    _ => {
+                        bus.unregister(NodeId(b % NODES));
+                        oracle.observers.remove(&NodeId(b % NODES));
+                    }
+                }
+                if let Some((got, want)) = deliveries {
+                    if got != want {
+                        return Err(format!(
+                            "step {step}: delivered {got:?}, the policy says {want:?}"
+                        ));
+                    }
+                }
+                for n in (0..NODES).map(NodeId) {
+                    let want = oracle.observers.get(&n).map(|(_, stats)| *stats);
+                    if bus.stats(n) != want {
+                        return Err(format!(
+                            "step {step}: {n} stats {:?}, want {want:?}",
+                            bus.stats(n)
+                        ));
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn ops() -> impl Strategy<Value = Vec<(u32, u32, u32, u32)>> {
+            prop::collection::vec((0u32..15, 0u32..64, 0u32..512, 0u32..64), 1..80)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Over any interleaving of publishes (a few paths, both
+            /// audiences, any actor) with policy edits, policy swaps, the
+            /// gate and observer churn, the cached bus delivers and
+            /// counts exactly what asking the policy every time does.
+            #[test]
+            fn cached_verdicts_decide_what_the_policy_decides(ops in ops()) {
+                prop_assert_eq!(drive(&ops, false), Ok(()));
+            }
+        }
+
+        /// Known-bad for the differential above: a cache keyed on the
+        /// artefact alone keeps verdicts the policy has since changed,
+        /// and the differential must see it.
+        #[test]
+        fn the_differential_catches_a_cache_keyed_on_the_path_alone() {
+            let caught = (0..256)
+                .filter(|&case| {
+                    let mut rng = TestRng::for_case("cached_verdicts::known_bad", case);
+                    drive(&ops().new_value(&mut rng), true).is_err()
+                })
+                .count();
+            assert!(caught > 0, "a stale verdict went unnoticed in 256 cases");
+        }
     }
 }
