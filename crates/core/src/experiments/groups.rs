@@ -18,7 +18,7 @@ struct Tracer;
 
 impl GroupApp<String> for Tracer {
     fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, d: Delivery<String>) {
-        ctx.trace("gc.delivered", d.payload);
+        ctx.trace("gc.delivered", &d.payload);
     }
 }
 
@@ -206,8 +206,8 @@ impl GroupApp<String> for Outcomes {
     }
     fn on_execute(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, _call: u64, _payload: String) {
         self.executed_at.push(ctx.now());
-        let at = ctx.now().as_micros().to_string();
-        ctx.trace("camera.started", at);
+        let at = ctx.now().as_micros();
+        ctx.trace("camera.started", &at);
     }
     fn on_rpc_outcome(&mut self, _ctx: &mut dyn NetCtx<GcMsg<String>>, o: CallOutcome<String>) {
         match o.status {

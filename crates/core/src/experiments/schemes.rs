@@ -260,7 +260,7 @@ impl SchemeServer {
         self.version += 1;
         let tag = Self::tag(by, op);
         self.version_log.push((self.version, tag.clone()));
-        ctx.trace("op.created", tag.clone());
+        ctx.trace("op.created", &tag);
         ctx.metrics().incr("cc.edits_applied");
         if self.scheme.pushes() && self.scheme != Scheme::Ot {
             for &peer in &self.clients {
@@ -328,7 +328,7 @@ impl SchemeServer {
                         ctx.metrics().incr("cc.blocked");
                         txn_events = events;
                     }
-                    Err(e) => ctx.trace("cc.error", e.to_string()),
+                    Err(e) => ctx.trace("cc.error", e),
                 }
             }
             ServerState::Locks {
@@ -397,12 +397,12 @@ impl SchemeServer {
                         applied.push((from, op));
                         acks.push((from, op));
                     }
-                    Err(e) => ctx.trace("cc.error", e.to_string()),
+                    Err(e) => ctx.trace("cc.error", e),
                 }
             }
             ServerState::Ot { .. } => {
                 // OT clients edit locally and use CcMsg::OtOp instead.
-                ctx.trace("cc.error", "burst message to OT server".to_owned());
+                ctx.trace("cc.error", "burst message to OT server");
             }
             ServerState::Floor {
                 floor,
@@ -428,7 +428,7 @@ impl SchemeServer {
                         ctx.metrics().incr("cc.blocked");
                     }
                 } else if floor.holder() != Some(client) {
-                    ctx.trace("cc.error", format!("{from} edited without the floor"));
+                    ctx.trace("cc.error", format_args!("{from} edited without the floor"));
                 } else {
                     let _ = store.insert(DOC, pos.min(len), &text);
                     applied.push((from, op));
@@ -486,7 +486,7 @@ impl SchemeServer {
                 if let Some(txn) = sessions.remove(&from) {
                     match tm.commit(txn, ctx.now()) {
                         Ok(events) => txn_events = events,
-                        Err(e) => ctx.trace("cc.error", e.to_string()),
+                        Err(e) => ctx.trace("cc.error", e),
                     }
                 }
             }
@@ -596,7 +596,7 @@ impl Actor<CcMsg> for SchemeServer {
                                 );
                             }
                         }
-                        Err(e) => ctx.trace("cc.error", e.to_string()),
+                        Err(e) => ctx.trace("cc.error", e),
                     }
                 }
             }
@@ -711,7 +711,7 @@ impl SchemeClient {
         let pos = ctx.rng().index(8);
         let text = "x".to_owned();
         let tag = format!("c{}-{}", ctx.id().0, op);
-        ctx.trace("op.issued", tag.clone());
+        ctx.trace("op.issued", &tag);
         self.sent.insert(op, ctx.now());
         if self.config.scheme == Scheme::Ot {
             let ot = self.ot.as_mut().expect("ot client initialised");
@@ -724,7 +724,7 @@ impl SchemeClient {
             // Local apply is immediate: response time is zero.
             self.responses.push(SimDuration::ZERO);
             ctx.metrics().observe("cc.response", SimDuration::ZERO);
-            ctx.trace("op.applied_locally", tag.clone());
+            ctx.trace("op.applied_locally", &tag);
             ctx.send(self.config.server, CcMsg::OtOp { tag, msg });
             self.after_op(ctx);
         } else if !self.in_burst {

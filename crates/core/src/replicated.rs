@@ -98,7 +98,7 @@ impl GroupApp<WsOp> for WorkspaceReplica {
             self.rejected += 1;
             ctx.trace(
                 "ws.rejected",
-                format!("actor {} on obj {}", cmd.actor, cmd.object),
+                &format_args!("actor {} on obj {}", cmd.actor, cmd.object),
             );
             None
         }
@@ -113,18 +113,18 @@ impl GroupApp<WsOp> for WorkspaceReplica {
             Ok(deliveries) => {
                 self.applied += 1;
                 self.awareness_delivered += deliveries.len() as u64;
-                // The applied-op line is the replica's audit record and
-                // the trace owns its text; a typed record that needs no
-                // String is the instrument-surface item's job (ROADMAP).
-                // odp-check: allow(hot-path-alloc)
-                ctx.trace("ws.applied", format!("obj {} by {}", op.object, op.actor));
+                // The applied-op line is the replica's audit record; it
+                // is formatted straight into the trace's own buffer.
+                ctx.trace(
+                    "ws.applied",
+                    &format_args!("obj {} by {}", op.object, op.actor),
+                );
             }
             Err(e) => {
                 // Replicas share one policy, so a policy denial here means
                 // the configurations diverged — surface it loudly. Cold:
                 // a converged group never gets here.
-                // odp-check: allow(hot-path-alloc)
-                ctx.trace("ws.replica_error", e.to_string());
+                ctx.trace("ws.replica_error", &e);
             }
         }
     }

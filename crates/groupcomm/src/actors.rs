@@ -87,7 +87,7 @@ pub trait GroupApp<P>: 'static {
 /// impl GroupApp<String> for Counter {
 ///     fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, d: Delivery<String>) {
 ///         self.seen += 1;
-///         ctx.trace("delivered", d.payload);
+///         ctx.trace("delivered", &d.payload);
 ///     }
 /// }
 ///
@@ -347,10 +347,7 @@ impl<P: Clone + Any, A: GroupApp<P>> GroupActor<P, A> {
                 }
             }
             GcMsg::InstallView(view) => {
-                // View installs are rare membership events, not
-                // per-delivery traffic.
-                // odp-check: allow(hot-path-alloc)
-                ctx.trace("gc.view_installed", format!("v{}", view.id.0));
+                ctx.trace("gc.view_installed", &format_args!("v{}", view.id.0));
                 self.engine.install_view(view);
             }
             other => {
@@ -374,7 +371,7 @@ impl<P: Clone + Any, A: GroupApp<P>> GroupActor<P, A> {
             }
             ctx.set_timer(self.tick_every, TICK);
         } else if let Some((call, payload)) = self.pending_exec.remove(&tag) {
-            ctx.trace("rpc.executed", call.to_string());
+            ctx.trace("rpc.executed", &call);
             self.app.on_execute(ctx, call, payload);
         }
     }
@@ -431,7 +428,7 @@ mod tests {
     impl GroupApp<String> for Recorder {
         fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, d: Delivery<String>) {
             self.delivered.push(d.payload.clone());
-            ctx.trace("app.deliver", d.payload);
+            ctx.trace("app.deliver", &d.payload);
         }
         fn on_rpc(
             &mut self,
@@ -553,7 +550,7 @@ mod tests {
                 ctx: &mut dyn NetCtx<GcMsg<String>>,
                 o: CallOutcome<String>,
             ) {
-                ctx.trace("rpc.done", o.replies.len().to_string());
+                ctx.trace("rpc.done", &o.replies.len());
                 self.0.on_rpc_outcome(ctx, o);
             }
         }

@@ -16,7 +16,7 @@ struct Collector {
 impl GroupApp<String> for Collector {
     fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, d: Delivery<String>) {
         self.got.push(d.payload.clone());
-        ctx.trace("delivered", d.payload);
+        ctx.trace("delivered", &d.payload);
     }
 }
 

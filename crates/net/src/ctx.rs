@@ -8,6 +8,8 @@
 //! stream — is byte-for-byte unchanged); the TCP driver's core builds
 //! the same `Ctx` over its own clock reading with `Ctx::new`.
 
+use std::fmt;
+
 use odp_fabric::SpanCarrier;
 use odp_sim::actor::{Ctx, TimerId};
 use odp_sim::metrics::MetricsRegistry;
@@ -17,8 +19,8 @@ use odp_sim::time::{SimDuration, SimTime};
 
 /// What a transport-hosted actor can do, independent of backend.
 ///
-/// The trait is deliberately dyn-compatible (concrete `&str`/`String`
-/// parameters, no generics) so actor handlers take
+/// The trait is deliberately dyn-compatible (concrete `&str` and
+/// `&dyn Display` parameters, no generics) so actor handlers take
 /// `&mut dyn NetCtx<M>` and compile once for all backends.
 pub trait NetCtx<M> {
     /// The current time: simulated time on the sim backend, elapsed
@@ -51,8 +53,10 @@ pub trait NetCtx<M> {
     /// The host's metrics registry.
     fn metrics(&mut self) -> &mut MetricsRegistry;
 
-    /// Records a labelled trace event attributed to this actor.
-    fn trace(&mut self, label: &str, data: String);
+    /// Records a labelled trace event attributed to this actor; `data`
+    /// is formatted straight into the record (pass the value or a
+    /// `&format_args!(..)`).
+    fn trace(&mut self, label: &str, data: &dyn fmt::Display);
 
     /// Records a telemetry span opening into the host's binary span
     /// log (the allocation-free fast path; see
@@ -96,7 +100,7 @@ impl<M> NetCtx<M> for Ctx<'_, M> {
         Ctx::metrics(self)
     }
 
-    fn trace(&mut self, label: &str, data: String) {
+    fn trace(&mut self, label: &str, data: &dyn fmt::Display) {
         Ctx::trace(self, label, data);
     }
 

@@ -499,7 +499,7 @@ impl PlacementActor {
         ctx.send(flight.plan.to, PlaceWire::Abort { cluster, epoch });
         self.end_epoch(epoch, ctx.now(), EpochOutcome::Aborted);
         ctx.metrics().incr("place.ctl.aborts");
-        ctx.trace("place.abort", format!("epoch {epoch}: {reason}"));
+        ctx.trace("place.abort", &format_args!("epoch {epoch}: {reason}"));
     }
 
     fn commit_epoch(&mut self, ctx: &mut dyn NetCtx<PlaceWire>) {
@@ -578,7 +578,7 @@ impl PlacementActor {
         ctx.metrics().incr("place.ctl.migrations");
         ctx.trace(
             "place.migrated",
-            format!(
+            &format_args!(
                 "cluster {} {} -> {} (epoch {epoch})",
                 plan.cluster.0, plan.from.0, plan.to.0
             ),

@@ -170,8 +170,10 @@ impl<'a, M> Ctx<'a, M> {
         self.metrics
     }
 
-    /// Records a labelled trace event attributed to this actor.
-    pub fn trace(&mut self, label: impl Into<String>, data: impl Into<String>) {
+    /// Records a labelled trace event attributed to this actor; `data`
+    /// is formatted straight into the record (pass the value or a
+    /// `format_args!`, not a `String` built for the call).
+    pub fn trace(&mut self, label: &str, data: impl fmt::Display) {
         self.trace.record(self.now, self.id, label, data);
     }
 

@@ -24,7 +24,7 @@
 //!         ctx.send(self.peer, "hello".to_owned());
 //!     }
 //!     fn on_message(&mut self, ctx: &mut Ctx<'_, String>, from: NodeId, msg: String) {
-//!         ctx.trace("received", format!("{msg} from {from}"));
+//!         ctx.trace("received", format_args!("{msg} from {from}"));
 //!     }
 //! }
 //!

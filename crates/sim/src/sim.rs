@@ -968,7 +968,7 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
             if let Msg::Pong(n) = msg {
                 self.received.push(n);
-                ctx.trace("pong", n.to_string());
+                ctx.trace("pong", n);
             }
         }
         fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _timer: TimerId, tag: u64) {

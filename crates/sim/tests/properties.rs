@@ -55,7 +55,7 @@ proptest! {
             struct Echo;
             impl Actor<u64> for Echo {
                 fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
-                    ctx.trace("echo", msg.to_string());
+                    ctx.trace("echo", msg);
                     if msg > 0 {
                         ctx.send(from, msg - 1);
                     }

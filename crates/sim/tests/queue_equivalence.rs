@@ -71,7 +71,7 @@ impl Actor<u32> for Churner {
                 self.live_timer = Some(ctx.set_timer(SimDuration::from_millis(1), 1));
             }
             2 => ctx.send(from, msg.saturating_sub(3)),
-            _ => ctx.trace("churn.sink", msg.to_string()),
+            _ => ctx.trace("churn.sink", msg),
         }
     }
 
@@ -84,7 +84,7 @@ impl Actor<u32> for Churner {
             let peer = self.peers[tag as usize % self.peers.len()];
             ctx.send(peer, (tag as u32).saturating_sub(5));
         }
-        ctx.trace("churn.timer", tag.to_string());
+        ctx.trace("churn.timer", tag);
     }
 }
 

@@ -126,17 +126,12 @@ impl Actor<StreamMsg> for SourceActor {
         match msg {
             StreamMsg::ViolationReport(v) => {
                 ctx.metrics().incr("stream.violation_reports");
-                // QoS violations are rare control events, not the
-                // per-frame path.
-                // odp-check: allow(hot-path-alloc)
-                ctx.trace("qos.violation", format!("{:?}", v.kind));
+                ctx.trace("qos.violation", format_args!("{:?}", v.kind));
                 if self.adaptive && !self.cooling(ctx.now()) {
                     if let Some(degraded) = self.contract.degraded() {
                         self.renegotiations += 1;
                         ctx.metrics().incr("stream.renegotiations");
-                        // Renegotiations are rarer still (cooldown-gated).
-                        // odp-check: allow(hot-path-alloc)
-                        ctx.trace("qos.renegotiated", degraded.to_string());
+                        ctx.trace("qos.renegotiated", degraded);
                         self.announce(ctx, degraded);
                     }
                 }
@@ -145,9 +140,7 @@ impl Actor<StreamMsg> for SourceActor {
                 if let Some(upgraded) = self.contract.upgraded(&self.original) {
                     self.upgrades += 1;
                     ctx.metrics().incr("stream.upgrades");
-                    // Upgrades are cooldown-gated control events.
-                    // odp-check: allow(hot-path-alloc)
-                    ctx.trace("qos.upgraded", upgraded.to_string());
+                    ctx.trace("qos.upgraded", upgraded);
                     self.announce(ctx, upgraded);
                 }
             }
@@ -254,16 +247,11 @@ impl Actor<StreamMsg> for SinkActor {
             }
             StreamMsg::NewContract(spec) => {
                 self.monitor.set_contract(spec);
-                // Contract changes are rare control events, not the
-                // per-frame path.
-                // odp-check: allow(hot-path-alloc)
-                ctx.trace("qos.contract_updated", spec.to_string());
+                ctx.trace("qos.contract_updated", spec);
             }
             StreamMsg::ConnectivityChanged(level) => {
                 self.monitor.set_connectivity(level);
-                // As above: connectivity flips are rare control events.
-                // odp-check: allow(hot-path-alloc)
-                ctx.trace("qos.connectivity", format!("{level:?}"));
+                ctx.trace("qos.connectivity", format_args!("{level:?}"));
             }
             StreamMsg::ViolationReport(_) | StreamMsg::HealthReport => {}
         }
