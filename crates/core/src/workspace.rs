@@ -16,6 +16,7 @@ use odp_awareness::events::ActivityKind;
 use odp_concurrency::store::{ObjectStore, StoreError};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
+use std::borrow::Cow;
 use std::fmt;
 
 pub use odp_concurrency::store::ObjectId;
@@ -162,13 +163,13 @@ impl SharedWorkspace {
         self.paths.insert(id, path.into());
     }
 
-    /// The path `id` was created under — a clone of the shared name,
-    /// not a copy — or `obj/<id>` for an object nobody registered.
-    fn path_of(&self, id: ObjectId) -> ObjectPath {
-        self.paths
-            .get(&id)
-            .cloned()
-            .unwrap_or_else(|| ObjectPath::new(format!("obj/{}", id.0)))
+    /// The path `id` was created under — borrowed, not even a handle
+    /// cloned — or `obj/<id>` for an object nobody registered.
+    fn path_of(&self, id: ObjectId) -> Cow<'_, ObjectPath> {
+        match self.paths.get(&id) {
+            Some(path) => Cow::Borrowed(path),
+            None => Cow::Owned(ObjectPath::new(format!("obj/{}", id.0))),
+        }
     }
 
     /// Whether the policy lets `who` exercise `needed` on artefact `id`,
@@ -198,7 +199,8 @@ impl SharedWorkspace {
         kind: ActivityKind,
         at: SimTime,
     ) -> Vec<BusDelivery> {
-        let artefact = self.path_of(id);
+        // One handle for the history, one for the event.
+        let artefact = self.path_of(id).into_owned();
         self.history.push(HistoryEntry {
             who: who.0,
             artefact: artefact.clone(),
