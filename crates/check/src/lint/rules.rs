@@ -223,6 +223,7 @@ const HOT_FNS: &[&str] = &[
     "publish",
     "mcast",
     "mcast_spanned",
+    "try_deliver_total",
     "unicast",
     "broadcast",
     "encode_frame",
@@ -532,6 +533,35 @@ mod tests {
             }
         ";
         assert!(hot_alloc_rule(&scan(in_place)).is_empty());
+    }
+
+    #[test]
+    fn hot_alloc_covers_the_total_order_delivery_loop() {
+        // `try_deliver_total` runs after every data message and every
+        // assignment under total order, and loops over what became
+        // deliverable: it takes messages by move out of the hold-back.
+        let src = "
+            fn try_deliver_total(&mut self, step: &mut Step<P>) {
+                let ready: Vec<MsgId> = self.total_assignments.values().copied().collect();
+                for id in ready { step.deliver(self.total_waiting[&id].clone()); }
+            }
+        ";
+        let f = hot_alloc_rule(&scan(src));
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(
+            f.iter().all(|f| f.message.contains("`try_deliver_total`")),
+            "{f:?}"
+        );
+        let by_move = "
+            fn try_deliver_total(&mut self, step: &mut Step<P>) {
+                while let Some(&Some(id)) = self.total_assignments.front() {
+                    let Some(data) = self.total_waiting.remove(&id) else { break };
+                    self.total_assignments.pop_front();
+                    step.deliver(data);
+                }
+            }
+        ";
+        assert!(hot_alloc_rule(&scan(by_move)).is_empty());
     }
 
     #[test]

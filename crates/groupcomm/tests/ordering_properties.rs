@@ -167,7 +167,12 @@ impl SetAndScanModel {
 const RECEIVER: NodeId = NodeId(2);
 
 fn engine(me: u32, ordering: Ordering) -> GroupEngine<u32> {
-    let view = View::initial(GroupId(0), (0..3).map(NodeId));
+    member_of(3, me, ordering)
+}
+
+/// Member `me` of the group `0..n`, reliable.
+fn member_of(n: u32, me: u32, ordering: Ordering) -> GroupEngine<u32> {
+    let view = View::initial(GroupId(0), (0..n).map(NodeId));
     GroupEngine::new(NodeId(me), view, ordering, Reliability::reliable())
 }
 
@@ -310,6 +315,98 @@ proptest! {
         // member's as requested, each exactly once.
         let decided: Vec<u32> = (0..own).chain((0..before + after).map(|k| (1 << 16) | k)).collect();
         prop_assert_eq!(delivered, decided);
+    }
+
+    /// Total order at every member of a group of 3–5, each of which
+    /// multicasts: the sequencer sees its traffic twice and assigns
+    /// once; every other member gets its data and assignments shuffled
+    /// and duplicated, and some assignments again under a fresh
+    /// assignment id (as a re-sent decision would come), landing before
+    /// or after the member's cursor has passed them. Each member
+    /// delivers, arrival by arrival, what the `BTreeMap` model delivers,
+    /// and every member ends with the sequencer's order, exactly once.
+    #[test]
+    fn the_total_order_ring_delivers_what_the_btreemap_model_does(
+        n in 3u32..6,
+        counts in prop::collection::vec(0u32..4, 5),
+        again in prop::collection::vec(any::<u16>(), 0..24),
+        reissue in prop::collection::vec(any::<u16>(), 0..6),
+        keys in prop::collection::vec(any::<u32>(), 1..64),
+    ) {
+        let mut members: Vec<GroupEngine<u32>> =
+            (0..n).map(|i| member_of(n, i, Ordering::Total)).collect();
+        let mut delivered: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+        let mut wire: Vec<(NodeId, NodeId, GcMsg<u32>)> = Vec::new();
+        for i in 0..n {
+            for k in 0..counts[i as usize] {
+                let step = members[i as usize].mcast((i << 16) | k, SimTime::ZERO);
+                delivered[i as usize].extend(step.delivered.iter().map(|d| d.payload));
+                wire.extend(step.outbound.into_iter().map(|(to, msg)| (NodeId(i), to, msg)));
+            }
+        }
+        // The sequencer takes what was sent to it, in order, twice.
+        let to_sequencer: Vec<_> = wire.iter().filter(|(_, to, _)| *to == NodeId(0)).cloned().collect();
+        for (from, _, msg) in to_sequencer {
+            for _ in 0..2 {
+                let step = members[0].on_message(from, msg.clone(), SimTime::ZERO);
+                delivered[0].extend(step.delivered.iter().map(|d| d.payload));
+                wire.extend(step.outbound.into_iter().map(|(to, msg)| (NodeId(0), to, msg)));
+            }
+        }
+        let mut decided: Vec<(u64, MsgId)> = wire
+            .iter()
+            .filter_map(|(_, _, msg)| match *msg {
+                GcMsg::SeqAssign { id, total, .. } => Some((total, id)),
+                _ => None,
+            })
+            .collect();
+        decided.sort_unstable();
+        decided.dedup();
+        let decided: Vec<u32> =
+            decided.iter().map(|(_, id)| (id.origin.0 << 16) | (id.seq - 1) as u32).collect();
+        prop_assert_eq!(decided.len() as u32, counts.iter().take(n as usize).sum::<u32>());
+        prop_assert_eq!(&delivered[0], &decided, "the sequencer");
+
+        for r in 1..n {
+            let me = NodeId(r);
+            let mut inbound: Vec<(NodeId, GcMsg<u32>)> = wire
+                .iter()
+                .filter(|(_, to, msg)| *to == me && !matches!(msg, GcMsg::Ack { .. }))
+                .map(|(from, _, msg)| (*from, msg.clone()))
+                .collect();
+            let assignments: Vec<(MsgId, u64)> = inbound
+                .iter()
+                .filter_map(|(_, msg)| match *msg {
+                    GcMsg::SeqAssign { id, total, .. } => Some((id, total)),
+                    _ => None,
+                })
+                .collect();
+            for (j, &pick) in reissue.iter().enumerate() {
+                if let Some(&(id, total)) = assignments.get(usize::from(pick) % assignments.len().max(1)) {
+                    let assign_id = MsgId { origin: NodeId(0), seq: u64::MAX / 2 + 1_000 + j as u64 };
+                    inbound.push((NodeId(0), GcMsg::SeqAssign { assign_id, id, total }));
+                }
+            }
+            // The model starts from what the member's own multicasts
+            // left it holding.
+            let mut model = SetAndScanModel::default();
+            for (from, to, msg) in &wire {
+                if from.0 == r && *to == NodeId(0) && matches!(msg, GcMsg::Data(_)) {
+                    prop_assert!(model.on_total(msg).is_empty());
+                }
+            }
+            let order = if inbound.is_empty() { Vec::new() } else { arrivals(inbound.len(), &again, &keys) };
+            for index in order {
+                let (from, msg) = inbound[index].clone();
+                let want = model.on_total(&msg);
+                let step = members[r as usize].on_message(from, msg, SimTime::ZERO);
+                let got: Vec<u32> = step.delivered.iter().map(|d| d.payload).collect();
+                prop_assert_eq!(&got, &want, "member {} arrival {} diverges from the model", r, index);
+                delivered[r as usize].extend(got);
+            }
+            prop_assert_eq!(&delivered[r as usize], &decided, "member {}", r);
+            prop_assert_eq!(members[r as usize].held_back(), 0);
+        }
     }
 }
 
