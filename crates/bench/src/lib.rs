@@ -1,34 +1,23 @@
 #![warn(missing_docs)]
 
-//! # cscw-bench — the measuring side of the workspace
+//! # cscw-bench — the evaluation
 //!
 //! The `report` binary regenerates the evaluation: every
 //! derived-experiment table on the fixed [`REPORT_SEED`] and, per verdict
 //! shape, how many of `SHAPE_SEEDS` have it ([`Evaluation`]), printed and
-//! spliced into EXPERIMENTS.md. Six **measuring bins** each write one
-//! `BENCH_*.json` and gate CI — `campus_rush_hour` (scheduler
-//! scale), `fabric_deliver` (zero-copy fan-out), `telemetry_report`
-//! (span overhead on E13), `awareness_fanout` (rights-gated bus),
-//! `net_fanout` (sim vs TCP loopback), `collab_raster` (placement
-//! controller off vs on). All six sit on [`harness`]: one timing
-//! protocol, one JSON report writer, one gate (thresholds in
-//! `crates/bench/floors.json`), one exit. [`e13`] holds the workloads
-//! more than one bin runs.
+//! spliced into EXPERIMENTS.md. Speed is not measured here but by
+//! `odpbench` (`bash benchmark/run.sh`).
 //!
 //! ```text
 //! cargo run -p cscw-bench --bin report --release
-//! cargo run -p cscw-bench --bin telemetry_report --release [OUT.json]
 //! ```
-
-pub mod e13;
-pub mod harness;
 
 use std::fmt::{self, Write as _};
 
 use cscw_core::experiments::{run_all, shapes, Shape, Table, SHAPE_SEEDS};
 
-/// The default seed used by the report binary and the bins, so published
-/// numbers are reproducible.
+/// The seed `report` prints its tables on, so published numbers are
+/// reproducible.
 pub const REPORT_SEED: u64 = 42;
 
 /// The evaluation document `report` rewrites.

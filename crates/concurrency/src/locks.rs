@@ -360,7 +360,7 @@ impl LockTable {
             // was keeping at the head of the queue goes now, as on a
             // release.
             state.tickles.retain(|&(_, holder, _)| holder != client);
-            notices.extend(Self::promote(state, resource, now));
+            notices.extend(Self::promote(scheme, state, resource, now));
         }
         (reply, notices)
     }
@@ -386,6 +386,7 @@ impl LockTable {
         resource: ResourceId,
         now: SimTime,
     ) -> Result<Vec<Notice>, LockError> {
+        let scheme = self.scheme;
         let state = self
             .locks
             .get_mut(&resource)
@@ -394,7 +395,7 @@ impl LockTable {
             return Err(LockError::NotHeld(client, resource));
         }
         state.tickles.retain(|&(_, holder, _)| holder != client);
-        Ok(Self::promote(state, resource, now))
+        Ok(Self::promote(scheme, state, resource, now))
     }
 
     /// Releases everything `client` holds or waits for (client
@@ -403,6 +404,7 @@ impl LockTable {
     /// behind it just as a departing holder does.
     #[must_use]
     pub fn release_all(&mut self, client: ClientId, now: SimTime) -> Vec<Notice> {
+        let scheme = self.scheme;
         let mut notices = Vec::new();
         for (&r, state) in self.locks.iter_mut() {
             let queued = state.queue.len();
@@ -412,7 +414,7 @@ impl LockTable {
                 .retain(|&(req, holder, _)| req != client && holder != client);
             let held = state.holders.remove(&client).is_some();
             if held || state.queue.len() != queued {
-                notices.extend(Self::promote(state, r, now));
+                notices.extend(Self::promote(scheme, state, r, now));
             }
         }
         notices
@@ -426,6 +428,7 @@ impl LockTable {
         let LockScheme::Tickle { idle_timeout } = self.scheme else {
             return Vec::new();
         };
+        let scheme = self.scheme;
         let mut notices = Vec::new();
         for (&resource, state) in self.locks.iter_mut() {
             let mut transfers: Vec<(ClientId, ClientId)> = Vec::new();
@@ -468,14 +471,24 @@ impl LockTable {
                         resource,
                         at: now,
                     });
+                    let holder = [(waiter.client, waiter.mode)];
+                    notices.extend(Self::tickle_new_holders(state, &holder, resource, now));
                 }
-                notices.extend(Self::promote(state, resource, now));
+                notices.extend(Self::promote(scheme, state, resource, now));
             }
         }
         notices
     }
 
-    fn promote(state: &mut LockState, resource: ResourceId, now: SimTime) -> Vec<Notice> {
+    /// Grants the head of the queue for as long as the holders admit it.
+    /// Under [`LockScheme::Tickle`] the waiters left queued then tickle
+    /// the new holders.
+    fn promote(
+        scheme: LockScheme,
+        state: &mut LockState,
+        resource: ResourceId,
+        now: SimTime,
+    ) -> Vec<Notice> {
         let mut notices = Vec::new();
         while let Some(next) = state.queue.front() {
             let ok = state
@@ -496,6 +509,47 @@ impl LockTable {
                 resource,
                 at: now,
             });
+        }
+        if let LockScheme::Tickle { .. } = scheme {
+            let granted: Vec<(ClientId, LockMode)> = notices
+                .iter()
+                .filter_map(|n| match n.kind {
+                    NoticeKind::Granted { mode } => Some((n.to, mode)),
+                    _ => None,
+                })
+                .collect();
+            notices.extend(Self::tickle_new_holders(state, &granted, resource, now));
+        }
+        notices
+    }
+
+    /// Each waiter still queued tickles every one of `holders` (new
+    /// holders and their modes) it conflicts with and has not tickled
+    /// yet: the tickles it aimed at the previous holder went with that
+    /// holder, and without a new one `tick` could never hand the lock on.
+    fn tickle_new_holders(
+        state: &mut LockState,
+        holders: &[(ClientId, LockMode)],
+        resource: ResourceId,
+        now: SimTime,
+    ) -> Vec<Notice> {
+        let mut notices = Vec::new();
+        for waiter in &state.queue {
+            for &(holder, mode) in holders {
+                let tickled = state
+                    .tickles
+                    .iter()
+                    .any(|&(by, to, _)| (by, to) == (waiter.client, holder));
+                if holder != waiter.client && !mode.compatible(waiter.mode) && !tickled {
+                    notices.push(Notice {
+                        to: holder,
+                        kind: NoticeKind::TickleRequest { by: waiter.client },
+                        resource,
+                        at: now,
+                    });
+                    state.tickles.push((waiter.client, holder, now));
+                }
+            }
         }
         notices
     }
@@ -856,18 +910,25 @@ mod tests {
                 continue;
             }
             assert_eq!(reply, LockReply::Queued, "{scheme:?}");
-            assert_eq!(
-                notices,
-                vec![Notice {
+            let mut expected = vec![Notice {
+                to: ClientId(1),
+                kind: NoticeKind::Granted {
+                    mode: LockMode::Exclusive,
+                },
+                resource: R,
+                at: t(2),
+            }];
+            if let LockScheme::Tickle { .. } = scheme {
+                // Left queued behind the writer it handed the resource
+                // to, the upgrader tickles it.
+                expected.push(Notice {
                     to: ClientId(1),
-                    kind: NoticeKind::Granted {
-                        mode: LockMode::Exclusive
-                    },
+                    kind: NoticeKind::TickleRequest { by: ClientId(0) },
                     resource: R,
                     at: t(2),
-                }],
-                "{scheme:?}"
-            );
+                });
+            }
+            assert_eq!(notices, expected, "{scheme:?}");
             assert_eq!(lt.holders(R), vec![(ClientId(1), LockMode::Exclusive)]);
             assert_eq!(lt.queue_len(R), 1);
             let notices = lt.release(ClientId(1), R, t(3)).unwrap();
@@ -878,6 +939,48 @@ mod tests {
             assert_eq!(lt.holders(R), vec![(ClientId(0), LockMode::Exclusive)]);
             assert_the_head_of_the_queue_is_blocked(&lt, R);
         }
+    }
+
+    #[test]
+    fn a_waiter_left_behind_a_promoted_holder_tickles_it() {
+        let mut lt = LockTable::new(LockScheme::Tickle {
+            idle_timeout: SimDuration::from_millis(10),
+        });
+        for c in 0..4 {
+            let _ = lt.request(ClientId(c), R, LockMode::Exclusive, t(0));
+        }
+        let notice = |to, kind, ms| Notice {
+            to: ClientId(to),
+            kind,
+            resource: R,
+            at: t(ms),
+        };
+        let granted = || NoticeKind::Granted {
+            mode: LockMode::Exclusive,
+        };
+        let tickle = |by| NoticeKind::TickleRequest { by: ClientId(by) };
+        // Client 1 is promoted; the two still queued behind it tickle it.
+        assert_eq!(
+            lt.release(ClientId(0), R, t(1)).unwrap(),
+            vec![
+                notice(1, granted(), 1),
+                notice(1, tickle(2), 1),
+                notice(1, tickle(3), 1),
+            ]
+        );
+        // Idle, it loses the lock to the oldest tickler, whom the last
+        // waiter then tickles in turn...
+        assert_eq!(
+            lt.tick(t(1_001)),
+            vec![
+                notice(1, NoticeKind::Revoked { to: ClientId(2) }, 1_001),
+                notice(2, granted(), 1_001),
+                notice(2, tickle(3), 1_001),
+            ]
+        );
+        // ...so no idle holder keeps a waiter out for good.
+        let _ = lt.tick(t(2_001));
+        assert_eq!(lt.holders(R), vec![(ClientId(3), LockMode::Exclusive)]);
     }
 
     #[test]

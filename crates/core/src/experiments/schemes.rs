@@ -16,8 +16,7 @@
 
 // This rig consumes the engines' typed outcomes itself: it forwards raw
 // notices as simulation messages and never publishes them, which makes
-// it the pre-bus baseline the awareness_fanout bench compares the
-// cooperation-event bus against.
+// it the pre-bus baseline for the cooperation-event bus.
 use std::collections::HashMap;
 
 use odp_concurrency::floor::{FloorControl, FloorEvent, FloorPolicy};

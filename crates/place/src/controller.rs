@@ -75,7 +75,7 @@ pub struct PlaceConfig {
     /// Abort an epoch that has not committed within this window.
     pub epoch_timeout: SimDuration,
     /// When `false` the controller ingests and plans nothing — the
-    /// "controller off" baseline arm of the benchmark still pays for
+    /// "controller off" baseline arm still pays for
     /// telemetry but never migrates.
     pub active: bool,
 }
@@ -267,7 +267,7 @@ impl PlacementActor {
         self.members = members.into_iter().collect();
     }
 
-    /// Turns the control loop on or off (the benchmark baseline).
+    /// Turns the control loop on or off (off is the baseline arm).
     pub fn set_active(&mut self, active: bool) {
         self.config.active = active;
     }

@@ -1314,6 +1314,54 @@ mod tests {
         assert_eq!(sim.peak_pending(), 11, "start event + 10 injections");
         sim.run(Until::Idle);
         assert_eq!(sim.peak_pending(), 11);
+
+        // A cancelled timer leaves the queue: with each write's retry
+        // ladder cancelled by its ack, the peak is the busiest instant's
+        // live events (the first write's ladder, the write in flight and
+        // the later writes still to come), not every rung ever armed.
+        let writes: u32 = 4;
+        let net = Network::new(LinkSpec::lan());
+        let mut sim: Sim<Msg> = SimBuilder::new(2).network(net).build();
+        sim.add_actor(NodeId(0), Writer { ladder: Vec::new() });
+        sim.add_actor(NodeId(1), Server);
+        for n in 0..writes {
+            let at = SimTime::from_millis(10 * u64::from(n));
+            sim.inject(at, NodeId(9), NodeId(0), Msg::Ping(n));
+        }
+        assert_eq!(sim.run(Until::Idle), RunOutcome::Quiesced);
+        assert_eq!(sim.timers_reaped(), u64::from(writes) * LADDER);
+        assert_eq!(
+            sim.peak_pending() as u64,
+            LADDER + 1 + u64::from(writes - 1)
+        );
+    }
+
+    /// Rungs in a [`Writer`]'s retry ladder.
+    const LADDER: u64 = 32;
+
+    /// `Ping(n)` from outside writes `n` to the server at node 1 and
+    /// pre-arms a ladder of far-off retry timers; the server's `Pong`
+    /// acks the write and cancels the whole ladder.
+    struct Writer {
+        ladder: Vec<TimerId>,
+    }
+
+    impl Actor<Msg> for Writer {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _: NodeId, msg: Msg) {
+            match msg {
+                Msg::Ping(n) => {
+                    ctx.send(NodeId(1), Msg::Ping(n));
+                    self.ladder = (1..=LADDER)
+                        .map(|rung| ctx.set_timer(SimDuration::from_secs(rung), 0))
+                        .collect();
+                }
+                Msg::Pong(_) => {
+                    for id in self.ladder.drain(..) {
+                        ctx.cancel_timer(id);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

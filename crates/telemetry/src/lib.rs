@@ -17,13 +17,12 @@
 //!   causal DAGs, with well-formedness audits and critical-path
 //!   extraction (the longest virtual-time chain — for a quorum group
 //!   RPC, the slowest member's reply chain);
-//! - [`report`] — the [`TelemetryReport`] aggregating
-//!   counters and latency percentiles per subsystem, rendered as
-//!   deterministic JSON for `BENCH_telemetry.json` rows.
+//! - [`report`] — the [`TelemetryReport`] aggregating span counts and
+//!   latency percentiles per subsystem.
 //!
 //! Everything is deterministic: span ids derive from forked [`DetRng`]
-//! streams, timestamps are virtual, and report JSON serializes
-//! `BTreeMap`s — two runs with one seed produce identical bytes.
+//! streams, timestamps are virtual, and reports are `BTreeMap`s — two
+//! runs with one seed produce identical reports.
 //!
 //! ```
 //! use odp_sim::net::NodeId;

@@ -1,10 +1,10 @@
-//! Machine-readable run reports.
+//! Run reports.
 //!
 //! A [`TelemetryReport`] aggregates a [`Collector`] into per-subsystem
-//! counters and latency percentiles, and renders itself as JSON so
-//! bench runs can emit `BENCH_telemetry.json` trajectory rows. The
-//! rendering is hand-rolled over `BTreeMap`s (the workspace vendors no
-//! JSON serializer) and therefore byte-deterministic for a given run.
+//! span counts and latency percentiles, kept in `BTreeMap`s so a run
+//! reads back in one order. [`json_string`] escapes a string into a
+//! JSON literal for the tools that write JSON by hand (the workspace
+//! vendors no serializer).
 
 use std::collections::BTreeMap;
 
@@ -73,54 +73,6 @@ impl TelemetryReport {
             subsystems,
         }
     }
-
-    /// Renders the report as a deterministic JSON object. Keys are
-    /// emitted in `BTreeMap` order; durations are integral microsecond
-    /// fields (`*_us`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        push_field(&mut out, "seed", &self.seed.to_string(), true);
-        push_field(&mut out, "traces", &self.traces.to_string(), false);
-        push_field(&mut out, "spans", &self.spans.to_string(), false);
-        push_field(&mut out, "unclosed", &self.unclosed.to_string(), false);
-        push_field(
-            &mut out,
-            "dropped_trace_events",
-            &self.dropped_trace_events.to_string(),
-            false,
-        );
-        out.push_str(",\"subsystems\":{");
-        for (i, (name, sub)) in self.subsystems.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{{\"counters\":{{", json_string(name)));
-            for (j, (kind, n)) in sub.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}:{}", json_string(kind), n));
-            }
-            out.push_str("},\"latency\":{");
-            for (j, (kind, s)) in sub.latency.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}:{}", json_string(kind), summary_json(s)));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-fn push_field(out: &mut String, name: &str, value: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push_str(&format!("{}:{}", json_string(name), value));
 }
 
 /// Escapes a string into a JSON string literal.
@@ -140,21 +92,6 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-fn summary_json(s: &Summary) -> String {
-    format!(
-        "{{\"count\":{},\"mean_us\":{},\"min_us\":{},\"p50_us\":{},\"p95_us\":{},\
-         \"p99_us\":{},\"max_us\":{},\"stddev_us\":{:.3}}}",
-        s.count,
-        s.mean.as_micros(),
-        s.min.as_micros(),
-        s.p50.as_micros(),
-        s.p95.as_micros(),
-        s.p99.as_micros(),
-        s.max.as_micros(),
-        s.stddev_micros,
-    )
 }
 
 #[cfg(test)]
@@ -185,23 +122,6 @@ mod tests {
         assert_eq!(r.subsystems["rpc"].counters["rpc.call"], 1);
         assert_eq!(r.subsystems["gc"].counters["gc.deliver"], 1);
         assert_eq!(r.subsystems["rpc"].latency["rpc.call"].count, 1);
-    }
-
-    #[test]
-    fn json_is_deterministic_and_balanced() {
-        let r = TelemetryReport::from_collector(42, &sample_collector(), 3);
-        let a = r.to_json();
-        let b = r.to_json();
-        assert_eq!(a, b);
-        assert!(a.starts_with('{') && a.ends_with('}'));
-        assert_eq!(
-            a.matches('{').count(),
-            a.matches('}').count(),
-            "unbalanced braces in {a}"
-        );
-        assert!(a.contains("\"seed\":42"));
-        assert!(a.contains("\"dropped_trace_events\":3"));
-        assert!(a.contains("\"rpc.call\":{\"count\":1"));
     }
 
     #[test]
