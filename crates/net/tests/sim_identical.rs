@@ -20,6 +20,7 @@ use odp_access::rights::Rights;
 use odp_awareness::bus::{CoopEvent, CoopKind, EventBus};
 use odp_awareness::dist::{BusActor, BusWire};
 use odp_awareness::events::ActivityKind;
+use odp_fabric::span::SpanOp;
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::GcMsg;
 use odp_net::sim_host::SimHost;
@@ -127,6 +128,191 @@ fn census(sim: &Sim<GcMsg<BusWire>>) -> (usize, u64) {
         })
 }
 
+/// 64-bit FNV-1a, fed whole words and length-prefixed strings.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+/// What one seeded fan-out run must reproduce exactly. The values in
+/// [`GOLDEN`] were read off a run in which every replica was also
+/// hosted through the transport layer's sim adapter and agreed with the
+/// bare run record for record.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    /// Final `Sim::now()`, in microseconds.
+    now_us: u64,
+    /// `Sim::events_processed()`.
+    events: u64,
+    /// Trace records and span-log events.
+    records: (usize, usize),
+    /// Digest of the trace (time, node, label, data of every record)
+    /// and of the span log (time, node, op, ids, kind of every event).
+    trace: u64,
+    /// Digest of every metrics counter, name and value, in name order.
+    counters: u64,
+    /// Digest of each replica's `(observer, publisher, weight)` per
+    /// surfaced delivery, replica by replica.
+    deliveries: u64,
+}
+
+fn golden_of(sim: &Sim<GcMsg<BusWire>>) -> Golden {
+    let mut trace = Fnv::new();
+    for rec in sim.trace().events() {
+        trace.word(rec.time.as_micros());
+        trace.word(u64::from(rec.node.0));
+        trace.text(&rec.label);
+        trace.text(&rec.data);
+    }
+    let spans = sim.trace().spans();
+    for ev in spans.events() {
+        trace.word(ev.time_us);
+        trace.word(u64::from(ev.node));
+        match ev.op {
+            SpanOp::Open { span, kind } => {
+                trace.word(0);
+                trace.word(span.trace_id);
+                trace.word(span.span_id);
+                trace.word(u64::from(span.parent.is_some()));
+                trace.word(span.parent.unwrap_or(0));
+                trace.text(spans.kind(kind));
+            }
+            SpanOp::Close { trace_id, span_id } => {
+                trace.word(1);
+                trace.word(trace_id);
+                trace.word(span_id);
+            }
+        }
+    }
+    let mut counts = Fnv::new();
+    for (name, value) in counters(sim) {
+        counts.text(&name);
+        counts.word(value);
+    }
+    let mut delivered = Fnv::new();
+    for i in 0..REPLICAS {
+        let replica: &BusActor = sim.get(ActorHandle::of(NodeId(i))).expect("bare replica");
+        let rows = deliveries(replica);
+        delivered.word(rows.len() as u64);
+        for (observer, publisher, weight) in rows {
+            delivered.word(u64::from(observer.0));
+            delivered.word(u64::from(publisher.0));
+            delivered.word(weight.to_bits());
+        }
+    }
+    Golden {
+        now_us: sim.now().as_micros(),
+        events: sim.events_processed(),
+        records: (sim.trace().events().len(), spans.len()),
+        trace: trace.0,
+        counters: counts.0,
+        deliveries: delivered.0,
+    }
+}
+
+/// The bare fan-out's record per `(seed, gated)`.
+const GOLDEN: [(u64, bool, Golden); 6] = [
+    (
+        1,
+        true,
+        Golden {
+            now_us: 30_000_000,
+            events: 5_288,
+            records: (0, 400),
+            trace: 0x8d33_888a_8bdf_000d,
+            counters: 0x7b6e_7e68_daff_d084,
+            deliveries: 0x5072_02f3_5d81_7331,
+        },
+    ),
+    (
+        1,
+        false,
+        Golden {
+            now_us: 30_000_000,
+            events: 5_288,
+            records: (0, 512),
+            trace: 0xb162_80d6_5bb7_3fd6,
+            counters: 0x3deb_2576_9377_89dc,
+            deliveries: 0x9b1a_fc9d_123e_6aa1,
+        },
+    ),
+    (
+        42,
+        true,
+        Golden {
+            now_us: 30_000_000,
+            events: 5_288,
+            records: (0, 400),
+            trace: 0xfea1_9c94_9572_5453,
+            counters: 0x7b6e_7e68_daff_d084,
+            deliveries: 0xe7ba_04ae_7f03_7301,
+        },
+    ),
+    (
+        42,
+        false,
+        Golden {
+            now_us: 30_000_000,
+            events: 5_288,
+            records: (0, 512),
+            trace: 0xdaa7_7b07_fa7a_bc72,
+            counters: 0x3deb_2576_9377_89dc,
+            deliveries: 0xc761_647f_81d9_0b41,
+        },
+    ),
+    (
+        0xC5C3,
+        true,
+        Golden {
+            now_us: 30_000_000,
+            events: 5_290,
+            records: (0, 400),
+            trace: 0xa4e2_df90_97d8_e633,
+            counters: 0x42fe_6db1_76e2_44bc,
+            deliveries: 0x6f15_5030_b928_4f05,
+        },
+    ),
+    (
+        0xC5C3,
+        false,
+        Golden {
+            now_us: 30_000_000,
+            events: 5_290,
+            records: (0, 512),
+            trace: 0x13a2_13a5_5754_4304,
+            counters: 0x378e_e73f_15ae_8564,
+            deliveries: 0xae76_da70_a9db_dadd,
+        },
+    ),
+];
+
+fn golden(seed: u64, gated: bool) -> &'static Golden {
+    GOLDEN
+        .iter()
+        .find(|(s, g, _)| (*s, *g) == (seed, gated))
+        .map(|(_, _, golden)| golden)
+        .expect("a pinned record")
+}
+
 #[test]
 fn sim_host_is_bit_identical_on_the_e13_fanout() {
     // Each of the 32 publications is offered to the observers of the 7
@@ -166,6 +352,11 @@ fn sim_host_is_bit_identical_on_the_e13_fanout() {
                     "deliveries diverged at node {i} on seed {seed}, gated {gated}"
                 );
             }
+            assert_eq!(
+                golden_of(&bare),
+                *golden(seed, gated),
+                "record moved on seed {seed}, gated {gated}"
+            );
             assert_eq!(
                 census(&bare),
                 expected,
