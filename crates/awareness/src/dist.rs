@@ -18,8 +18,6 @@ use std::collections::BTreeSet;
 
 use odp_groupcomm::membership::View;
 use odp_groupcomm::multicast::{Delivery, GcMsg, GroupEngine, Ordering, Reliability, Step};
-use odp_net::actor::TransportActor;
-use odp_net::ctx::NetCtx;
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimDuration;
@@ -118,7 +116,7 @@ impl BusActor {
         &self.delivered
     }
 
-    fn apply_step(&mut self, ctx: &mut dyn NetCtx<GcMsg<BusWire>>, step: Step<BusWire>) {
+    fn apply_step(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, step: Step<BusWire>) {
         for (to, msg) in step.outbound {
             ctx.send(to, msg);
         }
@@ -129,7 +127,7 @@ impl BusActor {
 
     /// Surfaces the grants of one delivered wire message that are
     /// addressed to locally hosted observers.
-    fn surface(&mut self, ctx: &mut dyn NetCtx<GcMsg<BusWire>>, delivery: Delivery<BusWire>) {
+    fn surface(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, delivery: Delivery<BusWire>) {
         let wire = delivery.payload;
         for &(observer, weight) in &wire.grants {
             if !self.hosted.contains(&observer) {
@@ -152,17 +150,14 @@ impl BusActor {
     }
 }
 
-impl BusActor {
-    fn handle_start(&mut self, ctx: &mut dyn NetCtx<GcMsg<BusWire>>) {
+/// Peer churn from a live transport is the membership layer's concern
+/// ([`GcMsg::InstallView`]).
+impl Actor<GcMsg<BusWire>> for BusActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>) {
         ctx.set_timer(self.tick_every, TICK);
     }
 
-    fn handle_message(
-        &mut self,
-        ctx: &mut dyn NetCtx<GcMsg<BusWire>>,
-        from: NodeId,
-        msg: GcMsg<BusWire>,
-    ) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, from: NodeId, msg: GcMsg<BusWire>) {
         match msg {
             GcMsg::AppCmd(mut wire) => {
                 let event = wire.event.clone();
@@ -198,49 +193,12 @@ impl BusActor {
         }
     }
 
-    fn handle_timer(&mut self, ctx: &mut dyn NetCtx<GcMsg<BusWire>>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, _timer: TimerId, tag: u64) {
         if tag == TICK {
             let step = self.engine.on_tick(ctx.now());
             self.apply_step(ctx, step);
             ctx.set_timer(self.tick_every, TICK);
         }
-    }
-}
-
-/// Sim backend: `&mut Ctx` coerces to `&mut dyn NetCtx`, whose methods
-/// forward 1:1, so seeded runs match the pre-`odp-net` adapter exactly.
-impl Actor<GcMsg<BusWire>> for BusActor {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>) {
-        self.handle_start(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, from: NodeId, msg: GcMsg<BusWire>) {
-        self.handle_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, _timer: TimerId, tag: u64) {
-        self.handle_timer(ctx, tag);
-    }
-}
-
-/// Real-transport backends drive the same handlers; peer churn is the
-/// membership layer's concern ([`GcMsg::InstallView`]).
-impl TransportActor<GcMsg<BusWire>> for BusActor {
-    fn on_start(&mut self, ctx: &mut dyn NetCtx<GcMsg<BusWire>>) {
-        self.handle_start(ctx);
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut dyn NetCtx<GcMsg<BusWire>>,
-        from: NodeId,
-        msg: GcMsg<BusWire>,
-    ) {
-        self.handle_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn NetCtx<GcMsg<BusWire>>, _timer: TimerId, tag: u64) {
-        self.handle_timer(ctx, tag);
     }
 }
 

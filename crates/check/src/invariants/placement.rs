@@ -33,7 +33,6 @@ use std::collections::BTreeMap;
 
 use odp_mgmt::model::ClusterId;
 use odp_mgmt::placement::{place, UsagePattern};
-use odp_net::sim_host::SimHost;
 use odp_place::controller::{DecisionRecord, EpochOutcome, EpochRecord, PlacementActor};
 use odp_place::host::TileHostActor;
 use odp_place::scenario::{collab_raster, RasterConfig};
@@ -78,14 +77,12 @@ pub fn placement_sim(seed: u64, quiesce: bool) -> Sim<PlaceWire> {
 }
 
 fn controller(sim: &Sim<PlaceWire>) -> Result<&PlacementActor, String> {
-    sim.get::<SimHost<PlacementActor>>(ActorHandle::of(CONTROLLER))
-        .map(SimHost::inner)
+    sim.get::<PlacementActor>(ActorHandle::of(CONTROLLER))
         .ok_or_else(|| "placement controller missing".to_owned())
 }
 
 fn host(sim: &Sim<PlaceWire>, node: NodeId) -> Result<&TileHostActor, String> {
-    sim.get::<SimHost<TileHostActor>>(ActorHandle::of(node))
-        .map(SimHost::inner)
+    sim.get::<TileHostActor>(ActorHandle::of(node))
         .ok_or_else(|| format!("tile host {node} missing"))
 }
 

@@ -15,7 +15,6 @@ use odp_fabric::SpanOp;
 use odp_groupcomm::actors::{GroupActor, GroupApp, RpcConfig};
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::{Delivery, GcMsg, Ordering, Reliability};
-use odp_net::ctx::NetCtx;
 use odp_sim::prelude::*;
 use odp_telemetry::collector::Collector;
 
@@ -25,11 +24,11 @@ use crate::explore::Invariant;
 pub struct EchoApp;
 
 impl GroupApp<String> for EchoApp {
-    fn on_deliver(&mut self, _ctx: &mut dyn NetCtx<GcMsg<String>>, _delivery: Delivery<String>) {}
+    fn on_deliver(&mut self, _ctx: &mut Ctx<'_, GcMsg<String>>, _delivery: Delivery<String>) {}
 
     fn on_rpc(
         &mut self,
-        _ctx: &mut dyn NetCtx<GcMsg<String>>,
+        _ctx: &mut Ctx<'_, GcMsg<String>>,
         _from: NodeId,
         _call: u64,
         payload: &String,

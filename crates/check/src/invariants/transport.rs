@@ -52,8 +52,6 @@
 
 use std::collections::BTreeMap;
 
-use odp_net::actor::TransportActor;
-use odp_net::ctx::NetCtx;
 use odp_net::driver::{DriverCore, Input};
 use odp_net::session::{Frame, SessionConfig, SessionLayer, SessionStats};
 use odp_net::tcp::TcpReport;
@@ -78,8 +76,8 @@ pub struct Recorder {
     pub delivered: Vec<(NodeId, String)>,
 }
 
-impl TransportActor<Note> for Recorder {
-    fn on_message(&mut self, ctx: &mut dyn NetCtx<Note>, from: NodeId, (to, text): Note) {
+impl Actor<Note> for Recorder {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Note>, from: NodeId, (to, text): Note) {
         if from == ctx.id() {
             ctx.send(to, (to, text));
         } else {

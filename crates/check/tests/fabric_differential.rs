@@ -17,7 +17,6 @@ use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::{DataMsg, Delivery, GcMsg, MsgId, Ordering, Reliability};
 use odp_groupcomm::vclock::VectorClock;
 use odp_groupcomm::{from_fabric, to_fabric};
-use odp_net::ctx::NetCtx;
 use odp_net::wire::{payload_of, WireCodec};
 use odp_place::wire::{PlaceWire, SpanObs};
 use odp_sim::prelude::*;
@@ -276,7 +275,7 @@ struct ScheduleLog<P> {
 }
 
 impl<P: Clone + 'static> GroupApp<P> for ScheduleLog<P> {
-    fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, d: Delivery<P>) {
+    fn on_deliver(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, d: Delivery<P>) {
         self.log.push((
             ctx.now().as_micros(),
             d.id.origin.0,

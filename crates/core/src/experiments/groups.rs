@@ -5,7 +5,6 @@ use odp_groupcomm::actors::{GroupActor, GroupApp, RpcConfig};
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::{Delivery, GcMsg, Ordering, Reliability};
 use odp_groupcomm::rpc::{CallOutcome, CallStatus, Quorum};
-use odp_net::ctx::NetCtx;
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::{LinkSpec, Network, NodeId};
 use odp_sim::prelude::{ActorHandle, Sim, SimBuilder, Until};
@@ -17,7 +16,7 @@ use super::{Shape, Table};
 struct Tracer;
 
 impl GroupApp<String> for Tracer {
-    fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, d: Delivery<String>) {
+    fn on_deliver(&mut self, ctx: &mut Ctx<'_, GcMsg<String>>, d: Delivery<String>) {
         ctx.trace("gc.delivered", &d.payload);
     }
 }
@@ -194,22 +193,22 @@ struct Outcomes {
 }
 
 impl GroupApp<String> for Outcomes {
-    fn on_deliver(&mut self, _: &mut dyn NetCtx<GcMsg<String>>, _: Delivery<String>) {}
+    fn on_deliver(&mut self, _: &mut Ctx<'_, GcMsg<String>>, _: Delivery<String>) {}
     fn on_rpc(
         &mut self,
-        _ctx: &mut dyn NetCtx<GcMsg<String>>,
+        _ctx: &mut Ctx<'_, GcMsg<String>>,
         _from: NodeId,
         _call: u64,
         payload: &String,
     ) -> Option<String> {
         Some(format!("ok:{payload}"))
     }
-    fn on_execute(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, _call: u64, _payload: String) {
+    fn on_execute(&mut self, ctx: &mut Ctx<'_, GcMsg<String>>, _call: u64, _payload: String) {
         self.executed_at.push(ctx.now());
         let at = ctx.now().as_micros();
-        ctx.trace("camera.started", &at);
+        ctx.trace("camera.started", at);
     }
-    fn on_rpc_outcome(&mut self, _ctx: &mut dyn NetCtx<GcMsg<String>>, o: CallOutcome<String>) {
+    fn on_rpc_outcome(&mut self, _ctx: &mut Ctx<'_, GcMsg<String>>, o: CallOutcome<String>) {
         match o.status {
             CallStatus::Completed => self.completed += 1,
             CallStatus::TimedOut => self.timed_out += 1,

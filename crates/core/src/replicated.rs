@@ -14,7 +14,7 @@ use odp_access::rights::Rights;
 use odp_groupcomm::actors::{GroupActor, GroupApp};
 use odp_groupcomm::membership::View;
 use odp_groupcomm::multicast::{Delivery, GcMsg, Ordering, Reliability};
-use odp_net::ctx::NetCtx;
+use odp_sim::actor::Ctx;
 use odp_sim::net::NodeId;
 
 use crate::workspace::{ObjectId, SharedWorkspace};
@@ -86,7 +86,7 @@ impl WorkspaceReplica {
 }
 
 impl GroupApp<WsOp> for WorkspaceReplica {
-    fn on_command(&mut self, ctx: &mut dyn NetCtx<GcMsg<WsOp>>, cmd: WsOp) -> Option<WsOp> {
+    fn on_command(&mut self, ctx: &mut Ctx<'_, GcMsg<WsOp>>, cmd: WsOp) -> Option<WsOp> {
         // Policy gate at the submitting replica: a denied write is
         // rejected before it ever reaches the wire.
         if self
@@ -98,13 +98,13 @@ impl GroupApp<WsOp> for WorkspaceReplica {
             self.rejected += 1;
             ctx.trace(
                 "ws.rejected",
-                &format_args!("actor {} on obj {}", cmd.actor, cmd.object),
+                format_args!("actor {} on obj {}", cmd.actor, cmd.object),
             );
             None
         }
     }
 
-    fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<WsOp>>, d: Delivery<WsOp>) {
+    fn on_deliver(&mut self, ctx: &mut Ctx<'_, GcMsg<WsOp>>, d: Delivery<WsOp>) {
         let op = d.payload;
         match self
             .workspace
@@ -117,7 +117,7 @@ impl GroupApp<WsOp> for WorkspaceReplica {
                 // is formatted straight into the trace's own buffer.
                 ctx.trace(
                     "ws.applied",
-                    &format_args!("obj {} by {}", op.object, op.actor),
+                    format_args!("obj {} by {}", op.object, op.actor),
                 );
             }
             Err(e) => {

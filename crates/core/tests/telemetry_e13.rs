@@ -7,7 +7,6 @@
 use odp_groupcomm::actors::{GroupActor, GroupApp, RpcConfig};
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::{Delivery, GcMsg, Ordering, Reliability};
-use odp_net::ctx::NetCtx;
 use odp_sim::prelude::*;
 use odp_telemetry::collector::Collector;
 
@@ -15,11 +14,11 @@ use odp_telemetry::collector::Collector;
 struct Ack;
 
 impl GroupApp<String> for Ack {
-    fn on_deliver(&mut self, _ctx: &mut dyn NetCtx<GcMsg<String>>, _delivery: Delivery<String>) {}
+    fn on_deliver(&mut self, _ctx: &mut Ctx<'_, GcMsg<String>>, _delivery: Delivery<String>) {}
 
     fn on_rpc(
         &mut self,
-        _ctx: &mut dyn NetCtx<GcMsg<String>>,
+        _ctx: &mut Ctx<'_, GcMsg<String>>,
         _from: NodeId,
         _call: u64,
         payload: &String,

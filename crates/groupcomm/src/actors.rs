@@ -1,20 +1,14 @@
-//! Transport adapters: host a [`GroupEngine`] and an [`RpcEngine`] on
-//! any `odp_net` backend, delegating application behaviour to a
-//! [`GroupApp`].
+//! Host a [`GroupEngine`] and an [`RpcEngine`] as one actor,
+//! delegating application behaviour to a [`GroupApp`].
 //!
-//! The actors are written once against the backend-neutral
-//! [`NetCtx`] capability trait. A [`GroupActor`] is both an
-//! `odp_sim::actor::Actor` (the sim backend hands its `Ctx` straight
-//! through, so seeded runs are byte-for-byte identical to the
-//! pre-`odp-net` adapters) and an `odp_net::TransportActor` (the TCP
-//! backend drives the same handlers over real sockets).
+//! A [`GroupActor`] is an `odp_sim::actor::Actor`, so it runs on the
+//! simulator as it is and on `odp_net`'s TCP backend through the
+//! `TransportActor` impl every actor gets.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 
 use odp_fabric::SpanCarrier;
-use odp_net::actor::TransportActor;
-use odp_net::ctx::NetCtx;
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
@@ -29,30 +23,30 @@ const EXEC_BASE: u64 = 1_000;
 /// Application behaviour plugged into a [`GroupActor`].
 ///
 /// All methods have defaults so simple applications implement only what
-/// they need. Callbacks receive the backend-neutral
-/// [`NetCtx`] handle, so one app implementation runs on the
-/// deterministic simulator and on the TCP transport unchanged.
+/// they need. Callbacks receive the hosting actor's [`Ctx`], so one app
+/// implementation runs on the deterministic simulator and on the TCP
+/// transport unchanged.
 pub trait GroupApp<P>: 'static {
     /// Called once at simulation start.
-    fn on_start(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>) {
         let _ = ctx;
     }
 
     /// A locally injected command ([`GcMsg::AppCmd`]) arrived. Return
     /// `Some(payload)` to multicast it to the group.
-    fn on_command(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, cmd: P) -> Option<P> {
+    fn on_command(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, cmd: P) -> Option<P> {
         let _ = ctx;
         Some(cmd)
     }
 
     /// A group message was delivered in order.
-    fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, delivery: Delivery<P>);
+    fn on_deliver(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, delivery: Delivery<P>);
 
     /// An RPC request arrived. Return `Some(reply)` to answer it. If the
     /// request carries `execute_at`, [`GroupApp::on_execute`] fires then.
     fn on_rpc(
         &mut self,
-        ctx: &mut dyn NetCtx<GcMsg<P>>,
+        ctx: &mut Ctx<'_, GcMsg<P>>,
         from: NodeId,
         call: u64,
         payload: &P,
@@ -62,12 +56,12 @@ pub trait GroupApp<P>: 'static {
     }
 
     /// A group-invocation action reached its agreed execution instant.
-    fn on_execute(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, call: u64, payload: P) {
+    fn on_execute(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, call: u64, payload: P) {
         let _ = (ctx, call, payload);
     }
 
     /// One of this node's outgoing RPC calls finished.
-    fn on_rpc_outcome(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, outcome: CallOutcome<P>) {
+    fn on_rpc_outcome(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, outcome: CallOutcome<P>) {
         let _ = (ctx, outcome);
     }
 }
@@ -80,12 +74,11 @@ pub trait GroupApp<P>: 'static {
 /// use odp_groupcomm::actors::{GroupActor, GroupApp};
 /// use odp_groupcomm::membership::{GroupId, View};
 /// use odp_groupcomm::multicast::{Delivery, GcMsg, Ordering, Reliability};
-/// use odp_net::ctx::NetCtx;
 /// use odp_sim::prelude::*;
 ///
 /// struct Counter { seen: u32 }
 /// impl GroupApp<String> for Counter {
-///     fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, d: Delivery<String>) {
+///     fn on_deliver(&mut self, ctx: &mut Ctx<'_, GcMsg<String>>, d: Delivery<String>) {
 ///         self.seen += 1;
 ///         ctx.trace("delivered", &d.payload);
 ///     }
@@ -185,7 +178,7 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
         &mut self.rpc
     }
 
-    fn apply_step(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, step: Step<P>) {
+    fn apply_step(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, step: Step<P>) {
         for (to, msg) in step.outbound {
             ctx.send(to, msg);
         }
@@ -234,7 +227,7 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
     /// callbacks executed inside this actor's dispatch).
     pub fn invoke_rpc_now(
         &mut self,
-        ctx: &mut dyn NetCtx<GcMsg<P>>,
+        ctx: &mut Ctx<'_, GcMsg<P>>,
         payload: P,
         config: RpcConfig,
     ) -> u64 {
@@ -266,20 +259,22 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
 
     /// Closes the `rpc.call` root span of a finished call, if telemetry
     /// opened one.
-    fn close_call_span(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, call: u64) {
+    fn close_call_span(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, call: u64) {
         if let Some(root) = self.open_calls.remove(&call) {
             ctx.span_close(root);
         }
     }
 }
 
-impl<P: Clone + Any, A: GroupApp<P>> GroupActor<P, A> {
-    fn handle_start(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>) {
+/// Peer up/down events from a live transport are left to the
+/// application layer's view-change protocol ([`GcMsg::InstallView`]).
+impl<P: Clone + Any, A: GroupApp<P>> Actor<GcMsg<P>> for GroupActor<P, A> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>) {
         ctx.set_timer(self.tick_every, TICK);
         self.app.on_start(ctx);
     }
 
-    fn handle_message(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, from: NodeId, msg: GcMsg<P>) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, from: NodeId, msg: GcMsg<P>) {
         match msg {
             GcMsg::AppCmd(cmd) => {
                 if let Some(payload) = self.app.on_command(ctx, cmd) {
@@ -347,7 +342,7 @@ impl<P: Clone + Any, A: GroupApp<P>> GroupActor<P, A> {
                 }
             }
             GcMsg::InstallView(view) => {
-                ctx.trace("gc.view_installed", &format_args!("v{}", view.id.0));
+                ctx.trace("gc.view_installed", format_args!("v{}", view.id.0));
                 self.engine.install_view(view);
             }
             other => {
@@ -357,7 +352,7 @@ impl<P: Clone + Any, A: GroupApp<P>> GroupActor<P, A> {
         }
     }
 
-    fn handle_timer(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, _timer: TimerId, tag: u64) {
         if tag == TICK {
             let step = self.engine.on_tick(ctx.now());
             if !step.outbound.is_empty() {
@@ -371,43 +366,9 @@ impl<P: Clone + Any, A: GroupApp<P>> GroupActor<P, A> {
             }
             ctx.set_timer(self.tick_every, TICK);
         } else if let Some((call, payload)) = self.pending_exec.remove(&tag) {
-            ctx.trace("rpc.executed", &call);
+            ctx.trace("rpc.executed", call);
             self.app.on_execute(ctx, call, payload);
         }
-    }
-}
-
-/// Sim backend: a `&mut Ctx` unsize-coerces to `&mut dyn NetCtx`, whose
-/// impl forwards every method 1:1, so hosting through this adapter is
-/// byte-for-byte identical to the pre-`odp-net` direct impl.
-impl<P: Clone + Any, A: GroupApp<P>> Actor<GcMsg<P>> for GroupActor<P, A> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>) {
-        self.handle_start(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, from: NodeId, msg: GcMsg<P>) {
-        self.handle_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, _timer: TimerId, tag: u64) {
-        self.handle_timer(ctx, tag);
-    }
-}
-
-/// Real-transport backends (e.g. `odp_net::tcp::TcpNode`) drive the same
-/// handlers; peer up/down events are left to the application layer's
-/// view-change protocol ([`GcMsg::InstallView`]).
-impl<P: Clone + Any, A: GroupApp<P>> TransportActor<GcMsg<P>> for GroupActor<P, A> {
-    fn on_start(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>) {
-        self.handle_start(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, from: NodeId, msg: GcMsg<P>) {
-        self.handle_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn NetCtx<GcMsg<P>>, _timer: TimerId, tag: u64) {
-        self.handle_timer(ctx, tag);
     }
 }
 
@@ -426,28 +387,23 @@ mod tests {
     }
 
     impl GroupApp<String> for Recorder {
-        fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, d: Delivery<String>) {
+        fn on_deliver(&mut self, ctx: &mut Ctx<'_, GcMsg<String>>, d: Delivery<String>) {
             self.delivered.push(d.payload.clone());
             ctx.trace("app.deliver", &d.payload);
         }
         fn on_rpc(
             &mut self,
-            _ctx: &mut dyn NetCtx<GcMsg<String>>,
+            _ctx: &mut Ctx<'_, GcMsg<String>>,
             _from: NodeId,
             _call: u64,
             payload: &String,
         ) -> Option<String> {
             Some(format!("re:{payload}"))
         }
-        fn on_execute(
-            &mut self,
-            ctx: &mut dyn NetCtx<GcMsg<String>>,
-            _call: u64,
-            _payload: String,
-        ) {
+        fn on_execute(&mut self, ctx: &mut Ctx<'_, GcMsg<String>>, _call: u64, _payload: String) {
             self.executed_at.push(ctx.now());
         }
-        fn on_rpc_outcome(&mut self, _ctx: &mut dyn NetCtx<GcMsg<String>>, o: CallOutcome<String>) {
+        fn on_rpc_outcome(&mut self, _ctx: &mut Ctx<'_, GcMsg<String>>, o: CallOutcome<String>) {
             self.outcomes.push((o.call, o.replies.len()));
         }
     }
@@ -533,24 +489,20 @@ mod tests {
     fn rpc_round_trip_with_outcome() {
         struct Caller(Recorder);
         impl GroupApp<String> for Caller {
-            fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, d: Delivery<String>) {
+            fn on_deliver(&mut self, ctx: &mut Ctx<'_, GcMsg<String>>, d: Delivery<String>) {
                 self.0.on_deliver(ctx, d);
             }
             fn on_rpc(
                 &mut self,
-                ctx: &mut dyn NetCtx<GcMsg<String>>,
+                ctx: &mut Ctx<'_, GcMsg<String>>,
                 from: NodeId,
                 call: u64,
                 payload: &String,
             ) -> Option<String> {
                 self.0.on_rpc(ctx, from, call, payload)
             }
-            fn on_rpc_outcome(
-                &mut self,
-                ctx: &mut dyn NetCtx<GcMsg<String>>,
-                o: CallOutcome<String>,
-            ) {
-                ctx.trace("rpc.done", &o.replies.len());
+            fn on_rpc_outcome(&mut self, ctx: &mut Ctx<'_, GcMsg<String>>, o: CallOutcome<String>) {
+                ctx.trace("rpc.done", o.replies.len());
                 self.0.on_rpc_outcome(ctx, o);
             }
         }

@@ -4,7 +4,6 @@
 use odp_groupcomm::actors::{GroupActor, GroupApp};
 use odp_groupcomm::membership::{GroupId, Membership, View};
 use odp_groupcomm::multicast::{Delivery, GcMsg, Ordering, Reliability};
-use odp_net::ctx::NetCtx;
 use odp_sim::prelude::*;
 use std::collections::HashSet;
 
@@ -14,7 +13,7 @@ struct Collector {
 }
 
 impl GroupApp<String> for Collector {
-    fn on_deliver(&mut self, ctx: &mut dyn NetCtx<GcMsg<String>>, d: Delivery<String>) {
+    fn on_deliver(&mut self, ctx: &mut Ctx<'_, GcMsg<String>>, d: Delivery<String>) {
         self.got.push(d.payload.clone());
         ctx.trace("delivered", &d.payload);
     }

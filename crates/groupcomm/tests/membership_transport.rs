@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 use odp_groupcomm::actors::{GroupActor, GroupApp};
 use odp_groupcomm::membership::{GroupId, View, ViewId};
 use odp_groupcomm::multicast::{Delivery, GcMsg, Ordering, Reliability};
-use odp_net::ctx::NetCtx;
 use odp_net::tcp::{TcpConfig, TcpNode};
 use odp_sim::net::{Connectivity, NodeId};
 use odp_sim::prelude::*;
@@ -52,7 +51,7 @@ struct Recorder {
 }
 
 impl GroupApp<String> for Recorder {
-    fn on_deliver(&mut self, _ctx: &mut dyn NetCtx<GcMsg<String>>, d: Delivery<String>) {
+    fn on_deliver(&mut self, _ctx: &mut Ctx<'_, GcMsg<String>>, d: Delivery<String>) {
         self.delivered.push(d.payload);
     }
 }

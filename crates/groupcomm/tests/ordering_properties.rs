@@ -11,7 +11,6 @@ use odp_groupcomm::multicast::{
     DataMsg, Delivery, GcMsg, GroupEngine, MsgId, Ordering, Reliability,
 };
 use odp_groupcomm::vclock::{Causality, VectorClock};
-use odp_net::ctx::NetCtx;
 use odp_sim::prelude::*;
 use proptest::prelude::*;
 
@@ -21,7 +20,7 @@ struct Collector {
 }
 
 impl GroupApp<(u32, u32)> for Collector {
-    fn on_deliver(&mut self, _ctx: &mut dyn NetCtx<GcMsg<(u32, u32)>>, d: Delivery<(u32, u32)>) {
+    fn on_deliver(&mut self, _ctx: &mut Ctx<'_, GcMsg<(u32, u32)>>, d: Delivery<(u32, u32)>) {
         self.delivered.push(d.payload);
     }
 }

@@ -1,8 +1,9 @@
 //! The TCP backend's state machine, with the sockets, threads and
 //! clock left to its host.
 //!
-//! A [`DriverCore`] hosts one [`TransportActor`] behind the sans-IO
-//! [`SessionLayer`]. It is told [`Input`]s and [`DriverCore::tick`]s,
+//! A [`DriverCore`] hosts one [`TransportActor`] — any
+//! `odp_sim::actor::Actor`, through the blanket impl — behind the
+//! sans-IO [`SessionLayer`]. It is told [`Input`]s and [`DriverCore::tick`]s,
 //! each with the time its host read, and hands back, per
 //! [`DriverCore::flush_links`], one byte batch per connection and the
 //! connections it let go. Actors get the simulator's own

@@ -1,5 +1,6 @@
-//! The production backend: a threaded TCP driver for
-//! [`TransportActor`]s.
+//! The production backend: a threaded TCP driver for actors — any
+//! `odp_sim::actor::Actor`, through the blanket [`TransportActor`]
+//! impl.
 //!
 //! One [`TcpNode`] hosts one actor on real `std::net` sockets. This
 //! file is the I/O shell around the sans-IO [`DriverCore`], which holds
@@ -26,8 +27,8 @@
 //! again and on the way out, so nothing waits for a timer.
 //!
 //! Unlike the sim backend this one is **not deterministic**: the OS
-//! scheduler and the network order deliveries, and `NetCtx::now` is
-//! elapsed wall time since node start. What *is* preserved are the
+//! scheduler and the network order deliveries, and an actor's
+//! `Ctx::now` is elapsed wall time since node start. What *is* preserved are the
 //! protocol invariants — the acceptance tests assert vector-clock
 //! causality, total-order agreement and convergence over loopback, and
 //! the session stats prove no sequence gaps and exactly-once

@@ -1,16 +1,17 @@
-//! The transport refactor's central promise: hosting an actor on the
-//! sim backend through [`SimHost`] is *bit-identical* to running it as
-//! a plain `odp_sim` actor.
+//! The E13 awareness fan-out, held to a golden record: the schedule the
+//! simulator runs for a seeded scenario does not move.
 //!
-//! The workload is the E13 awareness fan-out scenario: 8 [`BusActor`]
-//! replicas over a 15 ms WAN, 4 broadcast edits each, telemetry on so
-//! span minting draws from every actor's RNG stream, on a rights-gated
-//! bus (6 of the 8 observers may read the artefact) and on an open one.
-//! The same seeded scenario is built twice (bare actors vs
-//! `SimHost`-wrapped) and the full observable record is compared: trace
-//! event streams (including RNG-derived span ids), metrics counters, and
-//! each replica's surfaced deliveries. The bare run is then held to its
-//! exact delivery and span census.
+//! The workload is 8 [`BusActor`] replicas over a 15 ms WAN, 4
+//! broadcast edits each, telemetry on so span minting draws from every
+//! actor's RNG stream, on a rights-gated bus (6 of the 8 observers may
+//! read the artefact) and on an open one. Each run's full observable
+//! record — trace and span log (including RNG-derived span ids), metrics
+//! counters, and each replica's surfaced deliveries — is digested and
+//! compared against [`GOLDEN`]. The values were captured while the same
+//! replicas could still be hosted through a separate sim adapter for the
+//! transport layer, and both hostings agreed record for record; an
+//! actor now runs on the simulator and over TCP as one `Actor` impl.
+//! The run is then held to its exact delivery and span census.
 
 use std::collections::BTreeMap;
 
@@ -23,7 +24,6 @@ use odp_awareness::events::ActivityKind;
 use odp_fabric::span::SpanOp;
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::GcMsg;
-use odp_net::sim_host::SimHost;
 use odp_sim::net::{LinkSpec, Network, NodeId};
 use odp_sim::prelude::{ActorHandle, Sim, SimBuilder, Until};
 use odp_sim::time::{SimDuration, SimTime};
@@ -64,18 +64,13 @@ fn replica(i: u32, gated: bool) -> BusActor {
     actor
 }
 
-/// Builds the E13 fan-out sim; `wrapped` hosts every replica behind
-/// [`SimHost`] instead of registering it directly.
-fn fanout_sim(seed: u64, wrapped: bool, gated: bool) -> Sim<GcMsg<BusWire>> {
+/// Builds the E13 fan-out sim.
+fn fanout_sim(seed: u64, gated: bool) -> Sim<GcMsg<BusWire>> {
     let link = LinkSpec::wan(SimDuration::from_millis(15));
     let net = Network::new(link);
     let mut sim: Sim<GcMsg<BusWire>> = SimBuilder::new(seed).network(net).build();
     for i in 0..REPLICAS {
-        if wrapped {
-            sim.add_actor(NodeId(i), SimHost::new(replica(i, gated)));
-        } else {
-            sim.add_actor(NodeId(i), replica(i, gated));
-        }
+        sim.add_actor(NodeId(i), replica(i, gated));
     }
     for i in 0..REPLICAS {
         for w in 0..WRITES_EACH {
@@ -112,13 +107,13 @@ fn deliveries(actor: &BusActor) -> Vec<(NodeId, NodeId, f64)> {
         .collect()
 }
 
-/// Deliveries surfaced across the bare replicas, and the publications
+/// Deliveries surfaced across the replicas, and the publications
 /// their rights gates suppressed.
 fn census(sim: &Sim<GcMsg<BusWire>>) -> (usize, u64) {
     (0..REPLICAS)
         .map(|i| {
             sim.get::<BusActor>(ActorHandle::of(NodeId(i)))
-                .expect("bare replica")
+                .expect("replica")
         })
         .fold((0, 0), |(delivered, suppressed), r| {
             (
@@ -153,10 +148,7 @@ impl Fnv {
     }
 }
 
-/// What one seeded fan-out run must reproduce exactly. The values in
-/// [`GOLDEN`] were read off a run in which every replica was also
-/// hosted through the transport layer's sim adapter and agreed with the
-/// bare run record for record.
+/// What one seeded fan-out run must reproduce exactly.
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
     /// Final `Sim::now()`, in microseconds.
@@ -210,7 +202,7 @@ fn golden_of(sim: &Sim<GcMsg<BusWire>>) -> Golden {
     }
     let mut delivered = Fnv::new();
     for i in 0..REPLICAS {
-        let replica: &BusActor = sim.get(ActorHandle::of(NodeId(i))).expect("bare replica");
+        let replica: &BusActor = sim.get(ActorHandle::of(NodeId(i))).expect("replica");
         let rows = deliveries(replica);
         delivered.word(rows.len() as u64);
         for (observer, publisher, weight) in rows {
@@ -229,7 +221,7 @@ fn golden_of(sim: &Sim<GcMsg<BusWire>>) -> Golden {
     }
 }
 
-/// The bare fan-out's record per `(seed, gated)`.
+/// The fan-out's record per `(seed, gated)`.
 const GOLDEN: [(u64, bool, Golden); 6] = [
     (
         1,
@@ -314,7 +306,7 @@ fn golden(seed: u64, gated: bool) -> &'static Golden {
 }
 
 #[test]
-fn sim_host_is_bit_identical_on_the_e13_fanout() {
+fn e13_fanout_matches_its_pinned_golden() {
     // Each of the 32 publications is offered to the observers of the 7
     // other replicas. Open, all 7 surface it: 224. Gated, the readers
     // do (5 of them when the publisher is a reader, 24 publications; 6
@@ -322,54 +314,27 @@ fn sim_host_is_bit_identical_on_the_e13_fanout() {
     // surfaced, 24 * 2 + 8 * 1 = 56 suppressed.
     for seed in [1u64, 42, 0xC5C3] {
         for (gated, expected) in [(true, (168, 56)), (false, (224, 0))] {
-            let mut bare = fanout_sim(seed, false, gated);
-            let mut wrapped = fanout_sim(seed, true, gated);
-            bare.run(Until::For(SimDuration::from_secs(30)));
-            wrapped.run(Until::For(SimDuration::from_secs(30)));
+            let mut sim = fanout_sim(seed, gated);
+            sim.run(Until::For(SimDuration::from_secs(30)));
 
-            // The trace is the strongest witness: event order, timestamps,
-            // and RNG-derived span ids must agree entry for entry.
             assert_eq!(
-                bare.trace().events(),
-                wrapped.trace().events(),
-                "trace diverged on seed {seed}, gated {gated}"
-            );
-            assert_eq!(
-                counters(&bare),
-                counters(&wrapped),
-                "metrics diverged on seed {seed}, gated {gated}"
-            );
-
-            // And the application-level outcome matches replica by replica.
-            for i in 0..REPLICAS {
-                let b: &BusActor = bare.get(ActorHandle::of(NodeId(i))).expect("bare replica");
-                let w: &SimHost<BusActor> = wrapped
-                    .get(ActorHandle::of(NodeId(i)))
-                    .expect("wrapped replica");
-                assert_eq!(
-                    deliveries(b),
-                    deliveries(w.inner()),
-                    "deliveries diverged at node {i} on seed {seed}, gated {gated}"
-                );
-            }
-            assert_eq!(
-                golden_of(&bare),
+                golden_of(&sim),
                 *golden(seed, gated),
                 "record moved on seed {seed}, gated {gated}"
             );
             assert_eq!(
-                census(&bare),
+                census(&sim),
                 expected,
                 "(surfaced, suppressed) on seed {seed}, gated {gated}"
             );
 
             // One well-formed `aware.publish` root per publication and one
             // `aware.deliver` child per surfaced grant.
-            let collector = Collector::from_trace(bare.trace());
+            let collector = Collector::from_trace(sim.trace());
             if let Err(e) = collector.well_formed() {
                 panic!("span audit failed on seed {seed}, gated {gated}: {e}");
             }
-            let report = TelemetryReport::from_collector(seed, &collector, bare.trace().dropped());
+            let report = TelemetryReport::from_collector(seed, &collector, sim.trace().dropped());
             let aware = &report.subsystems["aware"].counters;
             assert_eq!(
                 (aware["aware.publish"], aware["aware.deliver"]),

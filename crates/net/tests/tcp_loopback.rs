@@ -22,11 +22,10 @@ use odp_awareness::dist::{BusActor, BusWire};
 use odp_awareness::events::ActivityKind;
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::GcMsg;
-use odp_net::actor::TransportActor;
-use odp_net::ctx::NetCtx;
 use odp_net::session::Frame;
 use odp_net::tcp::{TcpConfig, TcpHandle, TcpNode};
 use odp_net::wire::{encode_frame, FrameStream, MAX_FRAME};
+use odp_sim::actor::{Actor, Ctx};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
 
@@ -140,8 +139,8 @@ struct Recorder {
     seen: Vec<(NodeId, String)>,
 }
 
-impl TransportActor<String> for Recorder {
-    fn on_message(&mut self, _ctx: &mut dyn NetCtx<String>, from: NodeId, msg: String) {
+impl Actor<String> for Recorder {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, String>, from: NodeId, msg: String) {
         self.seen.push((from, msg));
     }
 }
@@ -197,8 +196,8 @@ struct Relay {
     out: Sender<u64>,
 }
 
-impl TransportActor<u64> for Relay {
-    fn on_message(&mut self, ctx: &mut dyn NetCtx<u64>, from: NodeId, msg: u64) {
+impl Actor<u64> for Relay {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
         if from == self.me {
             ctx.send(self.to, msg);
         } else {

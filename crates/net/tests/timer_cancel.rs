@@ -12,11 +12,8 @@
 
 use std::time::Duration;
 
-use odp_net::actor::TransportActor;
-use odp_net::ctx::NetCtx;
 use odp_net::driver::DriverCore;
 use odp_net::session::{SessionConfig, SessionLayer};
-use odp_net::sim_host::SimHost;
 use odp_net::tcp::{TcpConfig, TcpNode};
 use odp_net::wire::MAX_FRAME;
 use odp_sim::prelude::*;
@@ -34,8 +31,8 @@ struct Script {
     fired: Vec<(TimerId, u64)>,
 }
 
-impl TransportActor<u32> for Script {
-    fn on_start(&mut self, ctx: &mut dyn NetCtx<u32>) {
+impl Actor<u32> for Script {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
         let doomed = ctx.set_timer(SimDuration::from_secs(60), CANCELLED);
         ctx.cancel_timer(doomed);
         self.cancelled = Some(doomed);
@@ -43,9 +40,9 @@ impl TransportActor<u32> for Script {
         ctx.set_timer(SimDuration::from_millis(10), CANCELS_LATE);
     }
 
-    fn on_message(&mut self, _: &mut dyn NetCtx<u32>, _: NodeId, _: u32) {}
+    fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
 
-    fn on_timer(&mut self, ctx: &mut dyn NetCtx<u32>, timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, timer: TimerId, tag: u64) {
         self.fired.push((timer, tag));
         if tag == CANCELS_LATE {
             ctx.cancel_timer(timer);
@@ -78,9 +75,9 @@ fn verify(script: &Script) {
 #[test]
 fn cancel_and_rearm_on_the_sim_backend() {
     let mut sim: Sim<u32> = SimBuilder::new(7).build();
-    let host = sim.add_actor(NodeId(0), SimHost::new(Script::default()));
+    let host = sim.add_actor(NodeId(0), Script::default());
     assert_eq!(sim.run(Until::Idle), RunOutcome::Quiesced);
-    verify(sim.get(host).expect("registered").inner());
+    verify(sim.get(host).expect("registered"));
     // No residue: the queue drained at the last live timer, not at the
     // cancelled one's 60 s, and only the one live cancel counted.
     assert_eq!(sim.pending_len(), 0);

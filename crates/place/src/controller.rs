@@ -1,8 +1,8 @@
 //! The placement controller: closes the telemetry → policy → migration
 //! loop.
 //!
-//! [`PlacementActor`] is an ordinary [`TransportActor`] so the control
-//! loop itself runs under the simulator or over TCP unchanged. It:
+//! [`PlacementActor`] is an ordinary [`Actor`] so the control loop
+//! itself runs under the simulator or over TCP unchanged. It:
 //!
 //! 1. **ingests** [`PlaceWire::Stats`] reports into its own
 //!    [`Collector`], folding every completed `tile.access` trace once:
@@ -33,9 +33,7 @@ use odp_awareness::bus::{CoopEvent, CoopKind, EventBus};
 use odp_mgmt::migration::{MigrationManager, MigrationPlan};
 use odp_mgmt::model::{CapsuleId, ClusterId, EngRegistry, ManagedObjectId};
 use odp_mgmt::placement::PlacementPolicy;
-use odp_net::actor::TransportActor;
-use odp_net::ctx::NetCtx;
-use odp_sim::actor::TimerId;
+use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 use odp_streams::qos::QosSpec;
@@ -317,7 +315,7 @@ impl PlacementActor {
         &self.registry
     }
 
-    fn fold_traces(&mut self, ctx: &mut dyn NetCtx<PlaceWire>) {
+    fn fold_traces(&mut self, ctx: &mut Ctx<'_, PlaceWire>) {
         struct Fold {
             trace_id: u64,
             cluster: ClusterId,
@@ -397,7 +395,7 @@ impl PlacementActor {
         pairs
     }
 
-    fn evaluate(&mut self, ctx: &mut dyn NetCtx<PlaceWire>) {
+    fn evaluate(&mut self, ctx: &mut Ctx<'_, PlaceWire>) {
         if self.in_flight.is_some() {
             return;
         }
@@ -425,7 +423,7 @@ impl PlacementActor {
         self.mgr.age_usage();
     }
 
-    fn start_migration(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, plan: MigrationPlan) {
+    fn start_migration(&mut self, ctx: &mut Ctx<'_, PlaceWire>, plan: MigrationPlan) {
         self.next_epoch += 1;
         let epoch = self.next_epoch;
         let now = ctx.now();
@@ -489,7 +487,7 @@ impl PlacementActor {
         }
     }
 
-    fn abort_epoch(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, reason: &str) {
+    fn abort_epoch(&mut self, ctx: &mut Ctx<'_, PlaceWire>, reason: &str) {
         let Some(flight) = self.in_flight.take() else {
             return;
         };
@@ -499,10 +497,10 @@ impl PlacementActor {
         ctx.send(flight.plan.to, PlaceWire::Abort { cluster, epoch });
         self.end_epoch(epoch, ctx.now(), EpochOutcome::Aborted);
         ctx.metrics().incr("place.ctl.aborts");
-        ctx.trace("place.abort", &format_args!("epoch {epoch}: {reason}"));
+        ctx.trace("place.abort", format_args!("epoch {epoch}: {reason}"));
     }
 
-    fn commit_epoch(&mut self, ctx: &mut dyn NetCtx<PlaceWire>) {
+    fn commit_epoch(&mut self, ctx: &mut Ctx<'_, PlaceWire>) {
         let Some(flight) = self.in_flight.take() else {
             return;
         };
@@ -578,7 +576,7 @@ impl PlacementActor {
         ctx.metrics().incr("place.ctl.migrations");
         ctx.trace(
             "place.migrated",
-            &format_args!(
+            format_args!(
                 "cluster {} {} -> {} (epoch {epoch})",
                 plan.cluster.0, plan.from.0, plan.to.0
             ),
@@ -586,14 +584,14 @@ impl PlacementActor {
     }
 }
 
-impl TransportActor<PlaceWire> for PlacementActor {
-    fn on_start(&mut self, ctx: &mut dyn NetCtx<PlaceWire>) {
+impl Actor<PlaceWire> for PlacementActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, PlaceWire>) {
         if self.config.eval_rounds > 0 {
             ctx.set_timer(self.config.eval_every, TAG_EVAL);
         }
     }
 
-    fn on_message(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, _from: NodeId, msg: PlaceWire) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, PlaceWire>, _from: NodeId, msg: PlaceWire) {
         match msg {
             PlaceWire::Stats { spans, accesses } => {
                 if !self.config.active {
@@ -684,7 +682,7 @@ impl TransportActor<PlaceWire> for PlacementActor {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, PlaceWire>, _timer: TimerId, tag: u64) {
         match tag & TAG_MASK {
             TAG_EVAL => {
                 self.rounds_done += 1;
@@ -705,7 +703,7 @@ impl TransportActor<PlaceWire> for PlacementActor {
         }
     }
 
-    fn on_peer_down(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, peer: NodeId) {
+    fn on_peer_down(&mut self, ctx: &mut Ctx<'_, PlaceWire>, peer: NodeId) {
         let involved = self
             .in_flight
             .as_ref()

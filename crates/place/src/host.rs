@@ -26,9 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use odp_mgmt::model::ClusterId;
-use odp_net::actor::TransportActor;
-use odp_net::ctx::NetCtx;
-use odp_sim::actor::TimerId;
+use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 use odp_streams::transfer::ChunkPlan;
@@ -214,14 +212,14 @@ impl TileHostActor {
         self.writes_refused
     }
 
-    fn buffer_span(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, obs: SpanObs) {
+    fn buffer_span(&mut self, ctx: &mut Ctx<'_, PlaceWire>, obs: SpanObs) {
         self.span_buf.push(obs);
         if self.report_timer.is_none() {
             self.report_timer = Some(ctx.set_timer(self.report_every, TAG_REPORT));
         }
     }
 
-    fn flush_report(&mut self, ctx: &mut dyn NetCtx<PlaceWire>) {
+    fn flush_report(&mut self, ctx: &mut Ctx<'_, PlaceWire>) {
         self.report_timer = None;
         if self.span_buf.is_empty() {
             return;
@@ -240,7 +238,7 @@ impl TileHostActor {
     /// its observation for the controller.
     fn serve_span(
         &mut self,
-        ctx: &mut dyn NetCtx<PlaceWire>,
+        ctx: &mut Ctx<'_, PlaceWire>,
         parent: Option<odp_fabric::SpanCarrier>,
     ) {
         let Some(parent) = parent else { return };
@@ -261,7 +259,7 @@ impl TileHostActor {
         );
     }
 
-    fn send_chunk(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, cluster: ClusterId) {
+    fn send_chunk(&mut self, ctx: &mut Ctx<'_, PlaceWire>, cluster: ClusterId) {
         let Some(out) = self.outbound.get_mut(&cluster) else {
             return;
         };
@@ -283,7 +281,7 @@ impl TileHostActor {
         }
     }
 
-    fn fail_transfer(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, cluster: ClusterId, reason: &str) {
+    fn fail_transfer(&mut self, ctx: &mut Ctx<'_, PlaceWire>, cluster: ClusterId, reason: &str) {
         let Some(out) = self.outbound.get_mut(&cluster) else {
             return;
         };
@@ -318,7 +316,7 @@ impl TileHostActor {
         }
     }
 
-    fn on_wire(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, from: NodeId, msg: PlaceWire) {
+    fn on_wire(&mut self, ctx: &mut Ctx<'_, PlaceWire>, from: NodeId, msg: PlaceWire) {
         match msg {
             PlaceWire::Read { cluster, span } => {
                 if self.tiles.contains_key(&cluster) {
@@ -581,12 +579,12 @@ impl TileHostActor {
     }
 }
 
-impl TransportActor<PlaceWire> for TileHostActor {
-    fn on_message(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, from: NodeId, msg: PlaceWire) {
+impl Actor<PlaceWire> for TileHostActor {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, PlaceWire>, from: NodeId, msg: PlaceWire) {
         self.on_wire(ctx, from, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, PlaceWire>, _timer: TimerId, tag: u64) {
         match tag & TAG_MASK {
             TAG_REPORT => self.flush_report(ctx),
             TAG_RETRY => {
@@ -610,7 +608,7 @@ impl TransportActor<PlaceWire> for TileHostActor {
         }
     }
 
-    fn on_peer_down(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, peer: NodeId) {
+    fn on_peer_down(&mut self, ctx: &mut Ctx<'_, PlaceWire>, peer: NodeId) {
         // Only a live transport raises this: the destination died
         // mid-transfer. Fail fast instead of burning the retry budget.
         let failing: Vec<ClusterId> = self

@@ -24,11 +24,11 @@
 //!   (N editors, tiled canvas, panning access waves, session churn)
 //!   that proves the loop end-to-end.
 //!
-//! Every actor is a [`odp_net::actor::TransportActor`], so the same
-//! protocol runs bit-identically under [`odp_net::sim_host::SimHost`]
-//! and degrades gracefully on the TCP backend: if the destination dies
-//! mid-transfer the migration aborts cleanly and the cluster stays
-//! readable at its old home.
+//! Every actor is a plain [`odp_sim::actor::Actor`], so the same
+//! protocol runs on the simulator and over the TCP backend
+//! ([`odp_net::tcp::TcpNode`]), where it degrades gracefully: if the
+//! destination dies mid-transfer the migration aborts cleanly and the
+//! cluster stays readable at its old home.
 
 pub mod controller;
 pub mod host;

@@ -11,18 +11,15 @@
 //! from WAN to LAN round trips; a baseline arm runs the
 //! identical schedule with the controller's policy loop disabled.
 //!
-//! Everything here is built from [`SimHost`]-wrapped
-//! [`TransportActor`]s, so the same actors run over the TCP backend
-//! unchanged (the failure-injection suite does exactly that).
+//! Everything here is a plain [`Actor`], added to the simulator as it
+//! is, so the same actors run over the TCP backend unchanged (the
+//! failure-injection suite does exactly that).
 
 use std::collections::BTreeMap;
 
 use odp_fabric::SpanCarrier;
 use odp_mgmt::model::ClusterId;
-use odp_net::actor::TransportActor;
-use odp_net::ctx::NetCtx;
-use odp_net::sim_host::SimHost;
-use odp_sim::actor::TimerId;
+use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::{LinkSpec, Network, NodeId};
 use odp_sim::sim::{Sim, SimBuilder};
 use odp_sim::time::{SimDuration, SimTime};
@@ -129,14 +126,14 @@ impl EditorActor {
         self.homes.get(&cluster).copied()
     }
 
-    fn buffer_obs(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, obs: SpanObs) {
+    fn buffer_obs(&mut self, ctx: &mut Ctx<'_, PlaceWire>, obs: SpanObs) {
         self.span_buf.push(obs);
         if self.report_timer.is_none() {
             self.report_timer = Some(ctx.set_timer(self.report_every, TAG_REPORT));
         }
     }
 
-    fn flush_report(&mut self, ctx: &mut dyn NetCtx<PlaceWire>) {
+    fn flush_report(&mut self, ctx: &mut Ctx<'_, PlaceWire>) {
         self.report_timer = None;
         if self.span_buf.is_empty() && self.access_counts.is_empty() {
             return;
@@ -149,7 +146,7 @@ impl EditorActor {
         ctx.send(self.controller, PlaceWire::Stats { spans, accesses });
     }
 
-    fn send_pending(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, cluster: ClusterId) {
+    fn send_pending(&mut self, ctx: &mut Ctx<'_, PlaceWire>, cluster: ClusterId) {
         let Some(home) = self.homes.get(&cluster).copied() else {
             return;
         };
@@ -171,7 +168,7 @@ impl EditorActor {
         ctx.send(home, msg);
     }
 
-    fn begin_op(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, index: usize) {
+    fn begin_op(&mut self, ctx: &mut Ctx<'_, PlaceWire>, index: usize) {
         let Some(op) = self.ops.get(index).copied() else {
             return;
         };
@@ -197,7 +194,7 @@ impl EditorActor {
         self.send_pending(ctx, op.cluster);
     }
 
-    fn complete_op(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, cluster: ClusterId) {
+    fn complete_op(&mut self, ctx: &mut Ctx<'_, PlaceWire>, cluster: ClusterId) {
         let Some(p) = self.pending.remove(&cluster) else {
             return;
         };
@@ -220,8 +217,8 @@ impl EditorActor {
     }
 }
 
-impl TransportActor<PlaceWire> for EditorActor {
-    fn on_start(&mut self, ctx: &mut dyn NetCtx<PlaceWire>) {
+impl Actor<PlaceWire> for EditorActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, PlaceWire>) {
         let now = ctx.now();
         for (i, op) in self.ops.iter().enumerate() {
             let at = SimTime::ZERO + op.at;
@@ -229,7 +226,7 @@ impl TransportActor<PlaceWire> for EditorActor {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, _from: NodeId, msg: PlaceWire) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, PlaceWire>, _from: NodeId, msg: PlaceWire) {
         match msg {
             PlaceWire::ReadOk { cluster } | PlaceWire::WriteOk { cluster } => {
                 self.complete_op(ctx, cluster);
@@ -259,7 +256,7 @@ impl TransportActor<PlaceWire> for EditorActor {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, PlaceWire>, _timer: TimerId, tag: u64) {
         match tag & TAG_MASK {
             TAG_OP => self.begin_op(ctx, (tag & !TAG_MASK) as usize),
             TAG_REPORT => self.flush_report(ctx),
@@ -414,7 +411,7 @@ pub fn collab_raster(cfg: &RasterConfig) -> (Sim<PlaceWire>, RasterScenario) {
     for &e in editors_a.iter().chain(&editors_b) {
         ctl.add_observer(e, 0.0);
     }
-    sim.add_actor(controller, SimHost::new(ctl));
+    sim.add_actor(controller, ctl);
 
     // Storage hosts.
     for &node in &[storage_a, storage_b] {
@@ -428,7 +425,7 @@ pub fn collab_raster(cfg: &RasterConfig) -> (Sim<PlaceWire>, RasterScenario) {
                 host.add_tile(tile, vec![fill; cfg.tile_bytes]);
             }
         }
-        sim.add_actor(node, SimHost::new(host));
+        sim.add_actor(node, host);
     }
 
     // Editors: island A pans in phase 1, island B in phase 2.
@@ -449,7 +446,7 @@ pub fn collab_raster(cfg: &RasterConfig) -> (Sim<PlaceWire>, RasterScenario) {
                     write: i % 4 == 3,
                 });
             }
-            sim.add_actor(editor, SimHost::new(actor));
+            sim.add_actor(editor, actor);
         }
     }
 
@@ -491,9 +488,8 @@ mod tests {
         assert_eq!(sim.trace().dropped(), 0, "trace ring overflowed");
 
         let ctl = sim
-            .get::<SimHost<PlacementActor>>(ActorHandle::of(sc.controller))
-            .expect("controller")
-            .inner();
+            .get::<PlacementActor>(ActorHandle::of(sc.controller))
+            .expect("controller");
         assert!(
             !ctl.migrations().is_empty(),
             "no migrations happened: decisions={:?}",
@@ -512,13 +508,11 @@ mod tests {
         // The destination actually holds the migrated tiles; the source
         // redirects.
         let host_b = sim
-            .get::<SimHost<TileHostActor>>(ActorHandle::of(sc.storage_b))
-            .expect("host b")
-            .inner();
+            .get::<TileHostActor>(ActorHandle::of(sc.storage_b))
+            .expect("host b");
         let host_a = sim
-            .get::<SimHost<TileHostActor>>(ActorHandle::of(sc.storage_a))
-            .expect("host a")
-            .inner();
+            .get::<TileHostActor>(ActorHandle::of(sc.storage_a))
+            .expect("host a");
         for ev in ctl.migrations() {
             assert!(host_b.tile(ev.cluster).is_some(), "tile not installed");
             assert_eq!(host_a.redirect(ev.cluster), Some(sc.storage_b));
@@ -526,8 +520,8 @@ mod tests {
         }
         // Placement notices reached the island-B editors.
         let notified = sc.editors_b.iter().any(|&e| {
-            sim.get::<SimHost<EditorActor>>(ActorHandle::of(e))
-                .is_some_and(|h| !h.inner().notices().is_empty())
+            sim.get::<EditorActor>(ActorHandle::of(e))
+                .is_some_and(|h| !h.notices().is_empty())
         });
         assert!(notified, "no editor saw a ClusterMigrated notice");
         // Nothing was lost to the freeze: hosts never applied a frozen
@@ -535,10 +529,7 @@ mod tests {
         // completion.
         assert!(host_a.writes_in_freeze().is_empty());
         for &e in sc.editors_a.iter().chain(&sc.editors_b) {
-            let ed = sim
-                .get::<SimHost<EditorActor>>(ActorHandle::of(e))
-                .expect("editor")
-                .inner();
+            let ed = sim.get::<EditorActor>(ActorHandle::of(e)).expect("editor");
             assert_eq!(
                 ed.completed() + ed.skipped(),
                 cfg.phase_ops as u64,
@@ -556,9 +547,8 @@ mod tests {
         let (mut sim, sc) = collab_raster(&cfg);
         sim.run(Until::Idle);
         let ctl = sim
-            .get::<SimHost<PlacementActor>>(ActorHandle::of(sc.controller))
-            .expect("controller")
-            .inner();
+            .get::<PlacementActor>(ActorHandle::of(sc.controller))
+            .expect("controller");
         assert!(ctl.migrations().is_empty());
         assert!(ctl.decisions().is_empty());
     }
@@ -602,9 +592,8 @@ mod tests {
             let (mut sim, sc) = collab_raster(&cfg);
             sim.run(Until::Idle);
             let ctl = sim
-                .get::<SimHost<PlacementActor>>(ActorHandle::of(sc.controller))
-                .expect("controller")
-                .inner();
+                .get::<PlacementActor>(ActorHandle::of(sc.controller))
+                .expect("controller");
             (ctl.migrations().len(), phase2_mean_us(&sim, &sc))
         };
         let (off_migrations, off_us) = arm(false);

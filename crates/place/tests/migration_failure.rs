@@ -16,9 +16,6 @@
 use std::collections::BTreeMap;
 
 use odp_mgmt::model::ClusterId;
-use odp_net::actor::TransportActor;
-use odp_net::ctx::NetCtx;
-use odp_net::sim_host::SimHost;
 use odp_net::tcp::{TcpConfig, TcpNode};
 use odp_place::controller::{EpochOutcome, PlacementActor};
 use odp_place::host::TileHostActor;
@@ -44,13 +41,11 @@ fn destination_dies_mid_transfer_on_the_sim_backend() {
     assert_eq!(sim.trace().dropped(), 0, "trace ring overflowed");
 
     let ctl = sim
-        .get::<SimHost<PlacementActor>>(ActorHandle::of(sc.controller))
-        .expect("controller")
-        .inner();
+        .get::<PlacementActor>(ActorHandle::of(sc.controller))
+        .expect("controller");
     let host_a = sim
-        .get::<SimHost<TileHostActor>>(ActorHandle::of(sc.storage_a))
-        .expect("host a")
-        .inner();
+        .get::<TileHostActor>(ActorHandle::of(sc.storage_a))
+        .expect("host a");
 
     // The loop kept trying after the cut, so at least one epoch aborted;
     // and with 500 ms of healthy phase 2 at least one committed first.
@@ -135,8 +130,8 @@ impl ScriptedController {
     }
 }
 
-impl TransportActor<PlaceWire> for ScriptedController {
-    fn on_start(&mut self, ctx: &mut dyn NetCtx<PlaceWire>) {
+impl Actor<PlaceWire> for ScriptedController {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, PlaceWire>) {
         // Give the mesh a moment to connect, then freeze. (The session
         // layer treats peers as alive from first contact, so there is
         // no peer-up edge to wait for on a fresh mesh.)
@@ -145,7 +140,7 @@ impl TransportActor<PlaceWire> for ScriptedController {
 
     fn on_timer(
         &mut self,
-        ctx: &mut dyn NetCtx<PlaceWire>,
+        ctx: &mut Ctx<'_, PlaceWire>,
         _timer: odp_sim::actor::TimerId,
         _tag: u64,
     ) {
@@ -162,7 +157,7 @@ impl TransportActor<PlaceWire> for ScriptedController {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut dyn NetCtx<PlaceWire>, _from: NodeId, msg: PlaceWire) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, PlaceWire>, _from: NodeId, msg: PlaceWire) {
         match msg {
             PlaceWire::TransferFailed { cluster, epoch, .. } => {
                 self.transfer_failed = true;

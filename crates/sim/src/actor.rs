@@ -51,6 +51,20 @@ pub trait Actor<M> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, timer: TimerId, tag: u64) {
         let _ = (ctx, timer, tag);
     }
+
+    /// A live transport established (or re-established) a session with
+    /// `peer`. Raised only by `odp-net`'s TCP driver: the simulator
+    /// models failure inside its network, and actors observe it through
+    /// their protocol engines.
+    fn on_peer_up(&mut self, ctx: &mut Ctx<'_, M>, peer: NodeId) {
+        let _ = (ctx, peer);
+    }
+
+    /// A live transport declared `peer` failed (heartbeat timeout).
+    /// Raised only by `odp-net`'s TCP driver.
+    fn on_peer_down(&mut self, ctx: &mut Ctx<'_, M>, peer: NodeId) {
+        let _ = (ctx, peer);
+    }
 }
 
 /// A deferred effect produced by an actor callback; the host applies it
@@ -116,6 +130,22 @@ impl<'a, M> Ctx<'a, M> {
             trace,
             next_timer,
             default_msg_bytes: 0,
+        }
+    }
+
+    /// A shorter-lived handle onto the same clock, effects, timers,
+    /// metrics and trace, for a host that holds the context behind a
+    /// trait object and hands an actor its own `Ctx`.
+    pub fn reborrow(&mut self) -> Ctx<'_, M> {
+        Ctx {
+            now: self.now,
+            id: self.id,
+            rng: self.rng,
+            effects: self.effects,
+            metrics: self.metrics,
+            trace: self.trace,
+            next_timer: self.next_timer,
+            default_msg_bytes: self.default_msg_bytes,
         }
     }
 

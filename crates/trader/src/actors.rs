@@ -16,8 +16,6 @@ use odp_awareness::bus::{CoopEvent, CoopKind, EventBus};
 use odp_fabric::SpanCarrier;
 use odp_groupcomm::membership::View;
 use odp_groupcomm::multicast::{GcMsg, GroupEngine, Ordering, Reliability, Step};
-use odp_net::actor::TransportActor;
-use odp_net::ctx::NetCtx;
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
@@ -176,24 +174,24 @@ impl TraderActor {
         self.rebalance_invalidations = on;
     }
 
-    fn flush(step: Step<Invalidation>, ctx: &mut dyn NetCtx<TraderMsg>) {
+    fn flush(step: Step<Invalidation>, ctx: &mut Ctx<'_, TraderMsg>) {
         for (to, msg) in step.outbound {
             ctx.send(to, TraderMsg::Gc(msg));
         }
     }
 
-    fn invalidate(&mut self, note: Invalidation, ctx: &mut dyn NetCtx<TraderMsg>) {
+    fn invalidate(&mut self, note: Invalidation, ctx: &mut Ctx<'_, TraderMsg>) {
         let step = self.engine.mcast(note, ctx.now());
         Self::flush(step, ctx);
     }
 }
 
-impl TraderActor {
-    fn handle_start(&mut self, ctx: &mut dyn NetCtx<TraderMsg>) {
+impl Actor<TraderMsg> for TraderActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, TraderMsg>) {
         ctx.set_timer(TICK_EVERY, TICK_TAG);
     }
 
-    fn handle_message(&mut self, ctx: &mut dyn NetCtx<TraderMsg>, from: NodeId, msg: TraderMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, TraderMsg>, from: NodeId, msg: TraderMsg) {
         match msg {
             TraderMsg::Export(offer) => {
                 // A slow export can arrive after a ring change moved its
@@ -370,43 +368,12 @@ impl TraderActor {
         }
     }
 
-    fn handle_timer(&mut self, ctx: &mut dyn NetCtx<TraderMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, TraderMsg>, _timer: TimerId, tag: u64) {
         if tag == TICK_TAG {
             let step = self.engine.on_tick(ctx.now());
             Self::flush(step, ctx);
             ctx.set_timer(TICK_EVERY, TICK_TAG);
         }
-    }
-}
-
-/// Sim backend: `&mut Ctx` coerces to `&mut dyn NetCtx`, whose methods
-/// forward 1:1, so seeded runs match the pre-`odp-net` adapter exactly.
-impl Actor<TraderMsg> for TraderActor {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, TraderMsg>) {
-        self.handle_start(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, TraderMsg>, from: NodeId, msg: TraderMsg) {
-        self.handle_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, TraderMsg>, _timer: TimerId, tag: u64) {
-        self.handle_timer(ctx, tag);
-    }
-}
-
-/// Real-transport backends drive the same handlers.
-impl TransportActor<TraderMsg> for TraderActor {
-    fn on_start(&mut self, ctx: &mut dyn NetCtx<TraderMsg>) {
-        self.handle_start(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn NetCtx<TraderMsg>, from: NodeId, msg: TraderMsg) {
-        self.handle_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn NetCtx<TraderMsg>, _timer: TimerId, tag: u64) {
-        self.handle_timer(ctx, tag);
     }
 }
 
@@ -519,13 +486,13 @@ impl ImporterActor {
         &self.cache
     }
 
-    fn flush(step: Step<Invalidation>, ctx: &mut dyn NetCtx<TraderMsg>) {
+    fn flush(step: Step<Invalidation>, ctx: &mut Ctx<'_, TraderMsg>) {
         for (to, msg) in step.outbound {
             ctx.send(to, TraderMsg::Gc(msg));
         }
     }
 
-    fn record_outcome(ctx: &mut dyn NetCtx<TraderMsg>, latency: SimDuration, hit: bool) {
+    fn record_outcome(ctx: &mut Ctx<'_, TraderMsg>, latency: SimDuration, hit: bool) {
         ctx.metrics().observe("lookup_latency", latency);
         // Mean of this histogram in milliseconds = cache hit rate: each
         // hit observes 1 ms, each miss 0 ms.
@@ -544,7 +511,7 @@ impl ImporterActor {
         });
     }
 
-    fn issue(&mut self, job: LookupJob, ctx: &mut dyn NetCtx<TraderMsg>) {
+    fn issue(&mut self, job: LookupJob, ctx: &mut Ctx<'_, TraderMsg>) {
         if let Some(resolved) = self.cache.get(&job.service_type, ctx.now()) {
             // Served locally: zero added latency.
             self.stats.cache_hits += 1;
@@ -595,15 +562,15 @@ impl ImporterActor {
     }
 }
 
-impl ImporterActor {
-    fn handle_start(&mut self, ctx: &mut dyn NetCtx<TraderMsg>) {
+impl Actor<TraderMsg> for ImporterActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, TraderMsg>) {
         ctx.set_timer(TICK_EVERY, TICK_TAG);
         for (i, job) in self.jobs.iter().enumerate() {
             ctx.set_timer(job.at, LOOKUP_TAG + 1 + i as u64);
         }
     }
 
-    fn handle_message(&mut self, ctx: &mut dyn NetCtx<TraderMsg>, from: NodeId, msg: TraderMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, TraderMsg>, from: NodeId, msg: TraderMsg) {
         match msg {
             TraderMsg::LookupReply {
                 call,
@@ -721,7 +688,7 @@ impl ImporterActor {
         }
     }
 
-    fn handle_timer(&mut self, ctx: &mut dyn NetCtx<TraderMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, TraderMsg>, _timer: TimerId, tag: u64) {
         if tag == TICK_TAG {
             let step = self.engine.on_tick(ctx.now());
             Self::flush(step, ctx);
@@ -732,37 +699,6 @@ impl ImporterActor {
         if let Some(job) = self.jobs.get(idx).cloned() {
             self.issue(job, ctx);
         }
-    }
-}
-
-/// Sim backend: `&mut Ctx` coerces to `&mut dyn NetCtx`, whose methods
-/// forward 1:1, so seeded runs match the pre-`odp-net` adapter exactly.
-impl Actor<TraderMsg> for ImporterActor {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, TraderMsg>) {
-        self.handle_start(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, TraderMsg>, from: NodeId, msg: TraderMsg) {
-        self.handle_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, TraderMsg>, _timer: TimerId, tag: u64) {
-        self.handle_timer(ctx, tag);
-    }
-}
-
-/// Real-transport backends drive the same handlers.
-impl TransportActor<TraderMsg> for ImporterActor {
-    fn on_start(&mut self, ctx: &mut dyn NetCtx<TraderMsg>) {
-        self.handle_start(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn NetCtx<TraderMsg>, from: NodeId, msg: TraderMsg) {
-        self.handle_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn NetCtx<TraderMsg>, _timer: TimerId, tag: u64) {
-        self.handle_timer(ctx, tag);
     }
 }
 

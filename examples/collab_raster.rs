@@ -18,7 +18,6 @@ use cscw::place::controller::{PlacementActor, ACCESS_KIND_PREFIX};
 use cscw::place::scenario::{collab_raster, EditorActor, RasterConfig, RasterScenario};
 use cscw::place::wire::PlaceWire;
 use cscw::sim::sim::{ActorHandle, Sim, Until};
-use odp_net::sim_host::SimHost;
 use odp_telemetry::collector::Collector;
 
 /// Mean phase-2 access latency (microseconds) over the run's traces.
@@ -67,9 +66,8 @@ fn main() {
     let (on_sim, on_sc) = run(true);
 
     let ctl = on_sim
-        .get::<SimHost<PlacementActor>>(ActorHandle::of(on_sc.controller))
-        .expect("controller")
-        .inner();
+        .get::<PlacementActor>(ActorHandle::of(on_sc.controller))
+        .expect("controller");
 
     println!(
         "phase 2 (island B, across the WAN) starts at {} ms\n",
@@ -91,8 +89,8 @@ fn main() {
     let notices: usize = on_sc
         .editors_b
         .iter()
-        .filter_map(|&e| on_sim.get::<SimHost<EditorActor>>(ActorHandle::of(e)))
-        .map(|h| h.inner().notices().len())
+        .filter_map(|&e| on_sim.get::<EditorActor>(ActorHandle::of(e)))
+        .map(|h| h.notices().len())
         .sum();
     println!("\nawareness notices delivered to island-B editors: {notices}");
 
