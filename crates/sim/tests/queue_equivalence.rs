@@ -331,6 +331,151 @@ fn same_tick_storms_drain_identically() {
     assert_eq!(sim.timers_reaped(), 237);
 }
 
+/// Rungs in one write's retry ladder.
+const RUNGS: u64 = 32;
+/// The tag of the far-off timer each [`Ladderer`] arms at start.
+const LEASE: u64 = u64::MAX;
+
+/// A writer with a retry ladder per write, the timer shape of lease
+/// detectors and retransmission: a `Write` (kind 0 of the `u32`'s low
+/// two bits, the write number above them) arms 32 jittered rungs and
+/// sends a `Req` (kind 1) to a peer, whose `Ack` (kind 2) cancels the
+/// whole ladder; a rung that fires sends the `Req` again. Each ack also
+/// cancels ids the engine no longer holds: rungs that fired before it,
+/// every seventh ladder a second time, and every eleventh the ladder
+/// this node armed 400 writes earlier, by then far behind every live
+/// timer. A lease armed at start stays live to the end, so the oldest
+/// ids are never all spent.
+struct Ladderer {
+    peers: Vec<NodeId>,
+    /// Every ladder this node armed, by write number.
+    ladders: std::collections::BTreeMap<u32, Vec<TimerId>>,
+    /// `set_timer` calls.
+    armed: u64,
+    /// `on_timer` calls.
+    fired: u64,
+}
+
+impl Actor<u32> for Ladderer {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+        self.armed += 1;
+        ctx.set_timer(SimDuration::from_secs(10), LEASE);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32) {
+        let w = msg >> 2;
+        match msg & 3 {
+            0 => {
+                let ladder = (1..=RUNGS)
+                    .map(|rung| {
+                        let delay = ctx.rng().jittered(
+                            SimDuration::from_millis(2 * rung),
+                            SimDuration::from_micros(1_500),
+                        );
+                        ctx.set_timer(delay, (u64::from(w) << 8) | rung)
+                    })
+                    .collect();
+                self.armed += RUNGS;
+                self.ladders.insert(w, ladder);
+                ctx.send(self.peers[w as usize % self.peers.len()], (w << 2) | 1);
+            }
+            1 => ctx.send(from, (w << 2) | 2),
+            2 => {
+                let mut cancel = |w: u32| {
+                    for &id in self.ladders.get(&w).into_iter().flatten() {
+                        ctx.cancel_timer(id);
+                    }
+                };
+                cancel(w);
+                if w.is_multiple_of(7) {
+                    cancel(w);
+                }
+                if w.is_multiple_of(11) && w >= 400 {
+                    cancel(w - 400);
+                }
+            }
+            _ => ctx.trace("ladder.sink", msg),
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _: TimerId, tag: u64) {
+        self.fired += 1;
+        if tag == LEASE {
+            ctx.trace("ladder.lease", "");
+            return;
+        }
+        let w = (tag >> 8) as u32;
+        ctx.send(self.peers[w as usize % self.peers.len()], (w << 2) | 1);
+        ctx.trace("ladder.rung", tag);
+    }
+}
+
+/// Retry ladders over ≥ 20 chunks' worth of timer ids (32 004 armed,
+/// most cancelled by their ack, some after firing, some twice, some
+/// long after every neighbouring id was spent) drain exactly as
+/// recorded. The constants were read off this test's failing
+/// `assert_eq!` on the engine whose `Sim` kept one `Handle` per timer
+/// ever armed, before its timer table was chunked.
+#[test]
+fn ladder_churn_drains_identically() {
+    const NODES: u32 = 4;
+    const WRITES: u32 = 1_000;
+    let ids: Vec<NodeId> = (0..NODES).map(NodeId).collect();
+    let mut sim = SimBuilder::new(0x1ADD)
+        .network(lossy_net())
+        .max_events(500_000)
+        .build();
+    for &me in &ids {
+        let peers = ids.iter().copied().filter(|&p| p != me).collect();
+        sim.add_actor(
+            me,
+            Ladderer {
+                peers,
+                ladders: Default::default(),
+                armed: 0,
+                fired: 0,
+            },
+        );
+    }
+    let mut rng = DetRng::seed_from(0x1ADD_E125);
+    for w in 0..WRITES {
+        let at = u64::from(w) * 300 + rng.range_u64(0, 300);
+        sim.inject(
+            SimTime::from_micros(at),
+            NodeId(9),
+            NodeId(w % NODES),
+            w << 2,
+        );
+    }
+    let mut executed = Vec::new();
+    while sim.step() {
+        executed.extend(sim.last_executed());
+    }
+    let (armed, fired) = ids
+        .iter()
+        .map(|&id| {
+            sim.get(ActorHandle::<Ladderer>::of(id))
+                .expect("registered")
+        })
+        .fold((0, 0), |(a, f), l| (a + l.armed, f + l.fired));
+    assert!(armed >= 20 * 1_024, "{armed} timers armed");
+    assert_eq!(armed, fired + sim.timers_reaped(), "every timer accounted");
+    assert_eq!(first_out_of_order(&executed), None);
+    assert_eq!(
+        golden_of(&executed, &sim),
+        Golden {
+            events: 4_604,
+            census: 36_031,
+            now_us: 10_000_000,
+            executed: 3960643241270098310,
+            trace: 4818153454254632126,
+            counters: [3_104, 794_624, 4_023, 81, 0],
+        }
+    );
+    assert_eq!(sim.events_dispatched(), 4_604);
+    assert_eq!(sim.timers_reaped(), 31_427);
+}
+
 /// Known-bad for [`first_out_of_order`]: one `step_nth(1)` runs the
 /// second-earliest event ahead of the earliest, and the checker must
 /// point at the overtaken event that then runs late.
