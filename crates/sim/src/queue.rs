@@ -14,9 +14,11 @@ use std::collections::{BTreeMap, BinaryHeap};
 use crate::net::NodeId;
 use crate::time::SimTime;
 
-/// Payload-independent description of a queued event. Stored alongside
-/// each entry so [`crate::sim::Sim::pending_events`] and the lazily
-/// armed explorer index can describe events without touching payloads.
+/// Payload-independent description of a queued event, read off the
+/// payload by [`Describe`]. No entry stores one: the lazily armed
+/// explorer index keeps its own copy per entry, taken when it is armed
+/// or mirrors an insert, and [`crate::sim::Sim::pending_events`] reads
+/// it from there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EvMeta {
     Start(NodeId),
@@ -25,11 +27,17 @@ pub(crate) enum EvMeta {
     NetChange,
 }
 
-/// One queued event with its total-order key and description.
+/// A queue payload that can say what kind of event it is.
+pub(crate) trait Describe {
+    fn describe(&self) -> EvMeta;
+}
+
+/// One queued event with its total-order key. It carries no
+/// [`EvMeta`]: that is the payload's to tell, so a slab slot holds
+/// only what the drain order and the dispatch need.
 pub(crate) struct QueueEntry<T> {
     pub time: SimTime,
     pub seq: u64,
-    pub meta: EvMeta,
     pub payload: T,
 }
 
@@ -56,7 +64,11 @@ const STAGED: u32 = u32::MAX - 1;
 
 /// One slab cell: a queued entry threaded on its bucket's list, or a
 /// vacant cell threaded on the free list.
-struct Slot<T> {
+///
+/// For the engine's `Event<M>` with a 16-byte message this is exactly
+/// 64 bytes, one cache line's worth;
+/// `sim::tests::a_queue_slot_is_one_cache_line` holds it there.
+pub(crate) struct Slot<T> {
     /// `None` while the slot is on the free list.
     entry: Option<QueueEntry<T>>,
     /// The previous slot of the bucket list, [`NIL`] at its head, or
@@ -70,7 +82,9 @@ struct Slot<T> {
 /// finds the entry. Seqs are unique, so the slot never decides.
 type DayKey = Reverse<(SimTime, u64, u32)>;
 
-/// Every queued entry in drain order: `(time, seq) -> (meta, handle)`.
+/// Every queued entry in drain order: `(time, seq) -> (meta, handle)`,
+/// the meta read off the payload by [`Describe`] as the entry entered
+/// the index.
 type OrderedIndex = BTreeMap<(SimTime, u64), (EvMeta, Handle)>;
 
 const MIN_BUCKETS: usize = 64;
@@ -153,7 +167,7 @@ pub(crate) struct CalendarQueue<T> {
     forget_head_fix: bool,
 }
 
-impl<T> CalendarQueue<T> {
+impl<T: Describe> CalendarQueue<T> {
     pub fn new() -> Self {
         CalendarQueue {
             slab: Vec::new(),
@@ -257,12 +271,12 @@ impl<T> CalendarQueue<T> {
     }
 
     pub fn insert(&mut self, e: QueueEntry<T>) -> Handle {
-        let (time, seq, meta) = (e.time, e.seq, e.meta);
+        let (time, seq) = (e.time, e.seq);
         let day = self.day_of(time);
         let slot = self.alloc(e);
         self.len += 1;
-        if let Some(idx) = self.index.get_mut() {
-            idx.insert((time, seq), (meta, Handle(slot)));
+        if let (Some(idx), Some(e)) = (self.index.get_mut(), &self.slab[slot as usize].entry) {
+            idx.insert((time, seq), (e.payload.describe(), Handle(slot)));
         }
         if self.staged > 0 && day <= self.cur {
             // Into the day being drained (or, defensively, before it):
@@ -457,7 +471,7 @@ impl<T> CalendarQueue<T> {
         let mut map = BTreeMap::new();
         for (slot, cell) in self.slab.iter().enumerate() {
             if let Some(e) = &cell.entry {
-                map.insert((e.time, e.seq), (e.meta, Handle(slot as u32)));
+                map.insert((e.time, e.seq), (e.payload.describe(), Handle(slot as u32)));
             }
         }
         *idx = Some(map);
@@ -563,12 +577,17 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    impl Describe for u64 {
+        fn describe(&self) -> EvMeta {
+            EvMeta::Timer(NodeId(0))
+        }
+    }
+
     /// Queues an event at `us` whose payload is its own `seq`.
     fn put(q: &mut CalendarQueue<u64>, us: u64, seq: u64) -> Handle {
         q.insert(QueueEntry {
             time: t(us),
             seq,
-            meta: EvMeta::Timer(NodeId(0)),
             payload: seq,
         })
     }

@@ -12,11 +12,12 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::num::NonZeroU64;
 
 use crate::actor::{Actor, Ctx, Effect, TimerId};
 use crate::metrics::MetricsRegistry;
 use crate::net::{DropReason, Network, NodeId, Verdict};
-use crate::queue::{CalendarQueue, EvMeta, Handle, QueueEntry};
+use crate::queue::{CalendarQueue, Describe, EvMeta, Handle, QueueEntry};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
@@ -43,24 +44,135 @@ enum EventKind<M> {
     NetChange(Box<dyn FnOnce(&mut Network)>),
 }
 
-fn meta_of<M>(kind: &EventKind<M>) -> EvMeta {
-    match kind {
-        EventKind::Start(node) => EvMeta::Start(*node),
-        EventKind::Deliver { from, to, .. } => EvMeta::Deliver {
-            from: *from,
-            to: *to,
-        },
-        EventKind::Timer { node, .. } => EvMeta::Timer(*node),
-        EventKind::NetChange(_) => EvMeta::NetChange,
+struct Event<M> {
+    kind: EventKind<M>,
+    /// One more than the `seq` of the event during whose processing
+    /// this one was enqueued, or `None` for events scheduled from
+    /// outside a dispatch (injections, actor registration, scripted net
+    /// changes). The offset lets `None` use the zero niche, so the cause
+    /// costs 8 bytes of the queue slot rather than 16.
+    caused_by: Option<NonZeroU64>,
+}
+
+impl<M> Describe for Event<M> {
+    fn describe(&self) -> EvMeta {
+        match &self.kind {
+            EventKind::Start(node) => EvMeta::Start(*node),
+            EventKind::Deliver { from, to, .. } => EvMeta::Deliver {
+                from: *from,
+                to: *to,
+            },
+            EventKind::Timer { node, .. } => EvMeta::Timer(*node),
+            EventKind::NetChange(_) => EvMeta::NetChange,
+        }
     }
 }
 
-struct Event<M> {
-    kind: EventKind<M>,
-    /// The `seq` of the event during whose processing this one was
-    /// enqueued, or `None` for events scheduled from outside a dispatch
-    /// (injections, actor registration, scripted net changes).
-    caused_by: Option<u64>,
+/// Timer ids per [`TimerTable`] chunk.
+const TIMER_CHUNK: usize = 1024;
+
+/// Where each armed timer sits in the queue: `TimerId -> Handle`, in
+/// chunks of [`TIMER_CHUNK`] consecutive ids.
+///
+/// Ids are handed out in sequence from `Sim::next_timer`, so one
+/// chunk's ids are armed close together. A chunk is allocated when its
+/// first id is armed and freed when its last armed timer fires or is
+/// cancelled; the newest chunk, which ids are still handed out from, is
+/// kept until the next one opens, so a lone timer re-armed as it fires
+/// does not allocate a chunk every time. What stays is one 4 KiB chunk
+/// per span of 1 024 ids holding a live timer, plus one pointer per
+/// 1 024 ids ever handed out: a run that arms millions of timers and
+/// cancels nearly all of them (lease detectors, retry ladders) keeps
+/// only the spans its live timers pin.
+#[derive(Default)]
+struct TimerTable {
+    /// Chunk `c` maps ids `c * TIMER_CHUNK ..` to handles; `None`
+    /// before its first id is armed and after it is spent.
+    chunks: Vec<Option<Box<TimerChunk>>>,
+    /// The newest chunk armed, kept even with nothing armed in it.
+    open: usize,
+    /// Seeded known-bad for the residency test: a spent chunk is never
+    /// freed.
+    #[cfg(test)]
+    keep_spent_chunks: bool,
+}
+
+struct TimerChunk {
+    /// [`Handle::NONE`] where no timer is armed.
+    handles: [Handle; TIMER_CHUNK],
+    /// How many of `handles` are not [`Handle::NONE`].
+    armed: u32,
+}
+
+impl TimerTable {
+    /// The chunk and the offset in it of `id`; `None` for an id past
+    /// the address space, which no chunk holds.
+    fn place(id: TimerId) -> Option<(usize, usize)> {
+        let raw = usize::try_from(id.0).ok()?;
+        Some((raw / TIMER_CHUNK, raw % TIMER_CHUNK))
+    }
+
+    /// Records that timer `id` sits in the queue at `handle`.
+    fn arm(&mut self, id: TimerId, handle: Handle) {
+        // Ids count up from 0, one per `set_timer`: only a 32-bit host
+        // arming 2^32 timers in one run could exceed `usize`.
+        // odp-check: allow(unwrap)
+        let (c, i) = Self::place(id).expect("timer ids fit the address space");
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        if c > self.open {
+            let done = std::mem::replace(&mut self.open, c);
+            self.free_if_spent(done);
+        }
+        let chunk = self.chunks[c].get_or_insert_with(|| {
+            Box::new(TimerChunk {
+                handles: [Handle::NONE; TIMER_CHUNK],
+                armed: 0,
+            })
+        });
+        chunk.handles[i] = handle;
+        chunk.armed += 1;
+    }
+
+    /// Forgets timer `id` and returns where it sat, or
+    /// [`Handle::NONE`] if it is not armed: it fired, was cancelled or
+    /// was never armed.
+    fn disarm(&mut self, id: TimerId) -> Handle {
+        let Some((c, i)) = Self::place(id) else {
+            return Handle::NONE;
+        };
+        let Some(Some(chunk)) = self.chunks.get_mut(c) else {
+            return Handle::NONE;
+        };
+        let handle = std::mem::replace(&mut chunk.handles[i], Handle::NONE);
+        if handle != Handle::NONE {
+            chunk.armed -= 1;
+            if c < self.open {
+                self.free_if_spent(c);
+            }
+        }
+        handle
+    }
+
+    /// Frees chunk `c` if no timer in it is armed.
+    fn free_if_spent(&mut self, c: usize) {
+        #[cfg(test)]
+        if self.keep_spent_chunks {
+            return;
+        }
+        if let Some(chunk) = &self.chunks[c] {
+            if chunk.armed == 0 {
+                self.chunks[c] = None;
+            }
+        }
+    }
+
+    /// Chunks allocated right now.
+    #[cfg(test)]
+    fn resident(&self) -> usize {
+        self.chunks.iter().filter(|c| c.is_some()).count()
+    }
 }
 
 struct ActorSlot<M> {
@@ -359,7 +471,7 @@ impl SimBuilder {
             hot: HotCounters::default(),
             hot_flushed: HotCounters::default(),
             scratch: Vec::new(),
-            timer_handles: Vec::new(),
+            timers: TimerTable::default(),
             next_timer: 0,
             default_msg_bytes: self.default_msg_bytes,
             events_dispatched: 0,
@@ -463,21 +575,20 @@ pub struct Sim<M> {
     hot_flushed: HotCounters,
     /// Reusable effects buffer for the dispatch path.
     scratch: Vec<Effect<M>>,
-    /// Where each armed timer sits in the queue, indexed by the raw
-    /// [`TimerId`] (ids are handed out sequentially from `next_timer`);
-    /// [`Handle::NONE`] once the timer has fired or been cancelled, so
-    /// a late or repeated cancel finds nothing. Four bytes per timer
-    /// ever armed — the one structure that grows with the run's length
-    /// rather than the queue's depth.
-    timer_handles: Vec<Handle>,
+    /// Where each armed timer sits in the queue. A timer leaves it when
+    /// it fires or is cancelled, so a late or repeated cancel finds
+    /// nothing; memory follows the spans of ids with a live timer, not
+    /// every timer ever armed (see [`TimerTable`]).
+    timers: TimerTable,
     next_timer: u64,
     default_msg_bytes: usize,
     events_dispatched: u64,
     timers_reaped: u64,
     max_events: u64,
-    /// `seq` of the event currently being processed; pushes made while
-    /// it is set record it as their cause.
-    processing: Option<u64>,
+    /// `seq + 1` of the event currently being processed, in
+    /// [`Event::caused_by`]'s encoding; pushes made while it is set
+    /// record it as their cause.
+    processing: Option<NonZeroU64>,
     last_executed: Option<ExecutedEvent>,
     peak_pending: usize,
 }
@@ -617,7 +728,6 @@ impl<M: 'static> Sim<M> {
         let handle = self.queue.insert(QueueEntry {
             time,
             seq,
-            meta: meta_of(&kind),
             payload: Event {
                 kind,
                 caused_by: self.processing,
@@ -685,8 +795,9 @@ impl<M: 'static> Sim<M> {
     /// early never rewinds the clock: simulated time is clamped to stay
     /// monotone, so a later `step` of an "overtaken" earlier event runs
     /// at the current time. Returns false when `n` is out of range or
-    /// the event cap is reached. Removal costs O(log n) against the
-    /// same armed index [`Sim::pending_events`] reads.
+    /// the event cap is reached. The event is found in the same armed
+    /// index [`Sim::pending_events`] reads: reaching rank `n` walks `n`
+    /// index entries, and taking it out costs O(log len).
     pub fn step_nth(&mut self, n: usize) -> bool {
         if self.events_processed() >= self.max_events {
             return false;
@@ -710,7 +821,6 @@ impl<M: 'static> Sim<M> {
         let QueueEntry {
             time,
             seq,
-            meta,
             payload: ev,
         } = entry;
         self.events_dispatched += 1;
@@ -718,10 +828,10 @@ impl<M: 'static> Sim<M> {
         // than an already-processed one; the clock only moves forward.
         self.now = self.now.max(time);
         self.last_executed = Some(ExecutedEvent {
-            desc: PendingEvent::from_meta(time, seq, meta),
-            caused_by: ev.caused_by,
+            desc: PendingEvent::from_meta(time, seq, ev.describe()),
+            caused_by: ev.caused_by.map(|cause| cause.get() - 1),
         });
-        self.processing = Some(seq);
+        self.processing = NonZeroU64::new(seq + 1);
         match ev.kind {
             EventKind::Start(node) => self.dispatch(node, Dispatch::Start),
             EventKind::Deliver { from, to, msg } => {
@@ -731,7 +841,7 @@ impl<M: 'static> Sim<M> {
             EventKind::Timer { node, id, tag } => {
                 // The entry is gone and its slot will be reused: a
                 // cancel that arrives from now on must find no handle.
-                self.timer_handles[id.0 as usize] = Handle::NONE;
+                self.timers.disarm(id);
                 self.dispatch(node, Dispatch::Timer { id, tag });
             }
             EventKind::NetChange(f) => f(&mut self.net),
@@ -801,24 +911,14 @@ impl<M: 'static> Sim<M> {
                 }
                 Effect::SetTimer { id, at, tag } => {
                     let handle = self.push(at, EventKind::Timer { node, id, tag });
-                    let slot = id.0 as usize;
-                    if slot >= self.timer_handles.len() {
-                        self.timer_handles.resize(slot + 1, Handle::NONE);
-                    }
-                    self.timer_handles[slot] = handle;
+                    self.timers.arm(id, handle);
                 }
                 Effect::CancelTimer(id) => {
                     // Unlink the entry on the spot. An id that already
                     // fired, was already cancelled or was never armed
                     // names no handle, and nothing is counted.
-                    let armed = usize::try_from(id.0)
-                        .ok()
-                        .and_then(|slot| self.timer_handles.get_mut(slot));
-                    if let Some(handle) = armed {
-                        let handle = std::mem::replace(handle, Handle::NONE);
-                        if self.queue.remove(handle).is_some() {
-                            self.timers_reaped += 1;
-                        }
+                    if self.queue.remove(self.timers.disarm(id)).is_some() {
+                        self.timers_reaped += 1;
                     }
                 }
             }
@@ -1362,6 +1462,96 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The peak number of timer-table chunks allocated while 3 125
+    /// writes, one at a time, each arm a [`Writer`] ladder and cancel
+    /// it on the ack: 100 000 timers, never more than 32 live at once.
+    fn peak_chunks_under_ladder_churn(keep_spent_chunks: bool) -> usize {
+        let net = Network::new(LinkSpec::lan());
+        let mut sim: Sim<Msg> = SimBuilder::new(5).network(net).build();
+        sim.timers.keep_spent_chunks = keep_spent_chunks;
+        sim.add_actor(NodeId(0), Writer { ladder: Vec::new() });
+        sim.add_actor(NodeId(1), Server);
+        let mut peak = 0;
+        for n in 0..3_125 {
+            sim.inject(sim.now(), NodeId(9), NodeId(0), Msg::Ping(n));
+            while sim.step() {
+                peak = peak.max(sim.timers.resident());
+            }
+        }
+        assert_eq!(sim.timers_reaped(), 100_000);
+        assert_eq!(sim.pending_len(), 0);
+        peak
+    }
+
+    #[test]
+    fn timer_table_holds_only_chunks_with_a_live_timer() {
+        let peak = peak_chunks_under_ladder_churn(false);
+        assert!(peak <= 2, "{peak} chunks resident at once");
+    }
+
+    /// Known-bad for the bound above: a table that never frees a spent
+    /// chunk keeps one per 1 024 ids ever armed.
+    #[test]
+    fn timer_table_bound_catches_a_table_that_keeps_spent_chunks() {
+        let peak = peak_chunks_under_ladder_churn(true);
+        assert!(peak > 2, "only {peak} chunks resident at once");
+    }
+
+    #[test]
+    fn timer_table_cancel_of_an_id_in_a_freed_chunk_reaps_nothing() {
+        // Ids 0..1 099 fire at 1 ms: chunk 0 is spent and freed, chunk
+        // 1 stays as the one ids are still handed out from.
+        let script: Vec<(u64, Msg)> = (0..1_100).map(|_| (0, Msg::Ping(1))).collect();
+        let (mut sim, alarm) = alarm(&script);
+        sim.run(Until::At(SimTime::from_millis(1)));
+        assert_eq!(sim.get(alarm).unwrap().fired.len(), 1_100);
+        assert!(sim.timers.chunks[0].is_none(), "chunk 0 was freed");
+        assert_eq!(sim.timers.resident(), 1);
+        // A new timer takes over a freed queue slot; cancels of ids in
+        // the freed chunk and of a fired id in the open one find nothing.
+        let now = sim.now();
+        sim.inject(now, NodeId(9), NodeId(0), Msg::Ping(7));
+        for n in [0, 5, 1_023, 1_099] {
+            sim.inject(now, NodeId(9), NodeId(0), Msg::Pong(n));
+        }
+        sim.run(Until::At(now));
+        assert_eq!(sim.timers_reaped(), 0);
+        assert_eq!(sim.pending_len(), 1, "the new timer is still armed");
+        assert_eq!(sim.run(Until::Idle), RunOutcome::Quiesced);
+        assert_eq!(sim.get(alarm).unwrap().fired.last(), Some(&7));
+    }
+
+    /// The queue's slab cell for a 16-byte message is 64 bytes, one
+    /// cache line's worth. Its byte budget: time 8, seq 8, kind 32 (`Deliver`'s two
+    /// node ids and the message, or `Timer`'s node, id and tag, plus the
+    /// variant tag), cause 8, list links 8. A new field in `QueueEntry`,
+    /// `Event` or `Slot` has to find its bytes inside that budget.
+    #[test]
+    fn a_queue_slot_is_one_cache_line() {
+        use crate::queue::Slot;
+        use std::mem::size_of;
+
+        /// A 16-byte message with a niche, like most protocol enums.
+        #[allow(dead_code)]
+        enum Tagged {
+            Short(u32),
+            Long { seq: u64, len: u32 },
+        }
+        fn check<M>() {
+            assert_eq!(size_of::<M>(), 16);
+            assert_eq!(size_of::<EventKind<M>>(), 32);
+            assert_eq!(size_of::<Event<M>>(), 40);
+            assert_eq!(size_of::<Slot<Event<M>>>(), 64);
+            // A vacant slot costs no tag: `None` sits in the kind's niche.
+            assert_eq!(
+                size_of::<Option<QueueEntry<Event<M>>>>(),
+                size_of::<QueueEntry<Event<M>>>()
+            );
+        }
+        check::<[u64; 2]>();
+        check::<Tagged>();
     }
 
     #[test]
