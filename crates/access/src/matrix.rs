@@ -133,6 +133,7 @@ pub struct Capability {
 impl Capability {
     /// Attenuates the capability to a subset of its rights (capabilities
     /// may be weakened when delegated, never strengthened).
+    // odp-check: allow(dead-pub) — PAPER.md requirement 4: the capability baseline's narrowing operation.
     pub fn attenuate(self, keep: Rights) -> Capability {
         Capability {
             object: self.object,

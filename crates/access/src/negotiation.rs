@@ -223,6 +223,7 @@ impl Negotiator {
     /// # Errors
     ///
     /// Fails for unknown/concluded sessions or the wrong party.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 4: negotiated access, where a party may refuse.
     pub fn reject(&mut self, who: Subject, id: NegotiationId) -> Result<(), NegotiationError> {
         let s = self
             .sessions

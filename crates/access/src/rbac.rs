@@ -200,14 +200,6 @@ impl RbacPolicy {
         self.generation = fresh_generation();
     }
 
-    /// The subject's direct roles.
-    pub fn roles_of(&self, subject: Subject) -> Vec<RoleId> {
-        self.subjects
-            .get(&subject)
-            .map(|held| held.direct.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// The subject's effective roles (direct plus transitively inherited
     /// junior roles), ascending.
     pub fn effective_roles(&self, subject: Subject) -> &[RoleId] {
@@ -296,11 +288,6 @@ impl RbacPolicy {
                 format!("{subject} may NOT {needed} on {path}: no applicable rule (default deny)")
             }
         }
-    }
-
-    /// Total rules in the policy.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 }
 
@@ -486,7 +473,7 @@ mod tests {
         let _ = p.explain(Subject(1), &"doc/a".into(), Rights::READ);
         let _ = (
             p.allows(Subject(1), &"doc/a".into(), Rights::READ),
-            p.roles_of(Subject(1)),
+            p.effective_roles(Subject(1)).len(),
         );
         assert_eq!(p.generation(), g);
     }

@@ -14,8 +14,6 @@
 //! `odp_telemetry` causal DAGs and critical paths alongside `gc.*` and
 //! `rpc.*` spans.
 
-use std::collections::BTreeSet;
-
 use odp_groupcomm::membership::View;
 use odp_groupcomm::multicast::{Delivery, GcMsg, GroupEngine, Ordering, Reliability, Step};
 use odp_sim::actor::{Actor, Ctx, TimerId};
@@ -56,12 +54,11 @@ impl BusWire {
 ///
 /// Inject `GcMsg::AppCmd(BusWire::new(event))` at a node to publish
 /// from it; after the run, [`BusActor::delivered`] on each node lists
-/// the [`BusDelivery`]s surfaced for the observers that node hosts
-/// (by default just the node itself).
+/// the [`BusDelivery`]s surfaced for the node's own observer.
 pub struct BusActor {
     engine: GroupEngine<BusWire>,
     bus: EventBus,
-    hosted: BTreeSet<NodeId>,
+    me: NodeId,
     delivered: Vec<BusDelivery>,
     tick_every: SimDuration,
     telemetry: bool,
@@ -69,22 +66,16 @@ pub struct BusActor {
 
 impl BusActor {
     /// Creates a bus actor for `me`: causal ordering, reliable
-    /// delivery, hosting `me` as its only local observer.
+    /// delivery, surfacing the grants addressed to `me`.
     pub fn new(me: NodeId, view: View, bus: EventBus) -> Self {
         BusActor {
             engine: GroupEngine::new(me, view, Ordering::Causal, Reliability::reliable()),
             bus,
-            hosted: BTreeSet::from([me]),
+            me,
             delivered: Vec::new(),
             tick_every: SimDuration::from_millis(50),
             telemetry: false,
         }
-    }
-
-    /// Declares that `observer` is hosted at this node, so its grants
-    /// are surfaced here.
-    pub fn host_observer(&mut self, observer: NodeId) {
-        self.hosted.insert(observer);
     }
 
     /// Enables `aware.publish`/`aware.deliver` span telemetry. Off by
@@ -126,11 +117,11 @@ impl BusActor {
     }
 
     /// Surfaces the grants of one delivered wire message that are
-    /// addressed to locally hosted observers.
+    /// addressed to this node's observer.
     fn surface(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, delivery: Delivery<BusWire>) {
         let wire = delivery.payload;
         for &(observer, weight) in &wire.grants {
-            if !self.hosted.contains(&observer) {
+            if observer != self.me {
                 continue;
             }
             ctx.metrics().incr("aware.deliver");
@@ -333,36 +324,5 @@ mod tests {
         assert_eq!(kinds.iter().filter(|k| **k == "aware.publish").count(), 1);
         // One aware.deliver per surfaced grant (observers 1 and 2).
         assert_eq!(kinds.iter().filter(|k| **k == "aware.deliver").count(), 2);
-    }
-
-    #[test]
-    fn hosted_observers_surface_at_their_host() {
-        // Node 0 hosts an extra (non-member) observer 9 with read
-        // rights: its grants surface at node 0.
-        let view = View::initial(GroupId(0), (0..2).map(NodeId));
-        let mut sim: Sim<GcMsg<BusWire>> = SimBuilder::new(3).build();
-        for i in 0..2u32 {
-            let mut bus = gated_bus(2, &[0, 1], "doc");
-            bus.policy_mut().assign(Subject(9), RoleId(1));
-            bus.register(NodeId(9), 0.0);
-            let mut actor = BusActor::new(NodeId(i), view.clone(), bus);
-            if i == 0 {
-                actor.host_observer(NodeId(9));
-            }
-            sim.add_actor(NodeId(i), actor);
-        }
-        sim.inject(
-            SimTime::from_millis(1),
-            NodeId(1),
-            NodeId(1),
-            GcMsg::AppCmd(edit(1)),
-        );
-        sim.run(Until::For(SimDuration::from_secs(2)));
-        let at0: Vec<NodeId> = actor(&sim, 0)
-            .delivered()
-            .iter()
-            .map(|d| d.observer)
-            .collect();
-        assert_eq!(at0, vec![NodeId(0), NodeId(9)]);
     }
 }

@@ -205,6 +205,7 @@ impl MediaSpace {
     }
 
     /// Tears down a connection (either party).
+    // odp-check: allow(dead-pub) — PAPER.md requirement 3: hanging up a media-space connection.
     pub fn disconnect(&mut self, id: ConnectionId) -> Result<(), MediaSpaceError> {
         self.connections
             .remove(&id)
@@ -213,6 +214,7 @@ impl MediaSpace {
     }
 
     /// Active (established) connections involving `who`.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 3: who a media-space user is connected to.
     pub fn active_for(&self, who: NodeId) -> Vec<(ConnectionId, NodeId, ConnectionType)> {
         self.connections
             .iter()

@@ -63,6 +63,7 @@ impl Portholes {
     }
 
     /// Removes a subscription.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 3: leaving a Portholes view.
     pub fn unsubscribe(&mut self, viewer: NodeId, target: NodeId) {
         if let Some(set) = self.subscriptions.get_mut(&viewer) {
             set.remove(&target);

@@ -6,13 +6,15 @@
 //! *checkable*, not aspirational.
 //!
 //! **The lint pass** ([`lint`]) is a self-contained source analyzer
-//! (token scanner; no rustc plugin, no network) enforcing three
-//! project rules over every non-test crate source: no
-//! `unwrap()`/`expect()` in protocol code, no wall-clock time or OS
-//! randomness in sim-driven code, and no iteration over
-//! `HashMap`/`HashSet` whose order could leak into messages. Findings
-//! are suppressed per-site with `// odp-check: allow(<rule>)` comments,
-//! and an allow that suppresses nothing is itself an error.
+//! (token scanner; no rustc plugin, no network) enforcing project rules
+//! over every non-test crate source: no `unwrap()`/`expect()` in
+//! protocol code, no wall-clock time or OS randomness in sim-driven
+//! code, no iteration over `HashMap`/`HashSet` whose order could leak
+//! into messages, and no allocation on the delivery hot path. Across
+//! the workspace it also fails on a `pub` item nothing names
+//! (`dead-pub`) and on a dependency no source names (`unused-dep`).
+//! Findings are suppressed per-site with `// odp-check: allow(<rule>)`
+//! comments, and an allow that suppresses nothing is itself an error.
 //!
 //! **The schedule explorer** ([`explore`]) drives the simulator through
 //! a bounded DFS over message-delivery permutations, checking
@@ -39,4 +41,4 @@ pub mod lint;
 pub mod suites;
 
 pub use explore::{Budget, Counterexample, Explorer, Invariant, Report};
-pub use lint::{Diagnostic, LintConfig};
+pub use lint::Diagnostic;

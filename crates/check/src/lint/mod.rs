@@ -1,21 +1,23 @@
-//! The workspace determinism lint pass.
+//! The workspace lint pass.
 //!
 //! A self-contained source-level analyzer: no rustc plugin, no network
-//! access, no syn — just the [`scanner`] token stream and a handful of
-//! project-specific [`rules`]. The driver walks every `.rs` file under
-//! the workspace's crate source trees, skips test/example/bench/vendor
-//! code, applies `// odp-check: allow(<rule>)` comments, and reports
-//! `file:line` diagnostics. Anything it prints is a build-gate failure
-//! in CI.
-
+//! access, no syn — just the [`scanner`] token stream, a handful of
+//! project-specific per-file [`rules`], and the workspace-wide
+//! [`surface`] rules (`dead-pub`, `unused-dep`). The pass scans every
+//! `.rs` file under [`surface::USER_DIRS`], runs the per-file rules on
+//! crate sources (skipping test/example/bench/vendor code), applies
+//! `// odp-check: allow(<rule>)` comments, and reports `file:line`
+//! diagnostics. Anything it prints is a build-gate failure in CI.
 pub mod rules;
 pub mod scanner;
+pub mod surface;
 
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use rules::{Finding, RULES, RULE_HOT_ALLOC, RULE_UNUSED_ALLOW, RULE_UNWRAP};
+use surface::{Manifest, Source, USER_DIRS};
 
 /// One reportable lint violation.
 #[derive(Debug, Clone)]
@@ -43,68 +45,37 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// What to lint and what to skip.
-#[derive(Debug, Clone)]
-pub struct LintConfig {
-    /// Directory names whose entire subtree is skipped.
-    pub skip_dirs: Vec<String>,
-    /// Path prefixes (relative to the lint root) scoped out of the
-    /// `unwrap` and `hot-path-alloc` rules: experiment drivers and
-    /// benchmark harnesses abort the whole run on failure by design and
-    /// allocate freely while staging scenarios — they are not protocol
-    /// code, a panic there tears down nothing but the experiment itself,
-    /// and their allocations are not on any measured delivery path (so
-    /// a prefix must not take in code that is: list the harness
-    /// directory, not its crate). The determinism rules (`wallclock`,
-    /// `hashmap-iter`) still apply.
-    pub harness_paths: Vec<String>,
-}
+/// Directory names whose subtrees the per-file rules skip: tests/,
+/// examples/ and benches/ are exempt by the rules' own definition, and
+/// benchmark/ is the standalone measuring package (`odpbench`), whose
+/// job is reading the wall clock and which aborts the run on a failed
+/// audit by design, like benches/. `dead-pub` still reads their files
+/// as users of the public surface.
+pub const SKIP_DIRS: &[&str] = &["tests", "examples", "benches", "benchmark"];
 
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            // tests/, examples/ and benches/ are exempt by the rules'
-            // own definition; benchmark/ is the standalone measuring
-            // package (`odpbench`): reading the wall clock is its job and
-            // it aborts the run on a failed audit by design, like
-            // benches/; vendor/ is third-party; target/ is build output.
-            skip_dirs: [
-                "tests",
-                "examples",
-                "benches",
-                "benchmark",
-                "vendor",
-                "target",
-                ".git",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            // The experiments directory of cscw-core hosts the scripted
-            // experiment drivers (the rest of the crate — workspace,
-            // replicas, sessions — is delivery-path code and is linted
-            // in full); odp-bench is the measurement harness; the
-            // invariants directory holds the explorer's scenario
-            // harnesses (bus replicas, scripted races) whose
-            // construction aborts the check run by design.
-            harness_paths: [
-                "crates/core/src/experiments",
-                "crates/bench",
-                "crates/check/src/invariants",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        }
-    }
-}
+/// Path prefixes scoped out of the `unwrap` and `hot-path-alloc` rules:
+/// experiment drivers and benchmark harnesses abort the whole run on
+/// failure by design and allocate freely while staging scenarios — they
+/// are not protocol code, a panic there tears down nothing but the
+/// experiment itself, and their allocations are not on any measured
+/// delivery path (so a prefix must not take in code that is: list the
+/// harness directory, not its crate). The determinism rules
+/// (`wallclock`, `hashmap-iter`) still apply. The experiments directory
+/// of cscw-core hosts the scripted experiment drivers (the rest of the
+/// crate is delivery-path code and is linted in full); cscw-bench is
+/// the report harness; the invariants directory holds the explorer's
+/// scenario harnesses, whose construction aborts the check run by
+/// design.
+pub const HARNESS_PATHS: &[&str] = &[
+    "crates/core/src/experiments",
+    "crates/bench",
+    "crates/check/src/invariants",
+];
 
-impl LintConfig {
-    /// Whether `rule` is in scope for the file at `rel`.
-    pub fn rule_applies(&self, rel: &Path, rule: &str) -> bool {
-        (rule != RULE_UNWRAP && rule != RULE_HOT_ALLOC)
-            || !self.harness_paths.iter().any(|p| rel.starts_with(p))
-    }
+/// Whether `rule` is in scope for the file at `rel`.
+pub fn rule_applies(rel: &Path, rule: &str) -> bool {
+    (rule != RULE_UNWRAP && rule != RULE_HOT_ALLOC)
+        || !HARNESS_PATHS.iter().any(|p| rel.starts_with(p))
 }
 
 /// Finds the workspace root by walking up from `start` until a
@@ -124,11 +95,12 @@ pub fn workspace_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Collects the `.rs` files to lint under `root`, sorted for
-/// deterministic output.
-pub fn collect_files(root: &Path, config: &LintConfig) -> Vec<PathBuf> {
+/// Collects every `.rs` file under the [`USER_DIRS`] of `root`, sorted
+/// for deterministic output. Third-party and build-output trees are
+/// never read.
+fn collect_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
+    let mut stack: Vec<PathBuf> = USER_DIRS.iter().map(|d| root.join(d)).collect();
     while let Some(dir) = stack.pop() {
         let Ok(entries) = fs::read_dir(&dir) else {
             continue;
@@ -137,10 +109,9 @@ pub fn collect_files(root: &Path, config: &LintConfig) -> Vec<PathBuf> {
             let path = entry.path();
             let name = entry.file_name().to_string_lossy().into_owned();
             if path.is_dir() {
-                if config.skip_dirs.contains(&name) {
-                    continue;
+                if !matches!(name.as_str(), "vendor" | "target" | ".git") {
+                    stack.push(path);
                 }
-                stack.push(path);
             } else if name.ends_with(".rs") {
                 files.push(path);
             }
@@ -150,13 +121,10 @@ pub fn collect_files(root: &Path, config: &LintConfig) -> Vec<PathBuf> {
     files
 }
 
-/// Lints one file's source text. `rel` is the path used in diagnostics.
-pub fn lint_source(rel: &Path, src: &str) -> Vec<Diagnostic> {
-    let scanned = scanner::scan(src);
-    let findings: Vec<Finding> = rules::run_all(&scanned)
-        .into_iter()
-        .filter(|f| !scanned.in_test_code(f.line))
-        .collect();
+/// Applies allow-comments to one file's raw findings and reports the
+/// survivors plus every allow that suppressed nothing.
+fn lint_file(rel: &Path, scanned: &scanner::ScannedFile, raw: Vec<Finding>) -> Vec<Diagnostic> {
+    let findings = raw.into_iter().filter(|f| !scanned.in_test_code(f.line));
 
     // Apply allows: a finding on a covered line with a matching rule is
     // suppressed; each allow must suppress at least one finding.
@@ -206,25 +174,70 @@ pub fn lint_source(rel: &Path, src: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// Lints every source file under `root` and returns the diagnostics,
-/// sorted by path then line.
-pub fn run(root: &Path, config: &LintConfig) -> std::io::Result<Vec<Diagnostic>> {
+/// Lints an already-scanned workspace: the per-file rules on every
+/// source outside [`SKIP_DIRS`], `dead-pub` across all of them, and
+/// `unused-dep` on `manifests`. Diagnostics come sorted by path then
+/// line, manifests last.
+pub fn lint_workspace(sources: &[Source], manifests: &[Manifest]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for path in collect_files(root, config) {
-        let src = fs::read_to_string(&path)?;
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
+    for (s, mut raw) in sources.iter().zip(surface::dead_pub(sources)) {
+        let skipped = s
+            .rel
+            .components()
+            .any(|c| SKIP_DIRS.iter().any(|d| c.as_os_str() == *d));
+        if skipped {
+            continue;
+        }
+        raw.extend(rules::run_all(&s.scanned));
+        raw.sort_by_key(|f| f.line);
         out.extend(
-            lint_source(&rel, &src)
+            lint_file(&s.rel, &s.scanned, raw)
                 .into_iter()
-                .filter(|d| config.rule_applies(&rel, &d.rule)),
+                .filter(|d| rule_applies(&s.rel, &d.rule)),
         );
     }
-    Ok(out)
+    out.extend(surface::unused_deps(manifests, sources));
+    out
+}
+
+/// Lints the workspace at `root`: its sources and the manifests of the
+/// root package and every `crates/*` package.
+pub fn run(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
+    let mut sources = Vec::new();
+    for path in collect_sources(root) {
+        let src = fs::read_to_string(&path)?;
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
+        sources.push(Source {
+            rel,
+            scanned: scanner::scan(&src),
+        });
+    }
+    let mut manifests = vec![PathBuf::from("Cargo.toml")];
+    if let Ok(entries) = fs::read_dir(root.join("crates")) {
+        let crates = entries.flatten().map(|e| e.path().join("Cargo.toml"));
+        manifests.extend(crates.filter_map(|m| Some(m.strip_prefix(root).ok()?.to_path_buf())));
+    }
+    manifests.sort();
+    let manifests: Vec<Manifest> = manifests
+        .into_iter()
+        .filter_map(|rel| {
+            let text = fs::read_to_string(root.join(&rel)).ok()?;
+            Some(Manifest { rel, text })
+        })
+        .collect();
+    Ok(lint_workspace(&sources, &manifests))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-file rules on one file, as [`lint_workspace`] runs them.
+    fn lint_source(rel: &Path, src: &str) -> Vec<Diagnostic> {
+        let scanned = scanner::scan(src);
+        let raw = rules::run_all(&scanned);
+        lint_file(rel, &scanned, raw)
+    }
 
     #[test]
     fn allow_suppresses_and_is_marked_used() {
@@ -272,27 +285,26 @@ mod tests {
 
     #[test]
     fn harness_paths_are_scoped_out_of_unwrap_and_hot_alloc_only() {
-        let config = LintConfig::default();
         let harness = Path::new("crates/core/src/experiments/media.rs");
         let protocol = Path::new("crates/groupcomm/src/rpc.rs");
-        assert!(!config.rule_applies(harness, "unwrap"));
-        assert!(!config.rule_applies(harness, "hot-path-alloc"));
-        assert!(config.rule_applies(harness, "hashmap-iter"));
-        assert!(config.rule_applies(harness, "wallclock"));
-        assert!(config.rule_applies(protocol, "unwrap"));
-        assert!(config.rule_applies(protocol, "hot-path-alloc"));
+        assert!(!rule_applies(harness, "unwrap"));
+        assert!(!rule_applies(harness, "hot-path-alloc"));
+        assert!(rule_applies(harness, "hashmap-iter"));
+        assert!(rule_applies(harness, "wallclock"));
+        assert!(rule_applies(protocol, "unwrap"));
+        assert!(rule_applies(protocol, "hot-path-alloc"));
         // Only the experiment drivers of cscw-core are harness code; the
         // workspace and its replicas are `group_edit`'s delivery path.
         let delivery_path = Path::new("crates/core/src/workspace.rs");
-        assert!(config.rule_applies(delivery_path, "unwrap"));
-        assert!(config.rule_applies(delivery_path, "hot-path-alloc"));
+        assert!(rule_applies(delivery_path, "unwrap"));
+        assert!(rule_applies(delivery_path, "hot-path-alloc"));
         // The explorer's scenario harnesses are harness code too, but
         // the bus protocol module they exercise is not.
         let invariant_harness = Path::new("crates/check/src/invariants/awareness.rs");
         let bus_protocol = Path::new("crates/awareness/src/dist.rs");
-        assert!(!config.rule_applies(invariant_harness, "unwrap"));
-        assert!(config.rule_applies(invariant_harness, "wallclock"));
-        assert!(config.rule_applies(bus_protocol, "unwrap"));
+        assert!(!rule_applies(invariant_harness, "unwrap"));
+        assert!(rule_applies(invariant_harness, "wallclock"));
+        assert!(rule_applies(bus_protocol, "unwrap"));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The determinism lint rules.
+//! The per-file lint rules.
 //!
 //! Each rule is a pure function from a [`ScannedFile`] token stream to
-//! raw findings; the driver in [`crate::lint`] applies allow-comments,
-//! test-region exemptions and path scoping on top.
+//! raw findings (the workspace-wide rules live in
+//! [`crate::lint::surface`]); the pass in [`crate::lint`] applies
+//! allow-comments, test-region exemptions and path scoping on top.
 
 use crate::lint::scanner::{ScannedFile, Token};
 
@@ -25,6 +26,12 @@ pub const RULE_WALLCLOCK: &str = "wallclock";
 pub const RULE_HASHMAP_ITER: &str = "hashmap-iter";
 /// Rule: no per-delivery heap allocation in delivery-path methods.
 pub const RULE_HOT_ALLOC: &str = "hot-path-alloc";
+/// Workspace rule: a `pub` item no other code names (see
+/// [`crate::lint::surface`]).
+pub const RULE_DEAD_PUB: &str = "dead-pub";
+/// Workspace rule: a manifest dependency no package source names. It
+/// has no allow-comment: the entry is deleted.
+pub const RULE_UNUSED_DEP: &str = "unused-dep";
 /// Meta-rule: an allow-comment that suppressed nothing.
 pub const RULE_UNUSED_ALLOW: &str = "unused-allow";
 
@@ -34,6 +41,7 @@ pub const RULES: &[&str] = &[
     RULE_WALLCLOCK,
     RULE_HASHMAP_ITER,
     RULE_HOT_ALLOC,
+    RULE_DEAD_PUB,
 ];
 
 /// `.unwrap()` and `.expect(` on any receiver. Protocol state machines

@@ -1,7 +1,7 @@
 //! The `odp-check` command-line tool.
 //!
 //! ```text
-//! odp-check lint [ROOT]          run the determinism lint pass
+//! odp-check lint [ROOT]          run the workspace lint pass
 //! odp-check explore [--smoke|--deep]    run every invariant suite
 //! odp-check explore <CHECK> [--smoke|--deep] [--json PATH] [--min-reduction X]
 //! odp-check replay <CHECK> <TRACE> [--smoke|--deep]
@@ -43,7 +43,7 @@ fn cmd_lint(root_arg: Option<&str>) -> ExitCode {
         },
     };
     let root = lint::workspace_root(&start).unwrap_or(start);
-    match lint::run(&root, &lint::LintConfig::default()) {
+    match lint::run(&root) {
         Ok(diags) => {
             for d in &diags {
                 println!("{d}");

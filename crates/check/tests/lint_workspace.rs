@@ -1,4 +1,5 @@
-//! The determinism lint is clean on the workspace itself.
+//! The workspace lint (determinism, hot-path allocation, dead surface) is
+//! clean on the workspace itself.
 //!
 //! `odp-check lint` is a CI step, but a step in a workflow file only
 //! fails where that workflow runs: the pass sat red for five PRs
@@ -8,13 +9,13 @@
 
 use std::path::Path;
 
-use odp_check::lint::{self, LintConfig};
+use odp_check::lint;
 
 #[test]
 fn the_workspace_has_no_lint_findings() {
     let root = lint::workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("crates/check sits inside the workspace");
-    let findings = lint::run(&root, &LintConfig::default()).expect("sources are readable");
+    let findings = lint::run(&root).expect("sources are readable");
     let shown: Vec<String> = findings.iter().map(ToString::to_string).collect();
     assert!(findings.is_empty(), "{}", shown.join("\n"));
 }

@@ -117,10 +117,9 @@ impl std::error::Error for FloorError {}
 pub struct FloorControl {
     policy: FloorPolicy,
     holder: Option<(ClientId, SimTime)>,
-    queue: VecDeque<(ClientId, SimTime)>,
+    queue: VecDeque<ClientId>,
     grants: u64,
     preemptions: u64,
-    wait_total: SimDuration,
 }
 
 impl FloorControl {
@@ -132,18 +131,12 @@ impl FloorControl {
             queue: VecDeque::new(),
             grants: 0,
             preemptions: 0,
-            wait_total: SimDuration::ZERO,
         }
     }
 
     /// Current holder, if any.
     pub fn holder(&self) -> Option<ClientId> {
         self.holder.map(|(c, _)| c)
-    }
-
-    /// Clients waiting, in queue order.
-    pub fn waiting(&self) -> Vec<ClientId> {
-        self.queue.iter().map(|&(c, _)| c).collect()
     }
 
     /// Total grants issued.
@@ -156,24 +149,19 @@ impl FloorControl {
         self.preemptions
     }
 
-    /// Sum of time requesters spent waiting before their grants.
-    pub fn total_wait(&self) -> SimDuration {
-        self.wait_total
-    }
-
     /// Requests the floor. Grants immediately if free, else queues.
     #[must_use]
     pub fn request(&mut self, client: ClientId, now: SimTime) -> Vec<FloorEvent> {
         if self.holder.map(|(c, _)| c) == Some(client) {
             return Vec::new(); // already holding
         }
-        if self.queue.iter().any(|&(c, _)| c == client) {
+        if self.queue.contains(&client) {
             return Vec::new(); // already waiting
         }
         if self.holder.is_none() {
-            self.grant(client, now, now)
+            self.grant(client, now)
         } else {
-            self.queue.push_back((client, now));
+            self.queue.push_back(client);
             Vec::new()
         }
     }
@@ -214,14 +202,14 @@ impl FloorControl {
             Some((c, _)) if c == client => {}
             _ => return Err(FloorError::NotHolder(client)),
         }
-        let Some(pos) = self.queue.iter().position(|&(c, _)| c == target) else {
+        let Some(pos) = self.queue.iter().position(|&c| c == target) else {
             return Err(FloorError::TargetNotWaiting(target));
         };
-        let Some((target, asked)) = self.queue.remove(pos) else {
+        let Some(target) = self.queue.remove(pos) else {
             return Err(FloorError::TargetNotWaiting(target));
         };
         self.holder = None;
-        Ok(self.grant(target, asked, now))
+        Ok(self.grant(target, now))
     }
 
     /// Time-based maintenance: under [`FloorPolicy::PreemptAfter`],
@@ -263,8 +251,8 @@ impl FloorControl {
                 }
             }
             FloorPolicy::RequestQueue | FloorPolicy::PreemptAfter(_) => {
-                if let Some((next, asked)) = self.queue.pop_front() {
-                    self.grant(next, asked, now)
+                if let Some(next) = self.queue.pop_front() {
+                    self.grant(next, now)
                 } else {
                     vec![idle]
                 }
@@ -272,10 +260,9 @@ impl FloorControl {
         }
     }
 
-    fn grant(&mut self, client: ClientId, asked: SimTime, now: SimTime) -> Vec<FloorEvent> {
+    fn grant(&mut self, client: ClientId, now: SimTime) -> Vec<FloorEvent> {
         self.holder = Some((client, now));
         self.grants += 1;
-        self.wait_total += now.saturating_since(asked);
         vec![FloorEvent::Granted {
             who: client,
             at: now,
@@ -372,8 +359,7 @@ mod tests {
                 at: t(10)
             }]
         );
-        assert_eq!(fc.waiting(), vec![ClientId(2)]);
-        assert_eq!(fc.total_wait(), SimDuration::from_millis(9));
+        assert_eq!(fc.queue, [ClientId(2)]);
     }
 
     #[test]
@@ -385,7 +371,7 @@ mod tests {
         let ev = fc.release(ClientId(0), t(2)).unwrap();
         assert!(ev.is_empty());
         assert_eq!(fc.holder(), None);
-        assert_eq!(fc.waiting(), vec![ClientId(1)]);
+        assert_eq!(fc.queue, [ClientId(1)]);
         // Re-request and pass.
         let _ = fc.request(ClientId(0), t(3));
         let ev = fc.pass(ClientId(0), ClientId(1), t(4)).unwrap();
@@ -458,7 +444,7 @@ mod tests {
         assert!(fc.request(ClientId(0), t(1)).is_empty());
         let _ = fc.request(ClientId(1), t(2));
         assert!(fc.request(ClientId(1), t(3)).is_empty());
-        assert_eq!(fc.waiting(), vec![ClientId(1)]);
+        assert_eq!(fc.queue, [ClientId(1)]);
     }
 
     #[test]

@@ -248,6 +248,10 @@ impl LockState {
 pub struct LockTable {
     scheme: LockScheme,
     locks: BTreeMap<ResourceId, LockState>,
+    /// Seeded known-bad for the model differential: a departing
+    /// *waiter* no longer promotes the requests queued behind it.
+    #[cfg(test)]
+    forget_waiter_promotion: bool,
 }
 
 impl LockTable {
@@ -256,6 +260,8 @@ impl LockTable {
         LockTable {
             scheme,
             locks: BTreeMap::new(),
+            #[cfg(test)]
+            forget_waiter_promotion: false,
         }
     }
 
@@ -413,16 +419,20 @@ impl LockTable {
                 .tickles
                 .retain(|&(req, holder, _)| req != client && holder != client);
             let held = state.holders.remove(&client).is_some();
-            if held || state.queue.len() != queued {
+            let left_queue = state.queue.len() != queued;
+            #[cfg(test)]
+            let left_queue = left_queue && !self.forget_waiter_promotion;
+            if held || left_queue {
                 notices.extend(Self::promote(scheme, state, r, now));
             }
         }
         notices
     }
 
-    /// Tickle maintenance: transfers locks whose holders have been idle
-    /// past the timeout to the (oldest) tickler, returning the
-    /// revocations and grants. Call periodically.
+    /// Tickle maintenance: revokes the locks of holders idle past the
+    /// timeout and hands each to the (oldest) tickler, once no other
+    /// holder conflicts with it, returning the revocations and grants.
+    /// Call periodically.
     #[must_use]
     pub fn tick(&mut self, now: SimTime) -> Vec<Notice> {
         let LockScheme::Tickle { idle_timeout } = self.scheme else {
@@ -456,11 +466,13 @@ impl LockTable {
                     resource,
                     at: now,
                 });
-                // The requester jumps its queue entry.
+                // The requester jumps its queue entry, if the holders
+                // left (other readers still active) admit it.
                 let jumped = state
                     .queue
                     .iter()
                     .position(|w| w.client == requester)
+                    .filter(|&pos| state.compatible_with_holders(requester, state.queue[pos].mode))
                     .and_then(|pos| state.queue.remove(pos));
                 if let Some(waiter) = jumped {
                     state.holders.insert(waiter.client, waiter.mode);
@@ -567,14 +579,6 @@ impl LockTable {
             .map(|s| s.holders.iter().map(|(&c, &m)| (c, m)).collect())
             .unwrap_or_default()
     }
-
-    /// Number of clients queued on `resource`.
-    pub fn queue_len(&self, resource: ResourceId) -> usize {
-        self.locks
-            .get(&resource)
-            .map(|s| s.queue.len())
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -583,6 +587,11 @@ mod tests {
     use odp_awareness::bus::EventBus;
 
     const R: ResourceId = ResourceId(1);
+    /// Number of clients queued on `resource`.
+    fn queue_len(lt: &LockTable, resource: ResourceId) -> usize {
+        lt.locks.get(&resource).map_or(0, |s| s.queue.len())
+    }
+
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
     }
@@ -709,7 +718,7 @@ mod tests {
         assert_eq!(notices.len(), 1);
         assert_eq!(notices[0].to, ClientId(1));
         assert!(matches!(notices[0].kind, NoticeKind::Granted { .. }));
-        assert_eq!(lt.queue_len(R), 1);
+        assert_eq!(queue_len(&lt, R), 1);
     }
 
     #[test]
@@ -762,7 +771,7 @@ mod tests {
             matches!(notices[0].kind, NoticeKind::ConflictWarning { with } if with == ClientId(1))
         );
         // Nobody ever blocks under soft locking.
-        assert_eq!(lt.queue_len(R), 0);
+        assert_eq!(queue_len(&lt, R), 0);
         assert_eq!(lt.holders(R).len(), 2);
     }
 
@@ -860,31 +869,13 @@ mod tests {
                 at: t(3),
             }]
         );
-        assert_eq!(lt.queue_len(R), 0);
+        assert_eq!(queue_len(&lt, R), 0);
         assert_eq!(lt.holders(R).len(), 2);
         // A waiter leaving from behind an incompatible head changes nothing.
         let _ = lt.request(ClientId(3), R, LockMode::Exclusive, t(4));
         let _ = lt.request(ClientId(4), R, LockMode::Shared, t(5));
         assert!(lt.release_all(ClientId(4), t(6)).is_empty());
-        assert_eq!(lt.queue_len(R), 1);
-    }
-
-    /// The table's liveness invariant: no request compatible with the
-    /// current holders waits at the head of the queue.
-    fn assert_the_head_of_the_queue_is_blocked(lt: &LockTable, resource: ResourceId) {
-        let Some(state) = lt.locks.get(&resource) else {
-            return;
-        };
-        if let Some(head) = state.queue.front() {
-            assert!(
-                !state.compatible_with_holders(head.client, head.mode),
-                "{:?}: {:?} waits for {:?} at the head of the queue though the holders {:?} admit it",
-                lt.scheme,
-                head.client,
-                head.mode,
-                state.holders
-            );
-        }
+        assert_eq!(queue_len(&lt, R), 1);
     }
 
     #[test]
@@ -903,7 +894,6 @@ mod tests {
             // place in the queue — behind the writer, who must not be left
             // waiting for a resource nobody holds.
             let (reply, notices) = lt.request(ClientId(0), R, LockMode::Exclusive, t(2));
-            assert_the_head_of_the_queue_is_blocked(&lt, R);
             if scheme == LockScheme::Soft {
                 // Soft locks never queue: the upgrade is a conflict warning.
                 assert_eq!(reply, LockReply::GrantedConflict(vec![ClientId(1)]));
@@ -930,14 +920,13 @@ mod tests {
             }
             assert_eq!(notices, expected, "{scheme:?}");
             assert_eq!(lt.holders(R), vec![(ClientId(1), LockMode::Exclusive)]);
-            assert_eq!(lt.queue_len(R), 1);
+            assert_eq!(queue_len(&lt, R), 1);
             let notices = lt.release(ClientId(1), R, t(3)).unwrap();
             assert_eq!(notices.len(), 1);
             // The tickle aimed at the reader's dropped hold went with it:
             // it cannot come back to revoke the upgraded lock for nobody.
             assert!(lt.tick(t(3) + idle_timeout).is_empty(), "{scheme:?}");
             assert_eq!(lt.holders(R), vec![(ClientId(0), LockMode::Exclusive)]);
-            assert_the_head_of_the_queue_is_blocked(&lt, R);
         }
     }
 
@@ -995,5 +984,336 @@ mod tests {
         assert_eq!(notices.len(), 1);
         assert_eq!(notices[0].to, ClientId(0));
         assert_eq!(lt.holders(R), vec![(ClientId(0), LockMode::Exclusive)]);
+    }
+
+    #[test]
+    fn an_idle_reader_revoked_beside_an_active_one_hands_a_writer_nothing() {
+        let mut lt = LockTable::new(LockScheme::Tickle {
+            idle_timeout: SimDuration::from_millis(10),
+        });
+        let _ = lt.request(ClientId(0), R, LockMode::Shared, t(0));
+        let _ = lt.request(ClientId(1), R, LockMode::Shared, t(0));
+        let (reply, _) = lt.request(ClientId(2), R, LockMode::Exclusive, t(1));
+        assert_eq!(reply, LockReply::Queued);
+        // Reader 1 stays active; reader 0 idles out and is revoked. The
+        // writer that tickled both may not hold beside reader 1.
+        lt.touch(ClientId(1), R, t(15));
+        let notices = lt.tick(t(20));
+        assert_eq!(
+            notices,
+            vec![Notice {
+                to: ClientId(0),
+                kind: NoticeKind::Revoked { to: ClientId(2) },
+                resource: R,
+                at: t(20),
+            }]
+        );
+        assert_eq!(lt.holders(R), vec![(ClientId(1), LockMode::Shared)]);
+        assert_eq!(queue_len(&lt, R), 1);
+        // Once reader 1 idles out too, the writer gets the lock.
+        let _ = lt.tick(t(40));
+        assert_eq!(lt.holders(R), vec![(ClientId(2), LockMode::Exclusive)]);
+    }
+
+    /// An answer: a request's reply, and the `Granted` notices as
+    /// `(client, resource, mode)` in emission order.
+    type Outcome = Result<(Option<LockReply>, Vec<(ClientId, ResourceId, LockMode)>), LockError>;
+
+    /// The executable specification of [`LockTable`] for one resource:
+    /// holders, FIFO queue, last accesses and pending tickles
+    /// `(requester, holder)` as plain data, each rule stated once. It
+    /// answers `Granted` notices only; tickles are kept for `tick`.
+    #[derive(Debug, Default)]
+    struct Spec {
+        holders: BTreeMap<ClientId, LockMode>,
+        queue: VecDeque<(ClientId, LockMode)>,
+        last: BTreeMap<ClientId, SimTime>,
+        tickles: Vec<(ClientId, ClientId)>,
+    }
+
+    impl Spec {
+        fn admits(&self, c: ClientId, m: LockMode) -> bool {
+            self.holders
+                .iter()
+                .all(|(&h, hm)| h == c || hm.compatible(m))
+        }
+
+        /// `new` hold; under tickle locks each waiter then tickles every
+        /// one it conflicts with, once.
+        fn grant(&mut self, new: &[(ClientId, LockMode)], tickle: bool, now: SimTime) {
+            for &(c, m) in new {
+                self.holders.insert(c, m);
+                self.last.insert(c, now);
+            }
+            for &(w, wm) in self.queue.iter().filter(|_| tickle) {
+                for &(h, hm) in new {
+                    if h != w && !hm.compatible(wm) && !self.tickles.contains(&(w, h)) {
+                        self.tickles.push((w, h));
+                    }
+                }
+            }
+        }
+
+        /// The head of the queue is granted while the holders admit it.
+        fn promote(&mut self, r: ResourceId, tickle: bool, now: SimTime) -> Outcome {
+            let mut new = Vec::new();
+            while let Some(&(c, m)) = self.queue.front().filter(|&&(c, m)| self.admits(c, m)) {
+                self.queue.pop_front();
+                self.holders.insert(c, m);
+                new.push((c, m));
+            }
+            self.grant(&new, tickle, now);
+            Ok((None, new.into_iter().map(|(c, m)| (c, r, m)).collect()))
+        }
+
+        fn request(
+            &mut self,
+            r: ResourceId,
+            c: ClientId,
+            m: LockMode,
+            scheme: LockScheme,
+            now: SimTime,
+        ) -> Outcome {
+            let held = self.holders.get(&c).copied();
+            if held == Some(m) || held == Some(LockMode::Exclusive) {
+                self.last.insert(c, now);
+                return Ok((Some(LockReply::Granted), Vec::new()));
+            }
+            // An upgrade gives up the shared hold and asks afresh.
+            self.holders.remove(&c);
+            let conflicts: Vec<ClientId> = self
+                .holders
+                .iter()
+                .filter(|(_, hm)| !hm.compatible(m))
+                .map(|(&h, _)| h)
+                .collect();
+            if scheme == LockScheme::Soft || conflicts.is_empty() && self.queue.is_empty() {
+                self.grant(&[(c, m)], false, now);
+                let reply = match conflicts.is_empty() {
+                    true => LockReply::Granted,
+                    false => LockReply::GrantedConflict(conflicts),
+                };
+                return Ok((Some(reply), Vec::new()));
+            }
+            self.queue.push_back((c, m));
+            let tickle = matches!(scheme, LockScheme::Tickle { .. });
+            self.tickles
+                .extend(conflicts.iter().filter(|_| tickle).map(|&h| (c, h)));
+            if held.is_none() {
+                return Ok((Some(LockReply::Queued), Vec::new()));
+            }
+            self.tickles.retain(|&(_, h)| h != c);
+            Ok((Some(LockReply::Queued), self.promote(r, tickle, now)?.1))
+        }
+
+        /// Each idle tickled holder loses the lock; its tickler's first
+        /// queue entry takes it if the other holders admit it.
+        fn tick(&mut self, r: ResourceId, idle_timeout: SimDuration, now: SimTime) -> Outcome {
+            let idle = |s: &Spec, h| {
+                let since = s.last.get(&h).copied().unwrap_or(SimTime::ZERO);
+                s.holders.contains_key(&h) && now.saturating_since(since) >= idle_timeout
+            };
+            let due: Vec<_> = self
+                .tickles
+                .iter()
+                .copied()
+                .filter(|&(_, h)| idle(self, h))
+                .collect();
+            let mut grants = Vec::new();
+            for (req, h) in due {
+                if self.holders.remove(&h).is_none() {
+                    continue;
+                }
+                self.tickles.retain(|&(_, x)| x != h);
+                let pos = self.queue.iter().position(|&(w, _)| w == req);
+                if let Some(p) = pos.filter(|&p| self.admits(req, self.queue[p].1)) {
+                    let (w, m) = self.queue.remove(p).expect("position is in range");
+                    self.grant(&[(w, m)], true, now);
+                    grants.push((w, r, m));
+                }
+                grants.extend(self.promote(r, true, now)?.1);
+            }
+            Ok((None, grants))
+        }
+    }
+
+    /// One operation of a random workload.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Request(ClientId, ResourceId, LockMode),
+        Release(ClientId, ResourceId),
+        ReleaseAll(ClientId),
+        Touch(ClientId, ResourceId),
+        Tick,
+    }
+
+    /// Applies `op` to the spec of every resource under `scheme`.
+    fn spec_step(
+        spec: &mut BTreeMap<ResourceId, Spec>,
+        scheme: LockScheme,
+        op: Op,
+        now: SimTime,
+    ) -> Outcome {
+        let tickle = matches!(scheme, LockScheme::Tickle { .. });
+        let mut grants = Vec::new();
+        match op {
+            Op::Request(c, r, m) => {
+                return spec.entry(r).or_default().request(r, c, m, scheme, now)
+            }
+            Op::Release(c, r) => {
+                let s = spec.get_mut(&r).ok_or(LockError::NotHeld(c, r))?;
+                s.holders.remove(&c).ok_or(LockError::NotHeld(c, r))?;
+                s.tickles.retain(|&(_, h)| h != c);
+                return s.promote(r, tickle, now);
+            }
+            // A departing holder *or waiter* unblocks what queued behind it.
+            Op::ReleaseAll(c) => {
+                for (&r, s) in spec.iter_mut() {
+                    let queued = s.queue.len();
+                    s.queue.retain(|&(w, _)| w != c);
+                    s.tickles.retain(|&(q, h)| q != c && h != c);
+                    if s.holders.remove(&c).is_some() || s.queue.len() != queued {
+                        grants.extend(s.promote(r, tickle, now)?.1);
+                    }
+                }
+            }
+            Op::Touch(c, r) => {
+                if let Some(s) = spec.get_mut(&r).filter(|s| s.holders.contains_key(&c)) {
+                    s.last.insert(c, now);
+                }
+            }
+            Op::Tick => {
+                if let LockScheme::Tickle { idle_timeout } = scheme {
+                    for (&r, s) in spec.iter_mut() {
+                        grants.extend(s.tick(r, idle_timeout, now)?.1);
+                    }
+                }
+            }
+        }
+        Ok((None, grants))
+    }
+
+    /// Drives `LockTable` and the spec through `ops` (each after its
+    /// delay in ms). After every step the answers, the `Granted` notices
+    /// and every resource's holders and queue order agree, the holders
+    /// are pairwise compatible (soft locks aside), and the head of each
+    /// queue is blocked.
+    fn differential(scheme: LockScheme, ops: &[(Op, u64)], forget: bool) -> Result<(), String> {
+        let mut lt = LockTable::new(scheme);
+        lt.forget_waiter_promotion = forget;
+        let mut spec = BTreeMap::new();
+        let mut now = SimTime::ZERO;
+        let granted = |notices: Vec<Notice>| {
+            let grants = notices.into_iter().filter_map(|n| match n.kind {
+                NoticeKind::Granted { mode } => Some((n.to, n.resource, mode)),
+                _ => None,
+            });
+            grants.collect()
+        };
+        for (step, &(op, delay)) in ops.iter().enumerate() {
+            now += SimDuration::from_millis(delay);
+            let got: Outcome = match op {
+                Op::Request(c, r, m) => {
+                    let (reply, notices) = lt.request(c, r, m, now);
+                    Ok((Some(reply), granted(notices)))
+                }
+                Op::Release(c, r) => lt.release(c, r, now).map(|n| (None, granted(n))),
+                Op::ReleaseAll(c) => Ok((None, granted(lt.release_all(c, now)))),
+                Op::Touch(c, r) => {
+                    lt.touch(c, r, now);
+                    Ok((None, Vec::new()))
+                }
+                Op::Tick => Ok((None, granted(lt.tick(now)))),
+            };
+            let want = spec_step(&mut spec, scheme, op, now);
+            let at = format!("{scheme:?}, step {step} {op:?} at {now:?}");
+            if got != want {
+                return Err(format!(
+                    "{at}: the table answered {got:?}, the spec {want:?}"
+                ));
+            }
+            for (r, s) in &spec {
+                let t = &lt.locks[r];
+                let queue: VecDeque<_> = t.queue.iter().map(|w| (w.client, w.mode)).collect();
+                if (&t.holders, &queue) != (&s.holders, &s.queue) {
+                    return Err(format!(
+                        "{at}: {r} is {:?} {queue:?}, the spec {s:?}",
+                        t.holders
+                    ));
+                }
+                let conflict =
+                    scheme != LockScheme::Soft && s.holders.iter().any(|(&c, &m)| !s.admits(c, m));
+                let head = s.queue.front().filter(|&&(c, m)| s.admits(c, m));
+                if conflict || head.is_some() {
+                    return Err(format!(
+                        "{at}: {r} holds {:?} while {:?} waits",
+                        s.holders, s.queue
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    const SCHEMES: [LockScheme; 4] = [
+        LockScheme::Hard,
+        LockScheme::Tickle {
+            idle_timeout: SimDuration::from_millis(500),
+        },
+        LockScheme::Soft,
+        LockScheme::Notification,
+    ];
+
+    /// Up to 40 operations, half of them requests, by up to 4 clients on
+    /// up to 2 resources, each after up to 400 ms (so tickled holders
+    /// both stay active and go idle).
+    fn workload() -> impl proptest::strategy::Strategy<Value = Vec<(Op, u64)>> {
+        use proptest::strategy::Strategy;
+        let exclusive = proptest::arbitrary::any::<bool>();
+        let op =
+            (0u8..10, 0u32..4, 0u64..2, exclusive, 0u64..400).prop_map(|(k, c, r, x, delay)| {
+                let (c, r) = (ClientId(c), ResourceId(r));
+                let m = if x {
+                    LockMode::Exclusive
+                } else {
+                    LockMode::Shared
+                };
+                let op = [
+                    Op::Release(c, r),
+                    Op::ReleaseAll(c),
+                    Op::Touch(c, r),
+                    Op::Tick,
+                    Op::Tick,
+                ];
+                (
+                    op.get(k as usize).copied().unwrap_or(Op::Request(c, r, m)),
+                    delay,
+                )
+            });
+        proptest::collection::vec(op, 0..=40)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_lock_table_follows_its_spec(ops in workload()) {
+            for scheme in SCHEMES {
+                proptest::prop_assert_eq!(differential(scheme, &ops, false), Ok(()));
+            }
+        }
+    }
+
+    #[test]
+    fn the_spec_catches_a_departing_waiter_that_promotes_nobody() {
+        use proptest::strategy::Strategy;
+        let caught = (0..256).any(|case| {
+            let mut rng = proptest::test_runner::TestRng::for_case("forget_waiter_promotion", case);
+            let ops = workload().new_value(&mut rng);
+            SCHEMES
+                .iter()
+                .any(|&scheme| differential(scheme, &ops, true).is_err())
+        });
+        assert!(caught, "restoring the departing-waiter bug went unnoticed");
     }
 }

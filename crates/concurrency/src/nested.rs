@@ -143,6 +143,7 @@ impl GroupTree {
     /// # Errors
     ///
     /// [`TreeError::UnknownGroup`] if the parent is absent.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: Skarra–Zdonik transaction groups nest.
     pub fn create_subgroup(
         &mut self,
         parent: GroupNodeId,

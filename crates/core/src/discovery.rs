@@ -13,7 +13,6 @@ use std::collections::BTreeMap;
 
 use odp_access::rights::Rights;
 use odp_sim::net::NodeId;
-use odp_sim::time::SimTime;
 use odp_streams::qos::QosSpec;
 use odp_trader::error::TraderError;
 use odp_trader::federation::{DomainId, Federation};
@@ -21,7 +20,7 @@ use odp_trader::offer::{OfferId, ServiceOffer, ServiceType, SessionKind};
 use odp_trader::plan::ImportRequest;
 use odp_trader::select::SelectionPolicy;
 
-use crate::session::{Session, SessionError, SessionId, SessionMode, TimeMode};
+use crate::session::{Session, SessionError, SessionId, TimeMode};
 
 /// How far a session lookup may chase federation links.
 const MAX_IMPORT_HOPS: u32 = 3;
@@ -84,25 +83,18 @@ pub struct SessionDirectory {
 }
 
 impl SessionDirectory {
-    /// An empty directory over an empty federation.
-    pub fn new() -> Self {
-        SessionDirectory::default()
-    }
-
-    /// The underlying federation (domain/link setup).
-    pub fn federation_mut(&mut self) -> &mut Federation {
-        &mut self.federation
+    /// An empty directory over `federation` (its domains and links
+    /// already set up).
+    pub fn new(federation: Federation) -> Self {
+        SessionDirectory {
+            federation,
+            ..SessionDirectory::default()
+        }
     }
 
     /// Read access to a held session.
     pub fn session(&self, id: SessionId) -> Option<&Session> {
         self.sessions.get(&id)
-    }
-
-    /// Mutable access to a held session (sharing artefacts, mode
-    /// switches).
-    pub fn session_mut(&mut self, id: SessionId) -> Option<&mut Session> {
-        self.sessions.get_mut(&id)
     }
 
     /// Advertises `session` under `service_type` in `domain`, hosted at
@@ -115,6 +107,7 @@ impl SessionDirectory {
     /// [`odp_trader::offer::TraderError`] if the domain has no shards
     /// (mapped through as `Import(NoMatch)` would be misleading, so the
     /// raw error is surfaced).
+    // odp-check: allow(dead-pub) — PAPER.md requirement 5: a session offered with its QoS through the trader.
     pub fn advertise(
         &mut self,
         domain: DomainId,
@@ -160,6 +153,7 @@ impl SessionDirectory {
     /// # Errors
     ///
     /// See [`DiscoveryError`].
+    // odp-check: allow(dead-pub) — PAPER.md requirement 5: a join under a QoS-matched contract.
     pub fn join_via_trader(
         &mut self,
         at: DomainId,
@@ -167,7 +161,6 @@ impl SessionDirectory {
         service_type: &ServiceType,
         required: &QosSpec,
         who: NodeId,
-        now: SimTime,
     ) -> Result<JoinOutcome, DiscoveryError> {
         let request = ImportRequest::for_type(service_type.clone())
             .qos(*required)
@@ -186,7 +179,7 @@ impl SessionDirectory {
             .sessions
             .get_mut(&session_id)
             .ok_or_else(|| DiscoveryError::StaleOffer(service_type.clone()))?;
-        session.join(who, now).map_err(DiscoveryError::Session)?;
+        session.join(who).map_err(DiscoveryError::Session)?;
         Ok(JoinOutcome {
             session: session_id,
             host: resolution.matched.offer.node,
@@ -196,32 +189,25 @@ impl SessionDirectory {
     }
 }
 
-/// Convenience: the canonical service type for a session mode
-/// ("session/sync-distributed" etc.).
-pub fn session_service_type(mode: SessionMode) -> ServiceType {
-    let suffix = match (mode.time, mode.place) {
-        (TimeMode::Synchronous, crate::session::PlaceMode::CoLocated) => "face-to-face",
-        (TimeMode::Synchronous, crate::session::PlaceMode::Remote) => "sync-distributed",
-        (TimeMode::Asynchronous, crate::session::PlaceMode::CoLocated) => "async-colocated",
-        (TimeMode::Asynchronous, crate::session::PlaceMode::Remote) => "async-distributed",
-    };
-    ServiceType::new(format!("session/{suffix}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionMode;
     use odp_trader::store::ShardedStore;
 
     const HOST: NodeId = NodeId(1);
     const JOINER: NodeId = NodeId(2);
 
+    fn one_domain() -> Federation {
+        let mut federation = Federation::new();
+        federation.add_domain(DomainId(0), ShardedStore::new([NodeId(100)]));
+        federation
+    }
+
     fn directory_with_session() -> (SessionDirectory, ServiceType) {
-        let mut dir = SessionDirectory::new();
-        dir.federation_mut()
-            .add_domain(DomainId(0), ShardedStore::new([NodeId(100)]));
+        let mut dir = SessionDirectory::new(one_domain());
         let session = Session::new(SessionId(1), SessionMode::SYNC_DISTRIBUTED);
-        let st = session_service_type(SessionMode::SYNC_DISTRIBUTED);
+        let st = ServiceType::new("session/sync-distributed");
         dir.advertise(DomainId(0), st.clone(), session, HOST, QosSpec::video())
             .unwrap();
         (dir, st)
@@ -231,14 +217,7 @@ mod tests {
     fn join_via_trader_resolves_and_joins() {
         let (mut dir, st) = directory_with_session();
         let outcome = dir
-            .join_via_trader(
-                DomainId(0),
-                Rights::READ,
-                &st,
-                &QosSpec::video(),
-                JOINER,
-                SimTime::ZERO,
-            )
+            .join_via_trader(DomainId(0), Rights::READ, &st, &QosSpec::video(), JOINER)
             .unwrap();
         assert_eq!(outcome.host, HOST);
         assert_eq!(outcome.hops, 0);
@@ -254,9 +233,7 @@ mod tests {
     fn degraded_joiner_gets_a_degraded_contract() {
         // The host can only sustain modest QoS; a joiner asking for
         // broadcast video settles on a negotiated-down contract.
-        let mut dir = SessionDirectory::new();
-        dir.federation_mut()
-            .add_domain(DomainId(0), ShardedStore::new([NodeId(100)]));
+        let mut dir = SessionDirectory::new(one_domain());
         let session = Session::new(SessionId(3), SessionMode::SYNC_DISTRIBUTED);
         let st = ServiceType::new("session/field-review");
         let modest = QosSpec {
@@ -269,14 +246,7 @@ mod tests {
         dir.advertise(DomainId(0), st.clone(), session, HOST, modest)
             .unwrap();
         let outcome = dir
-            .join_via_trader(
-                DomainId(0),
-                Rights::READ,
-                &st,
-                &QosSpec::video(),
-                JOINER,
-                SimTime::ZERO,
-            )
+            .join_via_trader(DomainId(0), Rights::READ, &st, &QosSpec::video(), JOINER)
             .unwrap();
         assert!(outcome.agreed.throughput_fps < QosSpec::video().throughput_fps);
         assert!(modest.satisfies(&outcome.agreed));
@@ -292,7 +262,6 @@ mod tests {
                 &ServiceType::new("session/nonexistent"),
                 &QosSpec::audio(),
                 JOINER,
-                SimTime::ZERO,
             )
             .unwrap_err();
         assert!(matches!(err, DiscoveryError::Import(TraderError::NoMatch)));
@@ -303,14 +272,7 @@ mod tests {
         let (mut dir, st) = directory_with_session();
         assert!(dir.withdraw(&st));
         let err = dir
-            .join_via_trader(
-                DomainId(0),
-                Rights::READ,
-                &st,
-                &QosSpec::video(),
-                JOINER,
-                SimTime::ZERO,
-            )
+            .join_via_trader(DomainId(0), Rights::READ, &st, &QosSpec::video(), JOINER)
             .unwrap_err();
         assert!(matches!(err, DiscoveryError::Import(TraderError::NoMatch)));
     }
@@ -318,27 +280,17 @@ mod tests {
     #[test]
     fn federated_join_crosses_domains_under_rights() {
         // The session lives in domain 1; the joiner starts in domain 0.
-        let mut dir = SessionDirectory::new();
-        dir.federation_mut()
-            .add_domain(DomainId(0), ShardedStore::new([NodeId(100)]));
-        dir.federation_mut()
-            .add_domain(DomainId(1), ShardedStore::new([NodeId(200)]));
-        dir.federation_mut()
-            .link(DomainId(0), DomainId(1), "session/", Rights::READ);
+        let mut federation = one_domain();
+        federation.add_domain(DomainId(1), ShardedStore::new([NodeId(200)]));
+        federation.link(DomainId(0), DomainId(1), "session/", Rights::READ);
+        let mut dir = SessionDirectory::new(federation);
         let session = Session::new(SessionId(9), SessionMode::SYNC_DISTRIBUTED);
-        let st = session_service_type(SessionMode::SYNC_DISTRIBUTED);
+        let st = ServiceType::new("session/sync-distributed");
         dir.advertise(DomainId(1), st.clone(), session, HOST, QosSpec::video())
             .unwrap();
         // Without READ the link is barred.
         let err = dir
-            .join_via_trader(
-                DomainId(0),
-                Rights::NONE,
-                &st,
-                &QosSpec::video(),
-                JOINER,
-                SimTime::ZERO,
-            )
+            .join_via_trader(DomainId(0), Rights::NONE, &st, &QosSpec::video(), JOINER)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -346,14 +298,7 @@ mod tests {
         ));
         // With READ it crosses one hop.
         let outcome = dir
-            .join_via_trader(
-                DomainId(0),
-                Rights::READ,
-                &st,
-                &QosSpec::video(),
-                JOINER,
-                SimTime::ZERO,
-            )
+            .join_via_trader(DomainId(0), Rights::READ, &st, &QosSpec::video(), JOINER)
             .unwrap();
         assert_eq!(outcome.hops, 1);
     }

@@ -217,6 +217,7 @@ impl QuiltDocument {
     /// # Errors
     ///
     /// [`DocumentError::UnknownAnnotation`] if absent.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: Quilt co-authoring settles a comment without locking.
     pub fn dismiss(&mut self, id: AnnotationId) -> Result<Annotation, DocumentError> {
         self.annotations
             .remove(&id)

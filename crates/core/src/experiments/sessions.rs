@@ -48,7 +48,7 @@ pub fn e1_space_time_matrix(seed: u64) -> Vec<Table> {
     let b = NodeId(1);
     for mode in SessionMode::QUADRANTS {
         let mut session = Session::new(SessionId(1), mode);
-        session.join(a, SimTime::ZERO).expect("fresh session");
+        session.join(a).expect("fresh session");
         let link = match mode.place {
             crate::session::PlaceMode::CoLocated => LinkSpec::lan(),
             crate::session::PlaceMode::Remote => LinkSpec::wan(SimDuration::from_millis(80)),
@@ -68,14 +68,14 @@ pub fn e1_space_time_matrix(seed: u64) -> Vec<Table> {
         let (join_time, notification_ms) = match mode.time {
             TimeMode::Synchronous => {
                 // B is present: the awareness delivery crosses the link.
-                session.join(b, SimTime::ZERO).expect("b joins");
+                session.join(b).expect("b joins");
                 (SimTime::ZERO, one_way_ms)
             }
             TimeMode::Asynchronous => {
                 // B joins two hours later and catches up from the public
                 // history: notification time is dominated by absence.
                 let join = edit_time + SimDuration::from_secs(2 * 3600);
-                session.join(b, join).expect("b joins later");
+                session.join(b).expect("b joins later");
                 let catch_up = join.saturating_since(edit_time).as_micros() as f64 / 1_000.0;
                 (join, catch_up + one_way_ms)
             }
@@ -116,8 +116,8 @@ pub fn e12_transitions(seed: u64) -> Vec<Table> {
     let a = NodeId(0);
     let b = NodeId(1);
     let mut session = Session::new(SessionId(9), SessionMode::SYNC_DISTRIBUTED);
-    session.join(a, SimTime::ZERO).expect("join a");
-    session.join(b, SimTime::ZERO).expect("join b");
+    session.join(a).expect("join a");
+    session.join(b).expect("join b");
     session.share("shared/draft");
     let mut ws = workspace_for(&[a, b]);
 

@@ -138,6 +138,7 @@ impl HypertextNetwork {
 
     /// Adds a node; concurrent independent additions never conflict
     /// (each gets a fresh id).
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: multi-user hypertext, authored concurrently.
     pub fn add_node(
         &mut self,
         author: NodeId,
@@ -168,6 +169,7 @@ impl HypertextNetwork {
     ///
     /// [`HypertextError::VersionConflict`] when the base is stale — the
     /// explicit conflict handling the paper calls for.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: multi-user hypertext, whose edits detect conflicts.
     pub fn edit_node(
         &mut self,
         id: HyperNodeId,
@@ -196,6 +198,7 @@ impl HypertextNetwork {
     /// # Errors
     ///
     /// Unknown endpoints or ill-typed links fail.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: multi-user hypertext, authored concurrently.
     pub fn add_link(
         &mut self,
         from: HyperNodeId,
@@ -232,6 +235,7 @@ impl HypertextNetwork {
     }
 
     /// Outgoing links of a node.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: navigating the shared hypertext.
     pub fn links_from(&self, id: HyperNodeId) -> Vec<(HyperNodeId, LinkType)> {
         self.links
             .iter()
@@ -241,6 +245,7 @@ impl HypertextNetwork {
     }
 
     /// Incoming links of a node.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: navigating the shared hypertext.
     pub fn links_to(&self, id: HyperNodeId) -> Vec<(HyperNodeId, LinkType)> {
         self.links
             .iter()

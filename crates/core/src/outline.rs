@@ -110,6 +110,7 @@ impl Outline {
     /// # Errors
     ///
     /// Unknown parents and out-of-range positions fail.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: the GROVE outline editor.
     pub fn add_item(
         &mut self,
         author: NodeId,
@@ -159,6 +160,7 @@ impl Outline {
     /// # Errors
     ///
     /// [`OutlineError::UnknownItem`] if absent.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: the GROVE outline editor.
     pub fn edit_text(&mut self, id: ItemId, text: impl Into<String>) -> Result<(), OutlineError> {
         self.items
             .get_mut(&id)
@@ -172,6 +174,7 @@ impl Outline {
     /// # Errors
     ///
     /// Fails for unknown items or non-authors.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: GROVE's private/shared/public items.
     pub fn set_visibility(
         &mut self,
         who: NodeId,
@@ -201,6 +204,7 @@ impl Outline {
     /// Renders `viewer`'s view: visible items in depth-first outline
     /// order with their depths. Items hidden from the viewer hide their
     /// subtrees too (you cannot anchor under what you cannot see).
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: GROVE's per-user view of one outline.
     pub fn view_for(&self, viewer: NodeId) -> Vec<(ItemId, usize)> {
         let mut out = Vec::new();
         fn walk(
@@ -230,6 +234,7 @@ impl Outline {
     ///
     /// Fails for unknown items, bad positions, or moves that would make
     /// an item its own ancestor.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 2: the GROVE outline editor.
     pub fn move_item(
         &mut self,
         id: ItemId,

@@ -155,6 +155,7 @@ impl Building {
     }
 
     /// Where someone is.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 3: where a participant is in the rooms metaphor.
     pub fn location_of(&self, who: NodeId) -> Option<RoomId> {
         self.whereabouts.get(&who).copied()
     }

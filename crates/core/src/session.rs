@@ -12,7 +12,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use odp_awareness::bus::{CoopEvent, CoopKind};
-use odp_fabric::SpanCarrier;
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
@@ -150,85 +149,6 @@ impl fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// One buffered telemetry record: an open (carrying its kind) or a
-/// close of `span` at `at`, ready to replay into a trace's binary
-/// span log ([`odp_sim::trace::Trace::span_open`] /
-/// [`odp_sim::trace::Trace::span_close`]). Allocation-free: kinds are
-/// static names and the carrier is three words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// When the event happened.
-    pub at: SimTime,
-    /// The span's identity.
-    pub span: SpanCarrier,
-    /// `Some(kind)` for an open, `None` for a close.
-    pub open_kind: Option<&'static str>,
-}
-
-/// Counter-based span telemetry for a session's lifecycle.
-///
-/// Sessions are plain library state — they have no actor context and no
-/// RNG — so span ids are allocated from a counter instead of the seeded
-/// RNG ([`SpanCarrier::root`]/[`SpanCarrier::child_of`]), which is every
-/// bit as deterministic. A `session.live` root span covers the instrumented
-/// window; each join/leave/switch hangs a child off it. Events are
-/// buffered here and drained by the harness into the simulation
-/// [`odp_sim::trace::Trace`], where `odp_telemetry`'s collector picks
-/// them up alongside the wire-level spans.
-#[derive(Debug, Clone)]
-struct SessionSpans {
-    root: SpanCarrier,
-    next_span: u64,
-    open: bool,
-    events: Vec<SpanEvent>,
-}
-
-impl SessionSpans {
-    fn new(trace_id: u64, at: SimTime) -> Self {
-        let root = SpanCarrier::root(trace_id, 1);
-        let events = vec![SpanEvent {
-            at,
-            span: root,
-            open_kind: Some("session.live"),
-        }];
-        SessionSpans {
-            root,
-            next_span: 1,
-            open: true,
-            events,
-        }
-    }
-
-    fn child(&mut self, kind: &'static str, opened: SimTime, closed: SimTime) {
-        if !self.open {
-            return;
-        }
-        self.next_span += 1;
-        let span = SpanCarrier::child_of(self.root.trace_id, self.next_span, self.root.span_id);
-        self.events.push(SpanEvent {
-            at: opened,
-            span,
-            open_kind: Some(kind),
-        });
-        self.events.push(SpanEvent {
-            at: closed,
-            span,
-            open_kind: None,
-        });
-    }
-
-    fn close(&mut self, at: SimTime) {
-        if self.open {
-            self.open = false;
-            self.events.push(SpanEvent {
-                at,
-                span: self.root,
-                open_kind: None,
-            });
-        }
-    }
-}
-
 /// A cooperative session.
 ///
 /// # Examples
@@ -239,8 +159,8 @@ impl SessionSpans {
 /// use odp_sim::time::SimTime;
 ///
 /// let mut s = Session::new(SessionId(1), SessionMode::SYNC_DISTRIBUTED);
-/// s.join(NodeId(0), SimTime::ZERO)?;
-/// s.join(NodeId(1), SimTime::ZERO)?;
+/// s.join(NodeId(0))?;
+/// s.join(NodeId(1))?;
 /// assert_eq!(s.participants().len(), 2);
 /// # Ok::<(), cscw_core::session::SessionError>(())
 /// ```
@@ -251,7 +171,6 @@ pub struct Session {
     participants: BTreeSet<NodeId>,
     artefacts: BTreeSet<String>,
     transitions: Vec<Transition>,
-    spans: Option<SessionSpans>,
 }
 
 impl Session {
@@ -263,61 +182,6 @@ impl Session {
             participants: BTreeSet::new(),
             artefacts: BTreeSet::new(),
             transitions: Vec::new(),
-            spans: None,
-        }
-    }
-
-    /// Starts span telemetry: opens a `session.live` root span under
-    /// `trace_id` (callers pick a unique id, e.g. from the session id).
-    /// Off unless called — existing sessions record nothing.
-    pub fn enable_telemetry(&mut self, trace_id: u64, at: SimTime) {
-        if self.spans.is_none() {
-            self.spans = Some(SessionSpans::new(trace_id, at));
-        }
-    }
-
-    /// Closes the `session.live` root span. Further operations stop
-    /// minting spans; buffered events remain drainable.
-    pub fn close_telemetry(&mut self, at: SimTime) {
-        if let Some(spans) = &mut self.spans {
-            spans.close(at);
-        }
-    }
-
-    /// Drains the buffered span events so a harness can replay them into
-    /// the simulation trace's binary span log:
-    ///
-    /// ```
-    /// # use cscw_core::session::{Session, SessionId, SessionMode};
-    /// # use odp_sim::{net::NodeId, time::SimTime, trace::Trace};
-    /// # let mut s = Session::new(SessionId(1), SessionMode::FACE_TO_FACE);
-    /// # s.enable_telemetry(7, SimTime::ZERO);
-    /// # s.close_telemetry(SimTime::ZERO);
-    /// # let mut trace = Trace::new();
-    /// for e in s.drain_telemetry() {
-    ///     match e.open_kind {
-    ///         Some(kind) => trace.span_open(e.at, NodeId(0), e.span, kind),
-    ///         None => trace.span_close(e.at, NodeId(0), e.span),
-    ///     }
-    /// }
-    /// ```
-    ///
-    /// (Or use [`Session::replay_telemetry`], which is that loop.)
-    pub fn drain_telemetry(&mut self) -> Vec<SpanEvent> {
-        match &mut self.spans {
-            Some(spans) => std::mem::take(&mut spans.events),
-            None => Vec::new(),
-        }
-    }
-
-    /// Drains the buffered span events straight into `trace`'s binary
-    /// span log, attributed to `node`.
-    pub fn replay_telemetry(&mut self, trace: &mut odp_sim::trace::Trace, node: NodeId) {
-        for e in self.drain_telemetry() {
-            match e.open_kind {
-                Some(kind) => trace.span_open(e.at, node, e.span, kind),
-                None => trace.span_close(e.at, node, e.span),
-            }
         }
     }
 
@@ -346,12 +210,9 @@ impl Session {
     /// # Errors
     ///
     /// [`SessionError::AlreadyJoined`] on duplicates.
-    pub fn join(&mut self, who: NodeId, at: SimTime) -> Result<(), SessionError> {
+    pub fn join(&mut self, who: NodeId) -> Result<(), SessionError> {
         if !self.participants.insert(who) {
             return Err(SessionError::AlreadyJoined(who));
-        }
-        if let Some(spans) = &mut self.spans {
-            spans.child("session.join", at, at);
         }
         Ok(())
     }
@@ -361,12 +222,9 @@ impl Session {
     /// # Errors
     ///
     /// [`SessionError::NotAMember`] if absent.
-    pub fn leave(&mut self, who: NodeId, at: SimTime) -> Result<(), SessionError> {
+    pub fn leave(&mut self, who: NodeId) -> Result<(), SessionError> {
         if !self.participants.remove(&who) {
             return Err(SessionError::NotAMember(who));
-        }
-        if let Some(spans) = &mut self.spans {
-            spans.child("session.leave", at, at);
         }
         Ok(())
     }
@@ -399,11 +257,6 @@ impl Session {
             cost,
         };
         self.mode = to;
-        // The switch span stays open for the rebind cost: its duration
-        // *is* the seam the transition machinery must hide.
-        if let Some(spans) = &mut self.spans {
-            spans.child("session.switch", at, at + cost);
-        }
         self.transitions.push(t.clone());
         t
     }
@@ -437,14 +290,14 @@ mod tests {
     #[test]
     fn join_leave_and_errors() {
         let mut s = Session::new(SessionId(1), SessionMode::FACE_TO_FACE);
-        s.join(NodeId(0), SimTime::ZERO).unwrap();
+        s.join(NodeId(0)).unwrap();
         assert_eq!(
-            s.join(NodeId(0), SimTime::ZERO).unwrap_err(),
+            s.join(NodeId(0)).unwrap_err(),
             SessionError::AlreadyJoined(NodeId(0))
         );
-        s.leave(NodeId(0), SimTime::ZERO).unwrap();
+        s.leave(NodeId(0)).unwrap();
         assert_eq!(
-            s.leave(NodeId(0), SimTime::ZERO).unwrap_err(),
+            s.leave(NodeId(0)).unwrap_err(),
             SessionError::NotAMember(NodeId(0))
         );
     }
@@ -452,8 +305,8 @@ mod tests {
     #[test]
     fn transitions_preserve_state() {
         let mut s = Session::new(SessionId(1), SessionMode::SYNC_DISTRIBUTED);
-        s.join(NodeId(0), SimTime::ZERO).unwrap();
-        s.join(NodeId(1), SimTime::ZERO).unwrap();
+        s.join(NodeId(0)).unwrap();
+        s.join(NodeId(1)).unwrap();
         s.share("report.tex");
         let t = s.switch_mode(
             NodeId(0),
@@ -467,67 +320,13 @@ mod tests {
     }
 
     #[test]
-    fn session_telemetry_builds_a_well_formed_lifecycle_trace() {
-        use odp_sim::trace::Trace;
-        use odp_telemetry::collector::Collector;
-
-        let mut s = Session::new(SessionId(3), SessionMode::SYNC_DISTRIBUTED);
-        s.enable_telemetry(42, SimTime::ZERO);
-        s.join(NodeId(0), SimTime::from_millis(10)).unwrap();
-        s.join(NodeId(1), SimTime::from_millis(20)).unwrap();
-        let _ = s.switch_mode(
-            NodeId(0),
-            SessionMode::ASYNC_DISTRIBUTED,
-            SimTime::from_secs(60),
-        );
-        s.leave(NodeId(1), SimTime::from_secs(90)).unwrap();
-        s.close_telemetry(SimTime::from_secs(100));
-
-        let mut trace = Trace::new();
-        s.replay_telemetry(&mut trace, NodeId(9));
-        let collector = Collector::from_trace(&trace);
-        assert_eq!(collector.well_formed(), Ok(()), "span audit must pass");
-        assert_eq!(collector.len(), 1, "one session, one trace");
-        let dag = collector.trace(42).unwrap();
-        assert_eq!(dag.len(), 5, "root + join + join + switch + leave");
-        let kinds: std::collections::BTreeSet<&str> =
-            dag.spans().map(|s| s.kind.as_str()).collect();
-        assert_eq!(
-            kinds.into_iter().collect::<Vec<_>>(),
-            [
-                "session.join",
-                "session.leave",
-                "session.live",
-                "session.switch"
-            ]
-        );
-        // The switch span's duration is the rebind cost (a time switch).
-        let switch = dag.spans().find(|s| s.kind == "session.switch").unwrap();
-        assert_eq!(
-            switch.closed.unwrap().saturating_since(switch.opened),
-            SimDuration::from_millis(200)
-        );
-        // Draining empties the buffer; telemetry stays closed.
-        assert!(s.drain_telemetry().is_empty());
-        assert!(s.join(NodeId(5), SimTime::from_secs(200)).is_ok());
-        assert!(s.drain_telemetry().is_empty(), "closed spans mint nothing");
-    }
-
-    #[test]
-    fn sessions_without_telemetry_buffer_nothing() {
-        let mut s = Session::new(SessionId(1), SessionMode::FACE_TO_FACE);
-        s.join(NodeId(0), SimTime::ZERO).unwrap();
-        assert!(s.drain_telemetry().is_empty());
-    }
-
-    #[test]
     fn via_transitions_broadcast_to_the_other_participants() {
         let mut bus = EventBus::new();
         bus.register(NodeId(0), 0.0);
         bus.register(NodeId(1), 0.0);
         let mut s = Session::new(SessionId(4), SessionMode::SYNC_DISTRIBUTED);
-        s.join(NodeId(0), SimTime::ZERO).unwrap();
-        s.join(NodeId(1), SimTime::ZERO).unwrap();
+        s.join(NodeId(0)).unwrap();
+        s.join(NodeId(1)).unwrap();
         let t = s.switch_mode(
             NodeId(0),
             SessionMode::ASYNC_DISTRIBUTED,

@@ -22,9 +22,7 @@ fn conference_lives_inside_a_session() {
     let mut session = Session::new(SessionId(3), SessionMode::SYNC_DISTRIBUTED);
     let mut conf = TransparentConference::new(FloorPolicy::RequestQueue);
     for n in 0..3u32 {
-        session
-            .join(NodeId(n), SimTime::ZERO)
-            .expect("fresh member");
+        session.join(NodeId(n)).expect("fresh member");
         conf.join(NodeId(n));
         bus.register(NodeId(n), 0.0);
     }

@@ -168,16 +168,6 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
         &mut self.engine
     }
 
-    /// Starts a group RPC to all current peers.
-    ///
-    /// Intended for use from [`GroupApp`] callbacks via
-    /// [`GroupActor::app_mut`] access patterns in tests; during a run,
-    /// issue RPCs by injecting app commands and calling this from
-    /// [`GroupApp::on_command`] — see `invoke_rpc_now`.
-    pub fn rpc_engine_mut(&mut self) -> &mut RpcEngine<P> {
-        &mut self.rpc
-    }
-
     fn apply_step(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, step: Step<P>) {
         for (to, msg) in step.outbound {
             ctx.send(to, msg);
@@ -239,7 +229,7 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
         } else {
             None
         };
-        let (call, outbound) = self.rpc.invoke_spanned(
+        let (call, outbound) = self.rpc.invoke(
             targets,
             payload,
             config.execute_at,

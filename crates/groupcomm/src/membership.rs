@@ -66,26 +66,6 @@ impl View {
     pub fn leader(&self) -> Option<NodeId> {
         self.members.iter().next().copied()
     }
-
-    /// Membership delta from `self` to `newer`: `(joined, departed)`,
-    /// each in ascending node order. Lets view consumers (placement
-    /// controllers, awareness buses) react to churn without replaying
-    /// the whole membership history.
-    pub fn diff(&self, newer: &View) -> (Vec<NodeId>, Vec<NodeId>) {
-        let joined = newer
-            .members
-            .iter()
-            .copied()
-            .filter(|n| !self.members.contains(n))
-            .collect();
-        let departed = self
-            .members
-            .iter()
-            .copied()
-            .filter(|n| !newer.members.contains(n))
-            .collect();
-        (joined, departed)
-    }
 }
 
 /// Errors from membership operations.
@@ -193,11 +173,6 @@ impl Membership {
         view.id = ViewId(view.id.0 + 1);
         Ok(view.clone())
     }
-
-    /// All known group ids in ascending order.
-    pub fn group_ids(&self) -> Vec<GroupId> {
-        self.groups.keys().copied().collect()
-    }
 }
 
 #[cfg(test)]
@@ -217,21 +192,6 @@ mod tests {
         assert_eq!(v.size(), 3);
         assert_eq!(v.leader(), Some(NodeId(1)));
         assert_eq!(v.peers(NodeId(2)), nodes(&[1, 3]));
-    }
-
-    #[test]
-    fn view_diff_reports_churn_in_order() {
-        let old = View::initial(GroupId(1), nodes(&[1, 2, 3]));
-        let new = View {
-            group: GroupId(1),
-            id: ViewId(1),
-            members: nodes(&[2, 4, 5]).into_iter().collect(),
-        };
-        let (joined, departed) = old.diff(&new);
-        assert_eq!(joined, nodes(&[4, 5]));
-        assert_eq!(departed, nodes(&[1, 3]));
-        let (none_joined, none_departed) = old.diff(&old);
-        assert!(none_joined.is_empty() && none_departed.is_empty());
     }
 
     #[test]

@@ -109,7 +109,7 @@ struct PendingCall<P> {
 /// let mut rpc: RpcEngine<&str> = RpcEngine::new(NodeId(0));
 /// let (call, out) = rpc.invoke(
 ///     vec![NodeId(1), NodeId(2)], "start-camera", None,
-///     SimTime::ZERO, SimDuration::from_millis(100), Quorum::All,
+///     SimTime::ZERO, SimDuration::from_millis(100), Quorum::All, None,
 /// );
 /// assert_eq!(out.len(), 2);
 /// assert!(rpc.on_reply(call, NodeId(1), "ok", SimTime::from_millis(10)).is_none());
@@ -140,23 +140,10 @@ impl<P: Clone> RpcEngine<P> {
     /// Starts a call to `targets`. Returns the call id and the request
     /// messages to transmit. `execute_at` turns the call into a *group
     /// invocation*: responders should perform the action exactly then.
-    pub fn invoke(
-        &mut self,
-        targets: Vec<NodeId>,
-        payload: P,
-        execute_at: Option<SimTime>,
-        now: SimTime,
-        timeout: SimDuration,
-        quorum: Quorum,
-    ) -> (u64, Vec<(NodeId, GcMsg<P>)>) {
-        self.invoke_spanned(targets, payload, execute_at, now, timeout, quorum, None)
-    }
-
-    /// Like [`RpcEngine::invoke`], but piggybacks a telemetry span (the
-    /// caller's `rpc.call` root) on every request so responders can
-    /// parent their serve spans under it.
+    /// `span` (the caller's `rpc.call` root, if telemetry is on) rides
+    /// every request so responders can parent their serve spans under it.
     #[allow(clippy::too_many_arguments)]
-    pub fn invoke_spanned(
+    pub fn invoke(
         &mut self,
         targets: Vec<NodeId>,
         payload: P,
@@ -262,11 +249,6 @@ impl<P: Clone> RpcEngine<P> {
             .collect() // odp-check: allow(hot-path-alloc)
     }
 
-    /// The earliest pending deadline (to drive timer scheduling).
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.pending.values().map(|p| p.deadline).min()
-    }
-
     /// Number of in-flight calls.
     pub fn in_flight(&self) -> usize {
         self.pending.len()
@@ -302,6 +284,7 @@ mod tests {
             t(0),
             SimDuration::from_millis(100),
             Quorum::Majority,
+            None,
         );
         assert_eq!(out.len(), 3);
         assert!(rpc.on_reply(call, NodeId(1), "a", t(5)).is_none());
@@ -324,9 +307,10 @@ mod tests {
             t(0),
             SimDuration::from_millis(50),
             Quorum::All,
+            None,
         );
         rpc.on_reply(call, NodeId(1), "a", t(10));
-        assert_eq!(rpc.next_deadline(), Some(t(50)));
+        assert!(rpc.on_tick(t(49)).is_empty());
         let expired = rpc.on_tick(t(50));
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].status, CallStatus::TimedOut);
@@ -343,6 +327,7 @@ mod tests {
             t(0),
             SimDuration::from_millis(50),
             Quorum::All,
+            None,
         );
         assert!(rpc
             .on_reply(call, NodeId(9), "not-a-target", t(1))
@@ -362,6 +347,7 @@ mod tests {
             t(0),
             SimDuration::from_millis(50),
             Quorum::All,
+            None,
         );
         match &out[0].1 {
             GcMsg::RpcRequest { execute_at, .. } => assert_eq!(*execute_at, Some(when)),

@@ -141,15 +141,6 @@ impl EngRegistry {
             .ok_or(MgmtError::UnknownCapsule(*capsule))
     }
 
-    /// The cluster an object belongs to.
-    ///
-    /// # Errors
-    ///
-    /// [`MgmtError::UnknownObject`] if unknown.
-    pub fn cluster_of(&self, id: ManagedObjectId) -> Result<ClusterId, MgmtError> {
-        Ok(self.objects.get(&id).ok_or(MgmtError::UnknownObject(id))?.0)
-    }
-
     /// Total bytes in a cluster (migration payload).
     pub fn cluster_bytes(&self, cluster: ClusterId) -> usize {
         self.objects
@@ -207,7 +198,7 @@ mod tests {
         let clu = reg.create_cluster(cap).unwrap();
         reg.create_object(ManagedObjectId(1), clu, 100).unwrap();
         assert_eq!(reg.node_of(ManagedObjectId(1)).unwrap(), NodeId(3));
-        assert_eq!(reg.cluster_of(ManagedObjectId(1)).unwrap(), clu);
+        assert_eq!(reg.objects[&ManagedObjectId(1)].0, clu);
     }
 
     #[test]

@@ -89,6 +89,7 @@ impl HomeAgent {
     /// # Errors
     ///
     /// [`AddressingError::UnknownMobile`] if never registered.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 7: a mobile host changes care-of node.
     pub fn handoff(&mut self, mobile: MobileId, care_of: NodeId) -> Result<(), AddressingError> {
         let slot = self
             .bindings
@@ -104,6 +105,7 @@ impl HomeAgent {
     /// # Errors
     ///
     /// [`AddressingError::UnknownMobile`] if never registered.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 7: a mobile host disconnects.
     pub fn detach(&mut self, mobile: MobileId) -> Result<(), AddressingError> {
         let slot = self
             .bindings

@@ -61,6 +61,7 @@ impl MobileCache {
     }
 
     /// Hoard-listed objects not yet cached (what a bulk fetch should get).
+    // odp-check: allow(dead-pub) — PAPER.md requirement 7: Coda-style hoarding before disconnection.
     pub fn hoard_wanted(&self) -> Vec<ObjectId> {
         self.hoard_list
             .iter()
@@ -109,6 +110,7 @@ impl MobileCache {
     }
 
     /// Marks an entry clean at a new base version (after reintegration).
+    // odp-check: allow(dead-pub) — PAPER.md requirement 7: reintegration clears a cached write.
     pub fn mark_clean(&mut self, id: ObjectId, version: u64) {
         if let Some(obj) = self.entries.get_mut(&id) {
             obj.dirty = false;
@@ -131,6 +133,7 @@ impl MobileCache {
     }
 
     /// Evicts an entry.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 7: the mobile cache under limited storage.
     pub fn evict(&mut self, id: ObjectId) -> bool {
         self.entries.remove(&id).is_some()
     }

@@ -165,7 +165,7 @@ where
                 self.dispatch(now, |actor, ctx| actor.on_message(ctx, from, msg));
             }
             Input::Bcast { msg } => {
-                let step = self.session.broadcast(msg, now);
+                let step = self.session.broadcast(msg);
                 self.process_step(now, step);
             }
         }

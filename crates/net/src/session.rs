@@ -330,7 +330,7 @@ impl<M: Clone> SessionLayer<M> {
 
     /// Broadcasts `msg` to every registered peer, retaining it for
     /// crash forwarding.
-    pub fn broadcast(&mut self, msg: M, _now: SimTime) -> SessionStep<M> {
+    pub fn broadcast(&mut self, msg: M) -> SessionStep<M> {
         self.next_bseq += 1;
         let bseq = self.next_bseq;
         let origin = self.me;
@@ -697,7 +697,7 @@ mod tests {
             }
         }
         // c broadcasts; the copy to b is lost in flight.
-        let step = c.broadcast("crash-note".to_string(), ms(1));
+        let step = c.broadcast("crash-note".to_string());
         let mut delivered_a = Vec::new();
         for (to, frame) in step.outbound {
             if to == NodeId(0) {

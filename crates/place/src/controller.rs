@@ -265,11 +265,6 @@ impl PlacementActor {
         self.members = members.into_iter().collect();
     }
 
-    /// Turns the control loop on or off (off is the baseline arm).
-    pub fn set_active(&mut self, active: bool) {
-        self.config.active = active;
-    }
-
     /// Every migration decision taken, with its replayable inputs.
     pub fn decisions(&self) -> &[DecisionRecord] {
         &self.decisions

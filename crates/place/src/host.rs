@@ -89,6 +89,13 @@ pub struct InstallRecord {
     pub hash: u64,
 }
 
+/// The stats-report cadence.
+const REPORT_EVERY: SimDuration = SimDuration::from_millis(100);
+/// The per-chunk retransmit delay.
+const RETRY_AFTER: SimDuration = SimDuration::from_millis(100);
+/// Retransmits of one chunk before the transfer fails.
+const MAX_RETRIES: u32 = 3;
+
 /// Stores tiles and runs both ends of the chunked migration protocol.
 #[derive(Debug)]
 pub struct TileHostActor {
@@ -103,11 +110,8 @@ pub struct TileHostActor {
     // Telemetry buffered for the next stats report.
     span_buf: Vec<SpanObs>,
     report_timer: Option<TimerId>,
-    report_every: SimDuration,
     // Transfer knobs.
     chunk_bytes: usize,
-    retry_after: SimDuration,
-    max_retries: u32,
     quiesce: bool,
     // Logs read by tests and the soundness invariant.
     freeze_log: Vec<FreezeRecord>,
@@ -130,10 +134,7 @@ impl TileHostActor {
             aborted: BTreeSet::new(),
             span_buf: Vec::new(),
             report_timer: None,
-            report_every: SimDuration::from_millis(100),
             chunk_bytes: 8 * 1024,
-            retry_after: SimDuration::from_millis(100),
-            max_retries: 3,
             quiesce: true,
             freeze_log: Vec::new(),
             installs: Vec::new(),
@@ -150,17 +151,6 @@ impl TileHostActor {
     /// Sets the chunk-size bound for outbound transfers.
     pub fn set_chunk_bytes(&mut self, bytes: usize) {
         self.chunk_bytes = bytes.max(1);
-    }
-
-    /// Sets the per-chunk retransmit delay and retry budget.
-    pub fn set_retry(&mut self, after: SimDuration, max_retries: u32) {
-        self.retry_after = after;
-        self.max_retries = max_retries;
-    }
-
-    /// Sets the stats-report cadence.
-    pub fn set_report_every(&mut self, every: SimDuration) {
-        self.report_every = every;
     }
 
     /// Arms or disarms write-freeze *enforcement*. Disarming keeps the
@@ -215,7 +205,7 @@ impl TileHostActor {
     fn buffer_span(&mut self, ctx: &mut Ctx<'_, PlaceWire>, obs: SpanObs) {
         self.span_buf.push(obs);
         if self.report_timer.is_none() {
-            self.report_timer = Some(ctx.set_timer(self.report_every, TAG_REPORT));
+            self.report_timer = Some(ctx.set_timer(REPORT_EVERY, TAG_REPORT));
         }
     }
 
@@ -275,7 +265,7 @@ impl TileHostActor {
         };
         let to = out.to;
         ctx.send_sized(to, msg, bytes);
-        let timer = ctx.set_timer(self.retry_after, TAG_RETRY | cluster.0 as u64);
+        let timer = ctx.set_timer(RETRY_AFTER, TAG_RETRY | cluster.0 as u64);
         if let Some(out) = self.outbound.get_mut(&cluster) {
             out.timer = Some(timer);
         }
@@ -596,7 +586,7 @@ impl Actor<PlaceWire> for TileHostActor {
                     return;
                 }
                 out.timer = None;
-                if out.retries >= self.max_retries {
+                if out.retries >= MAX_RETRIES {
                     self.fail_transfer(ctx, cluster, "chunk retry budget exhausted");
                 } else {
                     out.retries += 1;

@@ -54,6 +54,12 @@ struct Pending {
     opened: SimTime,
 }
 
+/// The editor's stats-report cadence.
+const REPORT_EVERY: SimDuration = SimDuration::from_millis(50);
+/// How long an editor waits before retrying an access refused by a
+/// write freeze.
+const RETRY_AFTER: SimDuration = SimDuration::from_millis(20);
+
 /// A scripted raster editor: runs its panning schedule, follows
 /// redirects and home updates, backs off on write freezes, and ships
 /// span observations plus access counts to the controller.
@@ -67,8 +73,6 @@ pub struct EditorActor {
     span_buf: Vec<SpanObs>,
     access_counts: BTreeMap<ClusterId, u64>,
     report_timer: Option<TimerId>,
-    report_every: SimDuration,
-    retry_after: SimDuration,
     completed: u64,
     skipped: u64,
     notices: Vec<CoopEvent>,
@@ -87,8 +91,6 @@ impl EditorActor {
             span_buf: Vec::new(),
             access_counts: BTreeMap::new(),
             report_timer: None,
-            report_every: SimDuration::from_millis(50),
-            retry_after: SimDuration::from_millis(20),
             completed: 0,
             skipped: 0,
             notices: Vec::new(),
@@ -98,11 +100,6 @@ impl EditorActor {
     /// Appends one scripted access.
     pub fn script(&mut self, op: ScriptedOp) {
         self.ops.push(op);
-    }
-
-    /// Sets the stats-report cadence.
-    pub fn set_report_every(&mut self, every: SimDuration) {
-        self.report_every = every;
     }
 
     /// Accesses that completed (got their `ReadOk`/`WriteOk`).
@@ -129,7 +126,7 @@ impl EditorActor {
     fn buffer_obs(&mut self, ctx: &mut Ctx<'_, PlaceWire>, obs: SpanObs) {
         self.span_buf.push(obs);
         if self.report_timer.is_none() {
-            self.report_timer = Some(ctx.set_timer(self.report_every, TAG_REPORT));
+            self.report_timer = Some(ctx.set_timer(REPORT_EVERY, TAG_REPORT));
         }
     }
 
@@ -237,7 +234,7 @@ impl Actor<PlaceWire> for EditorActor {
                 // lands in the observed access latency.
                 ctx.metrics().incr("place.editor.refused");
                 if self.pending.contains_key(&cluster) {
-                    ctx.set_timer(self.retry_after, TAG_RETRY | cluster.0 as u64);
+                    ctx.set_timer(RETRY_AFTER, TAG_RETRY | cluster.0 as u64);
                 }
             }
             PlaceWire::Moved { cluster, to } => {

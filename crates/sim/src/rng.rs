@@ -121,23 +121,6 @@ impl DetRng {
         let value = base.as_micros() as i64 + offset;
         SimDuration::from_micros(value.max(0) as u64)
     }
-
-    /// Samples an exponentially distributed duration with the given mean;
-    /// useful for Poisson arrival processes in workload generators.
-    pub fn exponential(&mut self, mean: SimDuration) -> SimDuration {
-        // Inverse-CDF sampling; clamp u away from 0 to avoid ln(0).
-        let u = self.unit_f64().max(1e-12);
-        let sample = -(u.ln()) * mean.as_micros() as f64;
-        SimDuration::from_micros(sample.min(u64::MAX as f64 / 2.0) as u64)
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -204,28 +187,5 @@ mod tests {
         for _ in 0..1_000 {
             let _ = r.jittered(base, jit); // must not underflow / panic
         }
-    }
-
-    #[test]
-    fn exponential_mean_is_approximately_right() {
-        let mut r = DetRng::seed_from(17);
-        let mean = SimDuration::from_micros(10_000);
-        let n = 20_000u64;
-        let total: u64 = (0..n).map(|_| r.exponential(mean).as_micros()).sum();
-        let observed = total as f64 / n as f64;
-        assert!(
-            (observed - 10_000.0).abs() < 500.0,
-            "observed mean {observed}"
-        );
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = DetRng::seed_from(19);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

@@ -487,7 +487,7 @@ impl SimBuilder {
 /// Engine-maintained counters kept as plain fields on the hot path and
 /// folded into the string-keyed [`MetricsRegistry`] at `&mut`
 /// boundaries ([`Sim::step`], [`Sim::step_nth`], the end of
-/// [`Sim::run`], [`Sim::metrics_mut`]), so [`Sim::metrics`] always
+/// [`Sim::run`]), so [`Sim::metrics`] always
 /// reflects them by the time a caller can observe it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct HotCounters {
@@ -658,12 +658,6 @@ impl<M: 'static> Sim<M> {
     /// current whenever a caller can observe it.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Mutable access to the run's metrics (for summaries, which sort).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        self.flush_hot();
-        &mut self.metrics
     }
 
     /// The run's trace.

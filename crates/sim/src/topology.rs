@@ -1,7 +1,6 @@
-//! Topology builders: convenient ways to lay common network shapes onto
-//! a [`Network`] — multi-site organisations (the paper's "different
-//! departments, sections or even organisations"), stars around a server,
-//! and full meshes.
+//! Network topologies: lay multi-site organisations (the paper's
+//! "different departments, sections or even organisations") onto a
+//! [`Network`].
 
 use crate::net::{LinkSpec, Network, NodeId};
 
@@ -46,35 +45,6 @@ pub fn sites(
                     net.set_link(a, b, spec);
                 }
             }
-        }
-    }
-}
-
-/// Applies a star topology: every leaf connects to `hub` with `spoke`;
-/// leaf-to-leaf traffic gets `leaf_to_leaf` (usually ~2× the spoke, as
-/// if routed through the hub).
-pub fn star(
-    net: &mut Network,
-    hub: NodeId,
-    leaves: &[NodeId],
-    spoke: LinkSpec,
-    leaf_to_leaf: LinkSpec,
-) {
-    for &leaf in leaves {
-        net.set_link(hub, leaf, spoke);
-    }
-    for (i, &a) in leaves.iter().enumerate() {
-        for &b in &leaves[i + 1..] {
-            net.set_link(a, b, leaf_to_leaf);
-        }
-    }
-}
-
-/// Applies a uniform full mesh over `nodes`.
-pub fn full_mesh(net: &mut Network, nodes: &[NodeId], spec: LinkSpec) {
-    for (i, &a) in nodes.iter().enumerate() {
-        for &b in &nodes[i + 1..] {
-            net.set_link(a, b, spec);
         }
     }
 }
@@ -128,29 +98,5 @@ mod tests {
             net.link(NodeId(2), NodeId(4)).latency,
             SimDuration::from_millis(30) // sites 1-2
         );
-    }
-
-    #[test]
-    fn star_routes_leaves_through_the_hub() {
-        let mut net = Network::new(LinkSpec::ideal());
-        let spoke = LinkSpec::wan(SimDuration::from_millis(10));
-        let double = LinkSpec::wan(SimDuration::from_millis(20));
-        star(&mut net, NodeId(0), &nodes(1..4), spoke, double);
-        assert_eq!(net.link(NodeId(0), NodeId(2)).latency, spoke.latency);
-        assert_eq!(net.link(NodeId(1), NodeId(3)).latency, double.latency);
-    }
-
-    #[test]
-    fn full_mesh_is_uniform() {
-        let mut net = Network::new(LinkSpec::ideal());
-        let spec = LinkSpec::wan(SimDuration::from_millis(5));
-        full_mesh(&mut net, &nodes(0..4), spec);
-        for a in 0..4u32 {
-            for b in 0..4u32 {
-                if a != b {
-                    assert_eq!(net.link(NodeId(a), NodeId(b)).latency, spec.latency);
-                }
-            }
-        }
     }
 }

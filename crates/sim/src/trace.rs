@@ -101,30 +101,9 @@ impl Trace {
         self.enabled = false;
     }
 
-    /// Re-enables recording.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
     /// The retention bound, if any.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
-    }
-
-    /// Sets (or removes) the retention bound. Shrinking evicts the
-    /// oldest surplus records immediately; records already evicted stay
-    /// evicted when the bound widens.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        let keep = self.window().len();
-        self.events.truncate(self.live);
-        self.events.drain(..self.live - keep);
-        self.capacity = capacity;
-        if let Some(cap) = capacity {
-            if keep > cap {
-                self.events.drain(..keep - cap);
-            }
-        }
-        self.live = self.events.len();
     }
 
     /// Number of records evicted by the capacity bound since the last
@@ -209,17 +188,6 @@ impl Trace {
     /// Iterates retained records with the given label.
     pub fn with_label<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
         self.window().iter().filter(move |e| e.label == label)
-    }
-
-    /// Iterates retained records with the given label *and* data payload.
-    pub fn matching<'a>(
-        &'a self,
-        label: &'a str,
-        data: &'a str,
-    ) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.window()
-            .iter()
-            .filter(move |e| e.label == label && e.data == data)
     }
 
     /// The first retained record with this label, if any.
@@ -312,7 +280,7 @@ mod tests {
         tr.record(t(2), NodeId(1), "a", "y");
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.with_label("a").count(), 2);
-        assert_eq!(tr.matching("a", "y").count(), 1);
+        assert_eq!(tr.with_label("a").filter(|e| e.data == "y").count(), 1);
         assert_eq!(tr.first("a").unwrap().data, "x");
         assert_eq!(tr.last("a").unwrap().data, "y");
     }
@@ -323,9 +291,6 @@ mod tests {
         tr.disable();
         tr.record(t(0), NodeId(0), "a", "x");
         assert!(tr.is_empty());
-        tr.enable();
-        tr.record(t(1), NodeId(0), "a", "x");
-        assert_eq!(tr.len(), 1);
     }
 
     #[test]
@@ -377,7 +342,7 @@ mod tests {
         let data: Vec<_> = tr.events().iter().map(|e| e.data.as_str()).collect();
         assert_eq!(data, ["7", "8", "9"]);
         // Queries see only the window.
-        assert!(tr.matching("e", "0").next().is_none());
+        assert!(tr.with_label("e").all(|e| e.data != "0"));
         assert_eq!(tr.first("e").unwrap().data, "7");
         assert_eq!(tr.last("e").unwrap().data, "9");
     }
@@ -391,33 +356,6 @@ mod tests {
             assert_eq!(tr.len(), (i as usize + 1).min(4));
         }
         assert_eq!(tr.dropped(), 996);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_immediately() {
-        let mut tr = Trace::new();
-        for i in 0..6 {
-            tr.record(t(i), NodeId(0), "e", i);
-        }
-        tr.set_capacity(Some(2));
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr.dropped(), 4);
-        assert_eq!(tr.events()[0].data, "4");
-        tr.set_capacity(None);
-        tr.record(t(9), NodeId(0), "e", "9");
-        assert_eq!(tr.len(), 3, "unbounded again, nothing else evicted");
-    }
-
-    #[test]
-    fn widening_the_bound_does_not_bring_back_evicted_records() {
-        let mut tr = Trace::with_capacity(2);
-        for i in 0..3 {
-            tr.record(t(i), NodeId(0), "e", i);
-        }
-        assert_eq!((tr.len(), tr.dropped()), (2, 1));
-        tr.set_capacity(None);
-        assert_eq!((tr.len(), tr.dropped()), (2, 1), "record 0 was evicted");
-        assert_eq!(tr.events()[0].data, "1");
     }
 
     proptest::proptest! {

@@ -95,15 +95,6 @@ pub enum BindError {
     },
     /// A binding needs at least one consumer.
     NoConsumers,
-    /// Admitting the binding would exceed the producing node's capacity.
-    AdmissionDenied {
-        /// The producing node.
-        node: NodeId,
-        /// Its configured budget (frames/s across all its streams).
-        budget_fps: u32,
-        /// The load the new binding would bring it to.
-        would_be_fps: u32,
-    },
 }
 
 impl fmt::Display for BindError {
@@ -112,16 +103,15 @@ impl fmt::Display for BindError {
             BindError::UnknownInterface(i) => write!(f, "unknown interface {}", i.0),
             BindError::WrongDirection(i) => write!(f, "interface {} has the wrong direction", i.0),
             BindError::TypeMismatch { producer, consumer } => {
-                write!(f, "type mismatch: producer {producer} vs consumer {consumer}")
+                write!(
+                    f,
+                    "type mismatch: producer {producer} vs consumer {consumer}"
+                )
             }
             BindError::QosUnsatisfiable { consumer } => {
                 write!(f, "qos unsatisfiable for consumer {}", consumer.0)
             }
             BindError::NoConsumers => write!(f, "binding requires at least one consumer"),
-            BindError::AdmissionDenied { node, budget_fps, would_be_fps } => write!(
-                f,
-                "admission denied on {node}: {would_be_fps} fps would exceed the {budget_fps} fps budget"
-            ),
         }
     }
 }
@@ -156,9 +146,6 @@ impl std::error::Error for BindError {}
 pub struct BindingRegistry {
     interfaces: BTreeMap<InterfaceId, StreamInterface>,
     bindings: BTreeMap<BindingId, StreamBinding>,
-    /// Per-node admission budgets in aggregate frames/s (a deliberately
-    /// simple capacity unit; absent = unlimited).
-    budgets: BTreeMap<NodeId, u32>,
     next_binding: u32,
 }
 
@@ -176,28 +163,6 @@ impl BindingRegistry {
     /// Looks up an interface.
     pub fn interface(&self, id: InterfaceId) -> Option<&StreamInterface> {
         self.interfaces.get(&id)
-    }
-
-    /// Sets a node's admission budget: the aggregate frames/s its live
-    /// bindings may carry. Unset nodes are unlimited.
-    pub fn set_node_budget_fps(&mut self, node: NodeId, budget_fps: u32) {
-        self.budgets.insert(node, budget_fps);
-    }
-
-    /// The aggregate contracted frames/s currently admitted on `node`'s
-    /// producing interfaces (failed bindings do not count).
-    pub fn admitted_fps(&self, node: NodeId) -> u32 {
-        self.bindings
-            .values()
-            .filter_map(|b| {
-                let spec = match b.state {
-                    BindingState::Established(s) | BindingState::Degraded(s) => s,
-                    BindingState::Failed => return None,
-                };
-                let producer = self.interfaces.get(&b.producer)?;
-                (producer.node == node).then_some(spec.throughput_fps)
-            })
-            .sum()
     }
 
     /// Binds `producer` to `consumers`: checks directions and media
@@ -249,19 +214,6 @@ impl BindingRegistry {
             });
         }
         let agreed = agreed.ok_or(BindError::NoConsumers)?;
-        // Admission control: the producing node must have headroom for
-        // the new contract on top of everything already admitted.
-        let node = p.node;
-        if let Some(&budget) = self.budgets.get(&node) {
-            let would_be = self.admitted_fps(node) + agreed.throughput_fps;
-            if would_be > budget {
-                return Err(BindError::AdmissionDenied {
-                    node,
-                    budget_fps: budget,
-                    would_be_fps: would_be,
-                });
-            }
-        }
         let id = BindingId(self.next_binding);
         self.next_binding += 1;
         let binding = StreamBinding {
@@ -294,6 +246,7 @@ impl BindingRegistry {
     }
 
     /// Downgrades a binding's contract (renegotiation outcome).
+    // odp-check: allow(dead-pub) — PAPER.md requirement 5: QoS re-negotiation downgrades a binding.
     pub fn degrade(&mut self, id: BindingId, to: QosSpec) -> bool {
         match self.bindings.get_mut(&id) {
             Some(b) => {
@@ -305,6 +258,7 @@ impl BindingRegistry {
     }
 
     /// Tears a binding down.
+    // odp-check: allow(dead-pub) — PAPER.md requirement 5: tearing a stream binding down.
     pub fn unbind(&mut self, id: BindingId) -> bool {
         match self.bindings.get_mut(&id) {
             Some(b) => {
@@ -429,44 +383,11 @@ mod tests {
     }
 
     #[test]
-    fn admission_control_enforces_node_budgets() {
-        let mut reg = reg_with(MediaKind::Video, QosSpec::video());
-        reg.register(StreamInterface {
-            id: InterfaceId(2),
-            node: NodeId(2),
-            kind: MediaKind::Video,
-            direction: Direction::Consumer,
-            qos: QosSpec::video(),
-        });
-        // Budget fits exactly one 25 fps video binding.
-        reg.set_node_budget_fps(NodeId(0), 40);
-        let b1 = reg.bind(InterfaceId(0), &[InterfaceId(1)]).unwrap();
-        assert_eq!(reg.admitted_fps(NodeId(0)), 25);
-        let err = reg.bind(InterfaceId(0), &[InterfaceId(2)]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                BindError::AdmissionDenied {
-                    would_be_fps: 50,
-                    budget_fps: 40,
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-        // Tearing the first binding down frees the budget.
-        reg.unbind(b1.id);
-        assert_eq!(reg.admitted_fps(NodeId(0)), 0);
-        assert!(reg.bind(InterfaceId(0), &[InterfaceId(2)]).is_ok());
-    }
-
-    #[test]
     fn unbudgeted_nodes_admit_everything() {
         let mut reg = reg_with(MediaKind::Video, QosSpec::video());
         for _ in 0..10 {
             assert!(reg.bind(InterfaceId(0), &[InterfaceId(1)]).is_ok());
         }
-        assert_eq!(reg.admitted_fps(NodeId(0)), 250);
     }
 
     #[test]

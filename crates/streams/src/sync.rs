@@ -72,6 +72,11 @@ impl EventSync {
     }
 }
 
+/// No lip-sync correction until this long after the previous one, so
+/// frames already in the pipeline (played against the old delay) do not
+/// trigger runaway over-correction.
+const CORRECTION_COOLDOWN: SimDuration = SimDuration::from_millis(500);
+
 /// Continuous synchronisation of a slave stream to a master stream
 /// (lip-sync): both sinks play out; the controller measures the playout
 /// skew and nudges the slave's playout delay to keep the skew inside a
@@ -104,10 +109,6 @@ pub struct LipSync {
     last_slave_play: BTreeMap<u64, SimTime>,
     skews: Vec<i64>, // microseconds, signed (slave − master)
     corrections: u64,
-    /// No further correction until this long after the previous one, so
-    /// frames already in the pipeline (played against the old delay) do
-    /// not trigger runaway over-correction.
-    cooldown: SimDuration,
     last_correction: Option<SimTime>,
 }
 
@@ -124,14 +125,8 @@ impl LipSync {
             last_slave_play: BTreeMap::new(),
             skews: Vec::new(),
             corrections: 0,
-            cooldown: SimDuration::from_millis(500),
             last_correction: None,
         }
-    }
-
-    /// Adjusts the correction cooldown (default 500 ms).
-    pub fn set_cooldown(&mut self, cooldown: SimDuration) {
-        self.cooldown = cooldown;
     }
 
     /// Disables the correction loop (measure raw drift instead).
@@ -185,7 +180,7 @@ impl LipSync {
             self.skews.push(skew_us);
             let cooling = self
                 .last_correction
-                .is_some_and(|at| now.saturating_since(at) < self.cooldown);
+                .is_some_and(|at| now.saturating_since(at) < CORRECTION_COOLDOWN);
             if self.correcting && !cooling && skew_us.unsigned_abs() > self.tolerance.as_micros() {
                 // A stream can be delayed but never sped up: hold back
                 // whichever side is *ahead* by half the skew.

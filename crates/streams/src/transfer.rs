@@ -4,11 +4,8 @@
 //! megabytes through links sized for frames: the transfer must be cut
 //! into chunks small enough to interleave with interactive traffic. A
 //! [`ChunkPlan`] is the deterministic, side-effect-free description of
-//! that cut — which byte ranges travel in which chunk, and how long the
-//! whole transfer should take under a byte-rate bound — so senders on
+//! that cut — which byte ranges travel in which chunk — so senders on
 //! any backend (sim or TCP) walk the identical sequence.
-
-use odp_sim::time::SimDuration;
 
 /// A deterministic slicing of `total_bytes` into chunks of at most
 /// `chunk_bytes` bytes, the last chunk carrying the remainder.
@@ -62,15 +59,6 @@ impl ChunkPlan {
         let end = start.saturating_add(self.chunk_bytes).min(self.total_bytes);
         start..end
     }
-
-    /// Minimum duration for the whole transfer at `bytes_per_sec`
-    /// (clamped to at least 1 B/s): the pacing floor a sender should
-    /// respect so bulk state never starves interactive frames.
-    pub fn duration_at(&self, bytes_per_sec: u64) -> SimDuration {
-        let rate = bytes_per_sec.max(1);
-        let micros = (self.total_bytes as u128 * 1_000_000).div_ceil(rate as u128);
-        SimDuration::from_micros(micros.min(u64::MAX as u128) as u64)
-    }
 }
 
 #[cfg(test)]
@@ -98,7 +86,6 @@ mod tests {
         let plan = ChunkPlan::bounded(0, 4_096);
         assert_eq!(plan.count(), 0);
         assert!(plan.range_of(0).is_empty());
-        assert_eq!(plan.duration_at(1_000_000), SimDuration::ZERO);
     }
 
     #[test]
@@ -118,13 +105,5 @@ mod tests {
             covered = r.end;
         }
         assert_eq!(covered, plan.total_bytes());
-    }
-
-    #[test]
-    fn duration_respects_the_rate_floor() {
-        let plan = ChunkPlan::bounded(1_000_000, 8_192);
-        assert_eq!(plan.duration_at(1_000_000), SimDuration::from_secs(1));
-        // A zero rate clamps instead of dividing by zero.
-        assert!(plan.duration_at(0) > SimDuration::ZERO);
     }
 }

@@ -12,7 +12,6 @@
 //! pseudo-histogram (1 µs per hit, 0 µs per miss, so its mean in
 //! microseconds *is* the hit rate), plus plain counters.
 
-use odp_awareness::bus::{CoopEvent, CoopKind, EventBus};
 use odp_fabric::SpanCarrier;
 use odp_groupcomm::membership::View;
 use odp_groupcomm::multicast::{GcMsg, GroupEngine, Ordering, Reliability, Step};
@@ -418,11 +417,6 @@ pub struct ImporterActor {
     next_call: u64,
     stats: ImporterStats,
     telemetry: bool,
-    /// Optional cooperation-event bus: delivered invalidations are
-    /// republished as [`CoopKind::ServiceInvalidated`] events so local
-    /// observers (awareness displays, binding monitors) learn *why*
-    /// their cached resolutions went stale.
-    bus: Option<EventBus>,
     /// The most recent resolution per type (tests bind through this).
     pub last_resolved: std::collections::BTreeMap<ServiceType, Vec<ServiceOffer>>,
 }
@@ -449,7 +443,6 @@ impl ImporterActor {
             next_call: 0,
             stats: ImporterStats::default(),
             telemetry: false,
-            bus: None,
             last_resolved: std::collections::BTreeMap::new(),
         }
     }
@@ -458,18 +451,6 @@ impl ImporterActor {
     /// the actor's RNG stream, which would perturb existing seeded runs.
     pub fn set_telemetry(&mut self, on: bool) {
         self.telemetry = on;
-    }
-
-    /// Attaches a cooperation-event bus: every delivered invalidation is
-    /// republished on it as a `trader.invalidated` event (artefact
-    /// `svc/{type}`, actor = the multicasting trader).
-    pub fn attach_bus(&mut self, bus: EventBus) {
-        self.bus = Some(bus);
-    }
-
-    /// The attached bus, if any (observer stats, delivery counters).
-    pub fn bus(&self) -> Option<&EventBus> {
-        self.bus.as_ref()
     }
 
     fn epoch(&self, service_type: &ServiceType) -> u64 {
@@ -622,21 +603,6 @@ impl Actor<TraderMsg> for ImporterActor {
                     *self.epochs.entry(service_type.clone()).or_insert(0) += 1;
                     if self.cache.invalidate(service_type) {
                         ctx.metrics().incr("importer.cache.invalidated");
-                    }
-                    if let Some(bus) = &mut self.bus {
-                        let published = bus.publish(CoopEvent::broadcast(
-                            from,
-                            // As above: invalidations are rare.
-                            // odp-check: allow(hot-path-alloc)
-                            format!("svc/{service_type}"),
-                            ctx.now(),
-                            CoopKind::ServiceInvalidated {
-                                // odp-check: allow(hot-path-alloc)
-                                reason: format!("{:?}", delivery.payload.reason),
-                            },
-                        ));
-                        ctx.metrics()
-                            .add("importer.coop.invalidations", published.len() as u64);
                     }
                 }
                 Self::flush(step, ctx);
@@ -875,43 +841,6 @@ mod tests {
         );
         assert_eq!(imp.stats().unresolved, 1, "nothing left to resolve");
         assert!(imp.last_resolved.get(&st()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn withdraw_republishes_on_an_attached_coop_bus() {
-        let mut sim = SimBuilder::new(42).build();
-        sim.add_actor(T1, TraderActor::new(T1, view(), SelectionPolicy::FirstFit));
-        sim.add_actor(T2, TraderActor::new(T2, view(), SelectionPolicy::FirstFit));
-        let mut imp = ImporterActor::new(
-            IMP,
-            view(),
-            SimDuration::from_millis(60_000),
-            HashRing::new([T1, T2]),
-            jobs(&[10]),
-        );
-        // A local observer (e.g. the importer's awareness display).
-        let mut bus = EventBus::new();
-        bus.register(NodeId(99), 0.0);
-        imp.attach_bus(bus);
-        sim.add_actor(IMP, imp);
-        let shard = HashRing::new([T1, T2]).node_for(&st()).unwrap();
-        sim.inject(SimTime::ZERO, EXP, shard, TraderMsg::Export(offer()));
-        sim.inject(
-            SimTime::ZERO + SimDuration::from_secs(1),
-            EXP,
-            shard,
-            TraderMsg::Withdraw(OfferId(1)),
-        );
-        sim.run(Until::At(SimTime::ZERO + SimDuration::from_secs(2)));
-        assert_eq!(
-            sim.metrics().counter("importer.coop.invalidations"),
-            1,
-            "the withdrawal reaches the local observer as a coop event"
-        );
-        let imp: &ImporterActor = sim.get(ActorHandle::of(IMP)).unwrap();
-        let bus = imp.bus().unwrap();
-        assert_eq!(bus.published(), 1);
-        assert_eq!(bus.stats(NodeId(99)).unwrap().received, 1);
     }
 
     #[test]

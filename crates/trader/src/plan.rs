@@ -86,14 +86,6 @@ impl Scope {
     pub fn is_empty(&self) -> bool {
         matches!(self, Scope::Empty)
     }
-
-    /// The prefix, if anything is admitted.
-    pub fn as_prefix(&self) -> Option<&str> {
-        match self {
-            Scope::Prefix(p) => Some(p),
-            Scope::Empty => None,
-        }
-    }
 }
 
 impl fmt::Display for Scope {
@@ -326,8 +318,6 @@ mod tests {
         assert!(Scope::all().admits(&st("anything/at/all")));
         assert!(Scope::prefix("video/").admits(&st("video/hd/tour")));
         assert!(!Scope::prefix("video/hd/").admits(&st("video/conference")));
-        assert_eq!(Scope::prefix("video/").as_prefix(), Some("video/"));
-        assert_eq!(Scope::Empty.as_prefix(), None);
     }
 
     #[test]

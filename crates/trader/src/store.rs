@@ -305,27 +305,6 @@ impl ShardedStore {
         self.rehome()
     }
 
-    /// Removes a trader node, migrating its offers to the survivors.
-    /// Returns how many offers moved. Offers with no surviving shard
-    /// (last trader removed) are dropped.
-    pub fn remove_trader(&mut self, trader: NodeId) -> usize {
-        self.ring.remove(trader);
-        let mut moved = 0;
-        if let Some(orphaned) = self.shards.remove(&trader) {
-            for offer in orphaned.offers.into_values() {
-                if let Some(new_shard) = self.ring.node_for(&offer.service_type) {
-                    let id = offer.id;
-                    self.shards.entry(new_shard).or_default().place(offer);
-                    self.home.insert(id, new_shard);
-                    moved += 1;
-                } else {
-                    self.home.remove(&offer.id);
-                }
-            }
-        }
-        moved + self.rehome()
-    }
-
     /// Re-places every offer whose current shard no longer matches the
     /// ring; returns how many moved.
     fn rehome(&mut self) -> usize {
@@ -515,21 +494,6 @@ mod tests {
             "consistent hashing must not reshuffle the world: moved {moved}"
         );
         assert_eq!(store.len(), 200, "no offers may be lost in resharding");
-    }
-
-    #[test]
-    fn removing_a_trader_rehomes_its_offers() {
-        let mut store = ShardedStore::new(traders(3));
-        let mut ids = Vec::new();
-        for i in 0..60 {
-            ids.push(store.export(offer(&format!("s/{i}"))).unwrap());
-        }
-        store.remove_trader(NodeId(1));
-        assert_eq!(store.len(), 60);
-        for id in ids {
-            assert!(store.offer(id).is_some(), "{id} lost in trader removal");
-        }
-        assert!(!store.loads().iter().any(|(n, _)| *n == NodeId(1)));
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl Conversation {
         self.rejections
     }
 
-    /// The transcript.
-    pub fn transcript(&self) -> &[(Party, SpeechAct)] {
-        &self.acts
-    }
-
     /// Attempts a speech act.
     ///
     /// # Errors

@@ -9,6 +9,7 @@
 //!
 //! - [`fabric`] — zero-copy payload bytes, binary span carriers, sorted-vec maps
 //! - [`sim`] — deterministic discrete-event simulation substrate
+//! - [`net`] — pluggable transport: the sim backend and a threaded TCP backend
 //! - [`groupcomm`] — group membership, ordered multicast, group RPC
 //! - [`concurrency`] — cooperation-aware concurrency control
 //! - [`awareness`] — awareness mechanisms (focus/nimbus, Portholes)
@@ -19,6 +20,7 @@
 //! - [`place`] — closed-loop telemetry-driven placement controller
 //! - [`trader`] — federated, QoS-aware service trading
 //! - [`workflow`] — speech-act and office-procedure workflows
+//! - [`telemetry`] — after-the-run span analysis: trace DAGs, critical paths, reports
 //! - [`core`] — the groupware toolkit tying the substrates together
 //!
 //! ```
@@ -36,8 +38,10 @@ pub use odp_fabric as fabric;
 pub use odp_groupcomm as groupcomm;
 pub use odp_mgmt as mgmt;
 pub use odp_mobility as mobility;
+pub use odp_net as net;
 pub use odp_place as place;
 pub use odp_sim as sim;
 pub use odp_streams as streams;
+pub use odp_telemetry as telemetry;
 pub use odp_trader as trader;
 pub use odp_workflow as workflow;

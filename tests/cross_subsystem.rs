@@ -38,7 +38,7 @@ fn cross_organisation_co_authoring() {
     // --- Session across the matrix -------------------------------------
     let mut session = Session::new(SessionId(1), SessionMode::SYNC_DISTRIBUTED);
     for n in [author, contractor, mobile] {
-        session.join(n, SimTime::ZERO).expect("fresh membership");
+        session.join(n).expect("fresh membership");
     }
     session.share("project/spec");
 
