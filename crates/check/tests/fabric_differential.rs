@@ -7,6 +7,8 @@
 //! the fabric changes who owns the bytes, never what is on the wire or
 //! when it is delivered.
 
+use std::sync::Arc;
+
 use odp_awareness::bus::{Audience, CoopEvent, CoopKind, CoopMode};
 use odp_awareness::dist::BusWire;
 use odp_awareness::events::ActivityKind;
@@ -15,6 +17,7 @@ use odp_fabric::SpanCarrier;
 use odp_groupcomm::actors::{GroupActor, GroupApp};
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::{DataMsg, Delivery, GcMsg, MsgId, Ordering, Reliability};
+use odp_groupcomm::rpc::{ReplyBody, RequestBody};
 use odp_groupcomm::vclock::VectorClock;
 use odp_groupcomm::{from_fabric, to_fabric};
 use odp_net::wire::{payload_of, WireCodec};
@@ -181,13 +184,13 @@ fn gc_envelopes<P: Clone>(payload: P) -> Vec<GcMsg<P>> {
     vc.tick(NodeId(0));
     let span = SpanCarrier::root(0xaa, 0xbb);
     vec![
-        GcMsg::Data(DataMsg {
+        GcMsg::Data(Arc::new(DataMsg {
             id,
             group: GroupId(1),
             vclock: Some(vc),
             span: Some(span),
             payload: payload.clone(),
-        }),
+        })),
         GcMsg::Ack { id },
         GcMsg::SeqRequest { id },
         GcMsg::SeqAssign {
@@ -200,14 +203,18 @@ fn gc_envelopes<P: Clone>(payload: P) -> Vec<GcMsg<P>> {
         },
         GcMsg::RpcRequest {
             call: 4,
-            execute_at: Some(SimTime::from_millis(250)),
-            span: None,
-            payload: payload.clone(),
+            body: Arc::new(RequestBody {
+                execute_at: Some(SimTime::from_millis(250)),
+                span: None,
+                payload: payload.clone(),
+            }),
         },
         GcMsg::RpcReply {
             call: 4,
-            span: Some(SpanCarrier::child_of(span.trace_id, 0xcc, span.span_id)),
-            payload: payload.clone(),
+            body: Box::new(ReplyBody {
+                span: Some(SpanCarrier::child_of(span.trace_id, 0xcc, span.span_id)),
+                payload: payload.clone(),
+            }),
         },
         GcMsg::AppCmd(payload),
         GcMsg::InstallView(View::initial(GroupId(3), [NodeId(0), NodeId(4)])),

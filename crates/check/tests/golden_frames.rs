@@ -9,6 +9,8 @@
 //! `fabric_differential` proves typed and fabric frames agree with
 //! *each other*; this suite pins both to the format on record.
 
+use std::sync::Arc;
+
 use odp_awareness::bus::{Audience, CoopEvent, CoopKind, CoopMode};
 use odp_awareness::dist::BusWire;
 use odp_awareness::events::ActivityKind;
@@ -16,6 +18,7 @@ use odp_fabric::Payload;
 use odp_fabric::SpanCarrier;
 use odp_groupcomm::membership::{GroupId, View, ViewId};
 use odp_groupcomm::multicast::{DataMsg, GcMsg, MsgId};
+use odp_groupcomm::rpc::{ReplyBody, RequestBody};
 use odp_groupcomm::to_fabric;
 use odp_groupcomm::vclock::VectorClock;
 use odp_mgmt::model::ClusterId;
@@ -111,13 +114,34 @@ fn bus_wire() -> BusWire {
 }
 
 fn data(vclock: Option<VectorClock>, span: Option<SpanCarrier>) -> GcMsg<String> {
-    GcMsg::Data(DataMsg {
+    GcMsg::Data(Arc::new(DataMsg {
         id: ID,
         group: GroupId(1),
         vclock,
         span,
         payload: "hello".to_owned(),
-    })
+    }))
+}
+
+fn request(execute_at: Option<SimTime>, span: Option<SpanCarrier>) -> GcMsg<String> {
+    GcMsg::RpcRequest {
+        call: 4,
+        body: Arc::new(RequestBody {
+            execute_at,
+            span,
+            payload: "req".to_owned(),
+        }),
+    }
+}
+
+fn reply(span: Option<SpanCarrier>) -> GcMsg<String> {
+    GcMsg::RpcReply {
+        call: 4,
+        body: Box::new(ReplyBody {
+            span,
+            payload: "rep".to_owned(),
+        }),
+    }
 }
 
 fn telemetry_cases() -> Vec<Case> {
@@ -284,49 +308,22 @@ fn groupcomm_cases() -> Vec<Case> {
         ),
         case(
             "GcMsg::RpcRequest/some",
-            GcMsg::RpcRequest {
-                call: 4,
-                execute_at: Some(SimTime::from_millis(250)),
-                span: Some(ROOT),
-                payload: "req".to_owned(),
-            },
+            request(Some(SimTime::from_millis(250)), Some(ROOT)),
         ),
-        case(
-            "GcMsg::RpcRequest/none",
-            GcMsg::RpcRequest {
-                call: 4,
-                execute_at: None,
-                span: None,
-                payload: "req".to_owned(),
-            },
-        ),
-        case(
-            "GcMsg::RpcReply/some",
-            GcMsg::RpcReply {
-                call: 4,
-                span: Some(CHILD),
-                payload: "rep".to_owned(),
-            },
-        ),
-        case(
-            "GcMsg::RpcReply/none",
-            GcMsg::RpcReply {
-                call: 4,
-                span: None,
-                payload: "rep".to_owned(),
-            },
-        ),
+        case("GcMsg::RpcRequest/none", request(None, None)),
+        case("GcMsg::RpcReply/some", reply(Some(CHILD))),
+        case("GcMsg::RpcReply/none", reply(None)),
         case("GcMsg::AppCmd", GcMsg::AppCmd("cmd".to_owned())),
         case("GcMsg::InstallView", GcMsg::<String>::InstallView(view())),
         case(
             "GcMsg<BusWire>::Data",
-            GcMsg::Data(DataMsg {
+            GcMsg::Data(Arc::new(DataMsg {
                 id: ID,
                 group: GroupId(1),
                 vclock: Some(vclock()),
                 span: None,
                 payload: bus_wire(),
-            }),
+            })),
         ),
     ]
 }
@@ -369,13 +366,13 @@ fn frame_cases() -> Vec<Case> {
                 seq: 6,
                 origin: NodeId(2),
                 bseq: 4,
-                msg: GcMsg::Data(DataMsg {
+                msg: GcMsg::Data(Arc::new(DataMsg {
                     id: ID,
                     group: GroupId(1),
                     vclock: None,
                     span: Some(ROOT),
                     payload: bus_wire(),
-                }),
+                })),
             },
         ),
     ]

@@ -173,6 +173,18 @@ mod tests {
         ws
     }
 
+    /// What every edit pays per copy: the envelope crosses effects, the
+    /// event queue and the engine's tables by value, so it is kept as
+    /// small as its control variants, with the edit behind a pointer.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_group_envelope_is_48_bytes_and_its_send_effect_64() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<WsOp>(), 40);
+        assert_eq!(size_of::<GcMsg<WsOp>>(), 48);
+        assert_eq!(size_of::<odp_sim::actor::Effect<GcMsg<WsOp>>>(), 64);
+    }
+
     fn build(n: u32, writers: &[u32], seed: u64) -> Sim<GcMsg<WsOp>> {
         build_with(n, seed, || configured_workspace(n, writers))
     }

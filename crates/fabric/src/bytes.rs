@@ -4,7 +4,9 @@
 //! per outbound envelope) plus once more into the retransmit buffer.
 //! With `Payload` those clones are refcount bumps on one shared
 //! allocation; the bytes are copied only when someone actually writes
-//! through [`Payload::to_mut`] while the buffer is shared.
+//! through [`Payload::to_mut`] while the buffer is shared. The count and
+//! the bytes share that one allocation (an `Arc<[u8]>`), so a payload
+//! decoded off the wire costs one allocation, not an `Arc` plus a `Vec`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -24,13 +26,13 @@ use std::sync::Arc;
 /// assert!(p.ptr_eq(&q));
 ///
 /// let mut r = q.clone();
-/// r.to_mut().push(b'!'); // copy-on-write: p and q are untouched
+/// r.to_mut()[0] = b'T'; // copy-on-write: p and q are untouched
 /// assert!(!p.ptr_eq(&r));
 /// assert_eq!(p.as_slice(), b"tile bytes");
-/// assert_eq!(r.as_slice(), b"tile bytes!");
+/// assert_eq!(r.as_slice(), b"Tile bytes");
 /// ```
 #[derive(Clone, Default)]
-pub struct Payload(Arc<Vec<u8>>);
+pub struct Payload(Arc<[u8]>);
 
 impl Payload {
     /// The empty payload.
@@ -38,14 +40,15 @@ impl Payload {
         Payload::default()
     }
 
-    /// Wraps an owned buffer without copying.
+    /// Moves an owned buffer's bytes into a fresh payload (one copy:
+    /// the count and the bytes live in one allocation).
     pub fn from_vec(bytes: Vec<u8>) -> Self {
-        Payload(Arc::new(bytes))
+        Payload(Arc::from(bytes))
     }
 
     /// Copies a slice into a fresh payload.
     pub fn from_slice(bytes: &[u8]) -> Self {
-        Payload(Arc::new(bytes.to_vec()))
+        Payload(Arc::from(bytes))
     }
 
     /// The bytes.
@@ -65,8 +68,9 @@ impl Payload {
 
     /// Mutable access with copy-on-write: if this handle shares its
     /// allocation with others, the bytes are copied first and only this
-    /// handle sees the copy.
-    pub fn to_mut(&mut self) -> &mut Vec<u8> {
+    /// handle sees the copy. The length is fixed: build a new payload
+    /// to grow or shrink one.
+    pub fn to_mut(&mut self) -> &mut [u8] {
         Arc::make_mut(&mut self.0)
     }
 
@@ -81,9 +85,9 @@ impl Payload {
         Arc::strong_count(&self.0)
     }
 
-    /// Unwraps into the inner buffer, copying only if shared.
+    /// Copies the bytes out into an owned buffer.
     pub fn into_vec(self) -> Vec<u8> {
-        Arc::try_unwrap(self.0).unwrap_or_else(|arc| (*arc).clone())
+        self.0.to_vec()
     }
 }
 
@@ -166,13 +170,12 @@ mod tests {
 
     #[test]
     fn unshared_to_mut_does_not_copy() {
-        let mut a = Payload::from_slice(b"x");
+        let mut a = Payload::from_slice(b"xx");
         let before = a.as_slice().as_ptr();
-        a.to_mut().push(b'y');
-        // Sole owner: mutation happens in place (same Arc); the Vec may
-        // reallocate its storage, but no second Payload ever observes it.
+        a.to_mut()[1] = b'y';
+        // Sole owner: the write lands in place, in the same allocation.
         assert_eq!(a.as_slice(), b"xy");
-        let _ = before;
+        assert_eq!(a.as_slice().as_ptr(), before);
         assert_eq!(a.handle_count(), 1);
     }
 
@@ -186,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn into_vec_avoids_copy_when_sole_owner() {
+    fn into_vec_copies_the_bytes_out() {
         let a = Payload::from_vec(vec![1, 2, 3]);
         assert_eq!(a.into_vec(), vec![1, 2, 3]);
         let b = Payload::from_vec(vec![4]);

@@ -151,6 +151,7 @@ proptest! {
     #[test]
     fn payload_cow_isolates_writers(
         bytes in prop::collection::vec(any::<u8>(), 0..48),
+        at in any::<usize>(),
         extra in any::<u8>(),
     ) {
         let original = Payload::from_vec(bytes.clone());
@@ -159,14 +160,23 @@ proptest! {
         prop_assert!(original.ptr_eq(&reader) && original.ptr_eq(&writer));
         prop_assert_eq!(original.handle_count(), 3);
 
-        writer.to_mut().push(extra);
+        // An empty payload has no byte to write, but asking for one
+        // detaches it all the same.
+        let mut expect = bytes.clone();
+        if let Some(byte) = writer.to_mut().get_mut(at % bytes.len().max(1)) {
+            *byte = extra;
+            expect[at % bytes.len()] = extra;
+        }
         prop_assert!(!original.ptr_eq(&writer), "write must detach");
         prop_assert!(original.ptr_eq(&reader), "readers keep sharing");
         prop_assert_eq!(original.as_slice(), bytes.as_slice());
         prop_assert_eq!(reader.as_slice(), bytes.as_slice());
-        let mut expect = bytes.clone();
-        expect.push(extra);
         prop_assert_eq!(writer.as_slice(), expect.as_slice());
+        // Now the sole owner, the writer writes in place.
+        let detached = writer.as_slice().as_ptr();
+        writer.to_mut().reverse();
+        prop_assert_eq!(writer.as_slice().as_ptr(), detached, "sole owner writes in place");
+        expect.reverse();
         prop_assert_eq!(writer.into_vec(), expect);
     }
 

@@ -7,6 +7,7 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use odp_fabric::SpanCarrier;
 use odp_sim::actor::{Actor, Ctx, TimerId};
@@ -14,7 +15,7 @@ use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
 use crate::multicast::{Delivery, GcMsg, GroupEngine, Step};
-use crate::rpc::{CallOutcome, Quorum, RpcEngine};
+use crate::rpc::{CallOutcome, Quorum, ReplyBody, RpcEngine};
 
 /// Timer tags used by [`GroupActor`].
 const TICK: u64 = 1;
@@ -283,14 +284,9 @@ impl<P: Clone + Any, A: GroupApp<P>> Actor<GcMsg<P>> for GroupActor<P, A> {
                     self.apply_step(ctx, step);
                 }
             }
-            GcMsg::RpcRequest {
-                call,
-                execute_at,
-                span,
-                payload,
-            } => {
-                if let Some(reply) = self.app.on_rpc(ctx, from, call, &payload) {
-                    let serve = match span.filter(|_| self.telemetry) {
+            GcMsg::RpcRequest { call, body } => {
+                if let Some(reply) = self.app.on_rpc(ctx, from, call, &body.payload) {
+                    let serve = match body.span.filter(|_| self.telemetry) {
                         Some(parent) => {
                             let serve = ctx.rng().span_child(&parent);
                             ctx.span_open(serve, "rpc.serve");
@@ -299,28 +295,25 @@ impl<P: Clone + Any, A: GroupApp<P>> Actor<GcMsg<P>> for GroupActor<P, A> {
                         }
                         None => None,
                     };
-                    ctx.send(
-                        from,
-                        GcMsg::RpcReply {
-                            call,
-                            span: serve,
-                            payload: reply,
-                        },
-                    );
+                    let body = Box::new(ReplyBody {
+                        span: serve,
+                        payload: reply,
+                    });
+                    ctx.send(from, GcMsg::RpcReply { call, body });
                 }
-                if let Some(at) = execute_at {
+                if let Some(at) = body.execute_at {
                     let delay = at.saturating_since(ctx.now());
                     let tag = self.next_exec_tag;
                     self.next_exec_tag += 1;
+                    // The payload moves out unless another target's
+                    // envelope still shares the body.
+                    let payload = Arc::unwrap_or_clone(body).payload;
                     self.pending_exec.insert(tag, (call, payload));
                     ctx.set_timer(delay, tag);
                 }
             }
-            GcMsg::RpcReply {
-                call,
-                span,
-                payload,
-            } => {
+            GcMsg::RpcReply { call, body } => {
+                let ReplyBody { span, payload } = *body;
                 if let Some(parent) = span.filter(|_| self.telemetry) {
                     let reply = ctx.rng().span_child(&parent);
                     ctx.span_open(reply, "rpc.reply");

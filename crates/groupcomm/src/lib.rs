@@ -31,6 +31,6 @@ pub mod wire;
 pub use actors::{GroupActor, GroupApp, RpcConfig};
 pub use membership::{GroupId, Membership, MembershipError, View, ViewId};
 pub use multicast::{DataMsg, Delivery, GcMsg, GroupEngine, MsgId, Ordering, Reliability, Step};
-pub use rpc::{CallOutcome, CallStatus, Quorum, RpcEngine};
+pub use rpc::{CallOutcome, CallStatus, Quorum, ReplyBody, RequestBody, RpcEngine};
 pub use vclock::{Causality, VectorClock};
 pub use wire::{from_fabric, to_fabric};

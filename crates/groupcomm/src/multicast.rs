@@ -18,12 +18,14 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use odp_fabric::{SeqSet, SortedVecMap, SpanCarrier};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
 use crate::membership::{GroupId, View};
+use crate::rpc::{ReplyBody, RequestBody};
 use crate::vclock::VectorClock;
 
 /// Uniquely identifies a multicast message: origin plus per-origin
@@ -96,10 +98,19 @@ pub struct DataMsg<P> {
 }
 
 /// Wire messages exchanged by group members.
+///
+/// An envelope is only as large as its control variants (48 bytes for
+/// a 40-byte payload): every variant that carries an application body
+/// between nodes holds it behind one pointer, so the envelope copied by
+/// value through effects, the event queue and the engine's tables stays
+/// small. A multicast's one `Arc<DataMsg>` is shared by every peer's
+/// envelope, the retransmit buffer and the total-order hold-back. The
+/// pointers are not on the wire: a body encodes as the value it points
+/// to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GcMsg<P> {
-    /// Application data.
-    Data(DataMsg<P>),
+    /// Application data, shared by every envelope of one multicast.
+    Data(Arc<DataMsg<P>>),
     /// Positive acknowledgement of `Data` or `SeqAssign`.
     Ack {
         /// The acknowledged message id.
@@ -119,25 +130,20 @@ pub enum GcMsg<P> {
         /// Its position in the total order (1-based).
         total: u64,
     },
-    /// A group RPC request (see [`crate::rpc`]).
+    /// A group RPC request (see [`crate::rpc`]), its body shared by
+    /// every target's envelope.
     RpcRequest {
         /// Correlation id, unique per caller.
         call: u64,
-        /// Optional agreed execution instant (group invocation).
-        execute_at: Option<SimTime>,
-        /// Piggybacked telemetry span (the caller's `rpc.call` root).
-        span: Option<SpanCarrier>,
-        /// Application payload.
-        payload: P,
+        /// Execution instant, span and payload.
+        body: Arc<RequestBody<P>>,
     },
     /// A group RPC reply.
     RpcReply {
         /// Correlation id from the request.
         call: u64,
-        /// Piggybacked telemetry span (the responder's `rpc.serve`).
-        span: Option<SpanCarrier>,
-        /// Application payload.
-        payload: P,
+        /// Span and payload.
+        body: Box<ReplyBody<P>>,
     },
     /// A locally injected application command (never sent between nodes);
     /// workload generators use it to script member behaviour via
@@ -158,13 +164,13 @@ impl<P> GcMsg<P> {
         mut f: impl FnMut(&P) -> Result<Q, E>,
     ) -> Result<GcMsg<Q>, E> {
         Ok(match self {
-            GcMsg::Data(d) => GcMsg::Data(DataMsg {
+            GcMsg::Data(d) => GcMsg::Data(Arc::new(DataMsg {
                 id: d.id,
                 group: d.group,
                 vclock: d.vclock.clone(),
                 span: d.span,
                 payload: f(&d.payload)?,
-            }),
+            })),
             &GcMsg::Ack { id } => GcMsg::Ack { id },
             &GcMsg::SeqRequest { id } => GcMsg::SeqRequest { id },
             &GcMsg::SeqAssign {
@@ -176,25 +182,20 @@ impl<P> GcMsg<P> {
                 id,
                 total,
             },
-            GcMsg::RpcRequest {
-                call,
-                execute_at,
-                span,
-                payload,
-            } => GcMsg::RpcRequest {
+            GcMsg::RpcRequest { call, body } => GcMsg::RpcRequest {
                 call: *call,
-                execute_at: *execute_at,
-                span: *span,
-                payload: f(payload)?,
+                body: Arc::new(RequestBody {
+                    execute_at: body.execute_at,
+                    span: body.span,
+                    payload: f(&body.payload)?,
+                }),
             },
-            GcMsg::RpcReply {
-                call,
-                span,
-                payload,
-            } => GcMsg::RpcReply {
+            GcMsg::RpcReply { call, body } => GcMsg::RpcReply {
                 call: *call,
-                span: *span,
-                payload: f(payload)?,
+                body: Box::new(ReplyBody {
+                    span: body.span,
+                    payload: f(&body.payload)?,
+                }),
             },
             GcMsg::AppCmd(p) => GcMsg::AppCmd(f(p)?),
             GcMsg::InstallView(v) => GcMsg::InstallView(v.clone()),
@@ -224,7 +225,7 @@ pub struct Step<P> {
     pub delivered: Vec<Delivery<P>>,
 }
 
-impl<P> Step<P> {
+impl<P: Clone> Step<P> {
     fn empty() -> Self {
         Step {
             outbound: Vec::new(),
@@ -232,24 +233,34 @@ impl<P> Step<P> {
         }
     }
 
-    /// Hands `data` to the application. A step delivers one message
-    /// far more often than several, so the first slot is allocated
-    /// alone instead of as the four a first `push` would take.
-    fn deliver(&mut self, data: DataMsg<P>) {
+    /// Hands `data` to the application: its payload moves out when this
+    /// is the last handle, and is cloned while another holder (a peer's
+    /// envelope, the retransmit buffer) is alive. A step delivers one
+    /// message far more often than several, so the first slot is
+    /// allocated alone instead of as the four a first `push` would take.
+    fn deliver(&mut self, data: Arc<DataMsg<P>>) {
         if self.delivered.is_empty() {
             self.delivered.reserve_exact(1);
         }
-        self.delivered.push(Delivery {
-            id: data.id,
-            span: data.span,
-            payload: data.payload,
-        });
+        let delivery = match Arc::try_unwrap(data) {
+            Ok(data) => Delivery {
+                id: data.id,
+                span: data.span,
+                payload: data.payload,
+            },
+            Err(shared) => Delivery {
+                id: shared.id,
+                span: shared.span,
+                payload: shared.payload.clone(),
+            },
+        };
+        self.delivered.push(delivery);
     }
 }
 
 struct RelOut<P> {
     msg: GcMsg<P>,
-    /// Peers yet to ack, ascending (as [`View::peers`] lists them).
+    /// Peers yet to ack, ascending (as the view lists them).
     pending: Vec<NodeId>,
     last_sent: SimTime,
     retries: u32,
@@ -317,16 +328,16 @@ pub struct GroupEngine<P> {
     rel_out: SortedVecMap<MsgId, RelOut<P>>,
     // FIFO: next expected per-origin seq and hold-back queue.
     fifo_expected: BTreeMap<NodeId, u64>,
-    fifo_holdback: BTreeMap<(NodeId, u64), DataMsg<P>>,
+    fifo_holdback: BTreeMap<(NodeId, u64), Arc<DataMsg<P>>>,
     // Causal: local clock and hold-back.
     vclock: VectorClock,
-    causal_holdback: Vec<DataMsg<P>>,
+    causal_holdback: Vec<Arc<DataMsg<P>>>,
     // Total ordering state.
     total_next_deliver: u64,
     // Slot `i` holds the message ordered at `total_next_deliver + i`,
     // once its assignment is here: a ring that advances with the cursor.
     total_assignments: VecDeque<Option<MsgId>>,
-    total_waiting: HashMap<MsgId, DataMsg<P>>,
+    total_waiting: HashMap<MsgId, Arc<DataMsg<P>>>,
     // Reliable total order, away from the sequencer: own messages still
     // waiting for their assignment. `SeqRequest` is not in `rel_out` —
     // it is answered by a `SeqAssign`, not acked — so it is resent from
@@ -336,6 +347,9 @@ pub struct GroupEngine<P> {
     seq_next_assign: u64,
     seq_assign_counter: u64,
     seq_already_assigned: IdSet,
+    // The emptied peer list of the last fully-acked `rel_out` entry,
+    // refilled by the next entry instead of allocating one.
+    spare_pending: Option<Vec<NodeId>>,
 }
 
 impl<P: Clone> GroupEngine<P> {
@@ -361,6 +375,7 @@ impl<P: Clone> GroupEngine<P> {
             seq_next_assign: 1,
             seq_assign_counter: 0,
             seq_already_assigned: IdSet::default(),
+            spare_pending: None,
         }
     }
 
@@ -391,12 +406,23 @@ impl<P: Clone> GroupEngine<P> {
     }
 
     /// Installs a new view; hold-back state for departed members is
-    /// dropped. (A full virtual-synchrony flush is out of scope; callers
-    /// should quiesce traffic around view changes.)
+    /// dropped, and so are they from every message still awaiting acks
+    /// (a message only departed members owed an ack is forgotten). (A
+    /// full virtual-synchrony flush is out of scope; callers should
+    /// quiesce traffic around view changes.)
     pub fn install_view(&mut self, view: View) {
         self.fifo_holdback
             .retain(|(origin, _), _| view.contains(*origin));
         self.causal_holdback.retain(|m| view.contains(m.id.origin));
+        let mut spare = self.spare_pending.take();
+        self.rel_out.retain(|_, out| {
+            out.pending.retain(|&peer| view.contains(peer));
+            if out.pending.is_empty() {
+                spare.get_or_insert_with(|| std::mem::take(&mut out.pending));
+            }
+            !out.pending.is_empty()
+        });
+        self.spare_pending = spare;
         self.view = view;
     }
 
@@ -440,19 +466,16 @@ impl<P: Clone> GroupEngine<P> {
         } else {
             None
         };
-        let data = DataMsg {
+        // One allocation for the whole multicast: every peer's envelope,
+        // the retransmit buffer and the total-order hold-back share it.
+        let data = Arc::new(DataMsg {
             id,
             group: self.view.group,
             vclock,
             span,
             payload,
-        };
-        // Put it on the wire to every peer: build the envelope once and
-        // clone handles from it (with a byte payload a clone is a
-        // reference-count bump, not a copy of the data) — every peer
-        // owns its envelope, which is what the two allow-comments in
-        // the fan-out loops below stand for.
-        let peers = self.view.peers(self.me);
+        });
+        let peers = self.peer_count();
         let sequencer = match self.ordering {
             Ordering::Total => self.sequencer(),
             _ => None,
@@ -460,42 +483,28 @@ impl<P: Clone> GroupEngine<P> {
         // One slot per peer, and under total order either the request
         // to the sequencer or, at the sequencer, the assignments.
         let ordering_msgs = match sequencer {
-            Some(node) if node == self.me => peers.len(),
+            Some(node) if node == self.me => peers,
             Some(_) => 1,
             None => 0,
         };
         let mut step = Step {
-            outbound: Vec::with_capacity(peers.len() + ordering_msgs),
+            outbound: Vec::with_capacity(peers + ordering_msgs),
             delivered: Vec::new(),
         };
-        match self.reliability {
-            Reliability::BestEffort => {
-                if let Some((last, rest)) = peers.split_last() {
-                    let wire = GcMsg::Data(data.clone());
-                    for peer in rest {
-                        step.outbound.push((*peer, wire.clone())); // odp-check: allow(hot-path-alloc)
-                    }
-                    step.outbound.push((*last, wire));
-                }
-            }
-            Reliability::Reliable { .. } => {
-                let wire = GcMsg::Data(data.clone());
-                for peer in &peers {
-                    step.outbound.push((*peer, wire.clone())); // odp-check: allow(hot-path-alloc)
-                }
-                // The retransmit buffer takes the envelope itself — no
-                // extra deep clone of the payload — and the peer list
-                // as it stands: ascending, all still to ack.
-                self.rel_out.insert(
-                    id,
-                    RelOut {
-                        msg: wire,
-                        pending: peers,
-                        last_sent: now,
-                        retries: 0,
-                    },
-                );
-            }
+        for peer in self.peers() {
+            step.outbound.push((peer, GcMsg::Data(Arc::clone(&data))));
+        }
+        if self.is_reliable() {
+            let pending = self.pending_list();
+            self.rel_out.insert(
+                id,
+                RelOut {
+                    msg: GcMsg::Data(Arc::clone(&data)),
+                    pending,
+                    last_sent: now,
+                    retries: 0,
+                },
+            );
         }
         self.seen.insert(id);
         match self.ordering {
@@ -531,7 +540,9 @@ impl<P: Clone> GroupEngine<P> {
                         out.pending.remove(at);
                     }
                     if out.pending.is_empty() {
-                        self.rel_out.remove(&id);
+                        if let Some(done) = self.rel_out.remove(&id) {
+                            self.spare_pending = Some(done.pending);
+                        }
                     }
                 }
                 Step::empty()
@@ -561,6 +572,24 @@ impl<P: Clone> GroupEngine<P> {
         matches!(self.reliability, Reliability::Reliable { .. })
     }
 
+    /// Members other than this one, ascending.
+    fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let me = self.me;
+        self.view.members.iter().copied().filter(move |&n| n != me)
+    }
+
+    fn peer_count(&self) -> usize {
+        self.view.size() - usize::from(self.view.contains(self.me))
+    }
+
+    /// The peers a new `rel_out` entry waits on, in the list the last
+    /// fully-acked entry left behind when there is one.
+    fn pending_list(&mut self) -> Vec<NodeId> {
+        let mut pending = self.spare_pending.take().unwrap_or_default();
+        pending.extend(self.peers());
+        pending
+    }
+
     /// The step every received `Data`/`SeqAssign` starts from: under
     /// reliable delivery the ack to `from` (fresh or duplicate alike),
     /// otherwise nothing.
@@ -586,7 +615,7 @@ impl<P: Clone> GroupEngine<P> {
         step
     }
 
-    fn on_data(&mut self, from: NodeId, data: DataMsg<P>, _now: SimTime) -> Step<P> {
+    fn on_data(&mut self, from: NodeId, data: Arc<DataMsg<P>>, _now: SimTime) -> Step<P> {
         let mut step = self.ack_step(from, data.id);
         if !self.seen.insert(data.id) {
             return step; // duplicate (retransmission)
@@ -645,8 +674,8 @@ impl<P: Clone> GroupEngine<P> {
                 out.last_sent = now;
                 for peer in &out.pending {
                     // Retransmitting the stored envelope to each
-                    // still-pending peer is the protocol; under
-                    // `GcMsg<Payload>` this clone is a handle bump.
+                    // still-pending peer is the protocol; a `Data`
+                    // envelope's clone is a handle bump on its body.
                     // odp-check: allow(hot-path-alloc)
                     step.outbound.push((*peer, out.msg.clone()));
                 }
@@ -738,17 +767,17 @@ impl<P: Clone> GroupEngine<P> {
             id,
             total,
         };
-        let peers = self.view.peers(self.me);
-        step.outbound.reserve(peers.len());
-        for peer in &peers {
-            step.outbound.push((*peer, assign.clone()));
+        step.outbound.reserve(self.peer_count());
+        for peer in self.peers() {
+            step.outbound.push((peer, assign.clone()));
         }
         if self.is_reliable() {
+            let pending = self.pending_list();
             self.rel_out.insert(
                 assign_id,
                 RelOut {
                     msg: assign,
-                    pending: peers,
+                    pending,
                     last_sent: now,
                     retries: 0,
                 },
@@ -1131,6 +1160,108 @@ mod tests {
             };
             assert!(d.payload.ptr_eq(&payload), "retransmit must not deep-copy");
         }
+    }
+
+    #[test]
+    fn a_multicast_shares_one_body_among_its_envelopes_and_buffers() {
+        let view = View::initial(GroupId(0), (0..4).map(NodeId));
+        let mut e: GroupEngine<String> =
+            GroupEngine::new(NodeId(1), view, Ordering::Total, Reliability::reliable());
+        let step = e.mcast("shared edit".to_owned(), SimTime::ZERO);
+        let bodies = |step: &Step<String>| -> Vec<Arc<DataMsg<String>>> {
+            step.outbound
+                .iter()
+                .filter_map(|(_, msg)| match msg {
+                    GcMsg::Data(data) => Some(Arc::clone(data)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let sent = bodies(&step);
+        assert_eq!(sent.len(), 3, "one envelope per peer");
+        let id = sent[0].id;
+        let Some(RelOut {
+            msg: GcMsg::Data(kept),
+            ..
+        }) = e.rel_out.get(&id)
+        else {
+            panic!("the retransmit buffer keeps the data")
+        };
+        for body in &sent {
+            assert!(Arc::ptr_eq(body, kept), "fan-out must not copy the body");
+        }
+        assert!(
+            Arc::ptr_eq(&e.total_waiting[&id], kept),
+            "the sender's hold-back shares it too"
+        );
+        // Retransmissions hand out the same body again.
+        let kept = Arc::clone(kept);
+        let tick = e.on_tick(SimTime::from_millis(500));
+        let resent = bodies(&tick);
+        assert_eq!(resent.len(), 3);
+        for body in &resent {
+            assert!(
+                Arc::ptr_eq(body, &kept),
+                "retransmit must not copy the body"
+            );
+        }
+    }
+
+    #[test]
+    fn the_last_holder_of_a_body_moves_its_payload_out() {
+        let view = View::initial(GroupId(0), [NodeId(0), NodeId(1)]);
+        let mut a: GroupEngine<String> = GroupEngine::new(
+            NodeId(0),
+            view.clone(),
+            Ordering::Fifo,
+            Reliability::BestEffort,
+        );
+        let mut b = GroupEngine::new(NodeId(1), view, Ordering::Fifo, Reliability::BestEffort);
+        let step = a.mcast("edit".to_owned(), SimTime::ZERO);
+        let (_, msg) = step.outbound.into_iter().next().expect("one peer");
+        let GcMsg::Data(data) = &msg else {
+            panic!("expected data")
+        };
+        let bytes = data.payload.as_ptr();
+        let got = b.on_message(NodeId(0), msg, SimTime::ZERO);
+        assert_eq!(got.delivered[0].payload, "edit");
+        assert_eq!(
+            got.delivered[0].payload.as_ptr(),
+            bytes,
+            "moved, not cloned"
+        );
+        assert_ne!(
+            step.delivered[0].payload.as_ptr(),
+            bytes,
+            "the sender cloned"
+        );
+    }
+
+    #[test]
+    fn install_view_forgets_acks_owed_by_departed_members() {
+        let rel = Reliability::Reliable {
+            retransmit_after: SimDuration::from_millis(10),
+            max_retries: 3,
+        };
+        let mut es = engines(3, Ordering::Fifo, rel);
+        let step = es[0].mcast("x", SimTime::ZERO);
+        // Node 1 receives and acks; node 2 never does, and leaves.
+        let (_, to_1) = step
+            .outbound
+            .into_iter()
+            .find(|(to, _)| *to == NodeId(1))
+            .unwrap();
+        let got = es[1].on_message(NodeId(0), to_1, SimTime::ZERO);
+        for (to, ack) in got.outbound {
+            es[to.0 as usize].on_message(NodeId(1), ack, SimTime::ZERO);
+        }
+        assert_eq!(es[0].unacked(), 1, "node 2 still owes its ack");
+        es[0].install_view(View::initial(GroupId(0), [NodeId(0), NodeId(1)]));
+        assert_eq!(es[0].unacked(), 0, "nobody in the view owes an ack");
+        assert!(
+            es[0].on_tick(SimTime::from_millis(11)).outbound.is_empty(),
+            "nothing is retransmitted to the departed member"
+        );
     }
 
     #[test]

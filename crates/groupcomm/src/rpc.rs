@@ -12,12 +12,34 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use odp_fabric::SpanCarrier;
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
 use crate::multicast::GcMsg;
+
+/// The body of a [`GcMsg::RpcRequest`]: one allocation, shared by the
+/// envelopes [`RpcEngine::invoke`] addresses to every target.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RequestBody<P> {
+    /// Optional agreed execution instant (group invocation).
+    pub execute_at: Option<SimTime>,
+    /// Piggybacked telemetry span (the caller's `rpc.call` root).
+    pub span: Option<SpanCarrier>,
+    /// Application payload.
+    pub payload: P,
+}
+
+/// The body of a [`GcMsg::RpcReply`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplyBody<P> {
+    /// Piggybacked telemetry span (the responder's `rpc.serve`).
+    pub span: Option<SpanCarrier>,
+    /// Application payload.
+    pub payload: P,
+}
 
 /// How many replies complete a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,18 +178,16 @@ impl<P: Clone> RpcEngine<P> {
         let call = self.next_call;
         self.next_call += 1;
         let required = quorum.required(targets.len());
+        let body = Arc::new(RequestBody {
+            execute_at,
+            span,
+            payload,
+        });
         let outbound = targets
             .iter()
             .map(|&t| {
-                (
-                    t,
-                    GcMsg::RpcRequest {
-                        call,
-                        execute_at,
-                        span,
-                        payload: payload.clone(),
-                    },
-                )
+                let body = Arc::clone(&body);
+                (t, GcMsg::RpcRequest { call, body })
             })
             .collect();
         self.pending.insert(
@@ -350,8 +370,37 @@ mod tests {
             None,
         );
         match &out[0].1 {
-            GcMsg::RpcRequest { execute_at, .. } => assert_eq!(*execute_at, Some(when)),
+            GcMsg::RpcRequest { body, .. } => assert_eq!(body.execute_at, Some(when)),
             other => panic!("unexpected message {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_target_shares_one_request_body() {
+        let mut rpc: RpcEngine<String> = RpcEngine::new(NodeId(0));
+        let (_, out) = rpc.invoke(
+            vec![NodeId(1), NodeId(2), NodeId(3)],
+            "start-camera".to_owned(),
+            None,
+            t(0),
+            SimDuration::from_millis(50),
+            Quorum::All,
+            None,
+        );
+        let bodies: Vec<&Arc<RequestBody<String>>> = out
+            .iter()
+            .map(|(_, msg)| match msg {
+                GcMsg::RpcRequest { body, .. } => body,
+                other => panic!("unexpected message {other:?}"),
+            })
+            .collect();
+        assert_eq!(bodies.len(), 3);
+        for body in &bodies {
+            assert!(
+                Arc::ptr_eq(body, bodies[0]),
+                "one body, not a copy per target"
+            );
+        }
+        assert_eq!(bodies[0].payload, "start-camera");
     }
 }

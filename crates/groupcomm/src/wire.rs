@@ -16,6 +16,7 @@ use odp_sim::net::NodeId;
 
 use crate::membership::{GroupId, View, ViewId};
 use crate::multicast::{DataMsg, GcMsg, MsgId};
+use crate::rpc::{ReplyBody, RequestBody};
 use crate::vclock::VectorClock;
 
 odp_net::wire_newtype!(GroupId);
@@ -23,13 +24,17 @@ odp_net::wire_newtype!(ViewId);
 odp_net::wire_struct!(View { group, id, members });
 odp_net::wire_struct!(MsgId { origin, seq });
 odp_net::wire_struct!(<P> DataMsg<P> { id, group, vclock, span, payload });
+odp_net::wire_struct!(<P> RequestBody<P> { execute_at, span, payload });
+odp_net::wire_struct!(<P> ReplyBody<P> { span, payload });
+// A body behind a pointer encodes as the body, so each variant's bytes
+// are its fields' in the order the bodies list them.
 odp_net::wire_enum!(<P> GcMsg<P> {
     0 => Data(d),
     1 => Ack { id },
     2 => SeqRequest { id },
     3 => SeqAssign { assign_id, id, total },
-    4 => RpcRequest { call, execute_at, span, payload },
-    5 => RpcReply { call, span, payload },
+    4 => RpcRequest { call, body },
+    5 => RpcReply { call, body },
     6 => AppCmd(p),
     7 => InstallView(v),
 });
@@ -81,6 +86,8 @@ pub fn from_fabric<P: WireCodec>(msg: &GcMsg<Payload>) -> Result<GcMsg<P>, NetEr
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use odp_fabric::SpanCarrier;
     use odp_net::wire::laws;
     use odp_sim::time::SimTime;
@@ -109,13 +116,13 @@ mod tests {
         vc.tick(NodeId(0));
         let span = SpanCarrier::root(0xaa, 0xbb);
         vec![
-            GcMsg::Data(DataMsg {
+            GcMsg::Data(Arc::new(DataMsg {
                 id,
                 group: GroupId(1),
                 vclock: Some(vc),
                 span: Some(span),
                 payload: "hello".to_owned(),
-            }),
+            })),
             GcMsg::Ack { id },
             GcMsg::SeqRequest { id },
             GcMsg::SeqAssign {
@@ -128,14 +135,18 @@ mod tests {
             },
             GcMsg::RpcRequest {
                 call: 4,
-                execute_at: Some(SimTime::from_millis(250)),
-                span: None,
-                payload: "req".to_owned(),
+                body: Arc::new(RequestBody {
+                    execute_at: Some(SimTime::from_millis(250)),
+                    span: None,
+                    payload: "req".to_owned(),
+                }),
             },
             GcMsg::RpcReply {
                 call: 4,
-                span: Some(SpanCarrier::child_of(span.trace_id, 0xcc, span.span_id)),
-                payload: "rep".to_owned(),
+                body: Box::new(ReplyBody {
+                    span: Some(SpanCarrier::child_of(span.trace_id, 0xcc, span.span_id)),
+                    payload: "rep".to_owned(),
+                }),
             },
             GcMsg::AppCmd("cmd".to_owned()),
             GcMsg::InstallView(View::initial(GroupId(3), [NodeId(0), NodeId(4)])),

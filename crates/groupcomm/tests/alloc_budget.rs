@@ -153,9 +153,11 @@ fn a_delivery_stays_within_its_allocation_budget() {
     });
     // Per delivery: the six one-element `Vec`s of the `Step`s and
     // `SessionStep`s a data message and its ack pass through, two
-    // frame buffers and the decoded payload (an `Arc` and its `Vec`);
-    // per multicast, shared by three receivers here: the peer list,
-    // the fan-out `Vec` and the sender's own delivery.
+    // frame buffers, the decoded `Arc<DataMsg>` and its one-allocation
+    // `Payload`; per multicast, shared by three receivers here: the
+    // `Arc<DataMsg>` every envelope shares, the fan-out `Vec` and the
+    // sender's own delivery (the acked entry's peer list is refilled,
+    // not allocated). 11 measured (x86-64 Linux, rustc 1.95).
     let deliveries = u64::from(CALLS * RECEIVERS);
     assert!(
         allocs <= 11 * deliveries,

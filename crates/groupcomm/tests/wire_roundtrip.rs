@@ -3,9 +3,12 @@
 //! `odp-net` framing, and corrupt bytes always come back as a typed
 //! error rather than a panic.
 
+use std::sync::Arc;
+
 use odp_fabric::SpanCarrier;
 use odp_groupcomm::membership::{GroupId, View, ViewId};
 use odp_groupcomm::multicast::{DataMsg, GcMsg, MsgId};
+use odp_groupcomm::rpc::{ReplyBody, RequestBody};
 use odp_groupcomm::vclock::VectorClock;
 use odp_net::wire::{laws, WireCodec, WireReader, MAX_FRAME};
 use odp_sim::net::NodeId;
@@ -67,20 +70,20 @@ fn arb_gcmsg() -> impl Strategy<Value = GcMsg<String>> {
     )
         .prop_map(
             |(tag, (id, id2, vclock, view), span, (call, some_at, at), payload)| match tag {
-                0 => GcMsg::Data(DataMsg {
+                0 => GcMsg::Data(Arc::new(DataMsg {
                     id,
                     group: view.group,
                     vclock: Some(vclock),
                     span,
                     payload,
-                }),
-                1 => GcMsg::Data(DataMsg {
+                })),
+                1 => GcMsg::Data(Arc::new(DataMsg {
                     id,
                     group: view.group,
                     vclock: None,
                     span: None,
                     payload,
-                }),
+                })),
                 2 => GcMsg::Ack { id },
                 3 => GcMsg::SeqRequest { id },
                 4 => GcMsg::SeqAssign {
@@ -90,14 +93,15 @@ fn arb_gcmsg() -> impl Strategy<Value = GcMsg<String>> {
                 },
                 5 => GcMsg::RpcRequest {
                     call,
-                    execute_at: some_at.then_some(SimTime::from_micros(at)),
-                    span,
-                    payload,
+                    body: Arc::new(RequestBody {
+                        execute_at: some_at.then_some(SimTime::from_micros(at)),
+                        span,
+                        payload,
+                    }),
                 },
                 6 => GcMsg::RpcReply {
                     call,
-                    span,
-                    payload,
+                    body: Box::new(ReplyBody { span, payload }),
                 },
                 _ => {
                     if some_at {

@@ -47,6 +47,7 @@
 //! can neither allocate unbounded memory nor stall the stream).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use odp_fabric::{FabricError, ObjectPath, Payload, SpanCarrier};
 use odp_sim::net::NodeId;
@@ -481,6 +482,34 @@ impl<T: WireCodec> WireCodec for Option<T> {
     }
 }
 
+/// A shared body travels as the value it points to: the pointer is a
+/// layout choice (one body behind many envelopes), not a wire field, so
+/// `Arc<T>` and `T` encode to the same bytes.
+impl<T: WireCodec> WireCodec for Arc<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        T::encode(self, out);
+    }
+    fn encoded_len(&self) -> usize {
+        T::encoded_len(self)
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        T::decode(r).map(Arc::new)
+    }
+}
+
+/// As for [`Arc`]: a boxed body encodes to exactly `T`'s bytes.
+impl<T: WireCodec> WireCodec for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        T::encode(self, out);
+    }
+    fn encoded_len(&self) -> usize {
+        T::encoded_len(self)
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        T::decode(r).map(Box::new)
+    }
+}
+
 /// Guards a decoded collection length against the bytes actually
 /// present: every element costs at least one byte on the wire, so a
 /// length prefix exceeding `remaining` is lying and must not reach an
@@ -809,6 +838,15 @@ mod tests {
             assert_eq!(laws::total::<ToyMsg<u8>>(junk, MAX_FRAME), Ok(()));
             assert!(WireReader::new(junk).finish::<ToyMsg<u8>>().is_err());
         }
+    }
+
+    #[test]
+    fn a_shared_or_boxed_body_encodes_as_its_value() {
+        let body = (7u64, "x".to_string());
+        assert_eq!(encoding(&Arc::new(body.clone())), encoding(&body));
+        assert_eq!(encoding(&Box::new(body.clone())), encoding(&body));
+        assert_eq!(laws::roundtrips(&Arc::new(body.clone())), Ok(()));
+        assert_eq!(laws::roundtrips(&Box::new(body)), Ok(()));
     }
 
     #[test]
