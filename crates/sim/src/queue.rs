@@ -1,5 +1,5 @@
-//! The engine's event queue: a slab-backed calendar-queue event wheel
-//! with a sorted current day.
+//! The engine's event queue: a calendar-queue event wheel with a
+//! sorted current day, over entries stored in segments that never move.
 //!
 //! Events drain in `(time, seq)` total order, the order a sorted map
 //! keyed by `(time, seq)` would produce — the wheel only changes *how
@@ -33,15 +33,19 @@ pub(crate) trait Describe {
 }
 
 /// One queued event with its total-order key. It carries no
-/// [`EvMeta`]: that is the payload's to tell, so a slab slot holds
+/// [`EvMeta`]: that is the payload's to tell, so a stored entry holds
 /// only what the drain order and the dispatch need.
+///
+/// For the engine's `Event<M>` with a 16-byte message an entry is 56
+/// bytes, and `Option<QueueEntry<_>>` (a vacant slot) is no larger;
+/// `sim::tests::a_queue_entry_is_56_bytes_and_its_links_8` holds both.
 pub(crate) struct QueueEntry<T> {
     pub time: SimTime,
     pub seq: u64,
     pub payload: T,
 }
 
-/// Names one queued entry: the index of its slab slot, handed out by
+/// Names one queued entry: the index of its slot, handed out by
 /// [`CalendarQueue::insert`] and redeemed by [`CalendarQueue::remove`].
 ///
 /// A handle is good from the insert that returned it until its entry
@@ -62,20 +66,54 @@ const NIL: u32 = u32::MAX;
 /// is on no bucket list.
 const STAGED: u32 = u32::MAX - 1;
 
-/// One slab cell: a queued entry threaded on its bucket's list, or a
-/// vacant cell threaded on the free list.
-///
-/// For the engine's `Event<M>` with a 16-byte message this is exactly
-/// 64 bytes, one cache line's worth;
-/// `sim::tests::a_queue_slot_is_one_cache_line` holds it there.
-pub(crate) struct Slot<T> {
-    /// `None` while the slot is on the free list.
-    entry: Option<QueueEntry<T>>,
+/// One slot's list links, kept apart from its entry: a queued entry's
+/// place on its bucket's list, or a vacant slot's on the free list.
+/// Following a list reads, and an unlink writes, these 8 bytes and never
+/// a neighbour's entry.
+pub(crate) struct Link {
     /// The previous slot of the bucket list, [`NIL`] at its head, or
     /// [`STAGED`].
     prev: u32,
     /// The next slot of the bucket list or of the free list.
     next: u32,
+}
+
+/// Slots in the first entry segment; each next one doubles until
+/// [`SEGMENT_SLOTS`], so a queue a few dozen deep reserves 64 entries.
+const FIRST_SEGMENT_SLOTS: u32 = 64;
+/// Slots in every segment after the doubling ones.
+const SEGMENT_SLOTS: u32 = 1024;
+/// The doubling segments: 64, 128, 256 and 512 slots.
+const LEADING_SEGMENTS: usize = 4;
+/// Slots in the doubling segments, 1 024 − 64.
+const LEADING_SLOTS: u32 = SEGMENT_SLOTS - FIRST_SEGMENT_SLOTS;
+
+/// The segment holding `slot`, and the slot's offset in it. Marked
+/// `#[inline]` because the queue is generic and compiled in the crates
+/// that instantiate `Sim<M>`, where a plain private fn is not inlined.
+#[inline]
+fn segment_of(slot: u32) -> (usize, usize) {
+    if slot < LEADING_SLOTS {
+        // Leading segment k starts at slot 64 · (2^k − 1): shifted by
+        // 64, a slot's top bit names its segment.
+        let x = slot + FIRST_SEGMENT_SLOTS;
+        let top = x.ilog2();
+        let k = top - FIRST_SEGMENT_SLOTS.ilog2();
+        (k as usize, (x - (1 << top)) as usize)
+    } else {
+        let x = slot - LEADING_SLOTS;
+        let k = LEADING_SEGMENTS + (x / SEGMENT_SLOTS) as usize;
+        (k, (x % SEGMENT_SLOTS) as usize)
+    }
+}
+
+/// How many slots segment `k` holds.
+fn segment_slots(k: usize) -> usize {
+    if k < LEADING_SEGMENTS {
+        (FIRST_SEGMENT_SLOTS as usize) << k
+    } else {
+        SEGMENT_SLOTS as usize
+    }
 }
 
 /// The day heap's element: `(time, seq)` is the order, the slot index
@@ -108,12 +146,17 @@ const LONG_SCAN_POPS: u32 = 8;
 /// ladder queue's split: the far future unsorted, the day being drained
 /// sorted.
 ///
-/// Entries live in `slab`; a vacated slot goes on a free list and is
-/// reused, so the slab is as large as the queue has ever been deep, not
-/// as large as the run is long. An entry hashes to bucket
-/// `(time >> shift) & mask`, an unsorted doubly-linked list of slot
-/// indices rooted at `heads[bucket]`. Because the links are in the
-/// slots, [`CalendarQueue::remove`] unlinks any entry in O(1) given the
+/// A slot is an index into two arrays: `segments`, where its entry
+/// lives, and `links`, where its list links do. Entries are stored in
+/// fixed segments (64, 128, 256 and 512 slots, then 1 024 each), each
+/// reserved whole when its first slot is taken and filled by `push`,
+/// so no entry ever moves and a segment's untouched tail is never
+/// written. A vacated slot goes on a free list and is reused, so the
+/// storage is as large as the queue has ever been deep, not as large as
+/// the run is long. An entry hashes to bucket `(time >> shift) & mask`,
+/// an unsorted doubly-linked list of slot indices rooted at
+/// `heads[bucket]`. Because the links are per slot,
+/// [`CalendarQueue::remove`] unlinks any entry in O(1) given the
 /// [`Handle`] its insert returned: a cancelled timer leaves at once
 /// instead of waiting to be popped.
 ///
@@ -133,7 +176,11 @@ const LONG_SCAN_POPS: u32 = 8;
 /// Dead keys are dropped as they surface, eagerly, so a non-empty heap
 /// always has a live top.
 pub(crate) struct CalendarQueue<T> {
-    slab: Vec<Slot<T>>,
+    /// Each slot's entry, `None` while the slot is vacant; slot `s`
+    /// sits where [`segment_of`] puts it.
+    segments: Vec<Vec<Option<QueueEntry<T>>>>,
+    /// Each slot's links, indexed by slot.
+    links: Vec<Link>,
     /// Head of the free-slot list.
     free: u32,
     /// Head slot of each bucket's list.
@@ -165,12 +212,17 @@ pub(crate) struct CalendarQueue<T> {
     /// leaves `heads[bucket]` pointing at it.
     #[cfg(test)]
     forget_head_fix: bool,
+    /// Seeded known-bad for the model test: the last slot of each
+    /// segment is looked up at the first slot of the next one.
+    #[cfg(test)]
+    fold_seams: bool,
 }
 
 impl<T: Describe> CalendarQueue<T> {
     pub fn new() -> Self {
         CalendarQueue {
-            slab: Vec::new(),
+            segments: Vec::new(),
+            links: Vec::new(),
             free: NIL,
             heads: vec![NIL; MIN_BUCKETS],
             shift: INITIAL_SHIFT,
@@ -184,6 +236,8 @@ impl<T: Describe> CalendarQueue<T> {
             index: RefCell::new(None),
             #[cfg(test)]
             forget_head_fix: false,
+            #[cfg(test)]
+            fold_seams: false,
         }
     }
 
@@ -199,29 +253,48 @@ impl<T: Describe> CalendarQueue<T> {
         (self.day_of(time) & self.mask) as usize
     }
 
-    /// The entry in `slot`, which the caller knows to be occupied.
-    fn entry(&self, slot: u32) -> &QueueEntry<T> {
-        self.slab[slot as usize]
-            .entry
-            .as_ref()
-            .expect("a listed slot holds an entry")
+    /// Where `slot`'s entry is stored: [`segment_of`], unless a test
+    /// has seeded the seam fault.
+    fn locate(&self, slot: u32) -> (usize, usize) {
+        let (k, at) = segment_of(slot);
+        #[cfg(test)]
+        if self.fold_seams && at + 1 == segment_slots(k) {
+            return (k + 1, 0);
+        }
+        (k, at)
     }
 
-    /// Puts `e` into a free slot, on no list yet.
+    /// The entry in `slot`; `None` for a vacant or never-used slot.
+    fn get(&self, slot: u32) -> Option<&QueueEntry<T>> {
+        let (k, at) = self.locate(slot);
+        self.segments.get(k)?.get(at)?.as_ref()
+    }
+
+    /// The entry in `slot`, which the caller knows to be occupied.
+    fn entry(&self, slot: u32) -> &QueueEntry<T> {
+        self.get(slot).expect("a listed slot holds an entry")
+    }
+
+    /// Puts `e` into a free slot, on no list yet. A new slot goes at the
+    /// end of the last segment, or opens the next one.
     fn alloc(&mut self, e: QueueEntry<T>) -> u32 {
         if self.free != NIL {
             let slot = self.free;
-            let cell = &mut self.slab[slot as usize];
-            self.free = cell.next;
-            cell.entry = Some(e);
+            self.free = self.links[slot as usize].next;
+            let (k, at) = self.locate(slot);
+            self.segments[k][at] = Some(e);
             return slot;
         }
-        let slot = u32::try_from(self.slab.len())
+        let slot = u32::try_from(self.links.len())
             .ok()
             .filter(|&s| s < STAGED)
             .expect("fewer than 2^32 - 2 events queued at once");
-        self.slab.push(Slot {
-            entry: Some(e),
+        let (k, at) = segment_of(slot);
+        if at == 0 {
+            self.segments.push(Vec::with_capacity(segment_slots(k)));
+        }
+        self.segments[k].push(Some(e));
+        self.links.push(Link {
             prev: NIL,
             next: NIL,
         });
@@ -232,56 +305,66 @@ impl<T: Describe> CalendarQueue<T> {
     /// and out of the queue's accounts, and puts the slot on the free
     /// list.
     fn release(&mut self, slot: u32) -> QueueEntry<T> {
-        let cell = &mut self.slab[slot as usize];
-        let e = cell.entry.take().expect("a released slot holds an entry");
-        cell.next = self.free;
+        let (k, at) = self.locate(slot);
+        let e = self.segments[k][at]
+            .take()
+            .expect("a released slot holds an entry");
+        self.vacate(slot, &e);
+        e
+    }
+
+    /// Puts `slot`, whose entry `e` was just taken out, on the free
+    /// list and takes `e` out of the queue's accounts.
+    fn vacate(&mut self, slot: u32, e: &QueueEntry<T>) {
+        self.links[slot as usize].next = self.free;
         self.free = slot;
         self.len -= 1;
         if let Some(idx) = self.index.get_mut() {
             idx.remove(&(e.time, e.seq));
         }
-        e
     }
 
     /// Pushes `slot` on the front of bucket `b`'s list.
     fn link(&mut self, slot: u32, b: usize) {
         let head = self.heads[b];
-        let cell = &mut self.slab[slot as usize];
-        cell.prev = NIL;
-        cell.next = head;
+        self.links[slot as usize] = Link {
+            prev: NIL,
+            next: head,
+        };
         if head != NIL {
-            self.slab[head as usize].prev = slot;
+            self.links[head as usize].prev = slot;
         }
         self.heads[b] = slot;
     }
 
     /// Takes `slot` off bucket `b`'s list.
     fn unlink(&mut self, slot: u32, b: usize) {
-        let Slot { prev, next, .. } = self.slab[slot as usize];
+        let Link { prev, next } = self.links[slot as usize];
         if prev == NIL {
             #[cfg(test)]
             let next = if self.forget_head_fix { slot } else { next };
             self.heads[b] = next;
         } else {
-            self.slab[prev as usize].next = next;
+            self.links[prev as usize].next = next;
         }
         if next != NIL {
-            self.slab[next as usize].prev = prev;
+            self.links[next as usize].prev = prev;
         }
     }
 
     pub fn insert(&mut self, e: QueueEntry<T>) -> Handle {
         let (time, seq) = (e.time, e.seq);
         let day = self.day_of(time);
+        let meta = self.index.get_mut().is_some().then(|| e.payload.describe());
         let slot = self.alloc(e);
         self.len += 1;
-        if let (Some(idx), Some(e)) = (self.index.get_mut(), &self.slab[slot as usize].entry) {
-            idx.insert((time, seq), (e.payload.describe(), Handle(slot)));
+        if let (Some(idx), Some(meta)) = (self.index.get_mut(), meta) {
+            idx.insert((time, seq), (meta, Handle(slot)));
         }
         if self.staged > 0 && day <= self.cur {
             // Into the day being drained (or, defensively, before it):
             // the heap holds all of it, so this entry joins the heap.
-            self.slab[slot as usize].prev = STAGED;
+            self.links[slot as usize].prev = STAGED;
             self.day.push(Reverse((time, seq, slot)));
             self.staged += 1;
             return Handle(slot);
@@ -317,13 +400,14 @@ impl<T: Describe> CalendarQueue<T> {
     /// uncover). `None` for [`Handle::NONE`] and for a stale handle
     /// whose slot is still vacant.
     pub fn remove(&mut self, h: Handle) -> Option<QueueEntry<T>> {
-        let cell = self.slab.get(h.0 as usize)?;
-        let time = cell.entry.as_ref()?.time;
-        if cell.prev != STAGED {
-            self.unlink(h.0, self.bucket_of(time));
-            return Some(self.release(h.0));
+        let (k, at) = self.locate(h.0);
+        let e = self.segments.get_mut(k)?.get_mut(at)?.take()?;
+        if self.links[h.0 as usize].prev != STAGED {
+            self.unlink(h.0, self.bucket_of(e.time));
+            self.vacate(h.0, &e);
+            return Some(e);
         }
-        let e = self.release(h.0);
+        self.vacate(h.0, &e);
         self.staged -= 1;
         self.settle_day();
         Some(e)
@@ -333,8 +417,7 @@ impl<T: Describe> CalendarQueue<T> {
     /// the top of the day heap.
     fn settle_day(&mut self) {
         while let Some(&Reverse((_, seq, slot))) = self.day.peek() {
-            let cell = &self.slab[slot as usize];
-            if cell.entry.as_ref().is_some_and(|e| e.seq == seq) {
+            if self.get(slot).is_some_and(|e| e.seq == seq) {
                 return;
             }
             self.day.pop();
@@ -359,7 +442,7 @@ impl<T: Describe> CalendarQueue<T> {
                 if self.day_of(e.time) == day && best.is_none_or(|k| (e.time, e.seq) < k) {
                     best = Some((e.time, e.seq));
                 }
-                slot = self.slab[slot as usize].next;
+                slot = self.links[slot as usize].next;
             }
             if let Some(key) = best {
                 return Some((key, b, scanned));
@@ -367,12 +450,13 @@ impl<T: Describe> CalendarQueue<T> {
             day = day.wrapping_add(1);
         }
         // Nothing within one full wheel rotation — the horizon is
-        // sparse. Scan the slab once for the global minimum and jump
+        // sparse. Scan the entries once for the global minimum and jump
         // straight there.
         let key = self
-            .slab
+            .segments
             .iter()
-            .filter_map(|cell| cell.entry.as_ref())
+            .flatten()
+            .flatten()
             .map(|e| (e.time, e.seq))
             .min()?;
         Some((key, self.bucket_of(key.0), 2 * self.heads.len()))
@@ -387,7 +471,7 @@ impl<T: Describe> CalendarQueue<T> {
         let mut keys = std::mem::take(&mut self.day).into_vec();
         let mut slot = self.heads[b];
         while slot != NIL {
-            let next = self.slab[slot as usize].next;
+            let next = self.links[slot as usize].next;
             let (time, seq) = {
                 let e = self.entry(slot);
                 (e.time, e.seq)
@@ -395,7 +479,7 @@ impl<T: Describe> CalendarQueue<T> {
             if self.day_of(time) == day {
                 keys.push(Reverse((time, seq, slot)));
                 self.unlink(slot, b);
-                self.slab[slot as usize].prev = STAGED;
+                self.links[slot as usize].prev = STAGED;
             }
             slot = next;
         }
@@ -469,8 +553,8 @@ impl<T: Describe> CalendarQueue<T> {
             return;
         }
         let mut map = BTreeMap::new();
-        for (slot, cell) in self.slab.iter().enumerate() {
-            if let Some(e) = &cell.entry {
+        for (slot, e) in self.segments.iter().flatten().enumerate() {
+            if let Some(e) = e {
                 map.insert((e.time, e.seq), (e.payload.describe(), Handle(slot as u32)));
             }
         }
@@ -504,9 +588,9 @@ impl<T: Describe> CalendarQueue<T> {
     /// or when the long-scan signal says the width no longer fits the
     /// distribution — a population at the [`MAX_BUCKETS`] cap never
     /// pays reshuffles for further growth, and a draining queue never
-    /// pays shrink reshuffles at all. Both passes run over the slab,
+    /// pays shrink reshuffles at all. Both passes run over the slots,
     /// front to back; no entry moves, only its links, so handles and
-    /// the explorer index stay good. O(slab + buckets), amortized
+    /// the explorer index stay good. O(slots + buckets), amortized
     /// against the doubling that triggered it.
     fn rebuild(&mut self) {
         // A new width redraws the days, so nothing stays staged across
@@ -524,7 +608,7 @@ impl<T: Describe> CalendarQueue<T> {
         let stride = (n / 1024).max(1);
         let mut sample: Vec<u64> = Vec::with_capacity(n.div_ceil(stride));
         let (mut lo, mut hi) = (u64::MAX, 0u64);
-        let queued = self.slab.iter().filter_map(|cell| cell.entry.as_ref());
+        let queued = self.segments.iter().flatten().flatten();
         for (i, e) in queued.enumerate() {
             let t = e.time.as_micros();
             lo = lo.min(t);
@@ -560,9 +644,9 @@ impl<T: Describe> CalendarQueue<T> {
         self.heads.resize(nbuckets, NIL);
         self.mask = nbuckets as u64 - 1;
         self.cur = if n == 0 { 0 } else { lo >> self.shift };
-        for slot in 0..self.slab.len() {
-            if let Some(e) = &self.slab[slot].entry {
-                self.link(slot as u32, self.bucket_of(e.time));
+        for slot in 0..self.links.len() as u32 {
+            if let Some(e) = self.get(slot) {
+                self.link(slot, self.bucket_of(e.time));
             }
         }
         self.grow_len = (n * 2).max(MIN_BUCKETS * 2);
@@ -697,7 +781,7 @@ mod tests {
     /// Every 500 steps the insert horizon flips between a second and
     /// 3 ms, so days hold one entry in one regime and dozens in the
     /// other — staged-day removals and same-day inserts mid-drain.
-    fn random_workload(mut cal: CalendarQueue<u64>) -> Result<(), String> {
+    fn random_workload(cal: &mut CalendarQueue<u64>) -> Result<(), String> {
         let mut leg = Legacy::default();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut low_water = 0u64;
@@ -708,7 +792,7 @@ mod tests {
             } else {
                 3_000
             };
-            leg.put(&mut cal, low_water + (state >> 33) % horizon, seq);
+            leg.put(cal, low_water + (state >> 33) % horizon, seq);
             let removed = match state & 15 {
                 // Pop with a deadline that sometimes falls short.
                 0..=3 => {
@@ -740,7 +824,7 @@ mod tests {
                     same(
                         "keys_in_order",
                         seq,
-                        keys_in_order(&cal),
+                        keys_in_order(cal),
                         leg.keys_in_order(),
                     )?;
                     None
@@ -782,7 +866,19 @@ mod tests {
 
     #[test]
     fn calendar_matches_legacy_on_random_workload() {
-        assert_eq!(random_workload(CalendarQueue::new()), Ok(()));
+        let mut cal = CalendarQueue::new();
+        assert_eq!(random_workload(&mut cal), Ok(()));
+        // The run used slots of at least three segments, so a fault at
+        // a segment seam is within its reach.
+        assert!(cal.segments.len() >= 3, "the run crossed two seams");
+    }
+
+    /// Whether the model run on `cal` fails: comes back `Err`, or
+    /// panics.
+    fn model_run_fails(mut cal: CalendarQueue<u64>) -> bool {
+        let run =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| random_workload(&mut cal)));
+        !matches!(run, Ok(Ok(())))
     }
 
     /// Known-bad for [`random_workload`]: a `remove` that unlinks a
@@ -792,11 +888,67 @@ mod tests {
     fn model_catches_a_remove_that_forgets_the_bucket_head() {
         let mut cal = CalendarQueue::new();
         cal.forget_head_fix = true;
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| random_workload(cal)));
-        assert!(
-            !matches!(run, Ok(Ok(()))),
-            "the broken unlink went unnoticed"
-        );
+        assert!(model_run_fails(cal), "the broken unlink went unnoticed");
+    }
+
+    /// Known-bad for [`random_workload`]: a lookup that maps the last
+    /// slot of a segment onto the first slot of the next one. The model
+    /// run must not come back `Ok`.
+    #[test]
+    fn model_catches_a_lookup_that_folds_a_segment_seam() {
+        let mut cal = CalendarQueue::new();
+        cal.fold_seams = true;
+        assert!(model_run_fails(cal), "the folded seam went unnoticed");
+    }
+
+    /// An entry stays at the address it was stored at while the queue
+    /// grows past three segment seams (and through the rebuilds that
+    /// growth triggers), and every handle still removes its own entry.
+    #[test]
+    fn entries_never_move_as_the_queue_grows() {
+        let mut q = CalendarQueue::new();
+        let first = put(&mut q, 500, 0);
+        let addr = |q: &CalendarQueue<u64>| q.get(first.0).map(|e| e as *const QueueEntry<u64>);
+        let before = addr(&q);
+        let n = 3 * SEGMENT_SLOTS as u64;
+        let handles: Vec<Handle> = (1..n)
+            .map(|s| put(&mut q, (s * 7_919) % 1_000_000, s))
+            .collect();
+        assert!(q.segments.len() > 3, "the queue crossed three seams");
+        assert_eq!(addr(&q), before, "the first entry moved");
+        assert_eq!(q.remove(first).map(|e| e.seq), Some(0));
+        for (s, h) in (1..n).zip(handles) {
+            assert_eq!(q.remove(h).map(|e| e.seq), Some(s));
+        }
+        assert_eq!(q.len(), 0);
+    }
+
+    /// A queue never more than 64 deep reserves one 64-slot segment,
+    /// however many entries pass through it: the explorer builds
+    /// thousands of small sims, each with its own queue.
+    #[test]
+    fn a_queue_64_deep_reserves_one_64_slot_segment() {
+        let mut q = CalendarQueue::new();
+        for round in 0..10u64 {
+            let handles: Vec<Handle> = (0..64).map(|s| put(&mut q, round * 100 + s, s)).collect();
+            for h in handles.into_iter().step_by(2) {
+                assert!(q.remove(h).is_some());
+            }
+            assert_eq!(drain(&mut q).len(), 32);
+        }
+        assert_eq!(q.segments.len(), 1);
+        assert_eq!(q.segments[0].capacity(), FIRST_SEGMENT_SLOTS as usize);
+        assert_eq!(q.links.len(), FIRST_SEGMENT_SLOTS as usize);
+    }
+
+    #[test]
+    fn segment_of_counts_64_128_256_512_then_1024() {
+        let seams = [0u32, 64, 192, 448, 960, 1_984, 3_008];
+        for (k, w) in seams.windows(2).enumerate() {
+            assert_eq!(segment_of(w[0]), (k, 0));
+            assert_eq!(segment_of(w[1] - 1), (k, segment_slots(k) - 1));
+            assert_eq!((w[1] - w[0]) as usize, segment_slots(k));
+        }
     }
 
     /// Removal by handle from every home an entry can have, each step
@@ -844,7 +996,7 @@ mod tests {
         assert!(cal.day.is_empty(), "dead keys left with the last live one");
     }
 
-    /// Handles index slab slots and a rebuild moves only links, so a
+    /// Handles index slots and a rebuild moves only links, so a
     /// handle taken before one is good after it — through the growth
     /// rebuilds of 10 000 inserts, and through a long-scan heal.
     #[test]

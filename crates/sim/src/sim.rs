@@ -1517,14 +1517,15 @@ mod tests {
         assert_eq!(sim.get(alarm).unwrap().fired.last(), Some(&7));
     }
 
-    /// The queue's slab cell for a 16-byte message is 64 bytes, one
-    /// cache line's worth. Its byte budget: time 8, seq 8, kind 32 (`Deliver`'s two
-    /// node ids and the message, or `Timer`'s node, id and tag, plus the
-    /// variant tag), cause 8, list links 8. A new field in `QueueEntry`,
-    /// `Event` or `Slot` has to find its bytes inside that budget.
+    /// A queued entry for a 16-byte message is 56 bytes and its list
+    /// links another 8, in an array of their own. The entry's byte
+    /// budget: time 8, seq 8, kind 32 (`Deliver`'s two node ids and the
+    /// message, or `Timer`'s node, id and tag, plus the variant tag),
+    /// cause 8. A new field in `QueueEntry`, `Event` or `Link` has to
+    /// find its bytes inside that budget.
     #[test]
-    fn a_queue_slot_is_one_cache_line() {
-        use crate::queue::Slot;
+    fn a_queue_entry_is_56_bytes_and_its_links_8() {
+        use crate::queue::Link;
         use std::mem::size_of;
 
         /// A 16-byte message with a niche, like most protocol enums.
@@ -1537,15 +1538,13 @@ mod tests {
             assert_eq!(size_of::<M>(), 16);
             assert_eq!(size_of::<EventKind<M>>(), 32);
             assert_eq!(size_of::<Event<M>>(), 40);
-            assert_eq!(size_of::<Slot<Event<M>>>(), 64);
-            // A vacant slot costs no tag: `None` sits in the kind's niche.
-            assert_eq!(
-                size_of::<Option<QueueEntry<Event<M>>>>(),
-                size_of::<QueueEntry<Event<M>>>()
-            );
+            assert_eq!(size_of::<QueueEntry<Event<M>>>(), 56);
+            // A vacant entry costs no tag: `None` sits in the kind's niche.
+            assert_eq!(size_of::<Option<QueueEntry<Event<M>>>>(), 56);
         }
         check::<[u64; 2]>();
         check::<Tagged>();
+        assert_eq!(size_of::<Link>(), 8);
     }
 
     #[test]
