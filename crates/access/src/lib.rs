@@ -13,9 +13,7 @@
 //!   capability (row) views: the static baseline;
 //! - [`rbac`] — Shen & Dewan role-based dynamic fine-grained control with
 //!   path-inherited rules, deny conflicts and explanations;
-//! - [`negotiation`] — request/counter/accept rights negotiation;
-//! - [`delegation`] — capability delegation chains with grant gating,
-//!   attenuation and subtree revocation.
+//! - [`negotiation`] — request/counter/accept rights negotiation.
 //!
 //! ```
 //! use odp_access::prelude::*;
@@ -26,7 +24,6 @@
 //! assert!(policy.check(Subject(7), &"doc/para1".into(), Rights::READ).allowed);
 //! ```
 
-pub mod delegation;
 pub mod matrix;
 pub mod negotiation;
 pub mod rbac;
@@ -34,7 +31,6 @@ pub mod rights;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::delegation::{Delegation, DelegationError, DelegationRegistry, GrantId};
     pub use crate::matrix::{AccessMatrix, Capability, Protected, Subject};
     pub use crate::negotiation::{
         AgreedChange, NegotiationError, NegotiationId, NegotiationState, Negotiator,

@@ -131,16 +131,6 @@ pub struct Capability {
 }
 
 impl Capability {
-    /// Attenuates the capability to a subset of its rights (capabilities
-    /// may be weakened when delegated, never strengthened).
-    // odp-check: allow(dead-pub) — PAPER.md requirement 4: the capability baseline's narrowing operation.
-    pub fn attenuate(self, keep: Rights) -> Capability {
-        Capability {
-            object: self.object,
-            rights: self.rights & keep,
-        }
-    }
-
     /// True if the capability authorises `needed` on `object`.
     pub fn authorises(&self, object: Protected, needed: Rights) -> bool {
         self.object == object && self.rights.contains(needed)
@@ -195,17 +185,6 @@ mod tests {
         assert_eq!(caps.len(), 2);
         assert!(caps[0].authorises(Protected(7), Rights::READ));
         assert!(!caps[0].authorises(Protected(8), Rights::READ));
-    }
-
-    #[test]
-    fn attenuation_only_weakens() {
-        let cap = Capability {
-            object: Protected(1),
-            rights: Rights::READ | Rights::WRITE,
-        };
-        let weak = cap.attenuate(Rights::READ | Rights::GRANT);
-        assert_eq!(weak.rights, Rights::READ);
-        assert!(weak.attenuate(Rights::ALL).rights.contains(Rights::READ));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! likely that such changes will be made as a result of **negotiation**
 //! between parties involved."*
 //!
-//! A [`Negotiator`] runs request → (counter-offer)* → accept/reject
+//! A [`Negotiator`] runs request → (counter-offer)* → accept
 //! conversations between a requester and an object owner. A successful
 //! negotiation yields an [`AgreedChange`] that the caller applies to its
 //! [`crate::rbac::RbacPolicy`] (the negotiator is policy-agnostic).
@@ -32,8 +32,6 @@ pub enum NegotiationState {
     Countered,
     /// Concluded successfully.
     Agreed,
-    /// Concluded unsuccessfully.
-    Rejected,
 }
 
 /// A concluded agreement, ready to apply to a policy.
@@ -218,31 +216,7 @@ impl Negotiator {
         })
     }
 
-    /// The party whose turn it is rejects, closing the session.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown/concluded sessions or the wrong party.
-    // odp-check: allow(dead-pub) — PAPER.md requirement 4: negotiated access, where a party may refuse.
-    pub fn reject(&mut self, who: Subject, id: NegotiationId) -> Result<(), NegotiationError> {
-        let s = self
-            .sessions
-            .get_mut(&id)
-            .ok_or(NegotiationError::UnknownSession(id))?;
-        let expected = match s.state {
-            NegotiationState::Requested => s.owner,
-            NegotiationState::Countered => s.requester,
-            _ => return Err(NegotiationError::UnknownSession(id)),
-        };
-        if who != expected {
-            return Err(NegotiationError::NotYourTurn(who));
-        }
-        s.state = NegotiationState::Rejected;
-        self.concluded += 1;
-        Ok(())
-    }
-
-    /// Sessions concluded (agreed or rejected).
+    /// Sessions concluded (agreed).
     pub fn concluded(&self) -> u64 {
         self.concluded
     }
@@ -314,20 +288,9 @@ mod tests {
     }
 
     #[test]
-    fn rejection_closes_the_session() {
-        let mut n = Negotiator::new();
-        let id = n.request(Subject(1), Subject(0), "doc".into(), Rights::READ, NOW);
-        n.reject(Subject(0), id).unwrap();
-        assert_eq!(n.state(id), Some(NegotiationState::Rejected));
-        assert!(n.accept(Subject(0), id, NOW).is_err());
-        assert_eq!(n.concluded(), 1);
-    }
-
-    #[test]
     fn unknown_sessions_error() {
         let mut n = Negotiator::new();
         assert!(n.accept(Subject(0), NegotiationId(9), NOW).is_err());
-        assert!(n.reject(Subject(0), NegotiationId(9)).is_err());
         assert_eq!(n.state(NegotiationId(9)), None);
     }
 }

@@ -204,28 +204,6 @@ impl MediaSpace {
         }
     }
 
-    /// Tears down a connection (either party).
-    // odp-check: allow(dead-pub) — PAPER.md requirement 3: hanging up a media-space connection.
-    pub fn disconnect(&mut self, id: ConnectionId) -> Result<(), MediaSpaceError> {
-        self.connections
-            .remove(&id)
-            .map(|_| ())
-            .ok_or(MediaSpaceError::UnknownConnection(id))
-    }
-
-    /// Active (established) connections involving `who`.
-    // odp-check: allow(dead-pub) — PAPER.md requirement 3: who a media-space user is connected to.
-    pub fn active_for(&self, who: NodeId) -> Vec<(ConnectionId, NodeId, ConnectionType)> {
-        self.connections
-            .iter()
-            .filter(|(_, c)| c.established.is_some() && (c.from == who || c.to == who))
-            .map(|(&id, c)| {
-                let peer = if c.from == who { c.to } else { c.from };
-                (id, peer, c.kind)
-            })
-            .collect()
-    }
-
     /// Reciprocity check: a glance shows the caller to the callee too —
     /// returns the peers who can currently see `who`.
     pub fn who_sees(&self, who: NodeId) -> Vec<NodeId> {
@@ -260,13 +238,11 @@ mod tests {
             ConnectionType::Background,
             SimTime::ZERO,
         );
-        let ConnectOutcome::Connected(id) = out else {
-            panic!("expected immediate connection, got {out:?}");
-        };
-        assert_eq!(
-            ms.active_for(NodeId(1)),
-            vec![(id, NodeId(0), ConnectionType::Background)]
+        assert!(
+            matches!(out, ConnectOutcome::Connected(_)),
+            "expected immediate connection, got {out:?}"
         );
+        assert_eq!(ms.who_sees(NodeId(1)), vec![NodeId(0)]);
     }
 
     #[test]
@@ -276,12 +252,12 @@ mod tests {
         let ConnectOutcome::Pending(id) = out else {
             panic!("expected pending, got {out:?}");
         };
-        assert!(ms.active_for(NodeId(1)).is_empty(), "not yet established");
+        assert!(ms.who_sees(NodeId(1)).is_empty(), "not yet established");
         let answered = ms
             .answer(NodeId(1), id, true, SimTime::from_secs(2))
             .unwrap();
         assert!(matches!(answered, ConnectOutcome::Connected(_)));
-        assert_eq!(ms.active_for(NodeId(0)).len(), 1);
+        assert_eq!(ms.who_sees(NodeId(1)), vec![NodeId(0)]);
     }
 
     #[test]
@@ -307,7 +283,10 @@ mod tests {
         };
         let out = ms.answer(NodeId(1), id, false, SimTime::ZERO).unwrap();
         assert_eq!(out, ConnectOutcome::Refused);
-        assert!(ms.disconnect(id).is_err(), "connection is gone");
+        assert!(
+            ms.answer(NodeId(1), id, true, SimTime::ZERO).is_err(),
+            "connection is gone"
+        );
     }
 
     #[test]
@@ -337,18 +316,5 @@ mod tests {
         let sees_0 = ms.who_sees(NodeId(0));
         assert!(sees_0.contains(&NodeId(2)));
         assert!(!sees_0.contains(&NodeId(1)));
-    }
-
-    #[test]
-    fn disconnect_ends_the_connection() {
-        let mut ms = MediaSpace::new();
-        ms.set_policy(NodeId(1), ConnectionType::VPhone, Acceptance::Auto);
-        let ConnectOutcome::Connected(id) =
-            ms.connect(NodeId(0), NodeId(1), ConnectionType::VPhone, SimTime::ZERO)
-        else {
-            panic!("expected connected");
-        };
-        ms.disconnect(id).unwrap();
-        assert!(ms.active_for(NodeId(0)).is_empty());
     }
 }

@@ -62,14 +62,6 @@ impl Portholes {
         self.subscriptions.entry(viewer).or_default().insert(target);
     }
 
-    /// Removes a subscription.
-    // odp-check: allow(dead-pub) — PAPER.md requirement 3: leaving a Portholes view.
-    pub fn unsubscribe(&mut self, viewer: NodeId, target: NodeId) {
-        if let Some(set) = self.subscriptions.get_mut(&viewer) {
-            set.remove(&target);
-        }
-    }
-
     /// Records a snapshot of `who`.
     pub fn capture(&mut self, who: NodeId, activity: impl Into<String>, at: SimTime) {
         self.captures += 1;
@@ -128,20 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribed_targets_disappear() {
-        let mut p = Portholes::new(SimDuration::from_secs(60));
-        p.subscribe(NodeId(9), NodeId(0));
-        p.subscribe(NodeId(9), NodeId(1));
-        p.capture(NodeId(0), "a", SimTime::ZERO);
-        p.capture(NodeId(1), "b", SimTime::ZERO);
-        assert_eq!(p.wall_for(NodeId(9), SimTime::ZERO).len(), 2);
-        p.unsubscribe(NodeId(9), NodeId(0));
-        let wall = p.wall_for(NodeId(9), SimTime::ZERO);
-        assert_eq!(wall.len(), 1);
-        assert_eq!(wall[0].0.who, NodeId(1));
-    }
-
-    #[test]
     fn targets_without_captures_are_omitted() {
         let mut p = Portholes::new(SimDuration::from_secs(60));
         p.subscribe(NodeId(9), NodeId(5));
@@ -187,26 +165,5 @@ mod tests {
         assert_eq!(wall.len(), 1, "but only the latest is retained");
         assert_eq!(wall[0].0.activity, "away");
         assert_eq!(wall[0].0.at, SimTime::from_secs(2));
-    }
-
-    /// After unsubscribing, further captures of the dropped target no
-    /// longer grow the viewer's wall.
-    #[test]
-    fn unsubscribe_stops_wall_growth_for_future_captures() {
-        let mut p = Portholes::new(SimDuration::from_secs(60));
-        p.subscribe(NodeId(9), NodeId(0));
-        p.subscribe(NodeId(9), NodeId(1));
-        p.capture(NodeId(1), "typing", SimTime::ZERO);
-        p.unsubscribe(NodeId(9), NodeId(0));
-        // The dropped target only starts capturing *after* the
-        // unsubscribe; its snapshots must never reach this wall.
-        p.capture(NodeId(0), "typing", SimTime::from_secs(1));
-        p.capture(NodeId(0), "meeting", SimTime::from_secs(2));
-        let wall = p.wall_for(NodeId(9), SimTime::from_secs(3));
-        assert_eq!(wall.len(), 1);
-        assert_eq!(wall[0].0.who, NodeId(1));
-        // Another viewer still subscribed to the target sees them fine.
-        p.subscribe(NodeId(8), NodeId(0));
-        assert_eq!(p.wall_for(NodeId(8), SimTime::from_secs(3)).len(), 1);
     }
 }

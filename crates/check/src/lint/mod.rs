@@ -3,11 +3,12 @@
 //! A self-contained source-level analyzer: no rustc plugin, no network
 //! access, no syn — just the [`scanner`] token stream, a handful of
 //! project-specific per-file [`rules`], and the workspace-wide
-//! [`surface`] rules (`dead-pub`, `unused-dep`). The pass scans every
-//! `.rs` file under [`surface::USER_DIRS`], runs the per-file rules on
-//! crate sources (skipping test/example/bench/vendor code), applies
-//! `// odp-check: allow(<rule>)` comments, and reports `file:line`
-//! diagnostics. Anything it prints is a build-gate failure in CI.
+//! [`surface`] rules (`dead-pub`, `dead-mod`, `unused-dep`). The pass
+//! scans every `.rs` file under [`surface::USER_DIRS`], runs the
+//! per-file rules on crate sources (skipping test/example/bench/vendor
+//! code), applies `// odp-check: allow(<rule>)` comments, and reports
+//! `file:line` diagnostics. Anything it prints is a build-gate failure
+//! in CI.
 pub mod rules;
 pub mod scanner;
 pub mod surface;
@@ -175,12 +176,15 @@ fn lint_file(rel: &Path, scanned: &scanner::ScannedFile, raw: Vec<Finding>) -> V
 }
 
 /// Lints an already-scanned workspace: the per-file rules on every
-/// source outside [`SKIP_DIRS`], `dead-pub` across all of them, and
-/// `unused-dep` on `manifests`. Diagnostics come sorted by path then
-/// line, manifests last.
+/// source outside [`SKIP_DIRS`], `dead-pub` and `dead-mod` across all
+/// of them, and `unused-dep` on `manifests`. Diagnostics come sorted by
+/// path then line, manifests last.
 pub fn lint_workspace(sources: &[Source], manifests: &[Manifest]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (s, mut raw) in sources.iter().zip(surface::dead_pub(sources)) {
+    let dead = surface::dead_pub(sources)
+        .into_iter()
+        .zip(surface::dead_mod(sources));
+    for (s, (mut raw, mods)) in sources.iter().zip(dead) {
         let skipped = s
             .rel
             .components()
@@ -188,6 +192,7 @@ pub fn lint_workspace(sources: &[Source], manifests: &[Manifest]) -> Vec<Diagnos
         if skipped {
             continue;
         }
+        raw.extend(mods);
         raw.extend(rules::run_all(&s.scanned));
         raw.sort_by_key(|f| f.line);
         out.extend(

@@ -29,6 +29,9 @@ pub const RULE_HOT_ALLOC: &str = "hot-path-alloc";
 /// Workspace rule: a `pub` item no other code names (see
 /// [`crate::lint::surface`]).
 pub const RULE_DEAD_PUB: &str = "dead-pub";
+/// Workspace rule: a `pub mod` nothing outside its own file reaches (see
+/// [`crate::lint::surface`]).
+pub const RULE_DEAD_MOD: &str = "dead-mod";
 /// Workspace rule: a manifest dependency no package source names. It
 /// has no allow-comment: the entry is deleted.
 pub const RULE_UNUSED_DEP: &str = "unused-dep";
@@ -42,6 +45,7 @@ pub const RULES: &[&str] = &[
     RULE_HASHMAP_ITER,
     RULE_HOT_ALLOC,
     RULE_DEAD_PUB,
+    RULE_DEAD_MOD,
 ];
 
 /// `.unwrap()` and `.expect(` on any receiver. Protocol state machines

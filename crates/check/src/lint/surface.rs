@@ -1,32 +1,58 @@
-//! The workspace-wide rules: `dead-pub` and `unused-dep`.
+//! The workspace-wide rules: `dead-pub`, `dead-mod` and `unused-dep`.
 //!
 //! The content rules in [`crate::lint::rules`] read one file at a time.
-//! These two read the whole workspace, because a public item or a
-//! dependency is dead only when *no* file names it:
+//! These three read the whole workspace, because a public item, a module
+//! or a dependency is dead only when *no* file names it. Every `.rs` file
+//! under [`USER_DIRS`] is a possible user. All three read the scanner's
+//! token stream, so comments and literal contents never count as a use.
 //!
 //! - **`dead-pub`**: a `pub` fn, const or static (free or in an inherent
 //!   `impl`) under `crates/*/src` that no token names outside its own
-//!   declaration and its own file's `#[cfg(test)]` code. Every `.rs`
-//!   file under [`USER_DIRS`] is a possible user. Comments and literal
-//!   contents do not count: the scanner strips them. `pub(crate)` and
-//!   private items are rustc's `dead_code` job and are out of scope.
-//!   The match is by name, so an item that shares its name with
-//!   anything else in the workspace is never flagged; what the rule
-//!   misses is recall, never a false alarm on a named item.
+//!   declaration and its own file's `#[cfg(test)]` code.
+//!   - *Sees:* every bare word, in any file, with that name.
+//!   - *Cannot see:* which item a word refers to. The match is by name,
+//!     so an item that shares its name with anything else in the
+//!     workspace (a local variable, a method of another type) is never
+//!     flagged; what the rule misses is recall, never a false alarm on a
+//!     named item. Types, traits and `pub(crate)` or private items are
+//!     out of scope (the last two are rustc's `dead_code` job).
+//! - **`dead-mod`**: a `pub mod m;` under `crates/*/src` that nothing
+//!   outside the module's own file or directory reaches. A file reaches
+//!   `m` when it names the path `m::`, or names an item that the
+//!   declaring file re-exports from `m` (`pub use m::{A, B as C}` gives
+//!   `A` and `C`; a glob gives every `pub` item of `m`'s file). The
+//!   declaring file's `pub use` statements themselves do not count.
+//!   - *Sees:* module paths, which local names rarely collide with, so a
+//!     module whose functions share names with variables elsewhere (a
+//!     `sites` helper beside `let sites = …`) is still flagged.
+//!   - *Cannot see:* which module a path segment refers to. Any `m::`
+//!     keeps every module called `m`, and a re-exported name keeps its
+//!     module wherever that word appears. Inline modules
+//!     (`pub mod prelude { … }`) and `#[path]` attributes are not
+//!     audited.
 //! - **`unused-dep`**: a `[dependencies]` or `[dev-dependencies]` entry
 //!   of a workspace package (the root and `crates/*`) whose crate name
 //!   no source of that package names.
+//!   - *Sees:* every word in the package's `src/`, `tests/`, `examples/`
+//!     and `benches/` files, matched against the entry's key with `-`
+//!     read as `_`.
+//!   - *Cannot see:* whether the word is the crate. A local or a module
+//!     spelt like the crate keeps the entry, and a `build.rs` is not
+//!     read.
 //!
-//! A kept `dead-pub` item carries `// odp-check: allow(dead-pub) —
-//! <reason>` on the line above its `pub`; the `unused-allow` rule then
-//! reports the comment once the item gains a caller. An unused
-//! dependency has no allow: it is deleted.
+//! `// odp-check: allow(dead-pub) — <reason>` on the line above a `pub`
+//! (`allow(dead-mod)` above a `pub mod`) suppresses a finding, and the
+//! `unused-allow` rule reports the comment once the item gains a caller.
+//! The workspace keeps none outside this module's fixtures (CI greps for
+//! one): what the rules find is deleted. An unused dependency has no
+//! allow at all.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Range, RangeInclusive};
 use std::path::{Component, Path, PathBuf};
 
-use crate::lint::rules::{Finding, RULE_DEAD_PUB, RULE_UNUSED_DEP};
-use crate::lint::scanner::ScannedFile;
+use crate::lint::rules::{Finding, RULE_DEAD_MOD, RULE_DEAD_PUB, RULE_UNUSED_DEP};
+use crate::lint::scanner::{ScannedFile, Token};
 use crate::lint::Diagnostic;
 
 /// The top-level directories whose `.rs` files count as users of the
@@ -70,36 +96,42 @@ fn declares_surface(rel: &Path) -> bool {
     parts.len() > 3 && parts[0] == "crates" && parts[2] == "src"
 }
 
+/// The keyword and name token index of the `pub` item whose `pub` is
+/// token `i`: `pub [const|async|unsafe|extern "C"] fn f`, `pub static
+/// [mut] S`, `pub const C`, `pub struct T`, and so on. `pub(crate)`
+/// items, `pub use` and `pub` fields are not items here.
+fn pub_item(toks: &[Token], i: usize) -> Option<(&str, usize)> {
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    if text(i) != "pub" || text(i + 1) == "(" {
+        return None;
+    }
+    let mut j = i + 1;
+    let name = loop {
+        match text(j) {
+            "fn" | "struct" | "enum" | "trait" | "type" | "union" | "mod" => break j + 1,
+            "static" if text(j + 1) == "mut" => break j + 2,
+            "static" => break j + 1,
+            "const" if !matches!(text(j + 1), "fn" | "async" | "unsafe" | "extern") => break j + 1,
+            // Qualifiers (`const fn`, `unsafe fn`, `extern "C" fn`).
+            "const" | "async" | "unsafe" | "extern" | "\"" => j += 1,
+            _ => return None,
+        }
+    };
+    toks.get(name)
+        .is_some_and(|t| t.is_word() && t.text != "_")
+        .then(|| (text(j), name))
+}
+
 /// Token indices of the names of every `pub` fn, const and static the
 /// file declares outside test code.
 fn pub_decls(file: &ScannedFile) -> Vec<usize> {
     let toks = &file.tokens;
-    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if text(i) != "pub" || text(i + 1) == "(" || file.in_test_code(toks[i].line) {
-            continue;
-        }
-        let mut j = i + 1;
-        let name = loop {
-            match text(j) {
-                "fn" => break Some(j + 1),
-                "static" if text(j + 1) == "mut" => break Some(j + 2),
-                "static" => break Some(j + 1),
-                "const" if !matches!(text(j + 1), "fn" | "async" | "unsafe" | "extern") => {
-                    break Some(j + 1)
-                }
-                // Qualifiers (`const fn`, `unsafe fn`, `extern "C" fn`).
-                "const" | "async" | "unsafe" | "extern" | "\"" => j += 1,
-                _ => break None,
-            }
-        };
-        if let Some(n) = name.filter(|&n| toks.get(n).is_some_and(|t| t.is_word() && t.text != "_"))
-        {
-            out.push(n);
-        }
-    }
-    out
+    (0..toks.len())
+        .filter(|&i| !file.in_test_code(toks[i].line))
+        .filter_map(|i| pub_item(toks, i))
+        .filter(|(kw, _)| matches!(*kw, "fn" | "const" | "static"))
+        .map(|(_, n)| n)
+        .collect()
 }
 
 /// The `dead-pub` rule over every source, returning each source's raw
@@ -155,6 +187,202 @@ pub fn dead_pub(sources: &[Source]) -> Vec<Vec<Finding>> {
                 .collect()
         })
         .collect()
+}
+
+/// Whether the tokens at `i` are a path segment: `name` then `::`.
+fn is_path_segment(toks: &[Token], i: usize) -> bool {
+    toks.get(i + 1).is_some_and(|t| t.text == ":") && toks.get(i + 2).is_some_and(|t| t.text == ":")
+}
+
+/// Token index ranges (`pub` to `;`, inclusive) of every `pub use`
+/// statement in the file.
+fn pub_use_spans(toks: &[Token]) -> Vec<RangeInclusive<usize>> {
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if toks[i].text == "pub" && toks.get(i + 1).is_some_and(|t| t.text == "use") {
+            let end = (i..toks.len()).find(|&j| toks[j].text == ";");
+            out.push(i..=end.unwrap_or(toks.len() - 1));
+        }
+    }
+    out
+}
+
+/// The leaves of the use (sub)tree in `toks[range]`: each name not
+/// followed by `::` (the alias, after `as`), and `*` for a glob.
+fn use_leaves(toks: &[Token], range: Range<usize>) -> Vec<&str> {
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    range
+        .filter(|&i| match text(i) {
+            "*" => true,
+            "as" | "self" | "crate" | "super" => false,
+            _ => toks[i].is_word() && !matches!(text(i + 1), ":" | "as"),
+        })
+        .map(text)
+        .collect()
+}
+
+/// What the `pub use` statements at `spans` re-export from module
+/// `name`: the leaves of each subtree rooted at a `name::` segment.
+fn reexports_from<'a>(
+    toks: &'a [Token],
+    spans: &[RangeInclusive<usize>],
+    name: &str,
+) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    for span in spans {
+        for k in span.clone() {
+            if toks[k].text != name || !is_path_segment(toks, k) {
+                continue;
+            }
+            // The subtree after `name::` ends at the first `,` outside
+            // its braces, or at the statement's `;`.
+            let start = k + 3;
+            let mut depth = 0usize;
+            let end = (start..*span.end())
+                .find(|&j| match toks[j].text.as_str() {
+                    "{" => {
+                        depth += 1;
+                        false
+                    }
+                    "}" => {
+                        depth = depth.saturating_sub(1);
+                        false
+                    }
+                    t => t == "," && depth == 0,
+                })
+                .unwrap_or(*span.end());
+            out.extend(use_leaves(toks, start..end));
+        }
+    }
+    out
+}
+
+/// Names of every `pub` item a module file declares or re-exports
+/// outside test code: what a glob re-export of it brings in.
+fn pub_item_names(file: &ScannedFile) -> Vec<&str> {
+    let toks = &file.tokens;
+    let declared = (0..toks.len())
+        .filter(|&i| !file.in_test_code(toks[i].line))
+        .filter_map(|i| pub_item(toks, i))
+        .map(|(_, n)| toks[n].text.as_str());
+    let reexported = pub_use_spans(toks)
+        .into_iter()
+        .flat_map(|span| use_leaves(toks, *span.start() + 2..*span.end()));
+    declared.chain(reexported).filter(|&n| n != "*").collect()
+}
+
+/// Where the children of the module a file defines live: beside a
+/// `lib.rs`, `main.rs` or `mod.rs`, else in the directory named after
+/// the file.
+fn child_dir(rel: &Path) -> PathBuf {
+    let parent = rel.parent().unwrap_or(Path::new(""));
+    match rel.file_stem().and_then(|s| s.to_str()) {
+        Some("lib" | "main" | "mod") | None => parent.to_path_buf(),
+        Some(stem) => parent.join(stem),
+    }
+}
+
+/// One `pub mod m;` declaration and the words that would reach it.
+struct ModDecl<'a> {
+    /// Index of the declaring source.
+    src: usize,
+    /// The `pub mod` line.
+    line: usize,
+    name: &'a str,
+    /// Names the declaring file re-exports from the module.
+    reexports: Vec<&'a str>,
+    /// The module's own file (`m.rs`) and directory (`m/`).
+    own_file: PathBuf,
+    own_dir: PathBuf,
+}
+
+/// The `dead-mod` rule over every source, returning each source's raw
+/// findings (same order as `sources`), ready for allow-comments.
+pub fn dead_mod(sources: &[Source]) -> Vec<Vec<Finding>> {
+    let spans: Vec<Vec<RangeInclusive<usize>>> = sources
+        .iter()
+        .map(|s| pub_use_spans(&s.scanned.tokens))
+        .collect();
+    let mut decls = Vec::new();
+    for (si, s) in sources.iter().enumerate() {
+        if !declares_surface(&s.rel) {
+            continue;
+        }
+        let toks = &s.scanned.tokens;
+        for i in 0..toks.len() {
+            let Some(("mod", n)) = pub_item(toks, i) else {
+                continue;
+            };
+            if toks.get(n + 1).is_none_or(|t| t.text != ";") || s.scanned.in_test_code(toks[i].line)
+            {
+                continue;
+            }
+            let name = toks[n].text.as_str();
+            let dir = child_dir(&s.rel);
+            let own_file = dir.join(format!("{name}.rs"));
+            let own_dir = dir.join(name);
+            let mut reexports = Vec::new();
+            for leaf in reexports_from(toks, &spans[si], name) {
+                if leaf != "*" {
+                    reexports.push(leaf);
+                } else if let Some(m) = sources
+                    .iter()
+                    .find(|m| m.rel == own_file || m.rel == own_dir.join("mod.rs"))
+                {
+                    reexports.extend(pub_item_names(&m.scanned));
+                }
+            }
+            decls.push(ModDecl {
+                src: si,
+                line: toks[i].line,
+                name,
+                reexports,
+                own_file,
+                own_dir,
+            });
+        }
+    }
+    // Every occurrence of a word some declaration could be reached by:
+    // (source, token index).
+    let wanted: BTreeSet<&str> = decls
+        .iter()
+        .flat_map(|d| d.reexports.iter().copied().chain([d.name]))
+        .collect();
+    let mut seen: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    for (si, s) in sources.iter().enumerate() {
+        for (i, t) in s.scanned.tokens.iter().enumerate() {
+            if wanted.contains(t.text.as_str()) {
+                seen.entry(t.text.as_str()).or_default().push((si, i));
+            }
+        }
+    }
+    let mut out: Vec<Vec<Finding>> = sources.iter().map(|_| Vec::new()).collect();
+    for d in &decls {
+        // Not the module itself, nor its parent's `pub use` lines.
+        let outside = |&&(si, i): &&(usize, usize)| {
+            let rel = &sources[si].rel;
+            *rel != d.own_file
+                && !rel.starts_with(&d.own_dir)
+                && (si != d.src || !spans[si].iter().any(|r| r.contains(&i)))
+        };
+        let occurrences = |w: &str| seen.get(w).into_iter().flatten().filter(outside);
+        let by_path =
+            occurrences(d.name).any(|&(si, i)| is_path_segment(&sources[si].scanned.tokens, i));
+        let by_name = d.reexports.iter().any(|w| occurrences(w).next().is_some());
+        if !by_path && !by_name {
+            out[d.src].push(Finding {
+                rule: RULE_DEAD_MOD,
+                line: d.line,
+                message: format!(
+                    "`pub mod {}` is reached by nothing outside its own file: no `{}::` path \
+                     and no use of a name re-exported from it; delete it, or keep it with \
+                     `// odp-check: allow(dead-mod) — <reason>`",
+                    d.name, d.name
+                ),
+            });
+        }
+    }
+    out
 }
 
 /// The dependency entries of one manifest: (crate name as sources
@@ -334,6 +562,116 @@ mod tests {
         ] {
             assert!(lint(&[source(rel, pub_in_tests)]).is_empty(), "{rel}");
         }
+    }
+
+    /// A crate root that declares `topology`, re-exports two of its
+    /// items, and the module itself: a `sites` helper, a `Site` type,
+    /// and a test that calls the helper.
+    fn topology_crate(root: &str) -> [Source; 2] {
+        let module = "pub struct Site;\n\
+                      pub fn sites() -> Vec<Site> { Vec::new() }\n\
+                      #[cfg(test)]\n\
+                      mod tests {\n    \
+                          #[test]\n    \
+                          fn none() { assert!(super::sites().is_empty()); }\n\
+                      }\n";
+        [
+            source("crates/net/src/lib.rs", root),
+            source("crates/net/src/topology.rs", module),
+        ]
+    }
+
+    const REEXPORTING_ROOT: &str = "pub mod topology;\n\
+                                    pub use topology::{sites as all_sites, Site};\n";
+
+    fn dead_mods(d: &[Diagnostic]) -> Vec<String> {
+        d.iter()
+            .filter(|d| d.rule == RULE_DEAD_MOD)
+            .map(ToString::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn a_module_reached_only_by_its_tests_and_its_parents_lines_is_flagged_at_its_pub_mod() {
+        let [root, module] = topology_crate(REEXPORTING_ROOT);
+        // A file inside the module's own directory is the module too.
+        let child = source(
+            "crates/net/src/topology/grid.rs",
+            "fn g() -> Vec<crate::topology::Site> { crate::topology::sites() }\n",
+        );
+        let d = lint(&[root, module, child]);
+        let found = dead_mods(&d);
+        assert_eq!(found.len(), 1, "{d:?}");
+        assert!(
+            found[0].starts_with("crates/net/src/lib.rs:1: [dead-mod] `pub mod topology`"),
+            "{}",
+            found[0]
+        );
+    }
+
+    #[test]
+    fn an_outside_path_through_the_module_keeps_it() {
+        let [root, module] = topology_crate("pub mod topology;\n");
+        let user = source(
+            "examples/campus.rs",
+            "fn main() { let _ = odp_net::topology::sites(); }\n",
+        );
+        let d = lint(&[root, module, user]);
+        assert!(dead_mods(&d).is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn an_outside_use_of_a_reexported_name_keeps_it() {
+        // Each user names an item only through the crate root: the
+        // listed name, the alias, and a name a glob brings in.
+        for (root, user) in [
+            (REEXPORTING_ROOT, "use odp_net::Site;\n"),
+            (REEXPORTING_ROOT, "fn f() { odp_net::all_sites(); }\n"),
+            (
+                "pub mod topology;\npub use topology::*;\n",
+                "fn f() { odp_net::sites(); }\n",
+            ),
+        ] {
+            let [root, module] = topology_crate(root);
+            let d = lint(&[root, module, source("tests/it.rs", user)]);
+            assert!(dead_mods(&d).is_empty(), "{user}: {d:?}");
+        }
+    }
+
+    #[test]
+    fn a_local_named_like_the_modules_fn_does_not_keep_it() {
+        let [root, module] = topology_crate("pub mod topology;\n");
+        let user = source(
+            "crates/place/src/latency.rs",
+            "fn spread() -> usize { let sites = 3; sites }\n",
+        );
+        let d = lint(&[root, module, user]);
+        // The name match keeps `sites` alive for `dead-pub`; the path
+        // match still finds the module unreached.
+        assert!(d.iter().all(|d| d.rule != RULE_DEAD_PUB), "{d:?}");
+        assert_eq!(dead_mods(&d).len(), 1, "{d:?}");
+        // Nor does a sibling's item that shares the module's use tree.
+        let [root, module] =
+            topology_crate("pub mod topology;\npub use crate::{topology::Site, wire::Frame};\n");
+        let user = source("tests/it.rs", "fn f(_: odp_net::Frame) {}\n");
+        let d = lint(&[root, module, user]);
+        assert_eq!(dead_mods(&d).len(), 1, "{d:?}");
+    }
+
+    #[test]
+    fn an_allow_keeps_a_module_and_goes_stale_once_something_reaches_it() {
+        let kept = "// odp-check: allow(dead-mod) — requirement 9 names it\npub mod topology;\n";
+        // A bare `sites` keeps the fn for `dead-pub`, not the module.
+        let local = || source("src/lib.rs", "fn f() -> u8 { let sites = 1; sites }\n");
+        let [root, module] = topology_crate(kept);
+        let alone = [root, module, local()];
+        assert!(lint(&alone).is_empty(), "{:?}", lint(&alone));
+        let [root, module] = topology_crate(kept);
+        let user = source("tests/it.rs", "use odp_net::topology::Site;\n");
+        let d = lint(&[root, module, local(), user]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "unused-allow");
+        assert_eq!(d[0].line, 1);
     }
 
     #[test]

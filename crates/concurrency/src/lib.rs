@@ -15,7 +15,6 @@
 //! | [`locks`] | soft locks | Stefik et al. (Cognoter/Colab) |
 //! | [`locks`] | notification locks | Hornick & Zdonik |
 //! | [`txgroup`] | transaction groups with tailorable access rules | Skarra & Zdonik |
-//! | [`nested`] | hierarchical (nested) transaction groups | Skarra & Zdonik |
 //! | [`ot`], [`dopt`] | operation transformation (GROVE) | Ellis & Gibbs |
 //! | [`jupiter`] | client–server OT (provably convergent refinement) | Nichols et al. |
 //! | [`floor`] | reservation / floor passing | Colab et al. |
@@ -36,7 +35,6 @@ pub mod floor;
 pub mod granularity;
 pub mod jupiter;
 pub mod locks;
-pub mod nested;
 pub mod ot;
 pub mod store;
 pub mod twophase;
@@ -49,7 +47,6 @@ pub use jupiter::{Bridge, OpMsg, OtClient, OtServer};
 pub use locks::{
     ClientId, LockError, LockMode, LockReply, LockScheme, LockTable, Notice, NoticeKind, ResourceId,
 };
-pub use nested::{GroupNodeId, GroupTree, TreeError};
 pub use ot::{
     ops_for_delete, ops_for_insert, transform, transform_pair, CharOp, TextDoc, TieBreak,
 };

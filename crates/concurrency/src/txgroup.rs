@@ -10,8 +10,7 @@
 //!
 //! A [`TransactionGroup`] wraps an [`ObjectStore`]; members issue reads
 //! and writes that an [`AccessRule`] adjudicates. Member writes are
-//! immediately visible *inside* the group (awareness!), and become visible
-//! outside only when the group as a whole commits.
+//! immediately visible to every other member (awareness!).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -26,9 +25,9 @@ use crate::store::{ObjectId, ObjectStore, StoreError};
 /// Read or write, as seen by access rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessMode {
-    /// Read the group-internal (dirty) value.
+    /// Read the group's shared value.
     Read,
-    /// Replace the group-internal value.
+    /// Replace the group's shared value.
     Write,
 }
 
@@ -109,8 +108,8 @@ impl AccessRule for CooperativeRule {
     }
 }
 
-/// One writer per object at a time (first writer claims it until group
-/// commit); reads always allowed and the writer is notified of them.
+/// One writer per object (the first writer claims it for the group's
+/// lifetime); reads always allowed and the writer is notified of them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExclusiveWriterRule;
 
@@ -276,10 +275,8 @@ impl From<StoreError> for GroupError {
 /// # Ok::<(), odp_concurrency::txgroup::GroupError>(())
 /// ```
 pub struct TransactionGroup<R> {
-    /// Committed (outside-visible) state.
-    committed: ObjectStore,
-    /// Group-internal working state.
-    working: ObjectStore,
+    /// The group's shared state.
+    store: ObjectStore,
     members: BTreeSet<ClientId>,
     rule: R,
     activity: BTreeMap<ObjectId, ObjectActivity>,
@@ -291,8 +288,7 @@ impl<R: AccessRule> TransactionGroup<R> {
     /// Creates a group over `store` with the given members and rule.
     pub fn new(store: ObjectStore, members: impl IntoIterator<Item = ClientId>, rule: R) -> Self {
         TransactionGroup {
-            working: store.clone(),
-            committed: store,
+            store,
             members: members.into_iter().collect(),
             rule,
             activity: BTreeMap::new(),
@@ -353,7 +349,7 @@ impl<R: AccessRule> TransactionGroup<R> {
         }
     }
 
-    /// Reads the group-internal value of `object` — including dirty
+    /// Reads the group's value of `object` — including uncommitted
     /// writes by other members ("reading over their shoulder") —
     /// returning it with the awareness notices the rule asked for.
     ///
@@ -367,7 +363,7 @@ impl<R: AccessRule> TransactionGroup<R> {
         at: SimTime,
     ) -> Result<(String, Vec<GroupNotice>), GroupError> {
         let notices = self.check(member, object, AccessMode::Read, at)?;
-        let value = self.working.read(object)?.value.clone();
+        let value = self.store.read(object)?.value.clone();
         self.activity
             .entry(object)
             .or_default()
@@ -391,45 +387,11 @@ impl<R: AccessRule> TransactionGroup<R> {
         at: SimTime,
     ) -> Result<(u64, Vec<GroupNotice>), GroupError> {
         let notices = self.check(member, object, AccessMode::Write, at)?;
-        let version = self.working.write(object, value)?;
+        let version = self.store.write(object, value)?;
         let act = self.activity.entry(object).or_default();
         act.writers.push(member);
         act.claimed_by.get_or_insert(member);
         Ok((version, notices))
-    }
-
-    /// The value visible *outside* the group (last group commit).
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown objects.
-    pub fn external_read(&self, object: ObjectId) -> Result<&str, GroupError> {
-        Ok(&self.committed.read(object)?.value)
-    }
-
-    /// Commits the whole group: working state becomes the committed state
-    /// and per-object claims reset.
-    pub fn commit_group(&mut self) {
-        self.committed = self.working.clone();
-        self.activity.clear();
-    }
-
-    /// Aborts the whole group: working state resets to the last commit.
-    pub fn abort_group(&mut self) {
-        self.working = self.committed.clone();
-        self.activity.clear();
-    }
-
-    /// A snapshot of the group-internal working state (used by nested
-    /// groups to seed and publish between levels).
-    pub fn working_snapshot(&self) -> ObjectStore {
-        self.working.clone()
-    }
-
-    /// Replaces the working state (a subgroup publishing upward). Claims
-    /// and activity are preserved — the parent's cooperation continues.
-    pub fn adopt_working(&mut self, store: ObjectStore) {
-        self.working = store;
     }
 }
 
@@ -490,28 +452,6 @@ mod tests {
         g.write(ClientId(0), ObjectId(1), "dirty", NOW).unwrap();
         let (val, _) = g.read(ClientId(1), ObjectId(1), NOW).unwrap();
         assert_eq!(val, "dirty", "member sees uncommitted write");
-        assert_eq!(
-            g.external_read(ObjectId(1)).unwrap(),
-            "v0",
-            "outside sees committed"
-        );
-    }
-
-    #[test]
-    fn group_commit_publishes_externally() {
-        let mut g = setup(CooperativeRule);
-        g.write(ClientId(0), ObjectId(1), "done", NOW).unwrap();
-        g.commit_group();
-        assert_eq!(g.external_read(ObjectId(1)).unwrap(), "done");
-    }
-
-    #[test]
-    fn group_abort_rolls_back_working_state() {
-        let mut g = setup(CooperativeRule);
-        g.write(ClientId(0), ObjectId(1), "scrap", NOW).unwrap();
-        g.abort_group();
-        let (val, _) = g.read(ClientId(1), ObjectId(1), NOW).unwrap();
-        assert_eq!(val, "v0");
     }
 
     #[test]
@@ -541,14 +481,6 @@ mod tests {
         let (_, notices) = g.read(ClientId(2), ObjectId(1), NOW).unwrap();
         assert_eq!(notices[0].to, ClientId(0));
         assert_eq!(g.denials(), 1);
-    }
-
-    #[test]
-    fn exclusive_claim_resets_on_group_commit() {
-        let mut g = setup(ExclusiveWriterRule);
-        g.write(ClientId(0), ObjectId(1), "a", NOW).unwrap();
-        g.commit_group();
-        assert!(g.write(ClientId(1), ObjectId(1), "b", NOW).is_ok());
     }
 
     #[test]

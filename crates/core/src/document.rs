@@ -212,18 +212,6 @@ impl QuiltDocument {
         Ok(())
     }
 
-    /// Rejects (removes) an annotation.
-    ///
-    /// # Errors
-    ///
-    /// [`DocumentError::UnknownAnnotation`] if absent.
-    // odp-check: allow(dead-pub) — PAPER.md requirement 2: Quilt co-authoring settles a comment without locking.
-    pub fn dismiss(&mut self, id: AnnotationId) -> Result<Annotation, DocumentError> {
-        self.annotations
-            .remove(&id)
-            .ok_or(DocumentError::UnknownAnnotation(id))
-    }
-
     /// Annotations visible to `reader` (private notes only to their
     /// authors), in id order.
     pub fn visible_to(&self, reader: NodeId) -> Vec<&Annotation> {
@@ -356,7 +344,5 @@ mod tests {
             doc.accept_suggestion(c).unwrap_err(),
             DocumentError::NotASuggestion(c)
         );
-        doc.dismiss(c).unwrap();
-        assert!(doc.dismiss(c).is_err());
     }
 }

@@ -11,26 +11,17 @@
 //! - [`workspace`] — shared workspaces: store + Shen–Dewan access control
 //!   + awareness + public history;
 //! - [`document`] — Quilt-style co-authoring (base + annotations);
-//! - [`hypertext`] — multi-user hypertext with explicit conflict handling
-//!   and Sepia work-plan node types;
 //! - [`conference`] — collaboration-transparent (floor controlled) and
 //!   collaboration-aware conferencing;
-//! - [`discovery`] — trader-mediated session discovery: sessions are
-//!   advertised to and joined through the `odp-trader` federation;
 //! - [`rooms`] — the rooms metaphor (offices, meeting rooms, doors);
 //! - [`flightstrips`] — the Lancaster ATC flight-strip board;
-//! - [`outline`] — GROVE-style multi-user outlines with public/shared/
-//!   private item visibility;
 //! - [`replicated`] — workspace replicas over totally-ordered multicast;
 //! - [`experiments`] — the derived evaluation suite E1–E12.
 
 pub mod conference;
-pub mod discovery;
 pub mod document;
 pub mod experiments;
 pub mod flightstrips;
-pub mod hypertext;
-pub mod outline;
 pub mod replicated;
 pub mod rooms;
 pub mod session;

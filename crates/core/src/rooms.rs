@@ -154,12 +154,6 @@ impl Building {
         }
     }
 
-    /// Where someone is.
-    // odp-check: allow(dead-pub) — PAPER.md requirement 3: where a participant is in the rooms metaphor.
-    pub fn location_of(&self, who: NodeId) -> Option<RoomId> {
-        self.whereabouts.get(&who).copied()
-    }
-
     /// Who is in a room.
     ///
     /// # Errors
@@ -225,9 +219,8 @@ mod tests {
         b.enter(NodeId(0), RoomId(2)).unwrap();
         assert_eq!(b.occupants(RoomId(1)).unwrap(), vec![]);
         assert_eq!(b.occupants(RoomId(2)).unwrap(), vec![NodeId(0)]);
-        assert_eq!(b.location_of(NodeId(0)), Some(RoomId(2)));
         b.leave(NodeId(0));
-        assert_eq!(b.location_of(NodeId(0)), None);
+        assert!(b.occupants(RoomId(2)).unwrap().is_empty());
     }
 
     #[test]

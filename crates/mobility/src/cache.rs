@@ -60,16 +60,6 @@ impl MobileCache {
         self.hoard_list.iter().copied()
     }
 
-    /// Hoard-listed objects not yet cached (what a bulk fetch should get).
-    // odp-check: allow(dead-pub) — PAPER.md requirement 7: Coda-style hoarding before disconnection.
-    pub fn hoard_wanted(&self) -> Vec<ObjectId> {
-        self.hoard_list
-            .iter()
-            .copied()
-            .filter(|id| !self.entries.contains_key(id))
-            .collect()
-    }
-
     /// Installs (or refreshes) a clean copy fetched from the server.
     pub fn install(&mut self, id: ObjectId, value: impl Into<String>, version: u64) {
         self.entries.insert(
@@ -109,15 +99,6 @@ impl MobileCache {
         }
     }
 
-    /// Marks an entry clean at a new base version (after reintegration).
-    // odp-check: allow(dead-pub) — PAPER.md requirement 7: reintegration clears a cached write.
-    pub fn mark_clean(&mut self, id: ObjectId, version: u64) {
-        if let Some(obj) = self.entries.get_mut(&id) {
-            obj.dirty = false;
-            obj.base_version = version;
-        }
-    }
-
     /// All dirty entries.
     pub fn dirty(&self) -> Vec<(ObjectId, &CachedObject)> {
         self.entries
@@ -130,12 +111,6 @@ impl MobileCache {
     /// Peeks without touching the statistics.
     pub fn peek(&self, id: ObjectId) -> Option<&CachedObject> {
         self.entries.get(&id)
-    }
-
-    /// Evicts an entry.
-    // odp-check: allow(dead-pub) — PAPER.md requirement 7: the mobile cache under limited storage.
-    pub fn evict(&mut self, id: ObjectId) -> bool {
-        self.entries.remove(&id).is_some()
     }
 
     /// Cache hits so far.
@@ -192,15 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn hoard_list_tracks_missing_objects() {
-        let mut c = MobileCache::new();
-        c.hoard(ObjectId(1));
-        c.hoard(ObjectId(2));
-        c.install(ObjectId(1), "a", 1);
-        assert_eq!(c.hoard_wanted(), vec![ObjectId(2)]);
-    }
-
-    #[test]
     fn statistics_track_hits_and_misses() {
         let mut c = MobileCache::new();
         c.install(ObjectId(1), "a", 1);
@@ -210,27 +176,6 @@ mod tests {
         assert_eq!(c.hits(), 2);
         assert_eq!(c.misses(), 1);
         assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mark_clean_resets_dirty_state() {
-        let mut c = MobileCache::new();
-        c.install(ObjectId(1), "a", 1);
-        c.write_local(ObjectId(1), "b");
-        c.mark_clean(ObjectId(1), 5);
-        let obj = c.peek(ObjectId(1)).unwrap();
-        assert!(!obj.dirty);
-        assert_eq!(obj.base_version, 5);
-        assert!(c.dirty().is_empty());
-    }
-
-    #[test]
-    fn evict_removes_entries() {
-        let mut c = MobileCache::new();
-        c.install(ObjectId(1), "a", 1);
-        assert!(c.evict(ObjectId(1)));
-        assert!(!c.evict(ObjectId(1)));
-        assert!(c.is_empty());
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //!   log optimisation, replay, and conflict policies;
 //! - [`host`] — the mobile host across the three connectivity levels
 //!   (disconnected / partially / fully connected), with bulk updates on
-//!   reconnection;
-//! - [`addressing`] — home-agent addressing for mobile hosts (mobile-IP
-//!   style).
+//!   reconnection.
 //!
 //! The network-side behaviour of the three levels (radio latency, loss,
 //! total disconnection) lives in the simulator:
@@ -34,12 +32,10 @@
 //! # Ok::<(), odp_mobility::host::MobileError>(())
 //! ```
 
-pub mod addressing;
 pub mod cache;
 pub mod host;
 pub mod reintegration;
 
-pub use addressing::{AddressingError, HomeAgent, MobileId};
 pub use cache::{CachedObject, MobileCache};
 pub use host::{MobileError, MobileHost, ReconnectReport, Served};
 pub use reintegration::{

@@ -42,7 +42,6 @@ mod queue;
 pub mod rng;
 pub mod sim;
 pub mod time;
-pub mod topology;
 pub mod trace;
 
 /// The most commonly used items, for glob import.

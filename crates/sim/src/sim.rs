@@ -414,7 +414,7 @@ impl SimBuilder {
     }
 
     /// Applies a topology builder to the network in place (composes
-    /// with [`crate::topology`] helpers and with [`SimBuilder::network`]).
+    /// with [`SimBuilder::network`]).
     pub fn topology(mut self, build: impl FnOnce(&mut Network)) -> Self {
         build(&mut self.net);
         self

@@ -169,8 +169,9 @@ impl BindingRegistry {
     /// types, requires the offer to satisfy **every** consumer, and
     /// establishes one shared contract — the pointwise-strictest of the
     /// consumer requirements, since a single multicast stream must meet
-    /// them all. (Degrading an established binding is a separate,
-    /// explicit renegotiation via [`BindingRegistry::degrade`].)
+    /// them all. (A running stream renegotiates its contract through
+    /// [`crate::qos::negotiate`] when [`crate::monitor`] reports a
+    /// violation; see [`crate::actors`].)
     ///
     /// # Errors
     ///
@@ -243,30 +244,6 @@ impl BindingRegistry {
     ) -> Result<StreamBinding, BindError> {
         self.register(producer);
         self.bind(producer.id, consumers)
-    }
-
-    /// Downgrades a binding's contract (renegotiation outcome).
-    // odp-check: allow(dead-pub) — PAPER.md requirement 5: QoS re-negotiation downgrades a binding.
-    pub fn degrade(&mut self, id: BindingId, to: QosSpec) -> bool {
-        match self.bindings.get_mut(&id) {
-            Some(b) => {
-                b.state = BindingState::Degraded(to);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Tears a binding down.
-    // odp-check: allow(dead-pub) — PAPER.md requirement 5: tearing a stream binding down.
-    pub fn unbind(&mut self, id: BindingId) -> bool {
-        match self.bindings.get_mut(&id) {
-            Some(b) => {
-                b.state = BindingState::Failed;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Looks up a binding.
@@ -424,22 +401,5 @@ mod tests {
             reg.bind_resolved(bogus, &[InterfaceId(1)]),
             Err(BindError::WrongDirection(_))
         ));
-    }
-
-    #[test]
-    fn degrade_and_unbind_update_state() {
-        let mut reg = reg_with(MediaKind::Video, QosSpec::video());
-        let b = reg.bind(InterfaceId(0), &[InterfaceId(1)]).unwrap();
-        assert!(reg.degrade(b.id, QosSpec::mobile_video()));
-        assert!(matches!(
-            reg.binding(b.id).unwrap().state,
-            BindingState::Degraded(_)
-        ));
-        assert!(reg.unbind(b.id));
-        assert!(matches!(
-            reg.binding(b.id).unwrap().state,
-            BindingState::Failed
-        ));
-        assert!(!reg.degrade(BindingId(99), QosSpec::video()));
     }
 }

@@ -132,11 +132,6 @@ impl Federation {
         &self.links
     }
 
-    /// The links out of a domain.
-    pub fn links_from(&self, from: DomainId) -> impl Iterator<Item = &TraderLink> {
-        self.links.iter().filter(move |l| l.from == from)
-    }
-
     /// Plans and resolves an import starting at `at`.
     ///
     /// Best-first over accumulated link penalty (ties: fewest hops,
