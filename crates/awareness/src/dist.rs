@@ -128,8 +128,7 @@ impl BusActor {
             if self.telemetry {
                 if let Some(parent) = delivery.span {
                     let child = ctx.rng().span_child(&parent);
-                    ctx.span_open(child, "aware.deliver");
-                    ctx.span_close(child);
+                    ctx.span_instant(child, "aware.deliver");
                 }
             }
             self.delivered.push(BusDelivery {
@@ -165,8 +164,7 @@ impl Actor<GcMsg<BusWire>> for BusActor {
                     // The publish root closes at issue time; deliveries
                     // hang aware.deliver children off it as they land.
                     let root = ctx.rng().span_root();
-                    ctx.span_open(root, "aware.publish");
-                    ctx.span_close(root);
+                    ctx.span_instant(root, "aware.publish");
                     Some(root)
                 } else {
                     None

@@ -162,10 +162,8 @@ pub fn federation_sim(seed: u64, accounted: bool) -> Sim<FedMsg> {
     fed.link_via(DomainId(2), DomainId(3), "", Rights::NONE, penalty_ms(10));
     // Scenario construction: the domains and shards were registered
     // just above, so these cannot fail.
-    // odp-check: allow(unwrap)
     let far = fed.domain_mut(DomainId(3)).expect("D3 registered");
     far.export(conference_offer(NodeId(33)))
-        // odp-check: allow(unwrap)
         .expect("D3 has a shard");
     let tour_id = far
         .export(ServiceOffer::session(
@@ -174,7 +172,6 @@ pub fn federation_sim(seed: u64, accounted: bool) -> Sim<FedMsg> {
             QosSpec::video(),
             NodeId(36),
         ))
-        // odp-check: allow(unwrap)
         .expect("D3 has a shard");
 
     let mut sim = SimBuilder::new(seed).build();

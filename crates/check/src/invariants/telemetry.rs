@@ -11,7 +11,6 @@
 //! completion path) the invariant exists to catch.
 
 use odp_fabric::SpanCarrier;
-use odp_fabric::SpanOp;
 use odp_groupcomm::actors::{GroupActor, GroupApp, RpcConfig};
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::{Delivery, GcMsg, Ordering, Reliability};
@@ -119,26 +118,22 @@ pub fn fingerprint(sim: &Sim<GcMsg<String>>) -> u64 {
             ev.data.as_str(),
         ));
     }
-    // One digested span event: (time, node, op tag, trace, span,
-    // parent, kind name).
+    // One digested span open or close: (time, node, op tag, trace,
+    // span, parent, kind name). An instantaneous span digests as its
+    // open then its close, so the hash reads the log as open/close
+    // pairs however each span was written.
     type SpanDigest<'a> = (u64, u32, u8, u64, u64, Option<u64>, &'a str);
     let log = trace.spans();
     let mut spans: Vec<SpanDigest> = Vec::new();
     for e in log.events() {
-        spans.push(match e.op {
-            SpanOp::Open { span, kind } => (
-                e.time_us,
-                e.node,
-                0,
-                span.trace_id,
-                span.span_id,
-                span.parent,
-                log.kind(kind),
-            ),
-            SpanOp::Close { trace_id, span_id } => {
-                (e.time_us, e.node, 1, trace_id, span_id, None, "")
-            }
-        });
+        if let Some((span, kind)) = e.op.opened() {
+            let (trace_id, span_id) = (span.trace_id, span.span_id);
+            let kind = log.kind(kind);
+            spans.push((e.time_us, e.node, 0, trace_id, span_id, span.parent, kind));
+        }
+        if let Some((trace_id, span_id)) = e.op.closed() {
+            spans.push((e.time_us, e.node, 1, trace_id, span_id, None, ""));
+        }
     }
     crate::explore::hash_of(&(parts, spans, trace.dropped()))
 }

@@ -123,9 +123,13 @@ fn collect_sources(root: &Path) -> Vec<PathBuf> {
 }
 
 /// Applies allow-comments to one file's raw findings and reports the
-/// survivors plus every allow that suppressed nothing.
+/// survivors plus every allow that suppressed nothing. Findings of a
+/// rule out of scope for the file ([`rule_applies`]) are dropped first,
+/// so an allow that only they would use is reported as stale.
 fn lint_file(rel: &Path, scanned: &scanner::ScannedFile, raw: Vec<Finding>) -> Vec<Diagnostic> {
-    let findings = raw.into_iter().filter(|f| !scanned.in_test_code(f.line));
+    let findings = raw
+        .into_iter()
+        .filter(|f| !scanned.in_test_code(f.line) && rule_applies(rel, f.rule));
 
     // Apply allows: a finding on a covered line with a matching rule is
     // suppressed; each allow must suppress at least one finding.
@@ -195,11 +199,7 @@ pub fn lint_workspace(sources: &[Source], manifests: &[Manifest]) -> Vec<Diagnos
         raw.extend(mods);
         raw.extend(rules::run_all(&s.scanned));
         raw.sort_by_key(|f| f.line);
-        out.extend(
-            lint_file(&s.rel, &s.scanned, raw)
-                .into_iter()
-                .filter(|d| rule_applies(&s.rel, &d.rule)),
-        );
+        out.extend(lint_file(&s.rel, &s.scanned, raw));
     }
     out.extend(surface::unused_deps(manifests, sources));
     out
@@ -310,6 +310,26 @@ mod tests {
         assert!(!rule_applies(invariant_harness, "unwrap"));
         assert!(rule_applies(invariant_harness, "wallclock"));
         assert!(rule_applies(bus_protocol, "unwrap"));
+    }
+
+    #[test]
+    fn an_allow_for_a_rule_out_of_scope_in_a_harness_file_is_stale() {
+        let src = "fn f(x: Option<u32>) -> u32 {\n\
+                   // odp-check: allow(unwrap)\n\
+                   x.unwrap()\n\
+                   }\n";
+        let source = |rel: &str| Source {
+            rel: PathBuf::from(rel),
+            scanned: scanner::scan(src),
+        };
+        // In protocol code the allow suppresses a live finding.
+        let d = lint_workspace(&[source("crates/groupcomm/src/rpc.rs")], &[]);
+        assert!(d.is_empty(), "{d:?}");
+        // In a harness file `unwrap` is out of scope, so the allow
+        // suppresses nothing and is reported.
+        let d = lint_workspace(&[source("crates/check/src/invariants/x.rs")], &[]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].line, d[0].rule.as_str()), (2, "unused-allow"));
     }
 
     #[test]

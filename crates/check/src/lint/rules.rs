@@ -83,7 +83,11 @@ pub fn unwrap_rule(file: &ScannedFile) -> Vec<Finding> {
 
 /// Wall-clock time sources and OS-seeded randomness. Everything in a
 /// sim-driven crate must read time from `Ctx::now()` and randomness
-/// from the seeded `DetRng`, or runs stop being reproducible.
+/// from the seeded `DetRng`, or runs stop being reproducible. A word
+/// reached through a type's path (`SpanOp::Instant`: the segment before
+/// `::` is capitalised) is that type's variant or associated item, not
+/// the std one, and does not fire; a module path (`time::Instant`)
+/// does.
 pub fn wallclock_rule(file: &ScannedFile) -> Vec<Finding> {
     let banned: &[(&str, &str)] = &[
         ("Instant", "std::time::Instant is wall-clock"),
@@ -91,8 +95,16 @@ pub fn wallclock_rule(file: &ScannedFile) -> Vec<Finding> {
         ("thread_rng", "thread_rng is OS-seeded"),
         ("from_entropy", "entropy seeding is nondeterministic"),
     ];
+    let toks = &file.tokens;
     let mut out = Vec::new();
-    for t in &file.tokens {
+    for (i, t) in toks.iter().enumerate() {
+        let under_type = i >= 3
+            && toks[i - 1].text == ":"
+            && toks[i - 2].text == ":"
+            && toks[i - 3].text.starts_with(char::is_uppercase);
+        if under_type {
+            continue;
+        }
         for (word, why) in banned {
             if t.text == *word {
                 out.push(Finding {
@@ -408,6 +420,17 @@ mod tests {
         let s = scan("use std::time::Instant; fn f() { let r = thread_rng(); }");
         let f = wallclock_rule(&s);
         assert_eq!(f.len(), 2);
+    }
+
+    #[test]
+    fn wallclock_skips_a_variant_reached_through_its_type() {
+        let s =
+            scan("fn f(op: Op) { if let Op::Instant { .. } = op {} let e = Self::SystemTime; }");
+        assert!(wallclock_rule(&s).is_empty());
+        // Module paths still fire, whatever the crate.
+        let s =
+            scan("fn f() { let a = std::time::Instant::now(); let b = quanta::Instant::now(); }");
+        assert_eq!(wallclock_rule(&s).len(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! The delivery hot path moves five kinds of data millions of times
 //! per run: envelope payloads (multicast fan-out clones one payload per
-//! peer), telemetry span records (two per instrumented hop), small
+//! peer), telemetry span records (one per instrumented hop), small
 //! ordered maps that exist only so iteration order is deterministic,
 //! sequence numbers checked against everything seen before (one
 //! duplicate test per received message), and artefact names (one
@@ -26,7 +26,8 @@
 //!   span — what is minted, carried on envelopes, encoded on the wire
 //!   and collected after the run — and the binary log of span events.
 //!   Kinds are interned to a small [`KindId`]; one span record is a
-//!   fixed-size push.
+//!   fixed-size push, and a span that opens and closes at one instant
+//!   is one record.
 //! - [`SortedVecMap`]: a binary-searched sorted
 //!   vector with the `BTreeMap` API subset the hot sites use. Sound
 //!   wherever the map is small-to-medium and iteration order (not

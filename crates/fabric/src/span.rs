@@ -149,7 +149,12 @@ impl SpanCarrier {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KindId(pub u16);
 
-/// One span operation.
+/// One span operation. A span that opens and closes at the same
+/// instant — most of them: a delivery, a served request, a sent frame —
+/// is one [`SpanOp::Instant`] record; only a span that outlives its
+/// handler (an RPC call awaiting its quorum) is an `Open` and, later, a
+/// `Close`. Read as open/close pairs, an `Instant` is an `Open`
+/// followed by its `Close` at the same time and node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanOp {
     /// A span opened, with its interned kind.
@@ -166,6 +171,36 @@ pub enum SpanOp {
         /// The closing span's id.
         span_id: u64,
     },
+    /// A span opened and closed at the same instant.
+    // A variant of this enum, not `std::time::Instant`.
+    // odp-check: allow(wallclock)
+    Instant {
+        /// The span identity.
+        span: SpanCarrier,
+        /// Which kind, resolvable via [`SpanLog::kind`].
+        kind: KindId,
+    },
+}
+
+impl SpanOp {
+    /// The span this record opens, with its kind: an `Open`'s, or an
+    /// `Instant`'s (read as its open, then [`SpanOp::closed`]).
+    pub fn opened(&self) -> Option<(SpanCarrier, KindId)> {
+        match *self {
+            SpanOp::Open { span, kind } | SpanOp::Instant { span, kind } => Some((span, kind)),
+            SpanOp::Close { .. } => None,
+        }
+    }
+
+    /// The `(trace_id, span_id)` this record closes: a `Close`'s, or an
+    /// `Instant`'s, at the same time it opens.
+    pub fn closed(&self) -> Option<(u64, u64)> {
+        match *self {
+            SpanOp::Close { trace_id, span_id } => Some((trace_id, span_id)),
+            SpanOp::Instant { span, .. } => Some((span.trace_id, span.span_id)),
+            SpanOp::Open { .. } => None,
+        }
+    }
 }
 
 /// One timestamped span record.
@@ -181,8 +216,9 @@ pub struct SpanEvent {
 
 /// The append-only binary span log: a kind-interning table plus a flat
 /// vector of fixed-size [`SpanEvent`]s. Recording a span is one
-/// (amortised) allocation-free push; the collector resolves kinds back
-/// to strings after the run.
+/// (amortised) allocation-free push — one record for an instantaneous
+/// span ([`SpanLog::instant`]), an open and a close for one that spans
+/// time; the collector resolves kinds back to strings after the run.
 ///
 /// ```
 /// use odp_fabric::span::{SpanCarrier, SpanLog, SpanOp};
@@ -190,8 +226,9 @@ pub struct SpanEvent {
 /// let mut log = SpanLog::new();
 /// let root = SpanCarrier::root(1, 10);
 /// log.open(0, 0, root, "rpc.call");
+/// log.instant(120, 1, SpanCarrier::child_of(1, 11, 10), "rpc.serve");
 /// log.close(250, 0, 1, 10);
-/// assert_eq!(log.len(), 2);
+/// assert_eq!(log.len(), 3);
 /// let SpanOp::Open { kind, .. } = log.events()[0].op else { panic!() };
 /// assert_eq!(log.kind(kind), "rpc.call");
 /// ```
@@ -246,6 +283,17 @@ impl SpanLog {
             time_us,
             node,
             op: SpanOp::Close { trace_id, span_id },
+        });
+    }
+
+    /// Records a span that opens and closes at `time_us`: one record
+    /// where [`SpanLog::open`] then [`SpanLog::close`] would write two.
+    pub fn instant(&mut self, time_us: u64, node: u32, span: SpanCarrier, kind: &str) {
+        let kind = self.intern(kind);
+        self.events.push(SpanEvent {
+            time_us,
+            node,
+            op: SpanOp::Instant { span, kind },
         });
     }
 
@@ -346,5 +394,26 @@ mod tests {
         log.clear();
         assert!(log.is_empty());
         assert!(log.kinds().is_empty());
+    }
+
+    #[test]
+    fn an_instant_span_is_one_record() {
+        let mut log = SpanLog::new();
+        let span = SpanCarrier::child_of(3, 7, 1);
+        log.instant(40, 5, span, "gc.deliver");
+        assert_eq!(log.len(), 1);
+        let SpanEvent { time_us, node, op } = log.events()[0];
+        assert_eq!((time_us, node), (40, 5));
+        let SpanOp::Instant { span: got, kind } = op else {
+            panic!("expected an instant record, got {op:?}");
+        };
+        assert_eq!(got, span);
+        assert_eq!(log.kind(kind), "gc.deliver");
+        // Read as open/close pairs it is an open then its close.
+        assert_eq!(op.opened(), Some((span, kind)));
+        assert_eq!(op.closed(), Some((3, 7)));
+        // The kind is interned like an open's.
+        log.open(41, 5, SpanCarrier::root(4, 1), "gc.deliver");
+        assert_eq!(log.kinds().len(), 1);
     }
 }

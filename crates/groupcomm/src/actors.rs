@@ -180,8 +180,7 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
                     // Each delivery is an instantaneous child span: the
                     // gap back to the root open is the delivery latency.
                     let child = ctx.rng().span_child(&parent);
-                    ctx.span_open(child, "gc.deliver");
-                    ctx.span_close(child);
+                    ctx.span_instant(child, "gc.deliver");
                 }
             }
             self.app.on_deliver(ctx, delivery);
@@ -273,8 +272,7 @@ impl<P: Clone + Any, A: GroupApp<P>> Actor<GcMsg<P>> for GroupActor<P, A> {
                         // The mcast root closes at issue time; deliveries
                         // hang their children off it as they land.
                         let root = ctx.rng().span_root();
-                        ctx.span_open(root, "gc.mcast");
-                        ctx.span_close(root);
+                        ctx.span_instant(root, "gc.mcast");
                         Some(root)
                     } else {
                         None
@@ -289,8 +287,7 @@ impl<P: Clone + Any, A: GroupApp<P>> Actor<GcMsg<P>> for GroupActor<P, A> {
                     let serve = match body.span.filter(|_| self.telemetry) {
                         Some(parent) => {
                             let serve = ctx.rng().span_child(&parent);
-                            ctx.span_open(serve, "rpc.serve");
-                            ctx.span_close(serve);
+                            ctx.span_instant(serve, "rpc.serve");
                             Some(serve)
                         }
                         None => None,
@@ -316,8 +313,7 @@ impl<P: Clone + Any, A: GroupApp<P>> Actor<GcMsg<P>> for GroupActor<P, A> {
                 let ReplyBody { span, payload } = *body;
                 if let Some(parent) = span.filter(|_| self.telemetry) {
                     let reply = ctx.rng().span_child(&parent);
-                    ctx.span_open(reply, "rpc.reply");
-                    ctx.span_close(reply);
+                    ctx.span_instant(reply, "rpc.reply");
                 }
                 if let Some(outcome) = self.rpc.on_reply(call, from, payload, ctx.now()) {
                     self.close_call_span(ctx, outcome.call);
@@ -639,6 +635,48 @@ mod tests {
         let delivers = dag.spans().filter(|s| s.kind == "gc.deliver").count();
         assert_eq!(delivers, 3);
         assert_eq!(dag.len(), 4);
+    }
+
+    #[test]
+    fn a_spanned_multicast_records_one_record_per_span() {
+        use odp_telemetry::collector::Collector;
+
+        // k multicasts in an N-member reliable total-order group: each
+        // is a `gc.mcast` root plus one `gc.deliver` per member, and
+        // every one of those spans opens and closes in one handler.
+        const N: u32 = 4;
+        const K: u64 = 5;
+        let view = View::initial(GroupId(0), (0..N).map(NodeId));
+        let mut sim: Sim<GcMsg<String>> = SimBuilder::new(29).build();
+        for i in 0..N {
+            let mut member = GroupActor::new(
+                NodeId(i),
+                view.clone(),
+                Ordering::Total,
+                Reliability::reliable(),
+                Recorder::default(),
+            );
+            member.set_telemetry(true);
+            sim.add_actor(NodeId(i), member);
+        }
+        for k in 0..K {
+            let from = NodeId((k % u64::from(N)) as u32);
+            sim.inject(
+                SimTime::from_millis(k),
+                from,
+                from,
+                GcMsg::AppCmd(format!("m{k}")),
+            );
+        }
+        sim.run(Until::For(SimDuration::from_secs(5)));
+
+        let spans = K as usize * (N as usize + 1);
+        assert_eq!(sim.trace().spans().len(), spans, "one record per span");
+        let collector = Collector::from_trace(sim.trace());
+        collector.well_formed().expect("instant spans well-formed");
+        assert_eq!(collector.len(), K as usize, "one trace per multicast");
+        assert_eq!(collector.span_count(), spans);
+        assert_eq!(collector.unclosed(), 0);
     }
 
     #[test]

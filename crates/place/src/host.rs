@@ -234,8 +234,7 @@ impl TileHostActor {
         let Some(parent) = parent else { return };
         let child = ctx.rng().span_child(&parent);
         let now = ctx.now();
-        ctx.span_open(child, "tile.serve");
-        ctx.span_close(child);
+        ctx.span_instant(child, "tile.serve");
         let me = self.me;
         self.buffer_span(
             ctx,

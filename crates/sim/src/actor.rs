@@ -218,4 +218,12 @@ impl<'a, M> Ctx<'a, M> {
     pub fn span_close(&mut self, span: odp_fabric::SpanCarrier) {
         self.trace.span_close(self.now, self.id, span);
     }
+
+    /// Records a telemetry span that opens and closes now — a delivery,
+    /// a served request — as one record of the binary span log. Use
+    /// [`Ctx::span_open`] and [`Ctx::span_close`] only for a span that
+    /// outlives this handler.
+    pub fn span_instant(&mut self, span: odp_fabric::SpanCarrier, kind: &str) {
+        self.trace.span_instant(self.now, self.id, span, kind);
+    }
 }

@@ -246,9 +246,20 @@ impl Trace {
             .close(time.as_micros(), node.0, span.trace_id, span.span_id);
     }
 
+    /// Records a telemetry span that opens and closes at `time` as one
+    /// record (no-op when disabled) — half the log of
+    /// [`Trace::span_open`] then [`Trace::span_close`].
+    pub fn span_instant(&mut self, time: SimTime, node: NodeId, span: SpanCarrier, kind: &str) {
+        if !self.enabled {
+            return;
+        }
+        self.spans.instant(time.as_micros(), node.0, span, kind);
+    }
+
     /// The binary span log (unbounded; span records are fixed-size and
     /// a run's span count is bounded by its instrumented message count,
-    /// unlike free-form string records).
+    /// unlike free-form string records). An instantaneous span is one
+    /// record, a span that outlives its handler an open and a close.
     pub fn spans(&self) -> &SpanLog {
         &self.spans
     }

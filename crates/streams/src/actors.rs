@@ -157,8 +157,7 @@ impl Actor<StreamMsg> for SourceActor {
                 // stream.recv child off it as the frame lands.
                 if self.telemetry {
                     let root = ctx.rng().span_root();
-                    ctx.span_open(root, "stream.frame");
-                    ctx.span_close(root);
+                    ctx.span_instant(root, "stream.frame");
                     frame.span = Some(root);
                 }
                 ctx.metrics().incr("stream.frames_sent");
@@ -239,8 +238,7 @@ impl Actor<StreamMsg> for SinkActor {
                 if self.telemetry {
                     if let Some(parent) = frame.span {
                         let recv = ctx.rng().span_child(&parent);
-                        ctx.span_open(recv, "stream.recv");
-                        ctx.span_close(recv);
+                        ctx.span_instant(recv, "stream.recv");
                     }
                 }
                 self.sink.arrive(frame, ctx.now());

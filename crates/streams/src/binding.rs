@@ -50,17 +50,6 @@ pub struct StreamInterface {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BindingId(pub u32);
 
-/// The lifecycle of a binding.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BindingState {
-    /// Running at the agreed contract.
-    Established(QosSpec),
-    /// Running at a renegotiated (weaker) contract.
-    Degraded(QosSpec),
-    /// Torn down.
-    Failed,
-}
-
 /// A bound stream: one producer, N consumers, one agreed contract.
 #[derive(Debug, Clone)]
 pub struct StreamBinding {
@@ -70,8 +59,8 @@ pub struct StreamBinding {
     pub producer: InterfaceId,
     /// The consuming interfaces.
     pub consumers: Vec<InterfaceId>,
-    /// Current state.
-    pub state: BindingState,
+    /// The contract agreed at bind time.
+    pub agreed: QosSpec,
 }
 
 /// Why a bind attempt failed.
@@ -221,7 +210,7 @@ impl BindingRegistry {
             id,
             producer,
             consumers: consumers.to_vec(),
-            state: BindingState::Established(agreed),
+            agreed,
         };
         self.bindings.insert(id, binding.clone());
         Ok(binding)
@@ -291,7 +280,7 @@ mod tests {
     fn successful_bind_establishes_a_contract() {
         let mut reg = reg_with(MediaKind::Video, QosSpec::video());
         let b = reg.bind(InterfaceId(0), &[InterfaceId(1)]).unwrap();
-        assert!(matches!(b.state, BindingState::Established(_)));
+        assert_eq!(b.agreed, QosSpec::video());
         assert!(reg.binding(b.id).is_some());
     }
 
@@ -337,13 +326,10 @@ mod tests {
         let b = reg
             .bind(InterfaceId(0), &[InterfaceId(1), InterfaceId(2)])
             .unwrap();
-        let BindingState::Established(spec) = b.state else {
-            panic!("expected establishment");
-        };
         // The shared stream must meet the *strict* consumer (25 fps,
         // 150 ms) — the tolerant mobile consumer simply gets more.
-        assert_eq!(spec.throughput_fps, 25);
-        assert_eq!(spec.latency_bound, QosSpec::video().latency_bound);
+        assert_eq!(b.agreed.throughput_fps, 25);
+        assert_eq!(b.agreed.latency_bound, QosSpec::video().latency_bound);
     }
 
     #[test]
@@ -387,7 +373,7 @@ mod tests {
             qos: QosSpec::video(),
         };
         let b = reg.bind_resolved(resolved, &[InterfaceId(1)]).unwrap();
-        assert!(matches!(b.state, BindingState::Established(_)));
+        assert_eq!(b.agreed, QosSpec::video());
         assert_eq!(reg.interface(InterfaceId(40)).unwrap().node, NodeId(9));
         // A resolved *consumer* interface still fails direction checks.
         let bogus = StreamInterface {

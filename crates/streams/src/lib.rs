@@ -31,8 +31,7 @@ pub mod transfer;
 
 pub use actors::{SinkActor, SourceActor, StreamMsg};
 pub use binding::{
-    BindError, BindingId, BindingRegistry, BindingState, Direction, InterfaceId, StreamBinding,
-    StreamInterface,
+    BindError, BindingId, BindingRegistry, Direction, InterfaceId, StreamBinding, StreamInterface,
 };
 pub use media::{Frame, FrameFate, MediaKind, MediaSink, MediaSource, PlayoutRecord, StreamId};
 pub use monitor::{QosMonitor, Violation};

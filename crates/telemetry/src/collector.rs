@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use odp_fabric::{SpanCarrier, SpanOp};
+use odp_fabric::SpanCarrier;
 use odp_sim::metrics::Histogram;
 use odp_sim::net::NodeId;
 use odp_sim::time::SimTime;
@@ -203,19 +203,18 @@ impl Collector {
 
     /// Builds a collector from a finished run's trace by replaying the
     /// binary [`odp_fabric::SpanLog`] riding on it — the one channel
-    /// instrumented code records spans through.
+    /// instrumented code records spans through. An instantaneous record
+    /// is ingested as an open and a close at its own time.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut c = Collector::new();
         let log = trace.spans();
         for e in log.events() {
             let time = SimTime::from_micros(e.time_us);
-            match e.op {
-                SpanOp::Open { span, kind } => {
-                    c.ingest_open(time, NodeId(e.node), span, log.kind(kind));
-                }
-                SpanOp::Close { trace_id, span_id } => {
-                    c.ingest_close(time, trace_id, span_id);
-                }
+            if let Some((span, kind)) = e.op.opened() {
+                c.ingest_open(time, NodeId(e.node), span, log.kind(kind));
+            }
+            if let Some((trace_id, span_id)) = e.op.closed() {
+                c.ingest_close(time, trace_id, span_id);
             }
         }
         c
@@ -469,6 +468,36 @@ mod tests {
             hists.get("rpc.serve").map(|h| h.mean()),
             Some(SimDuration::from_millis(4))
         );
+    }
+
+    #[test]
+    fn an_instant_record_is_a_span_closed_where_it_opened() {
+        let root = SpanCarrier::root(12, 1);
+        let deliver = SpanCarrier::child_of(12, 2, 1);
+        let mut tr = Trace::new();
+        tr.span_instant(t(0), NodeId(0), root, "gc.mcast");
+        tr.span_instant(t(15), NodeId(3), deliver, "gc.deliver");
+        assert_eq!(tr.spans().len(), 2);
+        let c = Collector::from_trace(&tr);
+        assert!(c.well_formed().is_ok(), "{:?}", c.well_formed());
+        let dag = c.trace(12).expect("trace 12 collected");
+        let got = dag.get(2).expect("deliver span collected");
+        assert_eq!(got.kind, "gc.deliver");
+        assert_eq!(got.node, NodeId(3));
+        assert_eq!((got.opened, got.closed), (t(15), Some(t(15))));
+        assert_eq!(dag.get(1).map(|s| s.closed), Some(Some(t(0))));
+        assert_eq!(
+            c.kind_histograms().get("gc.deliver").map(|h| h.mean()),
+            Some(SimDuration::from_millis(15))
+        );
+
+        // Known-bad: an instant record for a span id that is already
+        // open is a second open, not a silent close of the first.
+        let mut bad = Trace::new();
+        bad.span_open(t(0), NodeId(0), root, "rpc.call");
+        bad.span_instant(t(2), NodeId(1), root, "rpc.serve");
+        let err = Collector::from_trace(&bad).well_formed().unwrap_err();
+        assert!(err.contains("opened twice"), "{err}");
     }
 
     #[test]

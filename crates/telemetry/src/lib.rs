@@ -9,9 +9,11 @@
 //! Spans themselves are not made here: an instrumented actor mints an
 //! [`odp_fabric::SpanCarrier`] from its seeded rng
 //! ([`DetRng::span_root`] / [`DetRng::span_child`]), carries it on its
-//! envelopes and records it through its context's `span_open` /
-//! `span_close` into the run's [`odp_sim::trace::Trace`]. This crate
-//! reads that record back:
+//! envelopes and records it into the run's [`odp_sim::trace::Trace`]
+//! through its context: one `span_instant` record for a span that opens
+//! and closes in one handler, a `span_open` and a later `span_close` for
+//! one that outlives it. This crate reads that record back, an instant
+//! record as an open and a close at the same time:
 //!
 //! - [`collector`] — the [`Collector`] assembling spans into per-trace
 //!   causal DAGs, with well-formedness audits and critical-path

@@ -249,8 +249,7 @@ impl Actor<TraderMsg> for TraderActor {
                 let serve = match span.filter(|_| self.telemetry) {
                     Some(parent) => {
                         let serve = ctx.rng().span_child(&parent);
-                        ctx.span_open(serve, "trader.serve");
-                        ctx.span_close(serve);
+                        ctx.span_instant(serve, "trader.serve");
                         Some(serve)
                     }
                     None => None,
@@ -568,8 +567,7 @@ impl Actor<TraderMsg> for ImporterActor {
                 if self.telemetry {
                     if let Some(serve) = span {
                         let reply = ctx.rng().span_child(&serve);
-                        ctx.span_open(reply, "trader.reply");
-                        ctx.span_close(reply);
+                        ctx.span_instant(reply, "trader.reply");
                     }
                     if let Some(root) = root {
                         ctx.span_close(root);

@@ -13,9 +13,7 @@ use cscw::core::session::{Session, SessionId, SessionMode};
 use cscw::core::workspace::{ObjectId, SharedWorkspace};
 use cscw::mobility::host::MobileHost;
 use cscw::mobility::reintegration::ConflictPolicy;
-use cscw::streams::binding::{
-    BindingRegistry, BindingState, Direction, InterfaceId, StreamInterface,
-};
+use cscw::streams::binding::{BindingRegistry, Direction, InterfaceId, StreamInterface};
 use cscw::streams::media::MediaKind;
 use cscw::streams::qos::{negotiate, NegotiationOutcome, QosSpec};
 use cscw::trader::federation::{DomainId, Federation};
@@ -230,7 +228,7 @@ fn trader_resolved_producer_binds_with_negotiated_contract() {
         NegotiationOutcome::Agreed(spec) => spec,
         NegotiationOutcome::BestEffortOnly(best) => panic!("unexpected best-effort: {best:?}"),
     };
-    assert_eq!(binding.state, BindingState::Established(direct));
+    assert_eq!(binding.agreed, direct);
     assert_eq!(
         resolution.matched.agreed, direct,
         "trader and registry agree"
