@@ -318,7 +318,7 @@ mod tests {
         collector.well_formed().expect("aware spans well-formed");
         assert_eq!(collector.len(), 1, "one publication, one causal trace");
         let (_, dag) = collector.traces().next().unwrap();
-        let kinds: Vec<_> = dag.spans().map(|s| s.kind.as_str()).collect();
+        let kinds: Vec<_> = dag.spans().map(|s| &*s.kind).collect();
         assert_eq!(kinds.iter().filter(|k| **k == "aware.publish").count(), 1);
         // One aware.deliver per surfaced grant (observers 1 and 2).
         assert_eq!(kinds.iter().filter(|k| **k == "aware.deliver").count(), 2);

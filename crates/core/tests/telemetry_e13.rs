@@ -95,7 +95,7 @@ fn group_rpc_critical_path_runs_through_the_slowest_member() {
     assert_eq!(dag.len(), 7, "rpc.call root + 3 serves + 3 replies");
 
     let path = dag.critical_path();
-    let kinds: Vec<&str> = path.iter().map(|s| s.kind.as_str()).collect();
+    let kinds: Vec<&str> = path.iter().map(|s| &*s.kind).collect();
     assert_eq!(kinds, ["rpc.call", "rpc.serve", "rpc.reply"]);
     assert_eq!(
         path[1].node, laggard,

@@ -597,7 +597,7 @@ mod tests {
         let (_, dag) = collector.traces().next().unwrap();
         // rpc.call root + 2 serves + 2 replies.
         assert_eq!(dag.len(), 5);
-        let path: Vec<_> = dag.critical_path().iter().map(|s| s.kind.clone()).collect();
+        let path: Vec<_> = dag.critical_path().iter().map(|s| &*s.kind).collect();
         assert_eq!(path, ["rpc.call", "rpc.serve", "rpc.reply"]);
     }
 
@@ -632,7 +632,7 @@ mod tests {
         let (_, dag) = collector.traces().next().unwrap();
         // One gc.mcast root plus a gc.deliver child per member (total
         // ordering delivers at all 3 members, sender included).
-        let delivers = dag.spans().filter(|s| s.kind == "gc.deliver").count();
+        let delivers = dag.spans().filter(|s| &*s.kind == "gc.deliver").count();
         assert_eq!(delivers, 3);
         assert_eq!(dag.len(), 4);
     }

@@ -9,7 +9,10 @@
 //!
 //! * a listener accepts connections from lower-numbered peers, a
 //!   dialer thread per higher-numbered peer connects (and reconnects)
-//!   outward, so each pair shares exactly one TCP connection;
+//!   outward, so each pair shares exactly one TCP connection. The
+//!   acceptor blocks in `accept` and takes a dialer's connection the
+//!   moment it arrives; at stop the driver wakes it with one loopback
+//!   connect of its own, and it drops the listener;
 //! * per-connection reader threads decode length-prefixed
 //!   [`Frame`]s (see [`crate::wire`]) and feed them to the single
 //!   driver thread over a channel — the core is never touched
@@ -131,7 +134,6 @@ impl TcpNode {
     /// Binds a node on a loopback port chosen by the OS.
     pub fn bind(me: NodeId, cfg: TcpConfig) -> Result<Self, NetError> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
         Ok(TcpNode {
             me,
             listener,
@@ -234,6 +236,9 @@ where
     }
     let mut core = DriverCore::new(session, node.cfg.seed, node.cfg.max_frame, actor);
     let idle_cap = Duration::from_micros(node.cfg.session.heartbeat_every.as_micros() / 2);
+    // Read before the acceptor takes the listener: the wake at stop
+    // dials it.
+    let listening = node.listener.local_addr().ok();
     spawn_io(node, tx, Arc::clone(&stop));
     let mut streams: BTreeMap<u64, TcpStream> = BTreeMap::new();
     // One write per connection; the write halves the core let go close.
@@ -281,6 +286,11 @@ where
     }
     flush(&mut core, &mut streams);
     stop.store(true, AtomicOrdering::SeqCst);
+    // The acceptor is blocked in `accept`: one connection wakes it to
+    // see `stop`.
+    if let Some(addr) = listening {
+        let _ = TcpStream::connect(addr);
+    }
     core.finish()
 }
 
@@ -293,27 +303,30 @@ fn spawn_io<M: WireCodec + Send + 'static>(
     let max_frame = node.cfg.max_frame;
     // Every connection, accepted or dialed, gets the next id.
     let next_conn = Arc::new(AtomicU64::new(0));
-    // Acceptor: non-blocking poll so the thread can observe stop.
+    // Acceptor: blocks in `accept`, so a dialer's connection is taken
+    // as it arrives. Whatever `accept` returns once `stop` is set — the
+    // driver's wake-up connect among them — ends it, and the listener
+    // closes with it.
     let listener = node.listener;
     let accept_tx = tx.clone();
     let accept_stop = Arc::clone(&stop);
     let conns = Arc::clone(&next_conn);
-    std::thread::spawn(move || {
-        while !accept_stop.load(AtomicOrdering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let tx = accept_tx.clone();
-                    let stop = Arc::clone(&accept_stop);
-                    let conn = conns.fetch_add(1, AtomicOrdering::Relaxed);
-                    std::thread::spawn(move || {
-                        read_loop::<M>(stream, conn, None, tx, stop, max_frame);
-                    });
-                }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => break,
+    std::thread::spawn(move || loop {
+        let accepted = listener.accept();
+        if accept_stop.load(AtomicOrdering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                let tx = accept_tx.clone();
+                let stop = Arc::clone(&accept_stop);
+                let conn = conns.fetch_add(1, AtomicOrdering::Relaxed);
+                std::thread::spawn(move || {
+                    read_loop::<M>(stream, conn, None, tx, stop, max_frame);
+                });
             }
+            Err(err) if err.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break,
         }
     });
     // Dialers: this node connects to every larger-id peer.
@@ -356,6 +369,8 @@ fn read_loop<M: WireCodec + Send + 'static>(
     max_frame: usize,
 ) {
     let _ = stream.set_nodelay(true);
+    // The timeout exists only so the loop sees `stop`; taking it out
+    // needs a registry of live connections to shut down at stop.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
     let Ok(mut reader) = stream.try_clone() else {
         return;

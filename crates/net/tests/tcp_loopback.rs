@@ -12,10 +12,10 @@
 //! session heartbeat (25 ms) rather than the sleeps' generosity.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use odp_awareness::bus::{CoopEvent, CoopKind, EventBus};
 use odp_awareness::dist::{BusActor, BusWire};
@@ -256,6 +256,25 @@ fn a_send_injected_just_before_stop_still_leaves() {
     drop(sender.stop().expect("sender stops"));
     assert_eq!(got.recv_timeout(PATIENCE), Ok(1), "the last send was lost");
     drop(receiver.stop().expect("receiver stops"));
+}
+
+#[test]
+fn a_stopped_node_stops_listening() {
+    let (out, _got) = mpsc::channel();
+    let node = bound_fleet(1, 23).pop().expect("node 0");
+    let addr = node.local_addr().expect("local addr");
+    drop(node.spawn(relay(0, 0, &out)).stop().expect("node stops"));
+    // The acceptor blocks in `accept`; only the wake-up connect made at
+    // stop lets it see the flag and close the listener. A connect from
+    // here would wake it as well, so the probe binds the port instead,
+    // which succeeds only once the listener is closed.
+    let deadline = Instant::now() + PATIENCE;
+    while TcpListener::bind(addr).is_err() {
+        assert!(Instant::now() < deadline, "the listener outlived stop");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let refused = TcpStream::connect(addr).map_err(|err| err.kind()).err();
+    assert_eq!(refused, Some(ErrorKind::ConnectionRefused));
 }
 
 #[test]

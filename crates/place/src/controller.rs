@@ -338,7 +338,7 @@ impl PlacementActor {
             };
             let Some(serve) = dag
                 .spans()
-                .find(|s| s.kind == "tile.serve" && s.closed.is_some())
+                .find(|s| &*s.kind == "tile.serve" && s.closed.is_some())
             else {
                 continue; // serve report not in yet; fold later
             };

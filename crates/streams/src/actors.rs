@@ -347,11 +347,7 @@ mod tests {
             assert!(dag.len() <= 2);
             if dag.len() == 2 {
                 delivered += 1;
-                let kinds: Vec<&str> = dag
-                    .critical_path()
-                    .iter()
-                    .map(|s| s.kind.as_str())
-                    .collect();
+                let kinds: Vec<&str> = dag.critical_path().iter().map(|s| &*s.kind).collect();
                 assert_eq!(kinds, ["stream.frame", "stream.recv"]);
             }
         }

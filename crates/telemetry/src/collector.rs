@@ -9,7 +9,8 @@
 //! that closed last in virtual time, which for a quorum group RPC is
 //! exactly the slowest member's reply chain.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use odp_fabric::SpanCarrier;
 use odp_sim::metrics::Histogram;
@@ -23,8 +24,9 @@ use odp_sim::trace::Trace;
 pub struct SpanRecord {
     /// The span's identity within its trace.
     pub ctx: SpanCarrier,
-    /// Stable dotted kind, e.g. `rpc.serve`.
-    pub kind: String,
+    /// Stable dotted kind, e.g. `rpc.serve`: one copy per distinct kind,
+    /// shared by every span of that kind in the collector.
+    pub kind: Arc<str>,
     /// The node that opened the span.
     pub node: NodeId,
     /// Virtual time the span opened.
@@ -192,6 +194,8 @@ impl TraceDag {
 #[derive(Debug, Clone, Default)]
 pub struct Collector {
     traces: BTreeMap<u64, TraceDag>,
+    /// Every kind seen, interned: a span holds a reference, not a copy.
+    kinds: BTreeSet<Arc<str>>,
     errors: Vec<String>,
 }
 
@@ -204,42 +208,68 @@ impl Collector {
     /// Builds a collector from a finished run's trace by replaying the
     /// binary [`odp_fabric::SpanLog`] riding on it — the one channel
     /// instrumented code records spans through. An instantaneous record
-    /// is ingested as an open and a close at its own time.
+    /// is ingested as an open and a close at its own time; its close is
+    /// applied only if its open was accepted, so an instant record that
+    /// reuses an open span's id cannot close that span.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut c = Collector::new();
         let log = trace.spans();
+        // Every kind id in the log indexes its kind table.
+        let kinds: Vec<Arc<str>> = log.kinds().iter().map(|k| c.intern(k)).collect();
         for e in log.events() {
             let time = SimTime::from_micros(e.time_us);
-            if let Some((span, kind)) = e.op.opened() {
-                c.ingest_open(time, NodeId(e.node), span, log.kind(kind));
-            }
-            if let Some((trace_id, span_id)) = e.op.closed() {
+            let accepted = match e.op.opened() {
+                Some((span, kind)) => {
+                    let kind = Arc::clone(&kinds[usize::from(kind.0)]);
+                    c.open(time, NodeId(e.node), span, kind)
+                }
+                None => true,
+            };
+            if let Some((trace_id, span_id)) = e.op.closed().filter(|_| accepted) {
                 c.ingest_close(time, trace_id, span_id);
             }
         }
         c
     }
 
+    /// The collector's one copy of `kind`.
+    fn intern(&mut self, kind: &str) -> Arc<str> {
+        if let Some(kind) = self.kinds.get(kind) {
+            return Arc::clone(kind);
+        }
+        let kind: Arc<str> = Arc::from(kind);
+        self.kinds.insert(Arc::clone(&kind));
+        kind
+    }
+
     /// Records a span opening.
     pub fn ingest_open(&mut self, time: SimTime, node: NodeId, ctx: SpanCarrier, kind: &str) {
+        let kind = self.intern(kind);
+        self.open(time, node, ctx, kind);
+    }
+
+    /// Records a span opening; false (and an error) if its id is
+    /// already open in its trace.
+    fn open(&mut self, time: SimTime, node: NodeId, ctx: SpanCarrier, kind: Arc<str>) -> bool {
         let dag = self.traces.entry(ctx.trace_id).or_default();
         if dag.spans.contains_key(&ctx.span_id) {
             self.errors.push(format!(
                 "span {:016x}/{:016x} opened twice",
                 ctx.trace_id, ctx.span_id
             ));
-            return;
+            return false;
         }
         dag.spans.insert(
             ctx.span_id,
             SpanRecord {
                 ctx,
-                kind: kind.to_owned(),
+                kind,
                 node,
                 opened: time,
                 closed: None,
             },
         );
+        true
     }
 
     /// Records a span closing.
@@ -315,8 +345,8 @@ impl Collector {
     /// its close time minus its trace's root open — i.e. how deep into
     /// the causal exchange that step completed. This turns, e.g., every
     /// `gc.deliver` close into an end-to-end delivery latency sample.
-    pub fn kind_histograms(&self) -> BTreeMap<String, Histogram> {
-        let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
+    pub fn kind_histograms(&self) -> BTreeMap<Arc<str>, Histogram> {
+        let mut hists: BTreeMap<Arc<str>, Histogram> = BTreeMap::new();
         for dag in self.traces.values() {
             let Some(start) = dag.root_open() else {
                 continue;
@@ -378,7 +408,7 @@ mod tests {
             .unwrap()
             .critical_path()
             .iter()
-            .map(|s| s.kind.as_str())
+            .map(|s| &*s.kind)
             .collect();
         assert_eq!(kinds, ["rpc.call", "rpc.serve", "rpc.reply"]);
     }
@@ -482,7 +512,7 @@ mod tests {
         assert!(c.well_formed().is_ok(), "{:?}", c.well_formed());
         let dag = c.trace(12).expect("trace 12 collected");
         let got = dag.get(2).expect("deliver span collected");
-        assert_eq!(got.kind, "gc.deliver");
+        assert_eq!(&*got.kind, "gc.deliver");
         assert_eq!(got.node, NodeId(3));
         assert_eq!((got.opened, got.closed), (t(15), Some(t(15))));
         assert_eq!(dag.get(1).map(|s| s.closed), Some(Some(t(0))));
@@ -498,6 +528,38 @@ mod tests {
         bad.span_instant(t(2), NodeId(1), root, "rpc.serve");
         let err = Collector::from_trace(&bad).well_formed().unwrap_err();
         assert!(err.contains("opened twice"), "{err}");
+    }
+
+    #[test]
+    fn a_rejected_instant_leaves_the_open_span_to_its_own_close() {
+        let root = SpanCarrier::root(13, 1);
+        let mut tr = Trace::new();
+        tr.span_open(t(0), NodeId(0), root, "rpc.call");
+        tr.span_instant(t(2), NodeId(1), root, "rpc.serve");
+        tr.span_close(t(9), NodeId(0), root);
+        let c = Collector::from_trace(&tr);
+        let span = c.trace(13).and_then(|dag| dag.get(1)).expect("span 1");
+        assert_eq!(&*span.kind, "rpc.call");
+        assert_eq!((span.opened, span.closed), (t(0), Some(t(9))));
+        let err = c.well_formed().unwrap_err();
+        assert!(err.contains("opened twice"), "{err}");
+        assert_eq!(c.errors().len(), 1, "{:?}", c.errors());
+    }
+
+    #[test]
+    fn spans_of_one_kind_share_one_copy_of_it() {
+        let mut tr = Trace::new();
+        for id in 1..=3 {
+            tr.span_instant(t(id), NodeId(0), SpanCarrier::root(id, id), "gc.deliver");
+        }
+        let c = Collector::from_trace(&tr);
+        let kinds: Vec<&Arc<str>> = c
+            .traces()
+            .flat_map(|(_, d)| d.spans())
+            .map(|s| &s.kind)
+            .collect();
+        assert_eq!(kinds.len(), 3);
+        assert!(kinds.iter().all(|k| Arc::ptr_eq(k, kinds[0])));
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //!
 //! let dag = c.trace(call.trace_id).unwrap();
 //! assert!(dag.well_formed().is_ok());
-//! let path: Vec<_> = dag.critical_path().iter().map(|s| s.kind.clone()).collect();
+//! let path: Vec<_> = dag.critical_path().iter().map(|s| &*s.kind).collect();
 //! assert_eq!(path, ["rpc.call", "rpc.serve"]);
 //! ```
 //!

@@ -57,12 +57,12 @@ impl TelemetryReport {
                 let sub = subsystems
                     .entry(subsystem_of(&s.kind).to_owned())
                     .or_default();
-                *sub.counters.entry(s.kind.clone()).or_insert(0) += 1;
+                *sub.counters.entry(s.kind.to_string()).or_insert(0) += 1;
             }
         }
         for (kind, hist) in &mut collector.kind_histograms() {
             let sub = subsystems.entry(subsystem_of(kind).to_owned()).or_default();
-            sub.latency.insert(kind.clone(), hist.summary());
+            sub.latency.insert(kind.to_string(), hist.summary());
         }
         TelemetryReport {
             seed,

@@ -757,11 +757,7 @@ mod tests {
         assert_eq!(collector.len(), 1, "one lookup, one trace");
         let dag = collector.traces().next().unwrap().1;
         assert_eq!(dag.len(), 3);
-        let kinds: Vec<&str> = dag
-            .critical_path()
-            .iter()
-            .map(|s| s.kind.as_str())
-            .collect();
+        let kinds: Vec<&str> = dag.critical_path().iter().map(|s| &*s.kind).collect();
         assert_eq!(kinds, ["trader.import", "trader.serve", "trader.reply"]);
     }
 
