@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// The report harness: a failed experiment aborts the run by design.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 //! # cscw-bench — the evaluation
 //!

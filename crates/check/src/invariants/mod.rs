@@ -39,6 +39,10 @@
 //!   once, and no write lands inside a freeze window
 //!   ([`odp_place`]).
 
+// Scenario harnesses: a failed construction aborts the check run by
+// design.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod awareness;
 pub mod federation;
 pub mod groupcomm;

@@ -6,15 +6,16 @@
 //! *checkable*, not aspirational.
 //!
 //! **The lint pass** ([`lint`]) is a self-contained source analyzer
-//! (token scanner; no rustc plugin, no network) enforcing project rules
-//! over every non-test crate source: no `unwrap()`/`expect()` in
-//! protocol code, no wall-clock time or OS randomness in sim-driven
-//! code, no iteration over `HashMap`/`HashSet` whose order could leak
-//! into messages, and no allocation on the delivery hot path. Across
-//! the workspace it also fails on a `pub` item nothing names
-//! (`dead-pub`) and on a dependency no source names (`unused-dep`).
-//! Findings are suppressed per-site with `// odp-check: allow(<rule>)`
-//! comments, and an allow that suppresses nothing is itself an error.
+//! (token scanner; no rustc plugin, no network) that fails on
+//! allocation on the delivery hot path in any non-test crate source,
+//! and, across the workspace, on a `pub` item or module nothing names
+//! (`dead-pub`, `dead-mod`) and on a dependency no source names
+//! (`unused-dep`). Findings are suppressed per-site with
+//! `// odp-check: allow(<rule>)` comments, and an allow that suppresses
+//! nothing is itself an error. No `unwrap()`/`expect()` in protocol
+//! code, no wall-clock read and no iteration over `HashMap`/`HashSet`
+//! are clippy's: it sees types (the root `clippy.toml` and CI's `lint`
+//! job).
 //!
 //! **The schedule explorer** ([`explore`]) drives the simulator through
 //! a bounded DFS over message-delivery permutations, checking

@@ -1,14 +1,15 @@
 //! The workspace lint pass.
 //!
 //! A self-contained source-level analyzer: no rustc plugin, no network
-//! access, no syn — just the [`scanner`] token stream, a handful of
-//! project-specific per-file [`rules`], and the workspace-wide
+//! access, no syn — just the [`scanner`] token stream, the per-file
+//! `hot-path-alloc` rule in [`rules`], and the workspace-wide
 //! [`surface`] rules (`dead-pub`, `dead-mod`, `unused-dep`). The pass
 //! scans every `.rs` file under [`surface::USER_DIRS`], runs the
-//! per-file rules on crate sources (skipping test/example/bench/vendor
+//! per-file rule on crate sources (skipping test/example/bench/vendor
 //! code), applies `// odp-check: allow(<rule>)` comments, and reports
 //! `file:line` diagnostics. Anything it prints is a build-gate failure
-//! in CI.
+//! in CI. Unwraps, wall-clock reads and hash-order iteration are left
+//! to clippy, which sees types (the root `clippy.toml`).
 pub mod rules;
 pub mod scanner;
 pub mod surface;
@@ -17,7 +18,7 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rules::{Finding, RULES, RULE_HOT_ALLOC, RULE_UNUSED_ALLOW, RULE_UNWRAP};
+use rules::{Finding, RULES, RULE_UNUSED_ALLOW};
 use surface::{Manifest, Source, USER_DIRS};
 
 /// One reportable lint violation.
@@ -53,31 +54,6 @@ impl fmt::Display for Diagnostic {
 /// audit by design, like benches/. `dead-pub` still reads their files
 /// as users of the public surface.
 pub const SKIP_DIRS: &[&str] = &["tests", "examples", "benches", "benchmark"];
-
-/// Path prefixes scoped out of the `unwrap` and `hot-path-alloc` rules:
-/// experiment drivers and benchmark harnesses abort the whole run on
-/// failure by design and allocate freely while staging scenarios — they
-/// are not protocol code, a panic there tears down nothing but the
-/// experiment itself, and their allocations are not on any measured
-/// delivery path (so a prefix must not take in code that is: list the
-/// harness directory, not its crate). The determinism rules
-/// (`wallclock`, `hashmap-iter`) still apply. The experiments directory
-/// of cscw-core hosts the scripted experiment drivers (the rest of the
-/// crate is delivery-path code and is linted in full); cscw-bench is
-/// the report harness; the invariants directory holds the explorer's
-/// scenario harnesses, whose construction aborts the check run by
-/// design.
-pub const HARNESS_PATHS: &[&str] = &[
-    "crates/core/src/experiments",
-    "crates/bench",
-    "crates/check/src/invariants",
-];
-
-/// Whether `rule` is in scope for the file at `rel`.
-pub fn rule_applies(rel: &Path, rule: &str) -> bool {
-    (rule != RULE_UNWRAP && rule != RULE_HOT_ALLOC)
-        || !HARNESS_PATHS.iter().any(|p| rel.starts_with(p))
-}
 
 /// Finds the workspace root by walking up from `start` until a
 /// `Cargo.toml` containing `[workspace]` appears.
@@ -123,13 +99,11 @@ fn collect_sources(root: &Path) -> Vec<PathBuf> {
 }
 
 /// Applies allow-comments to one file's raw findings and reports the
-/// survivors plus every allow that suppressed nothing. Findings of a
-/// rule out of scope for the file ([`rule_applies`]) are dropped first,
-/// so an allow that only they would use is reported as stale.
+/// survivors plus every allow that suppressed nothing. Findings in test
+/// code are dropped first, so an allow that only they would use is
+/// reported as stale.
 fn lint_file(rel: &Path, scanned: &scanner::ScannedFile, raw: Vec<Finding>) -> Vec<Diagnostic> {
-    let findings = raw
-        .into_iter()
-        .filter(|f| !scanned.in_test_code(f.line) && rule_applies(rel, f.rule));
+    let findings = raw.into_iter().filter(|f| !scanned.in_test_code(f.line));
 
     // Apply allows: a finding on a covered line with a matching rule is
     // suppressed; each allow must suppress at least one finding.
@@ -197,7 +171,7 @@ pub fn lint_workspace(sources: &[Source], manifests: &[Manifest]) -> Vec<Diagnos
             continue;
         }
         raw.extend(mods);
-        raw.extend(rules::run_all(&s.scanned));
+        raw.extend(rules::hot_alloc_rule(&s.scanned));
         raw.sort_by_key(|f| f.line);
         out.extend(lint_file(&s.rel, &s.scanned, raw));
     }
@@ -237,18 +211,18 @@ pub fn run(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
 mod tests {
     use super::*;
 
-    /// The per-file rules on one file, as [`lint_workspace`] runs them.
+    /// The per-file rule on one file, as [`lint_workspace`] runs it.
     fn lint_source(rel: &Path, src: &str) -> Vec<Diagnostic> {
         let scanned = scanner::scan(src);
-        let raw = rules::run_all(&scanned);
+        let raw = rules::hot_alloc_rule(&scanned);
         lint_file(rel, &scanned, raw)
     }
 
     #[test]
     fn allow_suppresses_and_is_marked_used() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n\
-                   // odp-check: allow(unwrap)\n\
-                   x.unwrap()\n\
+        let src = "fn on_message(&mut self, m: &str) {\n\
+                   // odp-check: allow(hot-path-alloc)\n\
+                   self.log.push(m.to_string());\n\
                    }\n";
         let d = lint_source(Path::new("a.rs"), src);
         assert!(d.is_empty(), "{d:?}");
@@ -256,14 +230,15 @@ mod tests {
 
     #[test]
     fn trailing_allow_on_same_line_works() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() } // odp-check: allow(unwrap)\n";
+        let src =
+            "fn publish(m: &str) { keep(m.to_owned()) } // odp-check: allow(hot-path-alloc)\n";
         let d = lint_source(Path::new("a.rs"), src);
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn unused_allow_is_reported() {
-        let src = "// odp-check: allow(unwrap)\nfn f() {}\n";
+        let src = "// odp-check: allow(hot-path-alloc)\nfn on_message() {}\n";
         let d = lint_source(Path::new("a.rs"), src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "unused-allow");
@@ -271,10 +246,10 @@ mod tests {
 
     #[test]
     fn unknown_rule_in_allow_is_reported() {
-        let src = "// odp-check: allow(nonsense)\nfn f(x: Option<u32>) { x.unwrap(); }\n";
+        let src = "// odp-check: allow(nonsense)\nfn publish(m: &str) { keep(m.to_owned()); }\n";
         let d = lint_source(Path::new("a.rs"), src);
         assert!(d.iter().any(|d| d.rule == "unused-allow"));
-        assert!(d.iter().any(|d| d.rule == "unwrap"));
+        assert!(d.iter().any(|d| d.rule == "hot-path-alloc"));
     }
 
     #[test]
@@ -282,64 +257,20 @@ mod tests {
         let src = "fn prod() {}\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
-                   fn f(x: Option<u32>) { x.unwrap(); }\n\
+                   fn on_message(m: &str) { keep(format!(\"{m}\")); }\n\
                    }\n";
         let d = lint_source(Path::new("a.rs"), src);
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
-    fn harness_paths_are_scoped_out_of_unwrap_and_hot_alloc_only() {
-        let harness = Path::new("crates/core/src/experiments/media.rs");
-        let protocol = Path::new("crates/groupcomm/src/rpc.rs");
-        assert!(!rule_applies(harness, "unwrap"));
-        assert!(!rule_applies(harness, "hot-path-alloc"));
-        assert!(rule_applies(harness, "hashmap-iter"));
-        assert!(rule_applies(harness, "wallclock"));
-        assert!(rule_applies(protocol, "unwrap"));
-        assert!(rule_applies(protocol, "hot-path-alloc"));
-        // Only the experiment drivers of cscw-core are harness code; the
-        // workspace and its replicas are `group_edit`'s delivery path.
-        let delivery_path = Path::new("crates/core/src/workspace.rs");
-        assert!(rule_applies(delivery_path, "unwrap"));
-        assert!(rule_applies(delivery_path, "hot-path-alloc"));
-        // The explorer's scenario harnesses are harness code too, but
-        // the bus protocol module they exercise is not.
-        let invariant_harness = Path::new("crates/check/src/invariants/awareness.rs");
-        let bus_protocol = Path::new("crates/awareness/src/dist.rs");
-        assert!(!rule_applies(invariant_harness, "unwrap"));
-        assert!(rule_applies(invariant_harness, "wallclock"));
-        assert!(rule_applies(bus_protocol, "unwrap"));
-    }
-
-    #[test]
-    fn an_allow_for_a_rule_out_of_scope_in_a_harness_file_is_stale() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n\
-                   // odp-check: allow(unwrap)\n\
-                   x.unwrap()\n\
-                   }\n";
-        let source = |rel: &str| Source {
-            rel: PathBuf::from(rel),
-            scanned: scanner::scan(src),
-        };
-        // In protocol code the allow suppresses a live finding.
-        let d = lint_workspace(&[source("crates/groupcomm/src/rpc.rs")], &[]);
-        assert!(d.is_empty(), "{d:?}");
-        // In a harness file `unwrap` is out of scope, so the allow
-        // suppresses nothing and is reported.
-        let d = lint_workspace(&[source("crates/check/src/invariants/x.rs")], &[]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!((d[0].line, d[0].rule.as_str()), (2, "unused-allow"));
-    }
-
-    #[test]
     fn diagnostics_have_file_line_shape() {
-        let src = "fn f(x: Option<u32>) { x.unwrap(); }\n";
+        let src = "fn deliver(m: &str) { keep(m.to_vec()); }\n";
         let d = lint_source(Path::new("crates/x/src/lib.rs"), src);
         assert_eq!(d.len(), 1);
         let shown = d[0].to_string();
         assert!(
-            shown.starts_with("crates/x/src/lib.rs:1: [unwrap]"),
+            shown.starts_with("crates/x/src/lib.rs:1: [hot-path-alloc]"),
             "{shown}"
         );
     }

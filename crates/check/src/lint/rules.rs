@@ -1,13 +1,15 @@
-//! The per-file lint rules.
+//! The lint's rule names and its one per-file rule, `hot-path-alloc`.
 //!
-//! Each rule is a pure function from a [`ScannedFile`] token stream to
-//! raw findings (the workspace-wide rules live in
+//! A rule is a pure function from a [`ScannedFile`] token stream to raw
+//! findings (the workspace-wide rules live in
 //! [`crate::lint::surface`]); the pass in [`crate::lint`] applies
-//! allow-comments, test-region exemptions and path scoping on top.
+//! allow-comments and test-region exemptions on top. Unwraps, wall-clock
+//! reads and hash-order iteration are clippy's, which sees types: the
+//! root `clippy.toml` and the `lint` job in `.github/workflows/ci.yml`.
 
-use crate::lint::scanner::{ScannedFile, Token};
+use crate::lint::scanner::ScannedFile;
 
-/// A raw finding before allow/scope filtering.
+/// A raw finding before allow and test-region filtering.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// The rule that fired (one of [`RULES`]).
@@ -18,12 +20,6 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Rule: no `.unwrap()` / `.expect(...)` in protocol code.
-pub const RULE_UNWRAP: &str = "unwrap";
-/// Rule: no wall-clock time or OS randomness in sim-driven code.
-pub const RULE_WALLCLOCK: &str = "wallclock";
-/// Rule: no iteration over `HashMap`/`HashSet` (order leaks).
-pub const RULE_HASHMAP_ITER: &str = "hashmap-iter";
 /// Rule: no per-delivery heap allocation in delivery-path methods.
 pub const RULE_HOT_ALLOC: &str = "hot-path-alloc";
 /// Workspace rule: a `pub` item no other code names (see
@@ -39,196 +35,7 @@ pub const RULE_UNUSED_DEP: &str = "unused-dep";
 pub const RULE_UNUSED_ALLOW: &str = "unused-allow";
 
 /// Every rule name an allow-comment may reference.
-pub const RULES: &[&str] = &[
-    RULE_UNWRAP,
-    RULE_WALLCLOCK,
-    RULE_HASHMAP_ITER,
-    RULE_HOT_ALLOC,
-    RULE_DEAD_PUB,
-    RULE_DEAD_MOD,
-];
-
-/// `.unwrap()` and `.expect(` on any receiver. Protocol state machines
-/// must surface failures as typed errors (or carry a documented
-/// invariant via an allow-comment); a panic inside an actor tears down
-/// the whole simulated node set.
-pub fn unwrap_rule(file: &ScannedFile) -> Vec<Finding> {
-    let toks = &file.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if toks[i].text != "." {
-            continue;
-        }
-        let Some(name) = toks.get(i + 1) else {
-            continue;
-        };
-        let callee = name.text.as_str();
-        if callee != "unwrap" && callee != "expect" {
-            continue;
-        }
-        if toks.get(i + 2).map(|t| t.text.as_str()) != Some("(") {
-            continue;
-        }
-        out.push(Finding {
-            rule: RULE_UNWRAP,
-            line: name.line,
-            message: format!(
-                ".{callee}() in protocol code — return a typed error, or document \
-                 the invariant with `// odp-check: allow(unwrap)`"
-            ),
-        });
-    }
-    out
-}
-
-/// Wall-clock time sources and OS-seeded randomness. Everything in a
-/// sim-driven crate must read time from `Ctx::now()` and randomness
-/// from the seeded `DetRng`, or runs stop being reproducible. A word
-/// reached through a type's path (`SpanOp::Instant`: the segment before
-/// `::` is capitalised) is that type's variant or associated item, not
-/// the std one, and does not fire; a module path (`time::Instant`)
-/// does.
-pub fn wallclock_rule(file: &ScannedFile) -> Vec<Finding> {
-    let banned: &[(&str, &str)] = &[
-        ("Instant", "std::time::Instant is wall-clock"),
-        ("SystemTime", "std::time::SystemTime is wall-clock"),
-        ("thread_rng", "thread_rng is OS-seeded"),
-        ("from_entropy", "entropy seeding is nondeterministic"),
-    ];
-    let toks = &file.tokens;
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        let under_type = i >= 3
-            && toks[i - 1].text == ":"
-            && toks[i - 2].text == ":"
-            && toks[i - 3].text.starts_with(char::is_uppercase);
-        if under_type {
-            continue;
-        }
-        for (word, why) in banned {
-            if t.text == *word {
-                out.push(Finding {
-                    rule: RULE_WALLCLOCK,
-                    line: t.line,
-                    message: format!(
-                        "`{word}` in sim-driven code ({why}); use SimTime/DetRng instead"
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "retain",
-];
-
-/// Iteration over identifiers the file declares as `HashMap`/`HashSet`.
-///
-/// Heuristic, single-file, no type inference: an identifier counts as a
-/// hash collection if it appears as `name: HashMap<...>` (field or
-/// binding annotation) or `name = HashMap::new/with_capacity/from`.
-/// Flagged uses are `name.iter()`-style calls and `for ... in &name`
-/// loops. Iterating a `HashMap` is fine for pure aggregation, but the
-/// moment the order reaches a message, a trace or serialized output the
-/// protocol stops being deterministic — so the rule fires everywhere
-/// and benign aggregation sites carry an allow-comment.
-pub fn hashmap_iter_rule(file: &ScannedFile) -> Vec<Finding> {
-    let toks = &file.tokens;
-    let mut names: Vec<String> = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i].text;
-        if t != "HashMap" && t != "HashSet" {
-            continue;
-        }
-        // `name : [std :: collections ::] HashMap`
-        let mut j = i;
-        while j >= 2 && toks[j - 1].text == ":" && toks[j - 2].text == ":" {
-            // skip a `path::` segment
-            if j >= 3 && toks[j - 3].is_word() {
-                j -= 3;
-            } else {
-                break;
-            }
-        }
-        if j >= 2 && toks[j - 1].text == ":" && toks[j - 2].is_word() {
-            names.push(toks[j - 2].text.clone());
-        }
-        // `name = HashMap :: ctor`
-        if i >= 2 && toks[i - 1].text == "=" && toks[i - 2].is_word() {
-            names.push(toks[i - 2].text.clone());
-        }
-    }
-    names.sort();
-    names.dedup();
-    let is_tracked = |t: &Token| names.contains(&t.text);
-
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        // `name . iter (` — with optional `self .` prefix handled by the
-        // name itself being the last path segment.
-        if toks[i].is_word()
-            && is_tracked(&toks[i])
-            && toks.get(i + 1).map(|t| t.text.as_str()) == Some(".")
-        {
-            if let Some(m) = toks.get(i + 2) {
-                if ITER_METHODS.contains(&m.text.as_str())
-                    && toks.get(i + 3).map(|t| t.text.as_str()) == Some("(")
-                {
-                    out.push(Finding {
-                        rule: RULE_HASHMAP_ITER,
-                        line: m.line,
-                        message: format!(
-                            "iterating hash collection `{}` via `.{}()` — arbitrary \
-                             order; use BTreeMap/BTreeSet or sort first",
-                            toks[i].text, m.text
-                        ),
-                    });
-                }
-            }
-        }
-        // `for pat in [& [mut]] [self .] name {`
-        if toks[i].text == "in" && i > 0 {
-            let mut j = i + 1;
-            while toks
-                .get(j)
-                .map(|t| t.text == "&" || t.text == "mut")
-                .unwrap_or(false)
-            {
-                j += 1;
-            }
-            if toks.get(j).map(|t| t.text.as_str()) == Some("self")
-                && toks.get(j + 1).map(|t| t.text.as_str()) == Some(".")
-            {
-                j += 2;
-            }
-            if let (Some(name), Some(open)) = (toks.get(j), toks.get(j + 1)) {
-                if name.is_word() && is_tracked(name) && open.text == "{" {
-                    out.push(Finding {
-                        rule: RULE_HASHMAP_ITER,
-                        line: name.line,
-                        message: format!(
-                            "for-loop over hash collection `{}` — arbitrary order; \
-                             use BTreeMap/BTreeSet or sort first",
-                            name.text
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
+pub const RULES: &[&str] = &[RULE_HOT_ALLOC, RULE_DEAD_PUB, RULE_DEAD_MOD];
 
 /// The method names that make up the delivery hot path: the sim (or
 /// the transport driver) calls these once per message, frame or tick,
@@ -393,74 +200,10 @@ pub fn hot_alloc_rule(file: &ScannedFile) -> Vec<Finding> {
     out
 }
 
-/// Runs every content rule over one scanned file.
-pub fn run_all(file: &ScannedFile) -> Vec<Finding> {
-    let mut out = unwrap_rule(file);
-    out.extend(wallclock_rule(file));
-    out.extend(hashmap_iter_rule(file));
-    out.extend(hot_alloc_rule(file));
-    out.sort_by_key(|f| f.line);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lint::scanner::scan;
-
-    #[test]
-    fn unwrap_and_expect_fire() {
-        let s = scan("fn f() { x.unwrap(); y.expect(\"m\"); z.unwrap_or(0); }");
-        let f = unwrap_rule(&s);
-        assert_eq!(f.len(), 2);
-    }
-
-    #[test]
-    fn wallclock_fires_on_instant_and_thread_rng() {
-        let s = scan("use std::time::Instant; fn f() { let r = thread_rng(); }");
-        let f = wallclock_rule(&s);
-        assert_eq!(f.len(), 2);
-    }
-
-    #[test]
-    fn wallclock_skips_a_variant_reached_through_its_type() {
-        let s =
-            scan("fn f(op: Op) { if let Op::Instant { .. } = op {} let e = Self::SystemTime; }");
-        assert!(wallclock_rule(&s).is_empty());
-        // Module paths still fire, whatever the crate.
-        let s =
-            scan("fn f() { let a = std::time::Instant::now(); let b = quanta::Instant::now(); }");
-        assert_eq!(wallclock_rule(&s).len(), 2);
-    }
-
-    #[test]
-    fn hashmap_iter_fires_on_field_and_local() {
-        let src = "
-            struct S { m: HashMap<u32, u32> }
-            impl S {
-                fn f(&self) {
-                    for (k, v) in &self.m {}
-                    let n: HashSet<u32> = HashSet::new();
-                    n.iter().count();
-                }
-            }
-        ";
-        let s = scan(src);
-        let f = hashmap_iter_rule(&s);
-        assert_eq!(f.len(), 2, "{f:?}");
-    }
-
-    #[test]
-    fn hashmap_lookup_is_fine() {
-        let s = scan("struct S { m: HashMap<u32, u32> } fn f(s: &S) { s.m.get(&1); }");
-        assert!(hashmap_iter_rule(&s).is_empty());
-    }
-
-    #[test]
-    fn btreemap_iteration_is_fine() {
-        let s = scan("struct S { m: BTreeMap<u32, u32> } fn f(s: &S) { for x in &s.m {} }");
-        assert!(hashmap_iter_rule(&s).is_empty());
-    }
 
     #[test]
     fn hot_alloc_fires_on_format_and_to_string() {

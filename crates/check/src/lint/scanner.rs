@@ -1,6 +1,7 @@
 //! Source preparation for the lint rules: a small scanner that strips
 //! comments and literals, records `odp-check: allow(...)` comments, and
-//! marks `#[cfg(test)]` regions, so rules run over a token stream that
+//! marks the lines of whatever a `#[cfg(test)]` sits on (a module, an
+//! item, a field or a statement), so rules run over a token stream that
 //! cannot be fooled by strings or doc text.
 //!
 //! This is deliberately *not* a Rust parser. The rules are lexical
@@ -49,8 +50,8 @@ pub struct ScannedFile {
     pub tokens: Vec<Token>,
     /// Allow-comments in source order.
     pub allows: Vec<Allow>,
-    /// For each 1-based line, whether it lies inside a `#[cfg(test)]`
-    /// item (index 0 unused).
+    /// For each 1-based line, whether it lies inside what a
+    /// `#[cfg(test)]` sits on (index 0 unused).
     test_lines: Vec<bool>,
 }
 
@@ -258,8 +259,8 @@ pub fn scan(src: &str) -> ScannedFile {
         });
     }
 
-    // Pass 3: which lines carry code, and which lie inside a
-    // `#[cfg(test)]` item (attribute → following brace-balanced block).
+    // Pass 3: which lines carry code, and which lie inside whatever a
+    // `#[cfg(test)]` attribute sits on.
     let mut code_lines = vec![false; line_count + 1];
     for t in &tokens {
         if t.line < code_lines.len() {
@@ -270,36 +271,12 @@ pub fn scan(src: &str) -> ScannedFile {
     let mut idx = 0;
     while idx < tokens.len() {
         if is_cfg_test_at(&tokens, idx) {
-            // Find the block the attribute is attached to: the first `{`
-            // at or after the attribute, then its matching `}`.
-            let mut j = idx;
-            while j < tokens.len() && tokens[j].text != "{" {
-                j += 1;
-            }
-            let mut depth = 0;
-            let start_line = tokens[idx].line;
-            let mut end_line = start_line;
-            while j < tokens.len() {
-                match tokens[j].text.as_str() {
-                    "{" => depth += 1,
-                    "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end_line = tokens[j].line;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            if depth != 0 {
-                end_line = line_count;
-            }
-            for flag in &mut test_lines[start_line..=end_line.min(line_count)] {
+            let end = attributed_end(&tokens, idx);
+            let end_line = tokens.get(end).map_or(line_count, |t| t.line);
+            for flag in &mut test_lines[tokens[idx].line..=end_line.min(line_count)] {
                 *flag = true;
             }
-            idx = j.max(idx + 1);
+            idx = end + 1;
         } else {
             idx += 1;
         }
@@ -319,6 +296,84 @@ pub fn scan(src: &str) -> ScannedFile {
         allows,
         test_lines,
     }
+}
+
+/// Keywords that open an item: an item runs to its `;` or to the `}`
+/// closing its first block, whatever commas its generics hold.
+const ITEM_KEYWORDS: &[&str] = &[
+    "mod",
+    "fn",
+    "impl",
+    "struct",
+    "enum",
+    "trait",
+    "const",
+    "static",
+    "type",
+    "use",
+    "extern",
+    "unsafe",
+    "async",
+    "macro_rules",
+];
+
+/// The index of the last token of the field, statement or item that the
+/// attribute at `idx` sits on (`tokens.len()` if the source ends first).
+/// An item runs to its `;` or to the `}` closing its first block, and a
+/// `let` to its `;`. Anything else (a field, a struct-literal field, an
+/// expression statement, a match arm) runs to its `,` or `;`, to the
+/// `}` closing a block it opened (an `if` goes on through its `else`),
+/// or up to the bracket that closes the list it sits in.
+fn attributed_end(tokens: &[Token], idx: usize) -> usize {
+    let text = |j: usize| tokens.get(j).map_or("", |t| t.text.as_str());
+    let mut j = idx;
+    while text(j) == "#" && text(j + 1) == "[" {
+        j = close_of(tokens, j + 1) + 1;
+    }
+    if text(j) == "pub" {
+        j += 1;
+        if text(j) == "(" {
+            j = close_of(tokens, j) + 1;
+        }
+    }
+    let kind = text(j);
+    let is_item = ITEM_KEYWORDS.contains(&kind);
+    let mut depth = 0usize;
+    while j < tokens.len() {
+        match text(j) {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => return j - 1,
+            closer @ (")" | "]" | "}") => {
+                depth -= 1;
+                if depth == 0 && closer == "}" && kind != "let" && text(j + 1) != "else" {
+                    return j;
+                }
+            }
+            ";" if depth == 0 => return j,
+            "," if depth == 0 && !is_item && kind != "let" => return j,
+            _ => {}
+        }
+        j += 1;
+    }
+    j
+}
+
+/// The index of the bracket that closes the one at `open`.
+fn close_of(tokens: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(open) {
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return j;
+                }
+            }
+            _ => {}
+        }
+    }
+    tokens.len()
 }
 
 /// Matches `# [ cfg ( test ) ]` or `# [ cfg ( all|any ( ... test ... ) ) ]`
@@ -405,6 +460,85 @@ mod tests {
         assert!(s.in_test_code(4));
         assert!(s.in_test_code(5));
         assert!(!s.in_test_code(6));
+    }
+
+    /// The lines `scan` marks as test code, of those in `lines`.
+    fn test_lines_of(src: &str, lines: std::ops::RangeInclusive<usize>) -> Vec<usize> {
+        let s = scan(src);
+        lines.filter(|&l| s.in_test_code(l)).collect()
+    }
+
+    #[test]
+    fn a_cfg_test_field_does_not_cover_the_impl_after_it() {
+        let src = "struct Bus {\n\
+                   \x20   #[cfg(test)]\n\
+                   \x20   key_on_path_only: bool,\n\
+                   }\n\
+                   impl Bus {\n\
+                   \x20   fn publish(&mut self) {\n\
+                   \x20       let s = format!(\"{}\", 1);\n\
+                   \x20   }\n\
+                   }\n";
+        assert_eq!(test_lines_of(src, 1..=9), vec![2, 3]);
+        let s = scan(src);
+        let live: Vec<usize> = crate::lint::rules::hot_alloc_rule(&s)
+            .iter()
+            .map(|f| f.line)
+            .filter(|&l| !s.in_test_code(l))
+            .collect();
+        assert_eq!(live, vec![7], "the `format!` in `publish` must be flagged");
+    }
+
+    #[test]
+    fn a_cfg_test_struct_literal_field_covers_its_own_line() {
+        let src = "fn new() -> Q {\n\
+                   \x20   Q {\n\
+                   \x20       len: 0,\n\
+                   \x20       #[cfg(test)]\n\
+                   \x20       fold_seams: false,\n\
+                   \x20       #[cfg(test)]\n\
+                   \x20       forget_head_fix: false\n\
+                   \x20   }\n\
+                   }\n\
+                   fn len(&self) -> usize { self.len }\n";
+        assert_eq!(test_lines_of(src, 1..=10), vec![4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn a_cfg_test_let_covers_its_statement_only() {
+        let src = "fn unlink(&mut self) {\n\
+                   \x20   #[cfg(test)]\n\
+                   \x20   let next = if self.forget { slot }\n\
+                   \x20       else { next };\n\
+                   \x20   self.heads[b] = next;\n\
+                   \x20   if next != NIL { self.fix(); }\n\
+                   }\n";
+        assert_eq!(test_lines_of(src, 1..=7), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn a_cfg_test_if_covers_its_statement_and_its_else_only() {
+        let src = "fn free_if_spent(&mut self, c: usize) {\n\
+                   \x20   #[cfg(test)]\n\
+                   \x20   if self.keep_spent_chunks {\n\
+                   \x20       return;\n\
+                   \x20   } else {\n\
+                   \x20       self.kept += 1;\n\
+                   \x20   }\n\
+                   \x20   if let Some(chunk) = &self.chunks[c] {\n\
+                   \x20       self.chunks[c] = None;\n\
+                   \x20   }\n\
+                   }\n";
+        assert_eq!(test_lines_of(src, 1..=11), vec![2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn a_one_line_cfg_test_use_covers_its_line_only() {
+        let src = "#[cfg(test)] use std::collections::HashMap;\n\
+                   impl Table {\n\
+                   \x20   fn grant(&mut self) {}\n\
+                   }\n";
+        assert_eq!(test_lines_of(src, 1..=4), vec![1]);
     }
 
     #[test]

@@ -1,11 +1,17 @@
-//! The workspace lint (determinism, hot-path allocation, dead surface) is
-//! clean on the workspace itself.
+//! The workspace lint (hot-path allocation, dead surface) is clean on
+//! the workspace itself.
 //!
 //! `odp-check lint` is a CI step, but a step in a workflow file only
 //! fails where that workflow runs: the pass sat red for five PRs
 //! (`benchmark/` was scanned as protocol code) while `cargo test -q`
 //! stayed green. This test is the same call the binary makes, so the
 //! gate lives in tier-1.
+//!
+//! The determinism lints (no unwrap/expect, wall-clock read or
+//! hash-order iteration in non-test code) are not here: clippy carries
+//! them, and they gate in CI's `lint` job (`cargo clippy --workspace
+//! --lib --bins -- -D warnings -D clippy::unwrap_used -D
+//! clippy::expect_used -D clippy::iter_over_hash_type`), not in tier-1.
 
 use std::path::Path;
 

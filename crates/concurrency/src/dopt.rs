@@ -201,9 +201,9 @@ impl DoptSite {
         // OT transformation keeps remote ops applicable; failing here is
         // a transformation-function bug and fail-stop is the only safe
         // response for a replica.
+        #[expect(clippy::expect_used, reason = "a transformed op applies")]
         self.doc
             .apply(op)
-            // odp-check: allow(unwrap)
             .expect("transformed remote op applies cleanly");
         self.clock.tick(remote.site);
         self.log.push(LogEntry {

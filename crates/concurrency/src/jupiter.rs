@@ -171,9 +171,9 @@ impl OtServer {
         let op = bridge.receive(msg);
         // The bridge transform keeps client ops applicable; a failure is
         // a transformation bug, and the authoritative doc must not drift.
+        #[expect(clippy::expect_used, reason = "a transformed op applies")]
         self.doc
             .apply(op)
-            // odp-check: allow(unwrap)
             .expect("transformed op applies to authoritative doc");
         let mut fanout = Vec::new();
         for (&client, bridge) in self.bridges.iter_mut() {
@@ -225,9 +225,9 @@ impl OtClient {
     pub fn server_message(&mut self, msg: OpMsg) {
         let op = self.bridge.receive(msg);
         // Same invariant as the server side: transformed ops apply.
+        #[expect(clippy::expect_used, reason = "a transformed op applies")]
         self.doc
             .apply(op)
-            // odp-check: allow(unwrap)
             .expect("transformed op applies to replica");
     }
 

@@ -431,8 +431,10 @@ impl TxnManager {
             for &next in edges.get(&node).map(|v| v.as_slice()).unwrap_or(&[]) {
                 match marks.get(&next).copied().unwrap_or(Mark::Black) {
                     Mark::Grey => {
-                        // A Grey node is on the DFS stack by construction.
-                        // odp-check: allow(unwrap)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "a Grey node is on the DFS stack by construction"
+                        )]
                         let pos = stack.iter().position(|&n| n == next).expect("on stack");
                         return Some(stack[pos..].to_vec());
                     }

@@ -80,8 +80,10 @@ fn mcast_run(
         total_us += ev.time.saturating_since(issue_time(&ev.data)).as_micros();
         samples += 1;
     }
-    // Pure aggregation: the count is order-independent.
-    // odp-check: allow(hashmap-iter)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pure aggregation: the count is order-independent"
+    )]
     let delivered_everywhere = counts.values().filter(|&&c| c == n).count();
     let coverage = delivered_everywhere as f64 / counts.len().max(1) as f64;
     let mean_ms = if samples == 0 {

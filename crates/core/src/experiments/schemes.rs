@@ -465,8 +465,10 @@ impl SchemeServer {
                     } = &mut self.state
                     {
                         blocked.remove(&txn);
-                        // Order-independent: the predicate only tests values.
-                        // odp-check: allow(hashmap-iter)
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "order-independent: the predicate only tests values"
+                        )]
                         sessions.retain(|_, &mut t| t != txn);
                     }
                 }
@@ -565,6 +567,7 @@ impl Actor<CcMsg> for SchemeServer {
                     .iter()
                     .filter(|(v, _)| *v > since)
                     .cloned()
+                    // odp-check: allow(hot-path-alloc) — an experiment server; no odpbench workload runs it
                     .collect();
                 ctx.send(
                     from,
@@ -589,6 +592,7 @@ impl Actor<CcMsg> for SchemeServer {
                                 ctx.send(
                                     NodeId(client),
                                     CcMsg::OtRelay {
+                                        // odp-check: allow(hot-path-alloc) — an experiment server; no odpbench workload runs it
                                         tag: tag.clone(),
                                         msg: relay,
                                     },

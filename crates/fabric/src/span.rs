@@ -172,8 +172,6 @@ pub enum SpanOp {
         span_id: u64,
     },
     /// A span opened and closed at the same instant.
-    // A variant of this enum, not `std::time::Instant`.
-    // odp-check: allow(wallclock)
     Instant {
         /// The span identity.
         span: SpanCarrier,

@@ -150,6 +150,7 @@ impl SetAndScanModel {
     /// How many maximal runs of consecutive seqs `seen` holds, summed
     /// over origins: what a range set must store for it.
     fn seen_runs(&self) -> usize {
+        #[expect(clippy::disallowed_methods, reason = "sorted into a BTreeSet")]
         let ordered: BTreeSet<MsgId> = self.seen.iter().copied().collect();
         let mut runs = 0;
         let mut last: Option<MsgId> = None;

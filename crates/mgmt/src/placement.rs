@@ -129,6 +129,10 @@ pub fn place(
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "`place` asserts candidates is non-empty"
+)]
 fn best_by(candidates: &[NodeId], home: NodeId, score: impl Fn(NodeId) -> f64) -> Placement {
     let mut best: Option<Placement> = None;
     for &node in candidates {
@@ -145,8 +149,6 @@ fn best_by(candidates: &[NodeId], home: NodeId, score: impl Fn(NodeId) -> f64) -
             best = Some(Placement { node, cost_us });
         }
     }
-    // `place` asserts candidates is non-empty (documented panic contract).
-    // odp-check: allow(unwrap)
     best.expect("candidates non-empty")
 }
 

@@ -224,10 +224,11 @@ where
     A: TransportActor<M> + Send + 'static,
 {
     // Wall-clock readings become `SimTime`s (µs since node start), so
-    // actors see one time type on both backends. The lint's wallclock
-    // rule is bypassed exactly here, in the backend that trades
-    // determinism for real sockets.
-    // odp-check: allow(wallclock)
+    // actors see one time type on both backends.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one wall-clock read: this backend trades determinism for real sockets"
+    )]
     let start = std::time::Instant::now();
     let now = || SimTime::from_micros(start.elapsed().as_micros() as u64);
     let mut session = SessionLayer::new(node.me, node.cfg.session.clone());

@@ -259,6 +259,10 @@ fn a_send_injected_just_before_stop_still_leaves() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a deadline on real sockets is wall-clock time"
+)]
 fn a_stopped_node_stops_listening() {
     let (out, _got) = mpsc::channel();
     let node = bound_fleet(1, 23).pop().expect("node 0");

@@ -271,6 +271,7 @@ impl<T: Describe> CalendarQueue<T> {
     }
 
     /// The entry in `slot`, which the caller knows to be occupied.
+    #[expect(clippy::expect_used, reason = "callers pass a listed or staged slot")]
     fn entry(&self, slot: u32) -> &QueueEntry<T> {
         self.get(slot).expect("a listed slot holds an entry")
     }
@@ -285,6 +286,7 @@ impl<T: Describe> CalendarQueue<T> {
             self.segments[k][at] = Some(e);
             return slot;
         }
+        #[expect(clippy::expect_used, reason = "slots are u32 ids below STAGED")]
         let slot = u32::try_from(self.links.len())
             .ok()
             .filter(|&s| s < STAGED)
@@ -306,6 +308,7 @@ impl<T: Describe> CalendarQueue<T> {
     /// list.
     fn release(&mut self, slot: u32) -> QueueEntry<T> {
         let (k, at) = self.locate(slot);
+        #[expect(clippy::expect_used, reason = "a slot is released once, while filled")]
         let e = self.segments[k][at]
             .take()
             .expect("a released slot holds an entry");

@@ -116,7 +116,7 @@ impl TimerTable {
     fn arm(&mut self, id: TimerId, handle: Handle) {
         // Ids count up from 0, one per `set_timer`: only a 32-bit host
         // arming 2^32 timers in one run could exceed `usize`.
-        // odp-check: allow(unwrap)
+        #[expect(clippy::expect_used, reason = "timer ids fit the address space")]
         let (c, i) = Self::place(id).expect("timer ids fit the address space");
         if c >= self.chunks.len() {
             self.chunks.resize_with(c + 1, || None);

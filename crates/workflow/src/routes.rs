@@ -195,8 +195,10 @@ impl RoutedProcedure {
             self.rejections += 1;
             return Err(RouteError::AlreadyDone);
         };
-        // Build-time validation guarantees every reachable id has a step.
-        // odp-check: allow(unwrap)
+        #[expect(
+            clippy::expect_used,
+            reason = "build-time validation gives every reachable id a step"
+        )]
         let step = self.steps.get(&current_id).expect("validated at build");
         if who != step.role {
             self.rejections += 1;
