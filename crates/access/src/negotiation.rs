@@ -104,7 +104,6 @@ struct Session {
 pub struct Negotiator {
     sessions: HashMap<NegotiationId, Session>,
     next: u64,
-    concluded: u64,
 }
 
 impl Negotiator {
@@ -143,11 +142,6 @@ impl Negotiator {
     /// The state of a session, if it exists.
     pub fn state(&self, id: NegotiationId) -> Option<NegotiationState> {
         self.sessions.get(&id).map(|s| s.state)
-    }
-
-    /// The rights currently on the table.
-    pub fn on_table(&self, id: NegotiationId) -> Option<Rights> {
-        self.sessions.get(&id).map(|s| s.on_table)
     }
 
     /// The owner counter-offers a narrower set of rights.
@@ -206,7 +200,6 @@ impl Negotiator {
         }
         s.state = NegotiationState::Agreed;
         s.round_trips += 1;
-        self.concluded += 1;
         let _ = now.saturating_since(s.opened);
         Ok(AgreedChange {
             subject: s.requester,
@@ -214,11 +207,6 @@ impl Negotiator {
             rights: s.on_table,
             round_trips: s.round_trips,
         })
-    }
-
-    /// Sessions concluded (agreed).
-    pub fn concluded(&self) -> u64 {
-        self.concluded
     }
 }
 
@@ -252,7 +240,6 @@ mod tests {
         );
         n.counter(Subject(0), id, Rights::READ).unwrap();
         assert_eq!(n.state(id), Some(NegotiationState::Countered));
-        assert_eq!(n.on_table(id), Some(Rights::READ));
         let agreed = n.accept(Subject(1), id, NOW).unwrap();
         assert_eq!(agreed.rights, Rights::READ);
         assert_eq!(agreed.round_trips, 3);

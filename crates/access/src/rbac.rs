@@ -109,7 +109,6 @@ pub struct RbacPolicy {
     subjects: BTreeMap<Subject, Held>,
     /// role -> roles it inherits from (junior roles).
     inherits: BTreeMap<RoleId, BTreeSet<RoleId>>,
-    role_changes: u64,
     generation: u64,
 }
 
@@ -186,7 +185,6 @@ impl RbacPolicy {
         let held = self.subjects.entry(subject).or_default();
         held.direct.insert(role);
         held.effective = closure(&held.direct, &self.inherits);
-        self.role_changes += 1;
         self.generation = fresh_generation();
     }
 
@@ -196,21 +194,15 @@ impl RbacPolicy {
             held.direct.remove(&role);
             held.effective = closure(&held.direct, &self.inherits);
         }
-        self.role_changes += 1;
         self.generation = fresh_generation();
     }
 
     /// The subject's effective roles (direct plus transitively inherited
     /// junior roles), ascending.
-    pub fn effective_roles(&self, subject: Subject) -> &[RoleId] {
+    pub(crate) fn effective_roles(&self, subject: Subject) -> &[RoleId] {
         self.subjects
             .get(&subject)
             .map_or(&[], |held| held.effective.as_slice())
-    }
-
-    /// Number of dynamic role changes performed (for E5 accounting).
-    pub fn role_changes(&self) -> u64 {
-        self.role_changes
     }
 
     /// The rule that decides whether `subject` may exercise `needed` on
@@ -378,7 +370,6 @@ mod tests {
         assert!(p.check(Subject(9), &path, Rights::WRITE).allowed);
         p.unassign(Subject(9), RoleId(1));
         assert!(!p.check(Subject(9), &path, Rights::WRITE).allowed);
-        assert_eq!(p.role_changes(), 2);
     }
 
     #[test]

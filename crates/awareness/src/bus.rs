@@ -457,16 +457,6 @@ impl EventBus {
         );
     }
 
-    /// Removes an observer.
-    pub fn unregister(&mut self, observer: NodeId) {
-        self.observers.remove(&observer);
-    }
-
-    /// The registered observers.
-    pub fn observers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.observers.keys().copied()
-    }
-
     /// Publishes a cooperation event.
     ///
     /// For each registered observer, in order: the rights gate (no read
@@ -542,11 +532,6 @@ impl EventBus {
             .into_iter()
             .flat_map(|e| self.publish(e.into()))
             .collect()
-    }
-
-    /// Total events published.
-    pub fn published(&self) -> u64 {
-        self.published
     }
 
     /// Total deliveries suppressed by the rights gate, across all
@@ -711,7 +696,6 @@ mod tests {
                 (NodeId(1), NodeId(2))
             ]
         );
-        assert_eq!(bus.published(), 2);
         assert!(bus.publish_all(Vec::<CoopEvent>::new()).is_empty());
     }
 
@@ -943,7 +927,7 @@ mod tests {
                         bus.set_rights_gate(b % 2 == 0);
                         oracle.gate = b % 2 == 0;
                     }
-                    13 => {
+                    _ => {
                         let threshold = f64::from(c % 3) * 0.3;
                         bus.register(NodeId(b % NODES), threshold);
                         let stats = BusStats {
@@ -954,10 +938,6 @@ mod tests {
                         oracle
                             .observers
                             .insert(NodeId(b % NODES), (threshold, stats));
-                    }
-                    _ => {
-                        bus.unregister(NodeId(b % NODES));
-                        oracle.observers.remove(&NodeId(b % NODES));
                     }
                 }
                 if let Some((got, want)) = deliveries {
@@ -981,7 +961,7 @@ mod tests {
         }
 
         fn ops() -> impl Strategy<Value = Vec<(u32, u32, u32, u32)>> {
-            prop::collection::vec((0u32..15, 0u32..64, 0u32..512, 0u32..64), 1..80)
+            prop::collection::vec((0u32..14, 0u32..64, 0u32..512, 0u32..64), 1..80)
         }
 
         proptest! {

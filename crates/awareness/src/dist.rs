@@ -86,11 +86,6 @@ impl BusActor {
         self.telemetry = on;
     }
 
-    /// Adjusts the maintenance tick period (default 50 ms).
-    pub fn set_tick_interval(&mut self, every: SimDuration) {
-        self.tick_every = every;
-    }
-
     /// The hosted bus replica.
     pub fn bus(&self) -> &EventBus {
         &self.bus

@@ -42,7 +42,6 @@ pub struct Portholes {
     latest: BTreeMap<NodeId, Snapshot>,
     subscriptions: BTreeMap<NodeId, BTreeSet<NodeId>>,
     stale_after: SimDuration,
-    captures: u64,
 }
 
 impl Portholes {
@@ -53,7 +52,6 @@ impl Portholes {
             latest: BTreeMap::new(),
             subscriptions: BTreeMap::new(),
             stale_after,
-            captures: 0,
         }
     }
 
@@ -64,7 +62,6 @@ impl Portholes {
 
     /// Records a snapshot of `who`.
     pub fn capture(&mut self, who: NodeId, activity: impl Into<String>, at: SimTime) {
-        self.captures += 1;
         self.latest.insert(
             who,
             Snapshot {
@@ -87,11 +84,6 @@ impl Portholes {
             .filter_map(|t| self.latest.get(t))
             .map(|s| (s.clone(), now.saturating_since(s.at) > self.stale_after))
             .collect()
-    }
-
-    /// Total snapshots captured.
-    pub fn captures(&self) -> u64 {
-        self.captures
     }
 }
 
@@ -150,19 +142,16 @@ mod tests {
         assert!(!wall[0].1, "fresh again");
     }
 
-    /// Re-`capture` overwrites the retained snapshot (one per target)
-    /// while the capture counter keeps accumulating — retention and
-    /// accounting are deliberately different.
+    /// Re-`capture` overwrites the retained snapshot: one per target.
     #[test]
-    fn recapture_overwrites_retention_but_accumulates_the_counter() {
+    fn recapture_overwrites_the_retained_snapshot() {
         let mut p = Portholes::new(SimDuration::from_secs(60));
         p.subscribe(NodeId(9), NodeId(0));
         for (i, act) in ["idle", "typing", "away"].iter().enumerate() {
             p.capture(NodeId(0), *act, SimTime::from_secs(i as u64));
         }
-        assert_eq!(p.captures(), 3, "every capture is counted");
         let wall = p.wall_for(NodeId(9), SimTime::from_secs(3));
-        assert_eq!(wall.len(), 1, "but only the latest is retained");
+        assert_eq!(wall.len(), 1, "only the latest is retained");
         assert_eq!(wall[0].0.activity, "away");
         assert_eq!(wall[0].0.at, SimTime::from_secs(2));
     }

@@ -115,11 +115,6 @@ impl SpatialModel {
         }
     }
 
-    /// Removes a participant.
-    pub fn remove(&mut self, who: NodeId) {
-        self.bodies.remove(&who);
-    }
-
     /// The body of a participant, if present.
     pub fn body(&self, who: NodeId) -> Option<&SpatialBody> {
         self.bodies.get(&who)

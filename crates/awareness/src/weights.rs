@@ -33,11 +33,6 @@ impl TemporalDecay {
         TemporalDecay { half_life }
     }
 
-    /// The configured half-life.
-    pub fn half_life(&self) -> SimDuration {
-        self.half_life
-    }
-
     /// The weight of an event that happened at `event_time`, observed at
     /// `now`. Future events weigh 1.0; events older than ~1074
     /// half-lives weigh an exact 0.0 (`0.5^ratio` underflows past the
@@ -193,12 +188,6 @@ mod tests {
         assert!(!w_now.is_nan() && !w_later.is_nan());
         assert_eq!(w_now, 1.0, "instant decay still weighs 'just now' fully");
         assert_eq!(w_later, 0.0, "anything older decays completely");
-    }
-
-    #[test]
-    fn half_life_is_exposed_via_the_getter() {
-        let d = TemporalDecay::new(SimDuration::from_secs(10));
-        assert_eq!(d.half_life(), SimDuration::from_secs(10));
     }
 
     #[test]

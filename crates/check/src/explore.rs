@@ -160,7 +160,7 @@ impl Default for Budget {
 
 impl Budget {
     /// A small budget for CI smoke runs.
-    pub fn smoke() -> Self {
+    pub(crate) fn smoke() -> Self {
         Budget {
             max_depth: 4,
             max_branch: 3,

@@ -36,7 +36,7 @@ const ARTEFACT_ROOT: &str = "doc";
 
 /// The scenario policy, constructed identically by the harness and the
 /// invariant: members 0 and 1 may read `doc/*`; member 2 may not.
-pub fn scenario_policy() -> RbacPolicy {
+pub(crate) fn scenario_policy() -> RbacPolicy {
     let mut policy = RbacPolicy::new();
     policy.add_rule(RoleId(1), ARTEFACT_ROOT.into(), Rights::READ, Effect::Allow);
     policy.assign(Subject(0), RoleId(1));
@@ -67,7 +67,7 @@ fn edit(actor: NodeId) -> GcMsg<BusWire> {
 /// over causal multicast. With `gated: false` every replica's rights
 /// gate is disarmed — the seeded known-bad fixture the detector must
 /// catch.
-pub fn gating_sim(seed: u64, gated: bool) -> Sim<GcMsg<BusWire>> {
+pub(crate) fn gating_sim(seed: u64, gated: bool) -> Sim<GcMsg<BusWire>> {
     let members = bus_members();
     let view = View::initial(GroupId(2), members.iter().copied());
     let mut sim = SimBuilder::new(seed).build();
@@ -149,7 +149,7 @@ pub struct RightsGated {
 }
 
 impl RightsGated {
-    /// The invariant instance for [`gating_sim`].
+    /// The invariant instance for `gating_sim`.
     pub fn for_gating_sim() -> Self {
         RightsGated {
             members: bus_members(),

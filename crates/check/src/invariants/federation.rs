@@ -41,12 +41,12 @@ pub const HOST: NodeId = NodeId(0);
 /// The workload driver (appears only as a message source).
 pub const DRIVER: NodeId = NodeId(9);
 /// The domain every scripted import starts from.
-pub const START: DomainId = DomainId(0);
+pub(crate) const START: DomainId = DomainId(0);
 
 /// The workload a federated trading host processes.
 #[derive(Debug, Clone)]
 pub enum FedMsg {
-    /// Resolve an import from [`START`].
+    /// Resolve an import from `START`.
     Import(ImportRequest),
     /// Export an offer into a domain's store.
     Export {
@@ -67,7 +67,7 @@ pub enum FedMsg {
 /// A single actor owning the whole federation: imports and offer churn
 /// arrive as messages, and every import's outcome is logged for the
 /// invariant to audit.
-pub struct FedHost {
+pub(crate) struct FedHost {
     federation: Federation,
     log: Vec<(ImportRequest, Result<ImportResolution, TraderError>)>,
 }
@@ -145,7 +145,7 @@ fn conference_offer(node: NodeId) -> ServiceOffer {
 /// tour offer is withdrawn, racing a tour import at 21 ms. When
 /// `accounted` is false every import runs with penalty accounting
 /// disabled (the seeded known-bad variant).
-pub fn federation_sim(seed: u64, accounted: bool) -> Sim<FedMsg> {
+pub(crate) fn federation_sim(seed: u64, accounted: bool) -> Sim<FedMsg> {
     let mut fed = Federation::new();
     for (d, trader) in [(0u32, 10u32), (1, 11), (2, 12), (3, 13)] {
         fed.add_domain(DomainId(d), ShardedStore::new([NodeId(trader)]));
@@ -250,7 +250,7 @@ pub fn fingerprint(sim: &Sim<FedMsg>) -> u64 {
 /// Quiescence invariant: every logged resolution withstands
 /// recomputation from the federation's links (scope soundness, penalty
 /// accounting, negotiated agreement, hop-wise monotonicity).
-pub struct FederationSound;
+pub(crate) struct FederationSound;
 
 impl FederationSound {
     fn audit(

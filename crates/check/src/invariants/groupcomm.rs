@@ -21,7 +21,7 @@ const SEND_TAG0: u64 = 100;
 const TICK_EVERY: SimDuration = SimDuration::from_millis(50);
 
 /// One group member as a simulator actor.
-pub struct Member {
+pub(crate) struct Member {
     engine: GroupEngine<u64>,
     script: Vec<(SimDuration, u64)>,
     /// Deliveries in order: `(origin, payload)`.
@@ -93,7 +93,7 @@ impl Actor<GcMsg<u64>> for Member {
 /// A three-member group where every member multicasts `per_member`
 /// payloads (payload = `origin * 100 + k`, `k` ascending) at close,
 /// interleaved times.
-pub fn group_sim(seed: u64, ordering: Ordering, per_member: u64) -> Sim<GcMsg<u64>> {
+pub(crate) fn group_sim(seed: u64, ordering: Ordering, per_member: u64) -> Sim<GcMsg<u64>> {
     let members = [NodeId(0), NodeId(1), NodeId(2)];
     let view = View::initial(GroupId(1), members);
     let mut sim = SimBuilder::new(seed).build();
@@ -112,7 +112,7 @@ pub fn group_sim(seed: u64, ordering: Ordering, per_member: u64) -> Sim<GcMsg<u6
 }
 
 /// The member ids [`group_sim`] uses.
-pub fn group_members() -> Vec<NodeId> {
+pub(crate) fn group_members() -> Vec<NodeId> {
     vec![NodeId(0), NodeId(1), NodeId(2)]
 }
 
@@ -134,7 +134,7 @@ pub fn fingerprint(sim: &Sim<GcMsg<u64>>) -> u64 {
 
 /// Step invariant: each member's vector clock only ever grows
 /// (pointwise) — time never runs backwards inside the causality layer.
-pub struct VClockMonotone {
+pub(crate) struct VClockMonotone {
     members: Vec<NodeId>,
     last: BTreeMap<NodeId, VectorClock>,
 }
@@ -178,7 +178,7 @@ impl Invariant<GcMsg<u64>> for VClockMonotone {
 /// ascending order (the harness encodes the origin's send index in the
 /// payload). Checked at each step; at quiescence every member must also
 /// have delivered everything.
-pub struct FifoDelivery {
+pub(crate) struct FifoDelivery {
     members: Vec<NodeId>,
     expected_total: usize,
 }
@@ -239,7 +239,7 @@ type MemberSeq<'s> = (NodeId, &'s [(NodeId, u64)]);
 /// Delivery-order agreement for totally ordered multicast: at every
 /// step the members' delivery sequences are prefix-compatible, and at
 /// quiescence they are identical.
-pub struct DeliveryAgreement {
+pub(crate) struct DeliveryAgreement {
     members: Vec<NodeId>,
 }
 

@@ -92,7 +92,7 @@ impl TxnHost {
     /// Canonical digest of the host's scheduling-relevant state: queued
     /// ops, progress counters, liveness flags and outcomes. Two hosts
     /// digesting equal behave identically on any future schedule.
-    pub fn state_digest(&self) -> u64 {
+    pub(crate) fn state_digest(&self) -> u64 {
         crate::explore::hash_of(&format!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
             self.queued, self.outstanding, self.blocked, self.alive, self.committed, self.aborted
@@ -236,7 +236,7 @@ pub fn fingerprint(sim: &Sim<TxnHarnessMsg>) -> u64 {
 
 /// Step invariant: the lock table never holds incompatible grants —
 /// a resource has either one exclusive holder or only shared holders.
-pub struct LockTableConsistent;
+pub(crate) struct LockTableConsistent;
 
 impl Invariant<TxnHarnessMsg> for LockTableConsistent {
     fn name(&self) -> &'static str {
@@ -266,7 +266,7 @@ impl Invariant<TxnHarnessMsg> for LockTableConsistent {
 /// at most one abort; and any victim is the youngest transaction (the
 /// ring cycle is the only possible cycle, and its youngest member has
 /// the highest id).
-pub struct DeadlockResolved {
+pub(crate) struct DeadlockResolved {
     n: usize,
 }
 

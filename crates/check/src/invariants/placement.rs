@@ -44,11 +44,11 @@ use odp_sim::time::SimDuration;
 use crate::explore::Invariant;
 
 /// Storage on island A (every tile's initial home).
-pub const STORAGE_A: NodeId = NodeId(0);
+pub(crate) const STORAGE_A: NodeId = NodeId(0);
 /// Storage on island B (the profitable destination in phase 2).
-pub const STORAGE_B: NodeId = NodeId(1);
+pub(crate) const STORAGE_B: NodeId = NodeId(1);
 /// The placement controller.
-pub const CONTROLLER: NodeId = NodeId(2);
+pub(crate) const CONTROLLER: NodeId = NodeId(2);
 
 /// Builds the shrunk raster scenario. `quiesce: false` is the seeded
 /// known-bad fixture (writes land inside freeze windows and are lost).
@@ -60,7 +60,7 @@ pub const CONTROLLER: NodeId = NodeId(2);
 /// that an access round trip (~17 ms) finishes inside the editor's
 /// 30 ms per-tile cadence; otherwise its one-outstanding-per-tile rule
 /// would skip exactly the writes the freeze window is meant to catch.
-pub fn placement_sim(seed: u64, quiesce: bool) -> Sim<PlaceWire> {
+pub(crate) fn placement_sim(seed: u64, quiesce: bool) -> Sim<PlaceWire> {
     let cfg = RasterConfig {
         seed,
         editors_per_island: 1,
@@ -215,11 +215,11 @@ fn recheck_epochs(epochs: &[EpochRecord]) -> Result<(), String> {
 }
 
 /// The placement-soundness invariant for [`placement_sim`].
-pub struct PlacementSound;
+pub(crate) struct PlacementSound;
 
 impl PlacementSound {
     /// The invariant instance for [`placement_sim`].
-    pub fn for_placement_sim() -> Self {
+    pub(crate) fn for_placement_sim() -> Self {
         PlacementSound
     }
 }

@@ -16,7 +16,7 @@ use odp_sim::prelude::*;
 use crate::explore::Invariant;
 
 /// One dOPT replica as a simulator actor.
-pub struct DoptActor {
+pub(crate) struct DoptActor {
     site: DoptSite,
     peers: Vec<NodeId>,
     script: Vec<(SimDuration, CharOp)>,

@@ -1,7 +1,7 @@
 //! TCP-driver invariant: the driver core keeps its link table honest
 //! through connection churn, across every explored interleaving.
 //!
-//! Two [`CoreHost`]s — node 0 dials, node 1 accepts, as `TcpNode`'s
+//! Two `CoreHost`s — node 0 dials, node 1 accepts, as `TcpNode`'s
 //! lower-dials-higher policy has it — run one scripted stint of churn,
 //! and the explorer chooses how its events interleave:
 //!
@@ -15,7 +15,7 @@
 //!   handled a send before the stop and holds one after it, while a
 //!   frame from node 1 races the stop.
 //!
-//! Beside the promises every [`CoreHost`] checks as it goes (a link is
+//! Beside the promises every `CoreHost` checks as it goes (a link is
 //! dropped only by its own connection's end, replacement or failed
 //! write; `Hello` is the first frame on every connection; within a
 //! connection frames leave in transmit order), the quiescent check
@@ -43,11 +43,11 @@ use super::transport::{session, CoreHost, Local, Pipe};
 use crate::explore::Invariant;
 
 /// The dialing node.
-pub const DIALER: NodeId = NodeId(0);
+pub(crate) const DIALER: NodeId = NodeId(0);
 /// The accepting node.
-pub const HUB: NodeId = NodeId(1);
+pub(crate) const HUB: NodeId = NodeId(1);
 /// A third host whose core claims the dialer's id.
-pub const IMPOSTOR: NodeId = NodeId(2);
+pub(crate) const IMPOSTOR: NodeId = NodeId(2);
 
 /// Heartbeats and the failure deadline lie past the scenario, so every
 /// branch point the explorer spends is one of the churn's races.
@@ -60,12 +60,12 @@ fn session_config() -> SessionConfig {
 }
 
 /// The churn scenario; `gone_checks_conn: false` is the known-bad arm.
-pub fn churn_sim(seed: u64, gone_checks_conn: bool) -> Sim<Pipe> {
+pub(crate) fn churn_sim(seed: u64, gone_checks_conn: bool) -> Sim<Pipe> {
     build(seed, gone_checks_conn, false)
 }
 
-/// The churn scenario with an impostor claiming [`DIALER`]'s id at
-/// [`HUB`] (see the module docs: not part of the armed suite).
+/// The churn scenario with an impostor claiming `DIALER`'s id at
+/// `HUB` (see the module docs: not part of the armed suite).
 pub fn duplicate_claim_sim(seed: u64) -> Sim<Pipe> {
     build(seed, true, true)
 }

@@ -20,7 +20,7 @@ use odp_telemetry::collector::Collector;
 use crate::explore::Invariant;
 
 /// The trivial application under test: acknowledges every RPC.
-pub struct EchoApp;
+pub(crate) struct EchoApp;
 
 impl GroupApp<String> for EchoApp {
     fn on_deliver(&mut self, _ctx: &mut Ctx<'_, GcMsg<String>>, _delivery: Delivery<String>) {}
@@ -69,7 +69,7 @@ impl Actor<GcMsg<String>> for CallerHost {
 /// A three-member group with span telemetry on everywhere; node 0
 /// issues one group RPC at start. With `well_formed: false` the caller
 /// additionally leaks an unclosed `bad.probe` span.
-pub fn telemetry_sim(seed: u64, well_formed: bool) -> Sim<GcMsg<String>> {
+pub(crate) fn telemetry_sim(seed: u64, well_formed: bool) -> Sim<GcMsg<String>> {
     let members = [NodeId(0), NodeId(1), NodeId(2)];
     let view = View::initial(GroupId(1), members);
     let mut sim = SimBuilder::new(seed).build();
@@ -145,7 +145,7 @@ pub fn fingerprint(sim: &Sim<GcMsg<String>>) -> u64 {
 /// Checked only at quiescence: mid-run there are legitimately open
 /// spans (an rpc.call waiting for its quorum), so the audit would
 /// misfire on every step.
-pub struct TelemetrySpans;
+pub(crate) struct TelemetrySpans;
 
 impl Invariant<GcMsg<String>> for TelemetrySpans {
     fn name(&self) -> &'static str {

@@ -37,7 +37,7 @@ pub const IMP: NodeId = NodeId(10);
 pub const EXP: NodeId = NodeId(20);
 
 /// The hot service type the scenario churns.
-pub fn hot_type() -> ServiceType {
+pub(crate) fn hot_type() -> ServiceType {
     ServiceType::new("video/conference")
 }
 
@@ -57,7 +57,7 @@ fn offer() -> ServiceOffer {
 /// the offer's [`TraderMsg::Transfer`] to the surviving shard. When
 /// `announce` is false the shards rebalance silently, multicasting no
 /// invalidations at all (the injected coherence bug).
-pub fn rebalance_sim(seed: u64, announce: bool) -> Sim<TraderMsg> {
+pub(crate) fn rebalance_sim(seed: u64, announce: bool) -> Sim<TraderMsg> {
     let ring = HashRing::new([T1, T2]);
     let owner = ring.node_for(&hot_type()).unwrap_or(T1); // ring is non-empty; fallback never taken
     let mut sim = SimBuilder::new(seed).build();
@@ -131,7 +131,7 @@ pub fn fingerprint(sim: &Sim<TraderMsg>) -> u64 {
 
 /// Quiescence invariant: importer caches agree with the owning shards,
 /// and every stored offer lives on the shard the ring assigns it to.
-pub struct CacheCoherent {
+pub(crate) struct CacheCoherent {
     traders: Vec<NodeId>,
     importers: Vec<NodeId>,
     required: QosSpec,
@@ -149,7 +149,7 @@ impl CacheCoherent {
     }
 
     /// The invariant instance for [`rebalance_sim`].
-    pub fn for_rebalance_sim() -> Self {
+    pub(crate) fn for_rebalance_sim() -> Self {
         CacheCoherent::new(vec![T1, T2], vec![IMP], QosSpec::video())
     }
 

@@ -1,7 +1,7 @@
 //! The TCP driver's core on the simulator, and the transport-fidelity
 //! invariant over it.
 //!
-//! [`CoreHost`] is one sim actor hosting one
+//! `CoreHost` is one sim actor hosting one
 //! [`odp_net::driver::DriverCore`] — the state machine the threaded
 //! `TcpNode` runs — over a [`Recorder`] actor. It models the shell
 //! around the core and nothing else: each sim callback is one driver
@@ -19,7 +19,7 @@
 //! TCP runs.
 //!
 //! While it reads and flushes, the host holds the core to three
-//! promises and records any breach in [`CoreHost::violations`]:
+//! promises and records any breach in `CoreHost::violations`:
 //!
 //! - **a link is its own connection's**: every connection the core
 //!   drops was replaced by a newer `Conn` for its peer, ended with its
@@ -176,7 +176,7 @@ impl ConnEnd {
 }
 
 /// A sim actor hosting one TCP driver core (see the [module docs](self)).
-pub struct CoreHost {
+pub(crate) struct CoreHost {
     /// The node the core speaks for (a `Hello` says so).
     me: NodeId,
     core: Option<DriverCore<Note, Recorder>>,
@@ -230,7 +230,7 @@ impl CoreHost {
     }
 
     /// Every breach of the core's promises the host saw.
-    pub fn violations(&self) -> &[String] {
+    pub(crate) fn violations(&self) -> &[String] {
         &self.violations
     }
 
@@ -499,7 +499,7 @@ pub fn session(me: NodeId, members: &[NodeId], cfg: SessionConfig) -> SessionLay
 }
 
 /// Canonical [`crate::explore::StateFingerprint`] for any scenario of
-/// [`CoreHost`]s: each host's deliveries, counters, connections and
+/// `CoreHost`s: each host's deliveries, counters, connections and
 /// recorded breaches.
 pub fn fingerprint(sim: &Sim<Pipe>) -> u64 {
     let parts: Vec<String> = sim
@@ -512,7 +512,7 @@ pub fn fingerprint(sim: &Sim<Pipe>) -> u64 {
 }
 
 /// The session members; node 2 is the crasher.
-pub fn session_members() -> Vec<NodeId> {
+pub(crate) fn session_members() -> Vec<NodeId> {
     vec![NodeId(0), NodeId(1), NodeId(2)]
 }
 
@@ -526,7 +526,7 @@ const CRASHER: NodeId = NodeId(2);
 /// The mesh comes up one connection at a time (each node dials every
 /// larger id), so the explorer spends its depth on the scenario's
 /// races rather than on the handshakes.
-pub fn transport_sim(seed: u64, forward_dedup: bool) -> Sim<Pipe> {
+pub(crate) fn transport_sim(seed: u64, forward_dedup: bool) -> Sim<Pipe> {
     let members = session_members();
     let net = Network::new(LinkSpec::lan());
     let mut sim = SimBuilder::new(seed).network(net).build();
@@ -589,13 +589,13 @@ fn expected_deliveries(member: NodeId) -> Vec<(NodeId, String)> {
 /// evictions; the delivered multiset equals the recomputed expectation
 /// (which subsumes exactly-once); and the run actually exercised the
 /// forwarding and dedup paths (vacuity guards).
-pub struct TransportFidelity {
+pub(crate) struct TransportFidelity {
     members: Vec<NodeId>,
 }
 
 impl TransportFidelity {
     /// The invariant instance for [`transport_sim`].
-    pub fn for_transport_sim() -> Self {
+    pub(crate) fn for_transport_sim() -> Self {
         TransportFidelity {
             members: session_members(),
         }

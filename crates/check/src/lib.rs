@@ -8,9 +8,10 @@
 //! **The lint pass** ([`lint`]) is a self-contained source analyzer
 //! (token scanner; no rustc plugin, no network) that fails on
 //! allocation on the delivery hot path in any non-test crate source,
-//! and, across the workspace, on a `pub` item or module nothing names
-//! (`dead-pub`, `dead-mod`) and on a dependency no source names
-//! (`unused-dep`). Findings are suppressed per-site with
+//! and, across the workspace, on a `pub` item nothing outside its crate
+//! names (`crate-pub`: it must be `pub(crate)`, so rustc's `dead_code`
+//! sees it), on a module nothing reaches (`dead-mod`) and on a
+//! dependency no source names (`unused-dep`). Findings are suppressed per-site with
 //! `// odp-check: allow(<rule>)` comments, and an allow that suppresses
 //! nothing is itself an error. No `unwrap()`/`expect()` in protocol
 //! code, no wall-clock read and no iteration over `HashMap`/`HashSet`

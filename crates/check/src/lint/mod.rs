@@ -3,8 +3,8 @@
 //! A self-contained source-level analyzer: no rustc plugin, no network
 //! access, no syn — just the [`scanner`] token stream, the per-file
 //! `hot-path-alloc` rule in [`rules`], and the workspace-wide
-//! [`surface`] rules (`dead-pub`, `dead-mod`, `unused-dep`). The pass
-//! scans every `.rs` file under [`surface::USER_DIRS`], runs the
+//! [`surface`] rules (`crate-pub`, `dead-mod`, `unused-dep`). The pass
+//! scans every `.rs` file under `surface::USER_DIRS`, runs the
 //! per-file rule on crate sources (skipping test/example/bench/vendor
 //! code), applies `// odp-check: allow(<rule>)` comments, and reports
 //! `file:line` diagnostics. Anything it prints is a build-gate failure
@@ -51,9 +51,9 @@ impl fmt::Display for Diagnostic {
 /// examples/ and benches/ are exempt by the rules' own definition, and
 /// benchmark/ is the standalone measuring package (`odpbench`), whose
 /// job is reading the wall clock and which aborts the run on a failed
-/// audit by design, like benches/. `dead-pub` still reads their files
+/// audit by design, like benches/. `crate-pub` still reads their files
 /// as users of the public surface.
-pub const SKIP_DIRS: &[&str] = &["tests", "examples", "benches", "benchmark"];
+pub(crate) const SKIP_DIRS: &[&str] = &["tests", "examples", "benches", "benchmark"];
 
 /// Finds the workspace root by walking up from `start` until a
 /// `Cargo.toml` containing `[workspace]` appears.
@@ -154,12 +154,12 @@ fn lint_file(rel: &Path, scanned: &scanner::ScannedFile, raw: Vec<Finding>) -> V
 }
 
 /// Lints an already-scanned workspace: the per-file rules on every
-/// source outside [`SKIP_DIRS`], `dead-pub` and `dead-mod` across all
+/// source outside [`SKIP_DIRS`], `crate-pub` and `dead-mod` across all
 /// of them, and `unused-dep` on `manifests`. Diagnostics come sorted by
 /// path then line, manifests last.
-pub fn lint_workspace(sources: &[Source], manifests: &[Manifest]) -> Vec<Diagnostic> {
+pub(crate) fn lint_workspace(sources: &[Source], manifests: &[Manifest]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let dead = surface::dead_pub(sources)
+    let dead = surface::crate_pub(sources)
         .into_iter()
         .zip(surface::dead_mod(sources));
     for (s, (mut raw, mods)) in sources.iter().zip(dead) {

@@ -1,6 +1,6 @@
 //! The lint's rule names and its one per-file rule, `hot-path-alloc`.
 //!
-//! A rule is a pure function from a [`ScannedFile`] token stream to raw
+//! A rule is a pure function from a `ScannedFile` token stream to raw
 //! findings (the workspace-wide rules live in
 //! [`crate::lint::surface`]); the pass in [`crate::lint`] applies
 //! allow-comments and test-region exemptions on top. Unwraps, wall-clock
@@ -11,7 +11,7 @@ use crate::lint::scanner::ScannedFile;
 
 /// A raw finding before allow and test-region filtering.
 #[derive(Debug, Clone)]
-pub struct Finding {
+pub(crate) struct Finding {
     /// The rule that fired (one of [`RULES`]).
     pub rule: &'static str,
     /// 1-based line.
@@ -21,21 +21,21 @@ pub struct Finding {
 }
 
 /// Rule: no per-delivery heap allocation in delivery-path methods.
-pub const RULE_HOT_ALLOC: &str = "hot-path-alloc";
-/// Workspace rule: a `pub` item no other code names (see
+pub(crate) const RULE_HOT_ALLOC: &str = "hot-path-alloc";
+/// Workspace rule: a `pub` item nothing outside its crate names (see
 /// [`crate::lint::surface`]).
-pub const RULE_DEAD_PUB: &str = "dead-pub";
+pub(crate) const RULE_CRATE_PUB: &str = "crate-pub";
 /// Workspace rule: a `pub mod` nothing outside its own file reaches (see
 /// [`crate::lint::surface`]).
-pub const RULE_DEAD_MOD: &str = "dead-mod";
+pub(crate) const RULE_DEAD_MOD: &str = "dead-mod";
 /// Workspace rule: a manifest dependency no package source names. It
 /// has no allow-comment: the entry is deleted.
-pub const RULE_UNUSED_DEP: &str = "unused-dep";
+pub(crate) const RULE_UNUSED_DEP: &str = "unused-dep";
 /// Meta-rule: an allow-comment that suppressed nothing.
-pub const RULE_UNUSED_ALLOW: &str = "unused-allow";
+pub(crate) const RULE_UNUSED_ALLOW: &str = "unused-allow";
 
 /// Every rule name an allow-comment may reference.
-pub const RULES: &[&str] = &[RULE_HOT_ALLOC, RULE_DEAD_PUB, RULE_DEAD_MOD];
+pub(crate) const RULES: &[&str] = &[RULE_HOT_ALLOC, RULE_CRATE_PUB, RULE_DEAD_MOD];
 
 /// The method names that make up the delivery hot path: the sim (or
 /// the transport driver) calls these once per message, frame or tick,
@@ -78,7 +78,7 @@ const HOT_FNS: &[&str] = &[
 /// outside a loop is tolerated: it is a constant per-delivery cost, and
 /// handle types make it cheap. Sites with a documented reason carry
 /// `// odp-check: allow(hot-path-alloc)`.
-pub fn hot_alloc_rule(file: &ScannedFile) -> Vec<Finding> {
+pub(crate) fn hot_alloc_rule(file: &ScannedFile) -> Vec<Finding> {
     let toks = &file.tokens;
     let mut out = Vec::new();
     let mut i = 0;

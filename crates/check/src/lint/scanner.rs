@@ -1,8 +1,9 @@
 //! Source preparation for the lint rules: a small scanner that strips
-//! comments and literals, records `odp-check: allow(...)` comments, and
-//! marks the lines of whatever a `#[cfg(test)]` sits on (a module, an
-//! item, a field or a statement), so rules run over a token stream that
-//! cannot be fooled by strings or doc text.
+//! comments and literals, records `odp-check: allow(...)` comments,
+//! keeps the code of doc examples apart, and marks the lines of whatever
+//! a `#[cfg(test)]` sits on (a module, an item, a field or a statement),
+//! so rules run over a token stream that cannot be fooled by strings or
+//! doc text.
 //!
 //! This is deliberately *not* a Rust parser. The rules are lexical
 //! (method-call and path patterns), and a lexical scanner keeps the
@@ -14,7 +15,7 @@ use std::fmt;
 
 /// One word or punctuation character of the cleaned source.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token text: an identifier/number word, or one punctuation
     /// character.
     pub text: String,
@@ -24,7 +25,7 @@ pub struct Token {
 
 impl Token {
     /// True when the token is an identifier-like word.
-    pub fn is_word(&self) -> bool {
+    pub(crate) fn is_word(&self) -> bool {
         self.text
             .chars()
             .next()
@@ -45,11 +46,14 @@ pub struct Allow {
 }
 
 /// A scanned source file, ready for the rules.
-pub struct ScannedFile {
+pub(crate) struct ScannedFile {
     /// The cleaned token stream (comments and literal contents gone).
     pub tokens: Vec<Token>,
     /// Allow-comments in source order.
     pub allows: Vec<Allow>,
+    /// The tokens of the Rust code blocks in `///` and `//!` comments:
+    /// the doc examples rustdoc compiles, each as a crate of its own.
+    pub doctests: Vec<Token>,
     /// For each 1-based line, whether it lies inside what a
     /// `#[cfg(test)]` sits on (index 0 unused).
     test_lines: Vec<bool>,
@@ -57,7 +61,7 @@ pub struct ScannedFile {
 
 impl ScannedFile {
     /// True when `line` (1-based) is inside a `#[cfg(test)]` region.
-    pub fn in_test_code(&self, line: usize) -> bool {
+    pub(crate) fn in_test_code(&self, line: usize) -> bool {
         self.test_lines.get(line).copied().unwrap_or(false)
     }
 }
@@ -72,13 +76,14 @@ impl fmt::Debug for ScannedFile {
 }
 
 /// The marker the allow-comment syntax hangs off.
-pub const ALLOW_PREFIX: &str = "odp-check: allow(";
+pub(crate) const ALLOW_PREFIX: &str = "odp-check: allow(";
 
 /// Scans one file's source text.
-pub fn scan(src: &str) -> ScannedFile {
+pub(crate) fn scan(src: &str) -> ScannedFile {
     let line_count = src.lines().count() + 1;
     let mut cleaned = String::with_capacity(src.len());
     let mut allows: Vec<Allow> = Vec::new();
+    let mut docs = DocCode::default();
 
     // Pass 1: strip comments / string / char literals, keeping newlines
     // so line numbers survive. Allow-comments are harvested here, since
@@ -99,6 +104,9 @@ pub fn scan(src: &str) -> ScannedFile {
                 .trim_start_matches('!')
                 .trim_start();
             let is_doc = comment.starts_with("///") || comment.starts_with("//!");
+            if is_doc && !comment.starts_with("////") {
+                docs.line(line, &comment[3..]);
+            }
             if !is_doc && body.starts_with(ALLOW_PREFIX) {
                 let args = &body[ALLOW_PREFIX.len()..];
                 let args = args.split(')').next().unwrap_or("");
@@ -165,7 +173,14 @@ pub fn scan(src: &str) -> ScannedFile {
             let mut j = i + 1;
             while j < bytes.len() {
                 match bytes[j] {
-                    b'\\' => j += 2,
+                    b'\\' => {
+                        // A `\` ending the line continues the string.
+                        if bytes.get(j + 1) == Some(&b'\n') {
+                            line += 1;
+                            cleaned.push('\n');
+                        }
+                        j += 2;
+                    }
                     b'"' => {
                         j += 1;
                         break;
@@ -291,11 +306,73 @@ pub fn scan(src: &str) -> ScannedFile {
         }
     }
 
+    let doctests = if docs.src.is_empty() {
+        Vec::new()
+    } else {
+        scan(&docs.src).tokens
+    };
     ScannedFile {
         tokens,
         allows,
+        doctests,
         test_lines,
     }
+}
+
+/// The code of the doc examples in one file, gathered line by line as
+/// the scanner meets doc comments.
+#[derive(Default)]
+struct DocCode {
+    /// Inside a fenced block: whether rustdoc compiles it.
+    fence: Option<bool>,
+    /// The last doc-comment line seen; a gap ends an unclosed block.
+    last: usize,
+    /// The compiled blocks' code, each line on its source line, and the
+    /// number of lines it holds.
+    src: String,
+    lines: usize,
+}
+
+impl DocCode {
+    /// Takes one doc-comment line: `text` follows its `///` or `//!`.
+    fn line(&mut self, line: usize, text: &str) {
+        if line != self.last + 1 {
+            self.fence = None;
+        }
+        self.last = line;
+        let text = text.strip_prefix(' ').unwrap_or(text);
+        if let Some(info) = text.trim_start().strip_prefix("```") {
+            self.fence = if self.fence.is_some() {
+                None
+            } else {
+                Some(is_compiled(info))
+            };
+        } else if self.fence == Some(true) {
+            // rustdoc hides a `# ` line from the page but compiles it.
+            let code = match text.trim_start().strip_prefix('#') {
+                Some(rest) if rest.is_empty() || rest.starts_with(' ') => rest,
+                _ => text,
+            };
+            self.src
+                .extend(std::iter::repeat_n('\n', line - 1 - self.lines));
+            self.lines = line - 1;
+            self.src.push_str(code);
+        }
+    }
+}
+
+/// Whether rustdoc compiles a fenced block with this info string: an
+/// untagged block, or one whose every tag is a doctest attribute. A
+/// `text` block, any other language, and `ignore` are not compiled.
+fn is_compiled(info: &str) -> bool {
+    info.split([',', ' ', '\t'])
+        .filter(|t| !t.is_empty())
+        .all(|t| {
+            matches!(
+                t,
+                "rust" | "no_run" | "should_panic" | "compile_fail" | "test_harness"
+            ) || t.starts_with("edition")
+        })
 }
 
 /// Keywords that open an item: an item runs to its `;` or to the `}`
@@ -358,8 +435,9 @@ fn attributed_end(tokens: &[Token], idx: usize) -> usize {
     j
 }
 
-/// The index of the bracket that closes the one at `open`.
-fn close_of(tokens: &[Token], open: usize) -> usize {
+/// The index of the bracket that closes the one at `open`
+/// (`tokens.len()` if the source ends first).
+pub(crate) fn close_of(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     for (j, t) in tokens.iter().enumerate().skip(open) {
         match t.text.as_str() {
@@ -539,6 +617,41 @@ mod tests {
                    \x20   fn grant(&mut self) {}\n\
                    }\n";
         assert_eq!(test_lines_of(src, 1..=4), vec![1]);
+    }
+
+    #[test]
+    fn doc_example_code_is_kept_apart_with_its_lines() {
+        let src = "/// Makes one.\n\
+                   ///\n\
+                   /// ```\n\
+                   /// # use odp_x::Table;\n\
+                   /// let t = Table::open();\n\
+                   /// ```\n\
+                   /// ```text\n\
+                   /// Prose::not_code\n\
+                   /// ```\n\
+                   //! ```compile_fail\n\
+                   //! bad_call();\n\
+                   //! ```\n\
+                   fn open() {}\n";
+        let s = scan(src);
+        let words: Vec<String> = s
+            .doctests
+            .iter()
+            .filter(|t| t.is_word())
+            .map(|t| format!("{}:{}", t.text, t.line))
+            .collect();
+        let want = "use:4 odp_x:4 Table:4 let:5 t:5 Table:5 open:5 bad_call:11";
+        assert_eq!(words.join(" "), want);
+        let code: Vec<&str> = s.tokens.iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(code, vec!["fn", "open", "(", ")", "{", "}"]);
+    }
+
+    #[test]
+    fn a_string_continued_across_lines_keeps_the_lines_after_it() {
+        let s = scan("let m = \"one \\\n  two \\\n  three\";\nfn after() {}\n");
+        let after = s.tokens.iter().find(|t| t.text == "after");
+        assert_eq!(after.map(|t| t.line), Some(4));
     }
 
     #[test]

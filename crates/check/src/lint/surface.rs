@@ -1,21 +1,34 @@
-//! The workspace-wide rules: `dead-pub`, `dead-mod` and `unused-dep`.
+//! The workspace-wide rules: `crate-pub`, `dead-mod` and `unused-dep`.
 //!
 //! The content rules in [`crate::lint::rules`] read one file at a time.
-//! These three read the whole workspace, because a public item, a module
-//! or a dependency is dead only when *no* file names it. Every `.rs` file
-//! under [`USER_DIRS`] is a possible user. All three read the scanner's
-//! token stream, so comments and literal contents never count as a use.
+//! These three read the whole workspace, because whether an item must be
+//! `pub`, a module is reached or a dependency is used depends on what
+//! *other* files name. Every `.rs` file under `USER_DIRS` is a possible
+//! user. All three read the scanner's token stream, so comments and
+//! literal contents never count as a use.
 //!
-//! - **`dead-pub`**: a `pub` fn, const or static (free or in an inherent
-//!   `impl`) under `crates/*/src` that no token names outside its own
-//!   declaration and its own file's `#[cfg(test)]` code.
-//!   - *Sees:* every bare word, in any file, with that name.
+//! - **`crate-pub`**: a `pub` fn, const, static, struct, enum, union,
+//!   trait or type alias under `crates/*/src` that nothing outside its
+//!   crate names must be `pub(crate)`. Then rustc's `dead_code` lint,
+//!   which sees types, variants and fields but only inside a crate,
+//!   reports it if nothing inside uses it either; CI builds with
+//!   `-D warnings`, so such an item is deleted.
+//!   - *Sees:* outside uses: any word in another crate, a binary
+//!     target, `tests/`, `examples/`, `benchmark/` or the umbrella
+//!     `src/`; any word in a doc example's fenced block anywhere,
+//!     because rustdoc builds each as a crate of its own; a `$crate::`
+//!     path in a `#[macro_export]` macro, which other crates expand; and
+//!     an alias a `pub use … as` gives the item. An item that a kept
+//!     item's interface names (a fn's signature and its `impl`'s
+//!     bounds, a const's type, any other item's whole declaration) is
+//!     kept too, so no `pub` item exposes a crate-private one; a
+//!     method's interface counts only once its type is kept.
 //!   - *Cannot see:* which item a word refers to. The match is by name,
-//!     so an item that shares its name with anything else in the
-//!     workspace (a local variable, a method of another type) is never
-//!     flagged; what the rule misses is recall, never a false alarm on a
-//!     named item. Types, traits and `pub(crate)` or private items are
-//!     out of scope (the last two are rustc's `dead_code` job).
+//!     so an item whose name collides with any word outside its crate
+//!     (a local, another crate's method) stays `pub`: what the rule
+//!     misses is recall, never a false alarm. Modules (`dead-mod`'s),
+//!     `pub use` lines and `pub` fields are not audited. An intra-doc
+//!     link or a word in doc prose is not a use.
 //! - **`dead-mod`**: a `pub mod m;` under `crates/*/src` that nothing
 //!   outside the module's own file or directory reaches. A file reaches
 //!   `m` when it names the path `m::`, or names an item that the
@@ -40,32 +53,33 @@
 //!     spelt like the crate keeps the entry, and a `build.rs` is not
 //!     read.
 //!
-//! `// odp-check: allow(dead-pub) — <reason>` on the line above a `pub`
-//! (`allow(dead-mod)` above a `pub mod`) suppresses a finding, and the
-//! `unused-allow` rule reports the comment once the item gains a caller.
-//! The workspace keeps none outside this module's fixtures (CI greps for
-//! one): what the rules find is deleted. An unused dependency has no
-//! allow at all.
+//! `// odp-check: allow(crate-pub) — <requirement>` on the line above a
+//! `pub` item (`allow(dead-mod)` above a `pub mod`) suppresses a
+//! finding, and the `unused-allow` rule reports the comment once the
+//! item gains an outside user. The workspace keeps none: a `crate-pub`
+//! allow would cite the PAPER.md requirement the item serves, and CI
+//! fails on any `allow(dead-mod)` outside this module's fixtures. An
+//! unused dependency has no allow at all.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Range, RangeInclusive};
 use std::path::{Component, Path, PathBuf};
 
-use crate::lint::rules::{Finding, RULE_DEAD_MOD, RULE_DEAD_PUB, RULE_UNUSED_DEP};
-use crate::lint::scanner::{ScannedFile, Token};
+use crate::lint::rules::{Finding, RULE_CRATE_PUB, RULE_DEAD_MOD, RULE_UNUSED_DEP};
+use crate::lint::scanner::{close_of, ScannedFile, Token};
 use crate::lint::Diagnostic;
 
 /// The top-level directories whose `.rs` files count as users of the
 /// public surface: the crates, the umbrella's `src/`, the workspace
 /// tests and examples, and the standalone `benchmark/` package.
-pub const USER_DIRS: &[&str] = &["crates", "src", "tests", "examples", "benchmark"];
+pub(crate) const USER_DIRS: &[&str] = &["crates", "src", "tests", "examples", "benchmark"];
 
 /// The target directories cargo discovers inside a package: a file
 /// under one of them is that package's source.
 const TARGET_DIRS: &[&str] = &["src", "tests", "examples", "benches"];
 
 /// One scanned workspace source file.
-pub struct Source {
+pub(crate) struct Source {
     /// Path relative to the workspace root.
     pub rel: PathBuf,
     /// The scanner's view of it.
@@ -73,7 +87,7 @@ pub struct Source {
 }
 
 /// One package manifest.
-pub struct Manifest {
+pub(crate) struct Manifest {
     /// Path of the `Cargo.toml`, relative to the workspace root.
     pub rel: PathBuf,
     /// Its text.
@@ -89,8 +103,8 @@ fn components(rel: &Path) -> Vec<&str> {
         .collect()
 }
 
-/// Whether `rel` is library or binary source of a crate: its `pub`
-/// items are the surface `dead-pub` audits.
+/// Whether `rel` is library or binary source of a crate: the `pub mod`
+/// lines `dead-mod` audits.
 fn declares_surface(rel: &Path) -> bool {
     let parts = components(rel);
     parts.len() > 3 && parts[0] == "crates" && parts[2] == "src"
@@ -122,71 +136,261 @@ fn pub_item(toks: &[Token], i: usize) -> Option<(&str, usize)> {
         .then(|| (text(j), name))
 }
 
-/// Token indices of the names of every `pub` fn, const and static the
-/// file declares outside test code.
-fn pub_decls(file: &ScannedFile) -> Vec<usize> {
-    let toks = &file.tokens;
-    (0..toks.len())
-        .filter(|&i| !file.in_test_code(toks[i].line))
-        .filter_map(|i| pub_item(toks, i))
-        .filter(|(kw, _)| matches!(*kw, "fn" | "const" | "static"))
-        .map(|(_, n)| n)
-        .collect()
+/// The library crate whose source `rel` is (the `<name>` of
+/// `crates/<name>/src/`), if any. A binary target's source
+/// (`src/main.rs`, `src/bin/`) is a crate of its own that uses the
+/// library from outside, like a test.
+fn lib_crate(rel: &Path) -> Option<&str> {
+    let parts = components(rel);
+    let bin = matches!(parts.get(3), Some(&"main.rs" | &"bin"));
+    (declares_surface(rel) && !bin).then(|| parts[1])
 }
 
-/// The `dead-pub` rule over every source, returning each source's raw
-/// findings (same order as `sources`), ready for allow-comments.
-pub fn dead_pub(sources: &[Source]) -> Vec<Vec<Finding>> {
-    let decls: Vec<Vec<usize>> = sources
-        .iter()
-        .map(|s| {
-            if declares_surface(&s.rel) {
-                pub_decls(&s.scanned)
-            } else {
-                Vec::new()
+/// One `pub` item a crate's library source declares.
+struct PubDecl<'a> {
+    /// Index of the declaring source, and its crate.
+    src: usize,
+    krate: &'a str,
+    /// Token index of the item's name.
+    name: usize,
+    /// The type whose inherent `impl` declares it, if any: a method is
+    /// reachable from outside only through its type.
+    owner: Option<&'a str>,
+    /// The words of its interface, which a user outside the crate may
+    /// need to name to use it: a fn's signature (with its `impl`'s
+    /// bounds), a const's or static's type, any other item's whole
+    /// declaration.
+    interface: Vec<&'a str>,
+}
+
+/// One inherent `impl` block: its self type, the words of its generic
+/// parameters and `where` clause, and the token range of its body.
+struct ImplBlock<'a> {
+    owner: &'a str,
+    bounds: Vec<&'a str>,
+    body: Range<usize>,
+}
+
+/// Every inherent `impl` block of a file (`impl Trait for T` blocks
+/// declare no `pub` items and are left out).
+fn impl_blocks(toks: &[Token]) -> Vec<ImplBlock<'_>> {
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        // `impl` opens a block only where an item may start, not as the
+        // `impl Trait` of a signature.
+        let at_item = i == 0 || matches!(text(i - 1), "}" | ";" | "]" | "{" | "unsafe");
+        if text(i) != "impl" || !at_item {
+            continue;
+        }
+        let (mut depth, mut owner, mut bounds, mut in_where) = (0usize, "", Vec::new(), false);
+        let mut j = i + 1;
+        while j < toks.len() {
+            let t = text(j);
+            if depth == 0 && matches!(t, "{" | "for") {
+                break;
             }
-        })
-        .collect();
-    // Every word token that is not itself a `pub` declaration's name.
-    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
-    for (s, d) in sources.iter().zip(&decls) {
-        for (i, t) in s.scanned.tokens.iter().enumerate() {
-            if t.is_word() && d.binary_search(&i).is_err() {
-                *uses.entry(t.text.as_str()).or_default() += 1;
+            match t {
+                "<" => depth += 1,
+                ">" if text(j - 1) != "-" => depth = depth.saturating_sub(1),
+                "where" => in_where = true,
+                _ => {}
+            }
+            if depth > 0 || in_where {
+                bounds.push(t);
+            } else if toks[j].is_word() {
+                owner = t;
+            }
+            j += 1;
+        }
+        if !owner.is_empty() && text(j) == "{" {
+            out.push(ImplBlock {
+                owner,
+                bounds,
+                body: j..close_of(toks, j),
+            });
+        }
+    }
+    out
+}
+
+/// The interface words of the `kw` item named at token `n` (see
+/// [`PubDecl::interface`]): a fn's signature, any other item's whole
+/// declaration, and a const's or static's type. A name bound by a `:`
+/// (a parameter, a field, a generic parameter) is not a word of it.
+fn interface<'a>(toks: &'a [Token], kw: &str, n: usize) -> Vec<&'a str> {
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    let mut depth = 0usize;
+    let mut end = n + 1;
+    while end < toks.len() {
+        match text(end) {
+            "{" if depth == 0 => {
+                if kw != "fn" {
+                    end = close_of(toks, end);
+                }
+                break;
+            }
+            ";" if depth == 0 => break,
+            "=" if depth == 0 && kw != "type" => break,
+            "<" | "(" | "[" => depth += 1,
+            ">" if text(end - 1) == "-" => {}
+            ">" | ")" | "]" => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+        end += 1;
+    }
+    let bound = |k: usize| text(k + 1) == ":" && text(k + 2) != ":" && text(k - 1) != ":";
+    (n + 1..end).filter(|&k| !bound(k)).map(text).collect()
+}
+
+/// The words of every `$crate::` path inside the file's
+/// `#[macro_export]` macros: the crates that expand the macro name them.
+fn exported_macro_paths(toks: &[Token]) -> Vec<&str> {
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if !(text(i) == "#" && text(i + 1) == "[" && text(i + 2) == "macro_export") {
+            continue;
+        }
+        let Some(open) = (i..toks.len()).find(|&j| text(j) == "{") else {
+            continue;
+        };
+        for k in open..close_of(toks, open) {
+            if text(k) == "$" && text(k + 1) == "crate" {
+                let mut seg = k + 1;
+                while is_path_segment(toks, seg) && toks[seg + 3].is_word() {
+                    seg += 3;
+                    out.push(text(seg));
+                }
             }
         }
     }
-    sources
+    out
+}
+
+/// For each word, the crates inside which it is named; `None` stands for
+/// every use from outside a library crate.
+type Named<'a> = BTreeMap<&'a str, BTreeSet<Option<&'a str>>>;
+
+/// Whether `word` is named anywhere outside `krate`.
+fn named_outside(named: &Named, word: &str, krate: &str) -> bool {
+    named
+        .get(word)
+        .is_some_and(|c| c.iter().any(|&c| c != Some(krate)))
+}
+
+/// The `crate-pub` rule over every source, returning each source's raw
+/// findings (same order as `sources`), ready for allow-comments.
+pub(crate) fn crate_pub(sources: &[Source]) -> Vec<Vec<Finding>> {
+    let mut decls: Vec<PubDecl> = Vec::new();
+    let mut named = Named::new();
+    for (si, s) in sources.iter().enumerate() {
+        let krate = lib_crate(&s.rel);
+        let toks = &s.scanned.tokens;
+        let mut own: Vec<usize> = Vec::new();
+        if let Some(krate) = krate {
+            let impls = impl_blocks(toks);
+            for i in (0..toks.len()).filter(|&i| !s.scanned.in_test_code(toks[i].line)) {
+                match pub_item(toks, i) {
+                    Some(("mod", _)) | None => {}
+                    Some((kw, n)) => {
+                        own.push(n);
+                        let block = impls.iter().rev().find(|b| b.body.contains(&i));
+                        let mut interface = interface(toks, kw, n);
+                        interface.extend(block.iter().flat_map(|b| b.bounds.iter().copied()));
+                        decls.push(PubDecl {
+                            src: si,
+                            krate,
+                            name: n,
+                            owner: block.map(|b| b.owner),
+                            interface,
+                        });
+                    }
+                }
+            }
+        }
+        for (i, t) in toks.iter().enumerate() {
+            if t.is_word() && own.binary_search(&i).is_err() {
+                named.entry(t.text.as_str()).or_default().insert(krate);
+            }
+        }
+        let doctests = s.scanned.doctests.iter().filter(|t| t.is_word());
+        let outside = doctests.map(|t| t.text.as_str());
+        for w in outside.chain(exported_macro_paths(toks)) {
+            named.entry(w).or_default().insert(None);
+        }
+    }
+    // A name re-exported under an alias (`pub use m::{a as b}`) is used
+    // from outside when its alias is.
+    let mut renamed = Vec::new();
+    for s in sources {
+        let (Some(krate), toks) = (lib_crate(&s.rel), &s.scanned.tokens) else {
+            continue;
+        };
+        for k in pub_use_spans(toks).into_iter().flatten() {
+            if k > 0
+                && toks[k].text == "as"
+                && toks
+                    .get(k + 1)
+                    .is_some_and(|a| named_outside(&named, &a.text, krate))
+            {
+                renamed.push(toks[k - 1].text.as_str());
+            }
+        }
+    }
+    for w in renamed {
+        named.entry(w).or_default().insert(None);
+    }
+    let name_of = |d: &PubDecl| sources[d.src].scanned.tokens[d.name].text.as_str();
+    let mut kept: Vec<bool> = decls
         .iter()
-        .zip(&decls)
-        .map(|(s, d)| {
-            let toks = &s.scanned.tokens;
-            d.iter()
-                .filter_map(|&n| {
-                    let name = toks[n].text.as_str();
-                    let own_tests = toks
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, t)| {
-                            t.text == name
-                                && s.scanned.in_test_code(t.line)
-                                && d.binary_search(&i).is_err()
-                        })
-                        .count();
-                    let users = uses.get(name).copied().unwrap_or(0) - own_tests;
-                    (users == 0).then(|| Finding {
-                        rule: RULE_DEAD_PUB,
-                        line: toks[n].line,
-                        message: format!(
-                            "`pub` item `{name}` is named nowhere outside its declaration \
-                             and this file's tests; delete it, or keep it with \
-                             `// odp-check: allow(dead-pub) — <reason>`"
-                        ),
-                    })
-                })
-                .collect()
+        .map(|d| named_outside(&named, name_of(d), d.krate))
+        .collect();
+    // What a kept item's interface names in its own crate is kept too.
+    let mut by_name: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+    for (k, d) in decls.iter().enumerate() {
+        by_name.entry((d.krate, name_of(d))).or_default().push(k);
+    }
+    // A method is reached through its type: its interface counts once
+    // its owner, when the crate declares the owner `pub`, is kept.
+    let reached = |kept: &[bool], d: &PubDecl| {
+        d.owner.is_none_or(|o| {
+            let owners = by_name.get(&(d.krate, o));
+            owners.is_none_or(|ks| ks.iter().any(|&k| kept[k]))
         })
-        .collect()
+    };
+    let mut spread = vec![false; decls.len()];
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for k in 0..decls.len() {
+            if !kept[k] || spread[k] || !reached(&kept, &decls[k]) {
+                continue;
+            }
+            spread[k] = true;
+            grew = true;
+            let d = &decls[k];
+            for w in &d.interface {
+                for &j in by_name.get(&(d.krate, *w)).into_iter().flatten() {
+                    kept[j] = true;
+                }
+            }
+        }
+    }
+    let mut out: Vec<Vec<Finding>> = sources.iter().map(|_| Vec::new()).collect();
+    for (d, _) in decls.iter().zip(&kept).filter(|(_, &k)| !k) {
+        let name = name_of(d);
+        out[d.src].push(Finding {
+            rule: RULE_CRATE_PUB,
+            line: sources[d.src].scanned.tokens[d.name].line,
+            message: format!(
+                "`pub` item `{name}` is named nowhere outside its crate; make it \
+                 `pub(crate)` (rustc then reports it if it is dead), or keep it with \
+                 `// odp-check: allow(crate-pub) — <requirement>`"
+            ),
+        });
+    }
+    out
 }
 
 /// Whether the tokens at `i` are a path segment: `name` then `::`.
@@ -298,7 +502,7 @@ struct ModDecl<'a> {
 
 /// The `dead-mod` rule over every source, returning each source's raw
 /// findings (same order as `sources`), ready for allow-comments.
-pub fn dead_mod(sources: &[Source]) -> Vec<Vec<Finding>> {
+pub(crate) fn dead_mod(sources: &[Source]) -> Vec<Vec<Finding>> {
     let spans: Vec<Vec<RangeInclusive<usize>>> = sources
         .iter()
         .map(|s| pub_use_spans(&s.scanned.tokens))
@@ -419,7 +623,7 @@ fn dependencies(text: &str) -> Vec<(String, usize)> {
 
 /// The `unused-dep` rule: every dependency of a manifest in `manifests`
 /// whose crate name no source of that package names.
-pub fn unused_deps(manifests: &[Manifest], sources: &[Source]) -> Vec<Diagnostic> {
+pub(crate) fn unused_deps(manifests: &[Manifest], sources: &[Source]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for m in manifests {
         let dir = m.rel.parent().unwrap_or(Path::new(""));
@@ -480,24 +684,46 @@ mod tests {
                            fn len() { assert_eq!(super::Table.queue_len(), 0); }\n\
                        }\n";
 
+    /// The `crate-pub` findings, as `(file:line, name)`.
+    fn crate_pubs(d: &[Diagnostic]) -> Vec<String> {
+        d.iter()
+            .filter(|d| d.rule == RULE_CRATE_PUB)
+            .map(|d| format!("{}:{}", d.file.display(), d.line))
+            .collect()
+    }
+
+    // The first six cases are `dead-pub`'s, ported: where it flagged a
+    // fn, const or static, `crate-pub` flags the same line (and, now, the
+    // types beside it), so rustc's `dead_code` sees the item.
+
     #[test]
     fn a_pub_fn_named_only_in_its_own_tests_is_flagged_at_its_line() {
-        let d = lint(&[source("crates/locks/src/lib.rs", LIB)]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, RULE_DEAD_PUB);
-        assert!(
-            d[0].to_string()
-                .starts_with("crates/locks/src/lib.rs:3: [dead-pub]"),
-            "{}",
-            d[0]
+        // Another file of the same crate naming it is still inside.
+        let sibling = source(
+            "crates/locks/src/grant.rs",
+            "fn g(t: &crate::Table) -> usize { t.queue_len() }\n",
         );
+        let d = lint(&[source("crates/locks/src/lib.rs", LIB), sibling]);
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(
+            d[1].to_string()
+                .starts_with("crates/locks/src/lib.rs:3: [crate-pub] `pub` item `queue_len`"),
+            "{}",
+            d[1]
+        );
+        assert_eq!(crate_pubs(&d)[0], "crates/locks/src/lib.rs:1", "{d:?}");
     }
 
     #[test]
     fn a_caller_in_another_crates_tests_or_the_benchmark_keeps_it() {
         for user in [
             "crates/other/tests/it.rs",
+            "crates/other/src/lib.rs",
+            "crates/locks/src/main.rs",
+            "crates/locks/src/bin/tool.rs",
             "benchmark/src/workloads/locks.rs",
+            "examples/locks.rs",
+            "tests/it.rs",
         ] {
             let d = lint(&[
                 source("crates/locks/src/lib.rs", LIB),
@@ -510,15 +736,19 @@ mod tests {
     #[test]
     fn a_name_in_a_comment_doc_comment_or_string_is_not_a_use() {
         let user = "// queue_len is handy\n\
-                    /// Calls `queue_len`.\n\
-                    fn f() -> &'static str { \"queue_len\" }\n\
-                    /* queue_len */\n";
+                    /// Calls `queue_len` on a [`Table`], see [`Table::queue_len`].\n\
+                    fn f() -> &'static str { \"queue_len Table\" }\n\
+                    /* queue_len Table */\n";
         let d = lint(&[
             source("crates/locks/src/lib.rs", LIB),
             source("src/lib.rs", user),
         ]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, RULE_DEAD_PUB);
+        assert_eq!(
+            crate_pubs(&d),
+            ["crates/locks/src/lib.rs:1", "crates/locks/src/lib.rs:3"],
+            "{d:?}"
+        );
+        assert_eq!(d.len(), 2, "{d:?}");
     }
 
     #[test]
@@ -527,23 +757,33 @@ mod tests {
                    pub static mut COUNT: u32 = 0;\n\
                    pub const fn double(x: u32) -> u32 { x * 2 }\n\
                    pub(crate) fn private_to_rustc() {}\n\
-                   pub struct NotAnItemHere;\n";
+                   pub struct AlsoAnItem;\n\
+                   pub enum Kind { A }\n\
+                   pub trait Rule {}\n\
+                   pub type Alias = u32;\n\
+                   pub mod left_to_dead_mod;\n";
         let d = lint(&[source("crates/x/src/lib.rs", src)]);
-        let lines: Vec<usize> = d.iter().map(|d| d.line).collect();
-        assert_eq!(lines, vec![1, 2, 3], "{d:?}");
+        let lines: Vec<usize> = d
+            .iter()
+            .filter(|d| d.rule == RULE_CRATE_PUB)
+            .map(|d| d.line)
+            .collect();
+        assert_eq!(lines, vec![1, 2, 3, 5, 6, 7, 8], "{d:?}");
     }
 
     #[test]
     fn an_allow_suppresses_it_and_goes_stale_once_the_item_has_a_caller() {
         let kept = "pub struct Table;\n\
                     impl Table {\n    \
-                        // odp-check: allow(dead-pub) — requirement 3 names it\n    \
+                        // odp-check: allow(crate-pub) — requirement 3 names it\n    \
                         pub fn queue_len(&self) -> usize { 0 }\n\
                     }\n";
-        let alone = [source("crates/locks/src/lib.rs", kept)];
+        let table_user = || source("tests/types.rs", "fn g(_: Table) {}\n");
+        let alone = [source("crates/locks/src/lib.rs", kept), table_user()];
         assert!(lint(&alone).is_empty(), "{:?}", lint(&alone));
         let called = [
             source("crates/locks/src/lib.rs", kept),
+            table_user(),
             source("tests/it.rs", "fn f(t: &Table) { t.queue_len(); }\n"),
         ];
         let d = lint(&called);
@@ -558,10 +798,95 @@ mod tests {
         for rel in [
             "tests/common.rs",
             "crates/x/tests/common.rs",
+            "crates/x/src/main.rs",
+            "crates/x/src/bin/tool.rs",
             "benchmark/src/lib.rs",
+            "src/lib.rs",
         ] {
             assert!(lint(&[source(rel, pub_in_tests)]).is_empty(), "{rel}");
         }
+    }
+
+    #[test]
+    fn a_name_in_a_doc_example_keeps_it_even_in_its_own_crate() {
+        // rustdoc builds each example as a crate of its own.
+        let documented = |fence: &str| {
+            format!(
+                "/// ```{fence}\n\
+                 /// # use odp_locks::Table;\n\
+                 /// assert_eq!(Table.queue_len(), 0);\n\
+                 /// ```\n{LIB}"
+            )
+        };
+        let d = lint(&[source("crates/locks/src/lib.rs", &documented(""))]);
+        assert!(d.is_empty(), "{d:?}");
+        // A block rustdoc does not build is prose.
+        for fence in ["text", "ignore"] {
+            let d = lint(&[source("crates/locks/src/lib.rs", &documented(fence))]);
+            assert_eq!(crate_pubs(&d).len(), 2, "{fence}: {d:?}");
+        }
+    }
+
+    #[test]
+    fn a_crate_path_in_an_exported_macro_keeps_it() {
+        let wire = "pub trait WireCodec {}\n\
+                    pub struct WireReader;\n\
+                    #[macro_export]\n\
+                    macro_rules! wire_newtype {\n    \
+                        ($name:ident) => { impl $crate::wire::WireCodec for $name {} };\n\
+                    }\n\
+                    macro_rules! local_only {\n    \
+                        () => { $crate::wire::WireReader };\n\
+                    }\n";
+        let d = lint(&[source("crates/net/src/wire.rs", wire)]);
+        assert_eq!(crate_pubs(&d), ["crates/net/src/wire.rs:2"], "{d:?}");
+    }
+
+    #[test]
+    fn what_a_kept_signature_names_stays_pub() {
+        let lib = "pub struct Table;\n\
+                   pub struct Entry;\n\
+                   pub struct Hidden;\n\
+                   pub trait Rule {}\n\
+                   impl Table {\n    \
+                       pub fn get<R: Rule>(&self, _: R) -> Entry { Entry }\n    \
+                       pub fn secret(&self) -> Hidden { Hidden }\n    \
+                       pub fn with(cap: usize) -> Self { Table }\n    \
+                       pub fn cap(&self) -> usize { 0 }\n\
+                   }\n\
+                   pub struct Inner;\n\
+                   pub struct Count;\n\
+                   impl Inner {\n    \
+                       pub fn len(&self) -> Count { Count }\n\
+                   }\n";
+        // `len` is named outside, but only by a word that collides: its
+        // type is not kept, so its signature keeps nothing. Nor does the
+        // parameter `cap` of a kept fn keep the method `cap`.
+        let user = "fn f(t: odp_x::Table) { t.get(()); odp_x::Table::with(1); vec![0].len(); }\n";
+        let d = lint(&[
+            source("crates/x/src/lib.rs", lib),
+            source("tests/it.rs", user),
+        ]);
+        let flagged: Vec<&str> = d
+            .iter()
+            .filter(|d| d.rule == RULE_CRATE_PUB)
+            .filter_map(|d| d.message.split('`').nth(3))
+            .collect();
+        assert_eq!(
+            flagged,
+            ["Hidden", "secret", "cap", "Inner", "Count"],
+            "{d:?}"
+        );
+    }
+
+    #[test]
+    fn an_alias_used_outside_keeps_the_item_it_renames() {
+        let [root, module] = topology_crate(REEXPORTING_ROOT);
+        let user = source("tests/it.rs", "fn f() { odp_net::all_sites(); }\n");
+        let d = lint(&[root, module, user]);
+        // `sites` is kept by its alias, and `Site` by the signature of
+        // `sites`; without the alias both are flagged.
+        assert!(crate_pubs(&d).is_empty(), "{d:?}");
     }
 
     /// A crate root that declares `topology`, re-exports two of its
@@ -646,9 +971,10 @@ mod tests {
             "fn spread() -> usize { let sites = 3; sites }\n",
         );
         let d = lint(&[root, module, user]);
-        // The name match keeps `sites` alive for `dead-pub`; the path
+        // The name match keeps `sites` alive for `crate-pub`; the path
         // match still finds the module unreached.
-        assert!(d.iter().all(|d| d.rule != RULE_DEAD_PUB), "{d:?}");
+        let sites = "crates/net/src/topology.rs:2".to_string();
+        assert!(!crate_pubs(&d).contains(&sites), "{d:?}");
         assert_eq!(dead_mods(&d).len(), 1, "{d:?}");
         // Nor does a sibling's item that shares the module's use tree.
         let [root, module] =
@@ -661,8 +987,14 @@ mod tests {
     #[test]
     fn an_allow_keeps_a_module_and_goes_stale_once_something_reaches_it() {
         let kept = "// odp-check: allow(dead-mod) — requirement 9 names it\npub mod topology;\n";
-        // A bare `sites` keeps the fn for `dead-pub`, not the module.
-        let local = || source("src/lib.rs", "fn f() -> u8 { let sites = 1; sites }\n");
+        // Bare `Site` and `sites` words keep both items for `crate-pub`,
+        // not the module.
+        let local = || {
+            source(
+                "src/lib.rs",
+                "struct Site;\nfn f() -> u8 { let sites = 1; sites }\n",
+            )
+        };
         let [root, module] = topology_crate(kept);
         let alone = [root, module, local()];
         assert!(lint(&alone).is_empty(), "{:?}", lint(&alone));

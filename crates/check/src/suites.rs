@@ -22,7 +22,7 @@ use crate::invariants::{
 /// Which of the three stock budgets a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetKind {
-    /// [`Budget::smoke`].
+    /// `Budget::smoke`.
     Smoke,
     /// [`Budget::default`].
     Default,

@@ -1,11 +1,18 @@
-//! The workspace lint (hot-path allocation, dead surface) is clean on
-//! the workspace itself.
+//! The workspace lint (hot-path allocation, crate-private surface, dead
+//! modules, unused dependencies) is clean on the workspace itself.
 //!
 //! `odp-check lint` is a CI step, but a step in a workflow file only
 //! fails where that workflow runs: the pass sat red for five PRs
 //! (`benchmark/` was scanned as protocol code) while `cargo test -q`
 //! stayed green. This test is the same call the binary makes, so the
 //! gate lives in tier-1.
+//!
+//! `crate-pub` only makes an item `pub(crate)`; deleting what is then
+//! dead is rustc's half of the gate. It runs in CI, not here: the
+//! workflow builds and tests with `RUSTFLAGS: -D warnings` and runs
+//! `cargo clippy --workspace --all-targets -- -D warnings`, so a
+//! `dead_code` or `private_interfaces` warning fails it. Tier-1's plain
+//! `cargo test -q` only prints such warnings.
 //!
 //! The determinism lints (no unwrap/expect, wall-clock read or
 //! hash-order iteration in non-test code) are not here: clippy carries

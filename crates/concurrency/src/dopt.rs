@@ -23,7 +23,7 @@ use odp_sim::time::SimTime;
 use crate::ot::{transform_pair, ApplyError, CharOp, TextDoc, TieBreak};
 
 /// Artefact path used for dOPT remote-op cooperation events.
-pub const DOPT_ARTEFACT: &str = "doc";
+pub(crate) const DOPT_ARTEFACT: &str = "doc";
 
 /// A stamped operation broadcast between sites.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +52,7 @@ pub struct AppliedOp {
 
 /// The integration as a unified cooperation event: a
 /// [`CoopKind::RemoteOp`] broadcast from the *originating* site on
-/// [`DOPT_ARTEFACT`] — so co-authors become aware of whose edit just
+/// `DOPT_ARTEFACT` — so co-authors become aware of whose edit just
 /// landed, not merely that the text changed.
 impl From<&AppliedOp> for CoopEvent {
     fn from(applied: &AppliedOp) -> CoopEvent {

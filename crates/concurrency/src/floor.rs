@@ -57,7 +57,7 @@ pub enum FloorEvent {
 }
 
 /// The conference-floor artefact path the bus gates floor events on.
-pub const FLOOR_ARTEFACT: &str = "floor";
+pub(crate) const FLOOR_ARTEFACT: &str = "floor";
 
 /// The event as a unified cooperation event, broadcast to every
 /// participant: floor movements concern the whole conference. The actor
@@ -118,8 +118,6 @@ pub struct FloorControl {
     policy: FloorPolicy,
     holder: Option<(ClientId, SimTime)>,
     queue: VecDeque<ClientId>,
-    grants: u64,
-    preemptions: u64,
 }
 
 impl FloorControl {
@@ -129,24 +127,12 @@ impl FloorControl {
             policy,
             holder: None,
             queue: VecDeque::new(),
-            grants: 0,
-            preemptions: 0,
         }
     }
 
     /// Current holder, if any.
     pub fn holder(&self) -> Option<ClientId> {
         self.holder.map(|(c, _)| c)
-    }
-
-    /// Total grants issued.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Total preemptions (only under [`FloorPolicy::PreemptAfter`]).
-    pub fn preemptions(&self) -> u64 {
-        self.preemptions
     }
 
     /// Requests the floor. Grants immediately if free, else queues.
@@ -224,7 +210,6 @@ impl FloorControl {
         };
         if now.saturating_since(since) >= limit && !self.queue.is_empty() {
             self.holder = None;
-            self.preemptions += 1;
             let mut events = vec![FloorEvent::Preempted {
                 who: holder,
                 at: now,
@@ -262,7 +247,6 @@ impl FloorControl {
 
     fn grant(&mut self, client: ClientId, now: SimTime) -> Vec<FloorEvent> {
         self.holder = Some((client, now));
-        self.grants += 1;
         vec![FloorEvent::Granted {
             who: client,
             at: now,
@@ -342,7 +326,6 @@ mod tests {
                 at: t(0)
             }]
         );
-        assert_eq!(fc.grants(), 1);
     }
 
     #[test]
@@ -424,7 +407,6 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(fc.preemptions(), 1);
     }
 
     #[test]

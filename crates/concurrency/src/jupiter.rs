@@ -5,7 +5,7 @@
 //! faithful scheme; Jupiter is the provably convergent refinement used by
 //! the experiments: each client synchronises with a central serialising
 //! server over an independent two-party bridge, and only the TP1 property
-//! of [`crate::ot::transform`] is required for convergence.
+//! of `crate::ot::transform` is required for convergence.
 //!
 //! Local edits apply immediately (the Ellis *response time* requirement);
 //! propagation to peers costs one client→server→client relay (the
@@ -53,7 +53,7 @@ impl Bridge {
     }
 
     /// Creates the server end of a bridge.
-    pub fn server_end() -> Self {
+    pub(crate) fn server_end() -> Self {
         Bridge {
             generated: 0,
             received: 0,
@@ -89,11 +89,6 @@ impl Bridge {
         }
         self.received += 1;
         incoming
-    }
-
-    /// Ops sent but not yet acknowledged by the peer.
-    pub fn in_flight(&self) -> usize {
-        self.outgoing.len()
     }
 }
 
@@ -230,11 +225,6 @@ impl OtClient {
             .apply(op)
             .expect("transformed op applies to replica");
     }
-
-    /// Ops awaiting server acknowledgement.
-    pub fn in_flight(&self) -> usize {
-        self.bridge.in_flight()
-    }
 }
 
 #[cfg(test)]
@@ -350,7 +340,6 @@ mod tests {
         let mut c = OtClient::new(0, "hello");
         c.local_edit(Insert { pos: 5, ch: '!' }).unwrap();
         assert_eq!(c.text(), "hello!", "no round trip needed");
-        assert_eq!(c.in_flight(), 1);
     }
 
     #[test]

@@ -47,14 +47,12 @@ pub use jupiter::{Bridge, OpMsg, OtClient, OtServer};
 pub use locks::{
     ClientId, LockError, LockMode, LockReply, LockScheme, LockTable, Notice, NoticeKind, ResourceId,
 };
-pub use ot::{
-    ops_for_delete, ops_for_insert, transform, transform_pair, CharOp, TextDoc, TieBreak,
-};
+pub use ot::{transform_pair, CharOp, TextDoc, TieBreak};
 pub use store::{ObjectId, ObjectStore, StoreError, Versioned};
 pub use twophase::{
     AbortReason, OpKind, OpResult, SubmitReply, TxnError, TxnEvent, TxnId, TxnManager, TxnOp,
 };
 pub use txgroup::{
-    AccessMode, AccessRule, CooperativeRule, ExclusiveWriterRule, GroupError, GroupNotice,
-    ReviewerRule, RuleDecision, TransactionGroup,
+    AccessMode, AccessRule, CooperativeRule, GroupError, GroupNotice, RuleDecision,
+    TransactionGroup,
 };

@@ -265,11 +265,6 @@ impl LockTable {
         }
     }
 
-    /// The scheme in force.
-    pub fn scheme(&self) -> LockScheme {
-        self.scheme
-    }
-
     /// Requests a lock. Returns the immediate reply plus the notices the
     /// request caused (tickles, conflict warnings, access notifications).
     #[must_use]

@@ -54,7 +54,7 @@ pub enum TieBreak {
 /// both were generated against the same document state. `tie` resolves
 /// same-position insert conflicts and must be chosen antisymmetrically by
 /// the two replicas (e.g. by comparing site ids).
-pub fn transform(op: CharOp, against: CharOp, tie: TieBreak) -> CharOp {
+pub(crate) fn transform(op: CharOp, against: CharOp, tie: TieBreak) -> CharOp {
     use CharOp::*;
     match (op, against) {
         (Noop, _) | (_, Noop) => op,
@@ -213,20 +213,6 @@ impl fmt::Display for TextDoc {
     }
 }
 
-/// Decomposes a string insertion into char ops.
-pub fn ops_for_insert(pos: usize, text: &str) -> Vec<CharOp> {
-    text.chars()
-        .enumerate()
-        .map(|(i, ch)| CharOp::Insert { pos: pos + i, ch })
-        .collect()
-}
-
-/// Decomposes a range deletion into char ops (all at the same position,
-/// since each delete shifts the rest left).
-pub fn ops_for_delete(pos: usize, len: usize) -> Vec<CharOp> {
-    (0..len).map(|_| CharOp::Delete { pos }).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,19 +285,6 @@ mod tests {
         assert!(d.apply(Delete { pos: 2 }).is_err());
         assert!(d.apply(Noop).is_ok());
         assert_eq!(d.text(), "ab");
-    }
-
-    #[test]
-    fn string_edit_decomposition_round_trips() {
-        let mut d = TextDoc::from("world");
-        for op in ops_for_insert(0, "hello ") {
-            d.apply(op).unwrap();
-        }
-        assert_eq!(d.text(), "hello world");
-        for op in ops_for_delete(0, 6) {
-            d.apply(op).unwrap();
-        }
-        assert_eq!(d.text(), "world");
     }
 
     #[test]

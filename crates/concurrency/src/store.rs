@@ -147,7 +147,12 @@ impl ObjectStore {
     /// # Errors
     ///
     /// [`StoreError::OutOfBounds`] if `pos` exceeds the value length.
-    pub fn delete(&mut self, id: ObjectId, pos: usize, len: usize) -> Result<u64, StoreError> {
+    pub(crate) fn delete(
+        &mut self,
+        id: ObjectId,
+        pos: usize,
+        len: usize,
+    ) -> Result<u64, StoreError> {
         let obj = self
             .objects
             .get_mut(&id)

@@ -170,8 +170,6 @@ pub struct TxnManager {
     txns: BTreeMap<TxnId, Txn>,
     next: u64,
     granularity: Granularity,
-    aborts: u64,
-    commits: u64,
 }
 
 impl TxnManager {
@@ -183,8 +181,6 @@ impl TxnManager {
             txns: BTreeMap::new(),
             next: 0,
             granularity,
-            aborts: 0,
-            commits: 0,
         }
     }
 
@@ -206,16 +202,6 @@ impl TxnManager {
     /// Read access to the lock table (consistency checkers walk it).
     pub fn lock_table(&self) -> &LockTable {
         &self.table
-    }
-
-    /// Total committed transactions.
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Total aborted transactions (deadlock victims + requested).
-    pub fn aborts(&self) -> u64 {
-        self.aborts
     }
 
     /// Starts a transaction.
@@ -330,7 +316,6 @@ impl TxnManager {
     /// [`TxnError::UnknownTxn`] if the transaction is not active.
     pub fn commit(&mut self, txn: TxnId, now: SimTime) -> Result<Vec<TxnEvent>, TxnError> {
         self.txns.get(&txn).ok_or(TxnError::UnknownTxn(txn))?;
-        self.commits += 1;
         self.finish(txn, now)
     }
 
@@ -341,7 +326,6 @@ impl TxnManager {
     /// [`TxnError::UnknownTxn`] if the transaction is not active.
     pub fn abort(&mut self, txn: TxnId, now: SimTime) -> Result<Vec<TxnEvent>, TxnError> {
         self.txns.get(&txn).ok_or(TxnError::UnknownTxn(txn))?;
-        self.aborts += 1;
         self.finish(txn, now)
     }
 
@@ -386,7 +370,6 @@ impl TxnManager {
             let Some(victim) = cycle.iter().max().copied() else {
                 break; // find_cycle never returns an empty cycle
             };
-            self.aborts += 1;
             events.push(TxnEvent::TxnAborted {
                 txn: victim,
                 reason: AbortReason::Deadlock,
@@ -514,7 +497,6 @@ mod tests {
             SubmitReply::Done(OpResult::Applied { version: 1 })
         ));
         assert!(tm.commit(t1, t(2)).unwrap().is_empty());
-        assert_eq!(tm.commits(), 1);
         assert_eq!(tm.active(), 0);
     }
 
@@ -613,7 +595,6 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, TxnEvent::OpCompleted { txn, .. } if *txn == t1)));
-        assert_eq!(tm.aborts(), 1);
         assert_eq!(tm.active(), 1);
     }
 
@@ -651,7 +632,6 @@ mod tests {
         tm.submit(t2, insert(1, 0, "b"), t(0)).unwrap();
         let events = tm.abort(t1, t(1)).unwrap();
         assert!(matches!(events[0], TxnEvent::OpCompleted { txn, .. } if txn == t2));
-        assert_eq!(tm.aborts(), 1);
     }
 
     #[test]

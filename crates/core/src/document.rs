@@ -220,11 +220,6 @@ impl QuiltDocument {
             .filter(|a| a.kind != AnnotationKind::PrivateNote || a.author == reader)
             .collect()
     }
-
-    /// All annotations (trusted access).
-    pub fn annotations(&self) -> impl Iterator<Item = &Annotation> {
-        self.annotations.values()
-    }
 }
 
 #[cfg(test)]

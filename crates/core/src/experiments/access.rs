@@ -17,7 +17,7 @@ use super::{Shape, Table};
 /// artefacts; mid-way, a participant's role changes from reviewer to
 /// author. Static mechanisms must touch one matrix cell per object;
 /// the role-based policy changes one assignment.
-pub fn e5_access_control(seed: u64) -> Vec<Table> {
+pub(crate) fn e5_access_control(seed: u64) -> Vec<Table> {
     let _ = seed; // fully deterministic
     let mut table = Table::new(
         "E5",
@@ -139,7 +139,7 @@ pub fn e5_access_control(seed: u64) -> Vec<Table> {
 }
 
 /// The shapes the E5 verdict states, one per table.
-pub const SHAPES: &[Shape] = &[
+pub(crate) const SHAPES: &[Shape] = &[
     Shape {
         table: "E5",
         claim: "a role change costs the matrix one operation per object (10, 1000) and the role policy 2 at any scale; both check correctly",

@@ -38,7 +38,7 @@ fn response_ms(sim: &odp_sim::sim::Sim<super::schemes::CcMsg>) -> f64 {
 /// strict 2PL transactions versus a cooperative transaction group.
 /// Expected shape: transactions block and push zero awareness; the group
 /// never blocks and floods awareness.
-pub fn e2_walls_vs_awareness(seed: u64) -> Vec<Table> {
+pub(crate) fn e2_walls_vs_awareness(seed: u64) -> Vec<Table> {
     let mut table = Table::new(
         "E2",
         "Walls vs information flow: 2PL transactions vs transaction group (Figure 2)",
@@ -73,7 +73,7 @@ pub fn e2_walls_vs_awareness(seed: u64) -> Vec<Table> {
 /// latency sweep. Expected shape: OT's response time is flat (~0); the
 /// lock-based schemes grow with latency; pull schemes have notification
 /// times dominated by the polling interval.
-pub fn e3_response_notification(seed: u64) -> Vec<Table> {
+pub(crate) fn e3_response_notification(seed: u64) -> Vec<Table> {
     let mut table = Table::new(
         "E3",
         "Response and notification time per scheme (3 users, latency sweep)",
@@ -107,7 +107,7 @@ pub fn e3_response_notification(seed: u64) -> Vec<Table> {
 /// the five granularities the paper names. Expected shape: finer
 /// granularity lowers blocking but raises locking overhead (distinct
 /// lock units touched).
-pub fn e4_lock_granularity(seed: u64) -> Vec<Table> {
+pub(crate) fn e4_lock_granularity(seed: u64) -> Vec<Table> {
     const DOC_TEXT: &str = "Alpha beta gamma delta. Epsilon zeta eta theta! Iota kappa.\n\
                             Lambda mu nu xi. Omicron pi rho sigma?\n\n\
                             Tau upsilon phi chi. Psi omega alpha beta. Gamma delta epsilon.\n\
@@ -201,7 +201,7 @@ pub fn e4_lock_granularity(seed: u64) -> Vec<Table> {
 }
 
 /// The shapes the E2, E3 and E4 verdicts state.
-pub const SHAPES: &[Shape] = &[
+pub(crate) const SHAPES: &[Shape] = &[
     Shape {
         table: "E2",
         claim: "at eight writers 2PL blocks and carries no awareness; the transaction group never blocks and carries awareness",

@@ -98,7 +98,7 @@ fn mcast_run(
 /// with ordering strength (total order pays the sequencer hop); group
 /// RPC deadline hit-rate collapses when the deadline dips under the
 /// round trip; group invocation executes with zero skew.
-pub fn e8_group_comm(seed: u64) -> Vec<Table> {
+pub(crate) fn e8_group_comm(seed: u64) -> Vec<Table> {
     let mut table = Table::new(
         "E8",
         "Multicast delivery latency vs ordering and group size (20 ms WAN, reliable)",
@@ -350,7 +350,7 @@ fn invocation_skew(seed: u64) -> u64 {
 }
 
 /// The shapes the E8 verdict states, one per table.
-pub const SHAPES: &[Shape] = &[
+pub(crate) const SHAPES: &[Shape] = &[
     Shape {
         table: "E8",
         claim: "total order costs over 1.3x unordered latency at n=16; every ordering covers every member",

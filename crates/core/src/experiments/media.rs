@@ -27,7 +27,7 @@ fn degrading_link() -> LinkSpec {
 /// dynamic renegotiation. Expected shape: without renegotiation the
 /// contract stays broken and integrity stays low; with it the source
 /// adapts and the (renegotiated) contract is met again.
-pub fn e6_qos_streams(seed: u64) -> Vec<Table> {
+pub(crate) fn e6_qos_streams(seed: u64) -> Vec<Table> {
     let mut table = Table::new(
         "E6",
         "QoS management on a degrading link (degrades at t=5s, 40s run)",
@@ -130,7 +130,7 @@ pub fn e6_qos_streams(seed: u64) -> Vec<Table> {
 /// video slave whose network path is slower and jittered, with and
 /// without the continuous-synchronisation controller. (b) Event-driven:
 /// caption firing skew under a 20 ms scheduler tick.
-pub fn e7_media_sync(seed: u64) -> Vec<Table> {
+pub(crate) fn e7_media_sync(seed: u64) -> Vec<Table> {
     let mut table = Table::new(
         "E7",
         "Lip-sync skew with and without continuous synchronisation",
@@ -250,7 +250,7 @@ fn run_lipsync(seed: u64, correct: bool) -> LipSync {
 }
 
 /// The shapes the E6 and E7 verdicts state, one per table.
-pub const SHAPES: &[Shape] = &[
+pub(crate) const SHAPES: &[Shape] = &[
     Shape {
         table: "E6",
         claim: "the managed source renegotiates below 25 fps; the unmanaged one never renegotiates and its integrity falls under 90 %",

@@ -16,7 +16,7 @@ use super::{Shape, Table};
 /// availability degrades gracefully with the connectivity level (thanks
 /// to hoarding), reintegration conflicts grow with disconnection
 /// duration, and reconnection performs a measurable bulk update.
-pub fn e10_mobility(seed: u64) -> Vec<Table> {
+pub(crate) fn e10_mobility(seed: u64) -> Vec<Table> {
     let mut table = Table::new(
         "E10",
         "Field shift across connectivity levels (ops every minute)",
@@ -159,7 +159,7 @@ pub fn e10_mobility(seed: u64) -> Vec<Table> {
 }
 
 /// The shapes the E10 verdict states, one per table.
-pub const SHAPES: &[Shape] = &[
+pub(crate) const SHAPES: &[Shape] = &[
     Shape {
         table: "E10",
         claim: "conflicts grow from 10 to 120 minutes offline; availability at 60 minutes stays above 60 %; reconnection ships a bulk update",

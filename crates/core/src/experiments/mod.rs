@@ -80,7 +80,7 @@ impl Table {
     }
 
     /// Parses a cell as f64 (for [`Shape`] predicates).
-    pub fn cell_f64(&self, row_key: &str, column: &str) -> Option<f64> {
+    pub(crate) fn cell_f64(&self, row_key: &str, column: &str) -> Option<f64> {
         self.cell(row_key, column)?.parse().ok()
     }
 }

@@ -41,7 +41,7 @@ fn response_stats(usage: &UsagePattern, node: NodeId) -> (f64, f64) {
 /// leaves the worst site with the worst response; group-mean improves
 /// the mean; group-minmax bounds the worst case. A usage shift then
 /// triggers a migration under the manager.
-pub fn e9_placement(seed: u64) -> Vec<Table> {
+pub(crate) fn e9_placement(seed: u64) -> Vec<Table> {
     let _ = seed; // deterministic
     let mut usage = UsagePattern::new();
     usage.record(NodeId(1), 60); // Lancaster is the heavy user
@@ -123,7 +123,7 @@ pub fn e9_placement(seed: u64) -> Vec<Table> {
 }
 
 /// The shapes the E9 verdict states, one per table.
-pub const SHAPES: &[Shape] = &[
+pub(crate) const SHAPES: &[Shape] = &[
     Shape {
         table: "E9",
         claim: "the static home stays at n0; group-mean moves to n1 and lowers the mean; group-minmax lowers the worst site",

@@ -35,7 +35,7 @@ fn configured_workspace(n: u32) -> SharedWorkspace {
 /// reliable multicast. Expected shape: all replicas apply all edits in
 /// one identical order; convergence time grows gently with group size
 /// (sequencer fan-out), and every replica raises full local awareness.
-pub fn e13_replicated_workspace(seed: u64) -> Vec<Table> {
+pub(crate) fn e13_replicated_workspace(seed: u64) -> Vec<Table> {
     let mut table = Table::new(
         "E13",
         "Replicated workspace: convergence and awareness vs group size (15 ms WAN)",
@@ -117,7 +117,7 @@ pub fn e13_replicated_workspace(seed: u64) -> Vec<Table> {
 }
 
 /// The shape the E13 verdict states.
-pub const SHAPES: &[Shape] = &[Shape {
+pub(crate) const SHAPES: &[Shape] = &[Shape {
     table: "E13",
     claim: "2, 4 and 8 replicas converge in one order; each of 8 raises 224 = 32 x 7 notices; convergence is finite and at 8 at least half that at 2",
     holds: |t| {

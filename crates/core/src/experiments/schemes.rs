@@ -82,7 +82,7 @@ impl Scheme {
     }
 
     /// True if the scheme pushes awareness of edits to peers.
-    pub fn pushes(&self) -> bool {
+    pub(crate) fn pushes(&self) -> bool {
         !matches!(self, Scheme::TwoPhase | Scheme::Tickle)
     }
 }
@@ -181,7 +181,7 @@ enum ServerState {
 }
 
 /// The scheme server actor.
-pub struct SchemeServer {
+pub(crate) struct SchemeServer {
     scheme: Scheme,
     state: ServerState,
     clients: Vec<NodeId>,
@@ -639,7 +639,7 @@ impl Actor<CcMsg> for SchemeServer {
 
 /// Per-client workload configuration.
 #[derive(Debug, Clone)]
-pub struct ClientConfig {
+pub(crate) struct ClientConfig {
     /// The scheme (must match the server's).
     pub scheme: Scheme,
     /// The server node.
@@ -679,7 +679,7 @@ const T_POLL: u64 = 2;
 
 /// The scheme client actor: runs the scripted editing workload and
 /// measures response and notification.
-pub struct SchemeClient {
+pub(crate) struct SchemeClient {
     config: ClientConfig,
     next_op: u64,
     sent: HashMap<u64, SimTime>,

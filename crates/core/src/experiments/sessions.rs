@@ -30,7 +30,7 @@ fn workspace_for(participants: &[NodeId]) -> SharedWorkspace {
 /// second author is present during the first author's edits (sync) or
 /// joins two hours later (async). Reported: response time (local edit
 /// acknowledgement) and notification time (edit → partner sees it).
-pub fn e1_space_time_matrix(seed: u64) -> Vec<Table> {
+pub(crate) fn e1_space_time_matrix(seed: u64) -> Vec<Table> {
     let _ = seed; // deterministic
     let mut table = Table::new(
         "E1",
@@ -100,7 +100,7 @@ pub fn e1_space_time_matrix(seed: u64) -> Vec<Table> {
 /// **E12 — seamless transitions.** A session moves sync → async → sync.
 /// Expected shape: shared state and membership survive every switch; the
 /// transition cost is the mode-rebind time, not a data migration.
-pub fn e12_transitions(seed: u64) -> Vec<Table> {
+pub(crate) fn e12_transitions(seed: u64) -> Vec<Table> {
     let _ = seed;
     let mut table = Table::new(
         "E12",
@@ -173,7 +173,7 @@ pub fn e12_transitions(seed: u64) -> Vec<Table> {
 }
 
 /// The shapes the E1 and E12 verdicts state.
-pub const SHAPES: &[Shape] = &[
+pub(crate) const SHAPES: &[Shape] = &[
     Shape {
         table: "E1",
         claim: "place sets response (WAN over ten LAN round trips); absence (hours) sets asynchronous notification",

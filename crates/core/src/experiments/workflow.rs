@@ -73,7 +73,7 @@ fn run(model: &mut dyn CoordinationModel) -> (u64, u64, u64, bool) {
 /// wrong-role deviations; the speech-act model maximises both forced
 /// explicit acts (4 per item) and rejected deviations — the Coordinator
 /// critique made measurable.
-pub fn e11_prescriptiveness() -> Vec<Table> {
+pub(crate) fn e11_prescriptiveness() -> Vec<Table> {
     let mut table = Table::new(
         "E11",
         "Prescriptiveness of coordination models on the same 8-item task",
@@ -121,7 +121,7 @@ pub fn e11_prescriptiveness() -> Vec<Table> {
 }
 
 /// The shape the E11 verdict states.
-pub const SHAPES: &[Shape] = &[Shape {
+pub(crate) const SHAPES: &[Shape] = &[Shape {
     table: "E11",
     claim: "every model completes; free-form forces and rejects nothing; speech acts force at least 32 acts, more than the procedure, and reject deviations",
     holds: |t| {

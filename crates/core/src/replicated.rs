@@ -67,7 +67,7 @@ impl WorkspaceReplica {
     }
 
     /// Awareness deliveries raised at this replica.
-    pub fn awareness_delivered(&self) -> u64 {
+    pub(crate) fn awareness_delivered(&self) -> u64 {
         self.awareness_delivered
     }
 

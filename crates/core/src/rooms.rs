@@ -45,8 +45,6 @@ pub enum RoomError {
     UnknownRoom(RoomId),
     /// The door refused entry.
     DoorRefused(RoomId),
-    /// The person is not in the room.
-    NotPresent(NodeId),
 }
 
 impl fmt::Display for RoomError {
@@ -54,7 +52,6 @@ impl fmt::Display for RoomError {
         match self {
             RoomError::UnknownRoom(r) => write!(f, "unknown room {}", r.0),
             RoomError::DoorRefused(r) => write!(f, "the door of room {} refused entry", r.0),
-            RoomError::NotPresent(n) => write!(f, "{n} is not in that room"),
         }
     }
 }
@@ -145,15 +142,6 @@ impl Building {
         Ok(())
     }
 
-    /// Leaves whatever room one is in.
-    pub fn leave(&mut self, who: NodeId) {
-        if let Some(room_id) = self.whereabouts.remove(&who) {
-            if let Some(room) = self.rooms.get_mut(&room_id) {
-                room.occupants.remove(&who);
-            }
-        }
-    }
-
     /// Who is in a room.
     ///
     /// # Errors
@@ -219,8 +207,6 @@ mod tests {
         b.enter(NodeId(0), RoomId(2)).unwrap();
         assert_eq!(b.occupants(RoomId(1)).unwrap(), vec![]);
         assert_eq!(b.occupants(RoomId(2)).unwrap(), vec![NodeId(0)]);
-        b.leave(NodeId(0));
-        assert!(b.occupants(RoomId(2)).unwrap().is_empty());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct SessionMode {
 
 impl SessionMode {
     /// Face-to-face interaction (same time, same place).
-    pub const FACE_TO_FACE: SessionMode = SessionMode {
+    pub(crate) const FACE_TO_FACE: SessionMode = SessionMode {
         time: TimeMode::Synchronous,
         place: PlaceMode::CoLocated,
     };
@@ -55,7 +55,7 @@ impl SessionMode {
         place: PlaceMode::Remote,
     };
     /// Asynchronous interaction (same place, different time).
-    pub const ASYNC_COLOCATED: SessionMode = SessionMode {
+    pub(crate) const ASYNC_COLOCATED: SessionMode = SessionMode {
         time: TimeMode::Asynchronous,
         place: PlaceMode::CoLocated,
     };
@@ -66,7 +66,7 @@ impl SessionMode {
     };
 
     /// All four quadrants, in Figure-1 reading order.
-    pub const QUADRANTS: [SessionMode; 4] = [
+    pub(crate) const QUADRANTS: [SessionMode; 4] = [
         SessionMode::FACE_TO_FACE,
         SessionMode::ASYNC_COLOCATED,
         SessionMode::SYNC_DISTRIBUTED,
@@ -170,7 +170,6 @@ pub struct Session {
     mode: SessionMode,
     participants: BTreeSet<NodeId>,
     artefacts: BTreeSet<String>,
-    transitions: Vec<Transition>,
 }
 
 impl Session {
@@ -181,7 +180,6 @@ impl Session {
             mode,
             participants: BTreeSet::new(),
             artefacts: BTreeSet::new(),
-            transitions: Vec::new(),
         }
     }
 
@@ -257,13 +255,7 @@ impl Session {
             cost,
         };
         self.mode = to;
-        self.transitions.push(t.clone());
         t
-    }
-
-    /// All transitions so far.
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
     }
 }
 
@@ -354,6 +346,5 @@ mod tests {
         assert_eq!(t.cost, SimDuration::from_millis(250));
         let t2 = s.switch_mode(NodeId(0), SessionMode::ASYNC_DISTRIBUTED, SimTime::ZERO);
         assert_eq!(t2.cost, SimDuration::ZERO, "no-op switch is free");
-        assert_eq!(s.transitions().len(), 2);
     }
 }

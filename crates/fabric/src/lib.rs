@@ -54,12 +54,3 @@ pub use map::SortedVecMap;
 pub use path::ObjectPath;
 pub use seqset::SeqSet;
 pub use span::{FabricError, KindId, SpanCarrier, SpanEvent, SpanLog, SpanOp};
-
-/// Everything a consuming crate usually wants.
-pub mod prelude {
-    pub use crate::bytes::Payload;
-    pub use crate::map::SortedVecMap;
-    pub use crate::path::ObjectPath;
-    pub use crate::seqset::SeqSet;
-    pub use crate::span::{KindId, SpanCarrier, SpanEvent, SpanLog, SpanOp};
-}

@@ -126,11 +126,6 @@ impl<K: Ord, V> SortedVecMap<K, V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
-    /// Mutable values, in ascending key order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.entries.iter_mut().map(|(_, v)| v)
-    }
-
     /// Keeps only entries the predicate accepts (ascending visit order).
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| keep(k, v));

@@ -93,7 +93,9 @@ pub trait GroupApp<P>: 'static {
 ///     ));
 /// }
 /// sim.inject(SimTime::ZERO, NodeId(0), NodeId(0), GcMsg::AppCmd("hi".into()));
-/// sim.run(Until::Idle);
+/// // A `GroupActor` re-arms its tick forever, so the queue never drains.
+/// let outcome = sim.run(Until::For(SimDuration::from_secs(1)));
+/// assert_eq!(outcome, RunOutcome::DeadlineHit);
 /// assert_eq!(sim.trace().with_label("delivered").count(), 2);
 /// ```
 pub struct GroupActor<P, A> {

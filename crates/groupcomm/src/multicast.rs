@@ -159,7 +159,7 @@ impl<P> GcMsg<P> {
     /// The same envelope around a payload converted by `f`; `f`'s first
     /// error aborts the conversion. Control variants carry no payload
     /// and are copied as they are.
-    pub fn try_map_payload<Q, E>(
+    pub(crate) fn try_map_payload<Q, E>(
         &self,
         mut f: impl FnMut(&P) -> Result<Q, E>,
     ) -> Result<GcMsg<Q>, E> {
@@ -393,11 +393,6 @@ impl<P: Clone> GroupEngine<P> {
     /// assert it only ever grows).
     pub fn clock(&self) -> &VectorClock {
         &self.vclock
-    }
-
-    /// The ordering discipline.
-    pub fn ordering(&self) -> Ordering {
-        self.ordering
     }
 
     /// The node acting as sequencer under total ordering.

@@ -11,7 +11,6 @@
 //! the simulator is exact).
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 
 use odp_fabric::SpanCarrier;
@@ -97,18 +96,6 @@ impl<P> CallOutcome<P> {
         self.finished.saturating_since(self.started)
     }
 }
-
-/// Error returned for operations on unknown calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnknownCall(pub u64);
-
-impl fmt::Display for UnknownCall {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown rpc call {}", self.0)
-    }
-}
-
-impl std::error::Error for UnknownCall {}
 
 struct PendingCall<P> {
     targets: Vec<NodeId>,
@@ -268,11 +255,6 @@ impl<P: Clone> RpcEngine<P> {
             })
             .collect() // odp-check: allow(hot-path-alloc)
     }
-
-    /// Number of in-flight calls.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +294,6 @@ mod tests {
         assert_eq!(done.status, CallStatus::Completed);
         assert_eq!(done.replies.len(), 2);
         assert_eq!(done.elapsed(), SimDuration::from_millis(7));
-        assert_eq!(rpc.in_flight(), 0);
         // A late reply to a finished call is ignored.
         assert!(rpc.on_reply(call, NodeId(2), "c", t(9)).is_none());
     }
@@ -353,7 +334,6 @@ mod tests {
             .on_reply(call, NodeId(9), "not-a-target", t(1))
             .is_none());
         assert!(rpc.on_reply(99, NodeId(1), "unknown-call", t(1)).is_none());
-        assert_eq!(rpc.in_flight(), 1);
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl EngRegistry {
     }
 
     /// Total bytes in a cluster (migration payload).
-    pub fn cluster_bytes(&self, cluster: ClusterId) -> usize {
+    pub(crate) fn cluster_bytes(&self, cluster: ClusterId) -> usize {
         self.objects
             .values()
             .filter(|(c, _)| *c == cluster)
@@ -151,7 +151,7 @@ impl EngRegistry {
     }
 
     /// Objects in a cluster.
-    pub fn cluster_objects(&self, cluster: ClusterId) -> Vec<ManagedObjectId> {
+    pub(crate) fn cluster_objects(&self, cluster: ClusterId) -> Vec<ManagedObjectId> {
         self.objects
             .iter()
             .filter(|(_, (c, _))| *c == cluster)
@@ -164,7 +164,11 @@ impl EngRegistry {
     /// # Errors
     ///
     /// Fails for unknown clusters or nodes without capsules.
-    pub fn migrate_cluster(&mut self, cluster: ClusterId, node: NodeId) -> Result<(), MgmtError> {
+    pub(crate) fn migrate_cluster(
+        &mut self,
+        cluster: ClusterId,
+        node: NodeId,
+    ) -> Result<(), MgmtError> {
         if !self.clusters.contains_key(&cluster) {
             return Err(MgmtError::UnknownCluster(cluster));
         }

@@ -56,7 +56,7 @@ impl MobileCache {
     }
 
     /// The hoard list.
-    pub fn hoard_list(&self) -> impl Iterator<Item = ObjectId> + '_ {
+    pub(crate) fn hoard_list(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.hoard_list.iter().copied()
     }
 
@@ -88,7 +88,7 @@ impl MobileCache {
 
     /// Writes locally, marking the entry dirty. Returns false if the
     /// object is not cached (disconnected writes need a cached base).
-    pub fn write_local(&mut self, id: ObjectId, value: impl Into<String>) -> bool {
+    pub(crate) fn write_local(&mut self, id: ObjectId, value: impl Into<String>) -> bool {
         match self.entries.get_mut(&id) {
             Some(obj) => {
                 obj.value = value.into();
@@ -100,7 +100,7 @@ impl MobileCache {
     }
 
     /// All dirty entries.
-    pub fn dirty(&self) -> Vec<(ObjectId, &CachedObject)> {
+    pub(crate) fn dirty(&self) -> Vec<(ObjectId, &CachedObject)> {
         self.entries
             .iter()
             .filter(|(_, o)| o.dirty)

@@ -108,11 +108,6 @@ impl MobileHost {
         }
     }
 
-    /// The current connectivity level.
-    pub fn connectivity(&self) -> Connectivity {
-        self.connectivity
-    }
-
     /// The cache (hoard configuration and statistics).
     pub fn cache_mut(&mut self) -> &mut MobileCache {
         &mut self.cache

@@ -301,7 +301,7 @@ impl<M: Clone> SessionLayer<M> {
     /// The `Hello` to transmit to `peer` when a connection to it is
     /// (re-)established. New sequenced frames to `peer` wait for its
     /// `Hello` in turn, and leave with the replay it pulls.
-    pub fn hello_for(&mut self, peer: NodeId, now: SimTime) -> Frame<M> {
+    pub(crate) fn hello_for(&mut self, peer: NodeId, now: SimTime) -> Frame<M> {
         let state = self
             .peers
             .entry(peer)

@@ -197,8 +197,8 @@ pub struct PlacementActor {
 
 impl PlacementActor {
     /// A controller at `me`. Populate it with
-    /// [`add_storage`](Self::add_storage) and
-    /// [`add_cluster`](Self::add_cluster) before the simulation starts.
+    /// `add_storage` and
+    /// `add_cluster` before the simulation starts.
     pub fn new(me: NodeId, config: PlaceConfig) -> Self {
         let mgr = MigrationManager::new(config.policy, config.hysteresis, config.bytes_per_sec);
         let latency = LatencyMap::new(config.default_latency_us);
@@ -227,14 +227,14 @@ impl PlacementActor {
     }
 
     /// Declares a storage node (migration candidate).
-    pub fn add_storage(&mut self, node: NodeId) {
+    pub(crate) fn add_storage(&mut self, node: NodeId) {
         let capsule = self.registry.create_capsule(node);
         self.capsules.insert(node, capsule);
     }
 
     /// Declares a cluster of `bytes` homed at `home` (a declared storage
     /// node) and exports its workspace offer. Returns the cluster id.
-    pub fn add_cluster(&mut self, home: NodeId, bytes: usize) -> Option<ClusterId> {
+    pub(crate) fn add_cluster(&mut self, home: NodeId, bytes: usize) -> Option<ClusterId> {
         let capsule = *self.capsules.get(&home)?;
         let cluster = self.registry.create_cluster(capsule).ok()?;
         self.registry
@@ -255,12 +255,12 @@ impl PlacementActor {
     }
 
     /// Registers an awareness observer for placement notices.
-    pub fn add_observer(&mut self, observer: NodeId, threshold: f64) {
+    pub(crate) fn add_observer(&mut self, observer: NodeId, threshold: f64) {
         self.bus.register(observer, threshold);
     }
 
     /// Seeds the session view (who counts as a live editor).
-    pub fn set_view(&mut self, view_id: u64, members: impl IntoIterator<Item = NodeId>) {
+    pub(crate) fn set_view(&mut self, view_id: u64, members: impl IntoIterator<Item = NodeId>) {
         self.view_id = view_id;
         self.members = members.into_iter().collect();
     }

@@ -19,7 +19,7 @@
 //! The freeze window and every write are logged so the
 //! `placement-soundness` invariant can independently check that no
 //! acknowledged write ever falls inside an active epoch. The
-//! [`set_quiesce(false)`](TileHostActor::set_quiesce) knob disables the
+//! `set_quiesce(false)` knob disables the
 //! freeze *enforcement* (but not the logging) — the seeded known-bad
 //! fixture proving the detector detects lost updates.
 
@@ -157,7 +157,7 @@ impl TileHostActor {
     /// freeze bookkeeping (the epoch is still logged) but applies
     /// writes that should have been refused — the seeded known-bad
     /// fixture for the `placement-soundness` explorer check.
-    pub fn set_quiesce(&mut self, quiesce: bool) {
+    pub(crate) fn set_quiesce(&mut self, quiesce: bool) {
         self.quiesce = quiesce;
     }
 
@@ -172,7 +172,8 @@ impl TileHostActor {
     }
 
     /// Where a released cluster went, if this host redirected it.
-    pub fn redirect(&self, cluster: ClusterId) -> Option<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn redirect(&self, cluster: ClusterId) -> Option<NodeId> {
         self.redirects.get(&cluster).copied()
     }
 

@@ -6,7 +6,7 @@
 //! unlike the request leg, the reply leg contains no freeze stalls or
 //! redirect chases, so it measures the wire and nothing else. The
 //! sample is folded into an integer EWMA for both directions of the
-//! pair. [`LatencyMap::estimator`]
+//! pair. `LatencyMap::estimator`
 //! then stands in for the latency oracle `odp_mgmt::placement::place`
 //! expects, making placement scores *observed*, not modelled.
 
@@ -61,7 +61,7 @@ impl LatencyMap {
     /// The estimate for a directed pair: the pair's EWMA, else the
     /// reverse pair's (links are usually near-symmetric), else the
     /// default prior. Same-node latency is zero.
-    pub fn estimate_us(&self, from: NodeId, to: NodeId) -> u64 {
+    pub(crate) fn estimate_us(&self, from: NodeId, to: NodeId) -> u64 {
         if from == to {
             return 0;
         }
@@ -73,7 +73,7 @@ impl LatencyMap {
     }
 
     /// The latency oracle shape `place` expects.
-    pub fn estimator(&self) -> impl Fn(NodeId, NodeId) -> SimDuration + '_ {
+    pub(crate) fn estimator(&self) -> impl Fn(NodeId, NodeId) -> SimDuration + '_ {
         move |a, b| SimDuration::from_micros(self.estimate_us(a, b))
     }
 }

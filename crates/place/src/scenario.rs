@@ -118,11 +118,6 @@ impl EditorActor {
         &self.notices
     }
 
-    /// The editor's current belief about a tile's home.
-    pub fn home_of(&self, cluster: ClusterId) -> Option<NodeId> {
-        self.homes.get(&cluster).copied()
-    }
-
     fn buffer_obs(&mut self, ctx: &mut Ctx<'_, PlaceWire>, obs: SpanObs) {
         self.span_buf.push(obs);
         if self.report_timer.is_none() {

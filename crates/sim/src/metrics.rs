@@ -97,7 +97,7 @@ impl Histogram {
 
     /// Sample standard deviation in microseconds (zero if fewer than two
     /// samples). Used to report jitter.
-    pub fn stddev_micros(&self) -> f64 {
+    pub(crate) fn stddev_micros(&self) -> f64 {
         let n = self.samples.len();
         if n < 2 {
             return 0.0;

@@ -74,7 +74,7 @@ impl LinkSpec {
     /// A 1990s mobile radio link: 150 ms latency, heavy jitter, 9600 baud
     /// class bandwidth, 2% loss. Models the paper's "partially connected"
     /// level.
-    pub fn radio() -> Self {
+    pub(crate) fn radio() -> Self {
         LinkSpec {
             latency: SimDuration::from_millis(150),
             jitter: SimDuration::from_millis(60),
@@ -389,7 +389,7 @@ impl Network {
     }
 
     /// Reads a node's connectivity level (defaults to `Full`).
-    pub fn connectivity_of(&self, node: NodeId) -> Connectivity {
+    pub(crate) fn connectivity_of(&self, node: NodeId) -> Connectivity {
         self.connectivity.get(&node).copied().unwrap_or_default()
     }
 

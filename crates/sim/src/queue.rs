@@ -500,7 +500,7 @@ impl<T: Describe> CalendarQueue<T> {
     /// deadline-bounded runs. A day is staged only when its first event
     /// is about to pop, so `now` is inside day `cur` whenever the heap
     /// is non-empty.
-    pub fn pop_first_at_or_before(&mut self, limit: SimTime) -> Option<QueueEntry<T>> {
+    pub(crate) fn pop_first_at_or_before(&mut self, limit: SimTime) -> Option<QueueEntry<T>> {
         if self.staged == 0 {
             let (mut key, mut b, scanned) = self.find_next()?;
             if scanned > LONG_SCAN_BUCKETS {
@@ -532,7 +532,7 @@ impl<T: Describe> CalendarQueue<T> {
         Some(e)
     }
 
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+    pub(crate) fn peek_key(&self) -> Option<(SimTime, u64)> {
         match self.day.peek() {
             Some(&Reverse((time, seq, _))) => Some((time, seq)),
             None => self.find_next().map(|(key, _, _)| key),
@@ -540,7 +540,7 @@ impl<T: Describe> CalendarQueue<T> {
     }
 
     /// Removes the `n`-th queued event in `(time, seq)` order.
-    pub fn remove_nth(&mut self, n: usize) -> Option<QueueEntry<T>> {
+    pub(crate) fn remove_nth(&mut self, n: usize) -> Option<QueueEntry<T>> {
         self.arm_index();
         let handle = self
             .index
@@ -565,7 +565,7 @@ impl<T: Describe> CalendarQueue<T> {
     }
 
     /// Visits every queued event's `(time, seq, meta)` in drain order.
-    pub fn for_each_in_order(&self, mut f: impl FnMut(SimTime, u64, EvMeta)) {
+    pub(crate) fn for_each_in_order(&self, mut f: impl FnMut(SimTime, u64, EvMeta)) {
         self.arm_index();
         if let Some(idx) = self.index.borrow().as_ref() {
             for (&(time, seq), &(meta, _)) in idx {

@@ -39,7 +39,7 @@ impl DetRng {
 
     /// Derives an independent child generator; used to give each actor its
     /// own stream so actor-local draws do not perturb each other.
-    pub fn fork(&mut self) -> DetRng {
+    pub(crate) fn fork(&mut self) -> DetRng {
         DetRng::seed_from(self.next_u64())
     }
 
@@ -74,7 +74,7 @@ impl DetRng {
     }
 
     /// Returns a uniform value in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
 

@@ -428,12 +428,6 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the wire size assumed for [`Ctx::send`] (default 256 bytes).
-    pub fn default_msg_bytes(mut self, bytes: usize) -> Self {
-        self.default_msg_bytes = bytes;
-        self
-    }
-
     /// Enables or disables trace recording (default on). Scale benches
     /// turn it off so only metrics are collected.
     pub fn telemetry(mut self, enabled: bool) -> Self {
@@ -1394,8 +1388,13 @@ mod tests {
         let mut quiet: Sim<Msg> = SimBuilder::new(1).telemetry(false).build();
         quiet.trace_mut().record(SimTime::ZERO, NodeId(0), "x", "");
         assert!(quiet.trace().is_empty());
-        let bounded: Sim<Msg> = SimBuilder::new(1).trace_capacity(4).build();
-        assert_eq!(bounded.trace().capacity(), Some(4));
+        let mut bounded: Sim<Msg> = SimBuilder::new(1).trace_capacity(4).build();
+        for _ in 0..6 {
+            bounded
+                .trace_mut()
+                .record(SimTime::ZERO, NodeId(0), "x", "");
+        }
+        assert_eq!(bounded.trace().len(), 4);
     }
 
     #[test]

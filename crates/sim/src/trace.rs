@@ -101,11 +101,6 @@ impl Trace {
         self.enabled = false;
     }
 
-    /// The retention bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// Number of records evicted by the capacity bound since the last
     /// [`Trace::clear`] (zero while unbounded).
     pub fn dropped(&self) -> u64 {
@@ -339,7 +334,6 @@ mod tests {
         }
         assert_eq!(tr.len(), 100);
         assert_eq!(tr.dropped(), 0);
-        assert_eq!(tr.capacity(), None);
     }
 
     #[test]
@@ -407,7 +401,6 @@ mod tests {
         tr.clear();
         assert!(tr.is_empty());
         assert_eq!(tr.dropped(), 0);
-        assert_eq!(tr.capacity(), Some(2));
         for i in 0..5 {
             tr.record(t(i), NodeId(0), "e", i);
         }

@@ -104,17 +104,12 @@ impl MediaSource {
         SimDuration::from_micros(1_000_000 / self.fps as u64)
     }
 
-    /// The configured rate.
-    pub fn fps(&self) -> u32 {
-        self.fps
-    }
-
     /// Re-rates the source (renegotiation outcome).
     ///
     /// # Panics
     ///
     /// Panics if `fps` is zero.
-    pub fn set_fps(&mut self, fps: u32) {
+    pub(crate) fn set_fps(&mut self, fps: u32) {
         assert!(fps > 0, "frame rate must be positive");
         self.fps = fps;
     }
@@ -131,11 +126,6 @@ impl MediaSource {
         };
         self.next_seq += 1;
         frame
-    }
-
-    /// Frames generated so far.
-    pub fn generated(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -186,12 +176,12 @@ impl MediaSink {
     }
 
     /// The configured playout delay.
-    pub fn playout_delay(&self) -> SimDuration {
+    pub(crate) fn playout_delay(&self) -> SimDuration {
         self.playout_delay
     }
 
     /// Adjusts the playout delay (continuous synchronisation does this).
-    pub fn set_playout_delay(&mut self, delay: SimDuration) {
+    pub(crate) fn set_playout_delay(&mut self, delay: SimDuration) {
         self.playout_delay = delay;
     }
 
@@ -307,7 +297,6 @@ mod tests {
         assert_eq!(src.interval(), SimDuration::from_millis(40));
         let f = src.next_frame(SimTime::ZERO);
         assert_eq!(f.bytes, 8000);
-        assert_eq!(src.generated(), 1);
     }
 
     #[test]

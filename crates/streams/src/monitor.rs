@@ -42,7 +42,6 @@ pub struct QosMonitor {
     window: SimDuration,
     /// `(playout time, record)` within the window.
     recent: VecDeque<(SimTime, PlayoutRecord)>,
-    violations: u64,
     /// Suppress duplicate reports until the stream recovers.
     in_violation: bool,
     /// Time of the first observation — no judgement until a full window
@@ -61,7 +60,6 @@ impl QosMonitor {
             contract,
             window,
             recent: VecDeque::new(),
-            violations: 0,
             in_violation: false,
             started: None,
             connectivity: Connectivity::Full,
@@ -76,7 +74,7 @@ impl QosMonitor {
     }
 
     /// True while the stream is in a latched violation.
-    pub fn is_in_violation(&self) -> bool {
+    pub(crate) fn is_in_violation(&self) -> bool {
         self.in_violation
     }
 
@@ -89,16 +87,11 @@ impl QosMonitor {
     /// violation latch. Re-announcements of the unchanged contract (the
     /// source's soft-state beacon) are idempotent — they do not clear
     /// the latch, so sustained violations are not masked.
-    pub fn set_contract(&mut self, contract: QosSpec) {
+    pub(crate) fn set_contract(&mut self, contract: QosSpec) {
         if self.contract != contract {
             self.contract = contract;
             self.in_violation = false;
         }
-    }
-
-    /// Total violations reported.
-    pub fn violations(&self) -> u64 {
-        self.violations
     }
 
     /// Feeds playout records at time `now`; returns at most one new
@@ -143,7 +136,6 @@ impl QosMonitor {
         match violation {
             Some(v) if !self.in_violation => {
                 self.in_violation = true;
-                self.violations += 1;
                 Some(v)
             }
             Some(_) => None, // latched
@@ -285,7 +277,6 @@ mod tests {
         let mut m = QosMonitor::new(QosSpec::video(), SimDuration::from_secs(1));
         let v = feed_steady_from(&mut m, 0, 50, 50, 40);
         assert!(v.is_empty(), "{v:?}");
-        assert_eq!(m.violations(), 0);
     }
 
     #[test]
@@ -326,7 +317,6 @@ mod tests {
             m.observe(&[played(i, 40)], SimTime::from_millis(t));
             t += 40;
         }
-        assert_eq!(m.violations(), 1);
         // Degrade again: a second report fires.
         let mut hits = 0;
         for i in 200..260u64 {
@@ -338,7 +328,6 @@ mod tests {
             t += 40;
         }
         assert_eq!(hits, 1);
-        assert_eq!(m.violations(), 2);
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl QosSpec {
     /// originally negotiated contract). Returns `None` when already at
     /// the ceiling. Used for upward re-negotiation once a degraded link
     /// recovers.
-    pub fn upgraded(&self, ceiling: &QosSpec) -> Option<QosSpec> {
+    pub(crate) fn upgraded(&self, ceiling: &QosSpec) -> Option<QosSpec> {
         if self.satisfies(ceiling) {
             return None; // already at (or above) the ceiling
         }

@@ -36,16 +36,6 @@ impl ChunkPlan {
         }
     }
 
-    /// Total bytes the plan covers.
-    pub fn total_bytes(&self) -> usize {
-        self.total_bytes
-    }
-
-    /// The chunk-size bound.
-    pub fn chunk_bytes(&self) -> usize {
-        self.chunk_bytes
-    }
-
     /// Number of chunks (zero for an empty transfer).
     pub fn count(&self) -> u32 {
         self.total_bytes.div_ceil(self.chunk_bytes) as u32
@@ -104,6 +94,6 @@ mod tests {
             assert_eq!(r.start, covered, "chunks are contiguous");
             covered = r.end;
         }
-        assert_eq!(covered, plan.total_bytes());
+        assert_eq!(covered, 65_536 + 17);
     }
 }

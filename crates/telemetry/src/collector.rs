@@ -66,7 +66,7 @@ impl TraceDag {
 
     /// The earliest root open time (falls back to the earliest open of
     /// any span when no root was captured).
-    pub fn root_open(&self) -> Option<SimTime> {
+    pub(crate) fn root_open(&self) -> Option<SimTime> {
         self.spans
             .values()
             .filter(|s| s.ctx.parent.is_none())
@@ -345,7 +345,7 @@ impl Collector {
     /// its close time minus its trace's root open — i.e. how deep into
     /// the causal exchange that step completed. This turns, e.g., every
     /// `gc.deliver` close into an end-to-end delivery latency sample.
-    pub fn kind_histograms(&self) -> BTreeMap<Arc<str>, Histogram> {
+    pub(crate) fn kind_histograms(&self) -> BTreeMap<Arc<str>, Histogram> {
         let mut hists: BTreeMap<Arc<str>, Histogram> = BTreeMap::new();
         for dag in self.traces.values() {
             let Some(start) = dag.root_open() else {

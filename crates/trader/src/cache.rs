@@ -80,11 +80,6 @@ impl LookupCache {
         }
     }
 
-    /// The configured TTL.
-    pub fn ttl(&self) -> SimDuration {
-        self.ttl
-    }
-
     /// Looks a type up under the unrestricted scope (local
     /// resolutions). See [`LookupCache::get_scoped`].
     pub fn get(&mut self, service_type: &ServiceType, now: SimTime) -> Option<Vec<ServiceOffer>> {
@@ -149,7 +144,7 @@ impl LookupCache {
     /// Evicts one type (a withdraw/modify invalidation note arrived) —
     /// every scope's entry for it, since the note names only the type.
     /// Returns whether any entry was present.
-    pub fn invalidate(&mut self, service_type: &ServiceType) -> bool {
+    pub(crate) fn invalidate(&mut self, service_type: &ServiceType) -> bool {
         match self.entries.remove(service_type) {
             Some(scopes) => {
                 self.stats.invalidations += scopes.len() as u64;

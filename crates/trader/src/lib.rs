@@ -71,9 +71,7 @@ pub use error::TraderError;
 pub use federation::{DomainId, Federation, TraderLink};
 pub use offer::{OfferId, OfferedInterface, ServiceOffer, ServiceType, SessionKind};
 pub use plan::{ImportRequest, ImportResolution, Scope};
-pub use select::{
-    match_offers, match_offers_via, select, OfferMatch, SelectionLoad, SelectionPolicy,
-};
+pub use select::{match_offers, select, OfferMatch, SelectionLoad, SelectionPolicy};
 pub use store::{HashRing, OfferStore, ShardLoad, ShardedStore};
 
 /// Everything an importer or exporter typically needs.
@@ -84,7 +82,7 @@ pub mod prelude {
     pub use crate::federation::{DomainId, Federation, TraderLink};
     pub use crate::offer::{OfferId, OfferedInterface, ServiceOffer, ServiceType, SessionKind};
     pub use crate::plan::{ImportRequest, ImportResolution, Scope};
-    pub use crate::select::{match_offers, match_offers_via, select, OfferMatch, SelectionPolicy};
+    pub use crate::select::{match_offers, select, OfferMatch, SelectionPolicy};
     pub use crate::store::{HashRing, ShardedStore};
     pub use odp_sim::net::LinkQos;
     pub use odp_streams::qos::QosSpec;

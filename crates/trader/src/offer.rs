@@ -30,7 +30,7 @@ impl ServiceType {
 
     /// True if this type falls under `prefix` ("video/" covers
     /// "video/conference"; the empty prefix covers everything).
-    pub fn in_scope(&self, prefix: &str) -> bool {
+    pub(crate) fn in_scope(&self, prefix: &str) -> bool {
         self.0.starts_with(prefix)
     }
 }

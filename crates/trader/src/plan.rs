@@ -36,7 +36,7 @@ use crate::offer::ServiceType;
 use crate::select::{OfferMatch, SelectionPolicy};
 
 /// Hop bound applied when [`ImportRequest::max_hops`] is not called.
-pub const DEFAULT_MAX_HOPS: u32 = 3;
+pub(crate) const DEFAULT_MAX_HOPS: u32 = 3;
 
 /// The set of service types admissible along a federation path: a name
 /// prefix, or nothing at all once traversed link scopes have diverged.
@@ -129,7 +129,7 @@ pub struct ImportRequest {
 impl ImportRequest {
     /// A request for offers of `service_type`, with permissive defaults:
     /// any QoS ([`QosSpec::permissive`]), no rights, first-fit
-    /// selection, [`DEFAULT_MAX_HOPS`] hops.
+    /// selection, `DEFAULT_MAX_HOPS` hops.
     pub fn for_type(service_type: ServiceType) -> Self {
         ImportRequest {
             service_type,
@@ -199,12 +199,12 @@ impl ImportRequest {
     }
 
     /// The importer's rights.
-    pub fn importer_rights(&self) -> Rights {
+    pub(crate) fn importer_rights(&self) -> Rights {
         self.rights
     }
 
     /// The selection policy.
-    pub fn selection_policy(&self) -> SelectionPolicy {
+    pub(crate) fn selection_policy(&self) -> SelectionPolicy {
         self.policy
     }
 
@@ -214,12 +214,12 @@ impl ImportRequest {
     }
 
     /// Whether branches are pruned by transitive scope narrowing.
-    pub fn narrows_scope(&self) -> bool {
+    pub(crate) fn narrows_scope(&self) -> bool {
         self.narrowing
     }
 
     /// Whether matching charges the accumulated link penalty.
-    pub fn accounts_penalty(&self) -> bool {
+    pub(crate) fn accounts_penalty(&self) -> bool {
         self.penalty_accounting
     }
 }

@@ -29,7 +29,7 @@ pub struct OfferMatch {
 
 /// Filters `offers` to those whose advertised QoS can meet `required`
 /// (via negotiation), preserving input order. Equivalent to
-/// [`match_offers_via`] with a free path.
+/// `match_offers_via` with a free path.
 pub fn match_offers(offers: &[ServiceOffer], required: &QosSpec) -> Vec<OfferMatch> {
     match_offers_via(offers, required, &LinkQos::NONE)
 }
@@ -39,7 +39,7 @@ pub fn match_offers(offers: &[ServiceOffer], required: &QosSpec) -> Vec<OfferMat
 /// the accumulated penalty, and negotiation runs against that. Offers
 /// that satisfy at home but not across the path are rejected here,
 /// before selection.
-pub fn match_offers_via(
+pub(crate) fn match_offers_via(
     offers: &[ServiceOffer],
     required: &QosSpec,
     penalty: &LinkQos,

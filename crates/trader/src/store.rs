@@ -78,12 +78,6 @@ impl HashRing {
             .or_else(|| self.points.iter().next())
             .map(|(_, t)| *t)
     }
-
-    /// The distinct trader nodes on the ring.
-    pub fn traders(&self) -> Vec<NodeId> {
-        let set: BTreeSet<NodeId> = self.points.values().copied().collect();
-        set.into_iter().collect()
-    }
 }
 
 /// Load counters for one shard.
@@ -158,7 +152,7 @@ impl OfferStore {
     }
 
     /// Replaces the QoS of an offer in place.
-    pub fn modify_qos(&mut self, id: OfferId, qos: QosSpec) -> bool {
+    pub(crate) fn modify_qos(&mut self, id: OfferId, qos: QosSpec) -> bool {
         match self.offers.get_mut(&id) {
             Some(offer) => {
                 offer.qos = qos;
@@ -215,11 +209,6 @@ impl ShardedStore {
         store
     }
 
-    /// The ring (for importers that address shards directly).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// The shard a service type lives on.
     pub fn shard_for(&self, service_type: &ServiceType) -> Option<NodeId> {
         self.ring.node_for(service_type)
@@ -257,25 +246,6 @@ impl ShardedStore {
             .ok_or(TraderError::UnknownOffer(id))
     }
 
-    /// Replaces an offer's QoS (e.g. the exporter re-advertises after a
-    /// capacity change).
-    ///
-    /// # Errors
-    ///
-    /// [`TraderError::UnknownOffer`] if no shard holds `id`.
-    pub fn modify_qos(&mut self, id: OfferId, qos: QosSpec) -> Result<(), TraderError> {
-        let shard = self.home.get(&id).ok_or(TraderError::UnknownOffer(id))?;
-        let ok = self
-            .shards
-            .get_mut(shard)
-            .is_some_and(|s| s.modify_qos(id, qos));
-        if ok {
-            Ok(())
-        } else {
-            Err(TraderError::UnknownOffer(id))
-        }
-    }
-
     /// Looks an offer up by id.
     pub fn offer(&self, id: OfferId) -> Option<&ServiceOffer> {
         let shard = self.home.get(&id)?;
@@ -299,7 +269,7 @@ impl ShardedStore {
 
     /// Adds a trader node, migrating the offers whose types now hash to
     /// it. Returns how many offers moved.
-    pub fn add_trader(&mut self, trader: NodeId) -> usize {
+    pub(crate) fn add_trader(&mut self, trader: NodeId) -> usize {
         self.ring.add(trader);
         self.shards.entry(trader).or_default();
         self.rehome()
@@ -439,10 +409,13 @@ mod tests {
 
     #[test]
     fn modify_updates_qos_in_place() {
-        let mut store = ShardedStore::new(traders(2));
-        let id = store.export(offer("audio/talk")).unwrap();
-        store.modify_qos(id, QosSpec::mobile_video()).unwrap();
+        let mut store = OfferStore::new();
+        let o = offer("audio/talk");
+        let id = o.id;
+        store.insert(o);
+        assert!(store.modify_qos(id, QosSpec::mobile_video()));
         assert_eq!(store.offer(id).unwrap().qos, QosSpec::mobile_video());
+        assert!(!store.modify_qos(OfferId(999_999), QosSpec::audio()));
     }
 
     #[test]

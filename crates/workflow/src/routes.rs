@@ -180,11 +180,6 @@ impl RoutedProcedure {
         &self.trail
     }
 
-    /// Out-of-protocol attempts rejected so far.
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
-
     /// Performs the current step with an outcome, advancing the route.
     ///
     /// # Errors
@@ -299,7 +294,6 @@ mod tests {
             p.perform(Party(1), "nope"),
             Err(RouteError::UnknownOutcome { .. })
         ));
-        assert_eq!(p.rejections(), 2);
         assert!(p.trail().is_empty(), "rejected attempts leave no trail");
     }
 
