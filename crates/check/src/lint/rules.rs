@@ -54,6 +54,12 @@ const HOT_FNS: &[&str] = &[
     "publish",
     "mcast",
     "mcast_spanned",
+    // The ordering layer's per-message steps (`odp_groupcomm`'s `Orderer`).
+    "stamp",
+    "on_own",
+    "on_assign",
+    "try_deliver_causal",
+    "assign_total",
     "try_deliver_total",
     "unicast",
     "broadcast",

@@ -24,6 +24,7 @@
 pub mod actors;
 pub mod membership;
 pub mod multicast;
+mod ordering;
 pub mod rpc;
 pub mod vclock;
 pub mod wire;

@@ -5,18 +5,9 @@
 //! to deliver. This keeps the protocol unit-testable without a simulator
 //! and lets upper layers (streams, shared workspaces) embed it directly.
 //! [`crate::actors::GroupActor`] adapts an engine onto an
-//! [`odp_sim::actor::Actor`].
-//!
-//! Supported orderings (paper §4.2.2 iv: "multicast transport protocols
-//! are necessary to enable group communication"):
-//!
-//! - [`Ordering::Unordered`] — deliver on arrival;
-//! - [`Ordering::Fifo`] — per-sender order via sequence numbers;
-//! - [`Ordering::Causal`] — vector-clock delivery condition;
-//! - [`Ordering::Total`] — a sequencer (the view leader) assigns a global
-//!   sequence; everyone delivers in that sequence.
+//! [`odp_sim::actor::Actor`]. Each [`Ordering`]'s hold-back is an
+//! `Orderer` (`ordering.rs`) above the engine's duplicate filter.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -25,6 +16,7 @@ use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
 use crate::membership::{GroupId, View};
+use crate::ordering::Orderer;
 use crate::rpc::{ReplyBody, RequestBody};
 use crate::vclock::VectorClock;
 
@@ -226,7 +218,7 @@ pub struct Step<P> {
 }
 
 impl<P: Clone> Step<P> {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Step {
             outbound: Vec::new(),
             delivered: Vec::new(),
@@ -238,7 +230,7 @@ impl<P: Clone> Step<P> {
     /// envelope, the retransmit buffer) is alive. A step delivers one
     /// message far more often than several, so the first slot is
     /// allocated alone instead of as the four a first `push` would take.
-    fn deliver(&mut self, data: Arc<DataMsg<P>>) {
+    pub(crate) fn deliver(&mut self, data: Arc<DataMsg<P>>) {
         if self.delivered.is_empty() {
             self.delivered.reserve_exact(1);
         }
@@ -262,32 +254,48 @@ struct RelOut<P> {
     msg: GcMsg<P>,
     /// Peers yet to ack, ascending (as the view lists them).
     pending: Vec<NodeId>,
+    resend: Resend,
+}
+
+/// When an entry awaiting an answer was last sent, and how many times
+/// it has been sent again.
+struct Resend {
     last_sent: SimTime,
     retries: u32,
 }
 
-/// How far past the delivery cursor an assignment may reach. A
-/// sequencer orders positions one after another, so a member holds at
-/// most as many as it has not delivered; a `total` further out than
-/// this is a malformed frame, and is dropped rather than sized into the
-/// ring.
-const TOTAL_AHEAD_MAX: u64 = 1 << 16;
+impl Resend {
+    fn new(now: SimTime) -> Self {
+        Resend {
+            last_sent: now,
+            retries: 0,
+        }
+    }
 
-/// A `SeqRequest` this member sent for one of its own messages and has
-/// no assignment for yet.
-struct Unassigned {
-    last_sent: SimTime,
-    retries: u32,
+    /// The one retry rule: `Some(true)`, counting the resend, once
+    /// `after` has passed since the last send; `None` when `max` resends
+    /// are spent and the entry is given up; `Some(false)` before.
+    fn due(&mut self, now: SimTime, after: SimDuration, max: u32) -> Option<bool> {
+        if now.saturating_since(self.last_sent) < after {
+            return Some(false);
+        }
+        if self.retries >= max {
+            return None;
+        }
+        self.retries += 1;
+        self.last_sent = now;
+        Some(true)
+    }
 }
 
 /// Message ids already processed, as one [`SeqSet`] per origin: the
 /// state is O(origins + gaps), not O(messages).
 #[derive(Default)]
-struct IdSet(SortedVecMap<NodeId, SeqSet>);
+pub(crate) struct IdSet(SortedVecMap<NodeId, SeqSet>);
 
 impl IdSet {
     /// Records `id`; true when it had not been seen.
-    fn insert(&mut self, id: MsgId) -> bool {
+    pub(crate) fn insert(&mut self, id: MsgId) -> bool {
         self.0.get_mut_or_default(id.origin).insert(id.seq)
     }
 }
@@ -316,7 +324,6 @@ impl IdSet {
 pub struct GroupEngine<P> {
     me: NodeId,
     view: View,
-    ordering: Ordering,
     reliability: Reliability,
     next_seq: u64,
     // Dedup of data/assign messages already processed. Assignment ids
@@ -326,26 +333,15 @@ pub struct GroupEngine<P> {
     // set is small (unacked window), iterated every tick in key order,
     // and contiguous storage keeps the retransmit scan cache-friendly.
     rel_out: SortedVecMap<MsgId, RelOut<P>>,
-    // FIFO: next expected per-origin seq and hold-back queue.
-    fifo_expected: BTreeMap<NodeId, u64>,
-    fifo_holdback: BTreeMap<(NodeId, u64), Arc<DataMsg<P>>>,
-    // Causal: local clock and hold-back.
-    vclock: VectorClock,
-    causal_holdback: Vec<Arc<DataMsg<P>>>,
-    // Total ordering state.
-    total_next_deliver: u64,
-    // Slot `i` holds the message ordered at `total_next_deliver + i`,
-    // once its assignment is here: a ring that advances with the cursor.
-    total_assignments: VecDeque<Option<MsgId>>,
-    total_waiting: HashMap<MsgId, Arc<DataMsg<P>>>,
+    // Hold-back of the engine's delivery discipline, fed after `seen`.
+    orderer: Orderer<P>,
     // Reliable total order, away from the sequencer: own messages still
     // waiting for their assignment. `SeqRequest` is not in `rel_out` —
     // it is answered by a `SeqAssign`, not acked — so it is resent from
     // here.
-    unassigned: SortedVecMap<MsgId, Unassigned>,
+    unassigned: SortedVecMap<MsgId, Resend>,
     // Sequencer-only state.
     seq_next_assign: u64,
-    seq_assign_counter: u64,
     seq_already_assigned: IdSet,
     // The emptied peer list of the last fully-acked `rel_out` entry,
     // refilled by the next entry instead of allocating one.
@@ -359,21 +355,13 @@ impl<P: Clone> GroupEngine<P> {
         GroupEngine {
             me,
             view,
-            ordering,
             reliability,
             next_seq: 0,
             seen: IdSet::default(),
             rel_out: SortedVecMap::new(),
-            fifo_expected: BTreeMap::new(),
-            fifo_holdback: BTreeMap::new(),
-            vclock: VectorClock::new(),
-            causal_holdback: Vec::new(),
-            total_next_deliver: 1,
-            total_assignments: VecDeque::new(),
-            total_waiting: HashMap::new(),
+            orderer: Orderer::new(ordering),
             unassigned: SortedVecMap::new(),
             seq_next_assign: 1,
-            seq_assign_counter: 0,
             seq_already_assigned: IdSet::default(),
             spare_pending: None,
         }
@@ -392,7 +380,7 @@ impl<P: Clone> GroupEngine<P> {
     /// This member's vector clock (ticked per causal delivery; checkers
     /// assert it only ever grows).
     pub fn clock(&self) -> &VectorClock {
-        &self.vclock
+        self.orderer.clock()
     }
 
     /// The node acting as sequencer under total ordering.
@@ -406,9 +394,7 @@ impl<P: Clone> GroupEngine<P> {
     /// full virtual-synchrony flush is out of scope; callers should
     /// quiesce traffic around view changes.)
     pub fn install_view(&mut self, view: View) {
-        self.fifo_holdback
-            .retain(|(origin, _), _| view.contains(*origin));
-        self.causal_holdback.retain(|m| view.contains(m.id.origin));
+        self.orderer.install_view(&view);
         let mut spare = self.spare_pending.take();
         self.rel_out.retain(|_, out| {
             out.pending.retain(|&peer| view.contains(peer));
@@ -455,26 +441,17 @@ impl<P: Clone> GroupEngine<P> {
             origin: self.me,
             seq: self.next_seq,
         };
-        let vclock = if self.ordering == Ordering::Causal {
-            self.vclock.tick(self.me);
-            Some(self.vclock.clone())
-        } else {
-            None
-        };
         // One allocation for the whole multicast: every peer's envelope,
         // the retransmit buffer and the total-order hold-back share it.
         let data = Arc::new(DataMsg {
             id,
             group: self.view.group,
-            vclock,
+            vclock: self.orderer.stamp(self.me),
             span,
             payload,
         });
         let peers = self.peer_count();
-        let sequencer = match self.ordering {
-            Ordering::Total => self.sequencer(),
-            _ => None,
-        };
+        let sequencer = self.sequencer().filter(|_| self.orderer.sequenced());
         // One slot per peer, and under total order either the request
         // to the sequencer or, at the sequencer, the assignments.
         let ordering_msgs = match sequencer {
@@ -489,46 +466,21 @@ impl<P: Clone> GroupEngine<P> {
         for peer in self.peers() {
             step.outbound.push((peer, GcMsg::Data(Arc::clone(&data))));
         }
-        if self.is_reliable() {
-            let pending = self.pending_list();
-            self.rel_out.insert(
-                id,
-                RelOut {
-                    msg: GcMsg::Data(Arc::clone(&data)),
-                    pending,
-                    last_sent: now,
-                    retries: 0,
-                },
-            );
-        }
+        self.await_acks(id, GcMsg::Data(Arc::clone(&data)), now);
         self.seen.insert(id);
-        match self.ordering {
-            Ordering::Total => {
-                // Hold even our own message until sequenced.
-                self.total_waiting.insert(id, data);
-                if let Some(seq_node) = sequencer {
-                    if seq_node == self.me {
-                        self.sequence_msg(id, now, &mut step);
-                    } else {
-                        self.request_order(seq_node, id, now, &mut step);
-                    }
-                }
-                self.try_deliver_total(&mut step);
-            }
-            Ordering::Fifo => {
-                // Track our own FIFO counter so symmetry holds.
-                self.fifo_expected.insert(self.me, id.seq + 1);
-                step.deliver(data);
-            }
-            Ordering::Causal | Ordering::Unordered => step.deliver(data),
+        match sequencer {
+            Some(node) if node == self.me => self.sequence_msg(id, now, &mut step),
+            Some(node) => self.request_order(node, id, now, &mut step),
+            None => {}
         }
+        self.orderer.on_own(data, &mut step);
         step
     }
 
     /// Handles an incoming wire message.
     pub fn on_message(&mut self, from: NodeId, msg: GcMsg<P>, now: SimTime) -> Step<P> {
         match msg {
-            GcMsg::Data(data) => self.on_data(from, data, now),
+            GcMsg::Data(data) => self.on_data(from, data),
             GcMsg::Ack { id } => {
                 if let Some(out) = self.rel_out.get_mut(&id) {
                     if let Ok(at) = out.pending.binary_search(&from) {
@@ -577,12 +529,23 @@ impl<P: Clone> GroupEngine<P> {
         self.view.size() - usize::from(self.view.contains(self.me))
     }
 
-    /// The peers a new `rel_out` entry waits on, in the list the last
-    /// fully-acked entry left behind when there is one.
-    fn pending_list(&mut self) -> Vec<NodeId> {
-        let mut pending = self.spare_pending.take().unwrap_or_default();
-        pending.extend(self.peers());
-        pending
+    /// Under reliable delivery, keeps `msg` to retransmit until every
+    /// peer acks `id`; the peer list reuses the one the last fully-acked
+    /// entry left behind, when there is one.
+    fn await_acks(&mut self, id: MsgId, msg: GcMsg<P>, now: SimTime) {
+        if self.is_reliable() {
+            let mut pending = self.spare_pending.take().unwrap_or_default();
+            pending.extend(self.peers());
+            let resend = Resend::new(now);
+            self.rel_out.insert(
+                id,
+                RelOut {
+                    msg,
+                    pending,
+                    resend,
+                },
+            );
+        }
     }
 
     /// The step every received `Data`/`SeqAssign` starts from: under
@@ -604,43 +567,17 @@ impl<P: Clone> GroupEngine<P> {
             if id.origin == self.me {
                 self.unassigned.remove(&id);
             }
-            self.assign_total(total, id);
-            self.try_deliver_total(&mut step);
+            self.orderer.on_assign(total, id, &mut step);
         }
         step
     }
 
-    fn on_data(&mut self, from: NodeId, data: Arc<DataMsg<P>>, _now: SimTime) -> Step<P> {
+    /// A `Data` envelope: acked, then handed to the orderer unless it is
+    /// a duplicate (a retransmission).
+    fn on_data(&mut self, from: NodeId, data: Arc<DataMsg<P>>) -> Step<P> {
         let mut step = self.ack_step(from, data.id);
-        if !self.seen.insert(data.id) {
-            return step; // duplicate (retransmission)
-        }
-        match self.ordering {
-            Ordering::Unordered => step.deliver(data),
-            Ordering::Fifo => {
-                let origin = data.id.origin;
-                let expected = self.fifo_expected.entry(origin).or_insert(1);
-                if data.id.seq == *expected {
-                    // The next in line is delivered without touching
-                    // the hold-back, and then whatever it was blocking.
-                    *expected += 1;
-                    step.deliver(data);
-                    while let Some(next) = self.fifo_holdback.remove(&(origin, *expected)) {
-                        *expected += 1;
-                        step.deliver(next);
-                    }
-                } else {
-                    self.fifo_holdback.insert((origin, data.id.seq), data);
-                }
-            }
-            Ordering::Causal => {
-                self.causal_holdback.push(data);
-                self.try_deliver_causal(&mut step);
-            }
-            Ordering::Total => {
-                self.total_waiting.insert(data.id, data);
-                self.try_deliver_total(&mut step);
-            }
+        if self.seen.insert(data.id) {
+            self.orderer.on_data(data, &mut step);
         }
         step
     }
@@ -658,15 +595,9 @@ impl<P: Clone> GroupEngine<P> {
             return Step::empty();
         };
         let mut step = Step::empty();
-        let mut give_up = Vec::new();
-        for (id, out) in self.rel_out.iter_mut() {
-            if now.saturating_since(out.last_sent) >= retransmit_after {
-                if out.retries >= max_retries {
-                    give_up.push(*id);
-                    continue;
-                }
-                out.retries += 1;
-                out.last_sent = now;
+        self.rel_out.retain(|_, out| {
+            let due = out.resend.due(now, retransmit_after, max_retries);
+            if due == Some(true) {
                 for peer in &out.pending {
                     // Retransmitting the stored envelope to each
                     // still-pending peer is the protocol; a `Data`
@@ -675,13 +606,16 @@ impl<P: Clone> GroupEngine<P> {
                     step.outbound.push((*peer, out.msg.clone()));
                 }
             }
-        }
-        for id in give_up {
-            self.rel_out.remove(&id);
-        }
-        if !self.unassigned.is_empty() {
-            self.resend_requests(now, retransmit_after, max_retries, &mut step);
-        }
+            due.is_some()
+        });
+        let sequencer = self.sequencer();
+        self.unassigned.retain(|&id, resend| {
+            let due = resend.due(now, retransmit_after, max_retries);
+            if let (Some(true), Some(node)) = (due, sequencer) {
+                step.outbound.push((node, GcMsg::SeqRequest { id }));
+            }
+            due.is_some()
+        });
         step
     }
 
@@ -690,39 +624,8 @@ impl<P: Clone> GroupEngine<P> {
     fn request_order(&mut self, sequencer: NodeId, id: MsgId, now: SimTime, step: &mut Step<P>) {
         step.outbound.push((sequencer, GcMsg::SeqRequest { id }));
         if self.is_reliable() {
-            let resend = Unassigned {
-                last_sent: now,
-                retries: 0,
-            };
-            self.unassigned.insert(id, resend);
+            self.unassigned.insert(id, Resend::new(now));
         }
-    }
-
-    /// Sends again each `SeqRequest` unanswered for `retransmit_after`,
-    /// to the current sequencer, and forgets one asked `max_retries`
-    /// times.
-    fn resend_requests(
-        &mut self,
-        now: SimTime,
-        retransmit_after: SimDuration,
-        max_retries: u32,
-        step: &mut Step<P>,
-    ) {
-        let sequencer = self.sequencer();
-        self.unassigned.retain(|&id, out| {
-            if now.saturating_since(out.last_sent) < retransmit_after {
-                return true;
-            }
-            if out.retries >= max_retries {
-                return false;
-            }
-            out.retries += 1;
-            out.last_sent = now;
-            if let Some(node) = sequencer {
-                step.outbound.push((node, GcMsg::SeqRequest { id }));
-            }
-            true
-        });
     }
 
     /// Number of reliable messages still awaiting acks.
@@ -732,7 +635,7 @@ impl<P: Clone> GroupEngine<P> {
 
     /// Number of messages parked in hold-back queues.
     pub fn held_back(&self) -> usize {
-        self.fifo_holdback.len() + self.causal_holdback.len() + self.total_waiting.len()
+        self.orderer.held_back()
     }
 
     /// Size of the duplicate filter: sequence-number ranges held, over
@@ -750,12 +653,11 @@ impl<P: Clone> GroupEngine<P> {
         }
         let total = self.seq_next_assign;
         self.seq_next_assign += 1;
-        self.seq_assign_counter += 1;
         let assign_id = MsgId {
             origin: self.me,
             // Assignment ids live in a separate space from data ids; offset
             // far above any realistic data sequence to avoid collision.
-            seq: u64::MAX / 2 + self.seq_assign_counter,
+            seq: u64::MAX / 2 + total,
         };
         let assign = GcMsg::SeqAssign {
             assign_id,
@@ -766,71 +668,25 @@ impl<P: Clone> GroupEngine<P> {
         for peer in self.peers() {
             step.outbound.push((peer, assign.clone()));
         }
-        if self.is_reliable() {
-            let pending = self.pending_list();
-            self.rel_out.insert(
-                assign_id,
-                RelOut {
-                    msg: assign,
-                    pending,
-                    last_sent: now,
-                    retries: 0,
-                },
-            );
-        }
+        self.await_acks(assign_id, assign, now);
         // Apply locally.
         self.seen.insert(assign_id);
-        self.assign_total(total, id);
-        self.try_deliver_total(step);
-    }
-
-    fn try_deliver_causal(&mut self, step: &mut Step<P>) {
-        loop {
-            // Causal senders always stamp a clock; a clockless message
-            // (a peer in the wrong mode) is simply never deliverable.
-            let idx = self.causal_holdback.iter().position(|m| {
-                m.vclock
-                    .as_ref()
-                    .is_some_and(|clock| self.vclock.deliverable(clock, m.id.origin))
-            });
-            let Some(idx) = idx else { break };
-            let data = self.causal_holdback.remove(idx);
-            self.vclock.tick(data.id.origin);
-            step.deliver(data);
-        }
-    }
-
-    /// Records that `id` is ordered at `total`. A position the cursor
-    /// has passed was delivered already, so its assignment is ignored.
-    fn assign_total(&mut self, total: u64, id: MsgId) {
-        let Some(ahead) = total.checked_sub(self.total_next_deliver) else {
-            return;
-        };
-        if ahead >= TOTAL_AHEAD_MAX {
-            return;
-        }
-        let slot = ahead as usize;
-        if slot >= self.total_assignments.len() {
-            self.total_assignments.resize(slot + 1, None);
-        }
-        self.total_assignments[slot] = Some(id);
-    }
-
-    fn try_deliver_total(&mut self, step: &mut Step<P>) {
-        while let Some(&Some(id)) = self.total_assignments.front() {
-            let Some(data) = self.total_waiting.remove(&id) else {
-                break; // assignment known but data not yet arrived
-            };
-            self.total_assignments.pop_front();
-            self.total_next_deliver += 1;
-            step.deliver(data);
-        }
+        self.orderer.on_assign(total, id, step);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ordering::{TotalOrder, TOTAL_AHEAD_MAX};
+
+    /// The total-order hold-back of an engine that orders totally.
+    fn total_order<P>(engine: &GroupEngine<P>) -> &TotalOrder<P> {
+        match &engine.orderer {
+            Orderer::Total(order) => order,
+            _ => panic!("the engine does not order totally"),
+        }
+    }
 
     fn view(n: u32) -> View {
         View::initial(GroupId(0), (0..n).map(NodeId))
@@ -1064,7 +920,7 @@ mod tests {
             );
             assert!(step.delivered.is_empty());
         }
-        assert!(es[1].total_assignments.is_empty());
+        assert!(total_order(&es[1]).assignments.is_empty());
         // The group still orders what its sequencer sends.
         let step = es[0].mcast("x", SimTime::ZERO);
         assert_eq!(step.delivered.len(), 1);
@@ -1186,7 +1042,7 @@ mod tests {
             assert!(Arc::ptr_eq(body, kept), "fan-out must not copy the body");
         }
         assert!(
-            Arc::ptr_eq(&e.total_waiting[&id], kept),
+            Arc::ptr_eq(&total_order(&e).waiting[&id], kept),
             "the sender's hold-back shares it too"
         );
         // Retransmissions hand out the same body again.
@@ -1261,23 +1117,58 @@ mod tests {
 
     #[test]
     fn install_view_drops_holdback_of_departed_members() {
-        let mut es = engines(3, Ordering::Fifo, Reliability::BestEffort);
-        // Node 0 sends seq 1 and 2; node 2 receives only seq 2 (held back).
-        let s1 = es[0].mcast("one", SimTime::ZERO);
-        let s2 = es[0].mcast("two", SimTime::ZERO);
-        drop(s1);
-        let m2 = s2
-            .outbound
-            .iter()
-            .find(|(to, _)| *to == NodeId(2))
-            .unwrap()
-            .1
-            .clone();
-        es[2].on_message(NodeId(0), m2, SimTime::ZERO);
-        assert_eq!(es[2].held_back(), 1);
-        // Node 0 leaves; the stuck message is discarded.
-        let new_view = View::initial(GroupId(0), [NodeId(1), NodeId(2)]);
-        es[2].install_view(new_view);
+        for ordering in [Ordering::Fifo, Ordering::Causal] {
+            let mut es = engines(3, ordering, Reliability::BestEffort);
+            // Node 0 sends 1 and 2; node 2 receives only 2 (held back).
+            let s1 = es[0].mcast("one", SimTime::ZERO);
+            let s2 = es[0].mcast("two", SimTime::ZERO);
+            drop(s1);
+            let m2 = s2
+                .outbound
+                .iter()
+                .find(|(to, _)| *to == NodeId(2))
+                .unwrap()
+                .1
+                .clone();
+            es[2].on_message(NodeId(0), m2, SimTime::ZERO);
+            assert_eq!(es[2].held_back(), 1, "{ordering:?}");
+            // Node 0 leaves; the stuck message is discarded.
+            let new_view = View::initial(GroupId(0), [NodeId(1), NodeId(2)]);
+            es[2].install_view(new_view);
+            assert_eq!(es[2].held_back(), 0, "{ordering:?}");
+        }
+    }
+
+    /// Total order keeps a departed origin's data through a view change:
+    /// its assignment may still arrive, and dropping an assigned message
+    /// would stall the delivery cursor for good. The price is that data
+    /// whose assignment never comes is held forever.
+    #[test]
+    fn install_view_keeps_a_departed_origins_data_waiting_for_its_assignment() {
+        let mut es = engines(3, Ordering::Total, Reliability::BestEffort);
+        // Node 1 multicasts; node 2 gets the data, the sequencer (node 0)
+        // gets the request, and its assignment to node 2 is in flight.
+        let step = es[1].mcast("edit", SimTime::ZERO);
+        let mut to_2 = None;
+        let mut assign_to_2 = None;
+        for (to, msg) in step.outbound {
+            match to.0 {
+                0 => {
+                    let s = es[0].on_message(NodeId(1), msg, SimTime::ZERO);
+                    assign_to_2 = s.outbound.into_iter().find(|(to, _)| *to == NodeId(2));
+                }
+                _ => to_2 = Some(msg),
+            }
+        }
+        es[2].on_message(NodeId(1), to_2.expect("data to node 2"), SimTime::ZERO);
+        assert_eq!(es[2].held_back(), 1, "waiting for its assignment");
+        // Node 1 leaves; its data stays.
+        es[2].install_view(View::initial(GroupId(0), [NodeId(0), NodeId(2)]));
+        assert_eq!(es[2].held_back(), 1, "a departed origin's data is kept");
+        // The assignment still arrives, and the data is delivered.
+        let (_, assign) = assign_to_2.expect("an assignment for node 2");
+        let got = es[2].on_message(NodeId(0), assign, SimTime::ZERO);
+        assert_eq!(got.delivered.len(), 1);
         assert_eq!(es[2].held_back(), 0);
     }
 }

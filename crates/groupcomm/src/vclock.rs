@@ -40,8 +40,10 @@ pub struct VectorClock {
 
 impl VectorClock {
     /// Creates an empty clock (all entries implicitly zero).
-    pub fn new() -> Self {
-        VectorClock::default()
+    pub const fn new() -> Self {
+        VectorClock {
+            entries: BTreeMap::new(),
+        }
     }
 
     /// Reads the counter for `node` (zero if absent).

@@ -36,12 +36,6 @@ pub enum NetError {
     },
     /// A length-prefixed string was not valid UTF-8.
     BadUtf8,
-    /// A decoded value violated a domain constraint (e.g. a
-    /// non-finite float where a weight was expected).
-    BadValue {
-        /// What was being decoded.
-        what: &'static str,
-    },
     /// Socket-level failure, stringified (`std::io::Error` is neither
     /// `Clone` nor `PartialEq`, and callers only branch on the kind of
     /// *protocol* error, never on errno).
@@ -68,7 +62,6 @@ impl fmt::Display for NetError {
             }
             NetError::BadTag { what, tag } => write!(f, "unknown {what} discriminant {tag}"),
             NetError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
-            NetError::BadValue { what } => write!(f, "malformed {what} value"),
             NetError::Io(err) => write!(f, "transport I/O: {err}"),
             NetError::DriverGone => write!(f, "transport driver thread is gone"),
         }

@@ -4,7 +4,7 @@
 //!
 //! One [`TcpNode`] hosts one actor on real `std::net` sockets. This
 //! file is the I/O shell around the sans-IO [`DriverCore`], which holds
-//! the actor, the [`SessionLayer`](crate::session::SessionLayer), the
+//! the actor, the [`SessionLayer`], the
 //! timers and each peer's link buffer:
 //!
 //! * a listener accepts connections from lower-numbered peers, a

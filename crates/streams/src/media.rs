@@ -20,8 +20,6 @@ pub enum MediaKind {
     Audio,
     /// Moving pictures.
     Video,
-    /// Animated graphics.
-    Animation,
 }
 
 impl fmt::Display for MediaKind {
@@ -29,7 +27,6 @@ impl fmt::Display for MediaKind {
         let s = match self {
             MediaKind::Audio => "audio",
             MediaKind::Video => "video",
-            MediaKind::Animation => "animation",
         };
         f.write_str(s)
     }

@@ -24,7 +24,7 @@
 //! *before* their stores are consulted; domains are settled in order of
 //! accumulated penalty, so the first satisfying answer is also the
 //! least-penalized one, and offers are matched on their QoS *as seen
-//! across the path* ([`QosSpec::degrade_across`]) — a weaker-but-nearer
+//! across the path* ([`QosSpec::degrade_across`](odp_streams::qos::QosSpec::degrade_across)) — a weaker-but-nearer
 //! offer can beat a stronger-but-farther one, and an offer whose
 //! penalized QoS no longer satisfies the requirement is rejected before
 //! selection. With zero penalties the search degenerates to exactly the
@@ -144,7 +144,7 @@ impl Federation {
     /// match answers; the request's policy picks among that domain's
     /// matches.
     ///
-    /// `net` is consulted only by [`SelectionPolicy::LowestLatency`];
+    /// `net` is consulted only by [`SelectionPolicy::LowestLatency`](crate::select::SelectionPolicy::LowestLatency);
     /// link penalties live on the links themselves.
     ///
     /// # Errors

@@ -15,7 +15,7 @@
 //! - [`store`] — the sharded offer store: service types are
 //!   consistent-hashed over the domain's trader nodes, with per-shard
 //!   load counters and cheap resharding;
-//! - [`select`] — QoS-aware matching (reusing
+//! - [`mod@select`] — QoS-aware matching (reusing
 //!   `odp_streams::qos::negotiate` as the satisfaction check) and
 //!   pluggable selection: first-fit, least-loaded,
 //!   lowest-expected-latency;

@@ -60,10 +60,6 @@ pub enum SessionKind {
     Conference,
     /// A shared workspace.
     Workspace,
-    /// A co-authored document.
-    Document,
-    /// Application-defined.
-    Custom(u32),
 }
 
 /// What an offer actually exports: a stream endpoint or a session entry
