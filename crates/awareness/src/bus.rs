@@ -511,7 +511,6 @@ impl EventBus {
                     // For activity events that is a refcount bump on the
                     // artefact path plus `Copy` fields; only the rarer
                     // kinds that carry a label string copy it.
-                    // odp-check: allow(hot-path-alloc)
                     event: event.clone(),
                     weight,
                 });

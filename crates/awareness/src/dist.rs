@@ -153,7 +153,7 @@ impl Actor<GcMsg<BusWire>> for BusActor {
                     .publish(event)
                     .into_iter()
                     .map(|d| (d.observer, d.weight))
-                    .collect(); // odp-check: allow(hot-path-alloc)
+                    .collect();
                 ctx.metrics().incr("aware.publish");
                 let span = if self.telemetry {
                     // The publish root closes at issue time; deliveries

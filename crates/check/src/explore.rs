@@ -711,7 +711,7 @@ impl Explorer {
                 Some(entry) if !entry.contains(&se) => entry.push(se),
                 Some(_) => {}
                 None => {
-                    // odp-check: allow(hot-path-alloc) — once per state, when a run first reaches it
+                    // Once per state, when a run first reaches it.
                     dispatched.insert(key.to_vec(), vec![se]);
                 }
             }

@@ -6,17 +6,16 @@
 //! *checkable*, not aspirational.
 //!
 //! **The lint pass** ([`lint`]) is a self-contained source analyzer
-//! (token scanner; no rustc plugin, no network) that fails on
-//! allocation on the delivery hot path in any non-test crate source,
-//! and, across the workspace, on a `pub` item nothing outside its crate
-//! names (`crate-pub`: it must be `pub(crate)`, so rustc's `dead_code`
-//! sees it), on a module nothing reaches (`dead-mod`) and on a
-//! dependency no source names (`unused-dep`). Findings are suppressed per-site with
-//! `// odp-check: allow(<rule>)` comments, and an allow that suppresses
-//! nothing is itself an error. No `unwrap()`/`expect()` in protocol
-//! code, no wall-clock read and no iteration over `HashMap`/`HashSet`
-//! are clippy's: it sees types (the root `clippy.toml` and CI's `lint`
-//! job).
+//! (token scanner; no rustc plugin, no network) that fails, across the
+//! workspace, on a `pub` item nothing outside its crate names
+//! (`crate-pub`: it must be `pub(crate)`, so rustc's `dead_code` sees
+//! it), on a module nothing reaches (`dead-mod`) and on a dependency no
+//! source names (`unused-dep`). A finding is fixed, never suppressed.
+//! Allocation on the delivery path is held by counted budgets, one test
+//! binary per crate over `odp_sim::alloc`. No `unwrap()`/`expect()` in
+//! protocol code, no wall-clock read and no iteration over
+//! `HashMap`/`HashSet` are clippy's: it sees types (the root
+//! `clippy.toml` and CI's `lint` job).
 //!
 //! **The schedule explorer** ([`explore`]) drives the simulator through
 //! a bounded DFS over message-delivery permutations, checking

@@ -1,15 +1,13 @@
 //! Source preparation for the lint rules: a small scanner that strips
-//! comments and literals, records `odp-check: allow(...)` comments,
-//! keeps the code of doc examples apart, and marks the lines of whatever
-//! a `#[cfg(test)]` sits on (a module, an item, a field or a statement),
-//! so rules run over a token stream that cannot be fooled by strings or
-//! doc text.
+//! comments and literals, keeps the code of doc examples apart, and
+//! marks the lines of whatever a `#[cfg(test)]` sits on (a module, an
+//! item, a field or a statement), so rules run over a token stream that
+//! cannot be fooled by strings or doc text.
 //!
-//! This is deliberately *not* a Rust parser. The rules are lexical
-//! (method-call and path patterns), and a lexical scanner keeps the
-//! checker dependency-free and robust to code it has never seen; the
-//! cost is a small false-positive rate, which the allow-comment
-//! mechanism absorbs.
+//! This is deliberately *not* a Rust parser. The rules match names and
+//! paths, and a lexical scanner keeps the checker dependency-free and
+//! robust to code it has never seen; the cost is recall, not false
+//! alarms (see [`crate::lint::surface`]).
 
 use std::fmt;
 
@@ -33,24 +31,10 @@ impl Token {
     }
 }
 
-/// An `// odp-check: allow(rule, ...)` comment found in the source.
-#[derive(Debug, Clone)]
-pub struct Allow {
-    /// The rule names listed in the comment.
-    pub rules: Vec<String>,
-    /// 1-based line the comment sits on.
-    pub line: usize,
-    /// Lines the allow applies to: its own line plus the next line that
-    /// carries code.
-    pub covers: Vec<usize>,
-}
-
 /// A scanned source file, ready for the rules.
 pub(crate) struct ScannedFile {
     /// The cleaned token stream (comments and literal contents gone).
     pub tokens: Vec<Token>,
-    /// Allow-comments in source order.
-    pub allows: Vec<Allow>,
     /// The tokens of the Rust code blocks in `///` and `//!` comments:
     /// the doc examples rustdoc compiles, each as a crate of its own.
     pub doctests: Vec<Token>,
@@ -70,23 +54,19 @@ impl fmt::Debug for ScannedFile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ScannedFile")
             .field("tokens", &self.tokens.len())
-            .field("allows", &self.allows)
+            .field("doctests", &self.doctests.len())
             .finish()
     }
 }
-
-/// The marker the allow-comment syntax hangs off.
-pub(crate) const ALLOW_PREFIX: &str = "odp-check: allow(";
 
 /// Scans one file's source text.
 pub(crate) fn scan(src: &str) -> ScannedFile {
     let line_count = src.lines().count() + 1;
     let mut cleaned = String::with_capacity(src.len());
-    let mut allows: Vec<Allow> = Vec::new();
     let mut docs = DocCode::default();
 
     // Pass 1: strip comments / string / char literals, keeping newlines
-    // so line numbers survive. Allow-comments are harvested here, since
+    // so line numbers survive. Doc examples are harvested here, since
     // they are comments and would otherwise vanish.
     let bytes = src.as_bytes();
     let mut i = 0;
@@ -96,30 +76,9 @@ pub(crate) fn scan(src: &str) -> ScannedFile {
         if rest.starts_with("//") {
             let end = rest.find('\n').map_or(src.len(), |n| i + n);
             let comment = &src[i..end];
-            // An allow-comment is a plain `//` comment whose body BEGINS
-            // with the marker. Doc comments, and comments that merely
-            // mention the syntax mid-sentence, are prose, not directives.
-            let body = comment
-                .trim_start_matches('/')
-                .trim_start_matches('!')
-                .trim_start();
             let is_doc = comment.starts_with("///") || comment.starts_with("//!");
             if is_doc && !comment.starts_with("////") {
                 docs.line(line, &comment[3..]);
-            }
-            if !is_doc && body.starts_with(ALLOW_PREFIX) {
-                let args = &body[ALLOW_PREFIX.len()..];
-                let args = args.split(')').next().unwrap_or("");
-                let rules = args
-                    .split(',')
-                    .map(|r| r.trim().to_string())
-                    .filter(|r| !r.is_empty())
-                    .collect();
-                allows.push(Allow {
-                    rules,
-                    line,
-                    covers: Vec::new(),
-                });
             }
             i = end;
         } else if rest.starts_with("/*") {
@@ -274,14 +233,8 @@ pub(crate) fn scan(src: &str) -> ScannedFile {
         });
     }
 
-    // Pass 3: which lines carry code, and which lie inside whatever a
-    // `#[cfg(test)]` attribute sits on.
-    let mut code_lines = vec![false; line_count + 1];
-    for t in &tokens {
-        if t.line < code_lines.len() {
-            code_lines[t.line] = true;
-        }
-    }
+    // Pass 3: which lines lie inside whatever a `#[cfg(test)]`
+    // attribute sits on.
     let mut test_lines = vec![false; line_count + 1];
     let mut idx = 0;
     while idx < tokens.len() {
@@ -297,15 +250,6 @@ pub(crate) fn scan(src: &str) -> ScannedFile {
         }
     }
 
-    // Resolve each allow's coverage: its own line plus the next line
-    // with code on it.
-    for allow in &mut allows {
-        allow.covers.push(allow.line);
-        if let Some(l) = (allow.line + 1..code_lines.len()).find(|&l| code_lines[l]) {
-            allow.covers.push(l);
-        }
-    }
-
     let doctests = if docs.src.is_empty() {
         Vec::new()
     } else {
@@ -313,7 +257,6 @@ pub(crate) fn scan(src: &str) -> ScannedFile {
     };
     ScannedFile {
         tokens,
-        allows,
         doctests,
         test_lines,
     }
@@ -512,24 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn prose_mentioning_the_allow_syntax_is_not_a_directive() {
-        let src = "//! Suppress with `// odp-check: allow(unwrap)` comments.\n\
-                   /// See `// odp-check: allow(rule, ...)` for syntax.\n\
-                   fn f() {}\n";
-        let s = scan(src);
-        assert!(s.allows.is_empty(), "{:?}", s.allows);
-    }
-
-    #[test]
-    fn allow_comment_parses_and_covers_next_code_line() {
-        let src = "fn f() {\n    // odp-check: allow(unwrap, wallclock)\n\n    x.unwrap();\n}\n";
-        let s = scan(src);
-        assert_eq!(s.allows.len(), 1);
-        assert_eq!(s.allows[0].rules, vec!["unwrap", "wallclock"]);
-        assert_eq!(s.allows[0].covers, vec![2, 4]);
-    }
-
-    #[test]
     fn cfg_test_region_detected() {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() {}\n}\nfn c() {}\n";
         let s = scan(src);
@@ -558,13 +483,6 @@ mod tests {
                    \x20   }\n\
                    }\n";
         assert_eq!(test_lines_of(src, 1..=9), vec![2, 3]);
-        let s = scan(src);
-        let live: Vec<usize> = crate::lint::rules::hot_alloc_rule(&s)
-            .iter()
-            .map(|f| f.line)
-            .filter(|&l| !s.in_test_code(l))
-            .collect();
-        assert_eq!(live, vec![7], "the `format!` in `publish` must be flagged");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The workspace-wide rules: `crate-pub`, `dead-mod` and `unused-dep`.
 //!
-//! The content rules in [`crate::lint::rules`] read one file at a time.
-//! These three read the whole workspace, because whether an item must be
+//! Each rule reads the whole workspace, because whether an item must be
 //! `pub`, a module is reached or a dependency is used depends on what
 //! *other* files name. Every `.rs` file under `USER_DIRS` is a possible
 //! user. All three read the scanner's token stream, so comments and
@@ -53,21 +52,22 @@
 //!     spelt like the crate keeps the entry, and a `build.rs` is not
 //!     read.
 //!
-//! `// odp-check: allow(crate-pub) — <requirement>` on the line above a
-//! `pub` item (`allow(dead-mod)` above a `pub mod`) suppresses a
-//! finding, and the `unused-allow` rule reports the comment once the
-//! item gains an outside user. The workspace keeps none: a `crate-pub`
-//! allow would cite the PAPER.md requirement the item serves, and CI
-//! fails on any `allow(dead-mod)` outside this module's fixtures. An
-//! unused dependency has no allow at all.
+//! None of the three has an allow-comment: an item is demoted or gains
+//! a caller, a module is deleted or reached, an entry is deleted.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Range, RangeInclusive};
 use std::path::{Component, Path, PathBuf};
 
-use crate::lint::rules::{Finding, RULE_CRATE_PUB, RULE_DEAD_MOD, RULE_UNUSED_DEP};
 use crate::lint::scanner::{close_of, ScannedFile, Token};
 use crate::lint::Diagnostic;
+
+/// A `pub` item nothing outside its crate names.
+pub(crate) const RULE_CRATE_PUB: &str = "crate-pub";
+/// A `pub mod` nothing outside its own file reaches.
+pub(crate) const RULE_DEAD_MOD: &str = "dead-mod";
+/// A manifest dependency no package source names.
+pub(crate) const RULE_UNUSED_DEP: &str = "unused-dep";
 
 /// The top-level directories whose `.rs` files count as users of the
 /// public surface: the crates, the umbrella's `src/`, the workspace
@@ -279,9 +279,8 @@ fn named_outside(named: &Named, word: &str, krate: &str) -> bool {
         .is_some_and(|c| c.iter().any(|&c| c != Some(krate)))
 }
 
-/// The `crate-pub` rule over every source, returning each source's raw
-/// findings (same order as `sources`), ready for allow-comments.
-pub(crate) fn crate_pub(sources: &[Source]) -> Vec<Vec<Finding>> {
+/// The `crate-pub` rule over every source.
+pub(crate) fn crate_pub(sources: &[Source]) -> Vec<Diagnostic> {
     let mut decls: Vec<PubDecl> = Vec::new();
     let mut named = Named::new();
     for (si, s) in sources.iter().enumerate() {
@@ -377,16 +376,17 @@ pub(crate) fn crate_pub(sources: &[Source]) -> Vec<Vec<Finding>> {
             }
         }
     }
-    let mut out: Vec<Vec<Finding>> = sources.iter().map(|_| Vec::new()).collect();
+    let mut out = Vec::new();
     for (d, _) in decls.iter().zip(&kept).filter(|(_, &k)| !k) {
         let name = name_of(d);
-        out[d.src].push(Finding {
+        let source = &sources[d.src];
+        out.push(Diagnostic {
+            file: source.rel.clone(),
+            line: source.scanned.tokens[d.name].line,
             rule: RULE_CRATE_PUB,
-            line: sources[d.src].scanned.tokens[d.name].line,
             message: format!(
                 "`pub` item `{name}` is named nowhere outside its crate; make it \
-                 `pub(crate)` (rustc then reports it if it is dead), or keep it with \
-                 `// odp-check: allow(crate-pub) — <requirement>`"
+                 `pub(crate)` (rustc then reports it if it is dead)"
             ),
         });
     }
@@ -500,9 +500,8 @@ struct ModDecl<'a> {
     own_dir: PathBuf,
 }
 
-/// The `dead-mod` rule over every source, returning each source's raw
-/// findings (same order as `sources`), ready for allow-comments.
-pub(crate) fn dead_mod(sources: &[Source]) -> Vec<Vec<Finding>> {
+/// The `dead-mod` rule over every source.
+pub(crate) fn dead_mod(sources: &[Source]) -> Vec<Diagnostic> {
     let spans: Vec<Vec<RangeInclusive<usize>>> = sources
         .iter()
         .map(|s| pub_use_spans(&s.scanned.tokens))
@@ -560,7 +559,7 @@ pub(crate) fn dead_mod(sources: &[Source]) -> Vec<Vec<Finding>> {
             }
         }
     }
-    let mut out: Vec<Vec<Finding>> = sources.iter().map(|_| Vec::new()).collect();
+    let mut out = Vec::new();
     for d in &decls {
         // Not the module itself, nor its parent's `pub use` lines.
         let outside = |&&(si, i): &&(usize, usize)| {
@@ -574,13 +573,13 @@ pub(crate) fn dead_mod(sources: &[Source]) -> Vec<Vec<Finding>> {
             occurrences(d.name).any(|&(si, i)| is_path_segment(&sources[si].scanned.tokens, i));
         let by_name = d.reexports.iter().any(|w| occurrences(w).next().is_some());
         if !by_path && !by_name {
-            out[d.src].push(Finding {
-                rule: RULE_DEAD_MOD,
+            out.push(Diagnostic {
+                file: sources[d.src].rel.clone(),
                 line: d.line,
+                rule: RULE_DEAD_MOD,
                 message: format!(
                     "`pub mod {}` is reached by nothing outside its own file: no `{}::` path \
-                     and no use of a name re-exported from it; delete it, or keep it with \
-                     `// odp-check: allow(dead-mod) — <reason>`",
+                     and no use of a name re-exported from it; delete it",
                     d.name, d.name
                 ),
             });
@@ -645,7 +644,7 @@ pub(crate) fn unused_deps(manifests: &[Manifest], sources: &[Source]) -> Vec<Dia
                 out.push(Diagnostic {
                     file: m.rel.clone(),
                     line,
-                    rule: RULE_UNUSED_DEP.to_string(),
+                    rule: RULE_UNUSED_DEP,
                     message: format!(
                         "dependency `{name}` is named by none of this package's sources; \
                          delete the entry"
@@ -769,27 +768,6 @@ mod tests {
             .map(|d| d.line)
             .collect();
         assert_eq!(lines, vec![1, 2, 3, 5, 6, 7, 8], "{d:?}");
-    }
-
-    #[test]
-    fn an_allow_suppresses_it_and_goes_stale_once_the_item_has_a_caller() {
-        let kept = "pub struct Table;\n\
-                    impl Table {\n    \
-                        // odp-check: allow(crate-pub) — requirement 3 names it\n    \
-                        pub fn queue_len(&self) -> usize { 0 }\n\
-                    }\n";
-        let table_user = || source("tests/types.rs", "fn g(_: Table) {}\n");
-        let alone = [source("crates/locks/src/lib.rs", kept), table_user()];
-        assert!(lint(&alone).is_empty(), "{:?}", lint(&alone));
-        let called = [
-            source("crates/locks/src/lib.rs", kept),
-            table_user(),
-            source("tests/it.rs", "fn f(t: &Table) { t.queue_len(); }\n"),
-        ];
-        let d = lint(&called);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "unused-allow");
-        assert_eq!(d[0].line, 3);
     }
 
     #[test]
@@ -982,28 +960,6 @@ mod tests {
         let user = source("tests/it.rs", "fn f(_: odp_net::Frame) {}\n");
         let d = lint(&[root, module, user]);
         assert_eq!(dead_mods(&d).len(), 1, "{d:?}");
-    }
-
-    #[test]
-    fn an_allow_keeps_a_module_and_goes_stale_once_something_reaches_it() {
-        let kept = "// odp-check: allow(dead-mod) — requirement 9 names it\npub mod topology;\n";
-        // Bare `Site` and `sites` words keep both items for `crate-pub`,
-        // not the module.
-        let local = || {
-            source(
-                "src/lib.rs",
-                "struct Site;\nfn f() -> u8 { let sites = 1; sites }\n",
-            )
-        };
-        let [root, module] = topology_crate(kept);
-        let alone = [root, module, local()];
-        assert!(lint(&alone).is_empty(), "{:?}", lint(&alone));
-        let [root, module] = topology_crate(kept);
-        let user = source("tests/it.rs", "use odp_net::topology::Site;\n");
-        let d = lint(&[root, module, local(), user]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "unused-allow");
-        assert_eq!(d[0].line, 1);
     }
 
     #[test]

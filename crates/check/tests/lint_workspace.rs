@@ -1,5 +1,5 @@
-//! The workspace lint (hot-path allocation, crate-private surface, dead
-//! modules, unused dependencies) is clean on the workspace itself.
+//! The workspace lint (crate-private surface, dead modules, unused
+//! dependencies) is clean on the workspace itself.
 //!
 //! `odp-check lint` is a CI step, but a step in a workflow file only
 //! fails where that workflow runs: the pass sat red for five PRs
@@ -13,6 +13,9 @@
 //! `cargo clippy --workspace --all-targets -- -D warnings`, so a
 //! `dead_code` or `private_interfaces` warning fails it. Tier-1's plain
 //! `cargo test -q` only prints such warnings.
+//!
+//! Allocation on the delivery path is not here either: each crate's
+//! `tests/alloc_budget.rs` holds its hot paths to counted budgets.
 //!
 //! The determinism lints (no unwrap/expect, wall-clock read or
 //! hash-order iteration in non-test code) are not here: clippy carries

@@ -567,7 +567,6 @@ impl Actor<CcMsg> for SchemeServer {
                     .iter()
                     .filter(|(v, _)| *v > since)
                     .cloned()
-                    // odp-check: allow(hot-path-alloc) — an experiment server; no odpbench workload runs it
                     .collect();
                 ctx.send(
                     from,
@@ -592,7 +591,6 @@ impl Actor<CcMsg> for SchemeServer {
                                 ctx.send(
                                     NodeId(client),
                                     CcMsg::OtRelay {
-                                        // odp-check: allow(hot-path-alloc) — an experiment server; no odpbench workload runs it
                                         tag: tag.clone(),
                                         msg: relay,
                                     },

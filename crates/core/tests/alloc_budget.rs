@@ -6,12 +6,9 @@
 //! windowed trace records without allocating; and eight E13 replicas
 //! stay within a budget per applied edit.
 //!
-//! The file is its own test binary so it can install a counting
-//! `#[global_allocator]`; the counter is per thread, so the harness's
-//! other threads cannot disturb it.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! The file is its own test binary so it can install
+//! `odp_sim::alloc::Counting` as its global allocator; the counter is
+//! per thread, so the harness's other threads cannot disturb it.
 
 use cscw_core::replicated::{replica_actor, WorkspaceReplica, WsOp};
 use cscw_core::workspace::{ObjectId, SharedWorkspace};
@@ -23,51 +20,13 @@ use odp_awareness::events::ActivityKind;
 use odp_groupcomm::actors::GroupActor;
 use odp_groupcomm::membership::{GroupId, View};
 use odp_groupcomm::multicast::GcMsg;
+use odp_sim::alloc::{counted, Counting};
 use odp_sim::net::NodeId;
 use odp_sim::prelude::{ActorHandle, LinkSpec, Network, Sim, SimBuilder, Trace, Until};
 use odp_sim::time::{SimDuration, SimTime};
 
-thread_local! {
-    // `const` and without a destructor: reading it never allocates.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting this thread's `alloc` and `realloc`
-/// calls (what `odpbench-traced` reports as `host.allocs_per_op`).
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// thread-local `Cell` and touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's `layout` obligations pass through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `alloc`; `ptr` and `layout` describe a live
-        // `System` block.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// Allocations this thread makes while `f` runs.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
 
 const REPLICAS: u32 = 8;
 
@@ -93,7 +52,7 @@ fn a_rights_check_allocates_nothing() {
     let ws = e13_workspace();
     let path = ObjectPath::new("shared/1");
     let mut granted = 0u32;
-    let allocs = allocations(|| {
+    let ((), allocs) = counted(|| {
         for i in 0..=REPLICAS {
             granted += u32::from(ws.policy().allows(Subject(i), &path, Rights::WRITE));
             granted += u32::from(ws.allows(NodeId(i), ObjectId(1), Rights::READ));
@@ -120,7 +79,7 @@ fn applying_an_edit_allocates_the_delivery_vec_and_little_else() {
     for k in 0..100 {
         write(&mut ws, k);
     }
-    let allocs = allocations(|| {
+    let ((), allocs) = counted(|| {
         for k in 0..CALLS {
             write(&mut ws, k);
         }
@@ -145,7 +104,7 @@ fn a_publish_on_cached_verdicts_allocates_the_delivery_vec_alone() {
     };
     // Every observer decides once here; the counted calls reuse it.
     assert_eq!(ws.bus_mut().publish(event(0)).len() as u32, REPLICAS - 1);
-    let allocs = allocations(|| {
+    let ((), allocs) = counted(|| {
         for k in 0..CALLS {
             assert_eq!(ws.bus_mut().publish(event(k)).len() as u32, REPLICAS - 1);
         }
@@ -171,7 +130,7 @@ fn a_warm_windowed_trace_records_without_allocating() {
     for k in 0..2 * CAPACITY as u64 {
         record(&mut trace, k);
     }
-    let allocs = allocations(|| {
+    let ((), allocs) = counted(|| {
         for k in 0..10_000 {
             record(&mut trace, k);
         }
@@ -236,7 +195,7 @@ fn eight_e13_replicas_stay_within_their_allocations_per_applied_edit() {
     }
     sim.run(Until::At(due(EDITS_EACH / 2)));
     let warm = applied(&sim);
-    let allocs = allocations(|| {
+    let ((), allocs) = counted(|| {
         sim.run(Until::At(due(EDITS_EACH) + SimDuration::from_secs(2)));
     });
     let total = EDITS_EACH * u64::from(REPLICAS * REPLICAS);

@@ -390,11 +390,16 @@ impl<P: Clone> GroupEngine<P> {
 
     /// Installs a new view; hold-back state for departed members is
     /// dropped, and so are they from every message still awaiting acks
-    /// (a message only departed members owed an ack is forgotten). (A
-    /// full virtual-synchrony flush is out of scope; callers should
-    /// quiesce traffic around view changes.)
+    /// (a message only departed members owed an ack is forgotten). A
+    /// member that becomes the sequencer numbers on above every total
+    /// position it has seen. (A full virtual-synchrony flush is out of
+    /// scope; callers should quiesce traffic around view changes.)
     pub fn install_view(&mut self, view: View) {
         self.orderer.install_view(&view);
+        if self.orderer.sequenced() && view.leader() == Some(self.me) {
+            let above = self.orderer.highest_total() + 1;
+            self.seq_next_assign = self.seq_next_assign.max(above);
+        }
         let mut spare = self.spare_pending.take();
         self.rel_out.retain(|_, out| {
             out.pending.retain(|&peer| view.contains(peer));
@@ -496,7 +501,7 @@ impl<P: Clone> GroupEngine<P> {
             }
             GcMsg::SeqRequest { id } => {
                 let mut step = Step::empty();
-                if self.sequencer() == Some(self.me) {
+                if self.orderer.sequenced() && self.sequencer() == Some(self.me) {
                     self.sequence_msg(id, now, &mut step);
                 }
                 step
@@ -602,7 +607,6 @@ impl<P: Clone> GroupEngine<P> {
                     // Retransmitting the stored envelope to each
                     // still-pending peer is the protocol; a `Data`
                     // envelope's clone is a handle bump on its body.
-                    // odp-check: allow(hot-path-alloc)
                     step.outbound.push((*peer, out.msg.clone()));
                 }
             }
@@ -1137,6 +1141,34 @@ mod tests {
             es[2].install_view(new_view);
             assert_eq!(es[2].held_back(), 0, "{ordering:?}");
         }
+    }
+
+    #[test]
+    fn a_leader_that_does_not_order_totally_ignores_a_sequencing_request() {
+        let mut es = engines(3, Ordering::Fifo, Reliability::reliable());
+        let id = MsgId {
+            origin: NodeId(1),
+            seq: 1,
+        };
+        let step = es[0].on_message(NodeId(1), GcMsg::SeqRequest { id }, SimTime::ZERO);
+        assert!(step.outbound.is_empty(), "{:?}", step.outbound);
+        assert_eq!(es[0].unacked(), 0, "no assignment awaits acks");
+    }
+
+    #[test]
+    fn a_new_sequencer_numbers_on_above_what_the_group_delivered() {
+        let mut es = engines(3, Ordering::Total, Reliability::BestEffort);
+        let first = es[1].mcast("first", SimTime::ZERO);
+        let delivered = pump_recording(&mut es, first, NodeId(1));
+        assert_eq!(delivered, vec![vec!["first"]; 3]);
+        // The sequencer leaves; node 1, the new leader, orders next.
+        let survivors = View::initial(GroupId(0), [NodeId(1), NodeId(2)]);
+        es[1].install_view(survivors.clone());
+        es[2].install_view(survivors);
+        let second = es[2].mcast("second", SimTime::ZERO);
+        let delivered = pump_recording(&mut es, second, NodeId(2));
+        assert_eq!(delivered, vec![vec![], vec!["second"], vec!["second"]]);
+        assert_eq!((es[1].held_back(), es[2].held_back()), (0, 0));
     }
 
     /// Total order keeps a departed origin's data through a view change:

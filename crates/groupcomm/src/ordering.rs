@@ -159,6 +159,15 @@ impl<P: Clone> Orderer<P> {
         }
     }
 
+    /// The highest total-order position this member has delivered or
+    /// holds an assignment for; 0 under every other discipline.
+    pub(crate) fn highest_total(&self) -> u64 {
+        match self {
+            Orderer::Total(order) => order.next - 1 + order.assignments.len() as u64,
+            _ => 0,
+        }
+    }
+
     /// The causal clock, ticked per causal delivery; empty under every
     /// other discipline.
     pub(crate) fn clock(&self) -> &VectorClock {

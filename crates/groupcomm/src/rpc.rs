@@ -240,7 +240,7 @@ impl<P: Clone> RpcEngine<P> {
             .iter()
             .filter(|(_, p)| now >= p.deadline)
             .map(|(&c, _)| c)
-            .collect(); // odp-check: allow(hot-path-alloc)
+            .collect();
         expired
             .into_iter()
             .filter_map(|call| {
@@ -253,7 +253,7 @@ impl<P: Clone> RpcEngine<P> {
                     finished: now,
                 })
             })
-            .collect() // odp-check: allow(hot-path-alloc)
+            .collect()
     }
 }
 

@@ -3,64 +3,28 @@
 //! receivers, reliable FIFO over `GcMsg<Payload>`, and every envelope
 //! — the acks too — crosses `SessionLayer::unicast` → `encode_frame` →
 //! `decode_frame` → `SessionLayer::on_frame` → `GroupEngine::on_message`,
-//! the stack the TCP driver runs minus the socket.
+//! the stack the TCP driver runs minus the socket. Beside it, exact
+//! counts for a retransmission tick and for a group RPC call, its
+//! serving and its expiry.
 //!
-//! The file is its own test binary so it can install a counting
-//! `#[global_allocator]`; the counter is per thread, so the harness's
-//! other threads cannot disturb it.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! The file is its own test binary so it can install
+//! `odp_sim::alloc::Counting` as its global allocator; the counter is
+//! per thread, so the harness's other threads cannot disturb it.
 
 use odp_fabric::Payload;
+use odp_groupcomm::actors::{GroupActor, GroupApp, RpcConfig};
 use odp_groupcomm::membership::{GroupId, View};
-use odp_groupcomm::multicast::{GcMsg, GroupEngine, Ordering, Reliability, Step};
+use odp_groupcomm::multicast::{Delivery, GcMsg, GroupEngine, Ordering, Reliability, Step};
+use odp_groupcomm::rpc::{Quorum, RpcEngine};
 use odp_net::session::{Frame, SessionConfig, SessionLayer};
 use odp_net::wire::{decode_frame, encode_frame, MAX_FRAME};
+use odp_sim::alloc::{counted, run_counted, Counting};
 use odp_sim::net::NodeId;
-use odp_sim::time::SimTime;
-
-thread_local! {
-    // `const` and without a destructor: reading it never allocates.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting this thread's `alloc` and `realloc`
-/// calls (what `odpbench-traced` reports as `host.allocs_per_op`).
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// thread-local `Cell` and touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's `layout` obligations pass through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `alloc`; `ptr` and `layout` describe a live
-        // `System` block.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use odp_sim::prelude::{Actor, Ctx, Sim, SimBuilder, TimerId, Until};
+use odp_sim::time::{SimDuration, SimTime};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// What `f` returns, and the allocations this thread made meanwhile.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let value = f();
-    (value, ALLOCS.with(Cell::get) - before)
-}
 
 type Msg = GcMsg<Payload>;
 
@@ -181,4 +145,124 @@ fn dedup_state_is_one_range_per_origin_however_long_the_run() {
         );
         assert_eq!(node.engine.held_back(), 0);
     }
+}
+
+#[test]
+fn a_retransmission_tick_allocates_its_outbound_list_alone() {
+    for (unacked, growths) in [(1, 1), (8, 4)] {
+        let mut nodes = fleet();
+        let payload = Payload::from_slice(&[7u8; 64]);
+        for _ in 0..unacked {
+            // Every envelope is lost: nothing is acked.
+            let _ = nodes[0].engine.mcast(payload.clone(), NOW);
+        }
+        let engine = &mut nodes[0].engine;
+        let (idle, allocs) = counted(|| engine.on_tick(SimTime::from_millis(100)));
+        assert!(idle.outbound.is_empty());
+        assert_eq!(allocs, 0, "a tick with nothing due");
+        // Each stored envelope goes again to each peer as a handle on
+        // its shared body: the only allocations are the outbound list's
+        // (4, 8, 16 and 32 slots for 24 envelopes).
+        let (due, allocs) = counted(|| engine.on_tick(SimTime::from_millis(201)));
+        assert_eq!(due.outbound.len() as u32, unacked * RECEIVERS);
+        assert_eq!(allocs, growths, "{unacked} unacked");
+    }
+}
+
+/// A group application that answers every call with its payload.
+struct Echo;
+
+impl GroupApp<u64> for Echo {
+    fn on_deliver(&mut self, _: &mut Ctx<'_, GcMsg<u64>>, _: Delivery<u64>) {}
+
+    fn on_rpc(
+        &mut self,
+        _: &mut Ctx<'_, GcMsg<u64>>,
+        _: NodeId,
+        _: u64,
+        payload: &u64,
+    ) -> Option<u64> {
+        Some(*payload)
+    }
+}
+
+/// Node 0: a member that calls every peer on each `AppCmd`.
+struct Caller(GroupActor<u64, Echo>);
+
+impl Actor<GcMsg<u64>> for Caller {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, GcMsg<u64>>) {
+        Actor::on_start(&mut self.0, ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, GcMsg<u64>>, from: NodeId, msg: GcMsg<u64>) {
+        match msg {
+            GcMsg::AppCmd(n) => {
+                self.0.invoke_rpc_now(ctx, n, RpcConfig::default());
+            }
+            other => Actor::on_message(&mut self.0, ctx, from, other),
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, GcMsg<u64>>, timer: TimerId, tag: u64) {
+        Actor::on_timer(&mut self.0, ctx, timer, tag);
+    }
+}
+
+#[test]
+fn an_rpc_call_and_its_serving_stay_within_their_allocation_budget() {
+    const CALLS: u64 = 100;
+    let view = View::initial(GroupId(0), (0..=RECEIVERS).map(NodeId));
+    let member = |id| {
+        GroupActor::new(
+            id,
+            view.clone(),
+            Ordering::Unordered,
+            Reliability::BestEffort,
+            Echo,
+        )
+    };
+    let mut sim: Sim<GcMsg<u64>> = SimBuilder::new(5).build();
+    sim.add_actor(NodeId(0), Caller(member(NodeId(0))));
+    for i in 1..=RECEIVERS {
+        sim.add_actor(NodeId(i), member(NodeId(i)));
+    }
+    // One call every 10 ms; the first half warms the tables up.
+    let ms = SimTime::from_millis;
+    for k in 1..=2 * CALLS {
+        sim.inject(ms(10 * k), NodeId(0), NodeId(0), GcMsg::AppCmd(k));
+    }
+    sim.run(Until::At(ms(10 * CALLS + 5)));
+    let tally = run_counted(&mut sim, ms(20 * CALLS + 100));
+    // The caller: the target list, the request body every envelope
+    // shares, the outbound list and the call's reply map; the three
+    // replies add nothing.
+    let at_caller = tally.messages(NodeId(0));
+    assert_eq!((at_caller.events, at_caller.allocs), (4 * CALLS, 4 * CALLS));
+    // Each member serves a request with one allocation, its boxed reply.
+    for i in 1..=RECEIVERS {
+        let served = tally.messages(NodeId(i));
+        assert_eq!((served.events, served.allocs), (CALLS, CALLS), "at n{i}");
+    }
+    // Ticks with no retransmission due and no call expiring.
+    for i in 0..=RECEIVERS {
+        let ticks = tally.timers(NodeId(i));
+        assert!(ticks.events > 0);
+        assert_eq!(ticks.allocs, 0, "at n{i}");
+    }
+}
+
+#[test]
+fn a_tick_that_expires_a_call_allocates_its_two_lists() {
+    let ms = SimTime::from_millis;
+    let mut rpc: RpcEngine<u64> = RpcEngine::new(NodeId(0));
+    let targets = vec![NodeId(1), NodeId(2), NodeId(3)];
+    let timeout = SimDuration::from_millis(5);
+    let _ = rpc.invoke(targets, 5, None, ms(0), timeout, Quorum::All, None);
+    let (none, allocs) = counted(|| rpc.on_tick(ms(4)));
+    assert!(none.is_empty());
+    assert_eq!(allocs, 0, "a tick before the deadline");
+    // The expired ids and their outcomes.
+    let (expired, allocs) = counted(|| rpc.on_tick(ms(5)));
+    assert_eq!(expired.len(), 1);
+    assert_eq!(allocs, 2);
 }

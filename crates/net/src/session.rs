@@ -348,7 +348,7 @@ impl<M: Clone> SessionLayer<M> {
                         bseq,
                         // Every peer's link owns its frame; with a handle
                         // payload this is a reference-count bump.
-                        msg: msg.clone(), // odp-check: allow(hot-path-alloc)
+                        msg: msg.clone(),
                     }
                 });
             outbound.extend(frame.map(|frame| (peer, frame)));
@@ -523,7 +523,7 @@ impl<M: Clone> SessionLayer<M> {
                             // Failure recovery, not steady state: this
                             // runs only when a peer is declared down,
                             // and each survivor's link owns its frame.
-                            msg: msg.clone(), // odp-check: allow(hot-path-alloc)
+                            msg: msg.clone(),
                         },
                     );
                     step.outbound.extend(frame.map(|frame| (to, frame)));

@@ -614,7 +614,7 @@ impl Actor<PlaceWire> for PlacementActor {
                 }
                 self.view_id = view_id;
                 // A view change, not a per-message cost.
-                let new: BTreeSet<NodeId> = members.into_iter().collect(); // odp-check: allow(hot-path-alloc)
+                let new: BTreeSet<NodeId> = members.into_iter().collect();
                 for departed in self.members.difference(&new) {
                     self.mgr.forget_site(*departed);
                 }
@@ -652,7 +652,6 @@ impl Actor<PlaceWire> for PlacementActor {
             {
                 // Abort path: a failed migration is a rare fault, not
                 // per-delivery traffic.
-                // odp-check: allow(hot-path-alloc)
                 self.abort_epoch(ctx, &format!("transfer failed: {reason}"));
             }
             PlaceWire::Installed { cluster, epoch } => {
@@ -669,7 +668,6 @@ impl Actor<PlaceWire> for PlacementActor {
                 if self.in_flight.as_ref().is_some_and(|f| f.epoch == epoch) =>
             {
                 // Abort path, as above.
-                // odp-check: allow(hot-path-alloc)
                 self.abort_epoch(ctx, &format!("install failed: {reason}"));
             }
             // Workload-plane traffic is not addressed to the controller.

@@ -109,7 +109,8 @@ impl EditorActor {
 
     /// Scripted ops skipped because the previous op on the same tile
     /// was still in flight.
-    pub fn skipped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn skipped(&self) -> u64 {
         self.skipped
     }
 

@@ -36,6 +36,7 @@
 //! ```
 
 pub mod actor;
+pub mod alloc;
 pub mod metrics;
 pub mod net;
 mod queue;

@@ -261,7 +261,7 @@ impl Actor<TraderMsg> for TraderActor {
                     .offers_of_type(&service_type)
                     .into_iter()
                     .cloned()
-                    .collect(); // odp-check: allow(hot-path-alloc)
+                    .collect();
                 let mut matches = match_offers(&offers, &required);
                 // Rank: the policy's pick first, the rest in store order
                 // (importers cache the whole list and fail over down it).
@@ -269,7 +269,7 @@ impl Actor<TraderMsg> for TraderActor {
                     matches.retain(|m| m.offer.id != best.offer.id);
                     matches.insert(0, best);
                 }
-                let resolved = matches.into_iter().map(|m| m.offer).collect(); // odp-check: allow(hot-path-alloc)
+                let resolved = matches.into_iter().map(|m| m.offer).collect();
                 ctx.send(
                     from,
                     TraderMsg::LookupReply {
@@ -298,7 +298,7 @@ impl Actor<TraderMsg> for TraderActor {
                     .iter()
                     .filter(|o| self.ring.node_for(&o.service_type) != Some(me))
                     .map(|o| o.id)
-                    .collect(); // odp-check: allow(hot-path-alloc)
+                    .collect();
                 let mut moved_types = std::collections::BTreeSet::new();
                 for id in to_move {
                     let Some(offer) = self.store.remove(id) else {
@@ -310,7 +310,6 @@ impl Actor<TraderMsg> for TraderActor {
                     ctx.metrics().incr("trader.transfers.out");
                     // Rebalances are rare ring reconfigurations, not
                     // per-delivery traffic.
-                    // odp-check: allow(hot-path-alloc)
                     moved_types.insert(offer.service_type.clone());
                     ctx.send(owner, TraderMsg::Transfer(offer));
                 }
@@ -597,7 +596,6 @@ impl Actor<TraderMsg> for ImporterActor {
                     let service_type = &delivery.payload.service_type;
                     // Invalidations are rare coherence events; the epoch
                     // key must be owned.
-                    // odp-check: allow(hot-path-alloc)
                     *self.epochs.entry(service_type.clone()).or_insert(0) += 1;
                     if self.cache.invalidate(service_type) {
                         ctx.metrics().incr("importer.cache.invalidated");
@@ -618,14 +616,14 @@ impl Actor<TraderMsg> for ImporterActor {
                     .entries()
                     .map(|(t, _, _)| t.clone())
                     .chain(self.pending.values().map(|(t, ..)| t.clone()))
-                    .collect(); // odp-check: allow(hot-path-alloc)
+                    .collect();
                 let owners_before: Vec<(ServiceType, Option<NodeId>)> = affected
                     .into_iter()
                     .map(|t| {
                         let owner = self.ring.node_for(&t);
                         (t, owner)
                     })
-                    .collect(); // odp-check: allow(hot-path-alloc)
+                    .collect();
                 for t in &added {
                     self.ring.add(*t);
                 }
@@ -635,7 +633,6 @@ impl Actor<TraderMsg> for ImporterActor {
                 for (service_type, owner) in owners_before {
                     if self.ring.node_for(&service_type) != owner {
                         // Shard changes are rare ring reconfigurations.
-                        // odp-check: allow(hot-path-alloc)
                         *self.epochs.entry(service_type.clone()).or_insert(0) += 1;
                         if self.cache.invalidate(&service_type) {
                             ctx.metrics().incr("importer.cache.invalidated");
