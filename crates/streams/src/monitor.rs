@@ -154,17 +154,25 @@ impl QosMonitor {
         self.window.max(three_frames)
     }
 
-    fn current_violation(&self, now: SimTime) -> Option<Violation> {
-        let total = self.recent.len() as f64;
-        // Throughput: played frames per second over the window. An empty
-        // window is a stalled stream: zero throughput.
-        let played: Vec<SimDuration> = self
-            .recent
+    /// The delays of the window's played frames, in µs, oldest first.
+    fn played_delays_us(&self) -> impl Iterator<Item = f64> + '_ {
+        self.recent
             .iter()
             .filter(|(_, r)| r.fate == FrameFate::Played)
             .filter_map(|(_, r)| r.delay)
-            .collect();
-        let fps = played.len() as f64 / self.effective_window().as_secs_f64();
+            .map(|d| d.as_micros() as f64)
+    }
+
+    fn current_violation(&self, now: SimTime) -> Option<Violation> {
+        let total = self.recent.len() as f64;
+        // Throughput: played frames per second over the window. An empty
+        // window is a stalled stream: zero throughput. One pass counts the
+        // played delays and sums them, in window order, for the latency
+        // mean below.
+        let (played, delay_sum_us) = self
+            .played_delays_us()
+            .fold((0usize, 0.0f64), |(n, sum), d| (n + 1, sum + d));
+        let fps = played as f64 / self.effective_window().as_secs_f64();
         if fps < self.contract.throughput_fps as f64 * 0.9 {
             return Some(Violation {
                 kind: ViolationKind::Throughput,
@@ -190,9 +198,8 @@ impl QosMonitor {
             });
         }
         // Latency: mean delay of played frames.
-        if !played.is_empty() {
-            let mean_us =
-                played.iter().map(|d| d.as_micros() as f64).sum::<f64>() / played.len() as f64;
+        if played > 0 {
+            let mean_us = delay_sum_us / played as f64;
             if mean_us > self.contract.latency_bound.as_micros() as f64 {
                 return Some(Violation {
                     kind: ViolationKind::Latency,
@@ -202,15 +209,15 @@ impl QosMonitor {
                 });
             }
             // Jitter: standard deviation of delays.
-            if played.len() >= 2 {
-                let var = played
-                    .iter()
+            if played >= 2 {
+                let var = self
+                    .played_delays_us()
                     .map(|d| {
-                        let x = d.as_micros() as f64 - mean_us;
+                        let x = d - mean_us;
                         x * x
                     })
                     .sum::<f64>()
-                    / (played.len() as f64 - 1.0);
+                    / (played as f64 - 1.0);
                 let sd = var.sqrt();
                 if sd > self.contract.jitter_bound.as_micros() as f64 {
                     return Some(Violation {
