@@ -11,8 +11,10 @@
 //!
 //! Exits non-zero on any lint finding, invariant violation, or
 //! `--min-reduction` regression. `--json` writes the per-check
-//! exploration statistics (runs, prunes, reduction factor) as a
-//! machine-readable artifact (`BENCH_check.json` in CI).
+//! exploration statistics (runs, prunes, sleep blocks by bound, runs
+//! that went on past a sleeping head at the depth cap, fallbacks, peak
+//! wakeup-tree size, reduction factor) as a machine-readable artifact
+//! (`BENCH_check.json` in CI).
 
 use std::process::ExitCode;
 
@@ -85,15 +87,22 @@ fn stats_json(seed: u64, kind: BudgetKind, rows: &[(String, Report)]) -> String 
         };
         out.push_str(&format!(
             "    {{\"name\": \"{name}\", \"runs\": {}, \"events\": {}, \
-             \"naive_bound\": {}, \"sleep_pruned\": {}, \"hash_pruned\": {}, \
-             \"racing_pairs\": {}, \"reduction_factor\": {:.2}, \
+             \"naive_bound\": {}, \"sleep_pruned\": {}, \"blocked_by_width\": {}, \
+             \"blocked_by_head\": {}, \"asleep_past_depth\": {}, \"hash_pruned\": {}, \
+             \"racing_pairs\": {}, \"fallbacks\": {}, \"peak_wakeup\": {}, \
+             \"reduction_factor\": {:.2}, \
              \"complete\": {}, \"violation\": {violation}}}{}\n",
             report.runs,
             report.events,
             report.stats.naive_bound,
             report.stats.sleep_pruned,
+            report.stats.blocked_by_width,
+            report.stats.blocked_by_head,
+            report.stats.asleep_past_depth,
             report.stats.hash_pruned,
             report.stats.racing_pairs,
+            report.stats.fallbacks,
+            report.stats.peak_wakeup,
             report.stats.reduction_factor,
             report.complete,
             if i + 1 == rows.len() { "" } else { "," },
@@ -148,15 +157,21 @@ fn cmd_explore(
             }
             None => {
                 println!(
-                    "ok   {} — {} ({} runs of ~{} naive, {} sleep- / {} hash-pruned, \
-                     {} races, {:.1}x reduction, {} events, {coverage})",
+                    "ok   {} — {} ({} runs of ~{} naive, {} sleep- (width {}, head {}) / \
+                     {} hash-pruned, {} asleep past depth, {} races, {} fallbacks, \
+                     wakeup peak {}, {:.1}x reduction, {} events, {coverage})",
                     check.name,
                     check.about,
                     report.runs,
                     s.naive_bound,
                     s.sleep_pruned,
+                    s.blocked_by_width,
+                    s.blocked_by_head,
                     s.hash_pruned,
+                    s.asleep_past_depth,
                     s.racing_pairs,
+                    s.fallbacks,
+                    s.peak_wakeup,
                     s.reduction_factor,
                     report.events
                 );
