@@ -6,12 +6,15 @@
 //! `seed:choices` string.
 //!
 //! This is the contract that keeps every recorded `seed:choices`
-//! counterexample in the repo replayable. The pinned constants were
+//! counterexample in the repo replayable. The constants were first
 //! produced at commit 632eeb9, the last one carrying the `BTreeMap`
 //! queue, by running this file there with `dopt_deep_sim_on(seed,
 //! QueueKind::Legacy)` / `dopt_sim_on(seed, 3, QueueKind::Legacy)` as
 //! the factories and reading the values off the failing `assert_eq!`s;
-//! the calendar queue produced the same values at that commit.
+//! the calendar queue produced the same values at that commit. They
+//! were re-read once since, when the reduction moved to wakeup trees:
+//! that changes which schedules the explorer runs and in what order,
+//! not what the queue does with them.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -123,17 +126,17 @@ fn deep_dopt_exploration_matches_the_recorded_schedules() {
     assert_eq!(
         pinned_of(&report),
         Pinned {
-            runs: 12,
-            events: 150,
+            runs: 9,
+            events: 118,
             complete: true,
             naive_bound: 384,
             sleep_pruned: 0,
-            hash_pruned: 6,
-            racing_pairs: 46,
-            reduction_factor_bits: 4629700416936869888, // 32.0
+            hash_pruned: 3,
+            racing_pairs: 41,
+            reduction_factor_bits: 4631201616812660053, // 42.67
         }
     );
-    assert_eq!(schedules_digest(&runs.borrow()), 3355657551402167077);
+    assert_eq!(schedules_digest(&runs.borrow()), 8576984144724172549);
 }
 
 /// The three-site dOPT-puzzle scenario finds the recorded divergence
@@ -147,18 +150,18 @@ fn dopt_puzzle_counterexample_matches_the_recorded_trace() {
     assert_eq!(
         pinned_of(&report),
         Pinned {
-            runs: 3,
-            events: 36,
+            runs: 2,
+            events: 24,
             complete: false,
             naive_bound: 162,
             sleep_pruned: 0,
             hash_pruned: 0,
-            racing_pairs: 6,
-            reduction_factor_bits: 4632796641680687104, // 54.0
+            racing_pairs: 3,
+            reduction_factor_bits: 4635400285215260672, // 81.0
         }
     );
     let cx = report.violation.expect("dOPT puzzle must surface");
-    assert_eq!(cx.trace(), "7:0.1.0.2.0");
+    assert_eq!(cx.trace(), "7:0.0.0.1.1");
     assert_eq!(
         cx.violation,
         "sites n0 and n1 diverged: \"ABbcd\" vs \"Aabcd\""

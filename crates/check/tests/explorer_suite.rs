@@ -163,7 +163,7 @@ fn a_duplicate_hello_claim_takes_the_dialers_link() {
     let cx = report
         .violation
         .expect("a duplicate claim steals the link in some schedule");
-    assert_eq!(cx.trace(), "42:1.1.0.1.0.2");
+    assert_eq!(cx.trace(), "42:0.0.0.0.0.2");
     assert_eq!(cx.invariant, "tcp-driver");
     assert!(
         cx.violation.contains(r#"expected [(NodeId(1), "b-late")"#),
