@@ -1629,6 +1629,8 @@ fn next_job(path: &mut Vec<PathNode>) -> Option<Job> {
     let mut guide = Forest::default();
     while let Some(node) = path.last_mut() {
         while let Some(child) = node.wakeup.take_first(&mut guide) {
+            // Every top-level entry was queued as one of these
+            // candidates; a stale one is skipped, not explored.
             let Some(k) = node.candidates.iter().position(|c| c.key == child.ev.key) else {
                 continue;
             };
@@ -2084,9 +2086,9 @@ mod tests {
     /// as messages: p writes the register on node 0 directly, q writes
     /// it through its proxy on node 1, r reads it through its proxy on
     /// node 2. The register's three operations are pairwise dependent,
-    /// so there are 3! = 6 traces. Source sets with sleep sets (the
-    /// previous explorer) ran 9 schedules here, one of them ending
-    /// sleep-blocked; wakeup trees run each trace once.
+    /// so there are 3! = 6 traces. Source-set DPOR with sleep sets runs
+    /// 9 schedules here, one of them ending sleep-blocked; wakeup trees
+    /// run each trace once.
     #[test]
     fn the_writer_writer_reader_example_runs_one_schedule_per_trace() {
         let build = |seed| {
@@ -2148,7 +2150,8 @@ mod tests {
     /// delivery ran there cannot be reversed where it happened. Node 0
     /// gets 11 and 12, and both run past the cap of one choice. The
     /// branch point before them queues 12, so both orders are seen, as
-    /// plain enumeration sees them; the previous explorer saw one.
+    /// plain enumeration sees them. Reversing only races whose earlier
+    /// delivery was a choice sees one.
     #[test]
     fn a_race_past_the_depth_cap_is_reversed_at_the_branch_point_before_it() {
         let budget = Budget {

@@ -42,9 +42,7 @@ fn an_explored_event_stays_within_its_allocation_budget() {
     // Vector clocks, event keys, cause positions and the pending scan
     // live in buffers the exploration reuses, so what is left is mostly
     // the factory's sim (65 allocations a run), the invariant and the
-    // actors' own traffic. Measured 1.32, since no run ends
-    // sleep-blocked after paying for the factory; it was 3.51 while
-    // runs did. The bound is kept.
+    // actors' own traffic. Measured 1.32.
     assert!(
         per_event <= 3.8,
         "{allocs} allocations over {} events: {per_event:.2} per event",
@@ -86,9 +84,6 @@ fn two_hundred_explored_runs_allocate_an_exact_count() {
             fingerprint,
         )
     });
-    // 200 runs executed 11 401 events and 41 232 allocations while
-    // sleep-blocked runs ended early; with wakeup trees every run goes
-    // to quiescence.
     assert_eq!((report.runs, report.events), (200, 27_154));
     assert_eq!(allocs, 36_927);
 }
