@@ -4,10 +4,16 @@
 //! package, each line marked `fires:` draws exactly the lint it names,
 //! and nothing else fires.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-pub fn known_bad(ids: Option<u32>, parsed: Result<u32, String>, seen: &HashMap<u32, u32>) -> u32 {
+pub fn known_bad(
+    ids: Option<u32>,
+    parsed: Result<u32, String>,
+    seen: &HashMap<u32, u32>,
+    mine: &HashSet<u32>,
+    theirs: &HashSet<u32>,
+) -> u32 {
     let a = ids.unwrap(); // fires: clippy::unwrap_used
     let b = parsed.expect("parsed"); // fires: clippy::expect_used
     let _started = Instant::now(); // fires: clippy::disallowed_methods
@@ -16,5 +22,6 @@ pub fn known_bad(ids: Option<u32>, parsed: Result<u32, String>, seen: &HashMap<u
     for (k, v) in seen { // fires: clippy::iter_over_hash_type
         d += k + v;
     }
-    a + b + c + d
+    let e: u32 = mine.difference(theirs).sum(); // fires: clippy::disallowed_methods
+    a + b + c + d + e
 }

@@ -1,24 +1,23 @@
-//! The engine's event queue: a calendar-queue event wheel with a
-//! sorted current day, over entries stored in segments that never move.
+//! The engine's event queue, over entries stored in segments that never
+//! move: a small queue is one sorted vector of keys, a large one a
+//! calendar-queue event wheel with a sorted current day.
 //!
 //! Events drain in `(time, seq)` total order, the order a sorted map
-//! keyed by `(time, seq)` would produce — the wheel only changes *how
-//! fast* that order is produced, never the order itself. The unit tests
-//! below drive it against exactly such a map. See DESIGN.md §10 for the
-//! determinism argument and the layout's measurements.
+//! keyed by `(time, seq)` would produce — the vector and the wheel only
+//! change *how fast* that order is produced, never the order itself. The
+//! unit tests below drive both against exactly such a map. See DESIGN.md
+//! §10 for the determinism argument and the layout's measurements.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::net::NodeId;
 use crate::time::SimTime;
 
 /// Payload-independent description of a queued event, read off the
-/// payload by [`Describe`]. No entry stores one: the lazily armed
-/// explorer index keeps its own copy per entry, taken when it is armed
-/// or mirrors an insert, and [`crate::sim::Sim::pending_events`] reads
-/// it from there.
+/// payload by [`Describe`]. No entry stores one:
+/// [`crate::sim::Sim::pending_events`] reads it off each payload as it
+/// walks the queue in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EvMeta {
     Start(NodeId),
@@ -116,14 +115,25 @@ fn segment_slots(k: usize) -> usize {
     }
 }
 
-/// The day heap's element: `(time, seq)` is the order, the slot index
-/// finds the entry. Seqs are unique, so the slot never decides.
-type DayKey = Reverse<(SimTime, u64, u32)>;
+/// One entry's key: `(time, seq)` is the order, the slot index finds
+/// the entry. Seqs are unique, so the slot never decides.
+type Key = (SimTime, u64, u32);
 
-/// Every queued entry in drain order: `(time, seq) -> (meta, handle)`,
-/// the meta read off the payload by [`Describe`] as the entry entered
-/// the index.
-type OrderedIndex = BTreeMap<(SimTime, u64), (EvMeta, Handle)>;
+/// The day heap's element.
+type DayKey = Reverse<Key>;
+
+/// Where a queue keeps its drain order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// In `sorted`, while the queue has never held more than
+    /// [`FIRST_SEGMENT_SLOTS`] entries.
+    Sorted,
+    /// On the wheel: bucket lists and the day heap.
+    Wheel,
+    /// In `sorted` again, for good: an ordered access found the queue
+    /// on the wheel.
+    Resorted,
+}
 
 const MIN_BUCKETS: usize = 64;
 /// Wheel size ceiling. Entries-per-bucket is what the pop path pays
@@ -142,9 +152,19 @@ const LONG_SCAN_BUCKETS: usize = 32;
 /// (which re-derives the bucket width from the live distribution).
 const LONG_SCAN_POPS: u32 = 8;
 
-/// A Brown-style calendar queue over power-of-two buckets, with the
-/// ladder queue's split: the far future unsorted, the day being drained
-/// sorted.
+/// A sorted vector of keys while the queue is small; past that, a
+/// Brown-style calendar queue over power-of-two buckets, with the ladder
+/// queue's split: the far future unsorted, the day being drained sorted.
+///
+/// A queue starts in sorted order: `sorted` holds every entry's key, so
+/// an insert is a binary search and a short memmove, and a pop, a rank
+/// lookup or an ordered walk reads the vector. When the queue first
+/// holds more than [`FIRST_SEGMENT_SLOTS`] entries, every slot is linked
+/// onto the wheel and the vector is dropped. An ordered access
+/// ([`CalendarQueue::for_each_in_order`], [`CalendarQueue::remove_nth`])
+/// on a wheel queue sorts the keys once and returns the queue to sorted
+/// order for good, however deep it grows after. Each order's code sits
+/// out of line behind one branch, so the wheel's paths stay as they are.
 ///
 /// A slot is an index into two arrays: `segments`, where its entry
 /// lives, and `links`, where its list links do. Entries are stored in
@@ -153,9 +173,9 @@ const LONG_SCAN_POPS: u32 = 8;
 /// so no entry ever moves and a segment's untouched tail is never
 /// written. A vacated slot goes on a free list and is reused, so the
 /// storage is as large as the queue has ever been deep, not as large as
-/// the run is long. An entry hashes to bucket `(time >> shift) & mask`,
-/// an unsorted doubly-linked list of slot indices rooted at
-/// `heads[bucket]`. Because the links are per slot,
+/// the run is long. On the wheel, an entry hashes to bucket
+/// `(time >> shift) & mask`, an unsorted doubly-linked list of slot
+/// indices rooted at `heads[bucket]`. Because the links are per slot,
 /// [`CalendarQueue::remove`] unlinks any entry in O(1) given the
 /// [`Handle`] its insert returned: a cancelled timer leaves at once
 /// instead of waiting to be popped.
@@ -183,7 +203,13 @@ pub(crate) struct CalendarQueue<T> {
     links: Vec<Link>,
     /// Head of the free-slot list.
     free: u32,
-    /// Head slot of each bucket's list.
+    /// Which of `sorted` and the wheel holds the drain order.
+    order: Order,
+    /// Outside [`Order::Wheel`], every queued entry's key, latest first,
+    /// so the next to drain is the last.
+    sorted: Vec<Key>,
+    /// Head slot of each bucket's list; empty until the queue first
+    /// moves onto the wheel.
     heads: Vec<u32>,
     shift: u32,
     mask: u64,
@@ -202,12 +228,6 @@ pub(crate) struct CalendarQueue<T> {
     /// the population at the last rebuild, so rebuilds stay
     /// geometrically spaced even when the wheel is at its size cap.
     grow_len: usize,
-    /// The ordered side index, armed lazily by the first
-    /// `pending_events`/`step_nth` call and mirrored on every
-    /// insert/remove thereafter. Explorer workloads pay O(log n) per
-    /// queue operation for O(k) ordered traversal and O(log n)
-    /// arbitrary-rank removal; plain runs never build it.
-    index: RefCell<Option<OrderedIndex>>,
     /// Seeded known-bad for the model test: unlinking a list head
     /// leaves `heads[bucket]` pointing at it.
     #[cfg(test)]
@@ -216,6 +236,10 @@ pub(crate) struct CalendarQueue<T> {
     /// segment is looked up at the first slot of the next one.
     #[cfg(test)]
     fold_seams: bool,
+    /// Seeded known-bad for the model test: `sorted` orders equal-time
+    /// keys by slot instead of by seq.
+    #[cfg(test)]
+    slot_ties: bool,
 }
 
 impl<T: Describe> CalendarQueue<T> {
@@ -224,7 +248,9 @@ impl<T: Describe> CalendarQueue<T> {
             segments: Vec::new(),
             links: Vec::new(),
             free: NIL,
-            heads: vec![NIL; MIN_BUCKETS],
+            order: Order::Sorted,
+            sorted: Vec::new(),
+            heads: Vec::new(),
             shift: INITIAL_SHIFT,
             mask: MIN_BUCKETS as u64 - 1,
             len: 0,
@@ -233,11 +259,12 @@ impl<T: Describe> CalendarQueue<T> {
             staged: 0,
             long_scans: 0,
             grow_len: MIN_BUCKETS * 2,
-            index: RefCell::new(None),
             #[cfg(test)]
             forget_head_fix: false,
             #[cfg(test)]
             fold_seams: false,
+            #[cfg(test)]
+            slot_ties: false,
         }
     }
 
@@ -277,7 +304,10 @@ impl<T: Describe> CalendarQueue<T> {
     }
 
     /// Puts `e` into a free slot, on no list yet. A new slot goes at the
-    /// end of the last segment, or opens the next one.
+    /// end of the last segment, or opens the next one. Always inlined:
+    /// with sorted order as a second caller the compiler otherwise keeps
+    /// it out of the wheel's insert.
+    #[inline(always)]
     fn alloc(&mut self, e: QueueEntry<T>) -> u32 {
         if self.free != NIL {
             let slot = self.free;
@@ -305,26 +335,25 @@ impl<T: Describe> CalendarQueue<T> {
 
     /// Takes the entry out of `slot` (already off its list, or staged)
     /// and out of the queue's accounts, and puts the slot on the free
-    /// list.
+    /// list. Always inlined, as [`CalendarQueue::alloc`] is, into the
+    /// wheel's pop.
+    #[inline(always)]
     fn release(&mut self, slot: u32) -> QueueEntry<T> {
         let (k, at) = self.locate(slot);
         #[expect(clippy::expect_used, reason = "a slot is released once, while filled")]
         let e = self.segments[k][at]
             .take()
             .expect("a released slot holds an entry");
-        self.vacate(slot, &e);
+        self.vacate(slot);
         e
     }
 
-    /// Puts `slot`, whose entry `e` was just taken out, on the free
-    /// list and takes `e` out of the queue's accounts.
-    fn vacate(&mut self, slot: u32, e: &QueueEntry<T>) {
+    /// Puts `slot`, whose entry was just taken out, on the free list
+    /// and takes the entry out of the queue's count.
+    fn vacate(&mut self, slot: u32) {
         self.links[slot as usize].next = self.free;
         self.free = slot;
         self.len -= 1;
-        if let Some(idx) = self.index.get_mut() {
-            idx.remove(&(e.time, e.seq));
-        }
     }
 
     /// Pushes `slot` on the front of bucket `b`'s list.
@@ -356,14 +385,13 @@ impl<T: Describe> CalendarQueue<T> {
     }
 
     pub fn insert(&mut self, e: QueueEntry<T>) -> Handle {
+        if self.order != Order::Wheel {
+            return self.insert_sorted(e);
+        }
         let (time, seq) = (e.time, e.seq);
         let day = self.day_of(time);
-        let meta = self.index.get_mut().is_some().then(|| e.payload.describe());
         let slot = self.alloc(e);
         self.len += 1;
-        if let (Some(idx), Some(meta)) = (self.index.get_mut(), meta) {
-            idx.insert((time, seq), (meta, Handle(slot)));
-        }
         if self.staged > 0 && day <= self.cur {
             // Into the day being drained (or, defensively, before it):
             // the heap holds all of it, so this entry joins the heap.
@@ -400,17 +428,23 @@ impl<T: Describe> CalendarQueue<T> {
 
     /// Removes the entry `h` names, wherever it is — a far bucket or
     /// the staged day — in O(1) (plus the heap's dead keys it may
-    /// uncover). `None` for [`Handle::NONE`] and for a stale handle
+    /// uncover); in sorted order, by a binary search for its key and a
+    /// short memmove. `None` for [`Handle::NONE`] and for a stale handle
     /// whose slot is still vacant.
     pub fn remove(&mut self, h: Handle) -> Option<QueueEntry<T>> {
         let (k, at) = self.locate(h.0);
         let e = self.segments.get_mut(k)?.get_mut(at)?.take()?;
-        if self.links[h.0 as usize].prev != STAGED {
-            self.unlink(h.0, self.bucket_of(e.time));
-            self.vacate(h.0, &e);
+        if self.order != Order::Wheel {
+            self.unsort((e.time, e.seq, h.0));
+            self.vacate(h.0);
             return Some(e);
         }
-        self.vacate(h.0, &e);
+        if self.links[h.0 as usize].prev != STAGED {
+            self.unlink(h.0, self.bucket_of(e.time));
+            self.vacate(h.0);
+            return Some(e);
+        }
+        self.vacate(h.0);
         self.staged -= 1;
         self.settle_day();
         Some(e)
@@ -501,6 +535,9 @@ impl<T: Describe> CalendarQueue<T> {
     /// is about to pop, so `now` is inside day `cur` whenever the heap
     /// is non-empty.
     pub(crate) fn pop_first_at_or_before(&mut self, limit: SimTime) -> Option<QueueEntry<T>> {
+        if self.order != Order::Wheel {
+            return self.pop_sorted(limit);
+        }
         if self.staged == 0 {
             let (mut key, mut b, scanned) = self.find_next()?;
             if scanned > LONG_SCAN_BUCKETS {
@@ -533,44 +570,35 @@ impl<T: Describe> CalendarQueue<T> {
     }
 
     pub(crate) fn peek_key(&self) -> Option<(SimTime, u64)> {
+        if self.order != Order::Wheel {
+            return self.peek_sorted();
+        }
         match self.day.peek() {
             Some(&Reverse((time, seq, _))) => Some((time, seq)),
             None => self.find_next().map(|(key, _, _)| key),
         }
     }
 
-    /// Removes the `n`-th queued event in `(time, seq)` order.
+    /// Removes the `n`-th queued event in `(time, seq)` order. A wheel
+    /// queue returns to sorted order first.
     pub(crate) fn remove_nth(&mut self, n: usize) -> Option<QueueEntry<T>> {
-        self.arm_index();
-        let handle = self
-            .index
-            .borrow()
-            .as_ref()
-            .and_then(|idx| idx.values().nth(n).map(|&(_, handle)| handle))?;
-        self.remove(handle)
+        if self.order == Order::Wheel {
+            self.resort();
+        }
+        let at = self.sorted.len().checked_sub(n.checked_add(1)?)?;
+        let (_, _, slot) = self.sorted.remove(at);
+        Some(self.release(slot))
     }
 
-    fn arm_index(&self) {
-        let mut idx = self.index.borrow_mut();
-        if idx.is_some() {
-            return;
+    /// Visits every queued event's `(time, seq, meta)` in drain order,
+    /// reading the meta off each payload. A wheel queue returns to
+    /// sorted order first.
+    pub(crate) fn for_each_in_order(&mut self, mut f: impl FnMut(SimTime, u64, EvMeta)) {
+        if self.order == Order::Wheel {
+            self.resort();
         }
-        let mut map = BTreeMap::new();
-        for (slot, e) in self.segments.iter().flatten().enumerate() {
-            if let Some(e) = e {
-                map.insert((e.time, e.seq), (e.payload.describe(), Handle(slot as u32)));
-            }
-        }
-        *idx = Some(map);
-    }
-
-    /// Visits every queued event's `(time, seq, meta)` in drain order.
-    pub(crate) fn for_each_in_order(&self, mut f: impl FnMut(SimTime, u64, EvMeta)) {
-        self.arm_index();
-        if let Some(idx) = self.index.borrow().as_ref() {
-            for (&(time, seq), &(meta, _)) in idx {
-                f(time, seq, meta);
-            }
+        for &(time, seq, slot) in self.sorted.iter().rev() {
+            f(time, seq, self.entry(slot).payload.describe());
         }
     }
 
@@ -592,9 +620,9 @@ impl<T: Describe> CalendarQueue<T> {
     /// distribution — a population at the [`MAX_BUCKETS`] cap never
     /// pays reshuffles for further growth, and a draining queue never
     /// pays shrink reshuffles at all. Both passes run over the slots,
-    /// front to back; no entry moves, only its links, so handles and
-    /// the explorer index stay good. O(slots + buckets), amortized
-    /// against the doubling that triggered it.
+    /// front to back; no entry moves, only its links, so handles stay
+    /// good. O(slots + buckets), amortized against the doubling that
+    /// triggered it.
     fn rebuild(&mut self) {
         // A new width redraws the days, so nothing stays staged across
         // it: the second pass threads the staged entries onto bucket
@@ -654,10 +682,103 @@ impl<T: Describe> CalendarQueue<T> {
         }
         self.grow_len = (n * 2).max(MIN_BUCKETS * 2);
     }
+
+    /// The order `sorted` keeps, latest first: `(time, seq)`, unless a
+    /// test has seeded the tie fault.
+    fn rank(&self, key: &Key) -> (SimTime, u64) {
+        #[cfg(test)]
+        if self.slot_ties {
+            return (key.0, u64::from(key.2));
+        }
+        (key.0, key.1)
+    }
+
+    /// [`CalendarQueue::insert`] in sorted order: a binary search and a
+    /// memmove of the earlier keys. The insert that takes a queue never
+    /// returned to sorted order past [`FIRST_SEGMENT_SLOTS`] entries
+    /// moves it onto the wheel.
+    #[inline(never)]
+    fn insert_sorted(&mut self, e: QueueEntry<T>) -> Handle {
+        let (time, seq) = (e.time, e.seq);
+        let slot = self.alloc(e);
+        let key = (time, seq, slot);
+        self.len += 1;
+        let at = self
+            .sorted
+            .partition_point(|k| self.rank(k) > self.rank(&key));
+        self.sorted.insert(at, key);
+        if self.order == Order::Sorted && self.len > FIRST_SEGMENT_SLOTS as usize {
+            self.switch_to_wheel();
+        }
+        Handle(slot)
+    }
+
+    /// Links every queued slot onto a wheel of [`MIN_BUCKETS`] at the
+    /// initial width and drops `sorted`. Nothing is rebuilt: the wheel's
+    /// first growth or long-scan heal sizes it.
+    #[inline(never)]
+    fn switch_to_wheel(&mut self) {
+        self.heads = vec![NIL; MIN_BUCKETS];
+        let sorted = std::mem::take(&mut self.sorted);
+        if let Some(&(first, _, _)) = sorted.last() {
+            self.cur = self.day_of(first);
+        }
+        for (time, _, slot) in sorted {
+            self.link(slot, self.bucket_of(time));
+        }
+        self.order = Order::Wheel;
+    }
+
+    /// Sorts every queued key into `sorted` and leaves the wheel for
+    /// good, dropping its heads and day heap.
+    #[inline(never)]
+    fn resort(&mut self) {
+        let mut keys = Vec::with_capacity(self.len);
+        for slot in 0..self.links.len() as u32 {
+            if let Some(e) = self.get(slot) {
+                keys.push((e.time, e.seq, slot));
+            }
+        }
+        keys.sort_unstable_by_key(|k| Reverse(self.rank(k)));
+        self.sorted = keys;
+        self.heads = Vec::new();
+        self.day = BinaryHeap::new();
+        self.staged = 0;
+        self.order = Order::Resorted;
+    }
+
+    /// [`CalendarQueue::pop_first_at_or_before`] in sorted order.
+    #[inline(never)]
+    fn pop_sorted(&mut self, limit: SimTime) -> Option<QueueEntry<T>> {
+        let &(time, _, slot) = self.sorted.last()?;
+        if time > limit {
+            return None;
+        }
+        self.sorted.pop();
+        Some(self.release(slot))
+    }
+
+    /// [`CalendarQueue::peek_key`] in sorted order.
+    #[inline(never)]
+    fn peek_sorted(&self) -> Option<(SimTime, u64)> {
+        self.sorted.last().map(|&(time, seq, _)| (time, seq))
+    }
+
+    /// Takes `key` out of `sorted`.
+    #[inline(never)]
+    fn unsort(&mut self, key: Key) {
+        let at = self
+            .sorted
+            .partition_point(|k| self.rank(k) > self.rank(&key));
+        debug_assert_eq!(self.sorted.get(at), Some(&key));
+        self.sorted.remove(at);
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn t(us: u64) -> SimTime {
@@ -687,16 +808,36 @@ mod tests {
         out
     }
 
-    fn keys_in_order(q: &CalendarQueue<u64>) -> Vec<(SimTime, u64)> {
+    fn keys_in_order(q: &mut CalendarQueue<u64>) -> Vec<(SimTime, u64)> {
         let mut keys = Vec::new();
         q.for_each_in_order(|time, seq, _| keys.push((time, seq)));
         keys
     }
 
-    /// The reference the wheel is held to: a sorted map keyed by
+    /// An empty queue already on the wheel: 65 entries at t = 0 took it
+    /// past the switch, and each was removed by its handle.
+    fn past_the_switch() -> CalendarQueue<u64> {
+        let mut q = CalendarQueue::new();
+        let handles: Vec<Handle> = (0..=u64::from(FIRST_SEGMENT_SLOTS))
+            .map(|s| put(&mut q, 0, u64::MAX - s))
+            .collect();
+        assert_eq!(q.order, Order::Wheel);
+        for h in handles {
+            assert!(q.remove(h).is_some());
+        }
+        assert_eq!((q.len(), q.shift, q.cur), (0, INITIAL_SHIFT, 0));
+        q
+    }
+
+    /// A fresh queue, in sorted order, and one on the wheel.
+    fn both_orders() -> [CalendarQueue<u64>; 2] {
+        [CalendarQueue::new(), past_the_switch()]
+    }
+
+    /// The reference the queue is held to: a sorted map keyed by
     /// `(time, seq)` — the engine's queue before the calendar queue
     /// replaced it, with that queue's own definitions of the removal
-    /// operations. Each entry keeps the handle the wheel gave it.
+    /// operations. Each entry keeps the handle the queue gave it.
     #[derive(Default)]
     struct Legacy(BTreeMap<(SimTime, u64), Handle>);
 
@@ -746,7 +887,7 @@ mod tests {
             Ok(())
         } else {
             Err(format!(
-                "{what} at step {seq}: wheel {cal:?}, model {leg:?}"
+                "{what} at step {seq}: queue {cal:?}, model {leg:?}"
             ))
         }
     }
@@ -775,28 +916,52 @@ mod tests {
         assert_eq!(drain(&mut q), expect);
     }
 
+    /// The step from which ordered access may find the queue on the
+    /// wheel and return it to sorted order.
+    const RESORT_AT: u64 = 4_500;
+
     /// A deterministic pseudo-random mix of inserts, deadline-bounded
     /// pops, arbitrary-rank removals, removals by handle and ordered
-    /// traversals, each answered identically by the wheel and the
+    /// traversals, each answered identically by the queue and the
     /// sorted map; `Err` names the first answer that differs. Inserts
     /// never precede an already-removed event's time, as in the engine
     /// (`Sim` schedules at or after `now`, and `now` never rewinds).
-    /// Every 500 steps the insert horizon flips between a second and
-    /// 3 ms, so days hold one entry in one regime and dozens in the
-    /// other — staged-day removals and same-day inserts mid-drain.
+    /// Every 500 steps the insert horizon flips between 3 ms and a
+    /// second, so days hold dozens of entries in one regime and one in
+    /// the other — equal-time keys, staged-day removals and same-day
+    /// inserts mid-drain.
+    ///
+    /// The run crosses both switches between orders, and checks after
+    /// every step that the queue is in the order the model says: sorted
+    /// (ordered access included) until the queue first holds more than
+    /// 64 entries, on the wheel from that insert (ordered access turned
+    /// into removals by handle) until [`RESORT_AT`], and back in sorted
+    /// order from the first ordered access after it, however deep.
     fn random_workload(cal: &mut CalendarQueue<u64>) -> Result<(), String> {
         let mut leg = Legacy::default();
+        let mut order = Order::Sorted;
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut low_water = 0u64;
         for seq in 0..6_000u64 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(seq);
             let horizon = if (seq / 500).is_multiple_of(2) {
-                1_000_000
-            } else {
                 3_000
+            } else {
+                1_000_000
             };
             leg.put(cal, low_water + (state >> 33) % horizon, seq);
-            let removed = match state & 15 {
+            if order == Order::Sorted && leg.0.len() > FIRST_SEGMENT_SLOTS as usize {
+                order = Order::Wheel;
+            }
+            let mut op = state & 15;
+            if (5..=7).contains(&op) && order == Order::Wheel {
+                if seq < RESORT_AT {
+                    op = 8;
+                } else {
+                    order = Order::Resorted;
+                }
+            }
+            let removed = match op {
                 // Pop with a deadline that sometimes falls short.
                 0..=3 => {
                     let limit = t(low_water + (state >> 20) % (horizon * 2 / 5));
@@ -848,6 +1013,7 @@ mod tests {
                 // removes nothing.
                 same("remove after pop", seq, cal.remove(h).map(key_of), None)?;
             }
+            same("order", seq, cal.order, order)?;
             same("len", seq, cal.len(), leg.0.len())?;
             same(
                 "peek_key",
@@ -864,7 +1030,8 @@ mod tests {
                 Some(want),
             )?;
         }
-        same("final len", 0, cal.len(), 0)
+        same("final len", 0, cal.len(), 0)?;
+        same("final order", 0, cal.order, Order::Resorted)
     }
 
     #[test]
@@ -902,6 +1069,17 @@ mod tests {
         let mut cal = CalendarQueue::new();
         cal.fold_seams = true;
         assert!(model_run_fails(cal), "the folded seam went unnoticed");
+    }
+
+    /// Known-bad for [`random_workload`]: sorted order that breaks a
+    /// tie in time by slot instead of by seq. Slots are reused last
+    /// freed first, so equal-time events then drain out of seq order.
+    /// The model run must not come back `Ok`.
+    #[test]
+    fn model_catches_sorted_ties_broken_by_slot() {
+        let mut cal = CalendarQueue::new();
+        cal.slot_ties = true;
+        assert!(model_run_fails(cal), "the slot-ordered ties went unnoticed");
     }
 
     /// An entry stays at the address it was stored at while the queue
@@ -954,11 +1132,11 @@ mod tests {
         }
     }
 
-    /// Removal by handle from every home an entry can have, each step
-    /// checked against the sorted map.
+    /// Removal by handle from every home an entry can have on the
+    /// wheel, each step checked against the sorted map.
     #[test]
     fn remove_by_handle_reaches_every_home() {
-        let mut cal = CalendarQueue::new();
+        let mut cal = past_the_switch();
         let mut leg = Legacy::default();
         let mut seq = 0u64;
         let mut add = |cal: &mut CalendarQueue<u64>, leg: &mut Legacy, us: u64| {
@@ -1001,10 +1179,11 @@ mod tests {
 
     /// Handles index slots and a rebuild moves only links, so a
     /// handle taken before one is good after it — through the growth
-    /// rebuilds of 10 000 inserts, and through a long-scan heal.
+    /// rebuilds of 10 000 inserts, and through a long-scan heal. Both
+    /// queues start on the wheel.
     #[test]
     fn handles_survive_rebuilds() {
-        let mut q = CalendarQueue::new();
+        let mut q = past_the_switch();
         let early = put(&mut q, 123_456, 0);
         for s in 1..10_000u64 {
             put(&mut q, (s * 7_919) % 50_000_000, s);
@@ -1017,7 +1196,7 @@ mod tests {
 
         // Twenty entries 40 ms apart on the initial 1 ms wheel: every
         // pop scans 40 buckets, and the eighth such pop heals.
-        let mut q = CalendarQueue::new();
+        let mut q = past_the_switch();
         let handles: Vec<Handle> = (0..20).map(|s| put(&mut q, s * 40_000, s)).collect();
         for s in 0..10 {
             assert_eq!(q.pop_first().map(|e| e.seq), Some(s));
@@ -1033,56 +1212,64 @@ mod tests {
 
     #[test]
     fn same_tick_inserts_during_batch_stay_in_seq_order() {
-        let mut q = CalendarQueue::new();
-        for s in 0..4u64 {
-            put(&mut q, 100, s);
+        for mut q in both_orders() {
+            for s in 0..4u64 {
+                put(&mut q, 100, s);
+            }
+            // Pop one: on the wheel, stages the day holding tick 100.
+            let first = q.pop_first().expect("staged");
+            assert_eq!((first.time, first.seq), (t(100), 0));
+            // Mid-drain, enqueue two more at the same tick and two later
+            // in the day, the later one first.
+            for s in 10..12u64 {
+                put(&mut q, 100, s);
+            }
+            put(&mut q, 150, 12);
+            put(&mut q, 120, 13);
+            let rest: Vec<u64> = std::iter::from_fn(|| q.pop_first().map(|e| e.seq)).collect();
+            assert_eq!(rest, vec![1, 2, 3, 10, 11, 13, 12]);
         }
-        // Pop one: stages the day holding tick 100.
-        let first = q.pop_first().expect("staged");
-        assert_eq!((first.time, first.seq), (t(100), 0));
-        // Mid-drain, enqueue two more at the same tick and two later
-        // in the day, the later one first.
-        for s in 10..12u64 {
-            put(&mut q, 100, s);
-        }
-        put(&mut q, 150, 12);
-        put(&mut q, 120, 13);
-        let rest: Vec<u64> = std::iter::from_fn(|| q.pop_first().map(|e| e.seq)).collect();
-        assert_eq!(rest, vec![1, 2, 3, 10, 11, 13, 12]);
     }
 
+    /// In sorted order, and on the wheel, which the first ordered
+    /// access returns to sorted order.
     #[test]
     fn remove_nth_and_ordered_traversal_agree_with_legacy() {
-        let mut cal = CalendarQueue::new();
-        let mut leg = Legacy::default();
-        for (seq, us) in [(0u64, 300u64), (1, 100), (2, 200), (3, 100), (4, 700)] {
-            leg.put(&mut cal, us, seq);
+        for mut cal in both_orders() {
+            let mut leg = Legacy::default();
+            for (seq, us) in [(0u64, 300u64), (1, 100), (2, 200), (3, 100), (4, 700)] {
+                leg.put(&mut cal, us, seq);
+            }
+            assert_eq!(keys_in_order(&mut cal), leg.keys_in_order());
+            assert_ne!(cal.order, Order::Wheel);
+            // Remove the 2nd-smallest from both; drains must still agree.
+            assert_eq!(
+                cal.remove_nth(2).map(key_of),
+                leg.remove_nth(2).map(|(k, _)| k)
+            );
+            assert!(cal.remove_nth(9).is_none());
+            assert!(leg.remove_nth(9).is_none());
+            assert!(cal.remove_nth(usize::MAX).is_none());
+            assert_same_drain(&mut cal, &mut leg);
         }
-        assert_eq!(keys_in_order(&cal), leg.keys_in_order());
-        // Remove the 2nd-smallest from both; drains must still agree.
-        assert_eq!(
-            cal.remove_nth(2).map(key_of),
-            leg.remove_nth(2).map(|(k, _)| k)
-        );
-        assert!(cal.remove_nth(9).is_none());
-        assert!(leg.remove_nth(9).is_none());
-        assert_same_drain(&mut cal, &mut leg);
     }
 
+    /// A walk in order, then inserts and pops: the next walk sees them,
+    /// whether the first found the queue sorted or on the wheel.
     #[test]
-    fn index_stays_consistent_across_inserts_after_arming() {
-        let mut q = CalendarQueue::new();
-        for s in 0..8u64 {
-            put(&mut q, s * 10, s);
+    fn ordered_traversal_sees_later_inserts() {
+        for mut q in both_orders() {
+            for s in 0..8u64 {
+                put(&mut q, s * 10, s);
+            }
+            assert_eq!(keys_in_order(&mut q).len(), 8);
+            put(&mut q, 5, 100);
+            let first = q.pop_first().expect("nonempty");
+            assert_eq!(first.seq, 0, "t=0 precedes the late t=5 insert");
+            let after = keys_in_order(&mut q);
+            assert_eq!(after[0].1, 100, "the walk saw the new insert");
+            assert_eq!(after.len(), 8);
         }
-        // Arm the index, then keep inserting and popping through it.
-        assert_eq!(keys_in_order(&q).len(), 8);
-        put(&mut q, 5, 100);
-        let first = q.pop_first().expect("nonempty");
-        assert_eq!(first.seq, 0, "t=0 precedes the late t=5 insert");
-        let after = keys_in_order(&q);
-        assert_eq!(after[0].1, 100, "armed index saw the new insert");
-        assert_eq!(after.len(), 8);
     }
 
     #[test]
@@ -1102,23 +1289,25 @@ mod tests {
 
     #[test]
     fn sparse_far_future_events_are_found() {
-        let mut q = CalendarQueue::new();
-        put(&mut q, 0, 0);
-        // A full wheel rotation away at the initial width.
-        put(&mut q, 1 << 30, 1);
-        put(&mut q, 1 << 50, 2);
-        assert_eq!(drain(&mut q), vec![(0, 0), (1 << 30, 1), (1 << 50, 2)]);
+        for mut q in both_orders() {
+            put(&mut q, 0, 0);
+            // A full wheel rotation away at the initial width.
+            put(&mut q, 1 << 30, 1);
+            put(&mut q, 1 << 50, 2);
+            assert_eq!(drain(&mut q), vec![(0, 0), (1 << 30, 1), (1 << 50, 2)]);
+        }
     }
 
     #[test]
     fn deadline_bounded_pop_leaves_later_events() {
-        let mut q = CalendarQueue::new();
-        put(&mut q, 10, 0);
-        put(&mut q, 20, 1);
-        assert!(q.pop_first_at_or_before(t(5)).is_none());
-        assert_eq!(q.pop_first_at_or_before(t(10)).map(|e| e.seq), Some(0));
-        assert!(q.pop_first_at_or_before(t(15)).is_none());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_key(), Some((t(20), 1)));
+        for mut q in both_orders() {
+            put(&mut q, 10, 0);
+            put(&mut q, 20, 1);
+            assert!(q.pop_first_at_or_before(t(5)).is_none());
+            assert_eq!(q.pop_first_at_or_before(t(10)).map(|e| e.seq), Some(0));
+            assert!(q.pop_first_at_or_before(t(15)).is_none());
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.peek_key(), Some((t(20), 1)));
+        }
     }
 }

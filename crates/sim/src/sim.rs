@@ -759,10 +759,12 @@ impl<M: 'static> Sim<M> {
 
     /// Descriptions of every queued event in `(time, seq)` order — the
     /// order [`Sim::step`] would process them. Index `n` here is the `n`
-    /// accepted by [`Sim::step_nth`]. The first call arms an ordered
-    /// side index that is mirrored from then on, so this stays an O(k)
-    /// traversal rather than a sort.
-    pub fn pending_events(&self) -> Vec<PendingEvent> {
+    /// accepted by [`Sim::step_nth`]. A queue in sorted order (every
+    /// queue that has never held more than 64 events) is walked as it
+    /// stands; a deeper one sorts its keys once, on the first call, and
+    /// stays in sorted order from then on, so every later call is an
+    /// O(k) walk too.
+    pub fn pending_events(&mut self) -> Vec<PendingEvent> {
         let mut out = Vec::with_capacity(self.queue.len());
         self.pending_events_into(&mut out);
         out
@@ -771,7 +773,7 @@ impl<M: 'static> Sim<M> {
     /// [`Sim::pending_events`] into a caller-owned buffer, which is
     /// cleared first: a caller that scans once per step reuses one
     /// allocation for the whole run.
-    pub fn pending_events_into(&self, out: &mut Vec<PendingEvent>) {
+    pub fn pending_events_into(&mut self, out: &mut Vec<PendingEvent>) {
         out.clear();
         self.queue.for_each_in_order(|time, seq, meta| {
             out.push(PendingEvent::from_meta(time, seq, meta))
@@ -783,9 +785,10 @@ impl<M: 'static> Sim<M> {
     /// early never rewinds the clock: simulated time is clamped to stay
     /// monotone, so a later `step` of an "overtaken" earlier event runs
     /// at the current time. Returns false when `n` is out of range or
-    /// the event cap is reached. The event is found in the same armed
-    /// index [`Sim::pending_events`] reads: reaching rank `n` walks `n`
-    /// index entries, and taking it out costs O(log len).
+    /// the event cap is reached. The event is found in the same sorted
+    /// order [`Sim::pending_events`] reads, which a deeper queue returns
+    /// to on the first call: taking rank `n` out is a memmove of the `n`
+    /// keys ahead of it.
     pub fn step_nth(&mut self, n: usize) -> bool {
         if self.events_processed() >= self.max_events {
             return false;

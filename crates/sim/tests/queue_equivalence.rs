@@ -261,7 +261,7 @@ fn first_out_of_order(executed: &[ExecutedEvent]) -> Option<usize> {
 /// Timers armed (actor-side count) minus timers fired (actor-side),
 /// reaped by a cancellation and still pending (both engine-side): zero
 /// on an engine that loses or double-counts none.
-fn timers_unaccounted(sim: &Sim<u32>) -> i128 {
+fn timers_unaccounted(sim: &mut Sim<u32>) -> i128 {
     let (mut armed, mut fired) = (0u64, 0u64);
     for id in sim.node_ids() {
         let actor = sim.get(ActorHandle::<Churner>::of(id)).expect("registered");
@@ -476,6 +476,74 @@ fn ladder_churn_drains_identically() {
     assert_eq!(sim.timers_reaped(), 31_427);
 }
 
+/// One seeded churn, stepped to quiescence with [`Sim::step`]: 8 starts
+/// and 24 injections are queued at build, and after 40 steps 80 more
+/// injections take the queue past 64 events. With `listing` the run
+/// asks for the pending list before every step, checks that its head
+/// is the event the step then runs, and returns the deepest list seen.
+fn churn_stream(listing: bool) -> (Vec<ExecutedEvent>, usize, usize) {
+    let mut rng = DetRng::seed_from(0x50_27ED);
+    let mut script = |n: usize| -> Vec<(u64, u32, u32, u32)> {
+        (0..n)
+            .map(|_| {
+                let (from, to) = (rng.index(8) as u32, rng.index(8) as u32);
+                (rng.range_u64(0, 20_000), from, to, rng.index(1_000) as u32)
+            })
+            .collect()
+    };
+    let mut sim = build(0x50_27, 8, &script(24));
+    let mut later = script(80);
+    let mut executed = Vec::new();
+    let mut pending = Vec::new();
+    let (mut depth_at_second_batch, mut deepest_list) = (0, 0);
+    loop {
+        if executed.len() == 40 {
+            depth_at_second_batch = sim.pending_len();
+            let at = sim.now() + SimDuration::from_millis(30);
+            for (us, from, to, msg) in later.drain(..) {
+                let at = at + SimDuration::from_micros(us);
+                sim.inject(at, NodeId(from), NodeId(to), msg);
+            }
+        }
+        if listing {
+            sim.pending_events_into(&mut pending);
+            deepest_list = deepest_list.max(pending.len());
+        }
+        if !sim.step() {
+            break;
+        }
+        let ran = sim.last_executed().expect("a step ran an event");
+        if listing {
+            assert_eq!(Some(&ran.desc), pending.first(), "step {}", executed.len());
+        }
+        executed.push(ran);
+    }
+    assert_eq!(sim.pending_len(), 0);
+    (executed, depth_at_second_batch, deepest_list)
+}
+
+/// The queue's two orders run one schedule: the churn above executes
+/// the identical event stream whether it is stepped alone — the queue
+/// leaves sorted order for the wheel at its 65th event — or with the
+/// pending list read before every step, which keeps the queue sorted
+/// until the 65th event and returns it to sorted order for good at the
+/// next read.
+#[test]
+fn listing_every_step_keeps_the_schedule() {
+    let (stepped, shallow, _) = churn_stream(false);
+    let (listed, _, deepest) = churn_stream(true);
+    assert!(
+        shallow < 64,
+        "{shallow} events queued before the second batch"
+    );
+    assert!(deepest > 64, "the listed run's deepest list held {deepest}");
+    assert!(stepped.len() > 1_000, "{} events", stepped.len());
+    assert_eq!(first_out_of_order(&stepped), None);
+    let first_difference = stepped.iter().zip(&listed).position(|(a, b)| a != b);
+    assert_eq!(first_difference, None);
+    assert_eq!(stepped.len(), listed.len());
+}
+
 /// Known-bad for [`first_out_of_order`]: one `step_nth(1)` runs the
 /// second-earliest event ahead of the earliest, and the checker must
 /// point at the overtaken event that then runs late.
@@ -517,18 +585,18 @@ proptest! {
         ),
         stop_us in 0u64..500_000,
     ) {
-        let (executed, sim) = drain(seed, 5, &injections);
+        let (executed, mut sim) = drain(seed, 5, &injections);
         prop_assert_eq!(first_out_of_order(&executed), None);
         prop_assert_eq!(sim.pending_len(), 0);
         for id in sim.node_ids() {
             let actor = sim.get(ActorHandle::<Churner>::of(id)).expect("registered");
             prop_assert_eq!(actor.fired_after_cancel, 0);
         }
-        prop_assert_eq!(timers_unaccounted(&sim), 0);
+        prop_assert_eq!(timers_unaccounted(&mut sim), 0);
         prop_assert_eq!(sim.events_dispatched(), executed.len() as u64);
 
         let mut stopped = build(seed, 5, &injections);
         stopped.run(Until::At(SimTime::from_micros(stop_us)));
-        prop_assert_eq!(timers_unaccounted(&stopped), 0);
+        prop_assert_eq!(timers_unaccounted(&mut stopped), 0);
     }
 }
