@@ -30,8 +30,9 @@ pub struct WsOp {
     pub value: String,
 }
 
-/// The per-node replica application: checks policy before multicasting
-/// and applies delivered operations in total order.
+/// The per-node replica application: checks that a command acts for
+/// the participant the node hosts and that the policy lets it write
+/// before multicasting, and applies delivered operations in total order.
 pub struct WorkspaceReplica {
     workspace: SharedWorkspace,
     applied: u64,
@@ -61,7 +62,8 @@ impl WorkspaceReplica {
         self.applied
     }
 
-    /// Local submissions rejected by policy (never multicast).
+    /// Local submissions rejected by policy or for acting as another
+    /// participant (never multicast).
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
@@ -88,10 +90,14 @@ impl WorkspaceReplica {
 impl GroupApp<WsOp> for WorkspaceReplica {
     fn on_command(&mut self, ctx: &mut Ctx<'_, GcMsg<WsOp>>, cmd: WsOp) -> Option<WsOp> {
         // Policy gate at the submitting replica: a denied write is
-        // rejected before it ever reaches the wire.
-        if self
-            .workspace
-            .allows(NodeId(cmd.actor), ObjectId(cmd.object), Rights::WRITE)
+        // rejected before it ever reaches the wire. A replica submits
+        // only for the participant it hosts, so a command claiming
+        // another's identity is denied too.
+        let actor = NodeId(cmd.actor);
+        if actor == ctx.id()
+            && self
+                .workspace
+                .allows(actor, ObjectId(cmd.object), Rights::WRITE)
         {
             Some(cmd)
         } else {
@@ -293,6 +299,31 @@ mod tests {
         assert_eq!(sim.trace().with_label("ws.rejected").count(), 1);
         for i in 0..3 {
             assert_eq!(replica(&sim, i).app().applied(), 0, "nothing hit the wire");
+        }
+    }
+
+    #[test]
+    fn a_replica_submits_only_for_the_participant_it_hosts() {
+        // Participant 2 is read-only; its replica claims participant
+        // 0's identity, which holds every right on `shared`.
+        let mut sim = build(3, &[0, 1], 17);
+        sim.inject(
+            SimTime::from_millis(10),
+            NodeId(2),
+            NodeId(2),
+            GcMsg::AppCmd(WsOp {
+                actor: 0,
+                object: 1,
+                value: "forged".into(),
+            }),
+        );
+        sim.run(Until::For(SimDuration::from_secs(5)));
+        assert_eq!(sim.trace().with_label("ws.rejected").count(), 1);
+        assert_eq!(replica(&sim, 2).app().rejected(), 1);
+        for i in 0..3 {
+            let app = replica(&sim, i).app();
+            assert_eq!(app.applied(), 0, "nothing hit the wire");
+            assert!(app.workspace().history().is_empty(), "replica {i}");
         }
     }
 
