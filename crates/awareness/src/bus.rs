@@ -22,15 +22,21 @@
 //!    that cares only for the kind of activity matches on
 //!    [`CoopKind::activity`].
 //!
+//! What survives is a [`Grant`] per observer — who, and at what weight.
+//! [`EventBus::publish`] decides the audience once and lends the grants
+//! out; the event stays with its publisher, which hands it on however it
+//! delivers (a group multicast carries one event and its grant list).
+//!
 //! Producers do not know the bus. Every cooperation-aware engine returns
 //! its own typed outcome (`Notice`, `FloorEvent`, `GroupNotice`, ...),
 //! each outcome projects itself with `CoopEvent::from(&outcome)`, and the
-//! caller hands the lot to [`EventBus::publish_all`] — the one way a
-//! projection reaches observers.
+//! caller hands the lot to [`EventBus::publish_all`], which pairs every
+//! grant with its event as an owned [`BusDelivery`].
 //!
 //! Network distribution of bus deliveries over causal multicast lives in
 //! [`crate::dist`].
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use odp_access::matrix::Subject;
@@ -266,8 +272,20 @@ impl CoopEvent {
     }
 }
 
-/// A weighted, rights-cleared delivery of a cooperation event to one
-/// observer.
+/// One observer the bus cleared for an event: it passed the rights
+/// gate and, for a broadcast, its interest threshold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Grant {
+    /// The observer cleared to receive the event.
+    pub observer: NodeId,
+    /// Awareness weight in `[0, 1]` (always `1.0` for
+    /// [`Audience::Direct`] events).
+    pub weight: f64,
+}
+
+/// A grant paired with its own copy of the event: what an observer
+/// holds once the event has left the bus ([`EventBus::publish_all`],
+/// and the deliveries a [`crate::dist::BusActor`] surfaces).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BusDelivery {
     /// The observer receiving the event.
@@ -363,14 +381,15 @@ pub struct BusStats {
 /// bus.register(NodeId(1), 0.0);
 /// bus.register(NodeId(2), 0.0); // no rights on doc/*
 ///
-/// let out = bus.publish(CoopEvent::broadcast(
+/// let event = CoopEvent::broadcast(
 ///     NodeId(0),
 ///     "doc/intro",
 ///     SimTime::ZERO,
 ///     CoopKind::LockGranted { mode: CoopMode::Exclusive },
-/// ));
-/// assert_eq!(out.len(), 1);
-/// assert_eq!(out[0].observer, NodeId(1));
+/// );
+/// let grants = bus.publish(&event);
+/// assert_eq!(grants.len(), 1);
+/// assert_eq!((grants[0].observer, grants[0].weight), (NodeId(1), 1.0));
 /// assert_eq!(bus.suppressed_by_rights(), 1); // observer 2 never saw it
 /// ```
 pub struct EventBus {
@@ -382,6 +401,9 @@ pub struct EventBus {
     policy: RbacPolicy,
     gate: bool,
     published: u64,
+    /// The last publish's grants; cleared and refilled by the next, so
+    /// a publish allocates only while the audience grows.
+    grants: Vec<Grant>,
     /// Seeded known-bad for the cached-verdict differential: the cache
     /// keys on the artefact alone and misses every policy change.
     #[cfg(test)]
@@ -398,6 +420,7 @@ impl EventBus {
             policy: RbacPolicy::new(),
             gate: false,
             published: 0,
+            grants: Vec::new(),
             #[cfg(test)]
             key_on_path_only: false,
         }
@@ -457,7 +480,8 @@ impl EventBus {
         );
     }
 
-    /// Publishes a cooperation event.
+    /// Publishes a cooperation event and returns its grants, in
+    /// observer order.
     ///
     /// For each registered observer, in order: the rights gate (no read
     /// rights on the artefact → suppressed, counted), then — broadcast
@@ -466,16 +490,19 @@ impl EventBus {
     /// `1.0`; broadcast events never reach their own actor. A verdict is
     /// reused while the observer, artefact and policy generation are
     /// those it was decided for, so it is exactly what the policy says.
-    pub fn publish(&mut self, event: CoopEvent) -> Vec<BusDelivery> {
+    ///
+    /// The event may be passed by value or by reference; the bus only
+    /// reads it. The grants are lent until the next call on the bus, so
+    /// a publisher that keeps them copies them out.
+    pub fn publish(&mut self, event: impl Borrow<CoopEvent>) -> &[Grant] {
+        let event = event.borrow();
         self.published += 1;
         let generation = self.policy.generation();
         #[cfg(test)]
         let generation = if self.key_on_path_only { 0 } else { generation };
-        // Sized once for the most that can pass, not grown per push.
-        let mut out = Vec::with_capacity(match event.audience {
-            Audience::Direct(_) => 1,
-            Audience::Everyone => self.observers.len(),
-        });
+        self.grants.clear();
+        // Room for the most that can pass, once per audience size.
+        self.grants.reserve(self.observers.len());
         for (&observer, state) in self.observers.iter_mut() {
             let weight = match event.audience {
                 Audience::Direct(to) => {
@@ -505,32 +532,31 @@ impl EventBus {
             };
             if pass {
                 state.received += 1;
-                out.push(BusDelivery {
-                    observer,
-                    // Each observer gets an owned event by API contract.
-                    // For activity events that is a refcount bump on the
-                    // artefact path plus `Copy` fields; only the rarer
-                    // kinds that carry a label string copy it.
-                    event: event.clone(),
-                    weight,
-                });
+                self.grants.push(Grant { observer, weight });
             } else {
                 state.suppressed_low_weight += 1;
             }
         }
-        out
+        &self.grants
     }
 
     /// Publishes everything an engine's outcome projects to, in order,
-    /// concatenating the surviving deliveries: `bus.publish_all(&notices)`.
+    /// and pairs each grant with its own copy of the event:
+    /// `bus.publish_all(&notices)`.
     pub fn publish_all(
         &mut self,
         events: impl IntoIterator<Item = impl Into<CoopEvent>>,
     ) -> Vec<BusDelivery> {
-        events
-            .into_iter()
-            .flat_map(|e| self.publish(e.into()))
-            .collect()
+        let mut out = Vec::new();
+        for event in events {
+            let event = event.into();
+            out.extend(self.publish(&event).iter().map(|g| BusDelivery {
+                observer: g.observer,
+                event: event.clone(),
+                weight: g.weight,
+            }));
+        }
+        out
     }
 
     /// Total deliveries suppressed by the rights gate, across all
@@ -798,7 +824,7 @@ mod tests {
         }
 
         impl AskEveryTime {
-            fn publish(&mut self, event: &CoopEvent) -> Vec<BusDelivery> {
+            fn publish(&mut self, event: &CoopEvent) -> Vec<Grant> {
                 let mut out = Vec::new();
                 for (&observer, (threshold, stats)) in &mut self.observers {
                     let weight = match event.audience {
@@ -815,11 +841,7 @@ mod tests {
                         || (weight >= *threshold && weight > 0.0)
                     {
                         stats.received += 1;
-                        out.push(BusDelivery {
-                            observer,
-                            event: event.clone(),
-                            weight,
-                        });
+                        out.push(Grant { observer, weight });
                     } else {
                         stats.suppressed_low_weight += 1;
                     }
@@ -852,8 +874,8 @@ mod tests {
         }
 
         /// Drives the bus and the oracle through `ops` and compares every
-        /// publish's deliveries and every observer's statistics after
-        /// every step; the first difference is the error.
+        /// publish's grants and every observer's statistics after every
+        /// step; the first difference is the error.
         fn drive(ops: &[(u32, u32, u32, u32)], key_on_path_only: bool) -> Result<(), String> {
             let mut bus = EventBus::new();
             bus.key_on_path_only = key_on_path_only;
@@ -862,7 +884,7 @@ mod tests {
             let shared: Vec<ObjectPath> = PATHS.iter().map(ObjectPath::new).collect();
             for (step, &(op, a, b, c)) in ops.iter().enumerate() {
                 let role = |x: u32| RoleId(x % 3);
-                let mut deliveries = None;
+                let mut grants = None;
                 match op {
                     0..=5 => {
                         let which = a as usize % PATHS.len();
@@ -886,7 +908,7 @@ mod tests {
                         } else {
                             CoopEvent::broadcast(actor, path, SimTime::ZERO, kind)
                         };
-                        deliveries = Some((bus.publish(event.clone()), oracle.publish(&event)));
+                        grants = Some((bus.publish(&event).to_vec(), oracle.publish(&event)));
                     }
                     6 => {
                         let (rights, effect) = [
@@ -939,10 +961,10 @@ mod tests {
                             .insert(NodeId(b % NODES), (threshold, stats));
                     }
                 }
-                if let Some((got, want)) = deliveries {
+                if let Some((got, want)) = grants {
                     if got != want {
                         return Err(format!(
-                            "step {step}: delivered {got:?}, the policy says {want:?}"
+                            "step {step}: granted {got:?}, the policy says {want:?}"
                         ));
                     }
                 }

@@ -145,14 +145,13 @@ impl Actor<GcMsg<BusWire>> for BusActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, from: NodeId, msg: GcMsg<BusWire>) {
         match msg {
             GcMsg::AppCmd(mut wire) => {
-                let event = wire.event.clone();
                 // The grant list travels in the envelope: building it
                 // is the publish, once per event and not per observer.
                 wire.grants = self
                     .bus
-                    .publish(event)
-                    .into_iter()
-                    .map(|d| (d.observer, d.weight))
+                    .publish(&wire.event)
+                    .iter()
+                    .map(|g| (g.observer, g.weight))
                     .collect();
                 ctx.metrics().incr("aware.publish");
                 let span = if self.telemetry {

@@ -59,7 +59,7 @@ mod tests {
     use odp_sim::time::SimTime;
 
     use super::*;
-    use crate::bus::{BusDelivery, CoopEvent, CoopKind, CoopWeightFn, EventBus};
+    use crate::bus::{CoopEvent, CoopKind, CoopWeightFn, EventBus, Grant};
 
     fn bus(weight: CoopWeightFn) -> EventBus {
         let mut b = EventBus::new();
@@ -67,13 +67,14 @@ mod tests {
         b
     }
 
-    fn edit(bus: &mut EventBus) -> Vec<BusDelivery> {
+    fn edit(bus: &mut EventBus) -> Vec<Grant> {
         bus.publish(CoopEvent::broadcast(
             NodeId(0),
             "doc",
             SimTime::ZERO,
             CoopKind::Activity(ActivityKind::Edit),
         ))
+        .to_vec()
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod weights;
 pub mod wire;
 
 pub use bus::{
-    Audience, BusDelivery, BusStats, CoopEvent, CoopKind, CoopMode, CoopWeightFn, EventBus,
+    Audience, BusDelivery, BusStats, CoopEvent, CoopKind, CoopMode, CoopWeightFn, EventBus, Grant,
 };
 pub use dist::{BusActor, BusWire};
 pub use events::ActivityKind;

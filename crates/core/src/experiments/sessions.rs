@@ -62,9 +62,10 @@ pub(crate) fn e1_space_time_matrix(seed: u64) -> Vec<Table> {
         session.share("shared/draft");
         // Author A edits at t = 10 s.
         let edit_time = SimTime::from_secs(10);
-        let deliveries = ws
+        let granted = ws
             .write(a, ObjectId(1), "outline + section 1", edit_time)
-            .expect("author may write");
+            .expect("author may write")
+            .len();
         let (join_time, notification_ms) = match mode.time {
             TimeMode::Synchronous => {
                 // B is present: the awareness delivery crosses the link.
@@ -91,7 +92,7 @@ pub(crate) fn e1_space_time_matrix(seed: u64) -> Vec<Table> {
             format!("{:?}", mode.place),
             format!("{response_ms:.2}"),
             format!("{notification_ms:.2}"),
-            deliveries.len().to_string(),
+            granted.to_string(),
         ]);
     }
     vec![table]

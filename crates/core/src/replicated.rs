@@ -116,9 +116,9 @@ impl GroupApp<WsOp> for WorkspaceReplica {
             .workspace
             .write(NodeId(op.actor), ObjectId(op.object), op.value, ctx.now())
         {
-            Ok(deliveries) => {
+            Ok(grants) => {
                 self.applied += 1;
-                self.awareness_delivered += deliveries.len() as u64;
+                self.awareness_delivered += grants.len() as u64;
                 // The applied-op line is the replica's audit record; it
                 // is formatted straight into the trace's own buffer.
                 ctx.trace(

@@ -11,7 +11,7 @@
 use odp_access::matrix::Subject;
 use odp_access::rbac::{ObjectPath, RbacPolicy};
 use odp_access::rights::Rights;
-use odp_awareness::bus::{BusDelivery, CoopEvent, CoopKind, CoopWeightFn, EventBus};
+use odp_awareness::bus::{CoopEvent, CoopKind, CoopWeightFn, EventBus, Grant};
 use odp_awareness::events::ActivityKind;
 use odp_concurrency::store::{ObjectStore, StoreError};
 use odp_sim::net::NodeId;
@@ -66,7 +66,9 @@ impl From<StoreError> for WorkspaceError {
 /// same [`RbacPolicy`] that adjudicates the *access* also gates who may
 /// *observe* it, so an observer without `READ` rights on an artefact
 /// never learns the artefact was touched (the bus discloses how much was
-/// withheld via [`EventBus::suppressed_by_rights`]).
+/// withheld via [`EventBus::suppressed_by_rights`]). An access returns
+/// the bus's [`Grant`]s: each observer cleared to hear of it, and at what
+/// weight.
 ///
 /// # Examples
 ///
@@ -83,8 +85,9 @@ impl From<StoreError> for WorkspaceError {
 /// ws.create_artefact(ObjectId(1), "notes/today", "agenda");
 /// ws.register_observer(NodeId(1), 0.0);
 /// ws.register_observer(NodeId(2), 0.0); // no rights on "notes"
-/// let deliveries = ws.write(NodeId(0), ObjectId(1), "agenda v2", SimTime::ZERO)?;
-/// assert_eq!(deliveries.len(), 1, "only the rightful observer saw the edit");
+/// let grants = ws.write(NodeId(0), ObjectId(1), "agenda v2", SimTime::ZERO)?;
+/// assert_eq!(grants.len(), 1, "only the rightful observer saw the edit");
+/// assert_eq!(grants[0].observer, NodeId(1));
 /// assert_eq!(ws.bus().suppressed_by_rights(), 1, "the withholding is disclosed");
 /// # Ok::<(), cscw_core::workspace::WorkspaceError>(())
 /// ```
@@ -192,13 +195,7 @@ impl SharedWorkspace {
         }
     }
 
-    fn publish(
-        &mut self,
-        who: NodeId,
-        id: ObjectId,
-        kind: ActivityKind,
-        at: SimTime,
-    ) -> Vec<BusDelivery> {
+    fn publish(&mut self, who: NodeId, id: ObjectId, kind: ActivityKind, at: SimTime) -> &[Grant] {
         // One handle for the history, one for the event.
         let artefact = self.path_of(id).into_owned();
         self.history.push(HistoryEntry {
@@ -215,8 +212,10 @@ impl SharedWorkspace {
         ))
     }
 
-    /// Reads an artefact (requires `READ`); peers with interest *and*
-    /// `READ` rights on the artefact get a `View` awareness event.
+    /// Reads an artefact (requires `READ`) and returns its value with
+    /// the grants of the `View` event it publishes: the peers with
+    /// interest *and* `READ` rights on the artefact. The grants are lent
+    /// until the next call on the workspace.
     ///
     /// # Errors
     ///
@@ -226,15 +225,16 @@ impl SharedWorkspace {
         who: NodeId,
         id: ObjectId,
         at: SimTime,
-    ) -> Result<(String, Vec<BusDelivery>), WorkspaceError> {
+    ) -> Result<(String, &[Grant]), WorkspaceError> {
         self.check(who, id, Rights::READ)?;
         let value = self.store.read(id)?.value.clone();
-        let deliveries = self.publish(who, id, ActivityKind::View, at);
-        Ok((value, deliveries))
+        Ok((value, self.publish(who, id, ActivityKind::View, at)))
     }
 
-    /// Writes an artefact (requires `WRITE`); peers with `READ` rights
-    /// get an `Edit` event.
+    /// Writes an artefact (requires `WRITE`) and returns the grants of
+    /// the `Edit` event it publishes: the peers with interest and `READ`
+    /// rights on the artefact. The grants are lent until the next call
+    /// on the workspace.
     ///
     /// # Errors
     ///
@@ -245,7 +245,7 @@ impl SharedWorkspace {
         id: ObjectId,
         value: impl Into<String>,
         at: SimTime,
-    ) -> Result<Vec<BusDelivery>, WorkspaceError> {
+    ) -> Result<&[Grant], WorkspaceError> {
         self.check(who, id, Rights::WRITE)?;
         self.store.write(id, value)?;
         Ok(self.publish(who, id, ActivityKind::Edit, at))
@@ -309,11 +309,16 @@ mod tests {
         let mut ws = workspace();
         ws.register_observer(NodeId(1), 0.0); // reader role on "docs"
         ws.register_observer(NodeId(2), 0.0); // no role at all
-        let deliveries = ws.write(NodeId(0), ObjectId(1), "v2", NOW).unwrap();
+        let grants = ws.write(NodeId(0), ObjectId(1), "v2", NOW).unwrap();
         // The rightless observer is gated out, and the gate discloses it.
-        assert_eq!(deliveries.len(), 1);
-        assert_eq!(deliveries[0].observer, NodeId(1));
-        assert_eq!(deliveries[0].event.kind.activity(), ActivityKind::Edit);
+        assert_eq!(
+            grants,
+            [Grant {
+                observer: NodeId(1),
+                weight: 1.0
+            }]
+        );
+        assert_eq!(ws.history()[0].kind, ActivityKind::Edit);
         assert_eq!(ws.bus().suppressed_by_rights(), 1);
         assert_eq!(ws.bus().stats(NodeId(2)).unwrap().suppressed_by_rights, 1);
     }
@@ -324,8 +329,8 @@ mod tests {
         ws.register_observer(NodeId(1), 0.0);
         ws.register_observer(NodeId(2), 0.0);
         ws.bus_mut().set_rights_gate(false);
-        let deliveries = ws.write(NodeId(0), ObjectId(1), "v2", NOW).unwrap();
-        assert_eq!(deliveries.len(), 2, "trusted closed team: everyone hears");
+        let grants = ws.write(NodeId(0), ObjectId(1), "v2", NOW).unwrap();
+        assert_eq!(grants.len(), 2, "trusted closed team: everyone hears");
     }
 
     #[test]

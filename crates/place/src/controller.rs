@@ -564,8 +564,8 @@ impl PlacementActor {
                 to: plan.to,
             },
         );
-        for delivery in self.bus.publish(event) {
-            ctx.send(delivery.observer, PlaceWire::Notice(delivery.event));
+        for grant in self.bus.publish(&event) {
+            ctx.send(grant.observer, PlaceWire::Notice(event.clone()));
         }
         self.end_epoch(epoch, now, EpochOutcome::Committed);
         ctx.metrics().incr("place.ctl.migrations");
