@@ -69,9 +69,9 @@ fn a_publication_stays_within_its_allocation_budget() {
     }
     sim.run(Until::At(ms(10 * N + 5)));
     let tally = run_counted(&mut sim, ms(20 * N + 100));
-    // The publisher: the publication (its bus's deliveries, the grant
-    // list the envelope carries, the multicast) and the three acks that
-    // come back, 6 a publication.
+    // The publisher: the publication (the grant list the envelope
+    // carries, copied from the grants its bus lends out, and the
+    // multicast) and the three acks that come back, 6 a publication.
     assert_eq!(tally.messages(PUBLISHER), count(4 * N, 6 * N));
     // Each member: 3 a delivery, and one more in the hundred as the
     // tables a member keeps grow.

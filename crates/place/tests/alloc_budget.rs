@@ -31,9 +31,10 @@ fn a_raster_session_stays_within_its_allocation_budget() {
     assert_eq!(sim.metrics().counter("place.ctl.migrations"), 7);
     // The controller: the editors' span reports (288 accesses folded
     // into usage), the session's view change, and each migration's
-    // transfer report and install, which commits it; 4.2 allocations a
-    // message.
-    assert_eq!(tally.messages(scenario.controller), count(136, 567));
+    // transfer report and install, which commits it; 4.1 allocations a
+    // message. A migration's notice grants come from the bus's buffer,
+    // sized by the first.
+    assert_eq!(tally.messages(scenario.controller), count(136, 561));
     // Its policy rounds: the shortlist and, in a round that decides, the
     // decision's record.
     assert_eq!(tally.timers(scenario.controller), count(40, 264));
