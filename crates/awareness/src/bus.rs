@@ -515,7 +515,7 @@ impl EventBus {
                     if observer == event.actor {
                         continue;
                     }
-                    (self.weight)(observer, &event).clamp(0.0, 1.0)
+                    (self.weight)(observer, event).clamp(0.0, 1.0)
                 }
             };
             // Rights first: an observer without read rights must not
