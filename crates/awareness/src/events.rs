@@ -67,14 +67,13 @@ mod tests {
         b
     }
 
-    fn edit(bus: &mut EventBus) -> Vec<Grant> {
+    fn edit(bus: &mut EventBus) -> &[Grant] {
         bus.publish(CoopEvent::broadcast(
             NodeId(0),
             "doc",
             SimTime::ZERO,
             CoopKind::Activity(ActivityKind::Edit),
         ))
-        .to_vec()
     }
 
     #[test]
