@@ -5,8 +5,9 @@
 //! `cscw-core`: the *publisher* runs the rights gate and focus–nimbus
 //! weighting locally (so a suppressed observer's node never even
 //! receives the event for them), then disseminates the surviving grants
-//! over `odp_groupcomm` causal multicast. Each node surfaces the grants
-//! addressed to observers it hosts.
+//! over `odp_groupcomm` causal multicast (in an [`EngineHost`]). Each
+//! node surfaces the grants addressed to observers it hosts, and
+//! publishes only events injected at itself.
 //!
 //! With telemetry enabled, publications mint an `aware.publish` root
 //! span and every surfaced grant mints an `aware.deliver` child from the
@@ -14,16 +15,14 @@
 //! `odp_telemetry` causal DAGs and critical paths alongside `gc.*` and
 //! `rpc.*` spans.
 
+use odp_groupcomm::host::EngineHost;
 use odp_groupcomm::membership::View;
-use odp_groupcomm::multicast::{Delivery, GcMsg, GroupEngine, Ordering, Reliability, Step};
+use odp_groupcomm::multicast::{Delivery, GcMsg, GroupEngine, Ordering, Reliability};
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::SimDuration;
 
 use crate::bus::{BusDelivery, CoopEvent, EventBus};
-
-/// Maintenance-tick timer tag.
-const TICK: u64 = 1;
 
 /// The wire payload: a cooperation event plus the `(observer, weight)`
 /// grants the publisher's bus cleared through the rights gate and
@@ -56,11 +55,10 @@ impl BusWire {
 /// from it; after the run, [`BusActor::delivered`] on each node lists
 /// the [`BusDelivery`]s surfaced for the node's own observer.
 pub struct BusActor {
-    engine: GroupEngine<BusWire>,
+    host: EngineHost<BusWire>,
     bus: EventBus,
     me: NodeId,
     delivered: Vec<BusDelivery>,
-    tick_every: SimDuration,
     telemetry: bool,
 }
 
@@ -69,11 +67,13 @@ impl BusActor {
     /// delivery, surfacing the grants addressed to `me`.
     pub fn new(me: NodeId, view: View, bus: EventBus) -> Self {
         BusActor {
-            engine: GroupEngine::new(me, view, Ordering::Causal, Reliability::reliable()),
+            host: EngineHost::new(
+                GroupEngine::new(me, view, Ordering::Causal, Reliability::reliable()),
+                SimDuration::from_millis(50),
+            ),
             bus,
             me,
             delivered: Vec::new(),
-            tick_every: SimDuration::from_millis(50),
             telemetry: false,
         }
     }
@@ -102,35 +102,27 @@ impl BusActor {
         &self.delivered
     }
 
-    fn apply_step(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, step: Step<BusWire>) {
-        for (to, msg) in step.outbound {
-            ctx.send(to, msg);
-        }
-        for delivery in step.delivered {
-            self.surface(ctx, delivery);
-        }
-    }
-
-    /// Surfaces the grants of one delivered wire message that are
+    /// Surfaces the grants of delivered wire messages that are
     /// addressed to this node's observer.
-    fn surface(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, delivery: Delivery<BusWire>) {
-        let wire = delivery.payload;
-        for &(observer, weight) in &wire.grants {
-            if observer != self.me {
-                continue;
-            }
-            ctx.metrics().incr("aware.deliver");
-            if self.telemetry {
-                if let Some(parent) = delivery.span {
-                    let child = ctx.rng().span_child(&parent);
-                    ctx.span_instant(child, "aware.deliver");
+    fn surface(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, deliveries: Vec<Delivery<BusWire>>) {
+        for Delivery { span, payload, .. } in deliveries {
+            for &(observer, weight) in &payload.grants {
+                if observer != self.me {
+                    continue;
                 }
+                ctx.metrics().incr("aware.deliver");
+                if self.telemetry {
+                    if let Some(parent) = span {
+                        let child = ctx.rng().span_child(&parent);
+                        ctx.span_instant(child, "aware.deliver");
+                    }
+                }
+                self.delivered.push(BusDelivery {
+                    observer,
+                    event: payload.event.clone(),
+                    weight,
+                });
             }
-            self.delivered.push(BusDelivery {
-                observer,
-                event: wire.event.clone(),
-                weight,
-            });
         }
     }
 }
@@ -139,11 +131,12 @@ impl BusActor {
 /// ([`GcMsg::InstallView`]).
 impl Actor<GcMsg<BusWire>> for BusActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>) {
-        ctx.set_timer(self.tick_every, TICK);
+        self.host.start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, from: NodeId, msg: GcMsg<BusWire>) {
         match msg {
+            GcMsg::AppCmd(_) if from != ctx.id() => ctx.trace("gc.foreign_cmd", from),
             GcMsg::AppCmd(mut wire) => {
                 // The grant list travels in the envelope: building it
                 // is the publish, once per event and not per observer.
@@ -163,25 +156,21 @@ impl Actor<GcMsg<BusWire>> for BusActor {
                 } else {
                     None
                 };
-                let step = self.engine.mcast_spanned(wire, ctx.now(), span);
-                self.apply_step(ctx, step);
+                let delivered = self.host.mcast(ctx, wire, span);
+                self.surface(ctx, delivered);
             }
             GcMsg::InstallView(view) => {
-                self.engine.install_view(view);
+                self.host.engine_mut().install_view(view);
             }
             other => {
-                let step = self.engine.on_message(from, other, ctx.now());
-                self.apply_step(ctx, step);
+                let delivered = self.host.on_message(ctx, from, other);
+                self.surface(ctx, delivered);
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, GcMsg<BusWire>>, _timer: TimerId, tag: u64) {
-        if tag == TICK {
-            let step = self.engine.on_tick(ctx.now());
-            self.apply_step(ctx, step);
-            ctx.set_timer(self.tick_every, TICK);
-        }
+        self.host.on_timer(ctx, tag, |_| {});
     }
 }
 
@@ -270,6 +259,24 @@ mod tests {
         assert!(actor(&sim, 2).delivered().is_empty(), "gated out");
         // The suppression is counted at the publishing replica.
         assert_eq!(actor(&sim, 0).bus().suppressed_by_rights(), 1);
+    }
+
+    #[test]
+    fn a_peer_cannot_publish_through_another_node() {
+        // Observer 2 may not read doc/*; node 1 asks node 0 to publish.
+        let mut sim = build(3, &[0, 1], 7, false);
+        sim.inject(
+            SimTime::from_millis(1),
+            NodeId(1),
+            NodeId(0),
+            GcMsg::AppCmd(edit(0)),
+        );
+        sim.run(Until::For(SimDuration::from_secs(2)));
+        for i in 0..3 {
+            assert!(actor(&sim, i).delivered().is_empty(), "node {i}");
+        }
+        assert_eq!(actor(&sim, 0).bus().suppressed_by_rights(), 0);
+        assert_eq!(sim.trace().with_label("gc.foreign_cmd").count(), 1);
     }
 
     #[test]

@@ -1,28 +1,27 @@
 //! Group-communication invariants: vector clocks only grow, and
 //! ordered multicast produces agreeing delivery sequences.
 //!
-//! The harness runs one [`GroupEngine`] per member as a bare actor
-//! (message type `GcMsg<u64>`), with each member multicasting scripted
-//! payloads at staggered times; the explorer permutes the in-flight
-//! engine traffic.
+//! The harness runs one [`GroupEngine`] per member in an
+//! [`EngineHost`] on a scripted actor (message type `GcMsg<u64>`), with
+//! each member multicasting payloads at staggered times; the explorer
+//! permutes the in-flight engine traffic.
 
 use std::collections::BTreeMap;
 
+use odp_groupcomm::host::EngineHost;
 use odp_groupcomm::membership::{GroupId, View};
-use odp_groupcomm::multicast::{GcMsg, GroupEngine, Ordering, Reliability, Step};
+use odp_groupcomm::multicast::{Delivery, GcMsg, GroupEngine, Ordering, Reliability};
 use odp_groupcomm::vclock::{Causality, VectorClock};
 use odp_sim::net::NodeId;
 use odp_sim::prelude::*;
 
 use crate::explore::Invariant;
 
-const TICK_TAG: u64 = 1;
 const SEND_TAG0: u64 = 100;
-const TICK_EVERY: SimDuration = SimDuration::from_millis(50);
 
 /// One group member as a simulator actor.
 pub(crate) struct Member {
-    engine: GroupEngine<u64>,
+    host: EngineHost<u64>,
     script: Vec<(SimDuration, u64)>,
     /// Deliveries in order: `(origin, payload)`.
     pub delivered: Vec<(NodeId, u64)>,
@@ -37,7 +36,10 @@ impl Member {
         script: Vec<(SimDuration, u64)>,
     ) -> Self {
         Member {
-            engine: GroupEngine::new(me, view, ordering, Reliability::reliable()),
+            host: EngineHost::new(
+                GroupEngine::new(me, view, ordering, Reliability::reliable()),
+                SimDuration::from_millis(50),
+            ),
             script,
             delivered: Vec::new(),
         }
@@ -45,47 +47,37 @@ impl Member {
 
     /// The engine (invariants read its vector clock).
     pub fn engine(&self) -> &GroupEngine<u64> {
-        &self.engine
+        self.host.engine()
     }
 
-    fn flush(step: Step<u64>, ctx: &mut Ctx<'_, GcMsg<u64>>) {
-        for (to, msg) in step.outbound {
-            ctx.send(to, msg);
-        }
-    }
-
-    fn absorb(&mut self, step: Step<u64>, ctx: &mut Ctx<'_, GcMsg<u64>>) {
-        for d in &step.delivered {
+    fn record(&mut self, deliveries: Vec<Delivery<u64>>) {
+        for d in deliveries {
             self.delivered.push((d.id.origin, d.payload));
         }
-        Self::flush(step, ctx);
     }
 }
 
 impl Actor<GcMsg<u64>> for Member {
     fn on_start(&mut self, ctx: &mut Ctx<'_, GcMsg<u64>>) {
-        ctx.set_timer(TICK_EVERY, TICK_TAG);
+        self.host.start(ctx);
         for (i, (at, _)) in self.script.iter().enumerate() {
             ctx.set_timer(*at, SEND_TAG0 + i as u64);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, GcMsg<u64>>, from: NodeId, msg: GcMsg<u64>) {
-        let step = self.engine.on_message(from, msg, ctx.now());
-        self.absorb(step, ctx);
+        let delivered = self.host.on_message(ctx, from, msg);
+        self.record(delivered);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, GcMsg<u64>>, _timer: TimerId, tag: u64) {
-        if tag == TICK_TAG {
-            let step = self.engine.on_tick(ctx.now());
-            Self::flush(step, ctx);
-            ctx.set_timer(TICK_EVERY, TICK_TAG);
+        if self.host.on_timer(ctx, tag, |_| {}).is_some() {
             return;
         }
         let ix = (tag - SEND_TAG0) as usize;
         if let Some((_, payload)) = self.script.get(ix).copied() {
-            let step = self.engine.mcast(payload, ctx.now());
-            self.absorb(step, ctx);
+            let delivered = self.host.mcast(ctx, payload, None);
+            self.record(delivered);
         }
     }
 }

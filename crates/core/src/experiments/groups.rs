@@ -51,11 +51,8 @@ fn mcast_run(
     let net = Network::new(link);
     let mut sim: Sim<GcMsg<String>> = SimBuilder::new(seed).network(net).build();
     for i in 0..n {
-        sim.add_actor(NodeId(i), {
-            let mut a = GroupActor::new(NodeId(i), view.clone(), ordering, reliability, Tracer);
-            a.set_tick_interval(SimDuration::from_millis(50));
-            a
-        });
+        let a = GroupActor::new(NodeId(i), view.clone(), ordering, reliability, Tracer);
+        sim.add_actor(NodeId(i), a);
     }
     // Each member multicasts 5 messages; trace issue time via injection
     // markers embedded in the payload.

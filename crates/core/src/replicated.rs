@@ -328,6 +328,30 @@ mod tests {
     }
 
     #[test]
+    fn a_peer_cannot_hand_a_replica_a_command() {
+        // Read-only participant 2 asks replica 0 to submit as its host,
+        // which holds every right on `shared`.
+        let mut sim = build(3, &[0, 1], 17);
+        sim.inject(
+            SimTime::from_millis(10),
+            NodeId(2),
+            NodeId(0),
+            GcMsg::AppCmd(WsOp {
+                actor: 0,
+                object: 1,
+                value: "forged".into(),
+            }),
+        );
+        sim.run(Until::For(SimDuration::from_secs(5)));
+        for i in 0..3 {
+            let app = replica(&sim, i).app();
+            assert_eq!(app.applied(), 0, "nothing hit the wire");
+            assert!(app.workspace().history().is_empty(), "replica {i}");
+        }
+        assert_eq!(sim.trace().with_label("gc.foreign_cmd").count(), 1);
+    }
+
+    #[test]
     fn every_replica_raises_awareness_locally() {
         let mut sim = build(3, &[0, 1, 2], 23);
         sim.inject(

@@ -1,9 +1,11 @@
-//! Host a [`GroupEngine`] and an [`RpcEngine`] as one actor,
-//! delegating application behaviour to a [`GroupApp`].
+//! Host a [`GroupEngine`] (through an [`EngineHost`]) and an
+//! [`RpcEngine`] as one actor, delegating application behaviour to a
+//! [`GroupApp`].
 //!
 //! A [`GroupActor`] is an `odp_sim::actor::Actor`, so it runs on the
 //! simulator as it is and on `odp_net`'s TCP backend through the
-//! `TransportActor` impl every actor gets.
+//! `TransportActor` impl every actor gets. Its RPC expiry runs on the
+//! host's 50 ms maintenance tick.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -14,11 +16,11 @@ use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
 
-use crate::multicast::{Delivery, GcMsg, GroupEngine, Step};
+use crate::host::EngineHost;
+use crate::multicast::{Delivery, GcMsg, GroupEngine};
 use crate::rpc::{CallOutcome, Quorum, ReplyBody, RpcEngine};
 
-/// Timer tags used by [`GroupActor`].
-const TICK: u64 = 1;
+/// The first tag of a group invocation's execution timer.
 const EXEC_BASE: u64 = 1_000;
 
 /// Application behaviour plugged into a [`GroupActor`].
@@ -99,10 +101,9 @@ pub trait GroupApp<P>: 'static {
 /// assert_eq!(sim.trace().with_label("delivered").count(), 2);
 /// ```
 pub struct GroupActor<P, A> {
-    engine: GroupEngine<P>,
+    host: EngineHost<P>,
     rpc: RpcEngine<P>,
     app: A,
-    tick_every: SimDuration,
     pending_exec: BTreeMap<u64, (u64, P)>, // timer tag -> (call, payload)
     next_exec_tag: u64,
     telemetry: bool,
@@ -119,20 +120,17 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
         app: A,
     ) -> Self {
         GroupActor {
-            engine: GroupEngine::new(me, view, ordering, reliability),
+            host: EngineHost::new(
+                GroupEngine::new(me, view, ordering, reliability),
+                SimDuration::from_millis(50),
+            ),
             rpc: RpcEngine::new(me),
             app,
-            tick_every: SimDuration::from_millis(50),
             pending_exec: BTreeMap::new(),
             next_exec_tag: EXEC_BASE,
             telemetry: false,
             open_calls: BTreeMap::new(),
         }
-    }
-
-    /// Adjusts the maintenance tick period (default 50 ms).
-    pub fn set_tick_interval(&mut self, every: SimDuration) {
-        self.tick_every = every;
     }
 
     /// Enables causal span telemetry: multicasts and RPCs mint
@@ -159,23 +157,15 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
         &mut self.app
     }
 
-    /// Borrows the multicast engine.
-    pub fn engine(&self) -> &GroupEngine<P> {
-        &self.engine
-    }
-
     /// Mutably borrows the multicast engine (e.g. to
     /// [`GroupEngine::resume_seq_from`] when re-hosting a member that
     /// crashed in a previous process incarnation).
     pub fn engine_mut(&mut self) -> &mut GroupEngine<P> {
-        &mut self.engine
+        self.host.engine_mut()
     }
 
-    fn apply_step(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, step: Step<P>) {
-        for (to, msg) in step.outbound {
-            ctx.send(to, msg);
-        }
-        for delivery in step.delivered {
+    fn deliver(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, deliveries: Vec<Delivery<P>>) {
+        for delivery in deliveries {
             ctx.metrics().incr("gc.delivered");
             if self.telemetry {
                 if let Some(parent) = delivery.span {
@@ -223,7 +213,8 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
         payload: P,
         config: RpcConfig,
     ) -> u64 {
-        let targets = self.engine.view().peers(self.engine.me());
+        let engine = self.host.engine();
+        let targets = engine.view().peers(engine.me());
         let span = if self.telemetry {
             let root = ctx.rng().span_root();
             ctx.span_open(root, "rpc.call");
@@ -248,13 +239,13 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
         }
         call
     }
+}
 
-    /// Closes the `rpc.call` root span of a finished call, if telemetry
-    /// opened one.
-    fn close_call_span(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, call: u64) {
-        if let Some(root) = self.open_calls.remove(&call) {
-            ctx.span_close(root);
-        }
+/// Closes the `rpc.call` root span of a finished call, if telemetry
+/// opened one.
+fn close_call_span<M>(open: &mut BTreeMap<u64, SpanCarrier>, ctx: &mut Ctx<'_, M>, call: u64) {
+    if let Some(root) = open.remove(&call) {
+        ctx.span_close(root);
     }
 }
 
@@ -262,12 +253,15 @@ impl<P: Clone + 'static, A: GroupApp<P>> GroupActor<P, A> {
 /// application layer's view-change protocol ([`GcMsg::InstallView`]).
 impl<P: Clone + Any, A: GroupApp<P>> Actor<GcMsg<P>> for GroupActor<P, A> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>) {
-        ctx.set_timer(self.tick_every, TICK);
+        self.host.start(ctx);
         self.app.on_start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, from: NodeId, msg: GcMsg<P>) {
         match msg {
+            // A command is this node's own: a peer cannot make it
+            // multicast in this node's name.
+            GcMsg::AppCmd(_) if from != ctx.id() => ctx.trace("gc.foreign_cmd", from),
             GcMsg::AppCmd(cmd) => {
                 if let Some(payload) = self.app.on_command(ctx, cmd) {
                     let span = if self.telemetry {
@@ -279,9 +273,9 @@ impl<P: Clone + Any, A: GroupApp<P>> Actor<GcMsg<P>> for GroupActor<P, A> {
                     } else {
                         None
                     };
-                    let step = self.engine.mcast_spanned(payload, ctx.now(), span);
+                    let delivered = self.host.mcast(ctx, payload, span);
                     ctx.metrics().incr("gc.mcast");
-                    self.apply_step(ctx, step);
+                    self.deliver(ctx, delivered);
                 }
             }
             GcMsg::RpcRequest { call, body } => {
@@ -318,34 +312,32 @@ impl<P: Clone + Any, A: GroupApp<P>> Actor<GcMsg<P>> for GroupActor<P, A> {
                     ctx.span_instant(reply, "rpc.reply");
                 }
                 if let Some(outcome) = self.rpc.on_reply(call, from, payload, ctx.now()) {
-                    self.close_call_span(ctx, outcome.call);
+                    close_call_span(&mut self.open_calls, ctx, outcome.call);
                     self.app.on_rpc_outcome(ctx, outcome);
                 }
             }
             GcMsg::InstallView(view) => {
                 ctx.trace("gc.view_installed", format_args!("v{}", view.id.0));
-                self.engine.install_view(view);
+                self.host.engine_mut().install_view(view);
             }
             other => {
-                let step = self.engine.on_message(from, other, ctx.now());
-                self.apply_step(ctx, step);
+                let delivered = self.host.on_message(ctx, from, other);
+                self.deliver(ctx, delivered);
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, GcMsg<P>>, _timer: TimerId, tag: u64) {
-        if tag == TICK {
-            let step = self.engine.on_tick(ctx.now());
-            if !step.outbound.is_empty() {
-                ctx.metrics()
-                    .add("gc.retransmissions", step.outbound.len() as u64);
-            }
-            self.apply_step(ctx, step);
+        let resent = self.host.on_timer(ctx, tag, |ctx| {
             for outcome in self.rpc.on_tick(ctx.now()) {
-                self.close_call_span(ctx, outcome.call);
+                close_call_span(&mut self.open_calls, ctx, outcome.call);
                 self.app.on_rpc_outcome(ctx, outcome);
             }
-            ctx.set_timer(self.tick_every, TICK);
+        });
+        if let Some(resent) = resent {
+            if resent > 0 {
+                ctx.metrics().add("gc.retransmissions", resent as u64);
+            }
         } else if let Some((call, payload)) = self.pending_exec.remove(&tag) {
             ctx.trace("rpc.executed", call);
             self.app.on_execute(ctx, call, payload);
@@ -442,14 +434,13 @@ mod tests {
         });
         let mut sim = SimBuilder::new(5).network(net).build();
         for id in [NodeId(0), NodeId(1)] {
-            let mut actor = GroupActor::new(
+            let actor = GroupActor::new(
                 id,
                 view.clone(),
                 Ordering::Fifo,
                 Reliability::reliable(),
                 Recorder::default(),
             );
-            actor.set_tick_interval(SimDuration::from_millis(20));
             sim.add_actor(id, actor);
         }
         for k in 0..20u32 {

@@ -9,8 +9,10 @@
 //!
 //! The protocol logic is *sans-IO* ([`multicast::GroupEngine`],
 //! [`rpc::RpcEngine`]): pure state machines returning messages to send and
-//! payloads to deliver. [`actors::GroupActor`] hosts them on the
-//! [`odp_sim`] substrate.
+//! payloads to deliver. [`host::EngineHost`] hosts a multicast engine
+//! on any [`odp_sim`] actor, arming its maintenance tick and sending
+//! its steps; [`actors::GroupActor`] adds the RPC engine and an
+//! application on top.
 //!
 //! ```
 //! use odp_groupcomm::membership::{GroupId, Membership};
@@ -22,6 +24,7 @@
 //! ```
 
 pub mod actors;
+pub mod host;
 pub mod membership;
 pub mod multicast;
 mod ordering;

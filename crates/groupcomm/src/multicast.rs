@@ -435,7 +435,7 @@ impl<P: Clone> GroupEngine<P> {
     /// Like [`GroupEngine::mcast`], but piggybacks a telemetry span on
     /// the data message so deliveries can be stitched into the sender's
     /// causal trace.
-    pub fn mcast_spanned(
+    pub(crate) fn mcast_spanned(
         &mut self,
         payload: P,
         now: SimTime,

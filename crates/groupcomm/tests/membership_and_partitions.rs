@@ -24,14 +24,13 @@ fn build(n: u32, seed: u64, reliability: Reliability) -> (Sim<GcMsg<String>>, Vi
     let net = Network::new(LinkSpec::lan());
     let mut sim = SimBuilder::new(seed).network(net).build();
     for i in 0..n {
-        let mut a = GroupActor::new(
+        let a = GroupActor::new(
             NodeId(i),
             view.clone(),
             Ordering::Fifo,
             reliability,
             Collector::default(),
         );
-        a.set_tick_interval(SimDuration::from_millis(50));
         sim.add_actor(NodeId(i), a);
     }
     (sim, view)

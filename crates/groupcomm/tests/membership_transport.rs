@@ -62,15 +62,13 @@ impl GroupApp<String> for Recorder {
 /// transfer — a protocol this suite deliberately leaves out to keep
 /// the membership/transport mechanics observable on both backends.
 fn member_with(me: NodeId, view: View) -> GroupActor<String, Recorder> {
-    let mut actor = GroupActor::new(
+    GroupActor::new(
         me,
         view,
         Ordering::Unordered,
         Reliability::BestEffort,
         Recorder::default(),
-    );
-    actor.set_tick_interval(SimDuration::from_millis(25));
-    actor
+    )
 }
 
 fn member(me: NodeId) -> GroupActor<String, Recorder> {

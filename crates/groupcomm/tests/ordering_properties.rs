@@ -44,14 +44,13 @@ fn run(
     let mut sim = SimBuilder::new(seed).network(net).build();
     sim.trace_mut().disable();
     for i in 0..n {
-        let mut actor = GroupActor::new(
+        let actor = GroupActor::new(
             NodeId(i),
             view.clone(),
             ordering,
             reliability,
             Collector::default(),
         );
-        actor.set_tick_interval(SimDuration::from_millis(25));
         sim.add_actor(NodeId(i), actor);
     }
     for i in 0..n {

@@ -4,8 +4,9 @@
 //! A [`TraderActor`] serves one shard of the domain's offer space. On
 //! withdraw or modify it multicasts an [`Invalidation`] note to the
 //! cache-coherence group (traders + importers) through a reliable
-//! `odp_groupcomm::GroupEngine`, so importer caches converge without
-//! polling. An [`ImporterActor`] runs a lookup workload: cache hits
+//! `odp_groupcomm::GroupEngine`, hosted on each actor by an
+//! `EngineHost` with a 100 ms tick, so importer caches converge
+//! without polling. An [`ImporterActor`] runs a lookup workload: cache hits
 //! resolve locally at zero latency; misses pay the round-trip to the
 //! owning shard. Both record the metrics the acceptance experiments
 //! read: the `lookup_latency` histogram and the `cache_hit_rate`
@@ -13,8 +14,9 @@
 //! microseconds *is* the hit rate), plus plain counters.
 
 use odp_fabric::SpanCarrier;
+use odp_groupcomm::host::EngineHost;
 use odp_groupcomm::membership::View;
-use odp_groupcomm::multicast::{GcMsg, GroupEngine, Ordering, Reliability, Step};
+use odp_groupcomm::multicast::{GcMsg, GroupEngine, Ordering, Reliability};
 use odp_sim::actor::{Actor, Ctx, TimerId};
 use odp_sim::net::NodeId;
 use odp_sim::time::{SimDuration, SimTime};
@@ -96,14 +98,27 @@ pub enum TraderMsg {
     Gc(GcMsg<Invalidation>),
 }
 
-const TICK_TAG: u64 = 1;
+impl From<GcMsg<Invalidation>> for TraderMsg {
+    fn from(msg: GcMsg<Invalidation>) -> Self {
+        TraderMsg::Gc(msg)
+    }
+}
+
+/// The coherence group's member, as traders and importers host it:
+/// reliable FIFO, ticking every 100 ms.
+fn coherence_host(me: NodeId, group: View) -> EngineHost<Invalidation> {
+    EngineHost::new(
+        GroupEngine::new(me, group, Ordering::Fifo, Reliability::reliable()),
+        SimDuration::from_millis(100),
+    )
+}
+
 const LOOKUP_TAG: u64 = 2;
-const TICK_EVERY: SimDuration = SimDuration::from_millis(100);
 
 /// One trader shard as a simulator actor.
 pub struct TraderActor {
     store: OfferStore,
-    engine: GroupEngine<Invalidation>,
+    host: EngineHost<Invalidation>,
     policy: SelectionPolicy,
     selection_load: SelectionLoad,
     ring: HashRing,
@@ -134,7 +149,7 @@ impl TraderActor {
     ) -> Self {
         TraderActor {
             store: OfferStore::new(),
-            engine: GroupEngine::new(me, coherence_group, Ordering::Fifo, Reliability::reliable()),
+            host: coherence_host(me, coherence_group),
             policy,
             selection_load: SelectionLoad::new(),
             ring,
@@ -173,21 +188,14 @@ impl TraderActor {
         self.rebalance_invalidations = on;
     }
 
-    fn flush(step: Step<Invalidation>, ctx: &mut Ctx<'_, TraderMsg>) {
-        for (to, msg) in step.outbound {
-            ctx.send(to, TraderMsg::Gc(msg));
-        }
-    }
-
     fn invalidate(&mut self, note: Invalidation, ctx: &mut Ctx<'_, TraderMsg>) {
-        let step = self.engine.mcast(note, ctx.now());
-        Self::flush(step, ctx);
+        self.host.mcast(ctx, note, None);
     }
 }
 
 impl Actor<TraderMsg> for TraderActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, TraderMsg>) {
-        ctx.set_timer(TICK_EVERY, TICK_TAG);
+        self.host.start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, TraderMsg>, from: NodeId, msg: TraderMsg) {
@@ -354,10 +362,9 @@ impl Actor<TraderMsg> for TraderActor {
                 }
             }
             TraderMsg::Gc(gc) => {
-                let step = self.engine.on_message(from, gc, ctx.now());
                 // Traders originate invalidations; delivered notes from
                 // peer traders need no local action (no cache here).
-                Self::flush(step, ctx);
+                self.host.on_message(ctx, from, gc);
             }
             // Replies are importer-bound; a trader receiving one is a
             // misrouted duplicate.
@@ -366,11 +373,7 @@ impl Actor<TraderMsg> for TraderActor {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, TraderMsg>, _timer: TimerId, tag: u64) {
-        if tag == TICK_TAG {
-            let step = self.engine.on_tick(ctx.now());
-            Self::flush(step, ctx);
-            ctx.set_timer(TICK_EVERY, TICK_TAG);
-        }
+        self.host.on_timer(ctx, tag, |_| {});
     }
 }
 
@@ -402,7 +405,7 @@ pub struct ImporterStats {
 pub struct ImporterActor {
     ring: HashRing,
     cache: LookupCache,
-    engine: GroupEngine<Invalidation>,
+    host: EngineHost<Invalidation>,
     jobs: Vec<LookupJob>,
     /// call → (type, issue time, the type's invalidation epoch at
     /// issue, the `trader.import` root span if telemetry is on).
@@ -434,7 +437,7 @@ impl ImporterActor {
         ImporterActor {
             ring,
             cache: LookupCache::new(ttl),
-            engine: GroupEngine::new(me, coherence_group, Ordering::Fifo, Reliability::reliable()),
+            host: coherence_host(me, coherence_group),
             jobs,
             pending: std::collections::BTreeMap::new(),
             epochs: std::collections::BTreeMap::new(),
@@ -463,12 +466,6 @@ impl ImporterActor {
     /// The cache (tests assert on hit/miss/invalidation counts).
     pub fn cache(&self) -> &LookupCache {
         &self.cache
-    }
-
-    fn flush(step: Step<Invalidation>, ctx: &mut Ctx<'_, TraderMsg>) {
-        for (to, msg) in step.outbound {
-            ctx.send(to, TraderMsg::Gc(msg));
-        }
     }
 
     fn record_outcome(ctx: &mut Ctx<'_, TraderMsg>, latency: SimDuration, hit: bool) {
@@ -543,7 +540,7 @@ impl ImporterActor {
 
 impl Actor<TraderMsg> for ImporterActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, TraderMsg>) {
-        ctx.set_timer(TICK_EVERY, TICK_TAG);
+        self.host.start(ctx);
         for (i, job) in self.jobs.iter().enumerate() {
             ctx.set_timer(job.at, LOOKUP_TAG + 1 + i as u64);
         }
@@ -591,8 +588,7 @@ impl Actor<TraderMsg> for ImporterActor {
                 self.last_resolved.insert(service_type, resolved);
             }
             TraderMsg::Gc(gc) => {
-                let step = self.engine.on_message(from, gc, ctx.now());
-                for delivery in &step.delivered {
+                for delivery in self.host.on_message(ctx, from, gc) {
                     let service_type = &delivery.payload.service_type;
                     // Invalidations are rare coherence events; the epoch
                     // key must be owned.
@@ -601,7 +597,6 @@ impl Actor<TraderMsg> for ImporterActor {
                         ctx.metrics().incr("importer.cache.invalidated");
                     }
                 }
-                Self::flush(step, ctx);
             }
             TraderMsg::ShardChange { added, removed } => {
                 // Conservative eviction: any type whose owner moves —
@@ -650,10 +645,7 @@ impl Actor<TraderMsg> for ImporterActor {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, TraderMsg>, _timer: TimerId, tag: u64) {
-        if tag == TICK_TAG {
-            let step = self.engine.on_tick(ctx.now());
-            Self::flush(step, ctx);
-            ctx.set_timer(TICK_EVERY, TICK_TAG);
+        if self.host.on_timer(ctx, tag, |_| {}).is_some() {
             return;
         }
         let idx = (tag - LOOKUP_TAG - 1) as usize;
